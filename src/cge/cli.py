@@ -100,7 +100,6 @@ class ConfigError(Exception):
 
 #: Recognized configuration keys and their parsers.
 CONFIG_SPEC: dict[str, Callable[[str], object]] = {
-    "threads": int,
     "cache_dir": str,
     "seed": int,
     "s": float,
@@ -108,12 +107,10 @@ CONFIG_SPEC: dict[str, Callable[[str], object]] = {
     "discretization": str,
     "cg_rel_tol": float,
     "cg_max_iter": int,
-    "preconditioner": str,
     "dense_cutoff": int,
 }
 
 _CONFIG_DEFAULTS: dict[str, object] = {
-    "threads": 1,
     "cache_dir": None,
     "seed": 0,
     "s": 0.45,
@@ -121,7 +118,6 @@ _CONFIG_DEFAULTS: dict[str, object] = {
     "discretization": None,
     "cg_rel_tol": 1e-10,
     "cg_max_iter": None,
-    "preconditioner": "diagonal",
     "dense_cutoff": 1500,
 }
 
@@ -175,7 +171,6 @@ def _solve_config(resolved: dict[str, object], default_discretization: str) -> S
             cg_rel_tol=float(resolved["cg_rel_tol"]),
             cg_max_iter=(None if resolved["cg_max_iter"] is None
                          else int(resolved["cg_max_iter"])),
-            preconditioner=str(resolved["preconditioner"]),
             dense_cutoff=int(resolved["dense_cutoff"]),
         )
     except ValueError as err:
@@ -401,8 +396,7 @@ def cmd_coarse(args: argparse.Namespace) -> int:
     resolved = _resolve_config(args)
     field = _load_field(args.field)
     config = _solve_config(resolved, "q1")
-    result = sweep(field, config, cache_dir=resolved["cache_dir"],
-                   threads=int(resolved["threads"]))
+    result = sweep(field, config, cache_dir=resolved["cache_dir"])
     summary = {
         "solve_count": result.solve_count,
         "cache_hits": result.cache_hits,
@@ -421,8 +415,7 @@ def cmd_ellipticity(args: argparse.Namespace) -> int:
     resolved = _resolve_config(args)
     field = _load_field(args.field)
     config = _solve_config(resolved, "q1")
-    result = sweep(field, config, cache_dir=resolved["cache_dir"],
-                   threads=int(resolved["threads"]))
+    result = sweep(field, config, cache_dir=resolved["cache_dir"])
     if result.failures:
         raise CliError(f"{len(result.failures)} cube solves failed")
     report_obj = ellipticity_constants(result, float(resolved["s"]), float(resolved["t"]))
@@ -445,8 +438,7 @@ def cmd_criterion(args: argparse.Namespace) -> int:
     sweep_result = None
     if args.with_solves:
         config = _solve_config(resolved, "q1")
-        sweep_result = sweep(field, config, cache_dir=resolved["cache_dir"],
-                             threads=int(resolved["threads"]))
+        sweep_result = sweep(field, config, cache_dir=resolved["cache_dir"])
     crit = sobolev_criterion_report(field, inp, sweep_result=sweep_result)
     report = make_report("criterion", crit.to_dict(), resolved,
                          field_hash=field.content_hash)
@@ -466,8 +458,7 @@ def cmd_harnack(args: argparse.Namespace) -> int:
     sweep_result = None
     if args.with_solves:
         q1 = _solve_config({**resolved, "discretization": None}, "q1")
-        sweep_result = sweep(field, q1, cache_dir=resolved["cache_dir"],
-                             threads=int(resolved["threads"]))
+        sweep_result = sweep(field, q1, cache_dir=resolved["cache_dir"])
     runner = (local_boundedness_experiment if args.mode == "one-sided"
               else harnack_experiment)
     record = runner(field, boundary, s, t, config=config,
@@ -498,8 +489,7 @@ def _cantor_family_records(
         grid = GridSpec(2, n)
         field = gen_cantor_field(grid, CantorParams(n))
         q1 = _solve_config({**resolved, "discretization": None}, "q1")
-        sweep_result = sweep(field, q1, cache_dir=resolved["cache_dir"],
-                             threads=int(resolved["threads"]))
+        sweep_result = sweep(field, q1, cache_dir=resolved["cache_dir"])
         boundary, tag = parse_boundary("affine:2,1,0", 2)
         record = harnack_experiment(
             field, boundary, s, t,
@@ -553,8 +543,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     resolved = _resolve_config(args)
     field = _load_field(args.field)
     config = _solve_config(resolved, "q1")
-    result = sweep(field, config, cache_dir=resolved["cache_dir"],
-                   threads=int(resolved["threads"]))
+    result = sweep(field, config, cache_dir=resolved["cache_dir"])
     if result.failures:
         raise CliError(f"{len(result.failures)} cube solves failed")
     s_grid = (tuple(_comma_floats(args.s_grid, "--s-grid"))
@@ -584,8 +573,6 @@ def _common_options() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None, help="write the JSON report here")
     common.add_argument("--config", default=None,
                         help="plain-text key = value configuration file")
-    common.add_argument("--threads", type=int, default=None,
-                        help="worker threads for cube solves")
     common.add_argument("--cache-dir", dest="cache_dir", default=None,
                         help="cache directory for coarse-graining results")
     common.add_argument("--seed", type=int, default=None,

@@ -24,8 +24,8 @@ import json
 import math
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+import zipfile
+from dataclasses import dataclass, field as dataclass_field
 from typing import Sequence
 
 import numpy as np
@@ -34,6 +34,8 @@ from .grid import (
     CoefficientField,
     GridSpec,
     TriadicCube,
+    block_reduce,
+    cube_average,
     sym_component_count,
     sym_eig_bounds,
     sym_inv,
@@ -95,14 +97,6 @@ def _pair_matrices_from_g(g: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray
     return astar_inv, amax
 
 
-def _cube_averages(field: CoefficientField, cube: TriadicCube) -> tuple[np.ndarray, np.ndarray]:
-    sl = cube.cell_slices(field.grid)
-    ncomp = field.data.shape[-1]
-    avg = field.data[sl].reshape(-1, ncomp).mean(axis=0)
-    inv_avg = field.inv_data[sl].reshape(-1, ncomp).mean(axis=0)
-    return avg, sym_inv(inv_avg, field.d)
-
-
 def coarse_grain_cube(
     field: CoefficientField, cube: TriadicCube, config: SolveConfig = SolveConfig()
 ) -> CoarseGrainPair:
@@ -111,9 +105,9 @@ def coarse_grain_cube(
     Single-cell cubes need no solve: every matrix equals the cell value.
     """
     d = field.d
-    avg_packed, inv_avg_inv_packed = _cube_averages(field, cube)
-    avg = sym_unpack(avg_packed, d)
-    inv_avg_inv = sym_unpack(inv_avg_inv_packed, d)
+    avg = cube_average(field, cube)
+    inv_avg = sym_pack(cube_average(field, cube, inverted=True))
+    inv_avg_inv = sym_unpack(sym_inv(inv_avg, d), d)  # the closed form sweep uses
     if cube.level == -field.grid.N:
         cell = sym_unpack(field.data[tuple(cube.offset)], d)
         return CoarseGrainPair(cube, cell.copy(), cell.copy(), avg, inv_avg_inv,
@@ -133,11 +127,15 @@ def coarse_grain_cube(
 # Sweeps over all levels, with a per-cube disk cache
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class LevelData:
     """Packed coarse-grained matrices for every cube of one level.
 
     Arrays have shape ``(3**-level,)*d + (ncomp,)`` in row-major cube order.
+    The spectral norms of ``amax`` and ``astar_inv`` (shape ``(3**-level,)*d``)
+    are computed once, on construction, for the constants and the audit. The
+    level takes the arrays it is given and makes them read-only, so the norms
+    cannot go stale: to change a level, build a new one (``dataclasses.replace``).
     """
 
     level: int
@@ -146,6 +144,16 @@ class LevelData:
     avg: np.ndarray
     inv_avg_inv: np.ndarray
     astar_inv: np.ndarray
+    amax_norm: np.ndarray = dataclass_field(init=False)
+    astar_inv_norm: np.ndarray = dataclass_field(init=False)
+
+    def __post_init__(self) -> None:
+        d = self.amax.ndim - 1
+        object.__setattr__(self, "amax_norm", sym_norm(self.amax, d))
+        object.__setattr__(self, "astar_inv_norm", sym_norm(self.astar_inv, d))
+        for arr in (self.astar, self.amax, self.avg, self.inv_avg_inv, self.astar_inv,
+                    self.amax_norm, self.astar_inv_norm):
+            arr.flags.writeable = False
 
 
 @dataclass
@@ -156,7 +164,6 @@ class SweepResult:
     field_hash: str
     config: SolveConfig
     levels: dict[int, LevelData]
-    cell_norm: np.ndarray
     cell_inv_norm: np.ndarray
     solve_count: int
     cache_hits: int
@@ -184,7 +191,6 @@ def _config_fingerprint(config: SolveConfig) -> str:
         {
             "discretization": config.discretization,
             "cg_rel_tol": config.cg_rel_tol,
-            "preconditioner": config.preconditioner,
         },
         sort_keys=True,
     )
@@ -209,37 +215,32 @@ def _cache_store(path: str, fingerprint: str, astar_inv: np.ndarray, amax: np.nd
         raise
 
 
-def _cache_load(path: str, fingerprint: str) -> tuple[np.ndarray, np.ndarray] | None:
+def _cache_load(
+    path: str, fingerprint: str, ncomp: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """A stored record, or ``None`` for anything but a well-formed match.
+
+    Unreadable archives (garbage, empty or truncated files), other
+    configurations, wrong shapes and non-finite entries are all cache misses.
+    """
     if not os.path.exists(path):
         return None
     try:
         with np.load(path) as rec:
-            stored = rec["config"].tobytes().decode()
-            if stored != fingerprint:
+            if rec["config"].tobytes().decode() != fingerprint:
                 return None
-            return rec["astar_inv"].copy(), rec["amax"].copy()
-    except (OSError, KeyError, ValueError):
+            pair = rec["astar_inv"].copy(), rec["amax"].copy()
+    except (OSError, KeyError, ValueError, EOFError, zipfile.BadZipFile):
         return None
-
-
-def _level_block_means(data: np.ndarray, grid: GridSpec, level: int) -> np.ndarray:
-    """Block means of per-cell packed data over the level's cubes."""
-    nz = 3 ** (-level)
-    m = 3 ** (grid.N + level)
-    ncomp = data.shape[-1]
-    shape = []
-    for _ in range(grid.d):
-        shape += [nz, m]
-    arr = data.reshape(shape + [ncomp])
-    axes = tuple(range(1, 2 * grid.d, 2))
-    return arr.mean(axis=axes)
+    if any(arr.shape != (ncomp,) or not np.isfinite(arr).all() for arr in pair):
+        return None
+    return pair
 
 
 def sweep(
     field: CoefficientField,
     config: SolveConfig = SolveConfig(),
     cache_dir: str | None = None,
-    threads: int = 1,
 ) -> SweepResult:
     """Coarse-grain every cube of every level, with optional disk caching.
 
@@ -252,9 +253,7 @@ def sweep(
     d = grid.d
     ncomp = sym_component_count(d)
     fingerprint = _config_fingerprint(config)
-    lo, hi = sym_eig_bounds(field.data, d)
-    cell_norm = np.maximum(np.abs(lo), np.abs(hi))
-    cell_inv_norm = 1.0 / lo
+    cell_inv_norm = 1.0 / sym_eig_bounds(field.data, d)[0]
 
     levels: dict[int, LevelData] = {}
     solve_count = 0
@@ -263,9 +262,9 @@ def sweep(
 
     for level in range(0, -grid.N - 1, -1):
         nz = 3 ** (-level)
-        avg = _level_block_means(field.data, grid, level)
-        inv_avg = _level_block_means(field.inv_data, grid, level)
-        inv_avg_inv = sym_inv(inv_avg, d)
+        m = 3 ** (grid.N + level)
+        avg = block_reduce(field.data, d, m)
+        inv_avg_inv = sym_inv(block_reduce(field.inv_data, d, m), d)
         if level == -grid.N:
             astar = field.data.copy()
             amax = field.data.copy()
@@ -282,7 +281,7 @@ def sweep(
         for off in offsets:
             if cache_dir is not None:
                 rec = _cache_load(
-                    _cache_path(cache_dir, field.content_hash, level, off), fingerprint
+                    _cache_path(cache_dir, field.content_hash, level, off), fingerprint, ncomp
                 )
                 if rec is not None:
                     astar_inv_arr[off], amax_arr[off] = rec
@@ -290,7 +289,7 @@ def sweep(
                     continue
             todo.append(off)
 
-        nn = (3 ** (grid.N + level) + 1) ** d
+        nn = (m + 1) ** d
         if todo and nn <= config.dense_cutoff and len(todo) == len(offsets):
             # whole level missing: use the vectorized dense path
             g_all, _ = batched_neumann_functionals(field, level, config)
@@ -299,28 +298,13 @@ def sweep(
                 astar_inv_arr[off] = sym_pack(ai)
                 amax_arr[off] = sym_pack(am)
             solve_count += 2 * d * len(offsets)
-        elif todo:
-            def run_one(off):
-                cube = TriadicCube(level, off)
-                g, _ = neumann_functionals(field, cube, config)
-                return off, g
-
-            results = []
-            if threads > 1:
-                with ThreadPoolExecutor(max_workers=threads) as pool:
-                    futures = [(off, pool.submit(run_one, off)) for off in todo]
-                for off, fut in futures:
-                    try:
-                        results.append(fut.result())
-                    except SolverError as err:
-                        failures.append(_failure_entry(level, err, off))
-            else:
-                for off in todo:
-                    try:
-                        results.append(run_one(off))
-                    except SolverError as err:
-                        failures.append(_failure_entry(level, err, off))
-            for off, g in results:
+        else:
+            for off in todo:
+                try:
+                    g, _ = neumann_functionals(field, TriadicCube(level, off), config)
+                except SolverError as err:
+                    failures.append(_failure_entry(level, err, off))
+                    continue
                 ai, am = _pair_matrices_from_g(g, d)
                 astar_inv_arr[off] = sym_pack(ai)
                 amax_arr[off] = sym_pack(am)
@@ -345,7 +329,6 @@ def sweep(
         field_hash=field.content_hash,
         config=config,
         levels=levels,
-        cell_norm=cell_norm,
         cell_inv_norm=cell_inv_norm,
         solve_count=solve_count,
         cache_hits=cache_hits,
@@ -401,29 +384,6 @@ class EllipticityReport:
         }
 
 
-def _block_max(arr: np.ndarray, factor: int) -> np.ndarray:
-    """Max-reduce a (n,)*d array over blocks of side ``factor``."""
-    if factor == 1:
-        return arr
-    d = arr.ndim
-    n = arr.shape[0]
-    nb = n // factor
-    shape = []
-    for _ in range(d):
-        shape += [nb, factor]
-    return arr.reshape(shape).max(axis=tuple(range(1, 2 * d, 2)))
-
-
-def _level_norm_grids(result: SweepResult) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
-    """Per-level grids of sqrt spectral norms of amax and astar_inv."""
-    d = result.grid.d
-    upper, lower = {}, {}
-    for level, ld in result.levels.items():
-        upper[level] = np.sqrt(sym_norm(ld.amax, d))
-        lower[level] = np.sqrt(sym_norm(ld.astar_inv, d))
-    return upper, lower
-
-
 def _weighted_scale_sum(
     terms: dict[int, float], cube_level: int, s: float, tail_base: float, grid_n: int
 ) -> tuple[float, float]:
@@ -455,20 +415,18 @@ def ellipticity_constants(
     grid = result.grid
     if cube is None:
         cube = TriadicCube(0, (0,) * grid.d)
-    upper_grids, lower_grids = _level_norm_grids(result)
 
     per_upper: dict[int, float] = {}
     per_lower: dict[int, float] = {}
     for level in sorted(result.levels):
         if level > cube.level:
             continue
-        sub = _restrict_level_grid(upper_grids[level], level, cube)
-        per_upper[level] = float(sub.max())
-        sub = _restrict_level_grid(lower_grids[level], level, cube)
-        per_lower[level] = float(sub.max())
+        ld = result.levels[level]
+        per_upper[level] = math.sqrt(_restrict_level_grid(ld.amax_norm, level, cube).max())
+        per_lower[level] = math.sqrt(_restrict_level_grid(ld.astar_inv_norm, level, cube).max())
 
     cell_sl = cube.cell_slices(grid)
-    max_cell_upper = math.sqrt(float(result.cell_norm[cell_sl].max()))
+    max_cell_upper = per_upper[-grid.N]  # level -N cubes are the cells
     max_cell_lower = math.sqrt(float(result.cell_inv_norm[cell_sl].max()))
 
     total_u, tail_u = _weighted_scale_sum(per_upper, cube.level, s, max_cell_upper, grid.N)
@@ -482,7 +440,8 @@ def ellipticity_constants(
         cube=cube,
         lambda_upper=lambda_upper,
         lambda_lower=lambda_lower,
-        theta=lambda_upper / lambda_lower,
+        # an infinite norm of astar_inv (a non-finite sweep) gives a zero lower constant
+        theta=lambda_upper / lambda_lower if lambda_lower != 0.0 else math.inf,
         per_scale_upper=per_upper,
         per_scale_lower=per_lower,
         tail_upper=tail_u,
@@ -503,15 +462,15 @@ def _restrict_level_grid(grid_arr: np.ndarray, level: int, cube: TriadicCube) ->
 def _lambda_upper_grid(result: SweepResult, s: float, level: int) -> np.ndarray:
     """Upper ellipticity constant of every level-``level`` cube at once."""
     grid = result.grid
-    upper_grids, _ = _level_norm_grids(result)
     nz = 3 ** (-level)
     acc = np.zeros((nz,) * grid.d)
     for k in sorted(result.levels):
         if k > level:
             continue
-        reduced = _block_max(upper_grids[k], 3 ** (level - k))
-        acc += 3.0 ** (-s * (level - k)) * reduced
-    cell_max = np.sqrt(_block_max(result.cell_norm, 3 ** (level + grid.N)))
+        reduced = block_reduce(result.levels[k].amax_norm, grid.d, 3 ** (level - k), np.max)
+        acc += 3.0 ** (-s * (level - k)) * np.sqrt(reduced)
+    cell_max = np.sqrt(block_reduce(result.levels[-grid.N].amax_norm, grid.d,
+                                    3 ** (level + grid.N), np.max))
     acc += cell_max * 3.0 ** (-s * (level + grid.N + 1)) / (1.0 - 3.0 ** (-s))
     c_s = 1.0 - 3.0 ** (-s)
     return (c_s * acc) ** 2
@@ -550,11 +509,6 @@ class AuditReport:
         }
 
 
-def _min_eig_of_difference(hi_packed: np.ndarray, lo_packed: np.ndarray, d: int) -> np.ndarray:
-    w, _ = sym_eig_bounds(hi_packed - lo_packed, d)
-    return w
-
-
 def audit(
     result: SweepResult,
     s_grid: Sequence[float] = DEFAULT_S_GRID,
@@ -562,15 +516,18 @@ def audit(
 ) -> AuditReport:
     """Check every theorem-backed inequality on a completed sweep.
 
-    Per cube: the quadratic-form chain inv_avg_inv <= astar <= amax <= avg.
-    Per parent/children: norm subadditivity of amax and matrix subadditivity
-    of astar_inv. Globally: monotonicity of the scale-weighted constants over
-    the exponent grid, ratio >= 1, and the per-level scaling bound for the
-    upper constant.
+    Per cube: every packed matrix is finite (a NaN or inf entry would pass
+    the comparisons below silently), and the quadratic-form chain
+    inv_avg_inv <= astar <= amax <= avg. Per parent/children: norm
+    subadditivity of amax and matrix subadditivity of astar_inv. Globally:
+    monotonicity of the scale-weighted constants over the exponent grid,
+    ratio >= 1, and the per-level scaling bound for the upper constant. The
+    subadditivity and scaling checks read the norms stored on each
+    :class:`LevelData`, which match its read-only arrays.
     """
     d = result.grid.d
     checked = {k: 0 for k in
-               ("chain", "subadditivity_norm", "subadditivity_form", "monotone",
+               ("finite", "chain", "subadditivity_norm", "subadditivity_form", "monotone",
                 "theta_ge_1", "scaling")}
     max_slack = {k: 0.0 for k in checked}
     violations: list[dict] = []
@@ -587,12 +544,20 @@ def audit(
                 "scale": float(scale),
             })
 
+    # --- finiteness of every packed matrix ---
+    for level, ld in result.levels.items():
+        for arr in (ld.astar, ld.amax, ld.avg, ld.inv_avg_inv, ld.astar_inv):
+            bad_count = np.count_nonzero(~np.isfinite(arr), axis=-1)
+            checked["finite"] += bad_count.size
+            for off in zip(*np.nonzero(bad_count)):
+                record("finite", level, off, bad_count[off], arr.shape[-1])
+
     # --- per-cube chain ---
     for level, ld in result.levels.items():
         norm_hi = sym_norm(ld.avg, d)
         seq = [ld.inv_avg_inv, ld.astar, ld.amax, ld.avg]
         for lo_arr, hi_arr in zip(seq[:-1], seq[1:]):
-            w = _min_eig_of_difference(hi_arr, lo_arr, d)
+            w, _ = sym_eig_bounds(hi_arr - lo_arr, d)
             checked["chain"] += w.size
             bad = np.minimum(w, 0.0)
             for off in zip(*np.nonzero(-bad > slack_rel * norm_hi)):
@@ -607,9 +572,8 @@ def audit(
             continue
         parent = result.levels[level]
         child = result.levels[child_level]
-        child_norm = sym_norm(child.amax, d)
-        mean_child_norm = _block_mean(child_norm, 3)
-        parent_norm = sym_norm(parent.amax, d)
+        mean_child_norm = block_reduce(child.amax_norm, d, 3)
+        parent_norm = parent.amax_norm
         checked["subadditivity_norm"] += parent_norm.size
         gap = parent_norm - mean_child_norm
         for off in zip(*np.nonzero(gap > slack_rel * np.maximum(parent_norm, 1e-300))):
@@ -619,9 +583,9 @@ def audit(
             float((gap / np.maximum(parent_norm, 1e-300)).max()),
         )
 
-        mean_child_form = _block_mean_packed(child.astar_inv, 3, d)
-        w = _min_eig_of_difference(mean_child_form, parent.astar_inv, d)
-        scale = sym_norm(parent.astar_inv, d)
+        mean_child_form = block_reduce(child.astar_inv, d, 3)
+        w, _ = sym_eig_bounds(mean_child_form - parent.astar_inv, d)
+        scale = parent.astar_inv_norm
         checked["subadditivity_form"] += w.size
         for off in zip(*np.nonzero(-np.minimum(w, 0) > slack_rel * scale)):
             record("subadditivity_form", level, off, -w[off], scale[off])
@@ -670,21 +634,3 @@ def audit(
         s_grid=tuple(s_sorted),
         slack_rel=slack_rel,
     )
-
-
-def _block_mean(arr: np.ndarray, factor: int) -> np.ndarray:
-    d = arr.ndim
-    nb = arr.shape[0] // factor
-    shape = []
-    for _ in range(d):
-        shape += [nb, factor]
-    return arr.reshape(shape).mean(axis=tuple(range(1, 2 * d, 2)))
-
-
-def _block_mean_packed(arr: np.ndarray, factor: int, d: int) -> np.ndarray:
-    nb = arr.shape[0] // factor
-    shape = []
-    for _ in range(d):
-        shape += [nb, factor]
-    shape.append(arr.shape[-1])
-    return arr.reshape(shape).mean(axis=tuple(range(1, 2 * d, 2)))

@@ -30,6 +30,7 @@ from .grid import (
     GridSpec,
     ScalarGridFunction,
     sym_component_count,
+    sym_index_pairs,
     sym_pack,
 )
 
@@ -53,10 +54,9 @@ def _scalar_to_packed(grid: GridSpec, values: np.ndarray) -> np.ndarray:
     """Embed a per-cell scalar as packed isotropic matrices value * I."""
     ncomp = sym_component_count(grid.d)
     data = np.zeros(grid.cell_shape + (ncomp,))
-    diag = [c for c, (i, j) in
-            enumerate([(i, j) for i in range(grid.d) for j in range(i, grid.d)]) if i == j]
-    for c in diag:
-        data[..., c] = values
+    for c, (i, j) in enumerate(sym_index_pairs(grid.d)):
+        if i == j:
+            data[..., c] = values
     return data
 
 

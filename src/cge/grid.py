@@ -74,7 +74,8 @@ def sym_eig_bounds(packed: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Smallest and largest eigenvalue of each packed symmetric matrix.
 
     Closed forms are used for d <= 2; d = 3 falls back to LAPACK. Both routes
-    are cross-checked in the test suite.
+    are cross-checked in the test suite. A matrix with a NaN or inf entry gets
+    NaN bounds on every route (LAPACK would raise for the whole batch).
     """
     packed = np.asarray(packed, dtype=float)
     if d == 1:
@@ -85,7 +86,10 @@ def sym_eig_bounds(packed: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
         mean = 0.5 * (a + c)
         radius = np.hypot(0.5 * (a - c), b)
         return mean - radius, mean + radius
-    w = np.linalg.eigvalsh(sym_unpack(packed, d))
+    mats = sym_unpack(packed, d)
+    finite = np.isfinite(packed).all(axis=-1)
+    w = np.full(mats.shape[:-1], np.nan)
+    w[finite] = np.linalg.eigvalsh(mats[finite])
     return w[..., 0], w[..., -1]
 
 
@@ -369,6 +373,29 @@ def cube_average(
     block = data[cube.cell_slices(field.grid)]
     packed = block.reshape(-1, data.shape[-1]).mean(axis=0)
     return sym_unpack(packed, field.d)
+
+
+def block_view(arr: np.ndarray, d: int, factor: int) -> np.ndarray:
+    """View of a ``(n,)*d + trailing`` array cut into blocks of side ``factor``.
+
+    The result has shape ``(nb,)*d + (factor,)*d + trailing`` with
+    ``nb = n // factor``: the first ``d`` axes index the block on the coarse
+    lattice (row-major, as in :func:`partition`), the next ``d`` the cell
+    within it. This is the one triadic block reshape of the package.
+    """
+    nb = arr.shape[0] // factor
+    split = arr.reshape((nb, factor) * d + arr.shape[d:])
+    order = tuple(range(0, 2 * d, 2)) + tuple(range(1, 2 * d, 2))
+    return split.transpose(order + tuple(range(2 * d, split.ndim)))
+
+
+def block_reduce(arr: np.ndarray, d: int, factor: int, reduce=np.mean) -> np.ndarray:
+    """Reduce every block of :func:`block_view` to one value per component.
+
+    ``reduce`` is any NumPy reduction taking ``axis`` (``np.mean``,
+    ``np.max``, ...); the result has shape ``(n // factor,)*d + trailing``.
+    """
+    return reduce(block_view(arr, d, factor), axis=tuple(range(d, 2 * d)))
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,6 @@ from .solver import (
     CubeFunction,
     SolveConfig,
     SolverError,
-    SolveStats,
     energy,
     solve_dirichlet,
 )
@@ -255,16 +254,6 @@ def _extremes(u: CubeFunction) -> tuple[dict[str, float], dict[str, float]]:
     return sups, infs
 
 
-def _stats_dict(stats: SolveStats) -> dict[str, object]:
-    return {
-        "iterations": int(stats.iterations),
-        "residual": float(stats.residual),
-        "unknowns": int(stats.unknowns),
-        "wall_time": float(stats.wall_time),
-        "method": stats.method,
-    }
-
-
 def _u_plus_l2(u: CubeFunction) -> float:
     plus = np.maximum(u.data, 0.0)
     return float(np.sqrt(np.mean(plus * plus)))
@@ -379,7 +368,7 @@ def harnack_experiment(
             "moment_minus": moment_minus,
             "crossover": moment_plus * moment_minus,
         },
-        solver=_stats_dict(stats),
+        solver=stats.to_dict(),
     )
 
 
@@ -438,7 +427,7 @@ def local_boundedness_experiment(
         passed=bool(lb_ratio <= threshold),
         p_star=float(0.5 * t / math.sqrt(theta_val)),
         diagnostics={},
-        solver=_stats_dict(stats),
+        solver=stats.to_dict(),
     )
 
 

@@ -29,7 +29,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 import numpy as np
 
-from .grid import CoefficientField, ScalarGridFunction, sym_norm
+from .grid import CoefficientField, ScalarGridFunction, block_reduce, sym_norm
 from .coarse import SweepResult, ellipticity_constants
 
 __all__ = [
@@ -131,15 +131,6 @@ class DualSumReport:
         }
 
 
-def _partition_block_means(vals: np.ndarray, d: int, n_grid: int, level: int) -> np.ndarray:
-    nz = 3 ** (-level)
-    m = 3 ** (n_grid + level)
-    shape = []
-    for _ in range(d):
-        shape += [nz, m]
-    return vals.reshape(shape).mean(axis=tuple(range(1, 2 * d, 2)))
-
-
 def dual_sum_norm(f: ScalarGridFunction, s: float, p_conj: float = math.inf) -> DualSumReport:
     """Scale-weighted sum of partition-cube average magnitudes.
 
@@ -157,7 +148,7 @@ def dual_sum_norm(f: ScalarGridFunction, s: float, p_conj: float = math.inf) -> 
     vals = _cell_values(f)
     per_scale: dict[int, float] = {}
     for level in range(-grid.N, 1):
-        means = np.abs(_partition_block_means(vals, grid.d, grid.N, level))
+        means = np.abs(block_reduce(vals, grid.d, 3 ** (grid.N + level)))
         if math.isinf(p_conj):
             per_scale[level] = float(means.max())
         else:
@@ -205,15 +196,9 @@ def scale_discounted_averages(
         raise ValueError(f"component must be 'a' or 'a_inv', got {component!r}")
     grid = field.grid
     data = field.data if component == "a" else field.inv_data
-    ncomp = data.shape[-1]
     per_scale: dict[int, float] = {}
     for level in range(-grid.N, 1):
-        nz = 3 ** (-level)
-        m = 3 ** (grid.N + level)
-        shape = []
-        for _ in range(grid.d):
-            shape += [nz, m]
-        means = data.reshape(shape + [ncomp]).mean(axis=tuple(range(1, 2 * grid.d, 2)))
+        means = block_reduce(data, grid.d, 3 ** (grid.N + level))
         per_scale[level] = math.sqrt(float(sym_norm(means, grid.d).max()))
     c_s = 1.0 - 3.0 ** (-s)
     tail_term = per_scale[-grid.N] * 3.0 ** (-s * (grid.N + 1)) / (1.0 - 3.0 ** (-s))

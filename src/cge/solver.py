@@ -36,6 +36,7 @@ from .grid import (
     GridSpec,
     ScalarGridFunction,
     TriadicCube,
+    block_view,
     sym_index_pairs,
     sym_unpack,
 )
@@ -68,7 +69,6 @@ class SolveConfig:
     discretization: str = "q1"  # "q1" (full symmetric a) or "fd5" (diagonal a)
     cg_rel_tol: float = 1e-10
     cg_max_iter: int | None = None  # default: 50*sqrt(unknowns) + 10000
-    preconditioner: str = "diagonal"  # "diagonal" or "none"
     dense_cutoff: int = 1500  # unknown count below which direct solves are used
 
     def __post_init__(self) -> None:
@@ -78,8 +78,6 @@ class SolveConfig:
             raise ValueError("cg_rel_tol must be positive")
         if self.cg_max_iter is not None and self.cg_max_iter <= 0:
             raise ValueError("cg_max_iter must be positive")
-        if self.preconditioner not in ("diagonal", "none"):
-            raise ValueError(f"unknown preconditioner {self.preconditioner!r}")
 
     def max_iter(self, unknowns: int) -> int:
         if self.cg_max_iter is not None:
@@ -95,21 +93,13 @@ class SolveStats:
     wall_time: float
     method: str
 
-    def merged_with(self, other: "SolveStats") -> "SolveStats":
-        return SolveStats(
-            iterations=self.iterations + other.iterations,
-            residual=max(self.residual, other.residual),
-            unknowns=max(self.unknowns, other.unknowns),
-            wall_time=self.wall_time + other.wall_time,
-            method=self.method if self.method == other.method else "mixed",
-        )
-
     def to_dict(self) -> dict:
+        """Plain-JSON form (NumPy scalars cast to ``int``/``float``)."""
         return {
-            "iterations": self.iterations,
-            "residual": self.residual,
-            "unknowns": self.unknowns,
-            "wall_time": self.wall_time,
+            "iterations": int(self.iterations),
+            "residual": float(self.residual),
+            "unknowns": int(self.unknowns),
+            "wall_time": float(self.wall_time),
             "method": self.method,
         }
 
@@ -271,17 +261,21 @@ def _forcing_vectors(field: CoefficientField, cube: TriadicCube) -> np.ndarray:
 def _pcg_zero_mean(
     mat: sp.csr_matrix, b: np.ndarray, config: SolveConfig
 ) -> tuple[np.ndarray, int, float]:
-    """Preconditioned CG for a singular consistent system, in the zero-mean
-    subspace. Returns (solution, iterations, relative residual)."""
+    """Jacobi-preconditioned CG for a singular consistent system, in the
+    zero-mean subspace. Returns (solution, iterations, relative residual).
+
+    Raises :class:`SolverError` (with stats) on a non-finite right-hand side
+    or residual, on a search direction with ``p.Ap <= 0``, and on reaching
+    the iteration cap.
+    """
     n = b.shape[0]
+    if not np.isfinite(b).all():
+        raise SolverError("CG right-hand side is not finite", SolveStats(0, math.nan, n, 0.0, "pcg"))
     b = b - b.mean()
     norm_b = np.linalg.norm(b)
     if norm_b == 0.0:
         return np.zeros(n), 0, 0.0
-    if config.preconditioner == "diagonal":
-        inv_diag = 1.0 / mat.diagonal()
-    else:
-        inv_diag = np.ones(n)
+    inv_diag = 1.0 / mat.diagonal()
     x = np.zeros(n)
     r = b.copy()
     z = inv_diag * r
@@ -294,7 +288,13 @@ def _pcg_zero_mean(
     it = 0
     while res > tol and it < max_iter:
         ap = mat @ p
-        alpha = rz / (p @ ap)
+        pap = p @ ap
+        if not 0.0 < pap < math.inf:
+            raise SolverError(
+                f"CG breakdown: p.Ap = {pap:.3e} at iteration {it}",
+                SolveStats(it, res / norm_b, n, 0.0, "pcg"),
+            )
+        alpha = rz / pap
         x += alpha * p
         r -= alpha * ap
         res = np.linalg.norm(r)
@@ -309,7 +309,7 @@ def _pcg_zero_mean(
         p = z + beta * p
         it += 1
     x -= x.mean()
-    if res > tol:
+    if not res <= tol:  # also catches a NaN residual
         raise SolverError(
             f"CG failed to converge: residual {res / norm_b:.3e} after {it} iterations",
             SolveStats(it, res / norm_b, n, 0.0, "pcg"),
@@ -383,15 +383,7 @@ def batched_neumann_functionals(
         raise ValueError(f"level {level} cubes have {nn} nodes > dense cutoff")
     ncubes_side = 3 ** (-level)
     ncells = m**d
-    ncomp = field.data.shape[-1]
-
-    # (cubes..., cells_flat, ncomp) block view of the cell data
-    shape = []
-    for _ in range(d):
-        shape += [ncubes_side, m]
-    arr = field.data.reshape(shape + [ncomp])
-    order = list(range(0, 2 * d, 2)) + list(range(1, 2 * d, 2)) + [2 * d]
-    blocks = arr.transpose(order).reshape((-1, ncells, ncomp))
+    blocks = block_view(field.data, d, m).reshape((-1, ncells, field.data.shape[-1]))
     n_cubes = blocks.shape[0]
 
     conn = _cell_node_indices(m, d)

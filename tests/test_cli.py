@@ -312,6 +312,21 @@ class TestConfigFile:
         assert "cfg.txt:2" in err
         assert "unknown key" in err
 
+    @pytest.mark.parametrize("key", ["threads", "preconditioner"])
+    def test_removed_solver_knobs_are_unknown_keys(self, workdir, capsys, key):
+        gen_identity(workdir)
+        (workdir / "cfg.txt").write_text(f"{key} = 2\n")
+        rc = main(["coarse", "--field", "const_I.cge", "--config", "cfg.txt"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "cfg.txt:1" in err and f"unknown key '{key}'" in err
+
+    def test_threads_flag_is_unknown_argument(self, workdir, capsys):
+        gen_identity(workdir)
+        rc = main(["coarse", "--field", "const_I.cge", "--threads", "2"])
+        assert rc == 1
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
     def test_malformed_line_reports_line_number(self, workdir, capsys):
         gen_identity(workdir)
         (workdir / "cfg.txt").write_text("s 0.3\n")
@@ -321,16 +336,16 @@ class TestConfigFile:
 
     def test_bad_value_reports_line_number(self, workdir, capsys):
         gen_identity(workdir)
-        (workdir / "cfg.txt").write_text("threads = many\n")
+        (workdir / "cfg.txt").write_text("seed = many\n")
         rc = main(["ellipticity", "--field", "const_I.cge", "--config", "cfg.txt"])
         assert rc == 1
         assert "cfg.txt:1" in capsys.readouterr().err
 
     def test_load_config_file_parses_types(self, tmp_path):
         path = tmp_path / "cfg.txt"
-        path.write_text("threads = 4\ncg_rel_tol = 1e-8\ncache_dir = /tmp/x\n")
+        path.write_text("seed = 4\ncg_rel_tol = 1e-8\ncache_dir = /tmp/x\n")
         values = load_config_file(path)
-        assert values == {"threads": 4, "cg_rel_tol": 1e-8, "cache_dir": "/tmp/x"}
+        assert values == {"seed": 4, "cg_rel_tol": 1e-8, "cache_dir": "/tmp/x"}
 
 
 class TestBoundaryParsing:

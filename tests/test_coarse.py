@@ -8,6 +8,7 @@ resolutions must give identical constants, which also exercises the sub-grid
 tail).
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import cge.coarse
 from cge.coarse import (
     DEFAULT_S_GRID,
     audit,
@@ -24,7 +26,7 @@ from cge.coarse import (
     sweep,
 )
 from cge.fields import gen_constant, gen_laminate, gen_random_spd
-from cge.grid import GridSpec, TriadicCube, partition
+from cge.grid import CoefficientField, GridSpec, TriadicCube, partition
 from cge.solver import (
     CubeFunction,
     SolveConfig,
@@ -268,6 +270,21 @@ class TestSweepStructure:
         assert result.solve_count == 0
         assert np.isnan(result.pair(TriadicCube(0, (0, 0))).amax).all()
 
+    def test_failures_recorded_not_raised_3d(self):
+        # d = 3 takes eigenvalues through LAPACK, which raises on a NaN matrix
+        grid = GridSpec(d=3, N=1)
+        field = gen_random_spd(grid, seed=1, eig_low=0.5, eig_high=2.0)
+        result = sweep(field, SolveConfig(cg_max_iter=1, dense_cutoff=1))
+        assert [(e["level"], e["offset"]) for e in result.failures] == [(0, [0, 0, 0])]
+        assert np.isnan(result.pair(TriadicCube(0, (0, 0, 0))).amax).all()
+        assert np.isnan(result.levels[0].amax_norm).all()
+        assert np.isfinite(result.levels[-1].amax_norm).all()
+        report = audit(result)
+        assert not report.ok
+        assert ("finite", 0, [0, 0, 0]) in [
+            (v["kind"], v["level"], v["offset"]) for v in report.violations
+        ]
+
     def test_single_cube_solver_error_names_cube(self):
         grid = GridSpec(d=2, N=1)
         field = gen_random_spd(grid, seed=1, eig_low=0.5, eig_high=2.0)
@@ -315,17 +332,43 @@ class TestCache:
         assert redo.solve_count == 4
         assert redo.cache_hits == 0
 
-    def test_corrupt_record_treated_as_miss(self, tmp_path):
+    @staticmethod
+    def _rewrite_record(path, **arrays):
+        with np.load(path) as rec:
+            stored = {k: rec[k].copy() for k in rec.files}
+        stored.update(arrays)
+        with open(path, "wb") as fh:
+            np.savez(fh, **stored)
+
+    @pytest.mark.parametrize(
+        "damage", ["garbage", "empty", "truncated", "wrong_shape", "non_finite"])
+    def test_corrupt_record_treated_as_miss(self, tmp_path, damage):
         grid = GridSpec(d=2, N=1)
         field = gen_random_spd(grid, seed=2, eig_low=0.5, eig_high=2.0)
         cache = str(tmp_path / "cache")
-        sweep(field, cache_dir=cache)
+        cold = sweep(field, cache_dir=cache)
         victim = os.path.join(cache, field.content_hash, "level_0", "0_0.npz")
-        with open(victim, "wb") as fh:
-            fh.write(b"not an archive")
+        if damage == "garbage":
+            with open(victim, "wb") as fh:
+                fh.write(b"not an archive")
+        elif damage == "empty":
+            open(victim, "wb").close()
+        elif damage == "truncated":
+            with open(victim, "rb") as fh:
+                raw = fh.read()
+            with open(victim, "wb") as fh:
+                fh.write(raw[: len(raw) // 2])
+        elif damage == "wrong_shape":
+            self._rewrite_record(victim, amax=np.ones(2))
+        else:
+            self._rewrite_record(victim, astar_inv=np.array([1.0, np.nan, 1.0]))
         warm = sweep(field, cache_dir=cache)
         assert warm.solve_count == 4
+        assert warm.cache_hits == 0
         assert warm.failures == []
+        assert np.array_equal(warm.levels[0].amax, cold.levels[0].amax)
+        # the re-solved record replaced the damaged one
+        assert sweep(field, cache_dir=cache).cache_hits == 1
 
     def test_different_fields_do_not_collide(self, tmp_path):
         grid = GridSpec(d=2, N=1)
@@ -342,12 +385,36 @@ class TestCache:
 # Audit
 # ---------------------------------------------------------------------------
 
+def _set_entry(result, level, name, index, value):
+    """Hand-edit one packed array of a sweep; levels are read-only, so the
+    level is rebuilt around an edited copy (which recomputes its norms)."""
+    ld = result.levels[level]
+    arr = getattr(ld, name).copy()
+    arr[index] = value
+    result.levels[level] = dataclasses.replace(ld, **{name: arr})
+
+
 class TestAudit:
+    def test_levels_are_read_only(self):
+        result = sweep(gen_random_spd(GridSpec(d=2, N=1), seed=0, eig_low=0.5, eig_high=2.0))
+        ld = result.levels[0]
+        for arr in (ld.astar, ld.amax, ld.avg, ld.inv_avg_inv, ld.astar_inv,
+                    ld.amax_norm, ld.astar_inv_norm):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ld.amax = ld.avg
+        old_norm = ld.amax_norm.copy()
+        _set_entry(result, 0, "amax", (0, 0, 0), 10.0)
+        assert result.levels[0].amax_norm[0, 0] > old_norm[0, 0]
+        assert_allclose(ld.amax_norm, old_norm, rtol=0, atol=0)
+
     def test_constant_field_clean_with_pinned_coverage(self):
         grid = GridSpec(d=2, N=2)
         report = audit(sweep(gen_constant(grid, np.diag([1.0, 4.0]))))
         assert report.ok
         assert report.checked == {
+            "finite": 5 * 91,
             "chain": 3 * 91,
             "subadditivity_norm": 10,
             "subadditivity_form": 10,
@@ -370,11 +437,46 @@ class TestAudit:
         report = audit(sweep(gen_laminate(GridSpec(d=2, N=2), 1, (1.0, 100.0))))
         assert report.ok
 
+    def test_non_finite_matrix_is_a_violation(self):
+        grid = GridSpec(d=2, N=2)
+        result = sweep(gen_random_spd(grid, seed=3, eig_low=0.5, eig_high=2.0))
+        assert audit(result).ok
+        _set_entry(result, -1, "amax", (1, 1), np.nan)
+        report = audit(result)
+        assert not report.ok
+        assert report.checked["finite"] == 5 * 91
+        assert [(v["kind"], v["level"], v["offset"]) for v in report.violations] == [
+            ("finite", -1, [1, 1])
+        ]
+        assert report.violations[0]["magnitude"] == 3.0
+        _set_entry(result, 0, "astar_inv", (0, 0, 1), np.inf)
+        kinds = [(v["kind"], v["level"]) for v in audit(result).violations]
+        assert kinds.count(("finite", 0)) == 1
+
+    def test_norms_computed_once_per_sweep_not_per_exponent(self, monkeypatch):
+        grid = GridSpec(d=3, N=2)
+        result = sweep(gen_random_spd(grid, seed=4, eig_low=0.5, eig_high=2.0))
+        calls = []
+        real = cge.coarse.sym_norm
+
+        def spy(packed, d):
+            calls.append(packed.shape)
+            return real(packed, d)
+
+        monkeypatch.setattr(cge.coarse, "sym_norm", spy)
+        counts = []
+        for s_grid in ((0.5,), DEFAULT_S_GRID, tuple(np.linspace(0.1, 0.9, 17))):
+            calls.clear()
+            assert audit(result, s_grid=s_grid).ok
+            counts.append(len(calls))
+        assert counts[0] == counts[1] == counts[2]
+        assert counts[0] <= len(result.levels)
+
     def test_violations_are_data(self):
         # cook a sweep whose matrices cannot satisfy the chain by hand-editing
         grid = GridSpec(d=2, N=1)
         result = sweep(gen_constant(grid, np.eye(2)))
-        result.levels[0].amax[..., 0] = 0.5  # amax no longer >= astar
+        _set_entry(result, 0, "amax", (..., 0), 0.5)  # amax no longer >= astar
         report = audit(result)
         assert not report.ok
         kinds = {v["kind"] for v in report.violations}
@@ -383,6 +485,59 @@ class TestAudit:
         assert entry["level"] == 0 and entry["offset"] == [0, 0]
         assert entry["magnitude"] > 0
 
+
+# ---------------------------------------------------------------------------
+# Solve-path identities: scaling and 2D symmetries
+# ---------------------------------------------------------------------------
+
+#: The default routing (dense and batched dense at every level of a 2D N=2
+#: grid) and PCG forced on every cube by a dense cutoff below any node count,
+#: each with the relative tolerance its identities hold to (roundoff for the
+#: direct solves; CG stops at a relative residual of 1e-10).
+SOLVE_PATHS = {"dense": (SolveConfig(), 1e-12), "pcg": (SolveConfig(dense_cutoff=1), 1e-9)}
+
+#: Symmetries of the square acting on packed (a11, a12, a22) arrays indexed by
+#: cell or cube offset; each maps a field and its effective matrices alike.
+SYMMETRIES = {
+    "axis_swap": lambda arr: arr.transpose(1, 0, 2)[..., ::-1],
+    "reflection": lambda arr: arr[::-1] * np.array([1.0, -1.0, 1.0]),
+}
+
+
+@pytest.fixture(scope="module")
+def identity_field():
+    return gen_random_spd(GridSpec(d=2, N=2), seed=29, eig_low=0.1, eig_high=10.0)
+
+
+def _assert_levels_close(result, expected, rtol):
+    for level, ld in result.levels.items():
+        for name in ("astar", "amax"):
+            want = expected(level, name)
+            assert_allclose(getattr(ld, name), want, rtol=0,
+                            atol=rtol * np.abs(want).max(), err_msg=f"{name} level {level}")
+
+
+class TestSolveIdentities:
+    @pytest.mark.parametrize("path", sorted(SOLVE_PATHS))
+    @pytest.mark.parametrize("c", [0.1, 7.0])
+    def test_scaling_scales_both_matrices(self, identity_field, path, c):
+        config, rtol = SOLVE_PATHS[path]
+        base = sweep(identity_field, config)
+        scaled = sweep(identity_field.scaled(c), config)
+        _assert_levels_close(
+            scaled, lambda k, name: c * getattr(base.levels[k], name), rtol)
+
+    @pytest.mark.parametrize("path", sorted(SOLVE_PATHS))
+    @pytest.mark.parametrize("symmetry", sorted(SYMMETRIES))
+    def test_symmetry_transforms_both_matrices(self, identity_field, path, symmetry):
+        config, rtol = SOLVE_PATHS[path]
+        act = SYMMETRIES[symmetry]
+        image = CoefficientField(identity_field.grid, act(identity_field.data), symmetry)
+        base = sweep(identity_field, config)
+        moved = sweep(image, config)
+        assert not np.allclose(moved.levels[-1].amax, base.levels[-1].amax)
+        _assert_levels_close(
+            moved, lambda k, name: act(getattr(base.levels[k], name)), rtol)
 
 # ---------------------------------------------------------------------------
 # Scale/ratio behaviour

@@ -11,6 +11,8 @@ from cge.grid import (
     GridSpec,
     ScalarGridFunction,
     TriadicCube,
+    block_reduce,
+    block_view,
     cube_average,
     partition,
     read_field,
@@ -58,6 +60,24 @@ def test_sym_eig_bounds_match_lapack(d):
     w = np.linalg.eigvalsh(sym_unpack(packed, d))
     np.testing.assert_allclose(lo, w[..., 0], rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(hi, w[..., -1], rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_sym_eig_bounds_non_finite_rows_are_nan(d, bad):
+    # a failed solve leaves NaN rows; LAPACK (d = 3) would raise for the batch
+    rng = np.random.default_rng(1)
+    packed = random_spd_packed(rng, d, 6).reshape(2, 3, -1)
+    lo_ok, hi_ok = sym_eig_bounds(packed, d)
+    packed[1, 2, 0] = bad
+    lo, hi = sym_eig_bounds(packed, d)
+    assert not np.isfinite(lo[1, 2]) and not np.isfinite(hi[1, 2])
+    if d == 3:
+        assert np.isnan(lo[1, 2]) and np.isnan(hi[1, 2])
+    keep = np.ones((2, 3), dtype=bool)
+    keep[1, 2] = False
+    np.testing.assert_array_equal(lo[keep], lo_ok[keep])
+    np.testing.assert_array_equal(hi[keep], hi_ok[keep])
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -380,3 +400,55 @@ def test_scalar_function_shape_validation():
         ScalarGridFunction(g, np.zeros((3, 3)), "node")
     with pytest.raises(ValueError):
         ScalarGridFunction(g, np.zeros((3, 3)), "blah")
+
+
+# ---------------------------------------------------------------------------
+# Triadic block primitive
+# ---------------------------------------------------------------------------
+
+def _loop_block_reduce(arr, d, factor, reduce):
+    """Reference: reduce each block by explicit loops over block and cell."""
+    nb = arr.shape[0] // factor
+    out = np.empty((nb,) * d + arr.shape[d:])
+    for z in np.ndindex((nb,) * d):
+        cells = [arr[tuple(zi * factor + ei for zi, ei in zip(z, e))]
+                 for e in np.ndindex((factor,) * d)]
+        out[z] = reduce(np.stack(cells), axis=0)
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("packed", [False, True])
+@pytest.mark.parametrize("factor", [1, 3, 9])
+@pytest.mark.parametrize("reduce", [np.mean, np.max])
+def test_block_reduce_matches_explicit_loops(d, packed, factor, reduce):
+    rng = np.random.default_rng(10 * d + factor)
+    trailing = (d * (d + 1) // 2,) if packed else ()
+    arr = rng.standard_normal((9,) * d + trailing)
+    got = block_reduce(arr, d, factor, reduce)
+    want = _loop_block_reduce(arr, d, factor, reduce)
+    assert got.shape == (9 // factor,) * d + trailing
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-15)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("packed", [False, True])
+def test_block_view_indexes_blocks_then_cells(d, packed):
+    trailing = (2,) if packed else ()
+    arr = np.arange(9**d * (2 if packed else 1), dtype=float).reshape((9,) * d + trailing)
+    view = block_view(arr, d, 3)
+    assert view.shape == (3,) * d + (3,) * d + trailing
+    assert np.shares_memory(view, arr)
+    for z in np.ndindex((3,) * d):
+        for e in np.ndindex((3,) * d):
+            cell = tuple(3 * zi + ei for zi, ei in zip(z, e))
+            np.testing.assert_array_equal(view[z + e], arr[cell])
+
+
+def test_block_reduce_follows_partition_order():
+    # cube offsets index the leading axes, cube cell slices the blocks
+    grid = GridSpec(2, 2)
+    arr = np.arange(81.0).reshape(9, 9)
+    means = block_reduce(arr, 2, 3)
+    for cube in partition(grid, -1):
+        assert means[cube.offset] == pytest.approx(arr[cube.cell_slices(grid)].mean())

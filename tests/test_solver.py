@@ -3,6 +3,7 @@ maximum principle, optimality, and convergence order."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +14,7 @@ from cge.solver import (
     SolveConfig,
     SolveStats,
     SolverError,
+    _pcg_zero_mean,
     assemble_neumann,
     batched_neumann_functionals,
     discrete_gradient,
@@ -170,14 +172,31 @@ def test_pcg_matches_dense_route():
     np.testing.assert_allclose(g_pcg, g_dense, atol=5e-9 * scale)
 
 
-def test_pcg_without_preconditioner_agrees():
-    g = GridSpec(2, 2)
-    f = gen_random_spd(g, seed=17, eig_low=0.1, eig_high=10.0)
-    g_ref, _ = neumann_functionals(f, FULL)
-    g_none, _ = neumann_functionals(
-        f, FULL, SolveConfig(dense_cutoff=10, preconditioner="none")
-    )
-    np.testing.assert_allclose(g_none, g_ref, atol=1e-8 * np.abs(g_ref).max())
+# 2x2 SPD matrix with eigenvector (1, -1) for eigenvalue 3: the zero-mean
+# solution of A x = (1, -1) is (1/3, -1/3).
+PCG_2X2 = sp.csr_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]]))
+
+
+def test_pcg_zero_mean_solves_2x2_spd():
+    x, it, res = _pcg_zero_mean(PCG_2X2, np.array([1.0, -1.0]), SolveConfig())
+    np.testing.assert_allclose(x, [1 / 3, -1 / 3], rtol=1e-12)
+    assert it == 1 and res <= 1e-10
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_pcg_zero_mean_rejects_non_finite_rhs(bad):
+    with pytest.raises(SolverError, match="not finite") as err:
+        _pcg_zero_mean(PCG_2X2, np.array([bad, -1.0]), SolveConfig())
+    assert err.value.stats is not None
+    assert err.value.stats.iterations == 0
+
+
+def test_pcg_zero_mean_rejects_nonpositive_curvature():
+    # -A is negative definite, so the first search direction has p.Ap < 0
+    with pytest.raises(SolverError, match="p.Ap") as err:
+        _pcg_zero_mean(-PCG_2X2, np.array([1.0, -1.0]), SolveConfig())
+    assert err.value.stats is not None
+    assert err.value.stats.unknowns == 2
 
 
 def test_cg_failure_raises_with_stats():
@@ -418,7 +437,6 @@ def test_solve_config_validation():
         SolveConfig(discretization="fem9")
     with pytest.raises(ValueError):
         SolveConfig(cg_rel_tol=0.0)
-    with pytest.raises(ValueError):
-        SolveConfig(preconditioner="ilu")
     cfg = SolveConfig()
+    assert not hasattr(cfg, "preconditioner")
     assert cfg.max_iter(10_000) == 50 * 100 + 10_000

@@ -69,7 +69,7 @@ from .harness import (
     sharpness_sweep,
 )
 from .norms import CriterionInput, sobolev_criterion_report
-from .solver import SolveConfig, SolverError
+from .solver import SolverError
 
 log = logging.getLogger("cge")
 
@@ -104,10 +104,6 @@ CONFIG_SPEC: dict[str, Callable[[str], object]] = {
     "seed": int,
     "s": float,
     "t": float,
-    "discretization": str,
-    "cg_rel_tol": float,
-    "cg_max_iter": int,
-    "dense_cutoff": int,
 }
 
 _CONFIG_DEFAULTS: dict[str, object] = {
@@ -115,10 +111,6 @@ _CONFIG_DEFAULTS: dict[str, object] = {
     "seed": 0,
     "s": 0.45,
     "t": 0.45,
-    "discretization": None,
-    "cg_rel_tol": 1e-10,
-    "cg_max_iter": None,
-    "dense_cutoff": 1500,
 }
 
 
@@ -161,20 +153,6 @@ def _resolve_config(args: argparse.Namespace) -> dict[str, object]:
         if flag is not None:
             resolved[key] = flag
     return resolved
-
-
-def _solve_config(resolved: dict[str, object], default_discretization: str) -> SolveConfig:
-    disc = resolved.get("discretization") or default_discretization
-    try:
-        return SolveConfig(
-            discretization=str(disc),
-            cg_rel_tol=float(resolved["cg_rel_tol"]),
-            cg_max_iter=(None if resolved["cg_max_iter"] is None
-                         else int(resolved["cg_max_iter"])),
-            dense_cutoff=int(resolved["dense_cutoff"]),
-        )
-    except ValueError as err:
-        raise CliError(str(err)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -395,8 +373,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_coarse(args: argparse.Namespace) -> int:
     resolved = _resolve_config(args)
     field = _load_field(args.field)
-    config = _solve_config(resolved, "q1")
-    result = sweep(field, config, cache_dir=resolved["cache_dir"])
+    result = sweep(field, cache_dir=resolved["cache_dir"])
     summary = {
         "solve_count": result.solve_count,
         "cache_hits": result.cache_hits,
@@ -414,8 +391,7 @@ def cmd_coarse(args: argparse.Namespace) -> int:
 def cmd_ellipticity(args: argparse.Namespace) -> int:
     resolved = _resolve_config(args)
     field = _load_field(args.field)
-    config = _solve_config(resolved, "q1")
-    result = sweep(field, config, cache_dir=resolved["cache_dir"])
+    result = sweep(field, cache_dir=resolved["cache_dir"])
     if result.failures:
         raise CliError(f"{len(result.failures)} cube solves failed")
     report_obj = ellipticity_constants(result, float(resolved["s"]), float(resolved["t"]))
@@ -437,8 +413,7 @@ def cmd_criterion(args: argparse.Namespace) -> int:
         raise CliError(str(err)) from None
     sweep_result = None
     if args.with_solves:
-        config = _solve_config(resolved, "q1")
-        sweep_result = sweep(field, config, cache_dir=resolved["cache_dir"])
+        sweep_result = sweep(field, cache_dir=resolved["cache_dir"])
     crit = sobolev_criterion_report(field, inp, sweep_result=sweep_result)
     report = make_report("criterion", crit.to_dict(), resolved,
                          field_hash=field.content_hash)
@@ -453,15 +428,13 @@ def cmd_harnack(args: argparse.Namespace) -> int:
     resolved = _resolve_config(args)
     field = _load_field(args.field)
     boundary, tag = parse_boundary(args.boundary, field.grid.d)
-    config = _solve_config(resolved, "fd5")
     s, t = float(resolved["s"]), float(resolved["t"])
     sweep_result = None
     if args.with_solves:
-        q1 = _solve_config({**resolved, "discretization": None}, "q1")
-        sweep_result = sweep(field, q1, cache_dir=resolved["cache_dir"])
+        sweep_result = sweep(field, cache_dir=resolved["cache_dir"])
     runner = (local_boundedness_experiment if args.mode == "one-sided"
               else harnack_experiment)
-    record = runner(field, boundary, s, t, config=config,
+    record = runner(field, boundary, s, t,
                     sweep_result=sweep_result, theta=args.theta,
                     boundary_descriptor=tag)
     report = make_report("harnack", record.to_dict(), resolved,
@@ -488,13 +461,10 @@ def _cantor_family_records(
             raise CliError("cantor generations must be >= 1")
         grid = GridSpec(2, n)
         field = gen_cantor_field(grid, CantorParams(n))
-        q1 = _solve_config({**resolved, "discretization": None}, "q1")
-        sweep_result = sweep(field, q1, cache_dir=resolved["cache_dir"])
+        sweep_result = sweep(field, cache_dir=resolved["cache_dir"])
         boundary, tag = parse_boundary("affine:2,1,0", 2)
         record = harnack_experiment(
-            field, boundary, s, t,
-            config=_solve_config(resolved, "fd5"),
-            sweep_result=sweep_result, boundary_descriptor=tag)
+            field, boundary, s, t, sweep_result=sweep_result, boundary_descriptor=tag)
         records.append(record)
         params.append(float(n))
     return records, params
@@ -505,9 +475,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     s, t = float(resolved["s"]), float(resolved["t"])
     if args.kind == "sharpness":
         lambdas = _comma_floats(args.contrasts, "--lambda")
-        config = _solve_config(resolved, "fd5")
         try:
-            sharp = sharpness_sweep(lambdas, s=s, t=t, N=args.grid_n, config=config)
+            sharp = sharpness_sweep(lambdas, s=s, t=t, N=args.grid_n)
         except ValueError as err:
             raise CliError(str(err)) from None
         records = list(sharp.records)
@@ -542,8 +511,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_audit(args: argparse.Namespace) -> int:
     resolved = _resolve_config(args)
     field = _load_field(args.field)
-    config = _solve_config(resolved, "q1")
-    result = sweep(field, config, cache_dir=resolved["cache_dir"])
+    result = sweep(field, cache_dir=resolved["cache_dir"])
     if result.failures:
         raise CliError(f"{len(result.failures)} cube solves failed")
     s_grid = (tuple(_comma_floats(args.s_grid, "--s-grid"))

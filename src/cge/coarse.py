@@ -20,7 +20,6 @@ sub-cell cubes see a constant field.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import tempfile
@@ -44,7 +43,6 @@ from .grid import (
     sym_unpack,
 )
 from .solver import (
-    SolveConfig,
     SolveStats,
     SolverError,
     batched_neumann_functionals,
@@ -91,15 +89,12 @@ class CoarseGrainPair:
 
 
 def _pair_matrices_from_g(g: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """(astar, amax) from the 2d x 2d cross-functional value matrix."""
-    astar_inv = 0.5 * (g[:d, :d] + g[:d, :d].T)
-    amax = 0.5 * (g[d:, d:] + g[d:, d:].T)
-    return astar_inv, amax
+    """(astar_inv, amax) from cross-functional value matrices (..., 2d, 2d)."""
+    sym = 0.5 * (g + np.swapaxes(g, -1, -2))
+    return sym[..., :d, :d], sym[..., d:, d:]
 
 
-def coarse_grain_cube(
-    field: CoefficientField, cube: TriadicCube, config: SolveConfig = SolveConfig()
-) -> CoarseGrainPair:
+def coarse_grain_cube(field: CoefficientField, cube: TriadicCube) -> CoarseGrainPair:
     """Compute one cube's coarse-grained pair (plus reference averages).
 
     Single-cell cubes need no solve: every matrix equals the cell value.
@@ -113,7 +108,9 @@ def coarse_grain_cube(
         return CoarseGrainPair(cube, cell.copy(), cell.copy(), avg, inv_avg_inv,
                                np.linalg.inv(cell))
     try:
-        g, stats = neumann_functionals(field, cube, config)
+        g, stats = neumann_functionals(field, cube)
+        if not np.isfinite(g).all():
+            raise SolverError("non-finite functional matrix", stats)
     except SolverError as err:
         raise SolverError(
             f"cube level={cube.level} offset={cube.offset}: {err}", err.stats
@@ -124,7 +121,7 @@ def coarse_grain_cube(
 
 
 # ---------------------------------------------------------------------------
-# Sweeps over all levels, with a per-cube disk cache
+# Sweeps over all levels, with a per-level disk cache
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -162,7 +159,6 @@ class SweepResult:
 
     grid: GridSpec
     field_hash: str
-    config: SolveConfig
     levels: dict[int, LevelData]
     cell_inv_norm: np.ndarray
     solve_count: int
@@ -186,28 +182,22 @@ class SweepResult:
         return sum(3 ** (-ld.level * self.grid.d) for ld in self.levels.values())
 
 
-def _config_fingerprint(config: SolveConfig) -> str:
-    return json.dumps(
-        {
-            "discretization": config.discretization,
-            "cg_rel_tol": config.cg_rel_tol,
-        },
-        sort_keys=True,
-    )
+#: Names the Neumann engine in every cache record: a record that another
+#: solver wrote is a miss, so its numbers are never served as this one's.
+SOLVER_TAG = "q1-neumann/splu-nested-dissection/1"
 
 
-def _cache_path(cache_dir, field_hash: str, level: int, offset: tuple[int, ...]) -> str:
-    name = "_".join(str(z) for z in offset) + ".npz"
-    return os.path.join(cache_dir, field_hash, f"level_{level}", name)
+def _cache_path(cache_dir, field_hash: str, level: int) -> str:
+    return os.path.join(cache_dir, field_hash, f"level_{level}.npz")
 
 
-def _cache_store(path: str, fingerprint: str, astar_inv: np.ndarray, amax: np.ndarray) -> None:
+def _cache_store(path: str, astar_inv: np.ndarray, amax: np.ndarray) -> None:
     os.makedirs(os.path.dirname(path), exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
             np.savez(fh, astar_inv=astar_inv, amax=amax,
-                     config=np.frombuffer(fingerprint.encode(), dtype=np.uint8))
+                     solver=np.frombuffer(SOLVER_TAG.encode(), dtype=np.uint8))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -215,44 +205,62 @@ def _cache_store(path: str, fingerprint: str, astar_inv: np.ndarray, amax: np.nd
         raise
 
 
-def _cache_load(
-    path: str, fingerprint: str, ncomp: int
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """A stored record, or ``None`` for anything but a well-formed match.
+def _cache_load(path: str, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray] | None:
+    """A stored level record, or ``None`` for anything but a well-formed match.
 
-    Unreadable archives (garbage, empty or truncated files), other
-    configurations, wrong shapes and non-finite entries are all cache misses.
+    Unreadable archives (garbage, empty or truncated files), records of
+    another solver, wrong shapes and non-finite entries are all cache misses.
     """
     if not os.path.exists(path):
         return None
     try:
         with np.load(path) as rec:
-            if rec["config"].tobytes().decode() != fingerprint:
+            if rec["solver"].tobytes().decode() != SOLVER_TAG:
                 return None
             pair = rec["astar_inv"].copy(), rec["amax"].copy()
     except (OSError, KeyError, ValueError, EOFError, zipfile.BadZipFile):
         return None
-    if any(arr.shape != (ncomp,) or not np.isfinite(arr).all() for arr in pair):
+    if any(arr.shape != shape or not np.isfinite(arr).all() for arr in pair):
         return None
     return pair
 
 
-def sweep(
-    field: CoefficientField,
-    config: SolveConfig = SolveConfig(),
-    cache_dir: str | None = None,
-) -> SweepResult:
+def _solve_level(
+    field: CoefficientField, level: int
+) -> tuple[np.ndarray, np.ndarray, list[dict]]:
+    """Packed ``astar_inv`` and ``amax`` of every cube of a level, and failures.
+
+    A failed factorization fails every cube of the level; a cube whose
+    functional matrix is not finite fails alone. Failed cubes hold NaN.
+    """
+    d = field.d
+    message = "non-finite functional matrix"
+    try:
+        g_all, _ = batched_neumann_functionals(field, level)
+    except SolverError as err:
+        g_all = np.full((3 ** (-level),) * d + (2 * d, 2 * d), np.nan)
+        message = str(err)
+    bad = ~np.isfinite(g_all).all(axis=(-2, -1))
+    g_all[bad] = np.nan
+    astar_inv, amax = (sym_pack(mats) for mats in _pair_matrices_from_g(g_all, d))
+    failures = [{"level": level, "offset": [int(z) for z in off], "message": message}
+                for off in zip(*np.nonzero(bad))]
+    return astar_inv, amax, failures
+
+
+def sweep(field: CoefficientField, cache_dir: str | None = None) -> SweepResult:
     """Coarse-grain every cube of every level, with optional disk caching.
 
-    Cached records are keyed by field content hash, cube, and the
-    solver-relevant configuration; a warm cache re-run performs zero solves.
-    Failures (e.g. CG breakdown on a pathological cube) are recorded per cube
-    and surface as NaN matrices rather than aborting the sweep.
+    The level is the unit of work and of the cache: each level is either
+    read whole from its record, keyed by field content hash, level and
+    :data:`SOLVER_TAG`, or solved whole with one factorization. A warm cache
+    re-run performs zero solves. Failures are recorded per cube and surface
+    as NaN matrices rather than aborting the sweep; a level with a failed
+    cube is not cached.
     """
     grid = field.grid
     d = grid.d
     ncomp = sym_component_count(d)
-    fingerprint = _config_fingerprint(config)
     cell_inv_norm = 1.0 / sym_eig_bounds(field.data, d)[0]
 
     levels: dict[int, LevelData] = {}
@@ -261,7 +269,6 @@ def sweep(
     failures: list[dict] = []
 
     for level in range(0, -grid.N - 1, -1):
-        nz = 3 ** (-level)
         m = 3 ** (grid.N + level)
         avg = block_reduce(field.data, d, m)
         inv_avg_inv = sym_inv(block_reduce(field.inv_data, d, m), d)
@@ -272,54 +279,18 @@ def sweep(
             levels[level] = LevelData(level, astar, amax, avg, inv_avg_inv, astar_inv)
             continue
 
-        shape = (nz,) * d
-        astar_inv_arr = np.full(shape + (ncomp,), np.nan)
-        amax_arr = np.full(shape + (ncomp,), np.nan)
-        offsets = list(np.ndindex(shape))
-
-        todo = []
-        for off in offsets:
-            if cache_dir is not None:
-                rec = _cache_load(
-                    _cache_path(cache_dir, field.content_hash, level, off), fingerprint, ncomp
-                )
-                if rec is not None:
-                    astar_inv_arr[off], amax_arr[off] = rec
-                    cache_hits += 1
-                    continue
-            todo.append(off)
-
-        nn = (m + 1) ** d
-        if todo and nn <= config.dense_cutoff and len(todo) == len(offsets):
-            # whole level missing: use the vectorized dense path
-            g_all, _ = batched_neumann_functionals(field, level, config)
-            for off in offsets:
-                ai, am = _pair_matrices_from_g(g_all[off], d)
-                astar_inv_arr[off] = sym_pack(ai)
-                amax_arr[off] = sym_pack(am)
-            solve_count += 2 * d * len(offsets)
+        n_cubes = 3 ** (-level * d)
+        path = None if cache_dir is None else _cache_path(cache_dir, field.content_hash, level)
+        rec = None if path is None else _cache_load(path, (3 ** (-level),) * d + (ncomp,))
+        if rec is not None:
+            astar_inv_arr, amax_arr = rec
+            cache_hits += n_cubes
         else:
-            for off in todo:
-                try:
-                    g, _ = neumann_functionals(field, TriadicCube(level, off), config)
-                except SolverError as err:
-                    failures.append(_failure_entry(level, err, off))
-                    continue
-                ai, am = _pair_matrices_from_g(g, d)
-                astar_inv_arr[off] = sym_pack(ai)
-                amax_arr[off] = sym_pack(am)
-                solve_count += 2 * d
-
-        if cache_dir is not None:
-            for off in todo:
-                if np.isnan(astar_inv_arr[off]).any():
-                    continue
-                _cache_store(
-                    _cache_path(cache_dir, field.content_hash, level, off),
-                    fingerprint,
-                    astar_inv_arr[off],
-                    amax_arr[off],
-                )
+            astar_inv_arr, amax_arr, level_failures = _solve_level(field, level)
+            failures += level_failures
+            solve_count += 2 * d * (n_cubes - len(level_failures))
+            if path is not None and not level_failures:
+                _cache_store(path, astar_inv_arr, amax_arr)
 
         astar_arr = sym_pack(np.linalg.inv(sym_unpack(astar_inv_arr, d)))
         levels[level] = LevelData(level, astar_arr, amax_arr, avg, inv_avg_inv, astar_inv_arr)
@@ -327,21 +298,12 @@ def sweep(
     return SweepResult(
         grid=grid,
         field_hash=field.content_hash,
-        config=config,
         levels=levels,
         cell_inv_norm=cell_inv_norm,
         solve_count=solve_count,
         cache_hits=cache_hits,
         failures=failures,
     )
-
-
-def _failure_entry(level: int, err: SolverError, offset) -> dict:
-    return {
-        "level": level,
-        "offset": [int(z) for z in offset],
-        "message": str(err),
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,14 @@ Two problem classes back everything else:
   M-matrix stencil that obeys a discrete maximum principle), for
   scalar/diagonal coefficients.
 
-Pure-Neumann systems are singular with constant kernel; small systems are
-solved exactly via a rank-one augmentation (which preserves the zero-mean
-solution for compatible right-hand sides), large ones with diagonally
-preconditioned conjugate gradients projected onto the zero-mean subspace.
+Every pure-Neumann solve goes through one engine. It assembles equal cubes
+(all cubes of a triadic level, or a single cube) into one block-diagonal
+sparse matrix; each block pins one node, which removes the constant kernel
+and leaves an SPD system, and lists its nodes in geometric nested-dissection
+order. SuperLU factors the whole matrix once, keeping that order, and all 2d
+forcings are back-solved together; each cube's solution is then re-centred
+to zero mean. Dirichlet systems are factored with SuperLU in its default
+ordering.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -64,25 +68,13 @@ FLUX = "flux"
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Solver knobs; defaults suit fields with condition numbers up to ~1e6."""
+    """Discretization of the Dirichlet problems (:func:`solve_dirichlet`)."""
 
     discretization: str = "q1"  # "q1" (full symmetric a) or "fd5" (diagonal a)
-    cg_rel_tol: float = 1e-10
-    cg_max_iter: int | None = None  # default: 50*sqrt(unknowns) + 10000
-    dense_cutoff: int = 1500  # unknown count below which direct solves are used
 
     def __post_init__(self) -> None:
         if self.discretization not in ("q1", "fd5"):
             raise ValueError(f"unknown discretization {self.discretization!r}")
-        if self.cg_rel_tol <= 0:
-            raise ValueError("cg_rel_tol must be positive")
-        if self.cg_max_iter is not None and self.cg_max_iter <= 0:
-            raise ValueError("cg_max_iter must be positive")
-
-    def max_iter(self, unknowns: int) -> int:
-        if self.cg_max_iter is not None:
-            return self.cg_max_iter
-        return int(50 * math.sqrt(unknowns)) + 10_000
 
 
 @dataclass
@@ -105,7 +97,7 @@ class SolveStats:
 
 
 class SolverError(RuntimeError):
-    """Solver failure (e.g. CG stagnation); carries the partial stats."""
+    """Solver failure (e.g. a failed factorization); carries the partial stats."""
 
     def __init__(self, message: str, stats: SolveStats | None = None):
         super().__init__(message)
@@ -205,9 +197,9 @@ def _cell_node_indices(m: int, d: int) -> np.ndarray:
 
 
 def _cube_cells_packed(field: CoefficientField, cube: TriadicCube) -> np.ndarray:
-    """Packed cell data of a cube, flattened C-order: (ncells, ncomp)."""
+    """Packed cell data of one cube as a batch of one: (1, ncells, ncomp)."""
     block = field.data[cube.cell_slices(field.grid)]
-    return block.reshape(-1, field.data.shape[-1])
+    return block.reshape(1, -1, field.data.shape[-1])
 
 
 def _element_matrices(cells_packed: np.ndarray, d: int, h: float) -> np.ndarray:
@@ -216,110 +208,127 @@ def _element_matrices(cells_packed: np.ndarray, d: int, h: float) -> np.ndarray:
     return h ** (d - 2) * np.einsum("...cp,pij->...cij", cells_packed, r_eff)
 
 
-def assemble_neumann(field: CoefficientField, cube: TriadicCube) -> sp.csr_matrix:
-    """Pure-Neumann Q1 stiffness of a cube (singular, kernel = constants)."""
-    d = field.d
-    m = cube.cells_per_side(field.grid)
-    conn = _cell_node_indices(m, d)
-    ke = _element_matrices(_cube_cells_packed(field, cube), d, field.grid.h)
-    nloc = conn.shape[1]
-    rows = np.repeat(conn, nloc, axis=1).ravel()
-    cols = np.tile(conn, (1, nloc)).ravel()
+@lru_cache(maxsize=8)
+def _nested_dissection(m: int, d: int) -> np.ndarray:
+    """The nodes of an ``(m+1)**d`` grid in geometric nested-dissection order.
+
+    Each box is cut across its longest axis by a plane one node thick; the
+    two halves come first (recursively) and the plane last, so eliminating
+    in this order confines fill to the separators. Boxes at most four nodes
+    on a side keep their C order.
+    """
+    order: list[np.ndarray] = []
+
+    def dissect(block: np.ndarray) -> None:
+        axis = int(np.argmax(block.shape))
+        side = block.shape[axis]
+        if side <= 4:
+            order.append(block.ravel())
+            return
+        lo, plane, hi = np.split(block, [side // 2, side // 2 + 1], axis=axis)
+        dissect(lo)
+        dissect(hi)
+        order.append(plane.ravel())
+
+    dissect(np.arange((m + 1) ** d).reshape((m + 1,) * d))
+    out = np.concatenate(order)
+    out.flags.writeable = False  # shared by every caller through the cache
+    return out
+
+
+@lru_cache(maxsize=8)
+def _block_pattern(m: int, d: int, pinned: bool):
+    """CSC pattern of one cube's stiffness and where each element entry goes.
+
+    With ``pinned`` the nodes are in nested-dissection order and the last one
+    (on the first separator) is dropped; otherwise all nodes keep their C
+    order. Returns ``(indptr, indices, keep, slot)``: ``keep`` selects the
+    entries of the flattened ``(ncells, 2^d, 2^d)`` element matrices that
+    land in the matrix, and ``slot`` is each kept entry's index in the CSC
+    data array.
+    """
     nn = (m + 1) ** d
-    mat = sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(nn, nn))
-    return mat.tocsr()
+    conn = _cell_node_indices(m, d)
+    pos = np.arange(nn)
+    n = nn
+    if pinned:
+        pos[_nested_dissection(m, d)] = np.arange(nn)
+        n = nn - 1
+    local = pos[conn]
+    rows = np.broadcast_to(local[:, :, None], local.shape + local.shape[1:]).ravel()
+    cols = np.broadcast_to(local[:, None, :], local.shape + local.shape[1:]).ravel()
+    keep = (rows < n) & (cols < n)
+    keys, slot = np.unique(cols[keep] * n + rows[keep], return_inverse=True)
+    pattern = np.searchsorted(keys, np.arange(n + 1) * n), keys % n, keep, slot.ravel()
+    for arr in pattern:  # shared by every caller through the cache
+        arr.flags.writeable = False
+    return pattern
 
 
-def _forcing_vectors(field: CoefficientField, cube: TriadicCube) -> np.ndarray:
-    """RHS columns for all 2d unit forcings: (nn, 2d).
+def _assemble_blocks(cells: np.ndarray, m: int, d: int, h: float, pinned: bool) -> sp.csc_matrix:
+    """Block-diagonal Q1 stiffness of equal cubes, one block per cube.
+
+    ``cells`` is ``(ncubes, m**d, ncomp)``: each cube's packed coefficient,
+    cells in C order. The blocks follow :func:`_block_pattern`.
+    """
+    ncubes = cells.shape[0]
+    indptr, indices, keep, slot = _block_pattern(m, d, pinned)
+    nnz = indices.size
+    n = indptr.size - 1
+    ke = _element_matrices(cells, d, h).reshape(ncubes, -1)[:, keep]
+    first = np.arange(ncubes)[:, None]
+    data = np.bincount((first * nnz + slot).ravel(), weights=ke.ravel(),
+                       minlength=ncubes * nnz)
+    all_indptr = np.append((first * nnz + indptr[:-1]).ravel(), ncubes * nnz)
+    all_indices = (first * n + indices).ravel()
+    return sp.csc_matrix((data, all_indices, all_indptr), shape=(ncubes * n,) * 2)
+
+
+def _forcings(cells: np.ndarray, m: int, d: int, h: float) -> np.ndarray:
+    """RHS columns of all 2d unit forcings, ``(ncubes, nn, 2d)`` in C node order.
 
     Columns 0..d-1: gradient forcings L(v) = avg(e_a . grad v).
     Columns d..2d-1: flux forcings L(v) = avg(e_a . a grad v).
     (Un-normalized: the vectors represent vol * L.)
     """
-    d = field.d
-    m = cube.cells_per_side(field.grid)
-    h = field.grid.h
-    _, r_hat = reference_matrices(d)
-    conn = _cell_node_indices(m, d)
+    ncubes = cells.shape[0]
     nn = (m + 1) ** d
-    cells = _cube_cells_packed(field, cube)
-    full = sym_unpack(cells, d)  # (ncells, d, d)
-    out = np.zeros((nn, 2 * d))
-    per_cell_grad = h ** (d - 1) * r_hat  # (d, nloc), same for every cell
-    per_cell_flux = h ** (d - 1) * np.einsum("cab,bI->caI", full, r_hat)
+    conn = _cell_node_indices(m, d)
+    _, r_hat = reference_matrices(d)
+    per_cell_grad = h ** (d - 1) * r_hat  # (d, 2^d), the same in every cell
+    per_cell_flux = h ** (d - 1) * np.einsum("bcxy,yI->bcxI", sym_unpack(cells, d), r_hat)
+    flat_nodes = (np.arange(ncubes)[:, None] * nn + conn.ravel()).ravel()
+    rhs = np.empty((ncubes, nn, 2 * d))
     for a in range(d):
-        np.add.at(out[:, a], conn.ravel(), np.broadcast_to(per_cell_grad[a], conn.shape).ravel())
-        np.add.at(out[:, d + a], conn.ravel(), per_cell_flux[:, a, :].ravel())
-    return out
+        rhs[:, :, a] = np.bincount(conn.ravel(), minlength=nn,
+                                   weights=np.broadcast_to(per_cell_grad[a], conn.shape).ravel())
+        rhs[:, :, d + a] = np.bincount(
+            flat_nodes, weights=per_cell_flux[:, :, a, :].ravel(), minlength=ncubes * nn
+        ).reshape(ncubes, nn)
+    return rhs
+
+
+def assemble_neumann(field: CoefficientField, cube: TriadicCube) -> sp.csr_matrix:
+    """Pure-Neumann Q1 stiffness of a cube (singular, kernel = constants)."""
+    m = cube.cells_per_side(field.grid)
+    cells = _cube_cells_packed(field, cube)
+    return _assemble_blocks(cells, m, field.d, field.grid.h, pinned=False).tocsr()
+
+
+def _forcing_vectors(field: CoefficientField, cube: TriadicCube) -> np.ndarray:
+    """RHS columns of all 2d unit forcings on one cube: (nn, 2d)."""
+    m = cube.cells_per_side(field.grid)
+    return _forcings(_cube_cells_packed(field, cube), m, field.d, field.grid.h)[0]
 
 
 # ---------------------------------------------------------------------------
 # Pure-Neumann solves
 # ---------------------------------------------------------------------------
 
-def _pcg_zero_mean(
-    mat: sp.csr_matrix, b: np.ndarray, config: SolveConfig
-) -> tuple[np.ndarray, int, float]:
-    """Jacobi-preconditioned CG for a singular consistent system, in the
-    zero-mean subspace. Returns (solution, iterations, relative residual).
-
-    Raises :class:`SolverError` (with stats) on a non-finite right-hand side
-    or residual, on a search direction with ``p.Ap <= 0``, and on reaching
-    the iteration cap.
-    """
-    n = b.shape[0]
-    if not np.isfinite(b).all():
-        raise SolverError("CG right-hand side is not finite", SolveStats(0, math.nan, n, 0.0, "pcg"))
-    b = b - b.mean()
-    norm_b = np.linalg.norm(b)
-    if norm_b == 0.0:
-        return np.zeros(n), 0, 0.0
-    inv_diag = 1.0 / mat.diagonal()
-    x = np.zeros(n)
-    r = b.copy()
-    z = inv_diag * r
-    z -= z.mean()
-    p = z.copy()
-    rz = r @ z
-    max_iter = config.max_iter(n)
-    tol = config.cg_rel_tol * norm_b
-    res = np.linalg.norm(r)
-    it = 0
-    while res > tol and it < max_iter:
-        ap = mat @ p
-        pap = p @ ap
-        if not 0.0 < pap < math.inf:
-            raise SolverError(
-                f"CG breakdown: p.Ap = {pap:.3e} at iteration {it}",
-                SolveStats(it, res / norm_b, n, 0.0, "pcg"),
-            )
-        alpha = rz / pap
-        x += alpha * p
-        r -= alpha * ap
-        res = np.linalg.norm(r)
-        if res <= tol:
-            it += 1
-            break
-        z = inv_diag * r
-        z -= z.mean()
-        rz_new = r @ z
-        beta = rz_new / rz
-        rz = rz_new
-        p = z + beta * p
-        it += 1
-    x -= x.mean()
-    if not res <= tol:  # also catches a NaN residual
-        raise SolverError(
-            f"CG failed to converge: residual {res / norm_b:.3e} after {it} iterations",
-            SolveStats(it, res / norm_b, n, 0.0, "pcg"),
-        )
-    return x, it, res / norm_b
-
-
 def _augmented_dense_solve(kmat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve singular Neumann systems exactly via rank-one augmentation.
 
+    The dense reference solve, kept as an independent oracle for the tests.
     For b orthogonal to constants, (K + c*J/n) x = b has the unique zero-mean
     solution of K x = b (J the all-ones matrix); batched over leading axes.
     """
@@ -330,8 +339,47 @@ def _augmented_dense_solve(kmat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x - x.mean(axis=-2, keepdims=True)
 
 
+def _factor(mat: sp.csc_matrix) -> spla.SuperLU:
+    """SuperLU factorization that keeps the given order and diagonal pivots
+    (the pinned systems are SPD, so no pivoting is needed)."""
+    return spla.splu(mat, permc_spec="NATURAL", diag_pivot_thresh=0.0)
+
+
+def _solve_cubes(
+    cells: np.ndarray, m: int, d: int, h: float
+) -> tuple[np.ndarray, np.ndarray, SolveStats]:
+    """Zero-mean solutions of all 2d unit forcings on equal cubes at once.
+
+    ``cells`` is ``(ncubes, m**d, ncomp)``, as for :func:`_assemble_blocks`.
+    One factorization covers every cube. Returns ``(sols, rhs, stats)``, the
+    first two ``(ncubes, nn, 2d)`` in C node order; ``stats.residual`` is the
+    largest per-cube ``|Kx - b| / |b|`` of the factored (pinned) systems.
+    Raises :class:`SolverError` if the factorization fails.
+    """
+    t0 = time.perf_counter()
+    ncubes = cells.shape[0]
+    nn = (m + 1) ** d
+    free = _nested_dissection(m, d)[:-1]  # the last node is pinned to zero
+    kmat = _assemble_blocks(cells, m, d, h, pinned=True)
+    rhs = _forcings(cells, m, d, h)
+    b = rhs[:, free].reshape(-1, 2 * d)
+    try:
+        lu = _factor(kmat)
+    except RuntimeError as err:
+        raise SolverError(f"sparse factorization failed: {err}",
+                          SolveStats(0, math.nan, nn, time.perf_counter() - t0, "splu")) from err
+    x = lu.solve(b)
+    per_cube = (ncubes, nn - 1, 2 * d)
+    res = (np.linalg.norm((kmat @ x - b).reshape(per_cube), axis=1)
+           / np.maximum(np.linalg.norm(b.reshape(per_cube), axis=1), 1e-300))
+    sols = np.zeros_like(rhs)
+    sols[:, free] = x.reshape(per_cube)
+    sols -= sols.mean(axis=1, keepdims=True)
+    return sols, rhs, SolveStats(0, float(res.max()), nn, time.perf_counter() - t0, "splu")
+
+
 def neumann_functionals(
-    field: CoefficientField, cube: TriadicCube, config: SolveConfig = SolveConfig()
+    field: CoefficientField, cube: TriadicCube
 ) -> tuple[np.ndarray, SolveStats]:
     """Cross-functional matrix of all 2d unit-forcing variational problems.
 
@@ -339,99 +387,28 @@ def neumann_functionals(
     forcings (d gradient, then d flux) — everything the coarse-graining layer
     needs: ``g[grad, grad]`` is the Gram matrix of the gradient problems,
     ``g[flux, flux]`` the flux-forcing value matrix, and the mixed blocks are
-    consistency diagnostics. ``g`` is symmetric up to solver tolerance.
+    consistency diagnostics. ``g`` is symmetric up to roundoff.
     """
-    t0 = time.perf_counter()
-    d = field.d
     m = cube.cells_per_side(field.grid)
-    nn = (m + 1) ** d
-    rhs = _forcing_vectors(field, cube)
-    vol = cube.volume
-    if nn <= config.dense_cutoff:
-        kmat = assemble_neumann(field, cube).toarray()
-        sols = _augmented_dense_solve(kmat, rhs)
-        stats = SolveStats(0, 0.0, nn, time.perf_counter() - t0, "dense")
-    else:
-        kmat = assemble_neumann(field, cube)
-        sols = np.empty_like(rhs)
-        iters, res = 0, 0.0
-        for j in range(2 * d):
-            x, it, r = _pcg_zero_mean(kmat, rhs[:, j], config)
-            sols[:, j] = x
-            iters += it
-            res = max(res, r)
-        stats = SolveStats(iters, res, nn, time.perf_counter() - t0, "pcg")
-    g = (sols.T @ rhs) / vol
-    return g, stats
+    sols, rhs, stats = _solve_cubes(_cube_cells_packed(field, cube), m, field.d, field.grid.h)
+    return (sols[0].T @ rhs[0]) / cube.volume, stats
 
 
 def batched_neumann_functionals(
-    field: CoefficientField, level: int, config: SolveConfig = SolveConfig()
+    field: CoefficientField, level: int
 ) -> tuple[np.ndarray, SolveStats]:
-    """``neumann_functionals`` for every cube of one level at once.
+    """``neumann_functionals`` for every cube of one level, one factorization.
 
-    Only for levels whose cubes are small enough for the dense direct path;
-    returns ``(g_all, stats)`` with ``g_all`` of shape
+    Returns ``(g_all, stats)`` with ``g_all`` of shape
     ``(3**-level,)*d + (2d, 2d)`` in row-major cube order.
     """
-    t0 = time.perf_counter()
     grid = field.grid
     d = grid.d
     m = 3 ** (grid.N + level)
-    nn = (m + 1) ** d
-    if nn > config.dense_cutoff:
-        raise ValueError(f"level {level} cubes have {nn} nodes > dense cutoff")
-    ncubes_side = 3 ** (-level)
-    ncells = m**d
-    blocks = block_view(field.data, d, m).reshape((-1, ncells, field.data.shape[-1]))
-    n_cubes = blocks.shape[0]
-
-    conn = _cell_node_indices(m, d)
-    nloc = conn.shape[1]
-    flat_scatter = (conn[:, :, None] * nn + conn[:, None, :]).ravel()
-
-    _, r_hat = reference_matrices(d)
-    h = grid.h
-    grad_cols = np.zeros((nn, d))
-    for a in range(d):
-        np.add.at(grad_cols[:, a], conn.ravel(),
-                  np.broadcast_to(h ** (d - 1) * r_hat[a], conn.shape).ravel())
-
-    vol = 3.0 ** (level * d)
-    g_all = np.empty((n_cubes, 2 * d, 2 * d))
-
-    # chunk to bound peak memory from the (chunk, nn, nn) dense batches
-    chunk = max(1, int(3e7 / (nn * nn)))
-    for start in range(0, n_cubes, chunk):
-        chunk_blocks = blocks[start : start + chunk]
-        bsz = chunk_blocks.shape[0]
-        ke = _element_matrices(chunk_blocks, d, h)
-        offsets = (np.arange(bsz) * nn * nn)[:, None]
-        kmats = np.bincount(
-            (offsets + flat_scatter[None, :]).ravel(),
-            weights=ke.reshape(bsz, -1).ravel(),
-            minlength=bsz * nn * nn,
-        ).reshape(bsz, nn, nn)
-
-        full = sym_unpack(chunk_blocks, d)
-        per_cell_flux = h ** (d - 1) * np.einsum("bcxy,yI->bcxI", full, r_hat)
-        rhs = np.zeros((bsz, nn, 2 * d))
-        rhs[:, :, :d] = grad_cols
-        node_offsets = (np.arange(bsz) * nn)[:, None]
-        flat_nodes = (node_offsets + conn.ravel()[None, :]).ravel()
-        for a in range(d):
-            acc = np.bincount(
-                flat_nodes,
-                weights=per_cell_flux[:, :, a, :].reshape(bsz, -1).ravel(),
-                minlength=bsz * nn,
-            )
-            rhs[:, :, d + a] = acc.reshape(bsz, nn)
-
-        sols = _augmented_dense_solve(kmats, rhs)
-        g_all[start : start + bsz] = np.einsum("bnr,bns->brs", sols, rhs) / vol
-
-    stats = SolveStats(0, 0.0, nn, time.perf_counter() - t0, "dense-batched")
-    return g_all.reshape((ncubes_side,) * d + (2 * d, 2 * d)), stats
+    cells = block_view(field.data, d, m).reshape((-1, m**d, field.data.shape[-1]))
+    sols, rhs, stats = _solve_cubes(cells, m, d, grid.h)
+    g_all = np.einsum("bnr,bns->brs", sols, rhs) / 3.0 ** (level * d)
+    return g_all.reshape((3 ** (-level),) * d + (2 * d, 2 * d)), stats
 
 
 def solve_linear_forcing(
@@ -439,7 +416,6 @@ def solve_linear_forcing(
     cube: TriadicCube,
     direction: Sequence[float],
     rhs_kind: str,
-    config: SolveConfig = SolveConfig(),
 ) -> tuple[CubeFunction, SolveStats, float]:
     """Maximize ``avg(-grad u . a grad u + 2 L(u))`` over the cube.
 
@@ -447,28 +423,19 @@ def solve_linear_forcing(
     ``L(v) = avg(direction . grad v)``, ``"flux"`` gives
     ``L(v) = avg(direction . a grad v)``. Returns the zero-mean maximizer,
     solver stats, and the optimum value ``L(u)/vol`` (at the maximizer the
-    functional value equals ``L(u)/vol`` since ``B(u,u) = L(u)``).
+    functional value equals ``L(u)/vol`` since ``B(u,u) = L(u)``). The
+    maximizer combines the unit-forcing solutions by linearity.
     """
     if rhs_kind not in (GRADIENT, FLUX):
         raise ValueError(f"rhs_kind must be 'gradient' or 'flux', got {rhs_kind!r}")
     direction = np.asarray(direction, dtype=float)
     if direction.shape != (field.d,) or not np.linalg.norm(direction) > 0:
         raise ValueError("direction must be a nonzero d-vector")
-    t0 = time.perf_counter()
-    rhs_all = _forcing_vectors(field, cube)
-    cols = slice(0, field.d) if rhs_kind == GRADIENT else slice(field.d, 2 * field.d)
-    b = rhs_all[:, cols] @ direction
     m = cube.cells_per_side(field.grid)
-    nn = (m + 1) ** field.d
-    if nn <= config.dense_cutoff:
-        kmat = assemble_neumann(field, cube).toarray()
-        x = _augmented_dense_solve(kmat, b[:, None])[:, 0]
-        stats = SolveStats(0, 0.0, nn, time.perf_counter() - t0, "dense")
-    else:
-        kmat = assemble_neumann(field, cube)
-        x, it, res = _pcg_zero_mean(kmat, b, config)
-        stats = SolveStats(it, res, nn, time.perf_counter() - t0, "pcg")
-    value = float(b @ x) / cube.volume
+    sols, rhs, stats = _solve_cubes(_cube_cells_packed(field, cube), m, field.d, field.grid.h)
+    cols = slice(0, field.d) if rhs_kind == GRADIENT else slice(field.d, 2 * field.d)
+    x = sols[0, :, cols] @ direction
+    value = float(rhs[0, :, cols] @ direction @ x) / cube.volume
     u = CubeFunction(field.grid, cube, x.reshape((m + 1,) * field.d), "node")
     return u, stats, value
 
@@ -517,11 +484,11 @@ def solve_dirichlet(
     that matches the boundary data exactly at boundary nodes.
     """
     if config.discretization == "fd5":
-        return _solve_dirichlet_fv(field, cube, boundary, config)
-    return _solve_dirichlet_q1(field, cube, boundary, config)
+        return _solve_dirichlet_fv(field, cube, boundary)
+    return _solve_dirichlet_q1(field, cube, boundary)
 
 
-def _solve_dirichlet_fv(field, cube, boundary, config):
+def _solve_dirichlet_fv(field, cube, boundary):
     t0 = time.perf_counter()
     grid = field.grid
     d = grid.d
@@ -582,7 +549,7 @@ def _solve_dirichlet_fv(field, cube, boundary, config):
     return CubeFunction(grid, cube, x.reshape(shape), "cell"), stats
 
 
-def _solve_dirichlet_q1(field, cube, boundary, config):
+def _solve_dirichlet_q1(field, cube, boundary):
     t0 = time.perf_counter()
     grid = field.grid
     d = grid.d
@@ -603,19 +570,12 @@ def _solve_dirichlet_q1(field, cube, boundary, config):
     k_ii = kmat[interior][:, interior].tocsc()
     rhs = -(kmat[interior][:, bmask] @ gvals.ravel()[bmask])
     ni = int(interior.sum())
+    res = 0.0
     if ni > 0:
-        if ni <= config.dense_cutoff:
-            ui = np.linalg.solve(k_ii.toarray(), rhs)
-            method = "q1-dense"
-        else:
-            lu = spla.splu(k_ii)
-            ui = lu.solve(rhs)
-            method = "q1-splu"
+        ui = spla.splu(k_ii).solve(rhs)
         u[interior] = ui
         res = np.linalg.norm(k_ii @ ui - rhs) / max(np.linalg.norm(rhs), 1e-300)
-    else:
-        res, method = 0.0, "q1-dense"
-    stats = SolveStats(0, float(res), ni, time.perf_counter() - t0, method)
+    stats = SolveStats(0, float(res), ni, time.perf_counter() - t0, "q1-splu")
     return CubeFunction(grid, cube, u.reshape((m + 1,) * d), "node"), stats
 
 

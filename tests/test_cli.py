@@ -14,6 +14,7 @@ import pytest
 import cge
 from cge import __version__, read_field
 from cge.cli import (
+    CONFIG_SPEC,
     CliError,
     ConfigError,
     emit_csv_summary,
@@ -312,7 +313,8 @@ class TestConfigFile:
         assert "cfg.txt:2" in err
         assert "unknown key" in err
 
-    @pytest.mark.parametrize("key", ["threads", "preconditioner"])
+    @pytest.mark.parametrize("key", ["threads", "preconditioner", "discretization",
+                                     "cg_rel_tol", "cg_max_iter", "dense_cutoff"])
     def test_removed_solver_knobs_are_unknown_keys(self, workdir, capsys, key):
         gen_identity(workdir)
         (workdir / "cfg.txt").write_text(f"{key} = 2\n")
@@ -343,9 +345,10 @@ class TestConfigFile:
 
     def test_load_config_file_parses_types(self, tmp_path):
         path = tmp_path / "cfg.txt"
-        path.write_text("seed = 4\ncg_rel_tol = 1e-8\ncache_dir = /tmp/x\n")
+        path.write_text("seed = 4\ns = 0.3\ncache_dir = /tmp/x\n")
         values = load_config_file(path)
-        assert values == {"seed": 4, "cg_rel_tol": 1e-8, "cache_dir": "/tmp/x"}
+        assert values == {"seed": 4, "s": 0.3, "cache_dir": "/tmp/x"}
+        assert sorted(CONFIG_SPEC) == ["cache_dir", "s", "seed", "t"]
 
 
 class TestBoundaryParsing:

@@ -18,6 +18,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import cge.coarse
+import cge.solver
 from cge.coarse import (
     DEFAULT_S_GRID,
     audit,
@@ -29,7 +30,7 @@ from cge.fields import gen_constant, gen_laminate, gen_random_spd
 from cge.grid import CoefficientField, GridSpec, TriadicCube, partition
 from cge.solver import (
     CubeFunction,
-    SolveConfig,
+    SolverError,
     energy,
     mean_flux,
     mean_gradient,
@@ -258,11 +259,11 @@ class TestSweepStructure:
         fine = result.levels[-3]
         assert_allclose(fine.astar, result.levels[-3].avg, rtol=0, atol=0)
 
-    def test_failures_recorded_not_raised(self):
+    def test_failures_recorded_not_raised(self, failing_factorization, tmp_path):
         grid = GridSpec(d=2, N=1)
         field = gen_random_spd(grid, seed=1, eig_low=0.5, eig_high=2.0)
-        config = SolveConfig(cg_max_iter=1, dense_cutoff=1)
-        result = sweep(field, config)
+        result = sweep(field, cache_dir=str(tmp_path))
+        assert os.listdir(tmp_path) == []  # a failed level is not cached
         assert len(result.failures) == 1
         entry = result.failures[0]
         assert entry["level"] == 0 and entry["offset"] == [0, 0]
@@ -270,11 +271,11 @@ class TestSweepStructure:
         assert result.solve_count == 0
         assert np.isnan(result.pair(TriadicCube(0, (0, 0))).amax).all()
 
-    def test_failures_recorded_not_raised_3d(self):
+    def test_failures_recorded_not_raised_3d(self, failing_factorization):
         # d = 3 takes eigenvalues through LAPACK, which raises on a NaN matrix
         grid = GridSpec(d=3, N=1)
         field = gen_random_spd(grid, seed=1, eig_low=0.5, eig_high=2.0)
-        result = sweep(field, SolveConfig(cg_max_iter=1, dense_cutoff=1))
+        result = sweep(field)
         assert [(e["level"], e["offset"]) for e in result.failures] == [(0, [0, 0, 0])]
         assert np.isnan(result.pair(TriadicCube(0, (0, 0, 0))).amax).all()
         assert np.isnan(result.levels[0].amax_norm).all()
@@ -285,14 +286,42 @@ class TestSweepStructure:
             (v["kind"], v["level"], v["offset"]) for v in report.violations
         ]
 
-    def test_single_cube_solver_error_names_cube(self):
+    def test_single_cube_solver_error_names_cube(self, failing_factorization):
         grid = GridSpec(d=2, N=1)
         field = gen_random_spd(grid, seed=1, eig_low=0.5, eig_high=2.0)
-        from cge.solver import SolverError
-
         with pytest.raises(SolverError, match=r"level=0"):
-            coarse_grain_cube(field, TriadicCube(0, (0, 0)),
-                              SolveConfig(cg_max_iter=1, dense_cutoff=1))
+            coarse_grain_cube(field, TriadicCube(0, (0, 0)))
+
+    def test_non_finite_cube_recorded_alone(self, monkeypatch, tmp_path):
+        grid = GridSpec(d=2, N=2)
+        field = gen_random_spd(grid, seed=1, eig_low=0.5, eig_high=2.0)
+        real = cge.coarse.batched_neumann_functionals
+
+        def one_nan_cube(field, level):
+            g_all, stats = real(field, level)
+            if level == -1:
+                g_all[1, 2, 0, 0] = np.nan
+            return g_all, stats
+
+        monkeypatch.setattr(cge.coarse, "batched_neumann_functionals", one_nan_cube)
+        result = sweep(field, cache_dir=str(tmp_path))
+        assert [(e["level"], e["offset"]) for e in result.failures] == [(-1, [1, 2])]
+        assert "non-finite" in result.failures[0]["message"]
+        assert result.solve_count == 4 * (1 + 8)
+        amax = result.levels[-1].amax
+        assert np.isnan(amax[1, 2]).all()
+        assert np.isfinite(np.delete(amax.reshape(9, -1), 5, axis=0)).all()
+        # the level with the failed cube is not cached; the clean one is
+        assert sorted(os.listdir(tmp_path / field.content_hash)) == ["level_0.npz"]
+
+
+@pytest.fixture
+def failing_factorization(monkeypatch):
+    """Every Neumann factorization raises, as SuperLU does on a singular matrix."""
+    def fail(mat):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(cge.solver, "_factor", fail)
 
 
 # ---------------------------------------------------------------------------
@@ -313,24 +342,30 @@ class TestCache:
             assert np.array_equal(cold.levels[level].astar, warm.levels[level].astar)
             assert np.array_equal(cold.levels[level].amax, warm.levels[level].amax)
 
-    def test_cache_layout_one_record_per_cube(self, tmp_path):
+    def test_cache_layout_one_record_per_level(self, tmp_path):
         grid = GridSpec(d=2, N=2)
         field = gen_random_spd(grid, seed=9, eig_low=0.5, eig_high=5.0)
         cache = str(tmp_path / "cache")
         sweep(field, cache_dir=cache)
         root = os.path.join(cache, field.content_hash)
-        assert sorted(os.listdir(root)) == ["level_-1", "level_0"]
-        assert sorted(os.listdir(os.path.join(root, "level_0"))) == ["0_0.npz"]
-        assert len(os.listdir(os.path.join(root, "level_-1"))) == 9
+        assert sorted(os.listdir(root)) == ["level_-1.npz", "level_0.npz"]
+        with np.load(os.path.join(root, "level_-1.npz")) as rec:
+            assert rec["amax"].shape == rec["astar_inv"].shape == (3, 3, 3)
 
     def test_config_change_invalidates(self, tmp_path):
+        # a level record written by another solver (another tag) is a miss
         grid = GridSpec(d=2, N=1)
         field = gen_random_spd(grid, seed=2, eig_low=0.5, eig_high=2.0)
         cache = str(tmp_path / "cache")
-        sweep(field, cache_dir=cache)
-        redo = sweep(field, SolveConfig(cg_rel_tol=1e-8), cache_dir=cache)
+        cold = sweep(field, cache_dir=cache)
+        victim = os.path.join(cache, field.content_hash, "level_0.npz")
+        self._rewrite_record(victim, solver=np.frombuffer(b"q1-neumann/pcg", dtype=np.uint8))
+        redo = sweep(field, cache_dir=cache)
         assert redo.solve_count == 4
         assert redo.cache_hits == 0
+        assert np.array_equal(redo.levels[0].amax, cold.levels[0].amax)
+        # the re-solved record carries the engine's tag again
+        assert sweep(field, cache_dir=cache).cache_hits == 1
 
     @staticmethod
     def _rewrite_record(path, **arrays):
@@ -347,7 +382,7 @@ class TestCache:
         field = gen_random_spd(grid, seed=2, eig_low=0.5, eig_high=2.0)
         cache = str(tmp_path / "cache")
         cold = sweep(field, cache_dir=cache)
-        victim = os.path.join(cache, field.content_hash, "level_0", "0_0.npz")
+        victim = os.path.join(cache, field.content_hash, "level_0.npz")
         if damage == "garbage":
             with open(victim, "wb") as fh:
                 fh.write(b"not an archive")
@@ -359,9 +394,10 @@ class TestCache:
             with open(victim, "wb") as fh:
                 fh.write(raw[: len(raw) // 2])
         elif damage == "wrong_shape":
-            self._rewrite_record(victim, amax=np.ones(2))
+            # one cube's packed matrix, not a (1, 1, 3) level record
+            self._rewrite_record(victim, amax=np.ones(3))
         else:
-            self._rewrite_record(victim, astar_inv=np.array([1.0, np.nan, 1.0]))
+            self._rewrite_record(victim, astar_inv=np.array([[[1.0, np.nan, 1.0]]]))
         warm = sweep(field, cache_dir=cache)
         assert warm.solve_count == 4
         assert warm.cache_hits == 0
@@ -369,6 +405,25 @@ class TestCache:
         assert np.array_equal(warm.levels[0].amax, cold.levels[0].amax)
         # the re-solved record replaced the damaged one
         assert sweep(field, cache_dir=cache).cache_hits == 1
+
+    def test_one_factorization_per_solved_level(self, tmp_path, monkeypatch):
+        grid = GridSpec(d=2, N=3)
+        field = gen_random_spd(grid, seed=9, eig_low=0.5, eig_high=5.0)
+        sizes = []
+        real = cge.solver._factor
+
+        def spy(mat):
+            sizes.append(mat.shape[0])
+            return real(mat)
+
+        monkeypatch.setattr(cge.solver, "_factor", spy)
+        cache = str(tmp_path / "cache")
+        sweep(field, cache_dir=cache)
+        # levels 0, -1, -2: one pinned block of (m+1)**2 - 1 nodes per cube
+        assert sizes == [28**2 - 1, 9 * (10**2 - 1), 81 * (4**2 - 1)]
+        sizes.clear()
+        assert sweep(field, cache_dir=cache).solve_count == 0
+        assert sizes == []
 
     def test_different_fields_do_not_collide(self, tmp_path):
         grid = GridSpec(d=2, N=1)
@@ -490,11 +545,9 @@ class TestAudit:
 # Solve-path identities: scaling and 2D symmetries
 # ---------------------------------------------------------------------------
 
-#: The default routing (dense and batched dense at every level of a 2D N=2
-#: grid) and PCG forced on every cube by a dense cutoff below any node count,
-#: each with the relative tolerance its identities hold to (roundoff for the
-#: direct solves; CG stops at a relative residual of 1e-10).
-SOLVE_PATHS = {"dense": (SolveConfig(), 1e-12), "pcg": (SolveConfig(dense_cutoff=1), 1e-9)}
+#: The one Neumann path (the sparse-direct engine, at every level of a 2D
+#: N=2 grid) and the relative tolerance its identities hold to (roundoff).
+SOLVE_PATHS = {"splu": 1e-12}
 
 #: Symmetries of the square acting on packed (a11, a12, a22) arrays indexed by
 #: cell or cube offset; each maps a field and its effective matrices alike.
@@ -521,20 +574,20 @@ class TestSolveIdentities:
     @pytest.mark.parametrize("path", sorted(SOLVE_PATHS))
     @pytest.mark.parametrize("c", [0.1, 7.0])
     def test_scaling_scales_both_matrices(self, identity_field, path, c):
-        config, rtol = SOLVE_PATHS[path]
-        base = sweep(identity_field, config)
-        scaled = sweep(identity_field.scaled(c), config)
+        rtol = SOLVE_PATHS[path]
+        base = sweep(identity_field)
+        scaled = sweep(identity_field.scaled(c))
         _assert_levels_close(
             scaled, lambda k, name: c * getattr(base.levels[k], name), rtol)
 
     @pytest.mark.parametrize("path", sorted(SOLVE_PATHS))
     @pytest.mark.parametrize("symmetry", sorted(SYMMETRIES))
     def test_symmetry_transforms_both_matrices(self, identity_field, path, symmetry):
-        config, rtol = SOLVE_PATHS[path]
+        rtol = SOLVE_PATHS[path]
         act = SYMMETRIES[symmetry]
         image = CoefficientField(identity_field.grid, act(identity_field.data), symmetry)
-        base = sweep(identity_field, config)
-        moved = sweep(image, config)
+        base = sweep(identity_field)
+        moved = sweep(image)
         assert not np.allclose(moved.levels[-1].amax, base.levels[-1].amax)
         _assert_levels_close(
             moved, lambda k, name: act(getattr(base.levels[k], name)), rtol)

@@ -1,9 +1,10 @@
 """Tests for the discrete solvers: assembly oracles, closed-form solutions,
 maximum principle, optimality, and convergence order."""
 
+import dataclasses
+
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,9 +13,8 @@ from cge.grid import GridSpec, ScalarGridFunction, TriadicCube
 from cge.solver import (
     CubeFunction,
     SolveConfig,
-    SolveStats,
-    SolverError,
-    _pcg_zero_mean,
+    _augmented_dense_solve,
+    _forcing_vectors,
     assemble_neumann,
     batched_neumann_functionals,
     discrete_gradient,
@@ -161,51 +161,47 @@ def test_solver_rejects_bad_inputs():
         solve_linear_forcing(f, FULL, [0, 0], "gradient")
 
 
-def test_pcg_matches_dense_route():
+def test_engine_matches_dense_oracle():
+    # every cube of every solved level of 2D N=2 and 3D N=2
+    for d in (2, 3):
+        grid = GridSpec(d, 2)
+        f = gen_random_spd(grid, seed=13, eig_low=0.1, eig_high=10.0)
+        for level in (0, -1):
+            g_all, stats = batched_neumann_functionals(f, level)
+            assert stats.method == "splu" and stats.iterations == 0
+            for off in np.ndindex(g_all.shape[:d]):
+                cube = TriadicCube(level, off)
+                rhs = _forcing_vectors(f, cube)
+                sols = _augmented_dense_solve(assemble_neumann(f, cube).toarray(), rhs)
+                g_dense = sols.T @ rhs / cube.volume
+                np.testing.assert_allclose(g_all[off], g_dense, rtol=0,
+                                           atol=1e-12 * np.abs(g_dense).max())
+
+
+@pytest.mark.parametrize("d, n", [(2, 3), (3, 2)])
+def test_residual_reported_on_high_contrast_field(d, n):
+    f = gen_random_spd(GridSpec(d, n), seed=3, eig_low=1e-2, eig_high=1e2)
+    for level in range(0, -n, -1):
+        _, stats = batched_neumann_functionals(f, level)
+        assert 0.0 < stats.residual <= 1e-10
+    _, stats = neumann_functionals(f, TriadicCube(0, (0,) * d))
+    assert 0.0 < stats.residual <= 1e-10
+
+
+def test_linear_forcing_combines_functional_columns():
     g = GridSpec(2, 2)
-    f = gen_random_spd(g, seed=13)
-    g_dense, s_dense = neumann_functionals(f, FULL)
-    g_pcg, s_pcg = neumann_functionals(f, FULL, SolveConfig(dense_cutoff=10))
-    assert s_dense.method == "dense" and s_pcg.method == "pcg"
-    assert s_pcg.iterations > 0
-    scale = np.abs(g_dense).max()
-    np.testing.assert_allclose(g_pcg, g_dense, atol=5e-9 * scale)
-
-
-# 2x2 SPD matrix with eigenvector (1, -1) for eigenvalue 3: the zero-mean
-# solution of A x = (1, -1) is (1/3, -1/3).
-PCG_2X2 = sp.csr_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]]))
-
-
-def test_pcg_zero_mean_solves_2x2_spd():
-    x, it, res = _pcg_zero_mean(PCG_2X2, np.array([1.0, -1.0]), SolveConfig())
-    np.testing.assert_allclose(x, [1 / 3, -1 / 3], rtol=1e-12)
-    assert it == 1 and res <= 1e-10
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_pcg_zero_mean_rejects_non_finite_rhs(bad):
-    with pytest.raises(SolverError, match="not finite") as err:
-        _pcg_zero_mean(PCG_2X2, np.array([bad, -1.0]), SolveConfig())
-    assert err.value.stats is not None
-    assert err.value.stats.iterations == 0
-
-
-def test_pcg_zero_mean_rejects_nonpositive_curvature():
-    # -A is negative definite, so the first search direction has p.Ap < 0
-    with pytest.raises(SolverError, match="p.Ap") as err:
-        _pcg_zero_mean(-PCG_2X2, np.array([1.0, -1.0]), SolveConfig())
-    assert err.value.stats is not None
-    assert err.value.stats.unknowns == 2
-
-
-def test_cg_failure_raises_with_stats():
-    g = GridSpec(2, 2)
-    f = gen_random_spd(g, seed=19)
-    with pytest.raises(SolverError) as err:
-        neumann_functionals(f, FULL, SolveConfig(dense_cutoff=10, cg_max_iter=2))
-    assert err.value.stats is not None
-    assert err.value.stats.iterations == 2
+    f = gen_random_spd(g, seed=17, eig_low=1e-2, eig_high=1e2)
+    cube = TriadicCube(-1, (2, 1))
+    gmat, _ = neumann_functionals(f, cube)
+    rhs = _forcing_vectors(f, cube)
+    kmat = assemble_neumann(f, cube).toarray()
+    q = np.array([0.7, -1.3])
+    for kind, cols in (("gradient", slice(0, 2)), ("flux", slice(2, 4))):
+        u, stats, value = solve_linear_forcing(f, cube, q, kind)
+        assert stats.method == "splu"
+        np.testing.assert_allclose(value, q @ gmat[cols, cols] @ q, rtol=1e-12)
+        x = _augmented_dense_solve(kmat, rhs[:, cols] @ q[:, None])[:, 0]
+        np.testing.assert_allclose(u.data.ravel(), x, rtol=0, atol=1e-12 * np.abs(x).max())
 
 
 def test_batched_matches_per_cube():
@@ -435,8 +431,6 @@ def test_mean_flux_constant_field():
 def test_solve_config_validation():
     with pytest.raises(ValueError):
         SolveConfig(discretization="fem9")
-    with pytest.raises(ValueError):
-        SolveConfig(cg_rel_tol=0.0)
     cfg = SolveConfig()
+    assert [f.name for f in dataclasses.fields(cfg)] == ["discretization"]
     assert not hasattr(cfg, "preconditioner")
-    assert cfg.max_iter(10_000) == 50 * 100 + 10_000

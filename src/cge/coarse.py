@@ -20,9 +20,11 @@ sub-cell cubes see a constant field.
 
 from __future__ import annotations
 
+import logging
 import math
 import os
 import tempfile
+import time
 import zipfile
 from dataclasses import dataclass, field as dataclass_field
 from typing import Sequence
@@ -63,6 +65,8 @@ __all__ = [
 
 #: Five-point exponent grid used by the audit's monotonicity checks.
 DEFAULT_S_GRID = (0.15, 0.3, 0.5, 0.7, 0.9)
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -227,8 +231,8 @@ def _cache_load(path: str, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarr
 
 def _solve_level(
     field: CoefficientField, level: int
-) -> tuple[np.ndarray, np.ndarray, list[dict]]:
-    """Packed ``astar_inv`` and ``amax`` of every cube of a level, and failures.
+) -> tuple[np.ndarray, np.ndarray, list[dict], SolveStats | None]:
+    """Packed ``astar_inv`` and ``amax`` of every cube of a level, failures, stats.
 
     A failed factorization fails every cube of the level; a cube whose
     functional matrix is not finite fails alone. Failed cubes hold NaN.
@@ -236,16 +240,24 @@ def _solve_level(
     d = field.d
     message = "non-finite functional matrix"
     try:
-        g_all, _ = batched_neumann_functionals(field, level)
+        g_all, stats = batched_neumann_functionals(field, level)
     except SolverError as err:
         g_all = np.full((3 ** (-level),) * d + (2 * d, 2 * d), np.nan)
-        message = str(err)
+        message, stats = str(err), err.stats
     bad = ~np.isfinite(g_all).all(axis=(-2, -1))
     g_all[bad] = np.nan
     astar_inv, amax = (sym_pack(mats) for mats in _pair_matrices_from_g(g_all, d))
     failures = [{"level": level, "offset": [int(z) for z in off], "message": message}
                 for off in zip(*np.nonzero(bad))]
-    return astar_inv, amax, failures
+    return astar_inv, amax, failures, stats
+
+
+def _log_level(level: int, method: str, cubes: int, stats: SolveStats | None,
+               t0: float) -> None:
+    """One DEBUG line per sweep level; unknowns and residual only for solves."""
+    log.debug("level %d: %s, %d cubes, %s unknowns per cube, residual %s, %.3f s",
+              level, method, cubes, "-" if stats is None else stats.unknowns,
+              "-" if stats is None else f"{stats.residual:.1e}", time.perf_counter() - t0)
 
 
 def sweep(field: CoefficientField, cache_dir: str | None = None) -> SweepResult:
@@ -256,7 +268,9 @@ def sweep(field: CoefficientField, cache_dir: str | None = None) -> SweepResult:
     :data:`SOLVER_TAG`, or solved whole with one factorization. A warm cache
     re-run performs zero solves. Failures are recorded per cube and surface
     as NaN matrices rather than aborting the sweep; a level with a failed
-    cube is not cached.
+    cube is not cached. Each level logs one DEBUG line on ``cge.coarse``:
+    method (``splu``, ``cache`` or ``cells``), cubes, unknowns per cube,
+    residual and seconds.
     """
     grid = field.grid
     d = grid.d
@@ -269,7 +283,9 @@ def sweep(field: CoefficientField, cache_dir: str | None = None) -> SweepResult:
     failures: list[dict] = []
 
     for level in range(0, -grid.N - 1, -1):
+        t0 = time.perf_counter()
         m = 3 ** (grid.N + level)
+        n_cubes = 3 ** (-level * d)
         avg = block_reduce(field.data, d, m)
         inv_avg_inv = sym_inv(block_reduce(field.inv_data, d, m), d)
         if level == -grid.N:
@@ -277,16 +293,18 @@ def sweep(field: CoefficientField, cache_dir: str | None = None) -> SweepResult:
             amax = field.data.copy()
             astar_inv = field.inv_data.copy()
             levels[level] = LevelData(level, astar, amax, avg, inv_avg_inv, astar_inv)
+            _log_level(level, "cells", n_cubes, None, t0)
             continue
 
-        n_cubes = 3 ** (-level * d)
         path = None if cache_dir is None else _cache_path(cache_dir, field.content_hash, level)
         rec = None if path is None else _cache_load(path, (3 ** (-level),) * d + (ncomp,))
         if rec is not None:
             astar_inv_arr, amax_arr = rec
             cache_hits += n_cubes
+            method, stats = "cache", None
         else:
-            astar_inv_arr, amax_arr, level_failures = _solve_level(field, level)
+            astar_inv_arr, amax_arr, level_failures, stats = _solve_level(field, level)
+            method = "failed" if stats is None else stats.method
             failures += level_failures
             solve_count += 2 * d * (n_cubes - len(level_failures))
             if path is not None and not level_failures:
@@ -294,6 +312,7 @@ def sweep(field: CoefficientField, cache_dir: str | None = None) -> SweepResult:
 
         astar_arr = sym_pack(np.linalg.inv(sym_unpack(astar_inv_arr, d)))
         levels[level] = LevelData(level, astar_arr, amax_arr, avg, inv_avg_inv, astar_inv_arr)
+        _log_level(level, method, n_cubes, stats, t0)
 
     return SweepResult(
         grid=grid,
@@ -551,10 +570,9 @@ def audit(
         checked["subadditivity_form"] += w.size
         for off in zip(*np.nonzero(-np.minimum(w, 0) > slack_rel * scale)):
             record("subadditivity_form", level, off, -w[off], scale[off])
-        max_slack["subadditivity_form"] = max(
-            max_slack["subadditivity_form"],
-            float((-np.minimum(w, 0) / np.maximum(scale, 1e-300)).max()),
-        )
+        with np.errstate(invalid="ignore"):  # inf / inf on a non-finite level
+            form_slack = float((-np.minimum(w, 0) / np.maximum(scale, 1e-300)).max())
+        max_slack["subadditivity_form"] = max(max_slack["subadditivity_form"], form_slack)
 
     # --- monotonicity / ratio over the exponent grid ---
     s_sorted = sorted(s_grid)

@@ -85,7 +85,8 @@ def sym_eig_bounds(packed: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
         a, b, c = packed[..., 0], packed[..., 1], packed[..., 2]
         mean = 0.5 * (a + c)
         radius = np.hypot(0.5 * (a - c), b)
-        return mean - radius, mean + radius
+        with np.errstate(invalid="ignore"):  # inf - inf for an infinite entry
+            return mean - radius, mean + radius
     mats = sym_unpack(packed, d)
     finite = np.isfinite(packed).all(axis=-1)
     w = np.full(mats.shape[:-1], np.nan)

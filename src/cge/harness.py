@@ -178,12 +178,9 @@ def _full_domain(d: int) -> TriadicCube:
     return TriadicCube(0, (0,) * d)
 
 
-def _require_cell_solver(config: SolveConfig) -> None:
-    if config.discretization != "fd5":
-        raise ValueError(
-            "experiments require the cell-centered discretization "
-            "(it guarantees a discrete maximum principle)"
-        )
+#: The cell-centered discretization: its discrete maximum principle makes
+#: positivity of the solutions a checked guarantee.
+_CELL_CENTERED = SolveConfig(discretization="fd5")
 
 
 def _check_exponents(s: float, t: float) -> float:
@@ -268,7 +265,6 @@ def harnack_experiment(
     boundary: Callable,
     s: float,
     t: float,
-    config: SolveConfig = SolveConfig(discretization="fd5"),
     sweep_result: SweepResult | None = None,
     theta: float | None = None,
     boundary_descriptor: str = "",
@@ -290,8 +286,6 @@ def harnack_experiment(
         centered physical coordinates; must be strictly positive there.
     s, t : float
         Scale-discount exponents with ``s + t < 1``.
-    config : SolveConfig, optional
-        Must keep ``discretization="fd5"``.
     sweep_result : SweepResult, optional
         Coarse-graining sweep of ``field``; used for the solved ellipticity
         ratio when given.
@@ -314,7 +308,6 @@ def harnack_experiment(
         If the solved minimum over the full domain is not positive.
     """
     sigma = _check_exponents(s, t)
-    _require_cell_solver(config)
     bvals = _boundary_face_values(field.grid, boundary)
     if not np.all(np.isfinite(bvals)):
         raise ValueError("boundary data must be finite at all face centers")
@@ -324,7 +317,7 @@ def harnack_experiment(
             f"{bvals.min():.6g}"
         )
 
-    u, stats = solve_dirichlet(field, _full_domain(field.d), boundary, config)
+    u, stats = solve_dirichlet(field, _full_domain(field.d), boundary, _CELL_CENTERED)
     global_min = float(u.data.min())
     if global_min <= 0.0:
         raise MaxPrincipleViolation(
@@ -377,7 +370,6 @@ def local_boundedness_experiment(
     boundary: Callable,
     s: float,
     t: float,
-    config: SolveConfig = SolveConfig(discretization="fd5"),
     sweep_result: SweepResult | None = None,
     theta: float | None = None,
     boundary_descriptor: str = "",
@@ -395,12 +387,11 @@ def local_boundedness_experiment(
     ``lb_ratio = 0``.
     """
     sigma = _check_exponents(s, t)
-    _require_cell_solver(config)
     bvals = _boundary_face_values(field.grid, boundary)
     if not np.all(np.isfinite(bvals)):
         raise ValueError("boundary data must be finite at all face centers")
 
-    u, stats = solve_dirichlet(field, _full_domain(field.d), boundary, config)
+    u, stats = solve_dirichlet(field, _full_domain(field.d), boundary, _CELL_CENTERED)
     theta_val, theta_method = _resolve_theta(field, s, t, sweep_result, theta)
     sups, infs = _extremes(u)
     u_plus = _u_plus_l2(u)
@@ -604,7 +595,6 @@ def sharpness_sweep(
     s: float = 0.45,
     t: float = 0.45,
     N: int = 5,
-    config: SolveConfig = SolveConfig(discretization="fd5"),
     calibration: float = HARNACK_CALIBRATION,
 ) -> SharpnessReport:
     """Log-oscillation versus contrast for exact anisotropic solutions.
@@ -629,7 +619,6 @@ def sharpness_sweep(
         try:
             rec = harnack_experiment(
                 fld, boundary, s, t,
-                config=config,
                 theta=lam,
                 boundary_descriptor=tag,
                 calibration=calibration,

@@ -35,6 +35,19 @@ def workdir(tmp_path, monkeypatch):
     return tmp_path
 
 
+def child_env():
+    """Environment for a child ``python -m cge.cli`` run from any directory.
+
+    A relative PYTHONPATH entry (e.g. ``src``) would not resolve in another
+    directory, so the absolute directory holding the imported package comes
+    first, and the rest is kept.
+    """
+    package_root = str(Path(cge.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
+
+
 def gen_identity(workdir, name="const_I.cge", n=2):
     rc = main(["gen", "--kind", "constant", "--diag", "1,1", "--grid-d", "2",
                "--grid-n", str(n), "--field-out", name])
@@ -154,6 +167,25 @@ class TestCoarse:
         assert report["result"]["failures"] == []
         assert report["result"]["levels"] == [-2, -1, 0]
         assert "solves=" in capsys.readouterr().out
+
+    def test_verbose_logs_one_line_per_level_outside_the_report(self, workdir):
+        gen_identity(workdir)
+        hashes, logged = [], []
+        for name, flags in (("quiet.json", []), ("verbose.json", ["-v"])):
+            proc = subprocess.run(
+                [sys.executable, "-m", "cge.cli", "coarse", "--field", "const_I.cge",
+                 "--out", name, *flags],
+                capture_output=True, text=True, cwd=workdir, env=child_env(),
+            )
+            assert proc.returncode == 0, proc.stderr
+            hashes.append(json.loads((workdir / name).read_text())["report_hash"])
+            logged.append([line for line in proc.stderr.splitlines()
+                           if line.startswith("DEBUG cge.coarse: level ")])
+        assert logged[0] == []
+        assert [line.split(",")[0] for line in logged[1]] == [
+            "DEBUG cge.coarse: level 0: splu", "DEBUG cge.coarse: level -1: splu",
+            "DEBUG cge.coarse: level -2: cells"]
+        assert hashes[0] == hashes[1]
 
 
 class TestCriterion:
@@ -429,17 +461,9 @@ class TestEntryPoints:
         assert __version__ in capsys.readouterr().out
 
     def test_module_invocation(self, tmp_path):
-        # The child runs in an unrelated directory, so a relative PYTHONPATH
-        # entry (e.g. ``src``) would not resolve there; put the absolute
-        # directory holding the imported package first, keeping the rest.
-        package_root = str(Path(cge.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [package_root, env.get("PYTHONPATH")])
-        )
         proc = subprocess.run(
             [sys.executable, "-m", "cge.cli", "--version"],
-            capture_output=True, text=True, cwd=tmp_path, env=env,
+            capture_output=True, text=True, cwd=tmp_path, env=child_env(),
         )
         assert proc.returncode == 0
         assert __version__ in proc.stdout

@@ -10,6 +10,7 @@ tail).
 
 import dataclasses
 import json
+import logging
 import math
 import os
 
@@ -286,6 +287,20 @@ class TestSweepStructure:
             (v["kind"], v["level"], v["offset"]) for v in report.violations
         ]
 
+    def test_one_debug_line_per_level(self, caplog, tmp_path):
+        grid = GridSpec(d=2, N=2)
+        field = gen_random_spd(grid, seed=1, eig_low=0.5, eig_high=2.0)
+        with caplog.at_level(logging.DEBUG, logger="cge.coarse"):
+            sweep(field, cache_dir=str(tmp_path))
+            sweep(field, cache_dir=str(tmp_path))
+        lines = [r.getMessage() for r in caplog.records if r.name == "cge.coarse"]
+        assert len(lines) == 2 * (grid.N + 1)
+        assert lines[0].startswith("level 0: splu, 1 cubes, 100 unknowns per cube, residual ")
+        assert lines[1].startswith("level -1: splu, 9 cubes, 16 unknowns per cube, residual ")
+        assert lines[2].startswith("level -2: cells, 81 cubes, - unknowns per cube, residual -, ")
+        assert [line.split(",")[0] for line in lines[3:]] == [
+            "level 0: cache", "level -1: cache", "level -2: cells"]
+
     def test_single_cube_solver_error_names_cube(self, failing_factorization):
         grid = GridSpec(d=2, N=1)
         field = gen_random_spd(grid, seed=1, eig_low=0.5, eig_high=2.0)
@@ -492,6 +507,7 @@ class TestAudit:
         report = audit(sweep(gen_laminate(GridSpec(d=2, N=2), 1, (1.0, 100.0))))
         assert report.ok
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_matrix_is_a_violation(self):
         grid = GridSpec(d=2, N=2)
         result = sweep(gen_random_spd(grid, seed=3, eig_low=0.5, eig_high=2.0))

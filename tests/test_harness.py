@@ -150,12 +150,6 @@ class TestHarnackExperiment:
                 identity_field(), lambda x, y: np.where(x > 0.4, np.inf, 1.0),
                 0.3, 0.3)
 
-    def test_rejects_node_discretization(self):
-        with pytest.raises(ValueError, match="cell-centered"):
-            harnack_experiment(
-                identity_field(), affine_boundary, 0.3, 0.3,
-                config=SolveConfig(discretization="q1"))
-
 
 class TestMaxPrinciple:
     def test_solution_inside_boundary_range(self):

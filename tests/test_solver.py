@@ -2,6 +2,7 @@
 maximum principle, optimality, and convergence order."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -9,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cge.fields import gen_constant, gen_laminate, gen_random_spd
-from cge.grid import GridSpec, ScalarGridFunction, TriadicCube
+import cge.solver
+from cge.grid import CoefficientField, GridSpec, ScalarGridFunction, TriadicCube, sym_index_pairs
 from cge.solver import (
     CubeFunction,
     SolveConfig,
+    SolverError,
     _augmented_dense_solve,
     _forcing_vectors,
     assemble_neumann,
@@ -360,6 +363,123 @@ def test_fv_dirichlet_convergence_order():
     order = np.log(errs[0] / errs[1]) / np.log(3.0)
     assert order >= 1.9
     assert errs[0] / errs[1] > 7.0  # roughly 9x error reduction per refinement
+
+
+# Dense oracles: each Dirichlet path against np.linalg.solve of the same
+# system, assembled independently (FV) or in C order (q1), so the
+# nested-dissection ordering, the factorization and the refinement step are
+# all under test.
+
+ORACLE_GRIDS = [(2, 2), (2, 3), (3, 1), (3, 2)]
+
+
+def diagonal_field(grid, seed, contrast=1e4):
+    """Random diagonal field, entries log-uniform over ``contrast``."""
+    rng = np.random.default_rng(seed)
+    d = grid.d
+    data = np.zeros(grid.cell_shape + (len(sym_index_pairs(d)),))
+    for c, (i, j) in enumerate(sym_index_pairs(d)):
+        if i == j:
+            data[..., c] = contrast ** rng.uniform(-0.5, 0.5, grid.cell_shape)
+    return CoefficientField(grid, data)
+
+
+def wavy_boundary(*x):
+    return np.cos(3.0 * x[0]) + x[-1] * x[0] + 2.0
+
+
+def fv_dense_system(field, boundary):
+    """The 2d+1-point system on the full domain, assembled cell by cell."""
+    grid = field.grid
+    d, h, m = grid.d, grid.h, grid.cells_per_side
+    diag = field.data[..., [c for c, (i, j) in enumerate(sym_index_pairs(d)) if i == j]]
+    n = m**d
+    amat, rhs = np.zeros((n, n)), np.zeros(n)
+    for cell in itertools.product(range(m), repeat=d):
+        row = np.ravel_multi_index(cell, (m,) * d)
+        center = -0.5 + (np.asarray(cell) + 0.5) * h
+        for a, step in itertools.product(range(d), (-1, 1)):
+            ka = diag[cell + (a,)]
+            nb = list(cell)
+            nb[a] += step
+            if 0 <= nb[a] < m:
+                kb = diag[tuple(nb) + (a,)]
+                t = h ** (d - 2) * 2.0 * ka * kb / (ka + kb)
+                amat[row, row] += t
+                amat[row, np.ravel_multi_index(nb, (m,) * d)] -= t
+            else:
+                face = center.copy()
+                face[a] += 0.5 * step * h
+                t = h ** (d - 2) * 2.0 * ka
+                amat[row, row] += t
+                rhs[row] += t * float(boundary(*face))
+    return amat, rhs
+
+
+@pytest.mark.parametrize("d,n", ORACLE_GRIDS)
+def test_fv_dirichlet_matches_dense_oracle(d, n):
+    field = diagonal_field(GridSpec(d, n), seed=10 * d + n)
+    u, stats = solve_dirichlet(field, TriadicCube(0, (0,) * d), wavy_boundary, FV)
+    amat, rhs = fv_dense_system(field, wavy_boundary)
+    ref = np.linalg.solve(amat, rhs)
+    assert np.abs(u.data.ravel() - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert stats.residual <= 1e-14
+
+
+@pytest.mark.parametrize("d,n", ORACLE_GRIDS)
+def test_q1_dirichlet_matches_dense_oracle(d, n):
+    grid = GridSpec(d, n)
+    field = gen_random_spd(grid, seed=10 * d + n, eig_low=1e-2, eig_high=1e2)
+    cube = TriadicCube(0, (0,) * d)
+    u, stats = solve_dirichlet(field, cube, wavy_boundary)
+    kmat = assemble_neumann(field, cube).toarray()
+    nodes = np.meshgrid(*[np.linspace(-0.5, 0.5, grid.cells_per_side + 1)] * d,
+                        indexing="ij")
+    bmask = np.zeros(grid.node_shape, dtype=bool)
+    for a in range(d):
+        bmask[(slice(None),) * a + (0,)] = bmask[(slice(None),) * a + (-1,)] = True
+    bmask = bmask.ravel()
+    gvals = wavy_boundary(*nodes).ravel()
+    ref = gvals.copy()
+    ref[~bmask] = np.linalg.solve(kmat[np.ix_(~bmask, ~bmask)],
+                                  -kmat[np.ix_(~bmask, bmask)] @ gvals[bmask])
+    assert np.abs(u.data.ravel() - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert stats.residual <= 1e-14
+
+
+def test_fv_dirichlet_constant_data_reproduced_at_roundoff():
+    # the constant-solution checks of the harness diagnostics rely on this
+    g = GridSpec(2, 5)
+    u, _ = solve_dirichlet(gen_constant(g, np.eye(2)), FULL,
+                           lambda x, y: np.full_like(x, 2.0), FV)
+    assert np.abs(u.data - 2.0).max() <= 1e-14 * 2.0
+
+
+@pytest.mark.parametrize("config", [FV, SolveConfig()], ids=["fd5", "q1"])
+def test_dirichlet_factors_once_per_solve(monkeypatch, config):
+    calls = []
+    real = cge.solver._factor
+
+    def spy(mat):
+        calls.append(mat.shape)
+        return real(mat)
+
+    monkeypatch.setattr(cge.solver, "_factor", spy)
+    field = diagonal_field(GridSpec(2, 3), seed=4)
+    for _ in range(2):
+        solve_dirichlet(field, FULL, wavy_boundary, config)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("config,method", [(FV, "fv-splu"), (SolveConfig(), "q1-splu")])
+def test_dirichlet_failed_factorization_is_solver_error(monkeypatch, config, method):
+    def broken(mat):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(cge.solver, "_factor", broken)
+    with pytest.raises(SolverError, match="singular") as err:
+        solve_dirichlet(diagonal_field(GridSpec(2, 2), seed=4), FULL, wavy_boundary, config)
+    assert err.value.stats.method == method
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,12 @@ is an M-matrix with the boundary terms on its diagonal, the Q1 one the
 interior block of the stiffness); they list their unknowns in the same
 nested-dissection order and take one step of iterative refinement with the
 same factor. Every sparse factorization goes through :func:`_factor`.
+
+``scipy.sparse`` and ``scipy.sparse.linalg`` are not imported with this
+module: the functions that assemble or factor a sparse matrix import them,
+so importing ``cge`` (and ``cge gen``, which never solves) loads no SciPy
+sparse code. ``cge.cli`` loads them before a solving command reads its
+field.
 """
 
 from __future__ import annotations
@@ -32,11 +38,9 @@ import math
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .grid import (
     CoefficientField,
@@ -47,6 +51,10 @@ from .grid import (
     sym_index_pairs,
     sym_unpack,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
 
 __all__ = [
     "SolveConfig",
@@ -274,6 +282,8 @@ def _assemble_blocks(cells: np.ndarray, m: int, d: int, h: float, pinned: bool) 
     ``cells`` is ``(ncubes, m**d, ncomp)``: each cube's packed coefficient,
     cells in C order. The blocks follow :func:`_block_pattern`.
     """
+    import scipy.sparse as sp
+
     ncubes = cells.shape[0]
     indptr, indices, keep, slot = _block_pattern(m, d, pinned)
     nnz = indices.size
@@ -345,6 +355,8 @@ def _augmented_dense_solve(kmat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def _factor(mat: sp.csc_matrix) -> spla.SuperLU:
     """SuperLU factorization that keeps the given order and diagonal pivots
     (the pinned systems are SPD, so no pivoting is needed)."""
+    import scipy.sparse.linalg as spla
+
     return spla.splu(mat, permc_spec="NATURAL", diag_pivot_thresh=0.0)
 
 
@@ -559,6 +571,8 @@ def _solve_dirichlet_fv(field, cube, boundary):
     rows.append(flat.ravel())
     cols.append(flat.ravel())
     vals.append(diag_acc.ravel())
+    import scipy.sparse as sp
+
     amat = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n),

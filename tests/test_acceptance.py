@@ -271,8 +271,8 @@ def test_c09_diagnostics_stay_finite_and_inside_frozen_envelopes():
             field, u, ("trunc", level), 0.5, 1.0, 0.3, 0.3, theta_rh)
         log_cacc[name] = log_caccioppoli_diagnostic(field, u,
                                                     report.lambda_upper)
-        sob_poin[name] = sobolev_poincare_diagnostic(field, u, 0.45,
-                                                     report.lambda_lower)
+        sob_poin[name] = sobolev_poincare_diagnostic(
+            field, u, 0.45, report.lambda_lower, boundary=boundary)
         for value in (rh_power[name], rh_trunc[name], log_cacc[name],
                       sob_poin[name]):
             assert math.isfinite(value)

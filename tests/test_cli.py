@@ -467,3 +467,79 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert __version__ in proc.stdout
+
+
+# SciPy's sparse modules load only in processes that solve: each case below
+# runs in a fresh interpreter, since this one has loaded them long ago.
+
+def run_fresh(args, cwd, code=None):
+    argv = [sys.executable] + (["-c", code] if code is not None else []) + args
+    proc = subprocess.run(argv, capture_output=True, text=True, cwd=cwd, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+FIRST_SWEEP = """
+import numpy as np
+from cge.coarse import sweep
+from cge.fields import gen_random_spd
+from cge.grid import GridSpec
+
+levels = sweep(gen_random_spd(GridSpec(2, 2), 7, 1e-2, 1e2)).levels
+matrices = np.concatenate(
+    [np.r_[levels[k].astar.ravel(), levels[k].amax.ravel()] for k in sorted(levels)])
+"""
+
+
+class TestLazySparseImport:
+    def test_import_leaves_scipy_sparse_unloaded(self, tmp_path):
+        proc = run_fresh([], tmp_path, code=(
+            "import sys, cge, cge.cli, cge.fields\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"))
+        assert proc.stdout.strip() == "[]"
+
+    def test_gen_leaves_scipy_sparse_unloaded(self, tmp_path):
+        # -X importtime lists every module the run imports on stderr
+        proc = run_fresh(["-X", "importtime", "-m", "cge.cli", "gen", "--kind", "random",
+                          "--grid-n", "2", "--field-out", "f.cge"], tmp_path)
+        assert "field_hash=" in proc.stdout
+        assert "| cge\n" in proc.stderr  # the listing covers the package
+        assert "scipy.sparse" not in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["coarse"],
+        ["ellipticity"],
+        ["criterion", "--p", "4", "--q", "4"],
+        ["harnack", "--boundary", "affine:2,1,0"],
+        ["audit"],
+        ["sweep", "--kind", "sharpness", "--lambda", "1,4", "--grid-n", "3"],
+    ], ids=lambda argv: argv[0])
+    def test_solving_commands_load_scipy_sparse_before_they_run(self, workdir, argv):
+        field = gen_identity(workdir)
+        if argv[0] != "sweep":
+            argv = argv + ["--field", str(field)]
+        code = (
+            "import json, sys\n"
+            "import cge.cli as cli\n"
+            f"name = 'cmd_' + {argv[0]!r}\n"
+            "command = getattr(cli, name)\n"
+            "seen = []\n"
+            "def spy(args):\n"
+            "    seen.append('scipy.sparse.linalg' in sys.modules)\n"
+            "    return command(args)\n"
+            "setattr(cli, name, spy)\n"
+            f"print(json.dumps([cli.main({argv!r}), seen]))\n"
+        )
+        rc, seen = json.loads(run_fresh([], workdir, code=code).stdout.splitlines()[-1])
+        assert rc == 0 and seen == [True]
+
+    def test_first_sweep_in_fresh_interpreter(self, tmp_path):
+        # the sweep is the first thing that interpreter solves, so its first
+        # assembly is what imports SciPy's sparse modules
+        code = ("import sys\nassert 'scipy.sparse' not in sys.modules\n"
+                + FIRST_SWEEP + "np.save(sys.argv[1], matrices)\n")
+        run_fresh([str(tmp_path / "got.npy")], tmp_path, code=code)
+        scope = {}
+        exec(FIRST_SWEEP, scope)
+        np.testing.assert_allclose(np.load(tmp_path / "got.npy"), scope["matrices"],
+                                   rtol=1e-12, atol=0)

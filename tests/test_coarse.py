@@ -507,7 +507,6 @@ class TestAudit:
         report = audit(sweep(gen_laminate(GridSpec(d=2, N=2), 1, (1.0, 100.0))))
         assert report.ok
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_matrix_is_a_violation(self):
         grid = GridSpec(d=2, N=2)
         result = sweep(gen_random_spd(grid, seed=3, eig_low=0.5, eig_high=2.0))

@@ -24,6 +24,7 @@ from cge.harness import (
     sobolev_poincare_diagnostic,
 )
 from cge.solver import CubeFunction, SolveConfig, SolverError, solve_dirichlet
+from test_solver import diagonal_field
 
 DESK = GridSpec(2, 5)
 CUBE0 = TriadicCube(0, (0, 0))
@@ -337,11 +338,44 @@ class TestLogCaccioppoli:
             log_caccioppoli_diagnostic(identity_field(), u, 0.0)
 
 
+def constant_two(*x):
+    return np.full_like(x[0], 2.0)
+
+
 class TestSobolevPoincare:
     def test_constant_solution_gives_zero(self):
-        u, _ = solve_dirichlet(identity_field(), CUBE0,
-                               lambda x, y: 2.0 * np.ones_like(x), FD5)
-        assert sobolev_poincare_diagnostic(identity_field(), u, 0.45, 1.0) == 0.0
+        u, _ = solve_dirichlet(identity_field(), CUBE0, constant_two, FD5)
+        assert sobolev_poincare_diagnostic(identity_field(), u, 0.45, 1.0,
+                                           boundary=constant_two) == 0.0
+
+    @pytest.mark.parametrize("contrast", [1.0, 1e2, 1e4])
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_constant_data_gives_zero_at_any_contrast(self, contrast, n):
+        # At contrast 1e4 the computed u oscillates by up to 9.4e-13 from
+        # rounding, which would read as a quotient near 0.006; by the
+        # maximum principle u is constant.
+        for seed in (1, 2, 3):
+            field = diagonal_field(GridSpec(2, n), seed, contrast)
+            u, _ = solve_dirichlet(field, CUBE0, constant_two, FD5)
+            assert sobolev_poincare_diagnostic(field, u, 0.45, 1e-2,
+                                               boundary=constant_two) == 0.0
+
+    def test_nearly_constant_solution_is_not_constant(self):
+        # The quotient is invariant under u -> 2 + eps * u, so data varying by
+        # 1e-6 keeps the quotient of its variation, far above the rounding.
+        field = diagonal_field(GridSpec(2, 5), 1)
+
+        def nearly_constant(x, y):
+            return 2.0 + 1e-6 * x
+
+        u, _ = solve_dirichlet(field, CUBE0, nearly_constant, FD5)
+        got = sobolev_poincare_diagnostic(field, u, 0.45, 1e-2,
+                                          boundary=nearly_constant)
+        v, _ = solve_dirichlet(field, CUBE0, lambda x, y: x, FD5)
+        expected = sobolev_poincare_diagnostic(field, v, 0.45, 1e-2,
+                                               boundary=lambda x, y: x)
+        assert got > 0.0
+        assert got == pytest.approx(expected, rel=1e-4)
 
     def test_affine_closed_form(self):
         u, _ = solve_dirichlet(identity_field(), CUBE0, lambda x, y: x, FD5)
@@ -352,14 +386,17 @@ class TestSobolevPoincare:
         lhs = np.mean(np.abs(vals - vals.mean()) ** two_star) ** (1 / two_star)
         # the face-form energy of the affine solution is exactly 1
         expected = lhs * s
-        got = sobolev_poincare_diagnostic(identity_field(), u, s, 1.0)
+        got = sobolev_poincare_diagnostic(identity_field(), u, s, 1.0,
+                                          boundary=lambda x, y: x)
         assert got == pytest.approx(expected, rel=1e-10)
         assert got == pytest.approx(0.153669009088272, rel=1e-9)
 
     def test_scaling_with_lower_constant(self):
         u, _ = solve_dirichlet(identity_field(), CUBE0, lambda x, y: x, FD5)
-        base = sobolev_poincare_diagnostic(identity_field(), u, 0.45, 1.0)
-        quartered = sobolev_poincare_diagnostic(identity_field(), u, 0.45, 0.25)
+        base = sobolev_poincare_diagnostic(identity_field(), u, 0.45, 1.0,
+                                           boundary=lambda x, y: x)
+        quartered = sobolev_poincare_diagnostic(identity_field(), u, 0.45, 0.25,
+                                                boundary=lambda x, y: x)
         assert quartered == pytest.approx(0.5 * base, rel=1e-12)
 
     def test_dimension_guard(self):
@@ -367,9 +404,10 @@ class TestSobolevPoincare:
         field = gen_constant(grid, np.eye(1), descriptor="id1")
         u, _ = solve_dirichlet(field, TriadicCube(0, (0,)), lambda x: x, FD5)
         with pytest.raises(ValueError, match="integrability"):
-            sobolev_poincare_diagnostic(field, u, 0.3, 1.0)
+            sobolev_poincare_diagnostic(field, u, 0.3, 1.0, boundary=lambda x: x)
         # d=1 admits exponents above 1/2
-        assert np.isfinite(sobolev_poincare_diagnostic(field, u, 0.8, 1.0))
+        assert np.isfinite(
+            sobolev_poincare_diagnostic(field, u, 0.8, 1.0, boundary=lambda x: x))
 
 
 class TestSharpnessSweep:

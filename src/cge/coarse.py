@@ -37,6 +37,7 @@ from .grid import (
     TriadicCube,
     block_reduce,
     cube_average,
+    scale_weighted_sum,
     sym_component_count,
     sym_eig_bounds,
     sym_inv,
@@ -80,16 +81,6 @@ class CoarseGrainPair:
     inv_avg_inv: np.ndarray
     astar_inv: np.ndarray
     stats: SolveStats | None = None
-
-    def chain_slack(self) -> float:
-        """Worst relative violation of the matrix ordering chain (>= 0)."""
-        worst = 0.0
-        seq = [self.inv_avg_inv, self.astar, self.amax, self.avg]
-        for lo, hi in zip(seq[:-1], seq[1:]):
-            scale = max(np.linalg.norm(hi, 2), 1e-300)
-            w = np.linalg.eigvalsh(hi - lo)[0]
-            worst = max(worst, -w / scale)
-        return worst
 
 
 def _pair_matrices_from_g(g: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -365,21 +356,6 @@ class EllipticityReport:
         }
 
 
-def _weighted_scale_sum(
-    terms: dict[int, float], cube_level: int, s: float, tail_base: float, grid_n: int
-) -> tuple[float, float]:
-    """c_s-weighted sum of per-scale maxima plus the sub-grid tail.
-
-    Returns (total_before_squaring, tail_value).
-    """
-    c_s = 1.0 - 3.0 ** (-s)
-    acc = 0.0
-    for k in sorted(terms):  # ascending level: fixed reduction order
-        acc += 3.0 ** (-s * (cube_level - k)) * terms[k]
-    tail = tail_base * 3.0 ** (-s * (cube_level + grid_n + 1)) / (1.0 - 3.0 ** (-s))
-    return c_s * (acc + tail), c_s * tail
-
-
 def ellipticity_constants(
     result: SweepResult, s: float, t: float, cube: TriadicCube | None = None
 ) -> EllipticityReport:
@@ -397,24 +373,18 @@ def ellipticity_constants(
     if cube is None:
         cube = TriadicCube(0, (0,) * grid.d)
 
-    per_upper: dict[int, float] = {}
-    per_lower: dict[int, float] = {}
-    for level in sorted(result.levels):
-        if level > cube.level:
-            continue
-        ld = result.levels[level]
-        per_upper[level] = math.sqrt(_restrict_level_grid(ld.amax_norm, level, cube).max())
-        per_lower[level] = math.sqrt(_restrict_level_grid(ld.astar_inv_norm, level, cube).max())
-
-    cell_sl = cube.cell_slices(grid)
-    max_cell_upper = per_upper[-grid.N]  # level -N cubes are the cells
-    max_cell_lower = math.sqrt(float(result.cell_inv_norm[cell_sl].max()))
-
-    total_u, tail_u = _weighted_scale_sum(per_upper, cube.level, s, max_cell_upper, grid.N)
-    total_l, tail_l = _weighted_scale_sum(per_lower, cube.level, t, max_cell_lower, grid.N)
-
-    lambda_upper = total_u**2
-    lambda_lower = total_l**-2
+    idx = tuple(cube.offset)
+    per_upper, per_lower = (
+        {k: float(v[idx]) for k, v in _scale_maxima(result, norm, cube.level).items()}
+        for norm in ("amax_norm", "astar_inv_norm"))
+    cell_inv_max = block_reduce(result.cell_inv_norm, grid.d, 3 ** (cube.level + grid.N), np.max)
+    c_s = 1.0 - 3.0 ** (-s)
+    c_t = 1.0 - 3.0 ** (-t)
+    total_u, tail_u = scale_weighted_sum(per_upper, s, cube.level, grid.N, per_upper[-grid.N])
+    total_l, tail_l = scale_weighted_sum(per_lower, t, cube.level, grid.N,
+                                         math.sqrt(cell_inv_max[idx]))
+    lambda_upper = (c_s * total_u) ** 2
+    lambda_lower = (c_t * total_l) ** -2
     return EllipticityReport(
         s=s,
         t=t,
@@ -425,36 +395,32 @@ def ellipticity_constants(
         theta=lambda_upper / lambda_lower if lambda_lower != 0.0 else math.inf,
         per_scale_upper=per_upper,
         per_scale_lower=per_lower,
-        tail_upper=tail_u,
-        tail_lower=tail_l,
-        c_s=1.0 - 3.0 ** (-s),
-        c_t=1.0 - 3.0 ** (-t),
+        tail_upper=c_s * tail_u,
+        tail_lower=c_t * tail_l,
+        c_s=c_s,
+        c_t=c_t,
         field_hash=result.field_hash,
     )
 
 
-def _restrict_level_grid(grid_arr: np.ndarray, level: int, cube: TriadicCube) -> np.ndarray:
-    """Slice a level grid of values to the cubes contained in ``cube``."""
-    factor = 3 ** (cube.level - level)
-    sl = tuple(slice(z * factor, (z + 1) * factor) for z in cube.offset)
-    return grid_arr[sl]
+def _scale_maxima(result: SweepResult, norm: str, level: int) -> dict[int, np.ndarray]:
+    """Per scale ``k <= level``: ``sqrt`` of the largest level-``k`` ``norm``
+    (a :class:`LevelData` field) inside each level-``level`` cube, as an array
+    over those cubes."""
+    return {k: np.sqrt(block_reduce(getattr(ld, norm), result.grid.d, 3 ** (level - k), np.max))
+            for k, ld in sorted(result.levels.items()) if k <= level}
 
 
 def _lambda_upper_grid(result: SweepResult, s: float, level: int) -> np.ndarray:
-    """Upper ellipticity constant of every level-``level`` cube at once."""
-    grid = result.grid
-    nz = 3 ** (-level)
-    acc = np.zeros((nz,) * grid.d)
-    for k in sorted(result.levels):
-        if k > level:
-            continue
-        reduced = block_reduce(result.levels[k].amax_norm, grid.d, 3 ** (level - k), np.max)
-        acc += 3.0 ** (-s * (level - k)) * np.sqrt(reduced)
-    cell_max = np.sqrt(block_reduce(result.levels[-grid.N].amax_norm, grid.d,
-                                    3 ** (level + grid.N), np.max))
-    acc += cell_max * 3.0 ** (-s * (level + grid.N + 1)) / (1.0 - 3.0 ** (-s))
-    c_s = 1.0 - 3.0 ** (-s)
-    return (c_s * acc) ** 2
+    """Upper ellipticity constant of every level-``level`` cube at once.
+
+    ``float_power`` squares with ``pow``, as ``float ** 2`` does in
+    :func:`ellipticity_constants`; an array's ``** 2`` multiplies, which can
+    differ in the last bit. So each cube's value is its reported constant.
+    """
+    maxima = _scale_maxima(result, "amax_norm", level)
+    total, _ = scale_weighted_sum(maxima, s, level, result.grid.N, maxima[-result.grid.N])
+    return np.float_power((1.0 - 3.0 ** (-s)) * total, 2)
 
 
 # ---------------------------------------------------------------------------

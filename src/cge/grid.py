@@ -27,9 +27,6 @@ import numpy as np
 MAGIC = b"CGE1"
 HEADER_STRUCT = struct.Struct("<4sBBHII")
 
-#: Relative eigenvalue floor below which a nominally PSD matrix is rejected.
-PSD_FLOOR = 1e-12
-
 
 class FieldFormatError(ValueError):
     """Raised when a serialized field does not conform to the binary format."""
@@ -112,14 +109,6 @@ def sym_inv(packed: np.ndarray, d: int) -> np.ndarray:
     return sym_pack(np.linalg.inv(sym_unpack(packed, d)))
 
 
-def check_psd(mat: np.ndarray, *, what: str = "matrix") -> None:
-    """Assert a dense symmetric matrix is PSD up to the relative floor."""
-    w = np.linalg.eigvalsh(np.asarray(mat, dtype=float))
-    scale = max(abs(w[0]), abs(w[-1]), 1e-300)
-    if w[0] < -PSD_FLOOR * scale:
-        raise ValueError(f"{what} is not positive semi-definite: min eigenvalue {w[0]:.3e}")
-
-
 # ---------------------------------------------------------------------------
 # Grids and triadic cubes
 # ---------------------------------------------------------------------------
@@ -196,10 +185,6 @@ class TriadicCube:
     @property
     def d(self) -> int:
         return len(self.offset)
-
-    @property
-    def side_length(self) -> float:
-        return 3.0 ** self.level
 
     @property
     def volume(self) -> float:
@@ -397,6 +382,22 @@ def block_reduce(arr: np.ndarray, d: int, factor: int, reduce=np.mean) -> np.nda
     ``np.max``, ...); the result has shape ``(n // factor,)*d + trailing``.
     """
     return reduce(block_view(arr, d, factor), axis=tuple(range(d, 2 * d)))
+
+
+def scale_weighted_sum(terms: dict, s: float, level: int, grid_n: int, cell_term):
+    """Geometric sum of per-scale terms seen from a level-``level`` cube.
+
+    Returns ``(total, tail)``: ``total`` adds ``3**(-s*(level-k)) * terms[k]``
+    over the levels ``k`` of ``terms`` in ascending order (a fixed reduction
+    order), then ``tail``, the exact sum over the scales below the grid,
+    where every cube is one cell and each term is ``cell_term``. Terms are
+    floats or arrays over the level's cubes.
+    """
+    total = 0.0
+    for k in sorted(terms):
+        total = total + 3.0 ** (-s * (level - k)) * terms[k]
+    tail = cell_term * 3.0 ** (-s * (level + grid_n + 1)) / (1.0 - 3.0 ** (-s))
+    return total + tail, tail
 
 
 # ---------------------------------------------------------------------------

@@ -39,13 +39,7 @@ from .grid import (
     subcube_cell_slices,
 )
 from .norms import scale_discounted_averages
-from .solver import (
-    CubeFunction,
-    SolveConfig,
-    SolverError,
-    energy,
-    solve_dirichlet,
-)
+from .solver import CubeFunction, SolverError, boundary_face_values, energy, solve_dirichlet
 
 __all__ = [
     "SUBCUBE_FRACTIONS",
@@ -180,7 +174,7 @@ def _full_domain(d: int) -> TriadicCube:
 
 #: The cell-centered discretization: its discrete maximum principle makes
 #: positivity of the solutions a checked guarantee.
-_CELL_CENTERED = SolveConfig(discretization="fd5")
+_CELL_CENTERED = "fd5"
 
 
 def _check_exponents(s: float, t: float) -> float:
@@ -193,19 +187,9 @@ def _check_exponents(s: float, t: float) -> float:
 
 
 def _boundary_face_values(grid: GridSpec, boundary: Callable) -> np.ndarray:
-    """Boundary data sampled at the face centers the solver itself uses."""
-    m = grid.cells_per_side
-    h = grid.h
-    centers = -0.5 + (np.arange(m) + 0.5) * h
-    samples = []
-    for a in range(grid.d):
-        for plane in (-0.5, 0.5):
-            axes = [
-                np.asarray([plane]) if b == a else centers for b in range(grid.d)
-            ]
-            mesh = np.meshgrid(*axes, indexing="ij")
-            samples.append(np.asarray(boundary(*mesh), dtype=float).ravel())
-    return np.concatenate(samples)
+    """The full-domain boundary data the cell-centered solve uses, flattened."""
+    faces = boundary_face_values(grid, _full_domain(grid.d), boundary)
+    return np.concatenate([g.ravel() for g in faces])
 
 
 def _resolve_theta(
@@ -317,7 +301,8 @@ def harnack_experiment(
             f"{bvals.min():.6g}"
         )
 
-    u, stats = solve_dirichlet(field, _full_domain(field.d), boundary, _CELL_CENTERED)
+    u, stats = solve_dirichlet(field, _full_domain(field.d), boundary,
+                               discretization=_CELL_CENTERED)
     global_min = float(u.data.min())
     if global_min <= 0.0:
         raise MaxPrincipleViolation(
@@ -391,7 +376,8 @@ def local_boundedness_experiment(
     if not np.all(np.isfinite(bvals)):
         raise ValueError("boundary data must be finite at all face centers")
 
-    u, stats = solve_dirichlet(field, _full_domain(field.d), boundary, _CELL_CENTERED)
+    u, stats = solve_dirichlet(field, _full_domain(field.d), boundary,
+                               discretization=_CELL_CENTERED)
     theta_val, theta_method = _resolve_theta(field, s, t, sweep_result, theta)
     sups, infs = _extremes(u)
     u_plus = _u_plus_l2(u)

@@ -10,7 +10,8 @@ Three families of reductions over the triadic hierarchy:
   surrogates for negative-regularity dual norms: no supremum over a unit ball
   is ever taken, the sums themselves are what the ellipticity constants
   consume.  Below the grid scale every cube average equals the cell value, so
-  the infinite series ends in an exact closed-form tail;
+  the infinite series ends in an exact closed-form tail; both sums, and the
+  ellipticity constants, go through :func:`cge.grid.scale_weighted_sum`;
 * ``fractional_seminorm`` — brute-force double-sum Gagliardo seminorm at cell
   midpoints, for refinement-trend diagnostics only.
 
@@ -29,7 +30,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 import numpy as np
 
-from .grid import CoefficientField, ScalarGridFunction, block_reduce, sym_norm
+from .grid import CoefficientField, ScalarGridFunction, block_reduce, scale_weighted_sum, sym_norm
 from .coarse import SweepResult, ellipticity_constants
 
 __all__ = [
@@ -79,10 +80,6 @@ class NormParams:
         return _conjugate(self.p)
 
 
-def _cell_values(f: ScalarGridFunction) -> np.ndarray:
-    return f.data if f.mode == "cell" else f.cell_values()
-
-
 def besov_seminorm(f: ScalarGridFunction, params: NormParams) -> float:
     """Sup over scales of weighted mean local oscillation.
 
@@ -96,7 +93,7 @@ def besov_seminorm(f: ScalarGridFunction, params: NormParams) -> float:
     if math.isinf(params.p):
         raise ValueError("the oscillation seminorm requires p < inf")
     grid = f.grid
-    vals = _cell_values(f)
+    vals = f.cell_values()
     n_lo = 1 - grid.N if params.k_min is None else max(params.k_min, 1 - grid.N)
     best = 0.0
     for n in range(n_lo, params.k_max + 1):
@@ -145,7 +142,7 @@ def dual_sum_norm(f: ScalarGridFunction, s: float, p_conj: float = math.inf) -> 
     if p_conj < 1.0:
         raise ValueError(f"p_conj must lie in [1, inf], got {p_conj}")
     grid = f.grid
-    vals = _cell_values(f)
+    vals = f.cell_values()
     per_scale: dict[int, float] = {}
     for level in range(-grid.N, 1):
         means = np.abs(block_reduce(vals, grid.d, 3 ** (grid.N + level)))
@@ -153,8 +150,7 @@ def dual_sum_norm(f: ScalarGridFunction, s: float, p_conj: float = math.inf) -> 
             per_scale[level] = float(means.max())
         else:
             per_scale[level] = float((means**p_conj).mean()) ** (1.0 / p_conj)
-    tail = per_scale[-grid.N] * 3.0 ** (-s * (grid.N + 1)) / (1.0 - 3.0 ** (-s))
-    total = sum(3.0 ** (s * k) * per_scale[k] for k in sorted(per_scale)) + tail
+    total, tail = scale_weighted_sum(per_scale, s, 0, grid.N, per_scale[-grid.N])
     return DualSumReport(total=total, per_scale=per_scale, tail=tail, s=s, p_conj=p_conj)
 
 
@@ -201,13 +197,11 @@ def scale_discounted_averages(
         means = block_reduce(data, grid.d, 3 ** (grid.N + level))
         per_scale[level] = math.sqrt(float(sym_norm(means, grid.d).max()))
     c_s = 1.0 - 3.0 ** (-s)
-    tail_term = per_scale[-grid.N] * 3.0 ** (-s * (grid.N + 1)) / (1.0 - 3.0 ** (-s))
-    acc = sum(3.0 ** (s * k) * per_scale[k] for k in sorted(per_scale))
-    total = (c_s * (acc + tail_term)) ** 2
+    acc, tail = scale_weighted_sum(per_scale, s, 0, grid.N, per_scale[-grid.N])
     return ScaleDiscountReport(
-        total=total,
+        total=(c_s * acc) ** 2,
         per_scale=per_scale,
-        tail=c_s * tail_term,
+        tail=c_s * tail,
         s=s,
         component=component,
         c_s=c_s,
@@ -230,7 +224,7 @@ def fractional_seminorm(f: ScalarGridFunction, s: float, p: float) -> float:
         raise ValueError(
             f"pairwise sum over {grid.n_cells} cells exceeds the 3**10 budget"
         )
-    vals = _cell_values(f).ravel()
+    vals = f.cell_values().ravel()
     mesh = grid.cell_center_mesh()
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
     n = vals.size

@@ -8,9 +8,12 @@ Two problem classes back everything else:
   ("flux" forcing), discretized with multilinear Q1 elements and exact
   integration of the piecewise-constant coefficient;
 * Dirichlet problems ``-div(a grad u) = 0`` with given boundary values,
-  discretized cell-centered with harmonic face averaging (a 2d+1-point
-  M-matrix stencil that obeys a discrete maximum principle), for
-  scalar/diagonal coefficients.
+  discretized with Q1 elements (``solve_dirichlet``'s default,
+  ``discretization="q1"``) or, with ``discretization="fd5"``, cell-centered
+  with harmonic face averaging (a 2d+1-point M-matrix stencil that obeys a
+  discrete maximum principle) for scalar/diagonal coefficients. The
+  cell-centered solve and the harness read the boundary data at the same
+  face centers, from :func:`boundary_face_values`.
 
 Every pure-Neumann solve goes through one engine. It assembles equal cubes
 (all cubes of a triadic level, or a single cube) into one block-diagonal
@@ -57,7 +60,6 @@ if TYPE_CHECKING:
     import scipy.sparse.linalg as spla
 
 __all__ = [
-    "SolveConfig",
     "SolveStats",
     "SolverError",
     "CubeFunction",
@@ -66,6 +68,7 @@ __all__ = [
     "neumann_functionals",
     "batched_neumann_functionals",
     "solve_dirichlet",
+    "boundary_face_values",
     "energy",
     "discrete_gradient",
     "mean_gradient",
@@ -75,17 +78,6 @@ __all__ = [
 
 GRADIENT = "gradient"
 FLUX = "flux"
-
-
-@dataclass(frozen=True)
-class SolveConfig:
-    """Discretization of the Dirichlet problems (:func:`solve_dirichlet`)."""
-
-    discretization: str = "q1"  # "q1" (full symmetric a) or "fd5" (diagonal a)
-
-    def __post_init__(self) -> None:
-        if self.discretization not in ("q1", "fd5"):
-            raise ValueError(f"unknown discretization {self.discretization!r}")
 
 
 @dataclass
@@ -129,15 +121,6 @@ class CubeFunction:
         expected = (m + 1 if self.mode == "node" else m,) * self.grid.d
         if self.data.shape != expected:
             raise ValueError(f"data shape {self.data.shape} != expected {expected}")
-
-    @property
-    def is_full_domain(self) -> bool:
-        return self.cube.level == 0
-
-    def to_grid_function(self) -> ScalarGridFunction:
-        if not self.is_full_domain:
-            raise ValueError("only full-domain cube functions convert to grid functions")
-        return ScalarGridFunction(self.grid, self.data, self.mode)
 
 
 # ---------------------------------------------------------------------------
@@ -328,29 +311,9 @@ def assemble_neumann(field: CoefficientField, cube: TriadicCube) -> sp.csr_matri
     return _assemble_blocks(cells, m, field.d, field.grid.h, pinned=False).tocsr()
 
 
-def _forcing_vectors(field: CoefficientField, cube: TriadicCube) -> np.ndarray:
-    """RHS columns of all 2d unit forcings on one cube: (nn, 2d)."""
-    m = cube.cells_per_side(field.grid)
-    return _forcings(_cube_cells_packed(field, cube), m, field.d, field.grid.h)[0]
-
-
 # ---------------------------------------------------------------------------
 # Pure-Neumann solves
 # ---------------------------------------------------------------------------
-
-def _augmented_dense_solve(kmat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve singular Neumann systems exactly via rank-one augmentation.
-
-    The dense reference solve, kept as an independent oracle for the tests.
-    For b orthogonal to constants, (K + c*J/n) x = b has the unique zero-mean
-    solution of K x = b (J the all-ones matrix); batched over leading axes.
-    """
-    n = kmat.shape[-1]
-    scale = np.einsum("...ii->...", kmat) / n
-    aug = kmat + (scale[..., None, None] / n)
-    x = np.linalg.solve(aug, rhs)
-    return x - x.mean(axis=-2, keepdims=True)
-
 
 def _factor(mat: sp.csc_matrix) -> spla.SuperLU:
     """SuperLU factorization that keeps the given order and diagonal pivots
@@ -484,23 +447,48 @@ def solve_dirichlet(
     field: CoefficientField,
     cube: TriadicCube,
     boundary: Callable[..., np.ndarray],
-    config: SolveConfig = SolveConfig(),
-    boundary_descriptor: str = "",
+    *,
+    discretization: str = "q1",
 ) -> tuple[CubeFunction, SolveStats]:
     """Solve ``-div(a grad u) = 0`` on a cube with given boundary values.
 
-    ``boundary`` is evaluated at boundary face centers (cell-centered path,
-    default) or boundary nodes (``q1``), in centered physical coordinates,
-    called as ``boundary(X1, ..., Xd)``.
+    ``boundary`` is evaluated at boundary nodes (``discretization="q1"``,
+    the default) or at the boundary face centers of
+    :func:`boundary_face_values` (``"fd5"``, cell-centered), in centered
+    physical coordinates, called as ``boundary(X1, ..., Xd)``.
 
-    The cell-centered path requires a diagonal coefficient and returns a
-    cell-mode function satisfying a discrete maximum principle; the ``q1``
-    path accepts full symmetric coefficients and returns a node-mode function
-    that matches the boundary data exactly at boundary nodes.
+    The ``q1`` path accepts full symmetric coefficients and returns a
+    node-mode function that matches the boundary data exactly at boundary
+    nodes; the ``fd5`` path requires a diagonal coefficient and returns a
+    cell-mode function satisfying a discrete maximum principle.
     """
-    if config.discretization == "fd5":
+    if discretization == "fd5":
         return _solve_dirichlet_fv(field, cube, boundary)
-    return _solve_dirichlet_q1(field, cube, boundary)
+    if discretization == "q1":
+        return _solve_dirichlet_q1(field, cube, boundary)
+    raise ValueError(f"unknown discretization {discretization!r}")
+
+
+def boundary_face_values(
+    grid: GridSpec, cube: TriadicCube, boundary: Callable[..., np.ndarray]
+) -> list[np.ndarray]:
+    """``boundary`` at the centers of a cube's boundary faces, as the
+    cell-centered solve evaluates it.
+
+    One array per axis and side (lower side first), each shaped like the
+    layer of cells next to that side. Callers that check the data (sign,
+    finiteness, constancy) sample it here, so they check exactly the values
+    the solve uses.
+    """
+    m = cube.cells_per_side(grid)
+    lo_phys, _ = cube.physical_bounds()
+    centers = [lo_phys[a] + (np.arange(m) + 0.5) * grid.h for a in range(grid.d)]
+    values = []
+    for a in range(grid.d):
+        for plane in (lo_phys[a], lo_phys[a] + m * grid.h):
+            axes = [np.asarray([plane]) if b == a else centers[b] for b in range(grid.d)]
+            values.append(np.asarray(boundary(*np.meshgrid(*axes, indexing="ij")), dtype=float))
+    return values
 
 
 def _solve_spd(mat: sp.csc_matrix, b: np.ndarray, method: str, t0: float
@@ -537,13 +525,12 @@ def _solve_dirichlet_fv(field, cube, boundary):
     shape = (m,) * d
     order = _nested_dissection(m - 1, d)  # the cells of the cube as an m**d grid
     flat = np.argsort(order).reshape(shape)  # each cell's row in that order
-    lo_phys, _ = cube.physical_bounds()
+    faces = boundary_face_values(grid, cube, boundary)
 
     rows, cols, vals = [], [], []
     diag_acc = np.zeros(shape)
     rhs = np.zeros(shape)
     scale = h ** (d - 2)
-    local_axes = [lo_phys[a] + (np.arange(m) + 0.5) * h for a in range(d)]
 
     for a in range(d):
         ca = diag_cells[..., a]
@@ -560,13 +547,10 @@ def _solve_dirichlet_fv(field, cube, boundary):
         _shift_view(diag_acc, a, 1, None)[...] += trans
 
         # boundary faces at half-cell distance
-        for lo, hi, plane in ((0, 1, lo_phys[a]), (-1, None, lo_phys[a] + m * h)):
+        for side, (lo, hi) in enumerate(((0, 1), (-1, None))):
             tb = scale * 2.0 * _shift_view(ca, a, lo, hi)
-            mesh_axes = [np.asarray([plane]) if b_ax == a else local_axes[b_ax]
-                         for b_ax in range(d)]
-            g = np.asarray(boundary(*np.meshgrid(*mesh_axes, indexing="ij")), dtype=float)
             _shift_view(diag_acc, a, lo, hi)[...] += tb
-            _shift_view(rhs, a, lo, hi)[...] += tb * g
+            _shift_view(rhs, a, lo, hi)[...] += tb * faces[2 * a + side]
 
     rows.append(flat.ravel())
     cols.append(flat.ravel())

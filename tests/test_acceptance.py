@@ -47,7 +47,6 @@ from cge.harness import (
 from cge.norms import dual_sum_norm
 from cge.solver import (
     CubeFunction,
-    SolveConfig,
     energy,
     mean_flux,
     mean_gradient,
@@ -56,7 +55,6 @@ from cge.solver import (
 
 DESK = GridSpec(d=2, N=5)
 CUBE0 = TriadicCube(0, (0, 0))
-FD5 = SolveConfig(discretization="fd5")
 
 
 def random_diagonal_field(grid: GridSpec, seed: int,
@@ -258,7 +256,7 @@ def test_c09_diagnostics_stay_finite_and_inside_frozen_envelopes():
     log_cacc = {}
     sob_poin = {}
     for field in suite:
-        u, _ = solve_dirichlet(field, cube, boundary, FD5)
+        u, _ = solve_dirichlet(field, cube, boundary, discretization="fd5")
         result = sweep(field)
         assert not result.failures
         theta_rh = ellipticity_constants(result, 0.3, 0.3).theta
@@ -282,7 +280,7 @@ def test_c09_diagnostics_stay_finite_and_inside_frozen_envelopes():
     contrast = 16.0
     aniso = gen_constant(grid, np.diag([1.0, contrast]), descriptor="diag(1,16)")
     u, _ = solve_dirichlet(aniso, cube,
-                           lambda x, y: np.exp(math.sqrt(contrast) * x), FD5)
+                           lambda x, y: np.exp(math.sqrt(contrast) * x), discretization="fd5")
     closed_form_ratio = log_caccioppoli_diagnostic(aniso, u, contrast)
     assert closed_form_ratio == pytest.approx(1.0, rel=0.02)
 

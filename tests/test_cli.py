@@ -506,10 +506,18 @@ class TestLazySparseImport:
         assert "| cge\n" in proc.stderr  # the listing covers the package
         assert "scipy.sparse" not in proc.stderr
 
+    def test_criterion_without_solves_leaves_scipy_sparse_unloaded(self, workdir):
+        field = gen_identity(workdir)
+        proc = run_fresh(["-X", "importtime", "-m", "cge.cli", "criterion", "--p", "4",
+                          "--q", "4", "--field", str(field)], workdir)
+        assert "satisfied=True" in proc.stdout
+        assert "| cge\n" in proc.stderr
+        assert "scipy.sparse" not in proc.stderr
+
     @pytest.mark.parametrize("argv", [
         ["coarse"],
         ["ellipticity"],
-        ["criterion", "--p", "4", "--q", "4"],
+        ["criterion", "--p", "4", "--q", "4", "--with-solves"],
         ["harnack", "--boundary", "affine:2,1,0"],
         ["audit"],
         ["sweep", "--kind", "sharpness", "--lambda", "1,4", "--grid-n", "3"],

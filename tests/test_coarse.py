@@ -42,6 +42,16 @@ def cs(s):
     return 1.0 - 3.0 ** (-s)
 
 
+def chain_slack(pair) -> float:
+    """Worst relative violation of the chain inv_avg_inv <= astar <= amax <= avg (>= 0)."""
+    worst = 0.0
+    seq = [pair.inv_avg_inv, pair.astar, pair.amax, pair.avg]
+    for lo, hi in zip(seq[:-1], seq[1:]):
+        scale = max(np.linalg.norm(hi, 2), 1e-300)
+        worst = max(worst, -np.linalg.eigvalsh(hi - lo)[0] / scale)
+    return worst
+
+
 def weighted_constant(maxima, tail_base, n, s, cube_level=0):
     """Independent implementation of the scale-weighted sum (pre-square)."""
     acc = sum(3.0 ** (-s * (cube_level - k)) * x for k, x in sorted(maxima.items()))
@@ -133,7 +143,7 @@ class TestLaminate:
         assert_allclose(pair.amax, np.diag([ARITH, ARITH]), rtol=1e-9, atol=1e-12)
         assert_allclose(pair.avg, np.diag([ARITH, ARITH]), rtol=1e-12, atol=1e-15)
         assert_allclose(pair.inv_avg_inv, np.diag([HARM, HARM]), rtol=1e-12, atol=1e-15)
-        assert pair.chain_slack() < 1e-9
+        assert chain_slack(pair) < 1e-9
 
     def test_stripe_constant_subcubes(self, result):
         # each level -1 cube sits inside a single stripe
@@ -635,6 +645,18 @@ class TestEllipticityBehaviour:
             assert_allclose(rep.lambda_upper, c * base.lambda_upper, rtol=1e-8)
             assert_allclose(rep.lambda_lower, c * base.lambda_lower, rtol=1e-8)
             assert_allclose(rep.theta, base.theta, rtol=1e-8)
+
+    @pytest.mark.parametrize("d, n", [(2, 3), (3, 2)])
+    def test_level_grid_matches_per_cube_constants(self, d, n):
+        # the audit's scaling check reads every cube's upper constant from
+        # the level-wide grid; it must be the per-cube value exactly
+        result = sweep(gen_random_spd(GridSpec(d, n), seed=5, eig_low=1e-2, eig_high=1e2))
+        for s in (0.15, 0.45, 0.9):
+            for level in result.levels:
+                grid_vals = cge.coarse._lambda_upper_grid(result, s, level)
+                for cube in partition(result.grid, level):
+                    rep = ellipticity_constants(result, s, s, cube=cube)
+                    assert rep.lambda_upper == grid_vals[cube.offset]
 
     def test_subcube_scaling_bound(self, random_result):
         s = 0.5

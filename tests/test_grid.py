@@ -16,6 +16,7 @@ from cge.grid import (
     cube_average,
     partition,
     read_field,
+    scale_weighted_sum,
     snapped_cell_range,
     sym_eig_bounds,
     sym_index_pairs,
@@ -452,3 +453,24 @@ def test_block_reduce_follows_partition_order():
     means = block_reduce(arr, 2, 3)
     for cube in partition(grid, -1):
         assert means[cube.offset] == pytest.approx(arr[cube.cell_slices(grid)].mean())
+
+
+# ---------------------------------------------------------------------------
+# Scale-weighted sum
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("s", [0.15, 0.45, 0.9])
+@pytest.mark.parametrize("level", [0, -2])
+@pytest.mark.parametrize("c", [2.5, np.array([[0.3, 1.0, 7.0], [1e-3, 4.0, 1e3]])],
+                         ids=["float", "array"])
+def test_scale_weighted_sum_of_a_constant_is_geometric(s, level, c):
+    # the same term c at every scale, on the grid and below it, sums to
+    # c * sum_j 3**(-s*j) = c / (1 - 3**-s)
+    grid_n = 4
+    terms = {k: c for k in range(-grid_n, level + 1)}
+    total, tail = scale_weighted_sum(terms, s, level, grid_n, c)
+    np.testing.assert_allclose(total, c / (1.0 - 3.0 ** -s), rtol=1e-15, atol=0)
+    # the on-grid scales are the first level + grid_n + 1 terms of that series
+    r = 3.0 ** -s
+    np.testing.assert_allclose(total - tail, c * (1.0 - r ** (level + grid_n + 1)) / (1.0 - r),
+                               rtol=1e-14, atol=0)

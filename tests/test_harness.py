@@ -23,12 +23,11 @@ from cge.harness import (
     sharpness_sweep,
     sobolev_poincare_diagnostic,
 )
-from cge.solver import CubeFunction, SolveConfig, SolverError, solve_dirichlet
+from cge.solver import CubeFunction, SolverError, solve_dirichlet
 from test_solver import diagonal_field
 
 DESK = GridSpec(2, 5)
 CUBE0 = TriadicCube(0, (0, 0))
-FD5 = SolveConfig(discretization="fd5")
 
 
 def identity_field(grid=DESK):
@@ -159,13 +158,27 @@ class TestMaxPrinciple:
         def boundary(x, y):
             return np.sin(6.0 * x) + 0.2 * np.cos(9.0 * y)
 
-        u, _ = solve_dirichlet(field, CUBE0, boundary, FD5)
+        u, _ = solve_dirichlet(field, CUBE0, boundary, discretization="fd5")
         from cge.harness import _boundary_face_values
 
         bvals = _boundary_face_values(DESK, boundary)
         span = bvals.max() - bvals.min()
         assert u.data.max() <= bvals.max() + 1e-9 * span
         assert u.data.min() >= bvals.min() - 1e-9 * span
+
+
+    def test_checks_read_the_face_values_the_solver_reads(self):
+        # at N=6 the upper face lo + m*h is 0.4999999999999999, not 0.5
+        points = []
+
+        def boundary(x):
+            points.append(x.copy())
+            return x + 2.0
+
+        harnack_experiment(gen_constant(GridSpec(1, 6), np.eye(1)), boundary, 0.3, 0.3)
+        assert len(points) == 4  # two faces checked by the harness, then solved
+        for checked, solved in zip(points[:2], points[2:]):
+            np.testing.assert_array_equal(checked, solved)
 
 
 class TestLocalBoundedness:
@@ -212,7 +225,7 @@ class TestLocalBoundedness:
 
 @pytest.fixture(scope="module")
 def solved_affine():
-    u, _ = solve_dirichlet(identity_field(), CUBE0, affine_boundary, FD5)
+    u, _ = solve_dirichlet(identity_field(), CUBE0, affine_boundary, discretization="fd5")
     return u
 
 
@@ -282,7 +295,7 @@ class TestReverseHolder:
                 0.5, 1.0, 0.3, 0.3, 1.0)
 
     def test_power_requires_positive_solution(self):
-        u, _ = solve_dirichlet(identity_field(), CUBE0, lambda x, y: x, FD5)
+        u, _ = solve_dirichlet(identity_field(), CUBE0, lambda x, y: x, discretization="fd5")
         with pytest.raises(ValueError, match="positive"):
             reverse_holder_diagnostic(
                 identity_field(), u, ("power", 2.0), 0.5, 1.0, 0.3, 0.3, 1.0)
@@ -297,7 +310,7 @@ class TestReverseHolder:
         grid = GridSpec(1, 3)
         field = gen_constant(grid, np.eye(1), descriptor="id1")
         u, _ = solve_dirichlet(field, TriadicCube(0, (0,)),
-                               lambda x: x + 2.0, FD5)
+                               lambda x: x + 2.0, discretization="fd5")
         with pytest.raises(ValueError, match="integrability"):
             reverse_holder_diagnostic(
                 field, u, ("power", 2.0), 0.5, 1.0, 0.3, 0.3, 1.0)
@@ -306,7 +319,7 @@ class TestReverseHolder:
 class TestLogCaccioppoli:
     def test_constant_solution_gives_zero(self):
         u, _ = solve_dirichlet(identity_field(), CUBE0,
-                               lambda x, y: np.ones_like(x), FD5)
+                               lambda x, y: np.ones_like(x), discretization="fd5")
         assert log_caccioppoli_diagnostic(identity_field(), u, 1.0) == pytest.approx(
             0.0, abs=1e-20)
 
@@ -323,17 +336,17 @@ class TestLogCaccioppoli:
         lam = 16.0
         field = gen_constant(DESK, np.diag([1.0, lam]), descriptor="diag(1,16)")
         u, _ = solve_dirichlet(field, CUBE0,
-                               lambda x, y: np.exp(math.sqrt(lam) * x), FD5)
+                               lambda x, y: np.exp(math.sqrt(lam) * x), discretization="fd5")
         ratio = log_caccioppoli_diagnostic(field, u, lam)
         assert ratio == pytest.approx(1.0, rel=0.02)
 
     def test_requires_positive_on_half_cube(self):
-        u, _ = solve_dirichlet(identity_field(), CUBE0, lambda x, y: x, FD5)
+        u, _ = solve_dirichlet(identity_field(), CUBE0, lambda x, y: x, discretization="fd5")
         with pytest.raises(ValueError, match="positive"):
             log_caccioppoli_diagnostic(identity_field(), u, 1.0)
 
     def test_rejects_nonpositive_constant(self):
-        u, _ = solve_dirichlet(identity_field(), CUBE0, affine_boundary, FD5)
+        u, _ = solve_dirichlet(identity_field(), CUBE0, affine_boundary, discretization="fd5")
         with pytest.raises(ValueError, match="lambda_upper"):
             log_caccioppoli_diagnostic(identity_field(), u, 0.0)
 
@@ -344,7 +357,7 @@ def constant_two(*x):
 
 class TestSobolevPoincare:
     def test_constant_solution_gives_zero(self):
-        u, _ = solve_dirichlet(identity_field(), CUBE0, constant_two, FD5)
+        u, _ = solve_dirichlet(identity_field(), CUBE0, constant_two, discretization="fd5")
         assert sobolev_poincare_diagnostic(identity_field(), u, 0.45, 1.0,
                                            boundary=constant_two) == 0.0
 
@@ -356,7 +369,7 @@ class TestSobolevPoincare:
         # maximum principle u is constant.
         for seed in (1, 2, 3):
             field = diagonal_field(GridSpec(2, n), seed, contrast)
-            u, _ = solve_dirichlet(field, CUBE0, constant_two, FD5)
+            u, _ = solve_dirichlet(field, CUBE0, constant_two, discretization="fd5")
             assert sobolev_poincare_diagnostic(field, u, 0.45, 1e-2,
                                                boundary=constant_two) == 0.0
 
@@ -368,17 +381,17 @@ class TestSobolevPoincare:
         def nearly_constant(x, y):
             return 2.0 + 1e-6 * x
 
-        u, _ = solve_dirichlet(field, CUBE0, nearly_constant, FD5)
+        u, _ = solve_dirichlet(field, CUBE0, nearly_constant, discretization="fd5")
         got = sobolev_poincare_diagnostic(field, u, 0.45, 1e-2,
                                           boundary=nearly_constant)
-        v, _ = solve_dirichlet(field, CUBE0, lambda x, y: x, FD5)
+        v, _ = solve_dirichlet(field, CUBE0, lambda x, y: x, discretization="fd5")
         expected = sobolev_poincare_diagnostic(field, v, 0.45, 1e-2,
                                                boundary=lambda x, y: x)
         assert got > 0.0
         assert got == pytest.approx(expected, rel=1e-4)
 
     def test_affine_closed_form(self):
-        u, _ = solve_dirichlet(identity_field(), CUBE0, lambda x, y: x, FD5)
+        u, _ = solve_dirichlet(identity_field(), CUBE0, lambda x, y: x, discretization="fd5")
         s = 0.45
         two_star = 2.0 * 2 / (2 - 2 * (1 - s))
         x = cell_centers(DESK)
@@ -392,7 +405,7 @@ class TestSobolevPoincare:
         assert got == pytest.approx(0.153669009088272, rel=1e-9)
 
     def test_scaling_with_lower_constant(self):
-        u, _ = solve_dirichlet(identity_field(), CUBE0, lambda x, y: x, FD5)
+        u, _ = solve_dirichlet(identity_field(), CUBE0, lambda x, y: x, discretization="fd5")
         base = sobolev_poincare_diagnostic(identity_field(), u, 0.45, 1.0,
                                            boundary=lambda x, y: x)
         quartered = sobolev_poincare_diagnostic(identity_field(), u, 0.45, 0.25,
@@ -402,7 +415,7 @@ class TestSobolevPoincare:
     def test_dimension_guard(self):
         grid = GridSpec(1, 3)
         field = gen_constant(grid, np.eye(1), descriptor="id1")
-        u, _ = solve_dirichlet(field, TriadicCube(0, (0,)), lambda x: x, FD5)
+        u, _ = solve_dirichlet(field, TriadicCube(0, (0,)), lambda x: x, discretization="fd5")
         with pytest.raises(ValueError, match="integrability"):
             sobolev_poincare_diagnostic(field, u, 0.3, 1.0, boundary=lambda x: x)
         # d=1 admits exponents above 1/2
@@ -449,10 +462,10 @@ class TestSharpnessSweep:
 
         real_solve = harness_mod.solve_dirichlet
 
-        def flaky(field, cube, boundary, config):
+        def flaky(field, cube, boundary, **kwargs):
             if field.data[..., -1].max() > 10.0:
                 raise SolverError("synthetic factorization failure")
-            return real_solve(field, cube, boundary, config)
+            return real_solve(field, cube, boundary, **kwargs)
 
         monkeypatch.setattr(harness_mod, "solve_dirichlet", flaky)
         report = sharpness_sweep([1.0, 4.0, 16.0, 64.0], N=3)
@@ -463,7 +476,7 @@ class TestSharpnessSweep:
     def test_all_failures_yield_no_fit(self, monkeypatch):
         import cge.harness as harness_mod
 
-        def broken(field, cube, boundary, config):
+        def broken(field, cube, boundary, **kwargs):
             raise SolverError("synthetic failure")
 
         monkeypatch.setattr(harness_mod, "solve_dirichlet", broken)

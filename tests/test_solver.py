@@ -1,7 +1,7 @@
 """Tests for the discrete solvers: assembly oracles, closed-form solutions,
 maximum principle, optimality, and convergence order."""
 
-import dataclasses
+import inspect
 import itertools
 
 import numpy as np
@@ -14,10 +14,9 @@ import cge.solver
 from cge.grid import CoefficientField, GridSpec, ScalarGridFunction, TriadicCube, sym_index_pairs
 from cge.solver import (
     CubeFunction,
-    SolveConfig,
     SolverError,
-    _augmented_dense_solve,
-    _forcing_vectors,
+    _cube_cells_packed,
+    _forcings,
     assemble_neumann,
     batched_neumann_functionals,
     discrete_gradient,
@@ -32,6 +31,26 @@ from cge.solver import (
 )
 
 FULL = TriadicCube(0, (0, 0))
+
+
+def _augmented_dense_solve(kmat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve singular Neumann systems exactly via rank-one augmentation.
+
+    The dense reference solve, an oracle independent of the sparse engine.
+    For b orthogonal to constants, (K + c*J/n) x = b has the unique zero-mean
+    solution of K x = b (J the all-ones matrix); batched over leading axes.
+    """
+    n = kmat.shape[-1]
+    scale = np.einsum("...ii->...", kmat) / n
+    aug = kmat + (scale[..., None, None] / n)
+    x = np.linalg.solve(aug, rhs)
+    return x - x.mean(axis=-2, keepdims=True)
+
+
+def _forcing_vectors(field, cube) -> np.ndarray:
+    """RHS columns of all 2d unit forcings on one cube: (nn, 2d)."""
+    m = cube.cells_per_side(field.grid)
+    return _forcings(_cube_cells_packed(field, cube), m, field.d, field.grid.h)[0]
 
 # Hand-assembled bilinear element matrix for a = I on the unit square,
 # local node order (0,0), (0,1), (1,0), (1,1): diagonal 2/3, edge neighbors
@@ -243,13 +262,10 @@ def test_galerkin_optimality_one_sided():
 # Dirichlet solves
 # ---------------------------------------------------------------------------
 
-FV = SolveConfig(discretization="fd5")
-
-
 def test_fv_dirichlet_affine_exact():
     g = GridSpec(2, 2)
     f = gen_constant(g, np.eye(2))
-    u, stats = solve_dirichlet(f, FULL, lambda x, y: x, FV)
+    u, stats = solve_dirichlet(f, FULL, lambda x, y: x, discretization="fd5")
     xc, _ = np.meshgrid(g.axis_cell_centers(), g.axis_cell_centers(), indexing="ij")
     assert np.abs(u.data - xc).max() < 1e-9
     assert stats.method == "fv-splu"
@@ -264,7 +280,7 @@ def test_fv_dirichlet_constant_boundary():
     from cge.grid import CoefficientField
 
     fdiag = CoefficientField(g, diag)
-    u, _ = solve_dirichlet(fdiag, FULL, lambda x, y: np.full_like(x, 5.0), FV)
+    u, _ = solve_dirichlet(fdiag, FULL, lambda x, y: np.full_like(x, 5.0), discretization="fd5")
     np.testing.assert_allclose(u.data, 5.0, atol=1e-12)
 
 
@@ -272,7 +288,7 @@ def test_fv_dirichlet_rejects_full_matrices():
     g = GridSpec(2, 1)
     f = gen_constant(g, np.array([[2.0, 0.5], [0.5, 1.0]]))
     with pytest.raises(ValueError, match="diagonal"):
-        solve_dirichlet(f, FULL, lambda x, y: x, FV)
+        solve_dirichlet(f, FULL, lambda x, y: x, discretization="fd5")
 
 
 def test_fv_dirichlet_layered_exact_at_centers():
@@ -295,7 +311,7 @@ def test_fv_dirichlet_layered_exact_at_centers():
             out = np.where(inside, base + (x - lo) / vals[i], out)
         return np.broadcast_to((out / total), np.broadcast(x, y).shape)
 
-    u, _ = solve_dirichlet(f, FULL, exact, FV)
+    u, _ = solve_dirichlet(f, FULL, exact, discretization="fd5")
     xg, yg = g.cell_center_mesh()
     np.testing.assert_allclose(u.data, exact(xg, yg), atol=1e-11)
 
@@ -316,7 +332,7 @@ def test_fv_maximum_principle_random_fields():
         def bdata(x, y, c=coeffs):
             return c[0] + c[1] * x + c[2] * y + c[3] * np.sin(4 * x) + c[4] * x * y
 
-        u, _ = solve_dirichlet(f, FULL, bdata, FV)
+        u, _ = solve_dirichlet(f, FULL, bdata, discretization="fd5")
         # boundary values live on face centers; bound via a fine sampling
         ts = np.linspace(-0.5, 0.5, 201)
         edge_vals = np.concatenate(
@@ -357,7 +373,7 @@ def test_fv_dirichlet_convergence_order():
     for n_exp in (3, 4):
         g = GridSpec(2, n_exp)
         f = gen_constant(g, np.diag([1.0, lam]))
-        u, _ = solve_dirichlet(f, TriadicCube(0, (0, 0)), sol, FV)
+        u, _ = solve_dirichlet(f, TriadicCube(0, (0, 0)), sol, discretization="fd5")
         xg, yg = g.cell_center_mesh()
         errs.append(np.abs(u.data - sol(xg, yg)).max())
     order = np.log(errs[0] / errs[1]) / np.log(3.0)
@@ -419,7 +435,8 @@ def fv_dense_system(field, boundary):
 @pytest.mark.parametrize("d,n", ORACLE_GRIDS)
 def test_fv_dirichlet_matches_dense_oracle(d, n):
     field = diagonal_field(GridSpec(d, n), seed=10 * d + n)
-    u, stats = solve_dirichlet(field, TriadicCube(0, (0,) * d), wavy_boundary, FV)
+    u, stats = solve_dirichlet(field, TriadicCube(0, (0,) * d), wavy_boundary,
+                               discretization="fd5")
     amat, rhs = fv_dense_system(field, wavy_boundary)
     ref = np.linalg.solve(amat, rhs)
     assert np.abs(u.data.ravel() - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -451,12 +468,12 @@ def test_fv_dirichlet_constant_data_reproduced_at_roundoff():
     # the constant-solution checks of the harness diagnostics rely on this
     g = GridSpec(2, 5)
     u, _ = solve_dirichlet(gen_constant(g, np.eye(2)), FULL,
-                           lambda x, y: np.full_like(x, 2.0), FV)
+                           lambda x, y: np.full_like(x, 2.0), discretization="fd5")
     assert np.abs(u.data - 2.0).max() <= 1e-14 * 2.0
 
 
-@pytest.mark.parametrize("config", [FV, SolveConfig()], ids=["fd5", "q1"])
-def test_dirichlet_factors_once_per_solve(monkeypatch, config):
+@pytest.mark.parametrize("discretization", ["fd5", "q1"])
+def test_dirichlet_factors_once_per_solve(monkeypatch, discretization):
     calls = []
     real = cge.solver._factor
 
@@ -467,18 +484,19 @@ def test_dirichlet_factors_once_per_solve(monkeypatch, config):
     monkeypatch.setattr(cge.solver, "_factor", spy)
     field = diagonal_field(GridSpec(2, 3), seed=4)
     for _ in range(2):
-        solve_dirichlet(field, FULL, wavy_boundary, config)
+        solve_dirichlet(field, FULL, wavy_boundary, discretization=discretization)
     assert len(calls) == 2
 
 
-@pytest.mark.parametrize("config,method", [(FV, "fv-splu"), (SolveConfig(), "q1-splu")])
-def test_dirichlet_failed_factorization_is_solver_error(monkeypatch, config, method):
+@pytest.mark.parametrize("discretization,method", [("fd5", "fv-splu"), ("q1", "q1-splu")])
+def test_dirichlet_failed_factorization_is_solver_error(monkeypatch, discretization, method):
     def broken(mat):
         raise RuntimeError("Factor is exactly singular")
 
     monkeypatch.setattr(cge.solver, "_factor", broken)
     with pytest.raises(SolverError, match="singular") as err:
-        solve_dirichlet(diagonal_field(GridSpec(2, 2), seed=4), FULL, wavy_boundary, config)
+        solve_dirichlet(diagonal_field(GridSpec(2, 2), seed=4), FULL, wavy_boundary,
+                        discretization=discretization)
     assert err.value.stats.method == method
 
 
@@ -548,9 +566,12 @@ def test_mean_flux_constant_field():
     np.testing.assert_allclose(mean_flux(f, u), mat @ [1.0, -1.0], atol=1e-12)
 
 
-def test_solve_config_validation():
-    with pytest.raises(ValueError):
-        SolveConfig(discretization="fem9")
-    cfg = SolveConfig()
-    assert [f.name for f in dataclasses.fields(cfg)] == ["discretization"]
-    assert not hasattr(cfg, "preconditioner")
+def test_discretization_validation():
+    field = diagonal_field(GridSpec(2, 2), seed=4)
+    with pytest.raises(ValueError, match="discretization"):
+        solve_dirichlet(field, FULL, wavy_boundary, discretization="fem9")
+    # the discretization is the one knob, and it is keyword-only
+    params = inspect.signature(solve_dirichlet).parameters
+    assert list(params) == ["field", "cube", "boundary", "discretization"]
+    assert params["discretization"].kind is inspect.Parameter.KEYWORD_ONLY
+    assert params["discretization"].default == "q1"

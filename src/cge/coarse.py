@@ -222,32 +222,34 @@ def _cache_load(path: str, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarr
 
 def _solve_level(
     field: CoefficientField, level: int
-) -> tuple[np.ndarray, np.ndarray, list[dict], SolveStats | None]:
+) -> tuple[np.ndarray, np.ndarray, list[dict], SolveStats]:
     """Packed ``astar_inv`` and ``amax`` of every cube of a level, failures, stats.
 
-    A failed factorization fails every cube of the level; a cube whose
+    A failed factorization fails the cubes of its chunk; a cube whose
     functional matrix is not finite fails alone. Failed cubes hold NaN.
     """
     d = field.d
-    message = "non-finite functional matrix"
     try:
         g_all, stats = batched_neumann_functionals(field, level)
+        failed, message = np.zeros(g_all.shape[:d], dtype=bool), ""
     except SolverError as err:
-        g_all = np.full((3 ** (-level),) * d + (2 * d, 2 * d), np.nan)
-        message, stats = str(err), err.stats
+        g_all, failed, stats, message = err.g, err.failed, err.stats, str(err)
     bad = ~np.isfinite(g_all).all(axis=(-2, -1))
     g_all[bad] = np.nan
     astar_inv, amax = (sym_pack(mats) for mats in _pair_matrices_from_g(g_all, d))
-    failures = [{"level": level, "offset": [int(z) for z in off], "message": message}
+    failures = [{"level": level, "offset": [int(z) for z in off],
+                 "message": message if failed[off] else "non-finite functional matrix"}
                 for off in zip(*np.nonzero(bad))]
     return astar_inv, amax, failures, stats
 
 
 def _log_level(level: int, method: str, cubes: int, stats: SolveStats | None,
                t0: float) -> None:
-    """One DEBUG line per sweep level; unknowns and residual only for solves."""
-    log.debug("level %d: %s, %d cubes, %s unknowns per cube, residual %s, %.3f s",
-              level, method, cubes, "-" if stats is None else stats.unknowns,
+    """One DEBUG line per sweep level; chunks, threads, unknowns and residual
+    only for solves."""
+    split = "" if stats is None else f" in {stats.chunks} chunks on {stats.threads} threads"
+    log.debug("level %d: %s, %d cubes%s, %s unknowns per cube, residual %s, %.3f s",
+              level, method, cubes, split, "-" if stats is None else stats.unknowns,
               "-" if stats is None else f"{stats.residual:.1e}", time.perf_counter() - t0)
 
 
@@ -256,12 +258,15 @@ def sweep(field: CoefficientField, cache_dir: str | None = None) -> SweepResult:
 
     The level is the unit of work and of the cache: each level is either
     read whole from its record, keyed by field content hash, level and
-    :data:`SOLVER_TAG`, or solved whole with one factorization. A warm cache
-    re-run performs zero solves. Failures are recorded per cube and surface
-    as NaN matrices rather than aborting the sweep; a level with a failed
-    cube is not cached. Each level logs one DEBUG line on ``cge.coarse``:
-    method (``splu``, ``cache`` or ``cells``), cubes, unknowns per cube,
-    residual and seconds.
+    :data:`SOLVER_TAG`, or solved whole by
+    :func:`~cge.solver.batched_neumann_functionals`, one factorization per
+    chunk of whole cubes. A warm cache re-run performs zero solves. Failures
+    are recorded per cube and surface as NaN matrices rather than aborting
+    the sweep: a failed factorization fails the cubes of its chunk, the rest
+    of the level keeps its numbers, and a level with a failed cube is not
+    cached. Each level logs one DEBUG line on ``cge.coarse``: method
+    (``splu``, ``cache`` or ``cells``), cubes, for a solve the chunks and
+    threads it ran in, unknowns per cube, residual and seconds.
     """
     grid = field.grid
     d = grid.d
@@ -295,7 +300,7 @@ def sweep(field: CoefficientField, cache_dir: str | None = None) -> SweepResult:
             method, stats = "cache", None
         else:
             astar_inv_arr, amax_arr, level_failures, stats = _solve_level(field, level)
-            method = "failed" if stats is None else stats.method
+            method = stats.method
             failures += level_failures
             solve_count += 2 * d * (n_cubes - len(level_failures))
             if path is not None and not level_failures:

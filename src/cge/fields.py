@@ -19,7 +19,6 @@ everywhere else (isotropic: value times identity for d > 1).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 

@@ -20,7 +20,7 @@ import itertools
 import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 import numpy as np
 

@@ -19,25 +19,33 @@ Every pure-Neumann solve goes through one engine. It assembles equal cubes
 (all cubes of a triadic level, or a single cube) into one block-diagonal
 sparse matrix; each block pins one node, which removes the constant kernel
 and leaves an SPD system, and lists its nodes in geometric nested-dissection
-order. SuperLU factors the whole matrix once, keeping that order, and all 2d
-forcings are back-solved together; each cube's solution is then re-centred
-to zero mean. The Dirichlet systems are SPD as well (the cell-centered one
+order. A level's cubes are cut into chunks of whole cubes whose predicted
+factor fits :data:`CHUNK_NNZ`; SuperLU factors each chunk's matrix once,
+keeping that order, and all 2d forcings are back-solved together; each
+cube's solution is then re-centred to zero mean. The chunks of a level run
+on one thread per core this process may use, the calling thread among them
+(SuperLU releases the GIL); with one chunk or one core the caller runs them
+alone. Every block is factored alone, so the numbers do not depend on the
+split. The Dirichlet systems are SPD as well (the cell-centered one
 is an M-matrix with the boundary terms on its diagonal, the Q1 one the
 interior block of the stiffness); they list their unknowns in the same
 nested-dissection order and take one step of iterative refinement with the
-same factor. Every sparse factorization goes through :func:`_factor`.
+same factor. Every solve's sparse factorization goes through :func:`_factor`.
 
 ``scipy.sparse`` and ``scipy.sparse.linalg`` are not imported with this
 module: the functions that assemble or factor a sparse matrix import them,
 so importing ``cge`` (and ``cge gen``, which never solves) loads no SciPy
 sparse code. ``cge.cli`` loads them before a solving command reads its
-field.
+field. Likewise ``concurrent.futures`` and the chunk threads load and start
+with the first level that has more than one chunk to run on more than one
+core.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -52,6 +60,7 @@ from .grid import (
     TriadicCube,
     block_view,
     sym_index_pairs,
+    sym_pack,
     sym_unpack,
 )
 
@@ -79,6 +88,18 @@ __all__ = [
 GRADIENT = "gradient"
 FLUX = "flux"
 
+#: Largest predicted factor, in SuperLU nonzeros, of one chunk of a sweep
+#: level. Small chunks bound the memory of every level of more than one cube
+#: and let the threads share a level; a cube whose factor alone is larger is
+#: a chunk of its own.
+CHUNK_NNZ = 72_000
+
+#: Every factorization keeps the given (nested-dissection) order and pivots
+#: on the diagonal: the pinned systems are SPD, so no pivoting is needed.
+_SPLU_OPTIONS = {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.0}
+
+_POOL = None  # the chunk threads; see _chunk_pool
+
 
 @dataclass
 class SolveStats:
@@ -87,9 +108,13 @@ class SolveStats:
     unknowns: int
     wall_time: float
     method: str
+    chunks: int = 1  # how a sweep level was split and run, for its log line
+    threads: int = 1
 
     def to_dict(self) -> dict:
-        """Plain-JSON form (NumPy scalars cast to ``int``/``float``)."""
+        """Plain-JSON form (NumPy scalars cast to ``int``/``float``). The
+        chunk and thread counts are left out: they depend on the host's
+        cores, and a report must not."""
         return {
             "iterations": int(self.iterations),
             "residual": float(self.residual),
@@ -100,11 +125,19 @@ class SolveStats:
 
 
 class SolverError(RuntimeError):
-    """Solver failure (e.g. a failed factorization); carries the partial stats."""
+    """Solver failure (e.g. a failed factorization); carries the partial stats.
 
-    def __init__(self, message: str, stats: SolveStats | None = None):
+    From :func:`batched_neumann_functionals` it also carries the partial
+    level: ``g`` holds every cube's functional matrix, NaN for the cubes of
+    the chunks that failed, and ``failed`` marks those cubes.
+    """
+
+    def __init__(self, message: str, stats: SolveStats | None = None,
+                 g: np.ndarray | None = None, failed: np.ndarray | None = None):
         super().__init__(message)
         self.stats = stats
+        self.g = g
+        self.failed = failed
 
 
 @dataclass
@@ -253,7 +286,9 @@ def _block_pattern(m: int, d: int, pinned: bool):
     cols = np.broadcast_to(local[:, None, :], local.shape + local.shape[1:]).ravel()
     keep = (rows < n) & (cols < n)
     keys, slot = np.unique(cols[keep] * n + rows[keep], return_inverse=True)
-    pattern = np.searchsorted(keys, np.arange(n + 1) * n), keys % n, keep, slot.ravel()
+    # int32 halves what the cache holds; the assembly widens them again
+    pattern = (np.searchsorted(keys, np.arange(n + 1) * n), (keys % n).astype(np.int32),
+               keep, slot.ravel().astype(np.int32))
     for arr in pattern:  # shared by every caller through the cache
         arr.flags.writeable = False
     return pattern
@@ -316,11 +351,45 @@ def assemble_neumann(field: CoefficientField, cube: TriadicCube) -> sp.csr_matri
 # ---------------------------------------------------------------------------
 
 def _factor(mat: sp.csc_matrix) -> spla.SuperLU:
-    """SuperLU factorization that keeps the given order and diagonal pivots
-    (the pinned systems are SPD, so no pivoting is needed)."""
+    """SuperLU factorization with :data:`_SPLU_OPTIONS`; every solve factors
+    through here."""
     import scipy.sparse.linalg as spla
 
-    return spla.splu(mat, permc_spec="NATURAL", diag_pivot_thresh=0.0)
+    return spla.splu(mat, **_SPLU_OPTIONS)
+
+
+@lru_cache(maxsize=8)
+def _factor_nnz(m: int, d: int) -> int:
+    """Nonzeros of the factor of one pinned cube of ``m`` cells a side, the
+    same for every coefficient: a sizing probe on the identity, which calls
+    SuperLU directly since it is not a solve."""
+    import scipy.sparse.linalg as spla
+
+    identity = np.broadcast_to(sym_pack(np.eye(d)), (1, m**d, len(sym_index_pairs(d))))
+    return spla.splu(_assemble_blocks(identity, m, d, 1.0, pinned=True), **_SPLU_OPTIONS).nnz
+
+
+def _chunk_cubes(m: int, d: int) -> int:
+    """Cubes of ``m`` cells a side per chunk: as many as fit :data:`CHUNK_NNZ`,
+    at least one. A factor holds at least its matrix's entries, so a cube
+    whose matrix alone fills the budget needs no probe."""
+    matrix_nnz = _block_pattern(m, d, True)[1].size
+    if matrix_nnz >= CHUNK_NNZ:
+        return 1
+    return max(1, CHUNK_NNZ // _factor_nnz(m, d))
+
+
+def _chunk_pool():
+    """The threads that take chunks alongside the calling thread: one per
+    core this process may use, less the caller's. Started on first use and
+    kept for the life of the process."""
+    global _POOL
+    if _POOL is None:
+        from concurrent.futures import ThreadPoolExecutor
+
+        _POOL = ThreadPoolExecutor(len(os.sched_getaffinity(0)) - 1,
+                                   thread_name_prefix="cge-chunk")
+    return _POOL
 
 
 def _solve_cubes(
@@ -372,21 +441,75 @@ def neumann_functionals(
     return (sols[0].T @ rhs[0]) / cube.volume, stats
 
 
+def _chunk_functionals(
+    cells: np.ndarray, m: int, d: int, h: float, volume: float
+) -> tuple[np.ndarray, SolveStats] | SolverError:
+    """``(g, stats)`` of one chunk, ``g`` of shape ``(ncubes, 2d, 2d)``, or
+    its :class:`SolverError`, returned so that it fails this chunk alone.
+    The solutions are reduced here, so they do not outlive the chunk."""
+    try:
+        sols, rhs, stats = _solve_cubes(cells, m, d, h)
+    except SolverError as err:
+        return err
+    return np.einsum("bnr,bns->brs", sols, rhs) / volume, stats
+
+
 def batched_neumann_functionals(
     field: CoefficientField, level: int
 ) -> tuple[np.ndarray, SolveStats]:
-    """``neumann_functionals`` for every cube of one level, one factorization.
+    """``neumann_functionals`` for every cube of one level.
 
-    Returns ``(g_all, stats)`` with ``g_all`` of shape
-    ``(3**-level,)*d + (2d, 2d)`` in row-major cube order.
+    The cubes, in row-major order, are cut into chunks of
+    :func:`_chunk_cubes` whole cubes; each chunk is one factorization. The
+    calling thread and, with more than one chunk and more than one core,
+    the threads of :func:`_chunk_pool` take the chunks one at a time. The
+    caller takes chunks too, so they reuse the memory that level 0 freed
+    in the caller's heap; each helper thread allocates from a heap of its
+    own, which stays with the process. Returns ``(g_all, stats)`` with
+    ``g_all`` of shape ``(3**-level,)*d + (2d, 2d)`` in row-major cube
+    order; ``stats.residual`` is the largest over the chunks, and
+    ``stats.chunks`` and ``stats.threads`` say how the level ran. A failed
+    factorization raises :class:`SolverError` after every chunk has run,
+    carrying the level with the failed chunks' cubes NaN.
     """
+    t0 = time.perf_counter()
     grid = field.grid
     d = grid.d
     m = 3 ** (grid.N + level)
     cells = block_view(field.data, d, m).reshape((-1, m**d, field.data.shape[-1]))
-    sols, rhs, stats = _solve_cubes(cells, m, d, grid.h)
-    g_all = np.einsum("bnr,bns->brs", sols, rhs) / 3.0 ** (level * d)
-    return g_all.reshape((3 ** (-level),) * d + (2 * d, 2 * d)), stats
+    ncubes = cells.shape[0]
+    size = _chunk_cubes(m, d) if ncubes > 1 else 1
+    starts = range(0, ncubes, size)
+    threads = min(len(starts), len(os.sched_getaffinity(0)))
+    volume = 3.0 ** (level * d)
+
+    # shared: a thread takes the next chunk when it is free (next() on a
+    # range iterator is one step, atomic under the GIL)
+    jobs = iter(starts)
+
+    def drain() -> list:
+        return [(lo, _chunk_functionals(cells[lo:lo + size], m, d, grid.h, volume))
+                for lo in jobs]
+
+    helpers = [_chunk_pool().submit(drain) for _ in range(threads - 1)]
+    done = drain() + [pair for helper in helpers for pair in helper.result()]
+    g_all = np.full((ncubes, 2 * d, 2 * d), np.nan)
+    failed = np.zeros(ncubes, dtype=bool)
+    errors, residuals = [], []
+    for lo, out in sorted(done, key=lambda pair: pair[0]):
+        if isinstance(out, SolverError):
+            failed[lo:lo + size] = True
+            errors.append(out)
+        else:
+            g_all[lo:lo + size] = out[0]
+            residuals.append(out[1].residual)
+    stats = SolveStats(0, float(np.max(residuals)) if residuals else math.nan, (m + 1) ** d,
+                       time.perf_counter() - t0, "splu", len(starts), threads)
+    shape = (3 ** (-level),) * d
+    g_all = g_all.reshape(shape + (2 * d, 2 * d))
+    if errors:
+        raise SolverError(str(errors[0]), stats, g_all, failed.reshape(shape))
+    return g_all, stats
 
 
 def solve_linear_forcing(

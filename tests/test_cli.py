@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import cge
+import cge.solver
 from cge import __version__, read_field
 from cge.cli import (
     CONFIG_SPEC,
@@ -169,7 +170,7 @@ class TestCoarse:
         assert "solves=" in capsys.readouterr().out
 
     def test_verbose_logs_one_line_per_level_outside_the_report(self, workdir):
-        gen_identity(workdir)
+        gen_identity(workdir, n=4)
         hashes, logged = [], []
         for name, flags in (("quiet.json", []), ("verbose.json", ["-v"])):
             proc = subprocess.run(
@@ -184,7 +185,16 @@ class TestCoarse:
         assert logged[0] == []
         assert [line.split(",")[0] for line in logged[1]] == [
             "DEBUG cge.coarse: level 0: splu", "DEBUG cge.coarse: level -1: splu",
-            "DEBUG cge.coarse: level -2: cells"]
+            "DEBUG cge.coarse: level -2: splu", "DEBUG cge.coarse: level -3: splu",
+            "DEBUG cge.coarse: level -4: cells"]
+        # each solved level names its chunks and the threads that ran them
+        cores = len(os.sched_getaffinity(0))
+        for level, line in zip(range(0, -4, -1), logged[1]):
+            cubes, m = 9 ** -level, 3 ** (4 + level)
+            chunks = 1 if cubes == 1 else -(-cubes // cge.solver._chunk_cubes(m, 2))
+            assert line.split(",")[1] == (
+                f" {cubes} cubes in {chunks} chunks on {min(chunks, cores)} threads")
+        assert logged[1][-1].split(",")[1] == " 6561 cubes"
         assert hashes[0] == hashes[1]
 
 
@@ -497,6 +507,18 @@ class TestLazySparseImport:
             "import sys, cge, cge.cli, cge.fields\n"
             "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"))
         assert proc.stdout.strip() == "[]"
+
+    def test_import_and_gen_start_no_threads(self, tmp_path):
+        # the chunk threads and concurrent.futures wait for a chunked level
+        proc = run_fresh([], tmp_path, code=(
+            "import sys, threading\n"
+            "import cge.cli\n"
+            "print('concurrent.futures' in sys.modules, threading.active_count())\n"
+            "cge.cli.main(['gen', '--kind', 'random', '--grid-n', '2', '--field-out', 'f.cge'])\n"
+            "print('concurrent.futures' in sys.modules, threading.active_count())"))
+        before, gen, after = proc.stdout.splitlines()
+        assert gen.startswith("field_hash=")
+        assert before == after == "False 1"
 
     def test_gen_leaves_scipy_sparse_unloaded(self, tmp_path):
         # -X importtime lists every module the run imports on stderr

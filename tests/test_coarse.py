@@ -305,8 +305,10 @@ class TestSweepStructure:
             sweep(field, cache_dir=str(tmp_path))
         lines = [r.getMessage() for r in caplog.records if r.name == "cge.coarse"]
         assert len(lines) == 2 * (grid.N + 1)
-        assert lines[0].startswith("level 0: splu, 1 cubes, 100 unknowns per cube, residual ")
-        assert lines[1].startswith("level -1: splu, 9 cubes, 16 unknowns per cube, residual ")
+        assert lines[0].startswith(
+            "level 0: splu, 1 cubes in 1 chunks on 1 threads, 100 unknowns per cube, residual ")
+        assert lines[1].startswith(
+            "level -1: splu, 9 cubes in 1 chunks on 1 threads, 16 unknowns per cube, residual ")
         assert lines[2].startswith("level -2: cells, 81 cubes, - unknowns per cube, residual -, ")
         assert [line.split(",")[0] for line in lines[3:]] == [
             "level 0: cache", "level -1: cache", "level -2: cells"]
@@ -337,6 +339,34 @@ class TestSweepStructure:
         assert np.isnan(amax[1, 2]).all()
         assert np.isfinite(np.delete(amax.reshape(9, -1), 5, axis=0)).all()
         # the level with the failed cube is not cached; the clean one is
+        assert sorted(os.listdir(tmp_path / field.content_hash)) == ["level_0.npz"]
+
+    def test_failed_chunk_fails_only_its_cubes(self, monkeypatch, caplog, tmp_path):
+        grid = GridSpec(d=2, N=2)
+        field = gen_random_spd(grid, seed=1, eig_low=0.5, eig_high=2.0)
+        clean = sweep(field).levels[-1].amax
+        # level -1 holds 9 cubes of 3x3 cells: 4 to a chunk leaves cube (2, 2)
+        # alone in the last chunk, the only factor of 15 unknowns
+        monkeypatch.setattr(cge.solver, "CHUNK_NNZ", 4 * cge.solver._factor_nnz(3, 2))
+        real = cge.solver._factor
+
+        def fail_last_chunk(mat):
+            if mat.shape[0] == 4**2 - 1:
+                raise RuntimeError("Factor is exactly singular")
+            return real(mat)
+
+        monkeypatch.setattr(cge.solver, "_factor", fail_last_chunk)
+        with caplog.at_level(logging.DEBUG, logger="cge.coarse"):
+            result = sweep(field, cache_dir=str(tmp_path))
+        assert caplog.records[1].getMessage().startswith("level -1: splu, 9 cubes in 3 chunks ")
+        assert [(e["level"], e["offset"]) for e in result.failures] == [(-1, [2, 2])]
+        assert "singular" in result.failures[0]["message"]
+        assert result.solve_count == 4 * (1 + 8)
+        amax = result.levels[-1].amax
+        assert np.isnan(amax[2, 2]).all()
+        kept = [off for off in np.ndindex(3, 3) if off != (2, 2)]
+        assert all(np.array_equal(amax[off], clean[off]) for off in kept)
+        # the level with the failed chunk is not cached; the clean one is
         assert sorted(os.listdir(tmp_path / field.content_hash)) == ["level_0.npz"]
 
 

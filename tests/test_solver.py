@@ -3,6 +3,8 @@ maximum principle, optimality, and convergence order."""
 
 import inspect
 import itertools
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -198,6 +200,52 @@ def test_engine_matches_dense_oracle():
                 g_dense = sols.T @ rhs / cube.volume
                 np.testing.assert_allclose(g_all[off], g_dense, rtol=0,
                                            atol=1e-12 * np.abs(g_dense).max())
+
+
+@pytest.mark.parametrize("d, n", [(1, 4), (2, 4), (3, 3)])
+def test_chunk_split_leaves_functionals_bit_identical(monkeypatch, d, n):
+    # every block is factored alone, so one cube per chunk and the whole
+    # level in one chunk must agree to the last bit
+    f = gen_random_spd(GridSpec(d, n), seed=11, eig_low=1e-2, eig_high=1e2)
+    for level in range(-1, -n, -1):
+        runs = []
+        for budget, chunks in ((1, 3 ** (-level * d)), (10**12, 1)):
+            monkeypatch.setattr(cge.solver, "CHUNK_NNZ", budget)
+            g_all, stats = batched_neumann_functionals(f, level)
+            assert stats.chunks == chunks
+            runs.append((g_all, stats.residual))
+        (g_split, res_split), (g_whole, res_whole) = runs
+        assert np.array_equal(g_split, g_whole)
+        assert res_split == res_whole
+
+
+def test_more_threads_than_cores_take_each_chunk_once(monkeypatch):
+    # the threads share one iterator over the chunks: a lost take leaves a
+    # cube NaN, a repeated one solves a chunk twice
+    f = gen_random_spd(GridSpec(2, 4), seed=5, eig_low=1e-2, eig_high=1e2)
+    whole, _ = batched_neumann_functionals(f, -3)  # 729 cubes of 3x3 cells
+    taken = []
+    real = cge.solver._chunk_functionals
+
+    def spy(cells, *args):
+        taken.append(cells.shape[0])
+        return real(cells, *args)
+
+    pool = ThreadPoolExecutor(4)
+    monkeypatch.setattr(cge.solver, "_POOL", pool)
+    monkeypatch.setattr(cge.solver, "_chunk_functionals", spy)
+    monkeypatch.setattr(cge.solver, "CHUNK_NNZ", 1)
+    monkeypatch.setattr(cge.solver.os, "sched_getaffinity", lambda pid: set(range(5)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        g_all, stats = batched_neumann_functionals(f, -3)
+    finally:
+        sys.setswitchinterval(interval)
+        pool.shutdown()
+    assert (stats.chunks, stats.threads) == (729, 5)
+    assert taken == [1] * 729
+    assert np.array_equal(g_all, whole)
 
 
 @pytest.mark.parametrize("d, n", [(2, 3), (3, 2)])

@@ -48,6 +48,7 @@ from .grid import (
 from .solver import (
     SolveStats,
     SolverError,
+    _chunk_pool,
     batched_neumann_functionals,
     neumann_functionals,
 )
@@ -260,7 +261,13 @@ def sweep(field: CoefficientField, cache_dir: str | None = None) -> SweepResult:
     read whole from its record, keyed by field content hash, level and
     :data:`SOLVER_TAG`, or solved whole by
     :func:`~cge.solver.batched_neumann_functionals`, one factorization per
-    chunk of whole cubes. A warm cache re-run performs zero solves. Failures
+    chunk of whole cubes. A warm cache re-run performs zero solves. In 3D,
+    when level 0 and another solved level miss the cache and the process
+    may use more than one core, every record is read first, a thread of
+    :func:`~cge.solver._chunk_pool` solves level 0 and the calling thread
+    solves the other levels meanwhile; the levels are then built, logged
+    and cached in the usual order. Every chunk is still factored alone, so
+    the numbers do not depend on the schedule. Failures
     are recorded per cube and surface as NaN matrices rather than aborting
     the sweep: a failed factorization fails the cubes of its chunk, the rest
     of the level keeps its numbers, and a level with a failed cube is not
@@ -272,6 +279,28 @@ def sweep(field: CoefficientField, cache_dir: str | None = None) -> SweepResult:
     d = grid.d
     ncomp = sym_component_count(d)
     cell_inv_norm = 1.0 / sym_eig_bounds(field.data, d)[0]
+
+    def load(level: int) -> tuple[np.ndarray, np.ndarray] | None:
+        if cache_dir is None:
+            return None
+        return _cache_load(_cache_path(cache_dir, field.content_hash, level),
+                           (3 ** (-level),) * d + (ncomp,))
+
+    # In 3D, level 0's factor outweighs all other levels together (nested-
+    # dissection fill grows like n**(4/3)), so a pool thread factors it while
+    # this thread solves the other levels. In 2D it does not, and any overlap
+    # raised peak RSS, so 2D (and 1D) solve one level at a time.
+    records: dict[int, tuple[np.ndarray, np.ndarray] | None] = {}
+    solved: dict[int, tuple] = {}
+    if d == 3 and len(os.sched_getaffinity(0)) > 1:
+        records = {level: load(level) for level in range(0, -grid.N, -1)}
+        misses = [level for level, rec in records.items() if rec is None]
+        if len(misses) > 1 and misses[0] == 0:
+            top = _chunk_pool().submit(_solve_level, field, 0)
+            try:
+                solved = {level: _solve_level(field, level) for level in misses[1:]}
+            finally:
+                solved[0] = top.result()
 
     levels: dict[int, LevelData] = {}
     solve_count = 0
@@ -292,19 +321,23 @@ def sweep(field: CoefficientField, cache_dir: str | None = None) -> SweepResult:
             _log_level(level, "cells", n_cubes, None, t0)
             continue
 
-        path = None if cache_dir is None else _cache_path(cache_dir, field.content_hash, level)
-        rec = None if path is None else _cache_load(path, (3 ** (-level),) * d + (ncomp,))
+        rec = records[level] if level in records else load(level)
         if rec is not None:
             astar_inv_arr, amax_arr = rec
             cache_hits += n_cubes
             method, stats = "cache", None
         else:
-            astar_inv_arr, amax_arr, level_failures, stats = _solve_level(field, level)
+            if level in solved:
+                astar_inv_arr, amax_arr, level_failures, stats = solved.pop(level)
+                t0 -= stats.wall_time  # solved before this loop
+            else:
+                astar_inv_arr, amax_arr, level_failures, stats = _solve_level(field, level)
             method = stats.method
             failures += level_failures
             solve_count += 2 * d * (n_cubes - len(level_failures))
-            if path is not None and not level_failures:
-                _cache_store(path, astar_inv_arr, amax_arr)
+            if cache_dir is not None and not level_failures:
+                _cache_store(_cache_path(cache_dir, field.content_hash, level),
+                             astar_inv_arr, amax_arr)
 
         astar_arr = sym_pack(np.linalg.inv(sym_unpack(astar_inv_arr, d)))
         levels[level] = LevelData(level, astar_arr, amax_arr, avg, inv_avg_inv, astar_inv_arr)

@@ -25,8 +25,12 @@ keeping that order, and all 2d forcings are back-solved together; each
 cube's solution is then re-centred to zero mean. The chunks of a level run
 on one thread per core this process may use, the calling thread among them
 (SuperLU releases the GIL); with one chunk or one core the caller runs them
-alone. Every block is factored alone, so the numbers do not depend on the
-split. The Dirichlet systems are SPD as well (the cell-centered one
+alone. A 3D sweep also hands level 0, one cube whose factor outweighs all
+other levels together, to a pool thread while the caller solves the other
+levels; a helper that finds its pool thread still busy when the caller has
+taken a level's last chunk is cancelled. Every block is factored alone, so
+the numbers do not depend on the split or the schedule. The Dirichlet
+systems are SPD as well (the cell-centered one
 is an M-matrix with the boundary terms on its diagonal, the Q1 one the
 interior block of the stiffness); they list their unknowns in the same
 nested-dissection order and take one step of iterative refinement with the
@@ -38,7 +42,7 @@ so importing ``cge`` (and ``cge gen``, which never solves) loads no SciPy
 sparse code. ``cge.cli`` loads them before a solving command reads its
 field. Likewise ``concurrent.futures`` and the chunk threads load and start
 with the first level that has more than one chunk to run on more than one
-core.
+core, or with the first overlapped 3D level 0.
 """
 
 from __future__ import annotations
@@ -380,9 +384,9 @@ def _chunk_cubes(m: int, d: int) -> int:
 
 
 def _chunk_pool():
-    """The threads that take chunks alongside the calling thread: one per
-    core this process may use, less the caller's. Started on first use and
-    kept for the life of the process."""
+    """The threads that take chunks alongside the calling thread (and, in a
+    3D sweep, solve level 0): one per core this process may use, less the
+    caller's. Started on first use and kept for the life of the process."""
     global _POOL
     if _POOL is None:
         from concurrent.futures import ThreadPoolExecutor
@@ -465,12 +469,16 @@ def batched_neumann_functionals(
     the threads of :func:`_chunk_pool` take the chunks one at a time. The
     caller takes chunks too, so they reuse the memory that level 0 freed
     in the caller's heap; each helper thread allocates from a heap of its
-    own, which stays with the process. Returns ``(g_all, stats)`` with
-    ``g_all`` of shape ``(3**-level,)*d + (2d, 2d)`` in row-major cube
-    order; ``stats.residual`` is the largest over the chunks, and
-    ``stats.chunks`` and ``stats.threads`` say how the level ran. A failed
-    factorization raises :class:`SolverError` after every chunk has run,
-    carrying the level with the failed chunks' cubes NaN.
+    own, which stays with the process. Once the caller has taken the last
+    chunk, a helper that has not started (its pool thread is busy, as with
+    3D level 0 in :func:`~cge.coarse.sweep`) is cancelled, not waited for.
+    Returns ``(g_all, stats)`` with ``g_all`` of shape
+    ``(3**-level,)*d + (2d, 2d)`` in row-major cube order;
+    ``stats.residual`` is the largest over the chunks, ``stats.chunks`` the
+    number of chunks and ``stats.threads`` the threads that took at least
+    one of them. A failed factorization raises :class:`SolverError` after
+    every chunk has run, carrying the level with the failed chunks' cubes
+    NaN.
     """
     t0 = time.perf_counter()
     grid = field.grid
@@ -492,7 +500,8 @@ def batched_neumann_functionals(
                 for lo in jobs]
 
     helpers = [_chunk_pool().submit(drain) for _ in range(threads - 1)]
-    done = drain() + [pair for helper in helpers for pair in helper.result()]
+    takes = [drain()] + [helper.result() for helper in helpers if not helper.cancel()]
+    done = [pair for take in takes for pair in take]
     g_all = np.full((ncubes, 2 * d, 2 * d), np.nan)
     failed = np.zeros(ncubes, dtype=bool)
     errors, residuals = [], []
@@ -504,7 +513,8 @@ def batched_neumann_functionals(
             g_all[lo:lo + size] = out[0]
             residuals.append(out[1].residual)
     stats = SolveStats(0, float(np.max(residuals)) if residuals else math.nan, (m + 1) ** d,
-                       time.perf_counter() - t0, "splu", len(starts), threads)
+                       time.perf_counter() - t0, "splu", len(starts),
+                       sum(1 for take in takes if take))
     shape = (3 ** (-level),) * d
     g_all = g_all.reshape(shape + (2 * d, 2 * d))
     if errors:

@@ -13,6 +13,8 @@ import json
 import logging
 import math
 import os
+import threading
+import zipfile
 
 import numpy as np
 import pytest
@@ -377,6 +379,139 @@ def failing_factorization(monkeypatch):
         raise RuntimeError("Factor is exactly singular")
 
     monkeypatch.setattr(cge.solver, "_factor", fail)
+
+
+# ---------------------------------------------------------------------------
+# 3D level 0 on a pool thread beside the other levels
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def cores(monkeypatch):
+    """``cores(n)`` makes the process see ``n`` cores, with a chunk pool
+    started afresh for them (and shut down after the test)."""
+    def set_cores(n):
+        monkeypatch.setattr(cge.solver.os, "sched_getaffinity", lambda pid: set(range(n)))
+        monkeypatch.setattr(cge.solver, "_POOL", None)
+
+    yield set_cores
+    if cge.solver._POOL is not None:
+        cge.solver._POOL.shutdown()
+
+
+def _cache_members(cache, field_hash):
+    """Every cache file's archive members, as bytes."""
+    members = {}
+    for path in sorted((cache / field_hash).iterdir()):
+        with zipfile.ZipFile(path) as archive:
+            members[path.name] = {name: archive.read(name) for name in archive.namelist()}
+    return members
+
+
+class TestLevelZeroOverlap:
+    FIELD_SEED = 3
+
+    def field(self, n):
+        return gen_random_spd(GridSpec(3, n), seed=self.FIELD_SEED, eig_low=1e-2, eig_high=1e2)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_two_cores_match_one_core(self, cores, tmp_path, n):
+        field = self.field(n)
+        runs = []
+        for count in (1, 2):
+            cores(count)
+            cache = tmp_path / f"cores{count}"
+            result = sweep(field, cache_dir=str(cache))
+            assert result.failures == []
+            runs.append((result, _cache_members(cache, field.content_hash)))
+        (one, one_files), (two, two_files) = runs
+        assert sorted(one_files) == sorted(f"level_{k}.npz" for k in range(0, -n, -1))
+        assert two_files == one_files
+        assert (two.solve_count, two.cache_hits) == (one.solve_count, one.cache_hits)
+        for level, ld in one.levels.items():
+            for name in ("astar", "amax", "avg", "inv_avg_inv", "astar_inv"):
+                assert getattr(two.levels[level], name).tobytes() == getattr(ld, name).tobytes()
+
+    def test_level_zero_runs_beside_the_other_levels(self, cores, monkeypatch, caplog):
+        # level 0 may only go on once level -1 has returned: run in order on
+        # one thread, it would be solved first
+        cores(2)
+        caller = threading.current_thread()
+        lower_done = threading.Event()
+        ran_on = {}
+        real = cge.coarse._solve_level
+
+        def spy(field, level):
+            ran_on[level] = threading.current_thread()
+            if level == 0 and ran_on[0] is not caller:
+                assert lower_done.wait(timeout=60)
+            out = real(field, level)
+            if level == -1:
+                lower_done.set()
+            return out
+
+        monkeypatch.setattr(cge.coarse, "_solve_level", spy)
+        with caplog.at_level(logging.DEBUG, logger="cge.coarse"):
+            result = sweep(self.field(3))
+        assert ran_on[0] is not caller
+        assert ran_on[0].name.startswith("cge-chunk")
+        assert ran_on[-1] is ran_on[-2] is caller
+        assert result.failures == []
+        # one line per level, in order; level -1's helper waited behind
+        # level 0 and was cancelled, so the caller took its 27 chunks alone
+        lines = [r.getMessage() for r in caplog.records if r.name == "cge.coarse"]
+        assert [line.split(",")[0] for line in lines] == [
+            "level 0: splu", "level -1: splu", "level -2: splu", "level -3: cells"]
+        assert lines[0].startswith("level 0: splu, 1 cubes in 1 chunks on 1 threads, ")
+        assert lines[1].startswith("level -1: splu, 27 cubes in 27 chunks on 1 threads, ")
+
+    def test_failed_level_zero_keeps_the_other_levels(self, cores, monkeypatch, tmp_path):
+        cores(2)
+        field = self.field(2)
+        clean = sweep(field)
+        real = cge.solver._factor
+
+        def fail_level_zero(mat):
+            if mat.shape[0] == 10**3 - 1:  # the one 9x9x9-cell cube
+                raise RuntimeError("Factor is exactly singular")
+            return real(mat)
+
+        monkeypatch.setattr(cge.solver, "_factor", fail_level_zero)
+        result = sweep(field, cache_dir=str(tmp_path))
+        assert [(e["level"], e["offset"]) for e in result.failures] == [(0, [0, 0, 0])]
+        assert "singular" in result.failures[0]["message"]
+        assert np.isnan(result.levels[0].amax).all()
+        assert np.array_equal(result.levels[-1].amax, clean.levels[-1].amax)
+        assert sorted(os.listdir(tmp_path / field.content_hash)) == ["level_-1.npz"]
+
+    def test_failed_lower_chunk_keeps_level_zero(self, cores, monkeypatch, tmp_path):
+        cores(2)
+        field = self.field(2)
+        clean = sweep(field)
+        # level -1 holds 27 cubes of 3x3x3 cells: 4 to a chunk leaves cubes
+        # 24-26 in the last chunk, the only factor of 3 * 63 unknowns
+        monkeypatch.setattr(cge.solver, "CHUNK_NNZ", 4 * cge.solver._factor_nnz(3, 3))
+        real = cge.solver._factor
+
+        def fail_last_chunk(mat):
+            if mat.shape[0] == 3 * (4**3 - 1):
+                raise RuntimeError("Factor is exactly singular")
+            return real(mat)
+
+        monkeypatch.setattr(cge.solver, "_factor", fail_last_chunk)
+        result = sweep(field, cache_dir=str(tmp_path))
+        assert [(e["level"], e["offset"]) for e in result.failures] == [
+            (-1, [2, 2, k]) for k in range(3)]
+        assert np.array_equal(result.levels[0].amax, clean.levels[0].amax)
+        assert np.isfinite(result.levels[-1].amax[:2]).all()
+        assert sorted(os.listdir(tmp_path / field.content_hash)) == ["level_0.npz"]
+
+    def test_one_core_starts_no_chunk_thread(self, cores):
+        cores(1)
+        before = set(threading.enumerate())
+        sweep(self.field(2))
+        assert cge.solver._POOL is None
+        assert not [t.name for t in set(threading.enumerate()) - before
+                    if t.name.startswith("cge-chunk")]
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import cge.harness
 from cge.fields import gen_constant, gen_laminate
 from cge.grid import GridSpec, TriadicCube
 from cge.harness import (
     HARNACK_CALIBRATION,
     LOCAL_BOUND_CALIBRATION,
+    MAX_PRINCIPLE_RTOL,
     SUBCUBE_FRACTIONS,
     ExperimentRecord,
+    MaxPrincipleViolation,
     harnack_experiment,
     local_boundedness_experiment,
     log_caccioppoli_diagnostic,
@@ -166,6 +169,50 @@ class TestMaxPrinciple:
         assert u.data.max() <= bvals.max() + 1e-9 * span
         assert u.data.min() >= bvals.min() - 1e-9 * span
 
+    @staticmethod
+    def hand_made_solution(monkeypatch, data):
+        """Make the experiments' Dirichlet solve return the cell values ``data``."""
+        def solve(field, cube, boundary, **kwargs):
+            _, stats = solve_dirichlet(field, cube, boundary, **kwargs)
+            return CubeFunction(field.grid, cube, data, "cell"), stats
+
+        monkeypatch.setattr(cge.harness, "solve_dirichlet", solve)
+
+    @pytest.mark.parametrize("experiment", [harnack_experiment, local_boundedness_experiment])
+    @pytest.mark.parametrize("index, value", [(0, 2.5 + 1e-8), (-1, 1.5 - 1e-8)],
+                             ids=["upper", "lower"])
+    def test_solution_outside_the_boundary_range_is_reported(
+            self, monkeypatch, experiment, index, value):
+        # data 2 + x ranges over [1.5, 2.5] on the faces; the hand-made
+        # solution leaves it on one side by 1e-8, 4e-9 of max|b|
+        grid = GridSpec(2, 3)
+        field = identity_field(grid)
+        data = np.full((grid.cells_per_side,) * 2, 2.0)
+        data.flat[index] = value
+        self.hand_made_solution(monkeypatch, data)
+        with pytest.raises(MaxPrincipleViolation, match=r"\[1\.5, 2\.5\] by 4e-09 of max\|b\|"):
+            experiment(field, lambda x, y: 2.0 + x, 0.3, 0.3)
+
+    @pytest.mark.parametrize("experiment", [harnack_experiment, local_boundedness_experiment])
+    def test_slack_is_recorded(self, experiment):
+        rec = experiment(identity_field(), affine_boundary, 0.45, 0.45)
+        u, _ = solve_dirichlet(identity_field(), CUBE0, affine_boundary, discretization="fd5")
+        # the extreme cell centres sit 1/486 inside the faces x = -1/2, 1/2
+        assert rec.diagnostics["max_principle_slack"] == pytest.approx(
+            (1.0 / 486.0) / 2.5, rel=1e-9)
+        assert rec.diagnostics["max_principle_slack"] == pytest.approx(
+            (2.5 - u.data.max()) / 2.5, rel=1e-12)
+
+    def test_rounding_overshoot_is_tolerated(self, monkeypatch):
+        # constant data comes back with rounding of order 1e-15: inside the
+        # tolerance, and recorded with its sign
+        grid = GridSpec(2, 3)
+        data = np.full((grid.cells_per_side,) * 2, 2.0)
+        data[0, 0] = 2.0 * (1.0 + 4e-16)
+        self.hand_made_solution(monkeypatch, data)
+        rec = local_boundedness_experiment(identity_field(grid), lambda x, y: 2.0 + 0 * x,
+                                           0.3, 0.3)
+        assert -MAX_PRINCIPLE_RTOL < rec.diagnostics["max_principle_slack"] < 0
 
     def test_checks_read_the_face_values_the_solver_reads(self):
         # at N=6 the upper face lo + m*h is 0.4999999999999999, not 0.5

@@ -16,10 +16,12 @@ ratio of its coefficient field:
 * :func:`sharpness_sweep` — log-oscillation of exact anisotropic solutions
   as a function of the coefficient contrast, with a least-squares slope.
 
-All experiments use the cell-centered discretization, whose discrete
-maximum principle (``min b <= u <= max b`` for boundary data ``b``) makes
-positivity of solutions a checkable guarantee rather than an assumption;
-both oscillation experiments check it on both sides and record the slack.
+The experiments solve with :func:`~cge.solver.solve_dirichlet`, the
+cell-centered scheme, whose discrete maximum principle (``min b <= u <= max
+b`` for boundary data ``b``) makes positivity of solutions a checkable
+guarantee rather than an assumption; both oscillation experiments check it
+on both sides and record the slack. The scheme takes diagonal coefficients
+only, so a full-matrix field is a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -181,11 +183,6 @@ def _full_domain(d: int) -> TriadicCube:
     return TriadicCube(0, (0,) * d)
 
 
-#: The cell-centered discretization: its discrete maximum principle makes
-#: positivity of the solutions a checked guarantee.
-_CELL_CENTERED = "fd5"
-
-
 def _check_exponents(s: float, t: float) -> float:
     if not (0 < s < 1 and 0 < t < 1):
         raise ValueError("exponents must lie in (0, 1)")
@@ -332,8 +329,7 @@ def harnack_experiment(
             f"{bvals.min():.6g}"
         )
 
-    u, stats = solve_dirichlet(field, _full_domain(field.d), boundary,
-                               discretization=_CELL_CENTERED)
+    u, stats = solve_dirichlet(field, _full_domain(field.d), boundary)
     slack = _max_principle_slack(u, bvals)
     global_min = float(u.data.min())
     if global_min <= 0.0:
@@ -410,8 +406,7 @@ def local_boundedness_experiment(
     if not np.all(np.isfinite(bvals)):
         raise ValueError("boundary data must be finite at all face centers")
 
-    u, stats = solve_dirichlet(field, _full_domain(field.d), boundary,
-                               discretization=_CELL_CENTERED)
+    u, stats = solve_dirichlet(field, _full_domain(field.d), boundary)
     slack = _max_principle_slack(u, bvals)
     theta_val, theta_method = _resolve_theta(field, s, t, sweep_result, theta)
     sups, infs = _extremes(u)

@@ -8,12 +8,10 @@ Two problem classes back everything else:
   ("flux" forcing), discretized with multilinear Q1 elements and exact
   integration of the piecewise-constant coefficient;
 * Dirichlet problems ``-div(a grad u) = 0`` with given boundary values,
-  discretized with Q1 elements (``solve_dirichlet``'s default,
-  ``discretization="q1"``) or, with ``discretization="fd5"``, cell-centered
-  with harmonic face averaging (a 2d+1-point M-matrix stencil that obeys a
-  discrete maximum principle) for scalar/diagonal coefficients. The
-  cell-centered solve and the harness read the boundary data at the same
-  face centers, from :func:`boundary_face_values`.
+  cell-centered with harmonic face averaging (a 2d+1-point M-matrix stencil
+  that obeys a discrete maximum principle) for scalar/diagonal
+  coefficients. The solve and the harness read the boundary data at the
+  same face centers, from :func:`boundary_face_values`.
 
 Every pure-Neumann solve goes through one engine. It assembles equal cubes
 (all cubes of a triadic level, or a single cube) into one block-diagonal
@@ -30,11 +28,10 @@ other levels together, to a pool thread while the caller solves the other
 levels; a helper that finds its pool thread still busy when the caller has
 taken a level's last chunk is cancelled. Every block is factored alone, so
 the numbers do not depend on the split or the schedule. The Dirichlet
-systems are SPD as well (the cell-centered one
-is an M-matrix with the boundary terms on its diagonal, the Q1 one the
-interior block of the stiffness); they list their unknowns in the same
-nested-dissection order and take one step of iterative refinement with the
-same factor. Every solve's sparse factorization goes through :func:`_factor`.
+system is SPD as well (an M-matrix with the boundary terms on its
+diagonal); it lists its unknowns in the same nested-dissection order and
+takes one step of iterative refinement with the same factor. Every solve's
+sparse factorization goes through :func:`_factor`.
 
 ``scipy.sparse`` and ``scipy.sparse.linalg`` are not imported with this
 module: the functions that assemble or factor a sparse matrix import them,
@@ -555,19 +552,14 @@ def solve_linear_forcing(
 # Dirichlet problems
 # ---------------------------------------------------------------------------
 
-def _diagonal_cells(field: CoefficientField, cube: TriadicCube) -> np.ndarray:
-    """Per-cell diagonal entries (m,)*d + (d,); rejects off-diagonal fields."""
-    d = field.d
-    block = field.data[cube.cell_slices(field.grid)]
+def _diagonal_cells(block: np.ndarray, d: int) -> np.ndarray:
+    """Per-cell diagonal entries ``(..., d)`` of a packed cell block; rejects
+    off-diagonal fields."""
     pairs = sym_index_pairs(d)
     off = [c for c, (i, j) in enumerate(pairs) if i != j]
     if off and np.any(block[..., off] != 0.0):
-        raise ValueError(
-            "the 2d+1-point stencil requires a diagonal coefficient; "
-            "use the q1 discretization for full matrices"
-        )
-    diag = [c for c, (i, j) in enumerate(pairs) if i == j]
-    return block[..., diag]
+        raise ValueError("the cell-centered scheme requires a diagonal coefficient")
+    return block[..., [c for c, (i, j) in enumerate(pairs) if i == j]]
 
 
 def _shift_view(arr: np.ndarray, axis: int, lo: int, hi: int | None) -> np.ndarray:
@@ -580,81 +572,31 @@ def solve_dirichlet(
     field: CoefficientField,
     cube: TriadicCube,
     boundary: Callable[..., np.ndarray],
-    *,
-    discretization: str = "q1",
 ) -> tuple[CubeFunction, SolveStats]:
     """Solve ``-div(a grad u) = 0`` on a cube with given boundary values.
 
-    ``boundary`` is evaluated at boundary nodes (``discretization="q1"``,
-    the default) or at the boundary face centers of
-    :func:`boundary_face_values` (``"fd5"``, cell-centered), in centered
-    physical coordinates, called as ``boundary(X1, ..., Xd)``.
+    Cell-centered, with harmonic face averaging: a 2d+1-point M-matrix
+    stencil, which requires a diagonal coefficient and gives a cell-mode
+    solution satisfying a discrete maximum principle. ``boundary`` is called
+    as ``boundary(X1, ..., Xd)`` in centered physical coordinates, at the
+    face centers of :func:`boundary_face_values`, half a cell from the
+    centers of the boundary cells.
 
-    The ``q1`` path accepts full symmetric coefficients and returns a
-    node-mode function that matches the boundary data exactly at boundary
-    nodes; the ``fd5`` path requires a diagonal coefficient and returns a
-    cell-mode function satisfying a discrete maximum principle.
+    The unknowns are listed in nested-dissection order of the cells; the
+    system is factored once by :func:`_factor` and takes one refinement step
+    ``x += solve(b - A x)`` with the same factor. Without it, constant
+    boundary data on a 2D ``N=5`` grid comes back with an oscillation near
+    1e-12, which the constant-solution checks of the harness diagnostics
+    read as non-constant. Raises :class:`SolverError` if the factorization
+    fails.
     """
-    if discretization == "fd5":
-        return _solve_dirichlet_fv(field, cube, boundary)
-    if discretization == "q1":
-        return _solve_dirichlet_q1(field, cube, boundary)
-    raise ValueError(f"unknown discretization {discretization!r}")
-
-
-def boundary_face_values(
-    grid: GridSpec, cube: TriadicCube, boundary: Callable[..., np.ndarray]
-) -> list[np.ndarray]:
-    """``boundary`` at the centers of a cube's boundary faces, as the
-    cell-centered solve evaluates it.
-
-    One array per axis and side (lower side first), each shaped like the
-    layer of cells next to that side. Callers that check the data (sign,
-    finiteness, constancy) sample it here, so they check exactly the values
-    the solve uses.
-    """
-    m = cube.cells_per_side(grid)
-    lo_phys, _ = cube.physical_bounds()
-    centers = [lo_phys[a] + (np.arange(m) + 0.5) * grid.h for a in range(grid.d)]
-    values = []
-    for a in range(grid.d):
-        for plane in (lo_phys[a], lo_phys[a] + m * grid.h):
-            axes = [np.asarray([plane]) if b == a else centers[b] for b in range(grid.d)]
-            values.append(np.asarray(boundary(*np.meshgrid(*axes, indexing="ij")), dtype=float))
-    return values
-
-
-def _solve_spd(mat: sp.csc_matrix, b: np.ndarray, method: str, t0: float
-               ) -> tuple[np.ndarray, SolveStats]:
-    """Solve an SPD system with one :func:`_factor` and one refinement step.
-
-    The refinement ``x += solve(b - A x)`` reuses the factor. Without it,
-    constant boundary data on a 2D ``N=5`` grid comes back with an
-    oscillation near 1e-12, which the constant-solution checks of the
-    harness diagnostics read as non-constant. Raises :class:`SolverError` if
-    the factorization fails.
-    """
-    n = mat.shape[0]
-    try:
-        lu = _factor(mat)
-    except RuntimeError as err:
-        raise SolverError(f"sparse factorization failed: {err}",
-                          SolveStats(0, math.nan, n, time.perf_counter() - t0, method)) from err
-    x = lu.solve(b)
-    x += lu.solve(b - mat @ x)
-    res = np.linalg.norm(mat @ x - b) / max(np.linalg.norm(b), 1e-300)
-    return x, SolveStats(0, float(res), n, time.perf_counter() - t0, method)
-
-
-def _solve_dirichlet_fv(field, cube, boundary):
-    """Cell-centered solve; unknowns in nested-dissection order of the cells."""
     t0 = time.perf_counter()
     grid = field.grid
     d = grid.d
     h = grid.h
     m = cube.cells_per_side(grid)
     n = m**d
-    diag_cells = _diagonal_cells(field, cube)
+    diag_cells = _diagonal_cells(field.data[cube.cell_slices(grid)], d)
     shape = (m,) * d
     order = _nested_dissection(m - 1, d)  # the cells of the cube as an m**d grid
     flat = np.argsort(order).reshape(shape)  # each cell's row in that order
@@ -694,35 +636,39 @@ def _solve_dirichlet_fv(field, cube, boundary):
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n),
     ).tocsc()
-    x, stats = _solve_spd(amat, rhs.ravel()[order], "fv-splu", t0)
+    b = rhs.ravel()[order]
+    try:
+        lu = _factor(amat)
+    except RuntimeError as err:
+        raise SolverError(f"sparse factorization failed: {err}",
+                          SolveStats(0, math.nan, n, time.perf_counter() - t0, "fv-splu")) from err
+    x = lu.solve(b)
+    x += lu.solve(b - amat @ x)
+    res = np.linalg.norm(amat @ x - b) / max(np.linalg.norm(b), 1e-300)
+    stats = SolveStats(0, float(res), n, time.perf_counter() - t0, "fv-splu")
     return CubeFunction(grid, cube, x[flat], "cell"), stats
 
 
-def _solve_dirichlet_q1(field, cube, boundary):
-    """Q1 solve; interior nodes in nested-dissection order."""
-    t0 = time.perf_counter()
-    grid = field.grid
-    d = grid.d
+def boundary_face_values(
+    grid: GridSpec, cube: TriadicCube, boundary: Callable[..., np.ndarray]
+) -> list[np.ndarray]:
+    """``boundary`` at the centers of a cube's boundary faces, as
+    :func:`solve_dirichlet` evaluates it.
+
+    One array per axis and side (lower side first), each shaped like the
+    layer of cells next to that side. Callers that check the data (sign,
+    finiteness, constancy) sample it here, so they check exactly the values
+    the solve uses.
+    """
     m = cube.cells_per_side(grid)
-    kmat = assemble_neumann(field, cube)
     lo_phys, _ = cube.physical_bounds()
-    axes = [lo_phys[a] + np.arange(m + 1) * grid.h for a in range(d)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    is_boundary = np.zeros((m + 1,) * d, dtype=bool)
-    for a in range(d):
-        _shift_view(is_boundary, a, 0, 1)[...] = True
-        _shift_view(is_boundary, a, m, None)[...] = True
-    gvals = np.asarray(boundary(*mesh), dtype=float).ravel()
-    bmask = is_boundary.ravel()
-    u = np.where(bmask, gvals, 0.0)
-    # interior nodes in C order form an (m-1)**d grid; list them dissected
-    interior = np.flatnonzero(~bmask)[_nested_dissection(m - 2, d)]
-    stats = SolveStats(0, 0.0, 0, time.perf_counter() - t0, "q1-splu")
-    if interior.size > 0:
-        k_i = kmat[interior]
-        rhs = -(k_i[:, bmask] @ gvals[bmask])
-        u[interior], stats = _solve_spd(k_i[:, interior].tocsc(), rhs, "q1-splu", t0)
-    return CubeFunction(grid, cube, u.reshape((m + 1,) * d), "node"), stats
+    centers = [lo_phys[a] + (np.arange(m) + 0.5) * grid.h for a in range(grid.d)]
+    values = []
+    for a in range(grid.d):
+        for plane in (lo_phys[a], lo_phys[a] + m * grid.h):
+            axes = [np.asarray([plane]) if b == a else centers[b] for b in range(grid.d)]
+            values.append(np.asarray(boundary(*np.meshgrid(*axes, indexing="ij")), dtype=float))
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -789,14 +735,10 @@ def _q1_energy(cell_block: np.ndarray, node_data: np.ndarray, d: int, h: float) 
 
 
 def _fv_energy(cell_block: np.ndarray, data: np.ndarray, d: int, h: float) -> float:
-    pairs = sym_index_pairs(d)
-    off = [c for c, (i, j) in enumerate(pairs) if i != j]
-    if off and np.any(cell_block[..., off] != 0.0):
-        raise ValueError("cell-mode energy requires a diagonal coefficient")
-    diag = [c for c, (i, j) in enumerate(pairs) if i == j]
+    diag_cells = _diagonal_cells(cell_block, d)
     total = 0.0
     for a in range(d):
-        ca = cell_block[..., diag[a]]
+        ca = diag_cells[..., a]
         left = _shift_view(ca, a, 0, -1)
         right = _shift_view(ca, a, 1, None)
         if left.size == 0:

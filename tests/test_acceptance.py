@@ -256,7 +256,7 @@ def test_c09_diagnostics_stay_finite_and_inside_frozen_envelopes():
     log_cacc = {}
     sob_poin = {}
     for field in suite:
-        u, _ = solve_dirichlet(field, cube, boundary, discretization="fd5")
+        u, _ = solve_dirichlet(field, cube, boundary)
         result = sweep(field)
         assert not result.failures
         theta_rh = ellipticity_constants(result, 0.3, 0.3).theta
@@ -280,7 +280,7 @@ def test_c09_diagnostics_stay_finite_and_inside_frozen_envelopes():
     contrast = 16.0
     aniso = gen_constant(grid, np.diag([1.0, contrast]), descriptor="diag(1,16)")
     u, _ = solve_dirichlet(aniso, cube,
-                           lambda x, y: np.exp(math.sqrt(contrast) * x), discretization="fd5")
+                           lambda x, y: np.exp(math.sqrt(contrast) * x))
     closed_form_ratio = log_caccioppoli_diagnostic(aniso, u, contrast)
     assert closed_form_ratio == pytest.approx(1.0, rel=0.02)
 

@@ -260,6 +260,18 @@ class TestHarnack:
         assert rc == 1
         assert "strictly positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["two-sided", "one-sided"])
+    def test_full_matrix_field_is_operational_error(self, workdir, capsys, mode):
+        # the cell-centered scheme takes diagonal coefficients only
+        rc = main(["gen", "--kind", "random", "--seed", "3", "--grid-n", "2",
+                   "--field-out", "random.cge"])
+        assert rc == 0
+        rc = main(["harnack", "--field", "random.cge", "--boundary", "affine:2,1,0",
+                   "--mode", mode, "--s", "0.3", "--t", "0.3", "--out", "h.json"])
+        assert rc == 1
+        assert "requires a diagonal coefficient" in capsys.readouterr().err
+        assert not (workdir / "h.json").exists()
+
 
 class TestSweepCommand:
     def test_sharpness_outputs(self, workdir, capsys):

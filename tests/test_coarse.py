@@ -30,7 +30,7 @@ from cge.coarse import (
     sweep,
 )
 from cge.fields import gen_constant, gen_laminate, gen_random_spd
-from cge.grid import CoefficientField, GridSpec, TriadicCube, partition
+from cge.grid import CoefficientField, GridSpec, TriadicCube, partition, sym_unpack
 from cge.solver import (
     CubeFunction,
     SolverError,
@@ -694,6 +694,8 @@ class TestAudit:
             ("finite", -1, [1, 1])
         ]
         assert report.violations[0]["magnitude"] == 3.0
+        assert all(type(z) is int for z in report.violations[0]["offset"])
+        json.dumps(report.to_dict())
         _set_entry(result, 0, "astar_inv", (0, 0, 1), np.inf)
         kinds = [(v["kind"], v["level"]) for v in audit(result).violations]
         assert kinds.count(("finite", 0)) == 1
@@ -729,6 +731,27 @@ class TestAudit:
         entry = next(v for v in report.violations if v["kind"] == "chain")
         assert entry["level"] == 0 and entry["offset"] == [0, 0]
         assert entry["magnitude"] > 0
+        # a per-cube violation is plain JSON: offsets are ints, not NumPy's
+        assert all(type(z) is int for v in report.violations for z in v["offset"] or ())
+        json.dumps(report.to_dict())
+
+    @pytest.mark.parametrize("d,N", [(1, 3), (2, 2), (3, 2)])
+    def test_cell_level_harmonic_mean_is_the_cell(self, d, N):
+        # one cell a cube: inverting the cell's inverse would be off by
+        # cond * eps, which the chain check read as a violation
+        field = gen_random_spd(GridSpec(d=d, N=N), seed=0)
+        result = sweep(field)
+        assert np.array_equal(result.levels[-N].inv_avg_inv, field.data)
+        cell = TriadicCube(-N, (1,) * d)
+        pair = coarse_grain_cube(field, cell)
+        assert np.array_equal(pair.inv_avg_inv, sym_unpack(field.data[(1,) * d], d))
+        assert np.array_equal(pair.inv_avg_inv, result.pair(cell).inv_avg_inv)
+
+    def test_wide_contrast_3d_audits_clean(self):
+        # eigenvalues 1e-3..1e3: before, the cell level failed the chain check
+        report = audit(sweep(gen_random_spd(GridSpec(d=3, N=2), seed=0)))
+        assert report.violations == []
+        assert report.max_slack["chain"] < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -161,7 +161,7 @@ class TestMaxPrinciple:
         def boundary(x, y):
             return np.sin(6.0 * x) + 0.2 * np.cos(9.0 * y)
 
-        u, _ = solve_dirichlet(field, CUBE0, boundary, discretization="fd5")
+        u, _ = solve_dirichlet(field, CUBE0, boundary)
         from cge.harness import _boundary_face_values
 
         bvals = _boundary_face_values(DESK, boundary)
@@ -196,7 +196,7 @@ class TestMaxPrinciple:
     @pytest.mark.parametrize("experiment", [harnack_experiment, local_boundedness_experiment])
     def test_slack_is_recorded(self, experiment):
         rec = experiment(identity_field(), affine_boundary, 0.45, 0.45)
-        u, _ = solve_dirichlet(identity_field(), CUBE0, affine_boundary, discretization="fd5")
+        u, _ = solve_dirichlet(identity_field(), CUBE0, affine_boundary)
         # the extreme cell centres sit 1/486 inside the faces x = -1/2, 1/2
         assert rec.diagnostics["max_principle_slack"] == pytest.approx(
             (1.0 / 486.0) / 2.5, rel=1e-9)
@@ -272,7 +272,7 @@ class TestLocalBoundedness:
 
 @pytest.fixture(scope="module")
 def solved_affine():
-    u, _ = solve_dirichlet(identity_field(), CUBE0, affine_boundary, discretization="fd5")
+    u, _ = solve_dirichlet(identity_field(), CUBE0, affine_boundary)
     return u
 
 
@@ -342,7 +342,7 @@ class TestReverseHolder:
                 0.5, 1.0, 0.3, 0.3, 1.0)
 
     def test_power_requires_positive_solution(self):
-        u, _ = solve_dirichlet(identity_field(), CUBE0, lambda x, y: x, discretization="fd5")
+        u, _ = solve_dirichlet(identity_field(), CUBE0, lambda x, y: x)
         with pytest.raises(ValueError, match="positive"):
             reverse_holder_diagnostic(
                 identity_field(), u, ("power", 2.0), 0.5, 1.0, 0.3, 0.3, 1.0)
@@ -357,7 +357,7 @@ class TestReverseHolder:
         grid = GridSpec(1, 3)
         field = gen_constant(grid, np.eye(1), descriptor="id1")
         u, _ = solve_dirichlet(field, TriadicCube(0, (0,)),
-                               lambda x: x + 2.0, discretization="fd5")
+                               lambda x: x + 2.0)
         with pytest.raises(ValueError, match="integrability"):
             reverse_holder_diagnostic(
                 field, u, ("power", 2.0), 0.5, 1.0, 0.3, 0.3, 1.0)
@@ -366,7 +366,7 @@ class TestReverseHolder:
 class TestLogCaccioppoli:
     def test_constant_solution_gives_zero(self):
         u, _ = solve_dirichlet(identity_field(), CUBE0,
-                               lambda x, y: np.ones_like(x), discretization="fd5")
+                               lambda x, y: np.ones_like(x))
         assert log_caccioppoli_diagnostic(identity_field(), u, 1.0) == pytest.approx(
             0.0, abs=1e-20)
 
@@ -383,17 +383,17 @@ class TestLogCaccioppoli:
         lam = 16.0
         field = gen_constant(DESK, np.diag([1.0, lam]), descriptor="diag(1,16)")
         u, _ = solve_dirichlet(field, CUBE0,
-                               lambda x, y: np.exp(math.sqrt(lam) * x), discretization="fd5")
+                               lambda x, y: np.exp(math.sqrt(lam) * x))
         ratio = log_caccioppoli_diagnostic(field, u, lam)
         assert ratio == pytest.approx(1.0, rel=0.02)
 
     def test_requires_positive_on_half_cube(self):
-        u, _ = solve_dirichlet(identity_field(), CUBE0, lambda x, y: x, discretization="fd5")
+        u, _ = solve_dirichlet(identity_field(), CUBE0, lambda x, y: x)
         with pytest.raises(ValueError, match="positive"):
             log_caccioppoli_diagnostic(identity_field(), u, 1.0)
 
     def test_rejects_nonpositive_constant(self):
-        u, _ = solve_dirichlet(identity_field(), CUBE0, affine_boundary, discretization="fd5")
+        u, _ = solve_dirichlet(identity_field(), CUBE0, affine_boundary)
         with pytest.raises(ValueError, match="lambda_upper"):
             log_caccioppoli_diagnostic(identity_field(), u, 0.0)
 
@@ -404,7 +404,7 @@ def constant_two(*x):
 
 class TestSobolevPoincare:
     def test_constant_solution_gives_zero(self):
-        u, _ = solve_dirichlet(identity_field(), CUBE0, constant_two, discretization="fd5")
+        u, _ = solve_dirichlet(identity_field(), CUBE0, constant_two)
         assert sobolev_poincare_diagnostic(identity_field(), u, 0.45, 1.0,
                                            boundary=constant_two) == 0.0
 
@@ -416,7 +416,7 @@ class TestSobolevPoincare:
         # maximum principle u is constant.
         for seed in (1, 2, 3):
             field = diagonal_field(GridSpec(2, n), seed, contrast)
-            u, _ = solve_dirichlet(field, CUBE0, constant_two, discretization="fd5")
+            u, _ = solve_dirichlet(field, CUBE0, constant_two)
             assert sobolev_poincare_diagnostic(field, u, 0.45, 1e-2,
                                                boundary=constant_two) == 0.0
 
@@ -428,17 +428,17 @@ class TestSobolevPoincare:
         def nearly_constant(x, y):
             return 2.0 + 1e-6 * x
 
-        u, _ = solve_dirichlet(field, CUBE0, nearly_constant, discretization="fd5")
+        u, _ = solve_dirichlet(field, CUBE0, nearly_constant)
         got = sobolev_poincare_diagnostic(field, u, 0.45, 1e-2,
                                           boundary=nearly_constant)
-        v, _ = solve_dirichlet(field, CUBE0, lambda x, y: x, discretization="fd5")
+        v, _ = solve_dirichlet(field, CUBE0, lambda x, y: x)
         expected = sobolev_poincare_diagnostic(field, v, 0.45, 1e-2,
                                                boundary=lambda x, y: x)
         assert got > 0.0
         assert got == pytest.approx(expected, rel=1e-4)
 
     def test_affine_closed_form(self):
-        u, _ = solve_dirichlet(identity_field(), CUBE0, lambda x, y: x, discretization="fd5")
+        u, _ = solve_dirichlet(identity_field(), CUBE0, lambda x, y: x)
         s = 0.45
         two_star = 2.0 * 2 / (2 - 2 * (1 - s))
         x = cell_centers(DESK)
@@ -452,7 +452,7 @@ class TestSobolevPoincare:
         assert got == pytest.approx(0.153669009088272, rel=1e-9)
 
     def test_scaling_with_lower_constant(self):
-        u, _ = solve_dirichlet(identity_field(), CUBE0, lambda x, y: x, discretization="fd5")
+        u, _ = solve_dirichlet(identity_field(), CUBE0, lambda x, y: x)
         base = sobolev_poincare_diagnostic(identity_field(), u, 0.45, 1.0,
                                            boundary=lambda x, y: x)
         quartered = sobolev_poincare_diagnostic(identity_field(), u, 0.45, 0.25,
@@ -462,7 +462,7 @@ class TestSobolevPoincare:
     def test_dimension_guard(self):
         grid = GridSpec(1, 3)
         field = gen_constant(grid, np.eye(1), descriptor="id1")
-        u, _ = solve_dirichlet(field, TriadicCube(0, (0,)), lambda x: x, discretization="fd5")
+        u, _ = solve_dirichlet(field, TriadicCube(0, (0,)), lambda x: x)
         with pytest.raises(ValueError, match="integrability"):
             sobolev_poincare_diagnostic(field, u, 0.3, 1.0, boundary=lambda x: x)
         # d=1 admits exponents above 1/2

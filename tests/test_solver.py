@@ -313,7 +313,7 @@ def test_galerkin_optimality_one_sided():
 def test_fv_dirichlet_affine_exact():
     g = GridSpec(2, 2)
     f = gen_constant(g, np.eye(2))
-    u, stats = solve_dirichlet(f, FULL, lambda x, y: x, discretization="fd5")
+    u, stats = solve_dirichlet(f, FULL, lambda x, y: x)
     xc, _ = np.meshgrid(g.axis_cell_centers(), g.axis_cell_centers(), indexing="ij")
     assert np.abs(u.data - xc).max() < 1e-9
     assert stats.method == "fv-splu"
@@ -328,7 +328,7 @@ def test_fv_dirichlet_constant_boundary():
     from cge.grid import CoefficientField
 
     fdiag = CoefficientField(g, diag)
-    u, _ = solve_dirichlet(fdiag, FULL, lambda x, y: np.full_like(x, 5.0), discretization="fd5")
+    u, _ = solve_dirichlet(fdiag, FULL, lambda x, y: np.full_like(x, 5.0))
     np.testing.assert_allclose(u.data, 5.0, atol=1e-12)
 
 
@@ -336,7 +336,7 @@ def test_fv_dirichlet_rejects_full_matrices():
     g = GridSpec(2, 1)
     f = gen_constant(g, np.array([[2.0, 0.5], [0.5, 1.0]]))
     with pytest.raises(ValueError, match="diagonal"):
-        solve_dirichlet(f, FULL, lambda x, y: x, discretization="fd5")
+        solve_dirichlet(f, FULL, lambda x, y: x)
 
 
 def test_fv_dirichlet_layered_exact_at_centers():
@@ -359,7 +359,7 @@ def test_fv_dirichlet_layered_exact_at_centers():
             out = np.where(inside, base + (x - lo) / vals[i], out)
         return np.broadcast_to((out / total), np.broadcast(x, y).shape)
 
-    u, _ = solve_dirichlet(f, FULL, exact, discretization="fd5")
+    u, _ = solve_dirichlet(f, FULL, exact)
     xg, yg = g.cell_center_mesh()
     np.testing.assert_allclose(u.data, exact(xg, yg), atol=1e-11)
 
@@ -380,7 +380,7 @@ def test_fv_maximum_principle_random_fields():
         def bdata(x, y, c=coeffs):
             return c[0] + c[1] * x + c[2] * y + c[3] * np.sin(4 * x) + c[4] * x * y
 
-        u, _ = solve_dirichlet(f, FULL, bdata, discretization="fd5")
+        u, _ = solve_dirichlet(f, FULL, bdata)
         # boundary values live on face centers; bound via a fine sampling
         ts = np.linspace(-0.5, 0.5, 201)
         edge_vals = np.concatenate(
@@ -393,24 +393,6 @@ def test_fv_maximum_principle_random_fields():
         assert u.data.max() <= hi + 1e-9 * rng_width
 
 
-def test_q1_dirichlet_affine_exact_full_matrix():
-    g = GridSpec(2, 2)
-    f = gen_constant(g, np.array([[2.0, 0.6], [0.6, 1.5]]))
-    u, _ = solve_dirichlet(f, FULL, lambda x, y: 2 * x - y + 0.3)
-    xg, yg = g.node_mesh()
-    np.testing.assert_allclose(u.data, 2 * xg - yg + 0.3, atol=1e-10)
-
-
-def test_q1_dirichlet_matches_boundary_exactly():
-    g = GridSpec(2, 1)
-    f = gen_random_spd(g, seed=41)
-    u, _ = solve_dirichlet(f, FULL, lambda x, y: np.cos(3 * x) + y)
-    xg, yg = g.node_mesh()
-    expect = np.cos(3 * xg) + yg
-    for idx in [(0, slice(None)), (-1, slice(None)), (slice(None), 0), (slice(None), -1)]:
-        np.testing.assert_array_equal(u.data[idx], expect[idx])
-
-
 def test_fv_dirichlet_convergence_order():
     lam = 4.0
 
@@ -421,7 +403,7 @@ def test_fv_dirichlet_convergence_order():
     for n_exp in (3, 4):
         g = GridSpec(2, n_exp)
         f = gen_constant(g, np.diag([1.0, lam]))
-        u, _ = solve_dirichlet(f, TriadicCube(0, (0, 0)), sol, discretization="fd5")
+        u, _ = solve_dirichlet(f, TriadicCube(0, (0, 0)), sol)
         xg, yg = g.cell_center_mesh()
         errs.append(np.abs(u.data - sol(xg, yg)).max())
     order = np.log(errs[0] / errs[1]) / np.log(3.0)
@@ -429,10 +411,9 @@ def test_fv_dirichlet_convergence_order():
     assert errs[0] / errs[1] > 7.0  # roughly 9x error reduction per refinement
 
 
-# Dense oracles: each Dirichlet path against np.linalg.solve of the same
-# system, assembled independently (FV) or in C order (q1), so the
-# nested-dissection ordering, the factorization and the refinement step are
-# all under test.
+# Dense oracle: the Dirichlet solve against np.linalg.solve of the same
+# system, assembled independently cell by cell, so the nested-dissection
+# ordering, the factorization and the refinement step are all under test.
 
 ORACLE_GRIDS = [(2, 2), (2, 3), (3, 1), (3, 2)]
 
@@ -483,31 +464,9 @@ def fv_dense_system(field, boundary):
 @pytest.mark.parametrize("d,n", ORACLE_GRIDS)
 def test_fv_dirichlet_matches_dense_oracle(d, n):
     field = diagonal_field(GridSpec(d, n), seed=10 * d + n)
-    u, stats = solve_dirichlet(field, TriadicCube(0, (0,) * d), wavy_boundary,
-                               discretization="fd5")
+    u, stats = solve_dirichlet(field, TriadicCube(0, (0,) * d), wavy_boundary)
     amat, rhs = fv_dense_system(field, wavy_boundary)
     ref = np.linalg.solve(amat, rhs)
-    assert np.abs(u.data.ravel() - ref).max() <= 1e-12 * np.abs(ref).max()
-    assert stats.residual <= 1e-14
-
-
-@pytest.mark.parametrize("d,n", ORACLE_GRIDS)
-def test_q1_dirichlet_matches_dense_oracle(d, n):
-    grid = GridSpec(d, n)
-    field = gen_random_spd(grid, seed=10 * d + n, eig_low=1e-2, eig_high=1e2)
-    cube = TriadicCube(0, (0,) * d)
-    u, stats = solve_dirichlet(field, cube, wavy_boundary)
-    kmat = assemble_neumann(field, cube).toarray()
-    nodes = np.meshgrid(*[np.linspace(-0.5, 0.5, grid.cells_per_side + 1)] * d,
-                        indexing="ij")
-    bmask = np.zeros(grid.node_shape, dtype=bool)
-    for a in range(d):
-        bmask[(slice(None),) * a + (0,)] = bmask[(slice(None),) * a + (-1,)] = True
-    bmask = bmask.ravel()
-    gvals = wavy_boundary(*nodes).ravel()
-    ref = gvals.copy()
-    ref[~bmask] = np.linalg.solve(kmat[np.ix_(~bmask, ~bmask)],
-                                  -kmat[np.ix_(~bmask, bmask)] @ gvals[bmask])
     assert np.abs(u.data.ravel() - ref).max() <= 1e-12 * np.abs(ref).max()
     assert stats.residual <= 1e-14
 
@@ -516,12 +475,11 @@ def test_fv_dirichlet_constant_data_reproduced_at_roundoff():
     # the constant-solution checks of the harness diagnostics rely on this
     g = GridSpec(2, 5)
     u, _ = solve_dirichlet(gen_constant(g, np.eye(2)), FULL,
-                           lambda x, y: np.full_like(x, 2.0), discretization="fd5")
+                           lambda x, y: np.full_like(x, 2.0))
     assert np.abs(u.data - 2.0).max() <= 1e-14 * 2.0
 
 
-@pytest.mark.parametrize("discretization", ["fd5", "q1"])
-def test_dirichlet_factors_once_per_solve(monkeypatch, discretization):
+def test_dirichlet_factors_once_per_solve(monkeypatch):
     calls = []
     real = cge.solver._factor
 
@@ -532,20 +490,18 @@ def test_dirichlet_factors_once_per_solve(monkeypatch, discretization):
     monkeypatch.setattr(cge.solver, "_factor", spy)
     field = diagonal_field(GridSpec(2, 3), seed=4)
     for _ in range(2):
-        solve_dirichlet(field, FULL, wavy_boundary, discretization=discretization)
+        solve_dirichlet(field, FULL, wavy_boundary)
     assert len(calls) == 2
 
 
-@pytest.mark.parametrize("discretization,method", [("fd5", "fv-splu"), ("q1", "q1-splu")])
-def test_dirichlet_failed_factorization_is_solver_error(monkeypatch, discretization, method):
+def test_dirichlet_failed_factorization_is_solver_error(monkeypatch):
     def broken(mat):
         raise RuntimeError("Factor is exactly singular")
 
     monkeypatch.setattr(cge.solver, "_factor", broken)
     with pytest.raises(SolverError, match="singular") as err:
-        solve_dirichlet(diagonal_field(GridSpec(2, 2), seed=4), FULL, wavy_boundary,
-                        discretization=discretization)
-    assert err.value.stats.method == method
+        solve_dirichlet(diagonal_field(GridSpec(2, 2), seed=4), FULL, wavy_boundary)
+    assert err.value.stats.method == "fv-splu"
 
 
 # ---------------------------------------------------------------------------
@@ -615,11 +571,7 @@ def test_mean_flux_constant_field():
 
 
 def test_discretization_validation():
-    field = diagonal_field(GridSpec(2, 2), seed=4)
-    with pytest.raises(ValueError, match="discretization"):
-        solve_dirichlet(field, FULL, wavy_boundary, discretization="fem9")
-    # the discretization is the one knob, and it is keyword-only
+    # one scheme and no knobs: the cell-centered solve takes exactly these
     params = inspect.signature(solve_dirichlet).parameters
-    assert list(params) == ["field", "cube", "boundary", "discretization"]
-    assert params["discretization"].kind is inspect.Parameter.KEYWORD_ONLY
-    assert params["discretization"].default == "q1"
+    assert list(params) == ["field", "cube", "boundary"]
+    assert all(p.default is inspect.Parameter.empty for p in params.values())

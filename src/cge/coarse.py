@@ -5,12 +5,14 @@ pure-Neumann variational problems:
 
 * ``astar`` (subadditive from below): the gradient-forcing problems yield the
   quadratic form ``q . astar^{-1} q`` directly as their value Gram matrix;
-* ``amax`` (superadditive envelope over the full trial space): the
-  flux-forcing problem values.
+* ``amax``: the flux-forcing problem values. That forcing is
+  ``B(p . x, v) / vol`` with ``p . x`` in the Q1 trial space, so its
+  maximizer is affine and ``amax`` is the cube average ``avg`` (the same
+  array): no solve computes it.
 
-Together with the plain arithmetic averages of the field and of its cellwise
-inverse they satisfy the ordering ``inv_avg_inv <= astar <= amax <= avg`` (as
-quadratic forms), which the audit verifies wholesale.
+With the harmonic mean ``inv_avg_inv`` they satisfy the ordering
+``inv_avg_inv <= astar <= amax`` (as quadratic forms), which the audit
+verifies wholesale.
 
 Scale-weighted ellipticity constants aggregate per-scale maxima of these
 matrices over the triadic hierarchy with geometric weights ``3**(s*k)``; all
@@ -84,25 +86,20 @@ class CoarseGrainPair:
     stats: SolveStats | None = None
 
 
-def _pair_matrices_from_g(g: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """(astar_inv, amax) from cross-functional value matrices (..., 2d, 2d)."""
-    sym = 0.5 * (g + np.swapaxes(g, -1, -2))
-    return sym[..., :d, :d], sym[..., d:, d:]
-
-
 def coarse_grain_cube(field: CoefficientField, cube: TriadicCube) -> CoarseGrainPair:
     """Compute one cube's coarse-grained pair (plus reference averages).
 
     Single-cell cubes need no solve: every matrix equals the cell value, the
     harmonic mean ``inv_avg_inv`` included (inverting the cell's inverse
-    would be off by about ``cond * eps``).
+    would be off by about ``cond * eps``), and ``astar_inv`` is the cell's
+    ``inv_data``, as in :func:`sweep`.
     """
     d = field.d
     avg = cube_average(field, cube)
     if cube.level == -field.grid.N:
         cell = sym_unpack(field.data[tuple(cube.offset)], d)
-        return CoarseGrainPair(cube, cell.copy(), cell.copy(), avg, cell.copy(),
-                               np.linalg.inv(cell))
+        return CoarseGrainPair(cube, cell, avg, avg, cell.copy(),
+                               sym_unpack(field.inv_data[tuple(cube.offset)], d))
     inv_avg = sym_pack(cube_average(field, cube, inverted=True))
     inv_avg_inv = sym_unpack(sym_inv(inv_avg, d), d)  # the closed form sweep uses
     try:
@@ -113,9 +110,9 @@ def coarse_grain_cube(field: CoefficientField, cube: TriadicCube) -> CoarseGrain
         raise SolverError(
             f"cube level={cube.level} offset={cube.offset}: {err}", err.stats
         ) from err
-    astar_inv, amax = _pair_matrices_from_g(g, d)
-    astar = np.linalg.inv(astar_inv)
-    return CoarseGrainPair(cube, astar, amax, avg, inv_avg_inv, astar_inv, stats)
+    astar_inv = 0.5 * (g + g.T)
+    return CoarseGrainPair(cube, np.linalg.inv(astar_inv), avg, avg, inv_avg_inv, astar_inv,
+                           stats)
 
 
 # ---------------------------------------------------------------------------
@@ -180,21 +177,21 @@ class SweepResult:
         return sum(3 ** (-ld.level * self.grid.d) for ld in self.levels.values())
 
 
-#: Names the Neumann engine in every cache record: a record that another
-#: solver wrote is a miss, so its numbers are never served as this one's.
-SOLVER_TAG = "q1-neumann/splu-nested-dissection/1"
+#: Names the Neumann engine and record layout (``/2``: ``astar_inv`` alone)
+#: in every cache record: another solver's record is a miss.
+SOLVER_TAG = "q1-neumann/splu-nested-dissection/2"
 
 
 def _cache_path(cache_dir, field_hash: str, level: int) -> str:
     return os.path.join(cache_dir, field_hash, f"level_{level}.npz")
 
 
-def _cache_store(path: str, astar_inv: np.ndarray, amax: np.ndarray) -> None:
+def _cache_store(path: str, astar_inv: np.ndarray) -> None:
     os.makedirs(os.path.dirname(path), exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            np.savez(fh, astar_inv=astar_inv, amax=amax,
+            np.savez(fh, astar_inv=astar_inv,
                      solver=np.frombuffer(SOLVER_TAG.encode(), dtype=np.uint8))
         os.replace(tmp, path)
     except BaseException:
@@ -203,8 +200,8 @@ def _cache_store(path: str, astar_inv: np.ndarray, amax: np.ndarray) -> None:
         raise
 
 
-def _cache_load(path: str, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray] | None:
-    """A stored level record, or ``None`` for anything but a well-formed match.
+def _cache_load(path: str, shape: tuple[int, ...]) -> np.ndarray | None:
+    """A level's stored ``astar_inv``, or ``None`` unless well-formed.
 
     Unreadable archives (garbage, empty or truncated files), records of
     another solver, wrong shapes and non-finite entries are all cache misses.
@@ -215,18 +212,18 @@ def _cache_load(path: str, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarr
         with np.load(path) as rec:
             if rec["solver"].tobytes().decode() != SOLVER_TAG:
                 return None
-            pair = rec["astar_inv"].copy(), rec["amax"].copy()
+            astar_inv = rec["astar_inv"].copy()
     except (OSError, KeyError, ValueError, EOFError, zipfile.BadZipFile):
         return None
-    if any(arr.shape != shape or not np.isfinite(arr).all() for arr in pair):
+    if astar_inv.shape != shape or not np.isfinite(astar_inv).all():
         return None
-    return pair
+    return astar_inv
 
 
 def _solve_level(
     field: CoefficientField, level: int
-) -> tuple[np.ndarray, np.ndarray, list[dict], SolveStats]:
-    """Packed ``astar_inv`` and ``amax`` of every cube of a level, failures, stats.
+) -> tuple[np.ndarray, list[dict], SolveStats]:
+    """Packed ``astar_inv`` of every cube of a level, failures, stats.
 
     A failed factorization fails the cubes of its chunk; a cube whose
     functional matrix is not finite fails alone. Failed cubes hold NaN.
@@ -239,11 +236,11 @@ def _solve_level(
         g_all, failed, stats, message = err.g, err.failed, err.stats, str(err)
     bad = ~np.isfinite(g_all).all(axis=(-2, -1))
     g_all[bad] = np.nan
-    astar_inv, amax = (sym_pack(mats) for mats in _pair_matrices_from_g(g_all, d))
+    astar_inv = sym_pack(0.5 * (g_all + np.swapaxes(g_all, -1, -2)))
     failures = [{"level": level, "offset": [int(z) for z in off],
                  "message": message if failed[off] else "non-finite functional matrix"}
                 for off in zip(*np.nonzero(bad))]
-    return astar_inv, amax, failures, stats
+    return astar_inv, failures, stats
 
 
 def _log_level(level: int, method: str, cubes: int, stats: SolveStats | None,
@@ -263,7 +260,8 @@ def sweep(field: CoefficientField, cache_dir: str | None = None) -> SweepResult:
     read whole from its record, keyed by field content hash, level and
     :data:`SOLVER_TAG`, or solved whole by
     :func:`~cge.solver.batched_neumann_functionals`, one factorization per
-    chunk of whole cubes. A warm cache re-run performs zero solves. In 3D,
+    chunk of whole cubes, which solves (and ``solve_count`` counts) d
+    forcings per cube. A warm cache re-run performs zero solves. In 3D,
     when level 0 and another solved level miss the cache and the process
     may use more than one core, every record is read first, a thread of
     :func:`~cge.solver._chunk_pool` solves level 0 and the calling thread
@@ -282,7 +280,7 @@ def sweep(field: CoefficientField, cache_dir: str | None = None) -> SweepResult:
     ncomp = sym_component_count(d)
     cell_inv_norm = 1.0 / sym_eig_bounds(field.data, d)[0]
 
-    def load(level: int) -> tuple[np.ndarray, np.ndarray] | None:
+    def load(level: int) -> np.ndarray | None:
         if cache_dir is None:
             return None
         return _cache_load(_cache_path(cache_dir, field.content_hash, level),
@@ -292,7 +290,7 @@ def sweep(field: CoefficientField, cache_dir: str | None = None) -> SweepResult:
     # dissection fill grows like n**(4/3)), so a pool thread factors it while
     # this thread solves the other levels. In 2D it does not, and any overlap
     # raised peak RSS, so 2D (and 1D) solve one level at a time.
-    records: dict[int, tuple[np.ndarray, np.ndarray] | None] = {}
+    records: dict[int, np.ndarray | None] = {}
     solved: dict[int, tuple] = {}
     if d == 3 and len(os.sched_getaffinity(0)) > 1:
         records = {level: load(level) for level in range(0, -grid.N, -1)}
@@ -315,32 +313,30 @@ def sweep(field: CoefficientField, cache_dir: str | None = None) -> SweepResult:
         n_cubes = 3 ** (-level * d)
         avg = block_reduce(field.data, d, m)
         if level == -grid.N:  # one cell a cube: every matrix is the cell's own
-            levels[level] = LevelData(level, field.data.copy(), field.data.copy(), avg,
-                                      field.data.copy(), field.inv_data.copy())
+            cells = field.data.copy()
+            levels[level] = LevelData(level, cells, avg, avg, cells, field.inv_data.copy())
             _log_level(level, "cells", n_cubes, None, t0)
             continue
         inv_avg_inv = sym_inv(block_reduce(field.inv_data, d, m), d)
 
-        rec = records[level] if level in records else load(level)
-        if rec is not None:
-            astar_inv_arr, amax_arr = rec
+        astar_inv_arr = records[level] if level in records else load(level)
+        if astar_inv_arr is not None:
             cache_hits += n_cubes
             method, stats = "cache", None
         else:
             if level in solved:
-                astar_inv_arr, amax_arr, level_failures, stats = solved.pop(level)
+                astar_inv_arr, level_failures, stats = solved.pop(level)
                 t0 -= stats.wall_time  # solved before this loop
             else:
-                astar_inv_arr, amax_arr, level_failures, stats = _solve_level(field, level)
+                astar_inv_arr, level_failures, stats = _solve_level(field, level)
             method = stats.method
             failures += level_failures
-            solve_count += 2 * d * (n_cubes - len(level_failures))
+            solve_count += d * (n_cubes - len(level_failures))
             if cache_dir is not None and not level_failures:
-                _cache_store(_cache_path(cache_dir, field.content_hash, level),
-                             astar_inv_arr, amax_arr)
+                _cache_store(_cache_path(cache_dir, field.content_hash, level), astar_inv_arr)
 
         astar_arr = sym_pack(np.linalg.inv(sym_unpack(astar_inv_arr, d)))
-        levels[level] = LevelData(level, astar_arr, amax_arr, avg, inv_avg_inv, astar_inv_arr)
+        levels[level] = LevelData(level, astar_arr, avg, avg, inv_avg_inv, astar_inv_arr)
         _log_level(level, method, n_cubes, stats, t0)
 
     return SweepResult(
@@ -503,10 +499,10 @@ def audit(
 
     Per cube: every packed matrix is finite (a NaN or inf entry would pass
     the comparisons below silently), and the quadratic-form chain
-    inv_avg_inv <= astar <= amax <= avg. Per parent/children: norm
-    subadditivity of amax and matrix subadditivity of astar_inv. Globally:
-    monotonicity of the scale-weighted constants over the exponent grid,
-    ratio >= 1, and the per-level scaling bound for the upper constant. The
+    inv_avg_inv <= astar <= amax (``amax`` is ``avg``). Per parent/children:
+    norm subadditivity of amax and matrix subadditivity of astar_inv.
+    Globally: monotonicity of the scale-weighted constants over the exponent
+    grid, ratio >= 1, and the per-level scaling bound for the upper constant. The
     subadditivity and scaling checks read the norms stored on each
     :class:`LevelData`, which match its read-only arrays.
     """
@@ -545,11 +541,9 @@ def audit(
 
     # --- per-cube chain ---
     for level, ld in result.levels.items():
-        norm_hi = sym_norm(ld.avg, d)
-        seq = [ld.inv_avg_inv, ld.astar, ld.amax, ld.avg]
-        for lo_arr, hi_arr in zip(seq[:-1], seq[1:]):
+        for lo_arr, hi_arr in ((ld.inv_avg_inv, ld.astar), (ld.astar, ld.amax)):
             w, _ = sym_eig_bounds(hi_arr - lo_arr, d)
-            check("chain", level, -np.minimum(w, 0.0), norm_hi)
+            check("chain", level, -np.minimum(w, 0.0), ld.amax_norm)
 
     # --- parent/children subadditivity ---
     for level in sorted(result.levels, reverse=True):

@@ -6,7 +6,9 @@ Two problem classes back everything else:
   ``sup_u avg(-grad u . a grad u + 2 L(u))`` with linear forcings
   ``L(v) = avg(q . grad v)`` ("gradient" forcing) or ``avg(p . a grad v)``
   ("flux" forcing), discretized with multilinear Q1 elements and exact
-  integration of the piecewise-constant coefficient;
+  integration of the piecewise-constant coefficient. The flux forcing is
+  ``B(p . x, v) / vol`` with ``p . x`` a Q1 function, which is therefore its
+  maximizer: only the gradient forcings are solved;
 * Dirichlet problems ``-div(a grad u) = 0`` with given boundary values,
   cell-centered with harmonic face averaging (a 2d+1-point M-matrix stencil
   that obeys a discrete maximum principle) for scalar/diagonal
@@ -19,11 +21,11 @@ sparse matrix; each block pins one node, which removes the constant kernel
 and leaves an SPD system, and lists its nodes in geometric nested-dissection
 order. A level's cubes are cut into chunks of whole cubes whose predicted
 factor fits :data:`CHUNK_NNZ`; SuperLU factors each chunk's matrix once,
-keeping that order, and all 2d forcings are back-solved together; each
-cube's solution is then re-centred to zero mean. The chunks of a level run
-on one thread per core this process may use, the calling thread among them
-(SuperLU releases the GIL); with one chunk or one core the caller runs them
-alone. A 3D sweep also hands level 0, one cube whose factor outweighs all
+keeping that order, and the d gradient forcings, the same on every cube,
+are back-solved together; each cube's solution is then re-centred to zero
+mean. The chunks of a level run on one thread per core this process may
+use, the calling thread among them (SuperLU releases the GIL); with one
+chunk or one core the caller runs them alone. A 3D sweep also hands level 0, one cube whose factor outweighs all
 other levels together, to a pool thread while the caller solves the other
 levels; a helper that finds its pool thread still busy when the caller has
 taken a level's last chunk is cancelled. Every block is factored alone, so
@@ -60,6 +62,7 @@ from .grid import (
     ScalarGridFunction,
     TriadicCube,
     block_view,
+    cube_average,
     sym_index_pairs,
     sym_pack,
     sym_unpack,
@@ -316,27 +319,19 @@ def _assemble_blocks(cells: np.ndarray, m: int, d: int, h: float, pinned: bool) 
     return sp.csc_matrix((data, all_indices, all_indptr), shape=(ncubes * n,) * 2)
 
 
-def _forcings(cells: np.ndarray, m: int, d: int, h: float) -> np.ndarray:
-    """RHS columns of all 2d unit forcings, ``(ncubes, nn, 2d)`` in C node order.
-
-    Columns 0..d-1: gradient forcings L(v) = avg(e_a . grad v).
-    Columns d..2d-1: flux forcings L(v) = avg(e_a . a grad v).
-    (Un-normalized: the vectors represent vol * L.)
+def _forcings(m: int, d: int, h: float) -> np.ndarray:
+    """RHS columns of the d gradient forcings ``L(v) = avg(e_a . grad v)`` on
+    a cube of ``m`` cells a side, ``(nn, d)`` in C node order: the same for
+    every coefficient. (Un-normalized: the vectors represent vol * L.)
     """
-    ncubes = cells.shape[0]
     nn = (m + 1) ** d
     conn = _cell_node_indices(m, d)
     _, r_hat = reference_matrices(d)
-    per_cell_grad = h ** (d - 1) * r_hat  # (d, 2^d), the same in every cell
-    per_cell_flux = h ** (d - 1) * np.einsum("bcxy,yI->bcxI", sym_unpack(cells, d), r_hat)
-    flat_nodes = (np.arange(ncubes)[:, None] * nn + conn.ravel()).ravel()
-    rhs = np.empty((ncubes, nn, 2 * d))
+    per_cell = h ** (d - 1) * r_hat  # (d, 2^d), the same in every cell
+    rhs = np.empty((nn, d))
     for a in range(d):
-        rhs[:, :, a] = np.bincount(conn.ravel(), minlength=nn,
-                                   weights=np.broadcast_to(per_cell_grad[a], conn.shape).ravel())
-        rhs[:, :, d + a] = np.bincount(
-            flat_nodes, weights=per_cell_flux[:, :, a, :].ravel(), minlength=ncubes * nn
-        ).reshape(ncubes, nn)
+        rhs[:, a] = np.bincount(conn.ravel(), minlength=nn,
+                                weights=np.broadcast_to(per_cell[a], conn.shape).ravel())
     return rhs
 
 
@@ -396,31 +391,32 @@ def _chunk_pool():
 def _solve_cubes(
     cells: np.ndarray, m: int, d: int, h: float
 ) -> tuple[np.ndarray, np.ndarray, SolveStats]:
-    """Zero-mean solutions of all 2d unit forcings on equal cubes at once.
+    """Zero-mean solutions of the d gradient forcings on equal cubes at once.
 
     ``cells`` is ``(ncubes, m**d, ncomp)``, as for :func:`_assemble_blocks`.
-    One factorization covers every cube. Returns ``(sols, rhs, stats)``, the
-    first two ``(ncubes, nn, 2d)`` in C node order; ``stats.residual`` is the
-    largest per-cube ``|Kx - b| / |b|`` of the factored (pinned) systems.
-    Raises :class:`SolverError` if the factorization fails.
+    One factorization covers every cube. Returns ``(sols, rhs, stats)``:
+    ``(ncubes, nn, d)`` solutions and the ``(nn, d)`` forcings they share, in
+    C node order; ``stats.residual`` is the largest per-cube ``|Kx - b| / |b|``
+    of the factored (pinned) systems. Raises :class:`SolverError` if the
+    factorization fails.
     """
     t0 = time.perf_counter()
     ncubes = cells.shape[0]
     nn = (m + 1) ** d
     free = _nested_dissection(m, d)[:-1]  # the last node is pinned to zero
     kmat = _assemble_blocks(cells, m, d, h, pinned=True)
-    rhs = _forcings(cells, m, d, h)
-    b = rhs[:, free].reshape(-1, 2 * d)
+    rhs = _forcings(m, d, h)
+    b = np.tile(rhs[free], (ncubes, 1))
     try:
         lu = _factor(kmat)
     except RuntimeError as err:
         raise SolverError(f"sparse factorization failed: {err}",
                           SolveStats(0, math.nan, nn, time.perf_counter() - t0, "splu")) from err
     x = lu.solve(b)
-    per_cube = (ncubes, nn - 1, 2 * d)
+    per_cube = (ncubes, nn - 1, d)
     res = (np.linalg.norm((kmat @ x - b).reshape(per_cube), axis=1)
-           / np.maximum(np.linalg.norm(b.reshape(per_cube), axis=1), 1e-300))
-    sols = np.zeros_like(rhs)
+           / np.maximum(np.linalg.norm(rhs[free], axis=0), 1e-300))
+    sols = np.zeros((ncubes, nn, d))
     sols[:, free] = x.reshape(per_cube)
     sols -= sols.mean(axis=1, keepdims=True)
     return sols, rhs, SolveStats(0, float(res.max()), nn, time.perf_counter() - t0, "splu")
@@ -429,30 +425,30 @@ def _solve_cubes(
 def neumann_functionals(
     field: CoefficientField, cube: TriadicCube
 ) -> tuple[np.ndarray, SolveStats]:
-    """Cross-functional matrix of all 2d unit-forcing variational problems.
+    """Gram matrix of the d gradient-forcing variational problems of a cube.
 
-    Returns ``(g, stats)`` where ``g[r, s] = L_s(u_r) / vol`` for the 2d
-    forcings (d gradient, then d flux) — everything the coarse-graining layer
-    needs: ``g[grad, grad]`` is the Gram matrix of the gradient problems,
-    ``g[flux, flux]`` the flux-forcing value matrix, and the mixed blocks are
-    consistency diagnostics. ``g`` is symmetric up to roundoff.
+    Returns ``(g, stats)`` where ``g[r, s] = L_s(u_r) / vol`` for the unit
+    gradient forcings ``L_s(v) = avg(e_s . grad v)``: the quadratic form
+    ``q . astar^{-1} q`` of the coarse-graining layer. ``g`` is symmetric
+    up to roundoff. (The flux forcings need no solve; see
+    :func:`solve_linear_forcing`.)
     """
     m = cube.cells_per_side(field.grid)
     sols, rhs, stats = _solve_cubes(_cube_cells_packed(field, cube), m, field.d, field.grid.h)
-    return (sols[0].T @ rhs[0]) / cube.volume, stats
+    return (sols[0].T @ rhs) / cube.volume, stats
 
 
 def _chunk_functionals(
     cells: np.ndarray, m: int, d: int, h: float, volume: float
 ) -> tuple[np.ndarray, SolveStats] | SolverError:
-    """``(g, stats)`` of one chunk, ``g`` of shape ``(ncubes, 2d, 2d)``, or
+    """``(g, stats)`` of one chunk, ``g`` of shape ``(ncubes, d, d)``, or
     its :class:`SolverError`, returned so that it fails this chunk alone.
     The solutions are reduced here, so they do not outlive the chunk."""
     try:
         sols, rhs, stats = _solve_cubes(cells, m, d, h)
     except SolverError as err:
         return err
-    return np.einsum("bnr,bns->brs", sols, rhs) / volume, stats
+    return np.einsum("bnr,ns->brs", sols, rhs) / volume, stats
 
 
 def batched_neumann_functionals(
@@ -470,7 +466,7 @@ def batched_neumann_functionals(
     chunk, a helper that has not started (its pool thread is busy, as with
     3D level 0 in :func:`~cge.coarse.sweep`) is cancelled, not waited for.
     Returns ``(g_all, stats)`` with ``g_all`` of shape
-    ``(3**-level,)*d + (2d, 2d)`` in row-major cube order;
+    ``(3**-level,)*d + (d, d)`` in row-major cube order;
     ``stats.residual`` is the largest over the chunks, ``stats.chunks`` the
     number of chunks and ``stats.threads`` the threads that took at least
     one of them. A failed factorization raises :class:`SolverError` after
@@ -499,7 +495,7 @@ def batched_neumann_functionals(
     helpers = [_chunk_pool().submit(drain) for _ in range(threads - 1)]
     takes = [drain()] + [helper.result() for helper in helpers if not helper.cancel()]
     done = [pair for take in takes for pair in take]
-    g_all = np.full((ncubes, 2 * d, 2 * d), np.nan)
+    g_all = np.full((ncubes, d, d), np.nan)
     failed = np.zeros(ncubes, dtype=bool)
     errors, residuals = [], []
     for lo, out in sorted(done, key=lambda pair: pair[0]):
@@ -513,7 +509,7 @@ def batched_neumann_functionals(
                        time.perf_counter() - t0, "splu", len(starts),
                        sum(1 for take in takes if take))
     shape = (3 ** (-level),) * d
-    g_all = g_all.reshape(shape + (2 * d, 2 * d))
+    g_all = g_all.reshape(shape + (d, d))
     if errors:
         raise SolverError(str(errors[0]), stats, g_all, failed.reshape(shape))
     return g_all, stats
@@ -532,7 +528,9 @@ def solve_linear_forcing(
     ``L(v) = avg(direction . a grad v)``. Returns the zero-mean maximizer,
     solver stats, and the optimum value ``L(u)/vol`` (at the maximizer the
     functional value equals ``L(u)/vol`` since ``B(u,u) = L(u)``). The
-    maximizer combines the unit-forcing solutions by linearity.
+    gradient maximizer combines the unit-forcing solutions by linearity;
+    the flux maximizer is ``direction . x`` less its node mean, with value
+    ``direction . avg(a) direction`` and ``stats.method`` ``"closed-form"``.
     """
     if rhs_kind not in (GRADIENT, FLUX):
         raise ValueError(f"rhs_kind must be 'gradient' or 'flux', got {rhs_kind!r}")
@@ -540,10 +538,16 @@ def solve_linear_forcing(
     if direction.shape != (field.d,) or not np.linalg.norm(direction) > 0:
         raise ValueError("direction must be a nonzero d-vector")
     m = cube.cells_per_side(field.grid)
-    sols, rhs, stats = _solve_cubes(_cube_cells_packed(field, cube), m, field.d, field.grid.h)
-    cols = slice(0, field.d) if rhs_kind == GRADIENT else slice(field.d, 2 * field.d)
-    x = sols[0, :, cols] @ direction
-    value = float(rhs[0, :, cols] @ direction @ x) / cube.volume
+    if rhs_kind == GRADIENT:
+        sols, rhs, stats = _solve_cubes(_cube_cells_packed(field, cube), m, field.d, field.grid.h)
+        x = sols[0] @ direction
+        value = float(rhs @ direction @ x) / cube.volume
+    else:
+        t0 = time.perf_counter()
+        x = field.grid.h * np.tensordot(direction, np.indices((m + 1,) * field.d), axes=1).ravel()
+        x -= x.mean()
+        value = float(direction @ cube_average(field, cube) @ direction)
+        stats = SolveStats(0, 0.0, x.size, time.perf_counter() - t0, "closed-form")
     u = CubeFunction(field.grid, cube, x.reshape((m + 1,) * field.d), "node")
     return u, stats, value
 

@@ -45,9 +45,9 @@ def cs(s):
 
 
 def chain_slack(pair) -> float:
-    """Worst relative violation of the chain inv_avg_inv <= astar <= amax <= avg (>= 0)."""
+    """Worst relative violation of the chain inv_avg_inv <= astar <= amax (>= 0)."""
     worst = 0.0
-    seq = [pair.inv_avg_inv, pair.astar, pair.amax, pair.avg]
+    seq = [pair.inv_avg_inv, pair.astar, pair.amax]
     for lo, hi in zip(seq[:-1], seq[1:]):
         scale = max(np.linalg.norm(hi, 2), 1e-300)
         worst = max(worst, -np.linalg.eigvalsh(hi - lo)[0] / scale)
@@ -263,12 +263,12 @@ class TestSweepStructure:
         result = sweep(gen_constant(grid, np.eye(2)))
         assert sorted(result.levels) == [-3, -2, -1, 0]
         assert result.n_cubes() == 820
-        assert result.solve_count == 4 * (1 + 9 + 81)
+        assert result.solve_count == 2 * (1 + 9 + 81)
 
     def test_finest_level_needs_no_solves(self):
         grid = GridSpec(d=1, N=3)
         result = sweep(gen_laminate(grid, 0, LAM_VALUES))
-        assert result.solve_count == 2 * (1 + 3 + 9)
+        assert result.solve_count == 1 * (1 + 3 + 9)
         fine = result.levels[-3]
         assert_allclose(fine.astar, result.levels[-3].avg, rtol=0, atol=0)
 
@@ -282,7 +282,10 @@ class TestSweepStructure:
         assert entry["level"] == 0 and entry["offset"] == [0, 0]
         assert "iterations" in entry["message"] or entry["message"]
         assert result.solve_count == 0
-        assert np.isnan(result.pair(TriadicCube(0, (0, 0))).amax).all()
+        pair = result.pair(TriadicCube(0, (0, 0)))
+        assert np.isnan(pair.astar).all() and np.isnan(pair.astar_inv).all()
+        assert np.isnan(result.levels[0].astar_inv_norm).all()
+        assert np.isfinite(pair.amax).all()  # the average needs no solve
 
     def test_failures_recorded_not_raised_3d(self, failing_factorization):
         # d = 3 takes eigenvalues through LAPACK, which raises on a NaN matrix
@@ -290,9 +293,10 @@ class TestSweepStructure:
         field = gen_random_spd(grid, seed=1, eig_low=0.5, eig_high=2.0)
         result = sweep(field)
         assert [(e["level"], e["offset"]) for e in result.failures] == [(0, [0, 0, 0])]
-        assert np.isnan(result.pair(TriadicCube(0, (0, 0, 0))).amax).all()
-        assert np.isnan(result.levels[0].amax_norm).all()
-        assert np.isfinite(result.levels[-1].amax_norm).all()
+        pair = result.pair(TriadicCube(0, (0, 0, 0)))
+        assert np.isnan(pair.astar).all() and np.isnan(pair.astar_inv).all()
+        assert np.isnan(result.levels[0].astar_inv_norm).all()
+        assert np.isfinite(result.levels[-1].astar_inv_norm).all()
         report = audit(result)
         assert not report.ok
         assert ("finite", 0, [0, 0, 0]) in [
@@ -336,17 +340,18 @@ class TestSweepStructure:
         result = sweep(field, cache_dir=str(tmp_path))
         assert [(e["level"], e["offset"]) for e in result.failures] == [(-1, [1, 2])]
         assert "non-finite" in result.failures[0]["message"]
-        assert result.solve_count == 4 * (1 + 8)
-        amax = result.levels[-1].amax
-        assert np.isnan(amax[1, 2]).all()
-        assert np.isfinite(np.delete(amax.reshape(9, -1), 5, axis=0)).all()
+        assert result.solve_count == 2 * (1 + 8)
+        ld = result.levels[-1]
+        for arr in (ld.astar, ld.astar_inv, ld.astar_inv_norm[..., None]):
+            assert np.isnan(arr[1, 2]).all()
+            assert np.isfinite(np.delete(arr.reshape(9, -1), 5, axis=0)).all()
         # the level with the failed cube is not cached; the clean one is
         assert sorted(os.listdir(tmp_path / field.content_hash)) == ["level_0.npz"]
 
     def test_failed_chunk_fails_only_its_cubes(self, monkeypatch, caplog, tmp_path):
         grid = GridSpec(d=2, N=2)
         field = gen_random_spd(grid, seed=1, eig_low=0.5, eig_high=2.0)
-        clean = sweep(field).levels[-1].amax
+        clean = sweep(field).levels[-1]
         # level -1 holds 9 cubes of 3x3 cells: 4 to a chunk leaves cube (2, 2)
         # alone in the last chunk, the only factor of 15 unknowns
         monkeypatch.setattr(cge.solver, "CHUNK_NNZ", 4 * cge.solver._factor_nnz(3, 2))
@@ -363,11 +368,12 @@ class TestSweepStructure:
         assert caplog.records[1].getMessage().startswith("level -1: splu, 9 cubes in 3 chunks ")
         assert [(e["level"], e["offset"]) for e in result.failures] == [(-1, [2, 2])]
         assert "singular" in result.failures[0]["message"]
-        assert result.solve_count == 4 * (1 + 8)
-        amax = result.levels[-1].amax
-        assert np.isnan(amax[2, 2]).all()
+        assert result.solve_count == 2 * (1 + 8)
         kept = [off for off in np.ndindex(3, 3) if off != (2, 2)]
-        assert all(np.array_equal(amax[off], clean[off]) for off in kept)
+        for name in ("astar", "astar_inv", "astar_inv_norm"):
+            arr = getattr(result.levels[-1], name)
+            assert np.isnan(arr[2, 2]).all()
+            assert all(np.array_equal(arr[off], getattr(clean, name)[off]) for off in kept)
         # the level with the failed chunk is not cached; the clean one is
         assert sorted(os.listdir(tmp_path / field.content_hash)) == ["level_0.npz"]
 
@@ -479,8 +485,10 @@ class TestLevelZeroOverlap:
         result = sweep(field, cache_dir=str(tmp_path))
         assert [(e["level"], e["offset"]) for e in result.failures] == [(0, [0, 0, 0])]
         assert "singular" in result.failures[0]["message"]
-        assert np.isnan(result.levels[0].amax).all()
-        assert np.array_equal(result.levels[-1].amax, clean.levels[-1].amax)
+        for name in ("astar", "astar_inv", "astar_inv_norm"):
+            assert np.isnan(getattr(result.levels[0], name)).all()
+            assert np.array_equal(getattr(result.levels[-1], name),
+                                  getattr(clean.levels[-1], name))
         assert sorted(os.listdir(tmp_path / field.content_hash)) == ["level_-1.npz"]
 
     def test_failed_lower_chunk_keeps_level_zero(self, cores, monkeypatch, tmp_path):
@@ -501,8 +509,8 @@ class TestLevelZeroOverlap:
         result = sweep(field, cache_dir=str(tmp_path))
         assert [(e["level"], e["offset"]) for e in result.failures] == [
             (-1, [2, 2, k]) for k in range(3)]
-        assert np.array_equal(result.levels[0].amax, clean.levels[0].amax)
-        assert np.isfinite(result.levels[-1].amax[:2]).all()
+        assert np.array_equal(result.levels[0].astar_inv, clean.levels[0].astar_inv)
+        assert np.isfinite(result.levels[-1].astar_inv[:2]).all()
         assert sorted(os.listdir(tmp_path / field.content_hash)) == ["level_0.npz"]
 
     def test_one_core_starts_no_chunk_thread(self, cores):
@@ -524,13 +532,13 @@ class TestCache:
         field = gen_random_spd(grid, seed=9, eig_low=0.5, eig_high=5.0)
         cache = str(tmp_path / "cache")
         cold = sweep(field, cache_dir=cache)
-        assert cold.solve_count == 4 * 10 and cold.cache_hits == 0
+        assert cold.solve_count == 2 * 10 and cold.cache_hits == 0
         warm = sweep(field, cache_dir=cache)
         assert warm.solve_count == 0
         assert warm.cache_hits == 10
         for level in cold.levels:
             assert np.array_equal(cold.levels[level].astar, warm.levels[level].astar)
-            assert np.array_equal(cold.levels[level].amax, warm.levels[level].amax)
+            assert np.array_equal(cold.levels[level].astar_inv, warm.levels[level].astar_inv)
 
     def test_cache_layout_one_record_per_level(self, tmp_path):
         grid = GridSpec(d=2, N=2)
@@ -540,7 +548,8 @@ class TestCache:
         root = os.path.join(cache, field.content_hash)
         assert sorted(os.listdir(root)) == ["level_-1.npz", "level_0.npz"]
         with np.load(os.path.join(root, "level_-1.npz")) as rec:
-            assert rec["amax"].shape == rec["astar_inv"].shape == (3, 3, 3)
+            assert set(rec.files) == {"astar_inv", "solver"}
+            assert rec["astar_inv"].shape == (3, 3, 3)
 
     def test_config_change_invalidates(self, tmp_path):
         # a level record written by another solver (another tag) is a miss
@@ -551,11 +560,31 @@ class TestCache:
         victim = os.path.join(cache, field.content_hash, "level_0.npz")
         self._rewrite_record(victim, solver=np.frombuffer(b"q1-neumann/pcg", dtype=np.uint8))
         redo = sweep(field, cache_dir=cache)
-        assert redo.solve_count == 4
+        assert redo.solve_count == 2
         assert redo.cache_hits == 0
-        assert np.array_equal(redo.levels[0].amax, cold.levels[0].amax)
+        assert np.array_equal(redo.levels[0].astar_inv, cold.levels[0].astar_inv)
         # the re-solved record carries the engine's tag again
         assert sweep(field, cache_dir=cache).cache_hits == 1
+
+    def test_record_of_the_old_layout_is_a_miss(self, tmp_path):
+        # a record of the previous layout (tag /1) also held amax: it is
+        # re-solved and rewritten in the current layout, which then hits
+        grid = GridSpec(d=2, N=1)
+        field = gen_random_spd(grid, seed=2, eig_low=0.5, eig_high=2.0)
+        cache = str(tmp_path / "cache")
+        cold = sweep(field, cache_dir=cache)
+        victim = os.path.join(cache, field.content_hash, "level_0.npz")
+        old_tag = b"q1-neumann/splu-nested-dissection/1"
+        self._rewrite_record(victim, amax=cold.levels[0].amax,
+                             solver=np.frombuffer(old_tag, dtype=np.uint8))
+        redo = sweep(field, cache_dir=cache)
+        assert (redo.solve_count, redo.cache_hits) == (2, 0)
+        assert np.array_equal(redo.levels[0].astar_inv, cold.levels[0].astar_inv)
+        with np.load(victim) as rec:
+            assert set(rec.files) == {"astar_inv", "solver"}
+            assert rec["solver"].tobytes().decode() == cge.coarse.SOLVER_TAG
+        warm = sweep(field, cache_dir=cache)
+        assert (warm.solve_count, warm.cache_hits) == (0, 1)
 
     @staticmethod
     def _rewrite_record(path, **arrays):
@@ -585,14 +614,14 @@ class TestCache:
                 fh.write(raw[: len(raw) // 2])
         elif damage == "wrong_shape":
             # one cube's packed matrix, not a (1, 1, 3) level record
-            self._rewrite_record(victim, amax=np.ones(3))
+            self._rewrite_record(victim, astar_inv=np.ones(3))
         else:
             self._rewrite_record(victim, astar_inv=np.array([[[1.0, np.nan, 1.0]]]))
         warm = sweep(field, cache_dir=cache)
-        assert warm.solve_count == 4
+        assert warm.solve_count == 2
         assert warm.cache_hits == 0
         assert warm.failures == []
-        assert np.array_equal(warm.levels[0].amax, cold.levels[0].amax)
+        assert np.array_equal(warm.levels[0].astar_inv, cold.levels[0].astar_inv)
         # the re-solved record replaced the damaged one
         assert sweep(field, cache_dir=cache).cache_hits == 1
 
@@ -623,7 +652,7 @@ class TestCache:
         ra = sweep(fa, cache_dir=cache)
         rb = sweep(fb, cache_dir=cache)
         assert rb.cache_hits == 0
-        assert not np.array_equal(ra.levels[0].amax, rb.levels[0].amax)
+        assert not np.array_equal(ra.levels[0].astar_inv, rb.levels[0].astar_inv)
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +689,7 @@ class TestAudit:
         assert report.ok
         assert report.checked == {
             "finite": 5 * 91,
-            "chain": 3 * 91,
+            "chain": 2 * 91,
             "subadditivity_norm": 10,
             "subadditivity_form": 10,
             "monotone": 13,
@@ -742,10 +771,14 @@ class TestAudit:
         field = gen_random_spd(GridSpec(d=d, N=N), seed=0)
         result = sweep(field)
         assert np.array_equal(result.levels[-N].inv_avg_inv, field.data)
-        cell = TriadicCube(-N, (1,) * d)
-        pair = coarse_grain_cube(field, cell)
-        assert np.array_equal(pair.inv_avg_inv, sym_unpack(field.data[(1,) * d], d))
-        assert np.array_equal(pair.inv_avg_inv, result.pair(cell).inv_avg_inv)
+        for offset in np.ndindex((3**N,) * d):
+            cell = TriadicCube(-N, offset)
+            pair = coarse_grain_cube(field, cell)
+            assert np.array_equal(pair.inv_avg_inv, sym_unpack(field.data[offset], d))
+            # every matrix is the sweep's to the last bit, astar_inv included
+            swept = result.pair(cell)
+            for name in ("astar", "amax", "avg", "inv_avg_inv", "astar_inv"):
+                assert np.array_equal(getattr(pair, name), getattr(swept, name)), name
 
     def test_wide_contrast_3d_audits_clean(self):
         # eigenvalues 1e-3..1e3: before, the cell level failed the chain check
@@ -758,9 +791,9 @@ class TestAudit:
 # Solve-path identities: scaling and 2D symmetries
 # ---------------------------------------------------------------------------
 
-#: The one Neumann path (the sparse-direct engine, at every level of a 2D
-#: N=2 grid) and the relative tolerance its identities hold to (roundoff).
-SOLVE_PATHS = {"splu": 1e-12}
+#: Relative tolerance of the solve-path identities at every level of a 2D
+#: N=2 grid (roundoff).
+IDENTITY_RTOL = 1e-12
 
 #: Symmetries of the square acting on packed (a11, a12, a22) arrays indexed by
 #: cell or cube offset; each maps a field and its effective matrices alike.
@@ -784,26 +817,22 @@ def _assert_levels_close(result, expected, rtol):
 
 
 class TestSolveIdentities:
-    @pytest.mark.parametrize("path", sorted(SOLVE_PATHS))
     @pytest.mark.parametrize("c", [0.1, 7.0])
-    def test_scaling_scales_both_matrices(self, identity_field, path, c):
-        rtol = SOLVE_PATHS[path]
+    def test_scaling_scales_both_matrices(self, identity_field, c):
         base = sweep(identity_field)
         scaled = sweep(identity_field.scaled(c))
         _assert_levels_close(
-            scaled, lambda k, name: c * getattr(base.levels[k], name), rtol)
+            scaled, lambda k, name: c * getattr(base.levels[k], name), IDENTITY_RTOL)
 
-    @pytest.mark.parametrize("path", sorted(SOLVE_PATHS))
     @pytest.mark.parametrize("symmetry", sorted(SYMMETRIES))
-    def test_symmetry_transforms_both_matrices(self, identity_field, path, symmetry):
-        rtol = SOLVE_PATHS[path]
+    def test_symmetry_transforms_both_matrices(self, identity_field, symmetry):
         act = SYMMETRIES[symmetry]
         image = CoefficientField(identity_field.grid, act(identity_field.data), symmetry)
         base = sweep(identity_field)
         moved = sweep(image)
         assert not np.allclose(moved.levels[-1].amax, base.levels[-1].amax)
         _assert_levels_close(
-            moved, lambda k, name: act(getattr(base.levels[k], name)), rtol)
+            moved, lambda k, name: act(getattr(base.levels[k], name)), IDENTITY_RTOL)
 
 # ---------------------------------------------------------------------------
 # Scale/ratio behaviour

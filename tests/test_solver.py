@@ -13,10 +13,19 @@ from hypothesis import strategies as st
 
 from cge.fields import gen_constant, gen_laminate, gen_random_spd
 import cge.solver
-from cge.grid import CoefficientField, GridSpec, ScalarGridFunction, TriadicCube, sym_index_pairs
+from cge.grid import (
+    CoefficientField,
+    GridSpec,
+    ScalarGridFunction,
+    TriadicCube,
+    cube_average,
+    sym_index_pairs,
+    sym_unpack,
+)
 from cge.solver import (
     CubeFunction,
     SolverError,
+    _cell_node_indices,
     _cube_cells_packed,
     _forcings,
     assemble_neumann,
@@ -50,9 +59,27 @@ def _augmented_dense_solve(kmat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _forcing_vectors(field, cube) -> np.ndarray:
-    """RHS columns of all 2d unit forcings on one cube: (nn, 2d)."""
+    """RHS columns of all 2d unit forcings on one cube, ``(nn, 2d)`` in C node
+    order: the engine's d gradient columns, then the d flux columns
+    ``L(v) = avg(e_a . a grad v)``, which the engine never solves and which
+    are assembled here from the reference element, cell by cell."""
     m = cube.cells_per_side(field.grid)
-    return _forcings(_cube_cells_packed(field, cube), m, field.d, field.grid.h)[0]
+    d, h = field.d, field.grid.h
+    _, r_hat = reference_matrices(d)
+    cells = sym_unpack(_cube_cells_packed(field, cube)[0], d)
+    per_cell_flux = h ** (d - 1) * np.einsum("cxy,yI->cxI", cells, r_hat)
+    conn = _cell_node_indices(m, d).ravel()
+    flux = [np.bincount(conn, weights=per_cell_flux[:, a].ravel(), minlength=(m + 1) ** d)
+            for a in range(d)]
+    return np.column_stack([_forcings(m, d, h)] + flux)
+
+
+def _dense_functionals(field, cube) -> np.ndarray:
+    """``g[r, s] = L_s(u_r) / vol`` of all 2d unit forcings (d gradient, then
+    d flux) from the dense reference solve: ``(2d, 2d)``."""
+    rhs = _forcing_vectors(field, cube)
+    sols = _augmented_dense_solve(assemble_neumann(field, cube).toarray(), rhs)
+    return sols.T @ rhs / cube.volume
 
 # Hand-assembled bilinear element matrix for a = I on the unit square,
 # local node order (0,0), (0,1), (1,0), (1,1): diagonal 2/3, edge neighbors
@@ -193,11 +220,9 @@ def test_engine_matches_dense_oracle():
         for level in (0, -1):
             g_all, stats = batched_neumann_functionals(f, level)
             assert stats.method == "splu" and stats.iterations == 0
+            assert g_all.shape == (3 ** -level,) * d + (d, d)
             for off in np.ndindex(g_all.shape[:d]):
-                cube = TriadicCube(level, off)
-                rhs = _forcing_vectors(f, cube)
-                sols = _augmented_dense_solve(assemble_neumann(f, cube).toarray(), rhs)
-                g_dense = sols.T @ rhs / cube.volume
+                g_dense = _dense_functionals(f, TriadicCube(level, off))[:d, :d]
                 np.testing.assert_allclose(g_all[off], g_dense, rtol=0,
                                            atol=1e-12 * np.abs(g_dense).max())
 
@@ -266,11 +291,17 @@ def test_linear_forcing_combines_functional_columns():
     rhs = _forcing_vectors(f, cube)
     kmat = assemble_neumann(f, cube).toarray()
     q = np.array([0.7, -1.3])
-    for kind, cols in (("gradient", slice(0, 2)), ("flux", slice(2, 4))):
+    u, stats, value = solve_linear_forcing(f, cube, q, "gradient")
+    assert stats.method == "splu"
+    np.testing.assert_allclose(value, q @ gmat @ q, rtol=1e-12)
+    # both kinds against the dense solve of their forcing column; the flux
+    # maximizer is the closed form, which solves nothing
+    for kind, cols, method in (("gradient", slice(0, 2), "splu"),
+                               ("flux", slice(2, 4), "closed-form")):
         u, stats, value = solve_linear_forcing(f, cube, q, kind)
-        assert stats.method == "splu"
-        np.testing.assert_allclose(value, q @ gmat[cols, cols] @ q, rtol=1e-12)
+        assert stats.method == method
         x = _augmented_dense_solve(kmat, rhs[:, cols] @ q[:, None])[:, 0]
+        np.testing.assert_allclose(value, rhs[:, cols] @ q @ x / cube.volume, rtol=1e-12)
         np.testing.assert_allclose(u.data.ravel(), x, rtol=0, atol=1e-12 * np.abs(x).max())
 
 
@@ -278,21 +309,29 @@ def test_batched_matches_per_cube():
     g = GridSpec(2, 2)
     f = gen_random_spd(g, seed=23)
     g_all, stats = batched_neumann_functionals(f, -1)
-    assert g_all.shape == (3, 3, 4, 4)
+    assert g_all.shape == (3, 3, 2, 2)
     for z in [(0, 0), (1, 2), (2, 1)]:
         g_one, _ = neumann_functionals(f, TriadicCube(-1, z))
         np.testing.assert_allclose(g_all[z], g_one, atol=1e-10 * np.abs(g_one).max())
 
 
-def test_cross_functional_matrix_structure():
-    g = GridSpec(2, 2)
-    f = gen_random_spd(g, seed=29)
-    gmat, _ = neumann_functionals(f, FULL)
+@pytest.mark.parametrize("d, n", [(2, 2), (3, 2)])
+def test_cross_functional_matrix_structure(d, n):
+    f = gen_random_spd(GridSpec(d, n), seed=29)
+    cube = TriadicCube(0, (0,) * d)
+    gmat, _ = neumann_functionals(f, cube)
+    assert gmat.shape == (d, d)
     np.testing.assert_allclose(gmat, gmat.T, atol=1e-9 * np.abs(gmat).max())
-    # flux functional of the gradient solution: avg(e_i . a grad u_{e_j}) = delta_ij
-    np.testing.assert_allclose(gmat[:2, 2:], np.eye(2), atol=1e-8)
-    # gradient Gram block is SPD
-    assert np.linalg.eigvalsh(gmat[:2, :2]).min() > 0
+    # gradient Gram matrix is SPD
+    assert np.linalg.eigvalsh(gmat).min() > 0
+    # the dense solve of all 2d forcings: the flux maximizer is affine, so the
+    # flux block is the cube average the coarse layer uses as amax, and the
+    # flux functional of the gradient solution is avg(e_i . a grad u_j) = delta_ij
+    g_dense = _dense_functionals(f, cube)
+    avg = cube_average(f, cube)
+    np.testing.assert_allclose(g_dense[d:, d:], avg, rtol=0, atol=1e-10 * np.abs(avg).max())
+    np.testing.assert_allclose(g_dense[:d, d:], np.eye(d), rtol=0, atol=1e-10)
+    np.testing.assert_allclose(g_dense[d:, :d], np.eye(d), rtol=0, atol=1e-10)
 
 
 def test_galerkin_optimality_one_sided():

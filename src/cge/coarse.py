@@ -52,6 +52,7 @@ from .solver import (
     SolverError,
     _chunk_pool,
     batched_neumann_functionals,
+    condensed_neumann_functionals,
     neumann_functionals,
 )
 
@@ -177,9 +178,10 @@ class SweepResult:
         return sum(3 ** (-ld.level * self.grid.d) for ld in self.levels.values())
 
 
-#: Names the Neumann engine and record layout (``/2``: ``astar_inv`` alone)
-#: in every cache record: another solver's record is a miss.
-SOLVER_TAG = "q1-neumann/splu-nested-dissection/2"
+#: Names the Neumann engines and record layout (``astar_inv`` alone; ``/3``:
+#: 1D and 2D levels from the condensation pass) in every cache record:
+#: another solver's record is a miss.
+SOLVER_TAG = "q1-neumann/condensation-splu/3"
 
 
 def _cache_path(cache_dir, field_hash: str, level: int) -> str:
@@ -223,22 +225,33 @@ def _cache_load(path: str, shape: tuple[int, ...]) -> np.ndarray | None:
 def _solve_level(
     field: CoefficientField, level: int
 ) -> tuple[np.ndarray, list[dict], SolveStats]:
-    """Packed ``astar_inv`` of every cube of a level, failures, stats.
-
-    A failed factorization fails the cubes of its chunk; a cube whose
-    functional matrix is not finite fails alone. Failed cubes hold NaN.
-    """
-    d = field.d
+    """:func:`_level_result` of one level from the sparse engine."""
     try:
-        g_all, stats = batched_neumann_functionals(field, level)
-        failed, message = np.zeros(g_all.shape[:d], dtype=bool), ""
+        return _level_result(level, batched_neumann_functionals(field, level))
     except SolverError as err:
-        g_all, failed, stats, message = err.g, err.failed, err.stats, str(err)
+        return _level_result(level, err)
+
+
+def _level_result(
+    level: int, out: tuple[np.ndarray, SolveStats] | SolverError
+) -> tuple[np.ndarray, list[dict], SolveStats]:
+    """Packed ``astar_inv`` of every cube of a level, failures, stats, from
+    the level's functionals ``(g_all, stats)`` or the :class:`SolverError`
+    that carries them.
+
+    A failed solve fails the cubes it marks; a cube whose functional matrix
+    is not finite fails alone. Failed cubes hold NaN.
+    """
+    if isinstance(out, SolverError):
+        g_all, failed, stats, message = out.g, out.failed, out.stats, str(out)
+    else:
+        (g_all, stats), failed, message = out, None, ""
     bad = ~np.isfinite(g_all).all(axis=(-2, -1))
     g_all[bad] = np.nan
     astar_inv = sym_pack(0.5 * (g_all + np.swapaxes(g_all, -1, -2)))
     failures = [{"level": level, "offset": [int(z) for z in off],
-                 "message": message if failed[off] else "non-finite functional matrix"}
+                 "message": message if failed is not None and failed[off]
+                 else "non-finite functional matrix"}
                 for off in zip(*np.nonzero(bad))]
     return astar_inv, failures, stats
 
@@ -256,24 +269,31 @@ def _log_level(level: int, method: str, cubes: int, stats: SolveStats | None,
 def sweep(field: CoefficientField, cache_dir: str | None = None) -> SweepResult:
     """Coarse-grain every cube of every level, with optional disk caching.
 
-    The level is the unit of work and of the cache: each level is either
-    read whole from its record, keyed by field content hash, level and
-    :data:`SOLVER_TAG`, or solved whole by
-    :func:`~cge.solver.batched_neumann_functionals`, one factorization per
-    chunk of whole cubes, which solves (and ``solve_count`` counts) d
-    forcings per cube. A warm cache re-run performs zero solves. In 3D,
-    when level 0 and another solved level miss the cache and the process
-    may use more than one core, every record is read first, a thread of
-    :func:`~cge.solver._chunk_pool` solves level 0 and the calling thread
-    solves the other levels meanwhile; the levels are then built, logged
-    and cached in the usual order. Every chunk is still factored alone, so
-    the numbers do not depend on the schedule. Failures
-    are recorded per cube and surface as NaN matrices rather than aborting
-    the sweep: a failed factorization fails the cubes of its chunk, the rest
-    of the level keeps its numbers, and a level with a failed cube is not
-    cached. Each level logs one DEBUG line on ``cge.coarse``: method
-    (``splu``, ``cache`` or ``cells``), cubes, for a solve the chunks and
-    threads it ran in, unknowns per cube, residual and seconds.
+    The level is the unit of work and of the cache: every record, keyed by
+    field content hash, level and :data:`SOLVER_TAG`, is read first, and each
+    level is either read whole from its record or solved whole, which
+    solves (and ``solve_count`` counts) d forcings per cube. A warm cache
+    re-run performs zero solves.
+
+    In 1D and 2D, :func:`~cge.solver.condensed_neumann_functionals` gets
+    every missed level in one bottom-up pass of nested static condensation,
+    from the cells to the coarsest missed level. In 3D, each missed level
+    is solved by :func:`~cge.solver.batched_neumann_functionals`, one
+    factorization per chunk of whole cubes; when level 0 and another level
+    miss and the process may use more than one core, a thread of
+    :func:`~cge.solver._chunk_pool` solves level 0 while the calling thread
+    solves the other levels. The levels are then built, logged and cached in
+    order. Every chunk is eliminated or factored alone, so the numbers do not
+    depend on the schedule.
+
+    Failures are recorded per cube and surface as NaN matrices rather than
+    aborting the sweep: a failed factorization fails the cubes of its chunk
+    (and, in a condensation pass, every cube that contains one of them), the
+    rest of the level keeps its numbers, and a level with a failed cube is
+    not cached. Each level logs one DEBUG line on ``cge.coarse``: method
+    (``condensation``, ``splu``, ``cache`` or ``cells``), cubes, for a solve
+    the chunks and threads it ran in, unknowns per cube (skeleton nodes for
+    a condensation), residual and seconds.
     """
     grid = field.grid
     d = grid.d
@@ -286,21 +306,22 @@ def sweep(field: CoefficientField, cache_dir: str | None = None) -> SweepResult:
         return _cache_load(_cache_path(cache_dir, field.content_hash, level),
                            (3 ** (-level),) * d + (ncomp,))
 
+    records = {level: load(level) for level in range(0, -grid.N, -1)}
+    misses = [level for level, rec in records.items() if rec is None]
+    solved: dict[int, tuple] = {}
+    if d < 3:
+        if misses:
+            solved = {level: _level_result(level, out)
+                      for level, out in condensed_neumann_functionals(field, misses).items()}
     # In 3D, level 0's factor outweighs all other levels together (nested-
     # dissection fill grows like n**(4/3)), so a pool thread factors it while
-    # this thread solves the other levels. In 2D it does not, and any overlap
-    # raised peak RSS, so 2D (and 1D) solve one level at a time.
-    records: dict[int, np.ndarray | None] = {}
-    solved: dict[int, tuple] = {}
-    if d == 3 and len(os.sched_getaffinity(0)) > 1:
-        records = {level: load(level) for level in range(0, -grid.N, -1)}
-        misses = [level for level, rec in records.items() if rec is None]
-        if len(misses) > 1 and misses[0] == 0:
-            top = _chunk_pool().submit(_solve_level, field, 0)
-            try:
-                solved = {level: _solve_level(field, level) for level in misses[1:]}
-            finally:
-                solved[0] = top.result()
+    # this thread solves the other levels.
+    elif len(misses) > 1 and misses[0] == 0 and len(os.sched_getaffinity(0)) > 1:
+        top = _chunk_pool().submit(_solve_level, field, 0)
+        try:
+            solved = {level: _solve_level(field, level) for level in misses[1:]}
+        finally:
+            solved[0] = top.result()
 
     levels: dict[int, LevelData] = {}
     solve_count = 0
@@ -319,7 +340,7 @@ def sweep(field: CoefficientField, cache_dir: str | None = None) -> SweepResult:
             continue
         inv_avg_inv = sym_inv(block_reduce(field.inv_data, d, m), d)
 
-        astar_inv_arr = records[level] if level in records else load(level)
+        astar_inv_arr = records[level]
         if astar_inv_arr is not None:
             cache_hits += n_cubes
             method, stats = "cache", None
@@ -497,8 +518,9 @@ def audit(
 ) -> AuditReport:
     """Check every theorem-backed inequality on a completed sweep.
 
-    Per cube: every packed matrix is finite (a NaN or inf entry would pass
-    the comparisons below silently), and the quadratic-form chain
+    Per cube: every distinct packed matrix is finite (a NaN or inf entry
+    would pass the comparisons below silently; ``amax`` is checked only when
+    it is not the ``avg`` array), and the quadratic-form chain
     inv_avg_inv <= astar <= amax (``amax`` is ``avg``). Per parent/children:
     norm subadditivity of amax and matrix subadditivity of astar_inv.
     Globally: monotonicity of the scale-weighted constants over the exponent
@@ -535,7 +557,9 @@ def audit(
 
     # --- finiteness of every packed matrix ---
     for level, ld in result.levels.items():
-        for arr in (ld.astar, ld.amax, ld.avg, ld.inv_avg_inv, ld.astar_inv):
+        # a sweep's amax is its avg array; a hand-built level may differ
+        distinct = [ld.amax] if ld.amax is not ld.avg else []
+        for arr in [ld.astar, *distinct, ld.avg, ld.inv_avg_inv, ld.astar_inv]:
             check("finite", level, np.count_nonzero(~np.isfinite(arr), axis=-1),
                   arr.shape[-1])
 

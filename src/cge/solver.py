@@ -15,23 +15,32 @@ Two problem classes back everything else:
   coefficients. The solve and the harness read the boundary data at the
   same face centers, from :func:`boundary_face_values`.
 
-Every pure-Neumann solve goes through one engine. It assembles equal cubes
-(all cubes of a triadic level, or a single cube) into one block-diagonal
-sparse matrix; each block pins one node, which removes the constant kernel
-and leaves an SPD system, and lists its nodes in geometric nested-dissection
-order. A level's cubes are cut into chunks of whole cubes whose predicted
-factor fits :data:`CHUNK_NNZ`; SuperLU factors each chunk's matrix once,
-keeping that order, and the d gradient forcings, the same on every cube,
-are back-solved together; each cube's solution is then re-centred to zero
-mean. The chunks of a level run on one thread per core this process may
-use, the calling thread among them (SuperLU releases the GIL); with one
-chunk or one core the caller runs them alone. A 3D sweep also hands level 0, one cube whose factor outweighs all
-other levels together, to a pool thread while the caller solves the other
-levels; a helper that finds its pool thread still busy when the caller has
-taken a level's last chunk is cancelled. Every block is factored alone, so
-the numbers do not depend on the split or the schedule. The Dirichlet
-system is SPD as well (an M-matrix with the boundary terms on its
-diagonal); it lists its unknowns in the same nested-dissection order and
+The pure-Neumann solves have two engines. The sparse engine assembles
+equal cubes (all cubes of a triadic level, or a single cube) into one
+block-diagonal sparse matrix; each block pins one node, which removes the
+constant kernel and leaves an SPD system, and lists its nodes in geometric
+nested-dissection order. A level's cubes are cut into chunks of whole cubes
+whose predicted factor fits :data:`CHUNK_NNZ`; SuperLU factors each chunk's
+matrix once, keeping that order, and the d gradient forcings, the same on
+every cube, are back-solved together; each cube's solution is then
+re-centred to zero mean. It solves single cubes and every 3D level. A 3D
+sweep also hands level 0, one cube whose factor outweighs all other levels
+together, to a pool thread while the caller solves the other levels.
+
+The condensation engine (:func:`condensed_neumann_functionals`) gets every
+level of a 1D or 2D sweep in one bottom-up pass over the triadic tree: the
+forcings live on a cube's boundary, so ``g`` needs only the Schur complement
+of the cube's stiffness onto its boundary, and a parent's is the dense
+condensation of its children's. Its chunks hold whole parents.
+
+The chunks of a level run on one thread per core this process may use, the
+calling thread among them (SuperLU and NumPy's dense solves release the
+GIL), through :func:`_run_chunks`; with one chunk or one core the caller
+runs them alone, and a helper that finds its pool thread still busy when the
+caller has taken a level's last chunk is cancelled. Every block or parent is
+solved alone, so the numbers do not depend on the split or the schedule.
+The Dirichlet system is SPD as well (an M-matrix with the boundary terms on
+its diagonal); it lists its unknowns in the same nested-dissection order and
 takes one step of iterative refinement with the same factor. Every solve's
 sparse factorization goes through :func:`_factor`.
 
@@ -80,6 +89,7 @@ __all__ = [
     "solve_linear_forcing",
     "neumann_functionals",
     "batched_neumann_functionals",
+    "condensed_neumann_functionals",
     "solve_dirichlet",
     "boundary_face_values",
     "energy",
@@ -131,9 +141,10 @@ class SolveStats:
 class SolverError(RuntimeError):
     """Solver failure (e.g. a failed factorization); carries the partial stats.
 
-    From :func:`batched_neumann_functionals` it also carries the partial
-    level: ``g`` holds every cube's functional matrix, NaN for the cubes of
-    the chunks that failed, and ``failed`` marks those cubes.
+    From :func:`batched_neumann_functionals` (and, per level, from
+    :func:`condensed_neumann_functionals`) it also carries the partial
+    level: ``g`` holds every cube's functional matrix, NaN for the cubes
+    that failed, and ``failed`` marks those cubes.
     """
 
     def __init__(self, message: str, stats: SolveStats | None = None,
@@ -319,10 +330,14 @@ def _assemble_blocks(cells: np.ndarray, m: int, d: int, h: float, pinned: bool) 
     return sp.csc_matrix((data, all_indices, all_indptr), shape=(ncubes * n,) * 2)
 
 
+@lru_cache(maxsize=8)
 def _forcings(m: int, d: int, h: float) -> np.ndarray:
     """RHS columns of the d gradient forcings ``L(v) = avg(e_a . grad v)`` on
     a cube of ``m`` cells a side, ``(nn, d)`` in C node order: the same for
-    every coefficient. (Un-normalized: the vectors represent vol * L.)
+    every coefficient, so cached and read-only. (Un-normalized: the vectors
+    represent vol * L.) A node off the cube's boundary gets
+    ``h**(d-1) * sum(r_hat)`` over its 2**d cells, which is zero: the
+    forcings live on the boundary.
     """
     nn = (m + 1) ** d
     conn = _cell_node_indices(m, d)
@@ -332,6 +347,7 @@ def _forcings(m: int, d: int, h: float) -> np.ndarray:
     for a in range(d):
         rhs[:, a] = np.bincount(conn.ravel(), minlength=nn,
                                 weights=np.broadcast_to(per_cell[a], conn.shape).ravel())
+    rhs.flags.writeable = False  # shared by every caller through the cache
     return rhs
 
 
@@ -386,6 +402,32 @@ def _chunk_pool():
         _POOL = ThreadPoolExecutor(len(os.sched_getaffinity(0)) - 1,
                                    thread_name_prefix="cge-chunk")
     return _POOL
+
+
+def _run_chunks(starts: range, work: Callable[[int], object]) -> tuple[list, int]:
+    """``work(lo)`` for every chunk start, on the calling thread and, with
+    more than one chunk and more than one core, the threads of
+    :func:`_chunk_pool`; each thread takes the next chunk when it is free.
+
+    The caller takes chunks too, so they reuse the memory that an earlier
+    level freed in the caller's heap; each helper thread allocates from a
+    heap of its own, which stays with the process. Once the caller has
+    taken the last chunk, a helper that has not started (its pool thread is
+    busy, as with 3D level 0 in :func:`~cge.coarse.sweep`) is cancelled,
+    not waited for. Returns the ``(lo, work(lo))`` pairs in chunk order and
+    the number of threads that took at least one chunk.
+    """
+    threads = min(len(starts), len(os.sched_getaffinity(0)))
+    # shared: next() on a range iterator is one step, atomic under the GIL
+    jobs = iter(starts)
+
+    def drain() -> list:
+        return [(lo, work(lo)) for lo in jobs]
+
+    helpers = [_chunk_pool().submit(drain) for _ in range(threads - 1)]
+    takes = [drain()] + [helper.result() for helper in helpers if not helper.cancel()]
+    done = sorted((pair for take in takes for pair in take), key=lambda pair: pair[0])
+    return done, sum(1 for take in takes if take)
 
 
 def _solve_cubes(
@@ -457,15 +499,8 @@ def batched_neumann_functionals(
     """``neumann_functionals`` for every cube of one level.
 
     The cubes, in row-major order, are cut into chunks of
-    :func:`_chunk_cubes` whole cubes; each chunk is one factorization. The
-    calling thread and, with more than one chunk and more than one core,
-    the threads of :func:`_chunk_pool` take the chunks one at a time. The
-    caller takes chunks too, so they reuse the memory that level 0 freed
-    in the caller's heap; each helper thread allocates from a heap of its
-    own, which stays with the process. Once the caller has taken the last
-    chunk, a helper that has not started (its pool thread is busy, as with
-    3D level 0 in :func:`~cge.coarse.sweep`) is cancelled, not waited for.
-    Returns ``(g_all, stats)`` with ``g_all`` of shape
+    :func:`_chunk_cubes` whole cubes; each chunk is one factorization, and
+    :func:`_run_chunks` runs them. Returns ``(g_all, stats)`` with ``g_all`` of shape
     ``(3**-level,)*d + (d, d)`` in row-major cube order;
     ``stats.residual`` is the largest over the chunks, ``stats.chunks`` the
     number of chunks and ``stats.threads`` the threads that took at least
@@ -481,24 +516,13 @@ def batched_neumann_functionals(
     ncubes = cells.shape[0]
     size = _chunk_cubes(m, d) if ncubes > 1 else 1
     starts = range(0, ncubes, size)
-    threads = min(len(starts), len(os.sched_getaffinity(0)))
     volume = 3.0 ** (level * d)
-
-    # shared: a thread takes the next chunk when it is free (next() on a
-    # range iterator is one step, atomic under the GIL)
-    jobs = iter(starts)
-
-    def drain() -> list:
-        return [(lo, _chunk_functionals(cells[lo:lo + size], m, d, grid.h, volume))
-                for lo in jobs]
-
-    helpers = [_chunk_pool().submit(drain) for _ in range(threads - 1)]
-    takes = [drain()] + [helper.result() for helper in helpers if not helper.cancel()]
-    done = [pair for take in takes for pair in take]
+    done, threads = _run_chunks(
+        starts, lambda lo: _chunk_functionals(cells[lo:lo + size], m, d, grid.h, volume))
     g_all = np.full((ncubes, d, d), np.nan)
     failed = np.zeros(ncubes, dtype=bool)
     errors, residuals = [], []
-    for lo, out in sorted(done, key=lambda pair: pair[0]):
+    for lo, out in done:
         if isinstance(out, SolverError):
             failed[lo:lo + size] = True
             errors.append(out)
@@ -506,13 +530,219 @@ def batched_neumann_functionals(
             g_all[lo:lo + size] = out[0]
             residuals.append(out[1].residual)
     stats = SolveStats(0, float(np.max(residuals)) if residuals else math.nan, (m + 1) ** d,
-                       time.perf_counter() - t0, "splu", len(starts),
-                       sum(1 for take in takes if take))
+                       time.perf_counter() - t0, "splu", len(starts), threads)
     shape = (3 ** (-level),) * d
     g_all = g_all.reshape(shape + (d, d))
     if errors:
         raise SolverError(str(errors[0]), stats, g_all, failed.reshape(shape))
     return g_all, stats
+
+
+# ---------------------------------------------------------------------------
+# Nested static condensation over the triadic tree (d <= 2)
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=8)
+def _boundary_nodes(m: int, d: int) -> np.ndarray:
+    """C-order indices of the boundary nodes of a cube of ``m`` cells a side:
+    the rows and columns of its boundary map. For ``m = 1`` every node is on
+    the boundary, in the order of the element matrices."""
+    coords = np.indices((m + 1,) * d).reshape(d, -1)
+    out = np.flatnonzero(((coords == 0) | (coords == m)).any(axis=0))
+    out.flags.writeable = False  # shared by every caller through the cache
+    return out
+
+
+@lru_cache(maxsize=8)
+def _skeleton(m: int, d: int) -> tuple[int, np.ndarray]:
+    """How the boundary maps of ``3**d`` children of ``m`` cells a side
+    assemble onto their parent's skeleton.
+
+    The skeleton is the union of the children's boundaries in the parent's
+    ``(3m+1)**d`` node grid. It lists its interior first (the nodes off the
+    parent's boundary, in C order), then the parent's boundary in the order
+    of :func:`_boundary_nodes`. Returns ``(interior, rank)``: the number of
+    interior nodes, and ``rank[c, j]``, the skeleton index of child ``c``'s
+    ``j``-th boundary node, children in C order of their offsets.
+    """
+    side = 3 * m + 1
+    coords = np.indices((side,) * d).reshape(d, -1)
+    on_skeleton = (coords % m == 0).any(axis=0)
+    on_boundary = ((coords == 0) | (coords == 3 * m)).any(axis=0)
+    interior = np.flatnonzero(on_skeleton & ~on_boundary)
+    position = np.zeros(side**d, dtype=np.int64)
+    position[np.concatenate([interior, _boundary_nodes(3 * m, d)])] = np.arange(
+        interior.size + _boundary_nodes(3 * m, d).size)
+    child = np.indices((m + 1,) * d).reshape(d, -1)[:, _boundary_nodes(m, d)]
+    rank = np.stack([
+        position[np.ravel_multi_index(tuple(child + m * np.array(off)[:, None]), (side,) * d)]
+        for off in itertools.product(range(3), repeat=d)])
+    rank.flags.writeable = False  # shared by every caller through the cache
+    return interior.size, rank
+
+
+@lru_cache(maxsize=8)
+def _tree_order(j: int, d: int) -> np.ndarray:
+    """Row-major indices of the cubes of a ``(3**j)**d`` lattice in triadic
+    tree order: every ``3**d`` consecutive cubes are the children of one
+    cube of the lattice a level up, in C order of their offsets, and those
+    parents are in tree order themselves."""
+    digits = np.arange(3 ** (j * d)).reshape((3,) * (j * d))  # axis a's digits first
+    out = digits.transpose([a * j + t for t in range(j) for a in range(d)]).ravel()
+    out.flags.writeable = False  # shared by every caller through the cache
+    return out
+
+
+#: Largest dense skeleton matrix, in entries, of one chunk of the
+#: condensation pass: a chunk assembles and eliminates this many entries of
+#: parents at once. A parent whose skeleton alone is larger is a chunk of its
+#: own.
+CHUNK_ENTRIES = 250_000
+
+
+def _condense_chunk(kids: np.ndarray, m: int, d: int, maps: np.ndarray | None,
+                    forcing: np.ndarray | None) -> tuple[np.ndarray | None, float]:
+    """Condense one chunk of parents onto their boundaries.
+
+    ``kids`` is ``(nparents * 3**d, nb, nb)``: the boundary maps of the
+    children, in tree order. Each parent's maps are summed onto its skeleton
+    (:func:`_skeleton`), whose interior is eliminated: the parent's boundary
+    map is the Schur complement ``S = A_bb - A_bi A_ii^-1 A_ib``, written to
+    ``maps`` unless it is ``None``. With a ``forcing`` (the boundary rows of
+    :func:`_forcings`, last node dropped), the last boundary node is pinned
+    and ``S y = forcing`` solved: returns ``(g, residual)``, with ``g`` the
+    ``(nparents, d, d)`` matrices ``y^T forcing`` (not divided by the
+    volume) and ``residual`` the largest ``|S y - forcing| / |forcing|``, or
+    ``(None, nan)`` without a forcing. A parent with a non-finite child map
+    is not eliminated: its map and ``g`` are NaN. Raises
+    ``numpy.linalg.LinAlgError`` if a dense solve fails.
+    """
+    interior, rank = _skeleton(m, d)
+    kids = kids.reshape((-1, 3**d) + kids.shape[1:])
+    finite = np.isfinite(kids).all(axis=(1, 2, 3))
+    if not finite.all():
+        kids = kids[finite]
+    size = interior + _boundary_nodes(3 * m, d).size
+    skel = np.zeros((kids.shape[0], size, size))
+    for c, r in enumerate(rank):
+        skel[:, r[:, None], r] += kids[:, c]
+    inner, outer = slice(None, interior), slice(interior, None)
+    schur = skel[:, outer, outer] - skel[:, outer, inner] @ np.linalg.solve(
+        skel[:, inner, inner], skel[:, inner, outer])
+    del skel
+    # S's rows sum to zero (constants are in the stiffness's kernel). At high
+    # contrast its diagonal, subtracted directly, loses digits to
+    # cancellation, so it is taken from the other entries of its row: in 1D
+    # at contrast 1e6 this brings g's error from 2.7e-8 to 7e-12
+    diag = np.arange(schur.shape[-1])
+    schur[:, diag, diag] = 0.0
+    schur[:, diag, diag] = -schur.sum(axis=-1)
+    if maps is not None:
+        maps[finite] = schur
+        maps[~finite] = np.nan
+    if forcing is None:
+        return None, math.nan
+    g = np.full((finite.size, d, d), np.nan)
+    if not finite.any():
+        return g, math.nan
+    pinned = schur[:, :-1, :-1]
+    y = np.linalg.solve(pinned, np.broadcast_to(forcing, (schur.shape[0],) + forcing.shape))
+    g[finite] = np.swapaxes(y, -1, -2) @ forcing
+    res = (np.linalg.norm(pinned @ y - forcing, axis=1)
+           / np.maximum(np.linalg.norm(forcing, axis=0), 1e-300))
+    return g, float(res.max())
+
+
+def condensed_neumann_functionals(
+    field: CoefficientField, levels: Sequence[int]
+) -> dict[int, tuple[np.ndarray, SolveStats] | SolverError]:
+    """:func:`batched_neumann_functionals` for the given levels of a 1D or
+    2D field, in one bottom-up pass of nested static condensation.
+
+    The d gradient forcings live on a cube's boundary (:func:`_forcings`), so
+    ``g = b^T S^+ b / vol``, with ``S`` the cube's *boundary map*: the Schur
+    complement of its Neumann stiffness onto its boundary nodes. A cube's
+    stiffness is the sum of its ``3**d`` children's, so its boundary map is
+    the condensation of theirs on the skeleton (:func:`_condense_chunk`).
+    The pass starts from the element matrices of the cells and goes up one
+    level at a time to the coarsest level asked for, computing ``g`` only on
+    the levels asked for; each level's parents, in tree order
+    (:func:`_tree_order`), are cut into chunks of :data:`CHUNK_ENTRIES`
+    skeleton entries that :func:`_run_chunks` runs. Every parent is
+    eliminated alone, so the numbers do not depend on the split or the
+    threads. A boundary map of ``m`` cells holds ``(2dm)**2`` entries; in 3D
+    it would grow like ``m**4``, so 3D stays on the sparse engine.
+
+    Returns, per level asked for, ``(g_all, stats)`` as
+    :func:`batched_neumann_functionals` does, with ``stats.unknowns`` the
+    skeleton nodes per cube and ``stats.residual`` the largest
+    ``|S y - b| / |b|`` of the pinned boundary solves. A level whose cubes
+    failed is instead a :class:`SolverError` carrying the level: a failed
+    dense solve fails the cubes of its chunk and every cube that contains
+    one of them, and leaves them NaN; the pass reports its first failure's
+    message.
+    """
+    grid = field.grid
+    d = grid.d
+    wanted = set(levels)
+    cells = field.data.reshape(-1, field.data.shape[-1])[_tree_order(grid.N, d)]
+    kids = _element_matrices(cells, d, grid.h)
+    failed = np.zeros(kids.shape[0], dtype=bool)
+    message = ""
+    out: dict[int, tuple[np.ndarray, SolveStats] | SolverError] = {}
+    top = max(wanted)
+    for level in range(1 - grid.N, top + 1):
+        t0 = time.perf_counter()
+        m = 3 ** (grid.N + level - 1)  # cells a side of a child
+        nparents = kids.shape[0] // 3**d
+        nb = _boundary_nodes(3 * m, d).size
+        size = _skeleton(m, d)[0] + nb
+        maps = None if level == top else np.empty((nparents, nb, nb))
+        forcing = None
+        if level in wanted:
+            forcing = _forcings(3 * m, d, grid.h)[_boundary_nodes(3 * m, d)[:-1]]
+        per_chunk = max(1, CHUNK_ENTRIES // size**2)
+        starts = range(0, nparents, per_chunk)
+        failed = failed.reshape(nparents, 3**d).any(axis=1)
+
+        def work(lo: int):
+            hi = min(lo + per_chunk, nparents)
+            try:
+                return _condense_chunk(kids[lo * 3**d:hi * 3**d], m, d,
+                                       None if maps is None else maps[lo:hi], forcing)
+            except np.linalg.LinAlgError as err:
+                if maps is not None:
+                    maps[lo:hi] = np.nan
+                return f"dense condensation failed: {err}"
+
+        done, threads = _run_chunks(starts, work)
+        g_tree = np.full((nparents, d, d), np.nan)
+        residuals = []
+        for lo, res in done:
+            if isinstance(res, str):
+                failed[lo:lo + per_chunk] = True
+                message = message or res
+            elif forcing is not None:
+                g_tree[lo:lo + per_chunk] = res[0]
+                if not math.isnan(res[1]):
+                    residuals.append(res[1])
+        kids = maps
+        if forcing is None:
+            continue
+        order = _tree_order(-level, d)
+        shape = (3 ** (-level),) * d
+        g_all = np.empty_like(g_tree)
+        g_all[order] = g_tree / 3.0 ** (level * d)
+        g_all = g_all.reshape(shape + (d, d))
+        stats = SolveStats(0, max(residuals, default=math.nan), size, time.perf_counter() - t0,
+                           "condensation", len(starts), threads)
+        if failed.any():
+            level_failed = np.empty_like(failed)
+            level_failed[order] = failed
+            out[level] = SolverError(message, stats, g_all, level_failed.reshape(shape))
+        else:
+            out[level] = g_all, stats
+    return out
 
 
 def solve_linear_forcing(

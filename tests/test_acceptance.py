@@ -325,5 +325,5 @@ def test_c10_reruns_are_reproducible_and_caches_eliminate_solves(
     for level in cold.levels:
         assert_allclose(warm.levels[level].astar, cold.levels[level].astar,
                         rtol=0, atol=0)
-        assert_allclose(warm.levels[level].amax, cold.levels[level].amax,
+        assert_allclose(warm.levels[level].astar_inv, cold.levels[level].astar_inv,
                         rtol=0, atol=0)

@@ -169,36 +169,61 @@ class TestCoarse:
         assert report["result"]["levels"] == [-2, -1, 0]
         assert "solves=" in capsys.readouterr().out
 
+    @staticmethod
+    def _debug_levels(workdir, name, flags=()):
+        """``report_hash`` of a child ``cge coarse`` run and its level lines."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "cge.cli", "coarse", "--field", "field.cge",
+             "--out", name, *flags],
+            capture_output=True, text=True, cwd=workdir, env=child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        return (json.loads((workdir / name).read_text())["report_hash"],
+                [line for line in proc.stderr.splitlines()
+                 if line.startswith("DEBUG cge.coarse: level ")])
+
     def test_verbose_logs_one_line_per_level_outside_the_report(self, workdir):
-        gen_identity(workdir, n=4)
-        hashes, logged = [], []
-        for name, flags in (("quiet.json", []), ("verbose.json", ["-v"])):
-            proc = subprocess.run(
-                [sys.executable, "-m", "cge.cli", "coarse", "--field", "const_I.cge",
-                 "--out", name, *flags],
-                capture_output=True, text=True, cwd=workdir, env=child_env(),
-            )
-            assert proc.returncode == 0, proc.stderr
-            hashes.append(json.loads((workdir / name).read_text())["report_hash"])
-            logged.append([line for line in proc.stderr.splitlines()
-                           if line.startswith("DEBUG cge.coarse: level ")])
-        assert logged[0] == []
-        assert [line.split(",")[0] for line in logged[1]] == [
+        # a 3D field: the sparse engine, in chunks on the chunk threads
+        assert main(["gen", "--kind", "constant", "--diag", "1,1,1", "--grid-d", "3",
+                     "--grid-n", "3", "--field-out", "field.cge"]) == 0
+        quiet_hash, quiet = self._debug_levels(workdir, "quiet.json")
+        verbose_hash, verbose = self._debug_levels(workdir, "verbose.json", ["-v"])
+        assert quiet == [] and verbose_hash == quiet_hash
+        assert [line.split(",")[0] for line in verbose] == [
             "DEBUG cge.coarse: level 0: splu", "DEBUG cge.coarse: level -1: splu",
-            "DEBUG cge.coarse: level -2: splu", "DEBUG cge.coarse: level -3: splu",
-            "DEBUG cge.coarse: level -4: cells"]
+            "DEBUG cge.coarse: level -2: splu", "DEBUG cge.coarse: level -3: cells"]
         # each solved level names its chunks and the threads that took one
         # (how many did depends on the host's scheduling, not above the cores)
         cores = len(os.sched_getaffinity(0))
-        for level, line in zip(range(0, -4, -1), logged[1]):
-            cubes, m = 9 ** -level, 3 ** (4 + level)
-            chunks = 1 if cubes == 1 else -(-cubes // cge.solver._chunk_cubes(m, 2))
+        for level, line in zip(range(0, -3, -1), verbose):
+            cubes, m = 27 ** -level, 3 ** (3 + level)
+            chunks = 1 if cubes == 1 else -(-cubes // cge.solver._chunk_cubes(m, 3))
             split, threads = line.split(",")[1].rsplit(" on ", 1)
             assert split == f" {cubes} cubes in {chunks} chunks"
             assert threads.endswith(" threads")
             assert 1 <= int(threads.split()[0]) <= min(chunks, cores)
-        assert logged[1][-1].split(",")[1] == " 6561 cubes"
-        assert hashes[0] == hashes[1]
+        assert verbose[-1].split(",")[1] == " 19683 cubes"
+
+    def test_verbose_logs_condensation_levels(self, workdir):
+        # a 2D field: one condensation pass, its parents in chunks
+        gen_identity(workdir, name="field.cge", n=4)
+        quiet_hash, quiet = self._debug_levels(workdir, "quiet.json")
+        verbose_hash, verbose = self._debug_levels(workdir, "verbose.json", ["-v"])
+        assert quiet == [] and verbose_hash == quiet_hash
+        assert [line.split(",")[0] for line in verbose] == [
+            "DEBUG cge.coarse: level 0: condensation", "DEBUG cge.coarse: level -1: condensation",
+            "DEBUG cge.coarse: level -2: condensation",
+            "DEBUG cge.coarse: level -3: condensation", "DEBUG cge.coarse: level -4: cells"]
+        cores = len(os.sched_getaffinity(0))
+        for level, line in zip(range(0, -4, -1), verbose):
+            cubes, m = 9 ** -level, 3 ** (3 + level)  # m: cells a side of a child
+            nodes = cge.solver._skeleton(m, 2)[0] + 12 * m
+            chunks = -(-cubes // max(1, cge.solver.CHUNK_ENTRIES // nodes**2))
+            split, threads = line.split(",")[1].rsplit(" on ", 1)
+            assert split == f" {cubes} cubes in {chunks} chunks"
+            assert 1 <= int(threads.split()[0]) <= min(chunks, cores)
+            assert line.split(",")[2] == f" {nodes} unknowns per cube"
+        assert verbose[-1].split(",")[1] == " 6561 cubes"
 
 
 class TestCriterion:

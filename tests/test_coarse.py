@@ -273,16 +273,17 @@ class TestSweepStructure:
         assert_allclose(fine.astar, result.levels[-3].avg, rtol=0, atol=0)
 
     def test_failures_recorded_not_raised(self, failing_factorization, tmp_path):
-        grid = GridSpec(d=2, N=1)
+        # the sparse engine solves 3D levels; see TestCondensation for 2D
+        grid = GridSpec(d=3, N=1)
         field = gen_random_spd(grid, seed=1, eig_low=0.5, eig_high=2.0)
         result = sweep(field, cache_dir=str(tmp_path))
         assert os.listdir(tmp_path) == []  # a failed level is not cached
         assert len(result.failures) == 1
         entry = result.failures[0]
-        assert entry["level"] == 0 and entry["offset"] == [0, 0]
-        assert "iterations" in entry["message"] or entry["message"]
+        assert entry["level"] == 0 and entry["offset"] == [0, 0, 0]
+        assert "singular" in entry["message"]
         assert result.solve_count == 0
-        pair = result.pair(TriadicCube(0, (0, 0)))
+        pair = result.pair(TriadicCube(0, (0, 0, 0)))
         assert np.isnan(pair.astar).all() and np.isnan(pair.astar_inv).all()
         assert np.isnan(result.levels[0].astar_inv_norm).all()
         assert np.isfinite(pair.amax).all()  # the average needs no solve
@@ -304,7 +305,7 @@ class TestSweepStructure:
         ]
 
     def test_one_debug_line_per_level(self, caplog, tmp_path):
-        grid = GridSpec(d=2, N=2)
+        grid = GridSpec(d=3, N=2)
         field = gen_random_spd(grid, seed=1, eig_low=0.5, eig_high=2.0)
         with caplog.at_level(logging.DEBUG, logger="cge.coarse"):
             sweep(field, cache_dir=str(tmp_path))
@@ -312,10 +313,10 @@ class TestSweepStructure:
         lines = [r.getMessage() for r in caplog.records if r.name == "cge.coarse"]
         assert len(lines) == 2 * (grid.N + 1)
         assert lines[0].startswith(
-            "level 0: splu, 1 cubes in 1 chunks on 1 threads, 100 unknowns per cube, residual ")
+            "level 0: splu, 1 cubes in 1 chunks on 1 threads, 1000 unknowns per cube, residual ")
         assert lines[1].startswith(
-            "level -1: splu, 9 cubes in 1 chunks on 1 threads, 16 unknowns per cube, residual ")
-        assert lines[2].startswith("level -2: cells, 81 cubes, - unknowns per cube, residual -, ")
+            "level -1: splu, 27 cubes in 1 chunks on 1 threads, 64 unknowns per cube, residual ")
+        assert lines[2].startswith("level -2: cells, 729 cubes, - unknowns per cube, residual -, ")
         assert [line.split(",")[0] for line in lines[3:]] == [
             "level 0: cache", "level -1: cache", "level -2: cells"]
 
@@ -326,53 +327,53 @@ class TestSweepStructure:
             coarse_grain_cube(field, TriadicCube(0, (0, 0)))
 
     def test_non_finite_cube_recorded_alone(self, monkeypatch, tmp_path):
-        grid = GridSpec(d=2, N=2)
+        grid = GridSpec(d=3, N=2)
         field = gen_random_spd(grid, seed=1, eig_low=0.5, eig_high=2.0)
         real = cge.coarse.batched_neumann_functionals
 
         def one_nan_cube(field, level):
             g_all, stats = real(field, level)
             if level == -1:
-                g_all[1, 2, 0, 0] = np.nan
+                g_all[1, 2, 0, 0, 0] = np.nan
             return g_all, stats
 
         monkeypatch.setattr(cge.coarse, "batched_neumann_functionals", one_nan_cube)
         result = sweep(field, cache_dir=str(tmp_path))
-        assert [(e["level"], e["offset"]) for e in result.failures] == [(-1, [1, 2])]
+        assert [(e["level"], e["offset"]) for e in result.failures] == [(-1, [1, 2, 0])]
         assert "non-finite" in result.failures[0]["message"]
-        assert result.solve_count == 2 * (1 + 8)
+        assert result.solve_count == 3 * (1 + 26)
         ld = result.levels[-1]
         for arr in (ld.astar, ld.astar_inv, ld.astar_inv_norm[..., None]):
-            assert np.isnan(arr[1, 2]).all()
-            assert np.isfinite(np.delete(arr.reshape(9, -1), 5, axis=0)).all()
+            assert np.isnan(arr[1, 2, 0]).all()
+            assert np.isfinite(np.delete(arr.reshape(27, -1), 15, axis=0)).all()
         # the level with the failed cube is not cached; the clean one is
         assert sorted(os.listdir(tmp_path / field.content_hash)) == ["level_0.npz"]
 
     def test_failed_chunk_fails_only_its_cubes(self, monkeypatch, caplog, tmp_path):
-        grid = GridSpec(d=2, N=2)
+        grid = GridSpec(d=3, N=2)
         field = gen_random_spd(grid, seed=1, eig_low=0.5, eig_high=2.0)
         clean = sweep(field).levels[-1]
-        # level -1 holds 9 cubes of 3x3 cells: 4 to a chunk leaves cube (2, 2)
-        # alone in the last chunk, the only factor of 15 unknowns
-        monkeypatch.setattr(cge.solver, "CHUNK_NNZ", 4 * cge.solver._factor_nnz(3, 2))
+        # level -1 holds 27 cubes of 3x3x3 cells: 13 to a chunk leaves cube
+        # (2, 2, 2) alone in the last chunk, the only factor of 63 unknowns
+        monkeypatch.setattr(cge.solver, "CHUNK_NNZ", 13 * cge.solver._factor_nnz(3, 3))
         real = cge.solver._factor
 
         def fail_last_chunk(mat):
-            if mat.shape[0] == 4**2 - 1:
+            if mat.shape[0] == 4**3 - 1:
                 raise RuntimeError("Factor is exactly singular")
             return real(mat)
 
         monkeypatch.setattr(cge.solver, "_factor", fail_last_chunk)
         with caplog.at_level(logging.DEBUG, logger="cge.coarse"):
             result = sweep(field, cache_dir=str(tmp_path))
-        assert caplog.records[1].getMessage().startswith("level -1: splu, 9 cubes in 3 chunks ")
-        assert [(e["level"], e["offset"]) for e in result.failures] == [(-1, [2, 2])]
+        assert caplog.records[1].getMessage().startswith("level -1: splu, 27 cubes in 3 chunks ")
+        assert [(e["level"], e["offset"]) for e in result.failures] == [(-1, [2, 2, 2])]
         assert "singular" in result.failures[0]["message"]
-        assert result.solve_count == 2 * (1 + 8)
-        kept = [off for off in np.ndindex(3, 3) if off != (2, 2)]
+        assert result.solve_count == 3 * (1 + 26)
+        kept = [off for off in np.ndindex(3, 3, 3) if off != (2, 2, 2)]
         for name in ("astar", "astar_inv", "astar_inv_norm"):
             arr = getattr(result.levels[-1], name)
-            assert np.isnan(arr[2, 2]).all()
+            assert np.isnan(arr[2, 2, 2]).all()
             assert all(np.array_equal(arr[off], getattr(clean, name)[off]) for off in kept)
         # the level with the failed chunk is not cached; the clean one is
         assert sorted(os.listdir(tmp_path / field.content_hash)) == ["level_0.npz"]
@@ -523,6 +524,121 @@ class TestLevelZeroOverlap:
 
 
 # ---------------------------------------------------------------------------
+# 1D and 2D sweeps: one bottom-up condensation pass
+# ---------------------------------------------------------------------------
+
+class TestCondensation:
+    def test_failed_chunk_fails_it_and_the_cubes_that_contain_it(
+            self, cores, monkeypatch, tmp_path):
+        field = gen_random_spd(GridSpec(2, 3), seed=1, eig_low=1e-2, eig_high=1e2)
+        clean = sweep(field)
+        # one core and one parent a chunk: the caller condenses level -1's
+        # nine parents in order, so the eighth is cube (2, 1)
+        cores(1)
+        monkeypatch.setattr(cge.solver, "CHUNK_ENTRIES", 1)
+        calls = []
+        real = cge.solver._condense_chunk
+
+        def fail_one(kids, m, *args):
+            calls.append(m)
+            if m == 3 and calls.count(3) == 8:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real(kids, m, *args)
+
+        monkeypatch.setattr(cge.solver, "_condense_chunk", fail_one)
+        result = sweep(field, cache_dir=str(tmp_path))
+        assert calls == [1] * 81 + [3] * 9 + [9]
+        failed = [(-1, (2, 1)), (0, (0, 0))]
+        assert [(e["level"], tuple(e["offset"])) for e in result.failures] == failed[::-1]
+        assert all("Singular matrix" in e["message"] for e in result.failures)
+        assert result.solve_count == 2 * (81 + 8)
+        # every other cube keeps its numbers to the last bit, though the
+        # split and the cores differ from the clean run
+        for level, ld in result.levels.items():
+            for name in ("astar", "astar_inv", "astar_inv_norm"):
+                arr, want = getattr(ld, name), getattr(clean.levels[level], name)
+                for off in np.ndindex(arr.shape[:2]):
+                    if (level, off) in failed:
+                        assert np.isnan(arr[off]).all()
+                    else:
+                        assert np.array_equal(arr[off], want[off])
+        # a level with a failed cube is not cached
+        assert sorted(os.listdir(tmp_path / field.content_hash)) == ["level_-2.npz"]
+
+    def test_non_finite_cell_fails_the_cubes_that_contain_it(self, monkeypatch, tmp_path):
+        field = gen_random_spd(GridSpec(2, 2), seed=1, eig_low=0.5, eig_high=2.0)
+        clean = sweep(field)
+        real = cge.solver._element_matrices
+
+        def nan_first_cell(cells, d, h):
+            out = real(cells, d, h)
+            out[0, 0, 0] = np.nan  # the first cell in tree order is cell (0, 0)
+            return out
+
+        monkeypatch.setattr(cge.solver, "_element_matrices", nan_first_cell)
+        result = sweep(field, cache_dir=str(tmp_path))
+        assert [(e["level"], e["offset"], e["message"]) for e in result.failures] == [
+            (0, [0, 0], "non-finite functional matrix"),
+            (-1, [0, 0], "non-finite functional matrix")]
+        assert result.solve_count == 2 * 8
+        assert np.isnan(result.levels[0].astar_inv).all()
+        ld, want = result.levels[-1], clean.levels[-1]
+        assert np.isnan(ld.astar_inv[0, 0]).all()
+        assert np.array_equal(ld.astar_inv.reshape(9, -1)[1:], want.astar_inv.reshape(9, -1)[1:])
+        assert os.listdir(tmp_path) == []
+
+    def test_one_debug_line_per_level(self, caplog, tmp_path):
+        grid = GridSpec(d=2, N=2)
+        field = gen_random_spd(grid, seed=1, eig_low=0.5, eig_high=2.0)
+        with caplog.at_level(logging.DEBUG, logger="cge.coarse"):
+            sweep(field, cache_dir=str(tmp_path))
+            sweep(field, cache_dir=str(tmp_path))
+        lines = [r.getMessage() for r in caplog.records if r.name == "cge.coarse"]
+        assert len(lines) == 2 * (grid.N + 1)
+        # unknowns: the skeleton nodes of a parent of 3x3 children
+        assert lines[0].startswith("level 0: condensation, 1 cubes in 1 chunks on 1 threads, "
+                                   "64 unknowns per cube, residual ")
+        assert lines[1].startswith("level -1: condensation, 9 cubes in 1 chunks on 1 threads, "
+                                   "16 unknowns per cube, residual ")
+        assert lines[2].startswith("level -2: cells, 81 cubes, - unknowns per cube, residual -, ")
+        assert [line.split(",")[0] for line in lines[3:]] == [
+            "level 0: cache", "level -1: cache", "level -2: cells"]
+
+    def test_pass_runs_from_the_cells_to_the_coarsest_miss(self, monkeypatch, tmp_path):
+        field = gen_random_spd(GridSpec(2, 3), seed=9, eig_low=0.5, eig_high=5.0)
+        passes, chunks = [], []
+        real_pass = cge.coarse.condensed_neumann_functionals
+        real_chunk = cge.solver._condense_chunk
+
+        def spy_pass(field, levels):
+            passes.append(sorted(levels))
+            return real_pass(field, levels)
+
+        def spy_chunk(kids, m, d, maps, forcing):
+            chunks.append((m, forcing is not None))
+            return real_chunk(kids, m, d, maps, forcing)
+
+        monkeypatch.setattr(cge.coarse, "condensed_neumann_functionals", spy_pass)
+        monkeypatch.setattr(cge.solver, "_condense_chunk", spy_chunk)
+        cache = tmp_path / "cache"
+        cold = sweep(field, cache_dir=str(cache))
+        assert passes == [[-2, -1, 0]] and chunks == [(1, True), (3, True), (9, True)]
+        assert (cold.solve_count, cold.cache_hits) == (2 * 91, 0)
+        # a warm rerun condenses nothing
+        passes.clear(), chunks.clear()
+        assert sweep(field, cache_dir=str(cache)).solve_count == 0
+        assert passes == [] and chunks == []
+        # with level -1 missed alone, the pass condenses level -2 without
+        # solving it, solves level -1 and stops there
+        os.remove(cache / field.content_hash / "level_-1.npz")
+        redo = sweep(field, cache_dir=str(cache))
+        assert passes == [[-1]] and chunks == [(1, False), (3, True)]
+        assert (redo.solve_count, redo.cache_hits) == (2 * 9, 1 + 81)
+        for level, ld in redo.levels.items():
+            assert np.array_equal(ld.astar_inv, cold.levels[level].astar_inv)
+
+
+# ---------------------------------------------------------------------------
 # Disk cache
 # ---------------------------------------------------------------------------
 
@@ -567,24 +683,27 @@ class TestCache:
         assert sweep(field, cache_dir=cache).cache_hits == 1
 
     def test_record_of_the_old_layout_is_a_miss(self, tmp_path):
-        # a record of the previous layout (tag /1) also held amax: it is
-        # re-solved and rewritten in the current layout, which then hits
+        # records of the earlier engines: tag /1 also held amax, tag /2 was
+        # the sparse engine's 2D record. Each is re-solved and rewritten in
+        # the current layout, which then hits
         grid = GridSpec(d=2, N=1)
         field = gen_random_spd(grid, seed=2, eig_low=0.5, eig_high=2.0)
         cache = str(tmp_path / "cache")
         cold = sweep(field, cache_dir=cache)
         victim = os.path.join(cache, field.content_hash, "level_0.npz")
-        old_tag = b"q1-neumann/splu-nested-dissection/1"
-        self._rewrite_record(victim, amax=cold.levels[0].amax,
-                             solver=np.frombuffer(old_tag, dtype=np.uint8))
-        redo = sweep(field, cache_dir=cache)
-        assert (redo.solve_count, redo.cache_hits) == (2, 0)
-        assert np.array_equal(redo.levels[0].astar_inv, cold.levels[0].astar_inv)
-        with np.load(victim) as rec:
-            assert set(rec.files) == {"astar_inv", "solver"}
-            assert rec["solver"].tobytes().decode() == cge.coarse.SOLVER_TAG
-        warm = sweep(field, cache_dir=cache)
-        assert (warm.solve_count, warm.cache_hits) == (0, 1)
+        for old_tag, extra in ((b"q1-neumann/splu-nested-dissection/1",
+                                {"amax": cold.levels[0].amax}),
+                               (b"q1-neumann/splu-nested-dissection/2", {})):
+            self._rewrite_record(victim, solver=np.frombuffer(old_tag, dtype=np.uint8),
+                                 **extra)
+            redo = sweep(field, cache_dir=cache)
+            assert (redo.solve_count, redo.cache_hits) == (2, 0)
+            assert np.array_equal(redo.levels[0].astar_inv, cold.levels[0].astar_inv)
+            with np.load(victim) as rec:
+                assert set(rec.files) == {"astar_inv", "solver"}
+                assert rec["solver"].tobytes().decode() == cge.coarse.SOLVER_TAG
+            warm = sweep(field, cache_dir=cache)
+            assert (warm.solve_count, warm.cache_hits) == (0, 1)
 
     @staticmethod
     def _rewrite_record(path, **arrays):
@@ -626,7 +745,7 @@ class TestCache:
         assert sweep(field, cache_dir=cache).cache_hits == 1
 
     def test_one_factorization_per_solved_level(self, tmp_path, monkeypatch):
-        grid = GridSpec(d=2, N=3)
+        grid = GridSpec(d=3, N=2)
         field = gen_random_spd(grid, seed=9, eig_low=0.5, eig_high=5.0)
         sizes = []
         real = cge.solver._factor
@@ -638,8 +757,9 @@ class TestCache:
         monkeypatch.setattr(cge.solver, "_factor", spy)
         cache = str(tmp_path / "cache")
         sweep(field, cache_dir=cache)
-        # levels 0, -1, -2: one pinned block of (m+1)**2 - 1 nodes per cube
-        assert sizes == [28**2 - 1, 9 * (10**2 - 1), 81 * (4**2 - 1)]
+        # levels 0 and -1: one pinned block of (m+1)**3 - 1 nodes per cube,
+        # level -1's 27 cubes in one chunk; level 0 may run on a pool thread
+        assert sorted(sizes) == [10**3 - 1, 27 * (4**3 - 1)]
         sizes.clear()
         assert sweep(field, cache_dir=cache).solve_count == 0
         assert sizes == []
@@ -688,7 +808,7 @@ class TestAudit:
         report = audit(sweep(gen_constant(grid, np.diag([1.0, 4.0]))))
         assert report.ok
         assert report.checked == {
-            "finite": 5 * 91,
+            "finite": 4 * 91,  # amax is the avg array, checked once
             "chain": 2 * 91,
             "subadditivity_norm": 10,
             "subadditivity_form": 10,
@@ -715,10 +835,12 @@ class TestAudit:
         grid = GridSpec(d=2, N=2)
         result = sweep(gen_random_spd(grid, seed=3, eig_low=0.5, eig_high=2.0))
         assert audit(result).ok
+        # the edited amax is an array of its own, no longer avg: it is checked
         _set_entry(result, -1, "amax", (1, 1), np.nan)
+        assert result.levels[-1].amax is not result.levels[-1].avg
         report = audit(result)
         assert not report.ok
-        assert report.checked["finite"] == 5 * 91
+        assert report.checked["finite"] == 4 * 91 + 9
         assert [(v["kind"], v["level"], v["offset"]) for v in report.violations] == [
             ("finite", -1, [1, 1])
         ]

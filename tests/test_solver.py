@@ -11,13 +11,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cge.fields import gen_constant, gen_laminate, gen_random_spd
+from cge.fields import (
+    CantorParams,
+    CascadeParams,
+    gen_cantor_field,
+    gen_cascade_field,
+    gen_constant,
+    gen_laminate,
+    gen_random_spd,
+)
 import cge.solver
 from cge.grid import (
     CoefficientField,
     GridSpec,
     ScalarGridFunction,
     TriadicCube,
+    block_reduce,
     cube_average,
     sym_index_pairs,
     sym_unpack,
@@ -25,11 +34,13 @@ from cge.grid import (
 from cge.solver import (
     CubeFunction,
     SolverError,
+    _boundary_nodes,
     _cell_node_indices,
     _cube_cells_packed,
     _forcings,
     assemble_neumann,
     batched_neumann_functionals,
+    condensed_neumann_functionals,
     discrete_gradient,
     energy,
     functional_value,
@@ -332,6 +343,88 @@ def test_cross_functional_matrix_structure(d, n):
     np.testing.assert_allclose(g_dense[d:, d:], avg, rtol=0, atol=1e-10 * np.abs(avg).max())
     np.testing.assert_allclose(g_dense[:d, d:], np.eye(d), rtol=0, atol=1e-10)
     np.testing.assert_allclose(g_dense[d:, :d], np.eye(d), rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("m", [1, 3, 9])
+def test_forcings_vanish_off_the_boundary(d, m):
+    # the premise of the condensation pass: g needs the boundary map alone
+    h = 1.0 / 27
+    rhs = _forcings(m, d, h)
+    assert _forcings(m, d, h) is rhs and not rhs.flags.writeable
+    interior = np.setdiff1d(np.arange((m + 1) ** d), _boundary_nodes(m, d))
+    assert interior.size == (m - 1) ** d
+    assert np.all(rhs[interior] == 0.0)
+    assert np.all(np.abs(rhs[_boundary_nodes(m, d)]).sum(axis=1) > 0)
+
+
+def _condensed_levels(f):
+    """Every solved level's ``g_all`` from one condensation pass."""
+    out = condensed_neumann_functionals(f, range(0, -f.grid.N, -1))
+    assert all(stats.method == "condensation" and stats.residual <= 1e-10
+               for _, stats in out.values())
+    return {level: g_all for level, (g_all, _) in out.items()}
+
+
+@pytest.mark.parametrize("f", [
+    gen_random_spd(GridSpec(2, 4), seed=1, eig_low=1e-2, eig_high=1e2),
+    gen_cantor_field(GridSpec(2, 4), CantorParams(4)),
+    gen_cascade_field(GridSpec(2, 4), CascadeParams(0.5, 4, 1)),
+], ids=["random", "cantor", "cascade"])
+def test_condensation_matches_sparse_engine(f):
+    # every cube of every solved level, relative to the cube's largest entry
+    for level, g_all in _condensed_levels(f).items():
+        g_splu, _ = batched_neumann_functionals(f, level)
+        scale = np.abs(g_splu).max(axis=(-2, -1), keepdims=True)
+        assert np.all(np.abs(g_all - g_splu) <= 1e-10 * scale), level
+
+
+@pytest.mark.parametrize("d, n", [(1, 2), (1, 3), (2, 2), (2, 3)])
+def test_condensation_matches_dense_oracle(d, n):
+    f = gen_random_spd(GridSpec(d, n), seed=13, eig_low=0.1, eig_high=10.0)
+    for level, g_all in _condensed_levels(f).items():
+        assert g_all.shape == (3 ** -level,) * d + (d, d)
+        for off in np.ndindex(g_all.shape[:d]):
+            g_dense = _dense_functionals(f, TriadicCube(level, off))[:d, :d]
+            np.testing.assert_allclose(g_all[off], g_dense, rtol=0,
+                                       atol=1e-12 * np.abs(g_dense).max())
+
+
+@pytest.mark.parametrize("eig_low, rtol", [(1e-2, 2e-12), (1e-3, 1e-10)])
+def test_condensation_1d_closed_form(eig_low, rtol):
+    # in 1D the minimizer is exact: g is the block mean of 1/a. Measured
+    # worst relative errors over seeds 1-3 at N=6: 2.0e-13 at contrast 1e4,
+    # 7.3e-12 at contrast 1e6 (each level's diagonal is taken from its row
+    # sums; subtracted directly, the latter was 2.7e-8)
+    f = gen_random_spd(GridSpec(1, 6), seed=1, eig_low=eig_low, eig_high=1.0 / eig_low)
+    for level, g_all in _condensed_levels(f).items():
+        want = block_reduce(1.0 / f.data, 1, 3 ** (6 + level))
+        np.testing.assert_allclose(g_all[..., 0], want, rtol=rtol, atol=0)
+
+
+@pytest.mark.parametrize("d, n", [(1, 5), (2, 4)])
+def test_condensation_split_and_cores_leave_functionals_bit_identical(monkeypatch, d, n):
+    # every parent is eliminated alone: one parent a chunk, the default
+    # chunks on one core and on two cores agree to the last bit
+    f = gen_random_spd(GridSpec(d, n), seed=11, eig_low=1e-2, eig_high=1e2)
+    runs = []
+    for budget, cores in ((1, 1), (cge.solver.CHUNK_ENTRIES, 1), (cge.solver.CHUNK_ENTRIES, 2)):
+        monkeypatch.setattr(cge.solver, "CHUNK_ENTRIES", budget)
+        monkeypatch.setattr(cge.solver.os, "sched_getaffinity", lambda pid: set(range(cores)))
+        monkeypatch.setattr(cge.solver, "_POOL", None)
+        try:
+            out = condensed_neumann_functionals(f, range(0, -n, -1))
+        finally:
+            if cge.solver._POOL is not None:
+                cge.solver._POOL.shutdown()
+        runs.append(out)
+    one_parent, whole = runs[0], runs[1]
+    assert one_parent[-n + 1][1].chunks == 3 ** ((n - 1) * d)
+    assert whole[-n + 1][1].chunks < one_parent[-n + 1][1].chunks
+    for out in runs[1:]:
+        for level, (g_all, stats) in out.items():
+            assert np.array_equal(g_all, one_parent[level][0])
+            assert stats.residual == one_parent[level][1].residual
 
 
 def test_galerkin_optimality_one_sided():

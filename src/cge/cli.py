@@ -649,14 +649,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             level=logging.DEBUG if args.verbose else logging.INFO,
             format="%(levelname)s %(name)s: %(message)s",
         )
-        if args.cmd != "gen" and (args.cmd != "criterion" or args.with_solves):
-            # Every command but gen, and criterion without --with-solves, may
-            # solve, so it loads SciPy's sparse stack here, before it reads a
-            # field. Where the import happens sets peak RSS: a 2D N=5 `coarse`
-            # run peaked at 172 MB with the import here, 173 MB with it at
-            # module top, and 191-193 MB with it at sweep entry or in the
-            # first assembly.
-            import scipy.sparse.linalg  # noqa: F401
         return args.func(args)
     except CliError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -47,14 +47,7 @@ from .grid import (
     sym_pack,
     sym_unpack,
 )
-from .solver import (
-    SolveStats,
-    SolverError,
-    _chunk_pool,
-    batched_neumann_functionals,
-    condensed_neumann_functionals,
-    neumann_functionals,
-)
+from .solver import SolveStats, SolverError, level_functionals, neumann_functionals
 
 __all__ = [
     "CoarseGrainPair",
@@ -222,16 +215,6 @@ def _cache_load(path: str, shape: tuple[int, ...]) -> np.ndarray | None:
     return astar_inv
 
 
-def _solve_level(
-    field: CoefficientField, level: int
-) -> tuple[np.ndarray, list[dict], SolveStats]:
-    """:func:`_level_result` of one level from the sparse engine."""
-    try:
-        return _level_result(level, batched_neumann_functionals(field, level))
-    except SolverError as err:
-        return _level_result(level, err)
-
-
 def _level_result(
     level: int, out: tuple[np.ndarray, SolveStats] | SolverError
 ) -> tuple[np.ndarray, list[dict], SolveStats]:
@@ -275,25 +258,17 @@ def sweep(field: CoefficientField, cache_dir: str | None = None) -> SweepResult:
     solves (and ``solve_count`` counts) d forcings per cube. A warm cache
     re-run performs zero solves.
 
-    In 1D and 2D, :func:`~cge.solver.condensed_neumann_functionals` gets
-    every missed level in one bottom-up pass of nested static condensation,
-    from the cells to the coarsest missed level. In 3D, each missed level
-    is solved by :func:`~cge.solver.batched_neumann_functionals`, one
-    factorization per chunk of whole cubes; when level 0 and another level
-    miss and the process may use more than one core, a thread of
-    :func:`~cge.solver._chunk_pool` solves level 0 while the calling thread
-    solves the other levels. The levels are then built, logged and cached in
-    order. Every chunk is eliminated or factored alone, so the numbers do not
-    depend on the schedule.
+    Every missed level comes from one :func:`~cge.solver.level_functionals`
+    call, which picks the engine and the schedule; the levels are then
+    built, logged and cached in order.
 
     Failures are recorded per cube and surface as NaN matrices rather than
-    aborting the sweep: a failed factorization fails the cubes of its chunk
-    (and, in a condensation pass, every cube that contains one of them), the
-    rest of the level keeps its numbers, and a level with a failed cube is
-    not cached. Each level logs one DEBUG line on ``cge.coarse``: method
-    (``condensation``, ``splu``, ``cache`` or ``cells``), cubes, for a solve
-    the chunks and threads it ran in, unknowns per cube (skeleton nodes for
-    a condensation), residual and seconds.
+    aborting the sweep: the cubes that the solver marks failed, or whose
+    functional matrix is not finite, fail; the rest of the level keeps its
+    numbers, and a level with a failed cube is not cached. Each level logs
+    one DEBUG line on ``cge.coarse``: method (the solver's, ``cache`` or
+    ``cells``), cubes, for a solve the chunks and threads it ran in and its
+    unknowns per cube and residual, and seconds.
     """
     grid = field.grid
     d = grid.d
@@ -307,21 +282,7 @@ def sweep(field: CoefficientField, cache_dir: str | None = None) -> SweepResult:
                            (3 ** (-level),) * d + (ncomp,))
 
     records = {level: load(level) for level in range(0, -grid.N, -1)}
-    misses = [level for level, rec in records.items() if rec is None]
-    solved: dict[int, tuple] = {}
-    if d < 3:
-        if misses:
-            solved = {level: _level_result(level, out)
-                      for level, out in condensed_neumann_functionals(field, misses).items()}
-    # In 3D, level 0's factor outweighs all other levels together (nested-
-    # dissection fill grows like n**(4/3)), so a pool thread factors it while
-    # this thread solves the other levels.
-    elif len(misses) > 1 and misses[0] == 0 and len(os.sched_getaffinity(0)) > 1:
-        top = _chunk_pool().submit(_solve_level, field, 0)
-        try:
-            solved = {level: _solve_level(field, level) for level in misses[1:]}
-        finally:
-            solved[0] = top.result()
+    solved = level_functionals(field, [level for level, rec in records.items() if rec is None])
 
     levels: dict[int, LevelData] = {}
     solve_count = 0
@@ -345,11 +306,8 @@ def sweep(field: CoefficientField, cache_dir: str | None = None) -> SweepResult:
             cache_hits += n_cubes
             method, stats = "cache", None
         else:
-            if level in solved:
-                astar_inv_arr, level_failures, stats = solved.pop(level)
-                t0 -= stats.wall_time  # solved before this loop
-            else:
-                astar_inv_arr, level_failures, stats = _solve_level(field, level)
+            astar_inv_arr, level_failures, stats = _level_result(level, solved.pop(level))
+            t0 -= stats.wall_time  # solved before this loop
             method = stats.method
             failures += level_failures
             solve_count += d * (n_cubes - len(level_failures))
@@ -360,15 +318,8 @@ def sweep(field: CoefficientField, cache_dir: str | None = None) -> SweepResult:
         levels[level] = LevelData(level, astar_arr, avg, avg, inv_avg_inv, astar_inv_arr)
         _log_level(level, method, n_cubes, stats, t0)
 
-    return SweepResult(
-        grid=grid,
-        field_hash=field.content_hash,
-        levels=levels,
-        cell_inv_norm=cell_inv_norm,
-        solve_count=solve_count,
-        cache_hits=cache_hits,
-        failures=failures,
-    )
+    return SweepResult(grid, field.content_hash, levels, cell_inv_norm, solve_count,
+                       cache_hits, failures)
 
 
 # ---------------------------------------------------------------------------

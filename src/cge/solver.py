@@ -15,17 +15,20 @@ Two problem classes back everything else:
   coefficients. The solve and the harness read the boundary data at the
   same face centers, from :func:`boundary_face_values`.
 
-The pure-Neumann solves have two engines. The sparse engine assembles
-equal cubes (all cubes of a triadic level, or a single cube) into one
-block-diagonal sparse matrix; each block pins one node, which removes the
-constant kernel and leaves an SPD system, and lists its nodes in geometric
-nested-dissection order. A level's cubes are cut into chunks of whole cubes
-whose predicted factor fits :data:`CHUNK_NNZ`; SuperLU factors each chunk's
-matrix once, keeping that order, and the d gradient forcings, the same on
-every cube, are back-solved together; each cube's solution is then
-re-centred to zero mean. It solves single cubes and every 3D level. A 3D
-sweep also hands level 0, one cube whose factor outweighs all other levels
-together, to a pool thread while the caller solves the other levels.
+The pure-Neumann solves have two engines; :func:`level_functionals`, a
+sweep's entry point, is the one place that picks and schedules them. The
+sparse engine assembles equal cubes (all cubes of a triadic level, or a
+single cube) into one block-diagonal sparse matrix; each block pins one
+node, which removes the constant kernel and leaves an SPD system, and lists
+its nodes in geometric nested-dissection order. A level's cubes are cut
+into chunks of whole cubes whose predicted factor fits :data:`CHUNK_NNZ`;
+SuperLU factors each chunk's matrix once, keeping that order, and the d
+gradient forcings, the same on every cube, are back-solved together; each
+cube's solution is then re-centred to zero mean. It solves single cubes and
+every 3D level. 3D level 0 is one cube whose factor outweighs all other
+levels together: when it and another level are asked for and the process
+may use more than one core, a pool thread solves it while the caller solves
+the others.
 
 The condensation engine (:func:`condensed_neumann_functionals`) gets every
 level of a 1D or 2D sweep in one bottom-up pass over the triadic tree: the
@@ -45,10 +48,10 @@ takes one step of iterative refinement with the same factor. Every solve's
 sparse factorization goes through :func:`_factor`.
 
 ``scipy.sparse`` and ``scipy.sparse.linalg`` are not imported with this
-module: the functions that assemble or factor a sparse matrix import them,
-so importing ``cge`` (and ``cge gen``, which never solves) loads no SciPy
-sparse code. ``cge.cli`` loads them before a solving command reads its
-field. Likewise ``concurrent.futures`` and the chunk threads load and start
+module but where a sparse solve starts (:func:`_assemble_blocks`,
+:func:`_factor`, :func:`solve_dirichlet`): importing ``cge``, ``cge gen``
+and a 1D or 2D sweep (NumPy's dense solves alone) load no SciPy sparse
+code. Likewise ``concurrent.futures`` and the chunk threads load and start
 with the first level that has more than one chunk to run on more than one
 core, or with the first overlapped 3D level 0.
 """
@@ -90,6 +93,7 @@ __all__ = [
     "neumann_functionals",
     "batched_neumann_functionals",
     "condensed_neumann_functionals",
+    "level_functionals",
     "solve_dirichlet",
     "boundary_face_values",
     "energy",
@@ -142,9 +146,9 @@ class SolverError(RuntimeError):
     """Solver failure (e.g. a failed factorization); carries the partial stats.
 
     From :func:`batched_neumann_functionals` (and, per level, from
-    :func:`condensed_neumann_functionals`) it also carries the partial
-    level: ``g`` holds every cube's functional matrix, NaN for the cubes
-    that failed, and ``failed`` marks those cubes.
+    :func:`condensed_neumann_functionals` and :func:`level_functionals`) it
+    also carries the partial level: ``g`` holds every cube's functional
+    matrix, NaN for the cubes that failed, and ``failed`` marks those cubes.
     """
 
     def __init__(self, message: str, stats: SolveStats | None = None,
@@ -236,6 +240,19 @@ def _cell_node_indices(m: int, d: int) -> np.ndarray:
             flat = flat * nodes_per_side + corner[:, a]
         out[:, i] = flat
     return out
+
+
+def _cell_corners(node_data: np.ndarray) -> np.ndarray:
+    """Each cell's corner values of a node array, ``(ncells, 2^d)``: cells
+    in C order, corners in the order of the element matrices."""
+    d = node_data.ndim
+    m_shape = tuple(s - 1 for s in node_data.shape)
+    ncells = math.prod(m_shape)
+    corners = np.empty((ncells, 2**d))
+    for i, off in enumerate(_local_offsets(d)):
+        sl = tuple(slice(o, o + s) for o, s in zip(off, m_shape))
+        corners[:, i] = node_data[sl].reshape(ncells)
+    return corners
 
 
 def _cube_cells_packed(field: CoefficientField, cube: TriadicCube) -> np.ndarray:
@@ -392,9 +409,10 @@ def _chunk_cubes(m: int, d: int) -> int:
 
 
 def _chunk_pool():
-    """The threads that take chunks alongside the calling thread (and, in a
-    3D sweep, solve level 0): one per core this process may use, less the
-    caller's. Started on first use and kept for the life of the process."""
+    """The threads that take chunks alongside the calling thread (and, in
+    :func:`level_functionals`, solve 3D level 0): one per core this process
+    may use, less the caller's. Started on first use and kept for the life
+    of the process."""
     global _POOL
     if _POOL is None:
         from concurrent.futures import ThreadPoolExecutor
@@ -413,7 +431,7 @@ def _run_chunks(starts: range, work: Callable[[int], object]) -> tuple[list, int
     level freed in the caller's heap; each helper thread allocates from a
     heap of its own, which stays with the process. Once the caller has
     taken the last chunk, a helper that has not started (its pool thread is
-    busy, as with 3D level 0 in :func:`~cge.coarse.sweep`) is cancelled,
+    busy, as with 3D level 0 in :func:`level_functionals`) is cancelled,
     not waited for. Returns the ``(lo, work(lo))`` pairs in chunk order and
     the number of threads that took at least one chunk.
     """
@@ -482,15 +500,54 @@ def neumann_functionals(
 
 def _chunk_functionals(
     cells: np.ndarray, m: int, d: int, h: float, volume: float
-) -> tuple[np.ndarray, SolveStats] | SolverError:
-    """``(g, stats)`` of one chunk, ``g`` of shape ``(ncubes, d, d)``, or
-    its :class:`SolverError`, returned so that it fails this chunk alone.
-    The solutions are reduced here, so they do not outlive the chunk."""
+) -> tuple[np.ndarray, float] | str:
+    """``(g, residual)`` of one chunk, ``g`` of shape ``(ncubes, d, d)``, or
+    the message of its :class:`SolverError`, returned so that it fails this
+    chunk alone. The solutions are reduced here, so they do not outlive the
+    chunk."""
     try:
         sols, rhs, stats = _solve_cubes(cells, m, d, h)
     except SolverError as err:
-        return err
-    return np.einsum("bnr,ns->brs", sols, rhs) / volume, stats
+        return str(err)
+    return np.einsum("bnr,ns->brs", sols, rhs) / volume, stats.residual
+
+
+def _level_outcome(
+    shape: tuple[int, ...], done: list, size: int, failed: np.ndarray, stats: SolveStats,
+    message: str = "", order: np.ndarray | None = None,
+) -> tuple[np.ndarray, SolveStats] | SolverError:
+    """A level's ``(g_all, stats)`` from its chunks' ``(lo, result)``
+    pairs, or the :class:`SolverError` carrying it when a cube failed.
+
+    A result is ``(g, residual)`` for the ``size`` cubes from ``lo`` (``g``
+    divided by the volume, or ``None`` if not wanted) or a failure's message,
+    which marks those cubes in ``failed`` (in place; it holds the earlier
+    failures) and is reported unless ``message`` is. ``order``, if given,
+    is each cube's row-major index. ``stats`` holds the level's start as its
+    ``wall_time`` and takes the wall time and the largest finite residual.
+    """
+    d = len(shape)
+    g_all = np.full((failed.size, d, d), np.nan)
+    residuals = []
+    for lo, res in done:
+        if isinstance(res, str):
+            failed[lo:lo + size] = True
+            message = message or res
+        elif res[0] is not None:
+            g_all[lo:lo + size] = res[0]
+            if not math.isnan(res[1]):
+                residuals.append(res[1])
+    stats.residual = max(residuals, default=math.nan)
+    stats.wall_time = time.perf_counter() - stats.wall_time
+    level_failed = failed
+    if order is not None:
+        g_all[order] = g_all.copy()
+        level_failed = np.empty_like(failed)
+        level_failed[order] = failed
+    g_all = g_all.reshape(shape + (d, d))
+    if level_failed.any():
+        return SolverError(message, stats, g_all, level_failed.reshape(shape))
+    return g_all, stats
 
 
 def batched_neumann_functionals(
@@ -519,23 +576,11 @@ def batched_neumann_functionals(
     volume = 3.0 ** (level * d)
     done, threads = _run_chunks(
         starts, lambda lo: _chunk_functionals(cells[lo:lo + size], m, d, grid.h, volume))
-    g_all = np.full((ncubes, d, d), np.nan)
-    failed = np.zeros(ncubes, dtype=bool)
-    errors, residuals = [], []
-    for lo, out in done:
-        if isinstance(out, SolverError):
-            failed[lo:lo + size] = True
-            errors.append(out)
-        else:
-            g_all[lo:lo + size] = out[0]
-            residuals.append(out[1].residual)
-    stats = SolveStats(0, float(np.max(residuals)) if residuals else math.nan, (m + 1) ** d,
-                       time.perf_counter() - t0, "splu", len(starts), threads)
-    shape = (3 ** (-level),) * d
-    g_all = g_all.reshape(shape + (d, d))
-    if errors:
-        raise SolverError(str(errors[0]), stats, g_all, failed.reshape(shape))
-    return g_all, stats
+    out = _level_outcome((3 ** (-level),) * d, done, size, np.zeros(ncubes, dtype=bool),
+                         SolveStats(0, math.nan, (m + 1) ** d, t0, "splu", len(starts), threads))
+    if isinstance(out, SolverError):
+        raise out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -656,8 +701,8 @@ def _condense_chunk(kids: np.ndarray, m: int, d: int, maps: np.ndarray | None,
 def condensed_neumann_functionals(
     field: CoefficientField, levels: Sequence[int]
 ) -> dict[int, tuple[np.ndarray, SolveStats] | SolverError]:
-    """:func:`batched_neumann_functionals` for the given levels of a 1D or
-    2D field, in one bottom-up pass of nested static condensation.
+    """:func:`level_functionals` of a 1D or 2D field, in one bottom-up pass
+    of nested static condensation.
 
     The d gradient forcings live on a cube's boundary (:func:`_forcings`), so
     ``g = b^T S^+ b / vol``, with ``S`` the cube's *boundary map*: the Schur
@@ -673,24 +718,23 @@ def condensed_neumann_functionals(
     threads. A boundary map of ``m`` cells holds ``(2dm)**2`` entries; in 3D
     it would grow like ``m**4``, so 3D stays on the sparse engine.
 
-    Returns, per level asked for, ``(g_all, stats)`` as
-    :func:`batched_neumann_functionals` does, with ``stats.unknowns`` the
-    skeleton nodes per cube and ``stats.residual`` the largest
-    ``|S y - b| / |b|`` of the pinned boundary solves. A level whose cubes
-    failed is instead a :class:`SolverError` carrying the level: a failed
-    dense solve fails the cubes of its chunk and every cube that contains
-    one of them, and leaves them NaN; the pass reports its first failure's
-    message.
+    Returns what :func:`level_functionals` does, with ``stats.unknowns``
+    the skeleton nodes per cube and ``stats.residual`` the largest
+    ``|S y - b| / |b|`` of the pinned boundary solves. A failed dense solve
+    fails the cubes of its chunk and every cube that contains one of them;
+    the pass reports its first failure's message.
     """
     grid = field.grid
     d = grid.d
-    wanted = set(levels)
+    wanted = _checked_levels(grid, levels)
+    if not wanted:
+        return {}
     cells = field.data.reshape(-1, field.data.shape[-1])[_tree_order(grid.N, d)]
     kids = _element_matrices(cells, d, grid.h)
     failed = np.zeros(kids.shape[0], dtype=bool)
     message = ""
     out: dict[int, tuple[np.ndarray, SolveStats] | SolverError] = {}
-    top = max(wanted)
+    top = wanted[0]
     for level in range(1 - grid.N, top + 1):
         t0 = time.perf_counter()
         m = 3 ** (grid.N + level - 1)  # cells a side of a child
@@ -698,9 +742,9 @@ def condensed_neumann_functionals(
         nb = _boundary_nodes(3 * m, d).size
         size = _skeleton(m, d)[0] + nb
         maps = None if level == top else np.empty((nparents, nb, nb))
-        forcing = None
-        if level in wanted:
-            forcing = _forcings(3 * m, d, grid.h)[_boundary_nodes(3 * m, d)[:-1]]
+        forcing = (_forcings(3 * m, d, grid.h)[_boundary_nodes(3 * m, d)[:-1]]
+                   if level in wanted else None)
+        volume = 3.0 ** (level * d)
         per_chunk = max(1, CHUNK_ENTRIES // size**2)
         starts = range(0, nparents, per_chunk)
         failed = failed.reshape(nparents, 3**d).any(axis=1)
@@ -708,40 +752,67 @@ def condensed_neumann_functionals(
         def work(lo: int):
             hi = min(lo + per_chunk, nparents)
             try:
-                return _condense_chunk(kids[lo * 3**d:hi * 3**d], m, d,
-                                       None if maps is None else maps[lo:hi], forcing)
+                g, res = _condense_chunk(kids[lo * 3**d:hi * 3**d], m, d,
+                                         None if maps is None else maps[lo:hi], forcing)
             except np.linalg.LinAlgError as err:
                 if maps is not None:
                     maps[lo:hi] = np.nan
                 return f"dense condensation failed: {err}"
+            return (None if g is None else g / volume), res
 
         done, threads = _run_chunks(starts, work)
-        g_tree = np.full((nparents, d, d), np.nan)
-        residuals = []
-        for lo, res in done:
-            if isinstance(res, str):
-                failed[lo:lo + per_chunk] = True
-                message = message or res
-            elif forcing is not None:
-                g_tree[lo:lo + per_chunk] = res[0]
-                if not math.isnan(res[1]):
-                    residuals.append(res[1])
+        outcome = _level_outcome(
+            (3 ** (-level),) * d, done, per_chunk, failed,
+            SolveStats(0, math.nan, size, t0, "condensation", len(starts), threads),
+            message, _tree_order(-level, d))
+        if isinstance(outcome, SolverError):
+            message = str(outcome)
+        if forcing is not None:
+            out[level] = outcome
         kids = maps
-        if forcing is None:
-            continue
-        order = _tree_order(-level, d)
-        shape = (3 ** (-level),) * d
-        g_all = np.empty_like(g_tree)
-        g_all[order] = g_tree / 3.0 ** (level * d)
-        g_all = g_all.reshape(shape + (d, d))
-        stats = SolveStats(0, max(residuals, default=math.nan), size, time.perf_counter() - t0,
-                           "condensation", len(starts), threads)
-        if failed.any():
-            level_failed = np.empty_like(failed)
-            level_failed[order] = failed
-            out[level] = SolverError(message, stats, g_all, level_failed.reshape(shape))
-        else:
-            out[level] = g_all, stats
+    return out
+
+
+def _checked_levels(grid: GridSpec, levels: Sequence[int]) -> list[int]:
+    """The solvable levels asked for, coarsest first, each once; a
+    :class:`ValueError` names any level outside ``1-N..0`` (level ``-N``,
+    the cells, needs no solve)."""
+    wanted = sorted(set(levels), reverse=True)
+    bad = [level for level in wanted if not 1 - grid.N <= level <= 0]
+    if bad:
+        raise ValueError(f"levels {bad} outside {1 - grid.N}..0 of an N={grid.N} grid")
+    return wanted
+
+
+def level_functionals(
+    field: CoefficientField, levels: Sequence[int]
+) -> dict[int, tuple[np.ndarray, SolveStats] | SolverError]:
+    """Each given level's ``(g_all, stats)``, as from
+    :func:`batched_neumann_functionals`, or the :class:`SolverError` that
+    carries the level when a cube failed (``{}`` for no level): the entry
+    point of a sweep, which picks the engine and the schedule as the module
+    docstring says. A :class:`ValueError` names any level outside ``1-N..0``.
+    """
+    if field.d < 3:
+        return condensed_neumann_functionals(field, levels)
+    wanted = _checked_levels(field.grid, levels)
+
+    def solve(level: int) -> tuple[np.ndarray, SolveStats] | SolverError:
+        try:
+            return batched_neumann_functionals(field, level)
+        except SolverError as err:
+            return err
+
+    if not (len(wanted) > 1 and wanted[0] == 0 and len(os.sched_getaffinity(0)) > 1):
+        return {level: solve(level) for level in wanted}
+    # level 0's factor outweighs all other levels together (nested-dissection
+    # fill grows like n**(4/3)): a pool thread solves it beside the others
+    out = {}
+    top = _chunk_pool().submit(solve, 0)
+    try:
+        out.update((level, solve(level)) for level in wanted[1:])
+    finally:
+        out[0] = top.result()
     return out
 
 
@@ -915,6 +986,11 @@ def _resolve_function(u) -> tuple[np.ndarray, str]:
     raise TypeError(f"expected CubeFunction or ScalarGridFunction, got {type(u)}")
 
 
+def _cells_under(field: CoefficientField, u) -> np.ndarray:
+    """The packed cells of ``field`` under a function: its cube's, or all."""
+    return field.data[u.cube.cell_slices(field.grid)] if isinstance(u, CubeFunction) else field.data
+
+
 def energy(
     field: CoefficientField,
     u,
@@ -931,10 +1007,7 @@ def energy(
     data, mode = _resolve_function(u)
     d = field.d
     h = field.grid.h
-    if isinstance(u, CubeFunction):
-        cell_block = field.data[u.cube.cell_slices(field.grid)]
-    else:
-        cell_block = field.data
+    cell_block = _cells_under(field, u)
 
     if mode == "node":
         if region is not None:
@@ -952,17 +1025,9 @@ def energy(
 
 
 def _q1_energy(cell_block: np.ndarray, node_data: np.ndarray, d: int, h: float) -> float:
-    m_shape = cell_block.shape[:-1]
-    ncells = int(np.prod(m_shape))
-    packed = cell_block.reshape(ncells, -1)
-    # gather local corner values
-    corners = np.empty((ncells,) + (2,) * d)
-    for i, off in enumerate(_local_offsets(d)):
-        sl = tuple(slice(o, o + s) for o, s in zip(off, m_shape))
-        corners.reshape(ncells, -1)[:, i] = node_data[sl].reshape(ncells)
-    uloc = corners.reshape(ncells, 2**d)
-    r_eff, _ = reference_matrices(d)
-    ke = h ** (d - 2) * np.einsum("cp,pij->cij", packed, r_eff)
+    uloc = _cell_corners(node_data)
+    ncells = uloc.shape[0]
+    ke = _element_matrices(cell_block.reshape(ncells, -1), d, h)
     total = float(np.einsum("ci,cij,cj->", uloc, ke, uloc))
     vol = ncells * h**d
     return total / vol
@@ -988,17 +1053,9 @@ def discrete_gradient(u) -> np.ndarray:
     data, mode = _resolve_function(u)
     if mode != "node":
         raise ValueError("discrete_gradient requires a node-mode function")
-    h = u.grid.h
-    d = data.ndim
-    m_shape = tuple(s - 1 for s in data.shape)
-    ncells = int(np.prod(m_shape))
-    corners = np.empty((ncells, 2**d))
-    for i, off in enumerate(_local_offsets(d)):
-        sl = tuple(slice(o, o + s) for o, s in zip(off, m_shape))
-        corners[:, i] = data[sl].reshape(ncells)
-    _, r_hat = reference_matrices(d)
-    grads = corners @ r_hat.T / h
-    return grads.reshape(m_shape + (d,))
+    _, r_hat = reference_matrices(data.ndim)
+    grads = _cell_corners(data) @ r_hat.T / u.grid.h
+    return grads.reshape(tuple(s - 1 for s in data.shape) + (data.ndim,))
 
 
 def mean_gradient(u) -> np.ndarray:
@@ -1010,10 +1067,7 @@ def mean_gradient(u) -> np.ndarray:
 def mean_flux(field: CoefficientField, u) -> np.ndarray:
     """Volume average of a grad u over the function's domain."""
     g = discrete_gradient(u)
-    if isinstance(u, CubeFunction):
-        block = field.data[u.cube.cell_slices(field.grid)]
-    else:
-        block = field.data
+    block = _cells_under(field, u)
     full = sym_unpack(block.reshape(-1, block.shape[-1]), field.d)
     flux = np.einsum("cab,cb->ca", full, g.reshape(-1, field.d))
     return flux.mean(axis=0)

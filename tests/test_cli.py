@@ -519,8 +519,9 @@ class TestEntryPoints:
         assert __version__ in proc.stdout
 
 
-# SciPy's sparse modules load only in processes that solve: each case below
-# runs in a fresh interpreter, since this one has loaded them long ago.
+# SciPy's sparse modules load only in processes that factor a sparse matrix
+# (a 3D sweep, a single cube, a Dirichlet solve): each case below runs in a
+# fresh interpreter, since this one has loaded them long ago.
 
 def run_fresh(args, cwd, code=None):
     argv = [sys.executable] + (["-c", code] if code is not None else []) + args
@@ -535,7 +536,7 @@ from cge.coarse import sweep
 from cge.fields import gen_random_spd
 from cge.grid import GridSpec
 
-levels = sweep(gen_random_spd(GridSpec(2, 2), 7, 1e-2, 1e2)).levels
+levels = sweep(gen_random_spd(GridSpec(3, 2), 7, 1e-2, 1e2)).levels
 matrices = np.concatenate(
     [np.r_[levels[k].astar.ravel(), levels[k].amax.ravel()] for k in sorted(levels)])
 """
@@ -576,38 +577,29 @@ class TestLazySparseImport:
         assert "| cge\n" in proc.stderr
         assert "scipy.sparse" not in proc.stderr
 
-    @pytest.mark.parametrize("argv", [
-        ["coarse"],
-        ["ellipticity"],
-        ["criterion", "--p", "4", "--q", "4", "--with-solves"],
-        ["harnack", "--boundary", "affine:2,1,0"],
-        ["audit"],
-        ["sweep", "--kind", "sharpness", "--lambda", "1,4", "--grid-n", "3"],
-    ], ids=lambda argv: argv[0])
-    def test_solving_commands_load_scipy_sparse_before_they_run(self, workdir, argv):
-        field = gen_identity(workdir)
+    @pytest.mark.parametrize("argv, loads", [
+        (["coarse"], False),
+        (["ellipticity"], False),
+        (["audit"], False),
+        (["criterion", "--p", "4", "--q", "4", "--with-solves"], False),
+        (["harnack", "--boundary", "affine:2,1,0"], True),
+        (["sweep", "--kind", "sharpness", "--lambda", "1,4", "--grid-n", "3"], True),
+    ], ids=["coarse", "ellipticity", "audit", "criterion", "harnack", "sweep"])
+    def test_sparse_import_only_for_sparse_solves(self, workdir, argv, loads):
+        # a 2D sweep is one condensation pass of dense NumPy solves; only the
+        # Dirichlet solves of harnack and sweep factor a sparse matrix
         if argv[0] != "sweep":
-            argv = argv + ["--field", str(field)]
-        code = (
-            "import json, sys\n"
-            "import cge.cli as cli\n"
-            f"name = 'cmd_' + {argv[0]!r}\n"
-            "command = getattr(cli, name)\n"
-            "seen = []\n"
-            "def spy(args):\n"
-            "    seen.append('scipy.sparse.linalg' in sys.modules)\n"
-            "    return command(args)\n"
-            "setattr(cli, name, spy)\n"
-            f"print(json.dumps([cli.main({argv!r}), seen]))\n"
-        )
-        rc, seen = json.loads(run_fresh([], workdir, code=code).stdout.splitlines()[-1])
-        assert rc == 0 and seen == [True]
+            argv = argv + ["--field", str(gen_identity(workdir))]
+        proc = run_fresh(["-X", "importtime", "-m", "cge.cli", *argv], workdir)
+        assert "| cge\n" in proc.stderr
+        assert ("scipy.sparse" in proc.stderr) is loads
 
     def test_first_sweep_in_fresh_interpreter(self, tmp_path):
-        # the sweep is the first thing that interpreter solves, so its first
-        # assembly is what imports SciPy's sparse modules
+        # the 3D sweep is the first thing that interpreter solves, so its
+        # first assembly is what imports SciPy's sparse modules
         code = ("import sys\nassert 'scipy.sparse' not in sys.modules\n"
-                + FIRST_SWEEP + "np.save(sys.argv[1], matrices)\n")
+                + FIRST_SWEEP + "assert 'scipy.sparse.linalg' in sys.modules\n"
+                "np.save(sys.argv[1], matrices)\n")
         run_fresh([str(tmp_path / "got.npy")], tmp_path, code=code)
         scope = {}
         exec(FIRST_SWEEP, scope)

@@ -329,7 +329,7 @@ class TestSweepStructure:
     def test_non_finite_cube_recorded_alone(self, monkeypatch, tmp_path):
         grid = GridSpec(d=3, N=2)
         field = gen_random_spd(grid, seed=1, eig_low=0.5, eig_high=2.0)
-        real = cge.coarse.batched_neumann_functionals
+        real = cge.solver.batched_neumann_functionals
 
         def one_nan_cube(field, level):
             g_all, stats = real(field, level)
@@ -337,7 +337,7 @@ class TestSweepStructure:
                 g_all[1, 2, 0, 0, 0] = np.nan
             return g_all, stats
 
-        monkeypatch.setattr(cge.coarse, "batched_neumann_functionals", one_nan_cube)
+        monkeypatch.setattr(cge.solver, "batched_neumann_functionals", one_nan_cube)
         result = sweep(field, cache_dir=str(tmp_path))
         assert [(e["level"], e["offset"]) for e in result.failures] == [(-1, [1, 2, 0])]
         assert "non-finite" in result.failures[0]["message"]
@@ -445,7 +445,7 @@ class TestLevelZeroOverlap:
         caller = threading.current_thread()
         lower_done = threading.Event()
         ran_on = {}
-        real = cge.coarse._solve_level
+        real = cge.solver.batched_neumann_functionals
 
         def spy(field, level):
             ran_on[level] = threading.current_thread()
@@ -456,7 +456,7 @@ class TestLevelZeroOverlap:
                 lower_done.set()
             return out
 
-        monkeypatch.setattr(cge.coarse, "_solve_level", spy)
+        monkeypatch.setattr(cge.solver, "batched_neumann_functionals", spy)
         with caplog.at_level(logging.DEBUG, logger="cge.coarse"):
             result = sweep(self.field(3))
         assert ran_on[0] is not caller
@@ -607,7 +607,7 @@ class TestCondensation:
     def test_pass_runs_from_the_cells_to_the_coarsest_miss(self, monkeypatch, tmp_path):
         field = gen_random_spd(GridSpec(2, 3), seed=9, eig_low=0.5, eig_high=5.0)
         passes, chunks = [], []
-        real_pass = cge.coarse.condensed_neumann_functionals
+        real_pass = cge.solver.condensed_neumann_functionals
         real_chunk = cge.solver._condense_chunk
 
         def spy_pass(field, levels):
@@ -618,16 +618,17 @@ class TestCondensation:
             chunks.append((m, forcing is not None))
             return real_chunk(kids, m, d, maps, forcing)
 
-        monkeypatch.setattr(cge.coarse, "condensed_neumann_functionals", spy_pass)
+        monkeypatch.setattr(cge.solver, "condensed_neumann_functionals", spy_pass)
         monkeypatch.setattr(cge.solver, "_condense_chunk", spy_chunk)
         cache = tmp_path / "cache"
         cold = sweep(field, cache_dir=str(cache))
         assert passes == [[-2, -1, 0]] and chunks == [(1, True), (3, True), (9, True)]
         assert (cold.solve_count, cold.cache_hits) == (2 * 91, 0)
-        # a warm rerun condenses nothing
+        # a warm rerun asks the pass for no level and condenses nothing
         passes.clear(), chunks.clear()
         assert sweep(field, cache_dir=str(cache)).solve_count == 0
-        assert passes == [] and chunks == []
+        assert passes == [[]] and chunks == []
+        passes.clear()
         # with level -1 missed alone, the pass condenses level -2 without
         # solving it, solves level -1 and stops there
         os.remove(cache / field.content_hash / "level_-1.npz")

@@ -44,6 +44,7 @@ from cge.solver import (
     discrete_gradient,
     energy,
     functional_value,
+    level_functionals,
     mean_flux,
     mean_gradient,
     neumann_functionals,
@@ -425,6 +426,45 @@ def test_condensation_split_and_cores_leave_functionals_bit_identical(monkeypatc
         for level, (g_all, stats) in out.items():
             assert np.array_equal(g_all, one_parent[level][0])
             assert stats.residual == one_parent[level][1].residual
+
+
+# The entry point of a sweep: level_functionals picks the engine by d and
+# shares the condensation pass's check of the levels asked for.
+LEVEL_ENTRIES = [(condensed_neumann_functionals, 1), (condensed_neumann_functionals, 2),
+                 (level_functionals, 2), (level_functionals, 3)]
+LEVEL_ENTRY_IDS = ["condensed-1d", "condensed-2d", "entry-2d", "entry-3d"]
+
+
+@pytest.mark.parametrize("entry, d", LEVEL_ENTRIES, ids=LEVEL_ENTRY_IDS)
+def test_no_levels_give_no_functionals(entry, d):
+    assert entry(gen_random_spd(GridSpec(d, 2), seed=1), []) == {}
+
+
+@pytest.mark.parametrize("entry, d", LEVEL_ENTRIES, ids=LEVEL_ENTRY_IDS)
+def test_cells_level_is_rejected(entry, d):
+    # level -N is the cells: no solve, so no functionals to return
+    with pytest.raises(ValueError, match=r"levels \[-2\] outside -1\.\.0"):
+        entry(gen_random_spd(GridSpec(d, 2), seed=1), [0, -2])
+
+
+@pytest.mark.parametrize("entry, d", LEVEL_ENTRIES, ids=LEVEL_ENTRY_IDS)
+def test_level_above_the_grid_is_rejected(entry, d):
+    with pytest.raises(ValueError, match=r"levels \[1\] outside -1\.\.0"):
+        entry(gen_random_spd(GridSpec(d, 2), seed=1), [1])
+
+
+@pytest.mark.parametrize("d, engine", [(1, condensed_neumann_functionals),
+                                       (2, condensed_neumann_functionals),
+                                       (3, batched_neumann_functionals)])
+def test_level_functionals_run_the_engine_of_their_dimension(d, engine):
+    f = gen_random_spd(GridSpec(d, 2), seed=5, eig_low=1e-2, eig_high=1e2)
+    out = level_functionals(f, [-1, 0])
+    assert sorted(out) == [-1, 0]
+    want = (engine(f, [-1, 0]) if d < 3
+            else {level: engine(f, level) for level in (-1, 0)})
+    for level, (g_all, stats) in out.items():
+        assert stats.method == want[level][1].method
+        assert np.array_equal(g_all, want[level][0])
 
 
 def test_galerkin_optimality_one_sided():

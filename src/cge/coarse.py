@@ -172,9 +172,10 @@ class SweepResult:
 
 
 #: Names the Neumann engines and record layout (``astar_inv`` alone; ``/3``:
-#: 1D and 2D levels from the condensation pass) in every cache record:
-#: another solver's record is a miss.
-SOLVER_TAG = "q1-neumann/condensation-splu/3"
+#: 1D and 2D levels from the condensation pass; ``/4``: that pass one axis
+#: at a time, which moves the last bits) in every cache record: another
+#: solver's record is a miss.
+SOLVER_TAG = "q1-neumann/condensation-splu/4"
 
 
 def _cache_path(cache_dir, field_hash: str, level: int) -> str:

@@ -34,14 +34,18 @@ The condensation engine (:func:`condensed_neumann_functionals`) gets every
 level of a 1D or 2D sweep in one bottom-up pass over the triadic tree: the
 forcings live on a cube's boundary, so ``g`` needs only the Schur complement
 of the cube's stiffness onto its boundary, and a parent's is the dense
-condensation of its children's. Its chunks hold whole parents.
+condensation of its children's. It reaches each level in ``d`` stages that
+merge 3 boxes along one axis, so small separators are eliminated first, as
+in nested dissection; level 0 solves the 3 boxes of its last stage without
+forming its own map. Its chunks hold whole merges or boxes.
 
 The chunks of a level run on one thread per core this process may use, the
 calling thread among them (SuperLU and NumPy's dense solves release the
 GIL), through :func:`_run_chunks`; with one chunk or one core the caller
 runs them alone, and a helper that finds its pool thread still busy when the
-caller has taken a level's last chunk is cancelled. Every block or parent is
-solved alone, so the numbers do not depend on the split or the schedule.
+caller has taken a level's last chunk is cancelled. Every block, merge or
+box is solved alone, so the numbers do not depend on the split or the
+schedule.
 The Dirichlet system is SPD as well (an M-matrix with the boundary terms on
 its diagonal); it lists its unknowns in the same nested-dissection order and
 takes one step of iterative refinement with the same factor. Every solve's
@@ -348,22 +352,22 @@ def _assemble_blocks(cells: np.ndarray, m: int, d: int, h: float, pinned: bool) 
 
 
 @lru_cache(maxsize=8)
-def _forcings(m: int, d: int, h: float) -> np.ndarray:
+def _forcings(shape: tuple[int, ...], h: float) -> np.ndarray:
     """RHS columns of the d gradient forcings ``L(v) = avg(e_a . grad v)`` on
-    a cube of ``m`` cells a side, ``(nn, d)`` in C node order: the same for
+    a box of ``shape`` cells, ``(nn, d)`` in C node order: the same for
     every coefficient, so cached and read-only. (Un-normalized: the vectors
-    represent vol * L.) A node off the cube's boundary gets
+    represent vol * L.) A node off the box's boundary gets
     ``h**(d-1) * sum(r_hat)`` over its 2**d cells, which is zero: the
     forcings live on the boundary.
     """
-    nn = (m + 1) ** d
-    conn = _cell_node_indices(m, d)
+    d = len(shape)
     _, r_hat = reference_matrices(d)
     per_cell = h ** (d - 1) * r_hat  # (d, 2^d), the same in every cell
-    rhs = np.empty((nn, d))
-    for a in range(d):
-        rhs[:, a] = np.bincount(conn.ravel(), minlength=nn,
-                                weights=np.broadcast_to(per_cell[a], conn.shape).ravel())
+    rhs = np.zeros(tuple(s + 1 for s in shape) + (d,))
+    # last corner first: each node then adds its cells in C order
+    for i, off in reversed(list(enumerate(_local_offsets(d)))):
+        rhs[tuple(slice(o, o + s) for o, s in zip(off, shape))] += per_cell[:, i]
+    rhs = rhs.reshape(-1, d)
     rhs.flags.writeable = False  # shared by every caller through the cache
     return rhs
 
@@ -465,7 +469,7 @@ def _solve_cubes(
     nn = (m + 1) ** d
     free = _nested_dissection(m, d)[:-1]  # the last node is pinned to zero
     kmat = _assemble_blocks(cells, m, d, h, pinned=True)
-    rhs = _forcings(m, d, h)
+    rhs = _forcings((m,) * d, h)
     b = np.tile(rhs[free], (ncubes, 1))
     try:
         lu = _factor(kmat)
@@ -512,6 +516,17 @@ def _chunk_functionals(
     return np.einsum("bnr,ns->brs", sols, rhs) / volume, stats.residual
 
 
+def _mark_failures(done: list, size: int, failed: np.ndarray, message: str = "") -> str:
+    """Mark in ``failed`` the ``size`` items from ``lo`` of every chunk
+    whose result is a failure's message; returns ``message``, or if it is
+    empty the first such message."""
+    for lo, res in done:
+        if isinstance(res, str):
+            failed[lo:lo + size] = True
+            message = message or res
+    return message
+
+
 def _level_outcome(
     shape: tuple[int, ...], done: list, size: int, failed: np.ndarray, stats: SolveStats,
     message: str = "", order: np.ndarray | None = None,
@@ -529,11 +544,9 @@ def _level_outcome(
     d = len(shape)
     g_all = np.full((failed.size, d, d), np.nan)
     residuals = []
+    message = _mark_failures(done, size, failed, message)
     for lo, res in done:
-        if isinstance(res, str):
-            failed[lo:lo + size] = True
-            message = message or res
-        elif res[0] is not None:
+        if not isinstance(res, str) and res[0] is not None:
             g_all[lo:lo + size] = res[0]
             if not math.isnan(res[1]):
                 residuals.append(res[1])
@@ -563,11 +576,12 @@ def batched_neumann_functionals(
     number of chunks and ``stats.threads`` the threads that took at least
     one of them. A failed factorization raises :class:`SolverError` after
     every chunk has run, carrying the level with the failed chunks' cubes
-    NaN.
+    NaN. A :class:`ValueError` names a level outside ``1-N..0``.
     """
     t0 = time.perf_counter()
     grid = field.grid
     d = grid.d
+    _checked_levels(grid, [level])
     m = 3 ** (grid.N + level)
     cells = block_view(field.data, d, m).reshape((-1, m**d, field.data.shape[-1]))
     ncubes = cells.shape[0]
@@ -587,43 +601,73 @@ def batched_neumann_functionals(
 # Nested static condensation over the triadic tree (d <= 2)
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=8)
-def _boundary_nodes(m: int, d: int) -> np.ndarray:
-    """C-order indices of the boundary nodes of a cube of ``m`` cells a side:
-    the rows and columns of its boundary map. For ``m = 1`` every node is on
-    the boundary, in the order of the element matrices."""
-    coords = np.indices((m + 1,) * d).reshape(d, -1)
-    out = np.flatnonzero(((coords == 0) | (coords == m)).any(axis=0))
+@lru_cache(maxsize=16)
+def _boundary_nodes(shape: tuple[int, ...]) -> np.ndarray:
+    """C-order indices of the boundary nodes of a box of ``shape`` cells:
+    the rows and columns of its boundary map. For a box of one cell every
+    node is on the boundary, in the order of the element matrices."""
+    coords = np.indices(tuple(s + 1 for s in shape)).reshape(len(shape), -1)
+    out = np.flatnonzero(((coords == 0) | (coords == np.array(shape)[:, None])).any(axis=0))
     out.flags.writeable = False  # shared by every caller through the cache
     return out
 
 
-@lru_cache(maxsize=8)
-def _skeleton(m: int, d: int) -> tuple[int, np.ndarray]:
-    """How the boundary maps of ``3**d`` children of ``m`` cells a side
-    assemble onto their parent's skeleton.
+@lru_cache(maxsize=16)
+def _merge(shape: tuple[int, ...], axis: int) -> tuple[tuple[int, ...], int, np.ndarray]:
+    """How the boundary maps of 3 boxes of ``shape`` cells, consecutive
+    along ``axis``, assemble onto the skeleton of the box they make.
 
-    The skeleton is the union of the children's boundaries in the parent's
-    ``(3m+1)**d`` node grid. It lists its interior first (the nodes off the
-    parent's boundary, in C order), then the parent's boundary in the order
-    of :func:`_boundary_nodes`. Returns ``(interior, rank)``: the number of
-    interior nodes, and ``rank[c, j]``, the skeleton index of child ``c``'s
-    ``j``-th boundary node, children in C order of their offsets.
+    The parent box is 3 times as long along ``axis``. Its skeleton is the
+    union of the children's boundaries in its node grid: its own boundary
+    and the two interface planes between the children. The skeleton lists
+    its interior first (the interface nodes off the parent's boundary, in C
+    order), then the parent's boundary in the order of
+    :func:`_boundary_nodes`. Returns ``(parent, interior, rank)``: the
+    parent's shape, the number of interior nodes, and ``rank[k, j]``, the
+    skeleton index of child ``k``'s ``j``-th boundary node, children in
+    order along ``axis``.
     """
-    side = 3 * m + 1
-    coords = np.indices((side,) * d).reshape(d, -1)
-    on_skeleton = (coords % m == 0).any(axis=0)
-    on_boundary = ((coords == 0) | (coords == 3 * m)).any(axis=0)
-    interior = np.flatnonzero(on_skeleton & ~on_boundary)
-    position = np.zeros(side**d, dtype=np.int64)
-    position[np.concatenate([interior, _boundary_nodes(3 * m, d)])] = np.arange(
-        interior.size + _boundary_nodes(3 * m, d).size)
-    child = np.indices((m + 1,) * d).reshape(d, -1)[:, _boundary_nodes(m, d)]
-    rank = np.stack([
-        position[np.ravel_multi_index(tuple(child + m * np.array(off)[:, None]), (side,) * d)]
-        for off in itertools.product(range(3), repeat=d)])
+    d = len(shape)
+    parent = shape[:axis] + (3 * shape[axis],) + shape[axis + 1:]
+    nodes = tuple(s + 1 for s in parent)
+    coords = np.indices(nodes).reshape(d, -1)
+    on_boundary = ((coords == 0) | (coords == np.array(parent)[:, None])).any(axis=0)
+    interior = np.flatnonzero(~on_boundary & (coords[axis] % shape[axis] == 0))
+    outer = _boundary_nodes(parent)
+    position = np.zeros(coords.shape[1], dtype=np.int64)
+    position[np.concatenate([interior, outer])] = np.arange(interior.size + outer.size)
+    child = np.indices(tuple(s + 1 for s in shape)).reshape(d, -1)[:, _boundary_nodes(shape)]
+    step = np.zeros((d, 1), dtype=np.int64)
+    step[axis] = shape[axis]
+    rank = np.stack([position[np.ravel_multi_index(tuple(child + k * step), nodes)]
+                     for k in range(3)])
     rank.flags.writeable = False  # shared by every caller through the cache
-    return interior.size, rank
+    return parent, interior.size, rank
+
+
+@lru_cache(maxsize=8)
+def _interfaces(shape: tuple[int, ...]) -> tuple[int, tuple]:
+    """How the 3 children of a :func:`_merge` along the first axis split
+    their boundaries when they are solved without merging
+    (:func:`_domain_stage`): into their own nodes, which no other child has
+    (off the two interface planes), and the interface nodes, which two
+    children share.
+
+    Returns ``(n, parts)``: the ``n`` interface nodes, in skeleton order,
+    and for each child ``(own, shared, slot)``: the indices of its own and
+    of its shared boundary nodes, and each shared node's interface index.
+    """
+    _, _, rank = _merge(shape, 0)
+    count = np.bincount(rank.ravel())
+    slot = np.cumsum(count > 1) - 1
+    parts = []
+    for r in rank:
+        on = count[r] > 1
+        part = (np.flatnonzero(~on), np.flatnonzero(on), slot[r[on]])
+        for arr in part:  # shared by every caller through the cache
+            arr.flags.writeable = False
+        parts.append(part)
+    return int(np.count_nonzero(count > 1)), tuple(parts)
 
 
 @lru_cache(maxsize=8)
@@ -631,62 +675,89 @@ def _tree_order(j: int, d: int) -> np.ndarray:
     """Row-major indices of the cubes of a ``(3**j)**d`` lattice in triadic
     tree order: every ``3**d`` consecutive cubes are the children of one
     cube of the lattice a level up, in C order of their offsets, and those
-    parents are in tree order themselves."""
+    parents are in tree order themselves. So every 3 consecutive cubes lie
+    along the last axis, and so on up to the first."""
     digits = np.arange(3 ** (j * d)).reshape((3,) * (j * d))  # axis a's digits first
     out = digits.transpose([a * j + t for t in range(j) for a in range(d)]).ravel()
     out.flags.writeable = False  # shared by every caller through the cache
     return out
 
 
-#: Largest dense skeleton matrix, in entries, of one chunk of the
-#: condensation pass: a chunk assembles and eliminates this many entries of
-#: parents at once. A parent whose skeleton alone is larger is a chunk of its
-#: own.
+#: Largest dense matrices, in entries, of one chunk of the condensation
+#: pass: a chunk assembles and eliminates this many entries of merges (or,
+#: at level 0, of boxes) at once. One whose matrix alone is larger is a
+#: chunk of its own.
 CHUNK_ENTRIES = 250_000
 
 
-def _condense_chunk(kids: np.ndarray, m: int, d: int, maps: np.ndarray | None,
-                    forcing: np.ndarray | None) -> tuple[np.ndarray | None, float]:
-    """Condense one chunk of parents onto their boundaries.
+def _eliminate(mat: np.ndarray, k: int, forcing: np.ndarray | None = None):
+    """Eliminate the first ``k`` nodes of a stack of symmetric matrices whose
+    rows sum to zero: the Schur complement ``S = A_bb - A_bk A_kk^-1 A_kb``
+    onto the other nodes, written over ``mat``'s trailing block and returned
+    as a view of it.
 
-    ``kids`` is ``(nparents * 3**d, nb, nb)``: the boundary maps of the
-    children, in tree order. Each parent's maps are summed onto its skeleton
-    (:func:`_skeleton`), whose interior is eliminated: the parent's boundary
-    map is the Schur complement ``S = A_bb - A_bi A_ii^-1 A_ib``, written to
-    ``maps`` unless it is ``None``. With a ``forcing`` (the boundary rows of
-    :func:`_forcings`, last node dropped), the last boundary node is pinned
-    and ``S y = forcing`` solved: returns ``(g, residual)``, with ``g`` the
-    ``(nparents, d, d)`` matrices ``y^T forcing`` (not divided by the
+    ``S``'s rows sum to zero too (constants are in the stiffness's kernel).
+    At high contrast its diagonal, subtracted directly, loses digits to
+    cancellation, so it is taken from the other entries of its row: in 1D
+    at contrast 1e6 this brings g's error from 2.7e-8 to 7e-12. With
+    ``k = 0`` nothing is eliminated and the diagonal is kept. With a
+    ``forcing`` (the ``(n, d)`` forcing of every matrix's nodes) carried
+    along, returns ``(S, f_b - A_bk A_kk^-1 f_k, f_k^T A_kk^-1 f_k)``.
+    Raises ``numpy.linalg.LinAlgError`` if a dense solve fails.
+    """
+    head, tail = slice(None, k), slice(k, None)
+    coupling = mat[:, head, tail]
+    if forcing is not None:
+        coupling = np.concatenate(
+            [coupling, np.broadcast_to(forcing[head], (mat.shape[0],) + forcing[head].shape)],
+            axis=-1)
+    x = np.linalg.solve(mat[:, head, head], coupling)
+    schur = mat[:, tail, tail]
+    n = schur.shape[-1]
+    update = mat[:, tail, head] @ x
+    schur -= update[..., :n]
+    if k:
+        diag = np.arange(n)
+        schur[:, diag, diag] = 0.0
+        schur[:, diag, diag] = -schur.sum(axis=-1)
+    if forcing is None:
+        return schur
+    return (schur, forcing[tail] - update[..., n:],
+            np.swapaxes(x[..., n:], -1, -2) @ forcing[head])
+
+
+def _condense_chunk(kids: np.ndarray, shape: tuple[int, ...], axis: int, maps: np.ndarray,
+                    forcing: np.ndarray | None) -> tuple[np.ndarray | None, float]:
+    """Merge one chunk of boxes, 3 at a time along ``axis``.
+
+    ``kids`` is ``(nmerges * 3, nb, nb)``: the boundary maps of boxes of
+    ``shape`` cells, in tree order. Each merge's maps are summed onto its
+    skeleton (:func:`_merge`), whose interior is eliminated
+    (:func:`_eliminate`): the parent's boundary map, written to ``maps``.
+    With a ``forcing`` (the parent's boundary rows of :func:`_forcings`,
+    last node dropped), the last boundary node is pinned and ``S y =
+    forcing`` solved: returns ``(g, residual)``, with ``g`` the
+    ``(nmerges, d, d)`` matrices ``y^T forcing`` (not divided by the
     volume) and ``residual`` the largest ``|S y - forcing| / |forcing|``, or
-    ``(None, nan)`` without a forcing. A parent with a non-finite child map
+    ``(None, nan)`` without a forcing. A merge with a non-finite child map
     is not eliminated: its map and ``g`` are NaN. Raises
     ``numpy.linalg.LinAlgError`` if a dense solve fails.
     """
-    interior, rank = _skeleton(m, d)
-    kids = kids.reshape((-1, 3**d) + kids.shape[1:])
+    parent, interior, rank = _merge(shape, axis)
+    kids = kids.reshape((-1, 3) + kids.shape[1:])
     finite = np.isfinite(kids).all(axis=(1, 2, 3))
     if not finite.all():
         kids = kids[finite]
-    size = interior + _boundary_nodes(3 * m, d).size
+    size = interior + _boundary_nodes(parent).size
     skel = np.zeros((kids.shape[0], size, size))
     for c, r in enumerate(rank):
         skel[:, r[:, None], r] += kids[:, c]
-    inner, outer = slice(None, interior), slice(interior, None)
-    schur = skel[:, outer, outer] - skel[:, outer, inner] @ np.linalg.solve(
-        skel[:, inner, inner], skel[:, inner, outer])
-    del skel
-    # S's rows sum to zero (constants are in the stiffness's kernel). At high
-    # contrast its diagonal, subtracted directly, loses digits to
-    # cancellation, so it is taken from the other entries of its row: in 1D
-    # at contrast 1e6 this brings g's error from 2.7e-8 to 7e-12
-    diag = np.arange(schur.shape[-1])
-    schur[:, diag, diag] = 0.0
-    schur[:, diag, diag] = -schur.sum(axis=-1)
-    if maps is not None:
-        maps[finite] = schur
-        maps[~finite] = np.nan
+    schur = _eliminate(skel, interior)
+    maps[finite] = schur
+    maps[~finite] = np.nan
     if forcing is None:
         return None, math.nan
+    d = forcing.shape[1]
     g = np.full((finite.size, d, d), np.nan)
     if not finite.any():
         return g, math.nan
@@ -698,31 +769,135 @@ def _condense_chunk(kids: np.ndarray, m: int, d: int, maps: np.ndarray | None,
     return g, float(res.max())
 
 
+def _run_stage(count: int, entries: int, work: Callable[[int, int], object],
+               stats: SolveStats) -> tuple[list, int]:
+    """``work(lo, hi)`` over ``count`` items in chunks of at most
+    :data:`CHUNK_ENTRIES` dense entries (``entries`` for one item, at least
+    one item a chunk), through :func:`_run_chunks`. Adds the chunks to
+    ``stats.chunks`` and keeps the most threads in ``stats.threads``.
+    Returns the ``(lo, result)`` pairs and the items per chunk."""
+    per_chunk = max(1, CHUNK_ENTRIES // entries)
+    starts = range(0, count, per_chunk)
+    done, threads = _run_chunks(starts, lambda lo: work(lo, min(lo + per_chunk, count)))
+    stats.chunks += len(starts)
+    stats.threads = max(stats.threads, threads)
+    return done, per_chunk
+
+
+def _merge_stage(kids: np.ndarray, shape: tuple[int, ...], axis: int,
+                 forcing: np.ndarray | None, volume: float,
+                 stats: SolveStats) -> tuple[np.ndarray, list, int]:
+    """One stage of the pass: :func:`_condense_chunk` on every merge of
+    ``kids``, through :func:`_run_stage`. Returns the parent maps (NaN where
+    a chunk failed) and the chunks' ``(lo, (g / volume or None, residual)
+    or message)`` pairs with the merges per chunk."""
+    parent, interior, _ = _merge(shape, axis)
+    nb = _boundary_nodes(parent).size
+    maps = np.empty((kids.shape[0] // 3, nb, nb))
+
+    def work(lo: int, hi: int):
+        try:
+            g, res = _condense_chunk(kids[3 * lo:3 * hi], shape, axis, maps[lo:hi], forcing)
+        except np.linalg.LinAlgError as err:
+            maps[lo:hi] = np.nan
+            return f"dense condensation failed: {err}"
+        return (None if g is None else g / volume), res
+
+    return (maps,) + _run_stage(maps.shape[0], (interior + nb) ** 2, work, stats)
+
+
+def _domain_stage(boxes: np.ndarray, shape: tuple[int, ...], h: float, volume: float,
+                  stats: SolveStats) -> tuple[list, int, list]:
+    """Level 0's ``g`` from the boundary maps of its 3 boxes of ``shape``
+    cells, which its last stage would merge along the first axis: no level
+    needs level 0's own map, so it is never formed.
+
+    First each box, a chunk of :func:`_run_stage` unless they fit one,
+    eliminates its own nodes (:func:`_interfaces`) with its gradient forcing
+    carried along (:func:`_eliminate`): the boxes' forcings sum to the
+    cube's, so this adds ``f^T S^-1 f`` of those nodes to ``g``. Then one
+    more chunk sums the boxes' reduced maps and forcings onto the two
+    interface planes, pins the last node and solves ``S y = f``: ``g`` gains
+    ``y^T f``, and the residual is ``|S y - f| / |f|``. A box with a
+    non-finite map leaves ``g`` NaN. Returns the boxes' ``(lo, None or
+    message)`` pairs with the boxes per chunk, and the cube's ``(0, (g /
+    volume, residual) or message)`` pair.
+    """
+    d = len(shape)
+    n, parts = _interfaces(shape)
+    forcing = _forcings(shape, h)[_boundary_nodes(shape)]
+    reduced: list = [None] * 3
+
+    def eliminate(lo: int, hi: int) -> str | None:
+        for k in range(lo, hi):
+            if not np.isfinite(boxes[k]).all():
+                continue
+            mine, shared, _ = parts[k]
+            order = np.concatenate([mine, shared])
+            try:
+                reduced[k] = _eliminate(boxes[k][np.ix_(order, order)][None], mine.size,
+                                        forcing[order])
+            except np.linalg.LinAlgError as err:
+                return f"dense condensation failed: {err}"
+        return None
+
+    def solve():
+        if any(r is None for r in reduced):
+            return np.full((1, d, d), np.nan), math.nan
+        hat, rhs, g = np.zeros((n, n)), np.zeros((n, d)), np.zeros((d, d))
+        for (_, _, slot), (schur, rest, own) in zip(parts, reduced):
+            hat[slot[:, None], slot] += schur[0]
+            rhs[slot] += rest[0]
+            g += own[0]
+        pinned, f = hat[:-1, :-1], rhs[:-1]
+        try:
+            y = np.linalg.solve(pinned, f)
+        except np.linalg.LinAlgError as err:
+            return f"dense condensation failed: {err}"
+        g += y.T @ f
+        res = (np.linalg.norm(pinned @ y - f, axis=0)
+               / np.maximum(np.linalg.norm(f, axis=0), 1e-300))
+        return (g / volume)[None], float(res.max())
+
+    boxes_done, per_chunk = _run_stage(3, boxes.shape[1] ** 2, eliminate, stats)
+    stats.chunks += 1  # the interface solve
+    return boxes_done, per_chunk, [(0, solve())]
+
+
 def condensed_neumann_functionals(
     field: CoefficientField, levels: Sequence[int]
 ) -> dict[int, tuple[np.ndarray, SolveStats] | SolverError]:
     """:func:`level_functionals` of a 1D or 2D field, in one bottom-up pass
     of nested static condensation.
 
-    The d gradient forcings live on a cube's boundary (:func:`_forcings`), so
-    ``g = b^T S^+ b / vol``, with ``S`` the cube's *boundary map*: the Schur
-    complement of its Neumann stiffness onto its boundary nodes. A cube's
-    stiffness is the sum of its ``3**d`` children's, so its boundary map is
+    The d gradient forcings live on a box's boundary (:func:`_forcings`), so
+    ``g = b^T S^+ b / vol`` needs only the box's *boundary map* ``S``: the
+    Schur complement of its Neumann stiffness onto its boundary nodes. A
+    box's stiffness is the sum of its children's, so its boundary map is
     the condensation of theirs on the skeleton (:func:`_condense_chunk`).
-    The pass starts from the element matrices of the cells and goes up one
-    level at a time to the coarsest level asked for, computing ``g`` only on
-    the levels asked for; each level's parents, in tree order
-    (:func:`_tree_order`), are cut into chunks of :data:`CHUNK_ENTRIES`
-    skeleton entries that :func:`_run_chunks` runs. Every parent is
-    eliminated alone, so the numbers do not depend on the split or the
-    threads. A boundary map of ``m`` cells holds ``(2dm)**2`` entries; in 3D
-    it would grow like ``m**4``, so 3D stays on the sparse engine.
+    The pass starts from the element matrices of the cells and reaches each
+    level in ``d`` stages, each merging 3 boxes consecutive along one axis,
+    last axis first (:func:`_merge`, :func:`_tree_order`): small separators
+    are eliminated first, as in nested dissection. It goes up to the
+    coarsest level asked for and computes ``g`` only on the levels asked
+    for: from the cubes' boundary maps, or at level 0, whose map no level
+    needs, from the boxes of its last stage without forming it
+    (:func:`_domain_stage`). A level's numbers do not depend on the other
+    levels asked for.
 
-    Returns what :func:`level_functionals` does, with ``stats.unknowns``
-    the skeleton nodes per cube and ``stats.residual`` the largest
-    ``|S y - b| / |b|`` of the pinned boundary solves. A failed dense solve
-    fails the cubes of its chunk and every cube that contains one of them;
-    the pass reports its first failure's message.
+    Each stage's merges, and level 0's boxes, are cut into chunks of
+    :data:`CHUNK_ENTRIES` dense entries that :func:`_run_chunks` runs, so
+    level 0, one cube, uses every core too. Every merge and box is
+    eliminated alone, so the numbers do not depend on the split or the
+    threads. A boundary map of ``m`` cells holds ``(2dm)**2`` entries; in
+    3D it would grow like ``m**4``, so 3D stays on the sparse engine.
+
+    Returns what :func:`level_functionals` does, with ``stats.unknowns`` the
+    largest skeleton of a merge of the level, ``stats.chunks`` the chunks of
+    all its stages, and ``stats.residual`` the largest ``|S y - b| / |b|``
+    of the pinned solves. A failed dense solve fails the cubes of its chunk
+    and every cube that contains one of them; the pass reports its first
+    failure's message.
     """
     grid = field.grid
     d = grid.d
@@ -731,45 +906,34 @@ def condensed_neumann_functionals(
         return {}
     cells = field.data.reshape(-1, field.data.shape[-1])[_tree_order(grid.N, d)]
     kids = _element_matrices(cells, d, grid.h)
+    shape = (1,) * d
     failed = np.zeros(kids.shape[0], dtype=bool)
     message = ""
     out: dict[int, tuple[np.ndarray, SolveStats] | SolverError] = {}
-    top = wanted[0]
-    for level in range(1 - grid.N, top + 1):
-        t0 = time.perf_counter()
-        m = 3 ** (grid.N + level - 1)  # cells a side of a child
-        nparents = kids.shape[0] // 3**d
-        nb = _boundary_nodes(3 * m, d).size
-        size = _skeleton(m, d)[0] + nb
-        maps = None if level == top else np.empty((nparents, nb, nb))
-        forcing = (_forcings(3 * m, d, grid.h)[_boundary_nodes(3 * m, d)[:-1]]
-                   if level in wanted else None)
+    for level in range(1 - grid.N, wanted[0] + 1):
+        stats = SolveStats(0, math.nan, 0, time.perf_counter(), "condensation", 0, 0)
         volume = 3.0 ** (level * d)
-        per_chunk = max(1, CHUNK_ENTRIES // size**2)
-        starts = range(0, nparents, per_chunk)
-        failed = failed.reshape(nparents, 3**d).any(axis=1)
-
-        def work(lo: int):
-            hi = min(lo + per_chunk, nparents)
-            try:
-                g, res = _condense_chunk(kids[lo * 3**d:hi * 3**d], m, d,
-                                         None if maps is None else maps[lo:hi], forcing)
-            except np.linalg.LinAlgError as err:
-                if maps is not None:
-                    maps[lo:hi] = np.nan
-                return f"dense condensation failed: {err}"
-            return (None if g is None else g / volume), res
-
-        done, threads = _run_chunks(starts, work)
-        outcome = _level_outcome(
-            (3 ** (-level),) * d, done, per_chunk, failed,
-            SolveStats(0, math.nan, size, t0, "condensation", len(starts), threads),
-            message, _tree_order(-level, d))
+        for axis in range(d - 1, -1, -1):
+            parent, interior, _ = _merge(shape, axis)
+            stats.unknowns = max(stats.unknowns, interior + _boundary_nodes(parent).size)
+            if level == 0 and axis == 0:
+                boxes_done, per_box, done = _domain_stage(kids, shape, grid.h, volume, stats)
+                message = _mark_failures(boxes_done, per_box, failed, message)
+                failed, per_chunk = failed.reshape(1, 3).any(axis=1), 1
+                break
+            forcing = (_forcings(parent, grid.h)[_boundary_nodes(parent)[:-1]]
+                       if axis == 0 and level in wanted else None)
+            kids, done, per_chunk = _merge_stage(kids, shape, axis, forcing, volume, stats)
+            failed = failed.reshape(-1, 3).any(axis=1)
+            if axis:
+                message = _mark_failures(done, per_chunk, failed, message)
+            shape = parent
+        outcome = _level_outcome((3 ** (-level),) * d, done, per_chunk, failed, stats,
+                                 message, _tree_order(-level, d))
         if isinstance(outcome, SolverError):
             message = str(outcome)
-        if forcing is not None:
+        if level in wanted:
             out[level] = outcome
-        kids = maps
     return out
 
 

@@ -215,12 +215,23 @@ class TestCoarse:
             "DEBUG cge.coarse: level -2: condensation",
             "DEBUG cge.coarse: level -3: condensation", "DEBUG cge.coarse: level -4: cells"]
         cores = len(os.sched_getaffinity(0))
+
+        def split(items, entries):  # chunks of a stage, as solver._run_stage cuts them
+            return -(-items // max(1, cge.solver.CHUNK_ENTRIES // entries))
+
         for level, line in zip(range(0, -4, -1), verbose):
             cubes, m = 9 ** -level, 3 ** (3 + level)  # m: cells a side of a child
-            nodes = cge.solver._skeleton(m, 2)[0] + 12 * m
-            chunks = -(-cubes // max(1, cge.solver.CHUNK_ENTRIES // nodes**2))
-            split, threads = line.split(",")[1].rsplit(" on ", 1)
-            assert split == f" {cubes} cubes in {chunks} chunks"
+            # a level merges its children 3 at a time into strips along the
+            # last axis, then 3 strips along the first; a skeleton is the
+            # boxes' boundaries and the interfaces between them
+            strips, nodes = 10 * m - 2, 18 * m - 2
+            chunks = split(3 * cubes, strips**2)
+            if level == 0:  # no merge: the 3 strips, then one interface solve
+                chunks += split(3, (8 * m) ** 2) + 1
+            else:
+                chunks += split(cubes, nodes**2)
+            split_line, threads = line.split(",")[1].rsplit(" on ", 1)
+            assert split_line == f" {cubes} cubes in {chunks} chunks"
             assert 1 <= int(threads.split()[0]) <= min(chunks, cores)
             assert line.split(",")[2] == f" {nodes} unknowns per cube"
         assert verbose[-1].split(",")[1] == " 6561 cubes"

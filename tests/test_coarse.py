@@ -539,15 +539,19 @@ class TestCondensation:
         calls = []
         real = cge.solver._condense_chunk
 
-        def fail_one(kids, m, *args):
-            calls.append(m)
-            if m == 3 and calls.count(3) == 8:
+        def fail_one(kids, shape, axis, *args):
+            calls.append(shape)
+            # the last stage of level -1 merges strips of 3x9 cells
+            if shape == (3, 9) and calls.count(shape) == 8:
                 raise np.linalg.LinAlgError("Singular matrix")
-            return real(kids, m, *args)
+            return real(kids, shape, axis, *args)
 
         monkeypatch.setattr(cge.solver, "_condense_chunk", fail_one)
         result = sweep(field, cache_dir=str(tmp_path))
-        assert calls == [1] * 81 + [3] * 9 + [9]
+        # each level merges along the last axis, then the first; level 0
+        # solves its strips of 9x27 cells without merging them
+        assert calls == ([(1, 1)] * 243 + [(1, 3)] * 81 + [(3, 3)] * 27 + [(3, 9)] * 9
+                         + [(9, 9)] * 3)
         failed = [(-1, (2, 1)), (0, (0, 0))]
         assert [(e["level"], tuple(e["offset"])) for e in result.failures] == failed[::-1]
         assert all("Singular matrix" in e["message"] for e in result.failures)
@@ -595,10 +599,12 @@ class TestCondensation:
             sweep(field, cache_dir=str(tmp_path))
         lines = [r.getMessage() for r in caplog.records if r.name == "cge.coarse"]
         assert len(lines) == 2 * (grid.N + 1)
-        # unknowns: the skeleton nodes of a parent of 3x3 children
-        assert lines[0].startswith("level 0: condensation, 1 cubes in 1 chunks on 1 threads, "
-                                   "64 unknowns per cube, residual ")
-        assert lines[1].startswith("level -1: condensation, 9 cubes in 1 chunks on 1 threads, "
+        # unknowns: the largest skeleton of a merge, of 3 strips of 3x9
+        # cells at level 0 (18 * 3 - 2 nodes); chunks: one per stage, and
+        # at level 0 one for the strips, the boxes and the interfaces each
+        assert lines[0].startswith("level 0: condensation, 1 cubes in 3 chunks on 1 threads, "
+                                   "52 unknowns per cube, residual ")
+        assert lines[1].startswith("level -1: condensation, 9 cubes in 2 chunks on 1 threads, "
                                    "16 unknowns per cube, residual ")
         assert lines[2].startswith("level -2: cells, 81 cubes, - unknowns per cube, residual -, ")
         assert [line.split(",")[0] for line in lines[3:]] == [
@@ -614,15 +620,26 @@ class TestCondensation:
             passes.append(sorted(levels))
             return real_pass(field, levels)
 
-        def spy_chunk(kids, m, d, maps, forcing):
-            chunks.append((m, forcing is not None))
-            return real_chunk(kids, m, d, maps, forcing)
+        real_domain = cge.solver._domain_stage
+
+        def spy_chunk(kids, shape, axis, maps, forcing):
+            chunks.append((shape, forcing is not None))
+            return real_chunk(kids, shape, axis, maps, forcing)
+
+        def spy_domain(boxes, shape, *args):
+            chunks.append((shape, "domain"))
+            return real_domain(boxes, shape, *args)
 
         monkeypatch.setattr(cge.solver, "condensed_neumann_functionals", spy_pass)
         monkeypatch.setattr(cge.solver, "_condense_chunk", spy_chunk)
+        monkeypatch.setattr(cge.solver, "_domain_stage", spy_domain)
         cache = tmp_path / "cache"
         cold = sweep(field, cache_dir=str(cache))
-        assert passes == [[-2, -1, 0]] and chunks == [(1, True), (3, True), (9, True)]
+        # a level's functionals come with its last stage; level 0's from
+        # the boxes of that stage, which it does not merge
+        assert passes == [[-2, -1, 0]] and chunks == [
+            ((1, 1), False), ((1, 3), True), ((3, 3), False), ((3, 9), True), ((9, 9), False),
+            ((9, 27), "domain")]
         assert (cold.solve_count, cold.cache_hits) == (2 * 91, 0)
         # a warm rerun asks the pass for no level and condenses nothing
         passes.clear(), chunks.clear()
@@ -633,7 +650,8 @@ class TestCondensation:
         # solving it, solves level -1 and stops there
         os.remove(cache / field.content_hash / "level_-1.npz")
         redo = sweep(field, cache_dir=str(cache))
-        assert passes == [[-1]] and chunks == [(1, False), (3, True)]
+        assert passes == [[-1]] and chunks == [
+            ((1, 1), False), ((1, 3), False), ((3, 3), False), ((3, 9), True)]
         assert (redo.solve_count, redo.cache_hits) == (2 * 9, 1 + 81)
         for level, ld in redo.levels.items():
             assert np.array_equal(ld.astar_inv, cold.levels[level].astar_inv)
@@ -685,8 +703,9 @@ class TestCache:
 
     def test_record_of_the_old_layout_is_a_miss(self, tmp_path):
         # records of the earlier engines: tag /1 also held amax, tag /2 was
-        # the sparse engine's 2D record. Each is re-solved and rewritten in
-        # the current layout, which then hits
+        # the sparse engine's 2D record, tag /3 the condensation pass before
+        # it went one axis at a time. Each is re-solved and rewritten in the
+        # current layout, which then hits
         grid = GridSpec(d=2, N=1)
         field = gen_random_spd(grid, seed=2, eig_low=0.5, eig_high=2.0)
         cache = str(tmp_path / "cache")
@@ -694,7 +713,8 @@ class TestCache:
         victim = os.path.join(cache, field.content_hash, "level_0.npz")
         for old_tag, extra in ((b"q1-neumann/splu-nested-dissection/1",
                                 {"amax": cold.levels[0].amax}),
-                               (b"q1-neumann/splu-nested-dissection/2", {})):
+                               (b"q1-neumann/splu-nested-dissection/2", {}),
+                               (b"q1-neumann/condensation-splu/3", {})):
             self._rewrite_record(victim, solver=np.frombuffer(old_tag, dtype=np.uint8),
                                  **extra)
             redo = sweep(field, cache_dir=cache)

@@ -38,6 +38,8 @@ from cge.solver import (
     _cell_node_indices,
     _cube_cells_packed,
     _forcings,
+    _interfaces,
+    _merge,
     assemble_neumann,
     batched_neumann_functionals,
     condensed_neumann_functionals,
@@ -83,7 +85,7 @@ def _forcing_vectors(field, cube) -> np.ndarray:
     conn = _cell_node_indices(m, d).ravel()
     flux = [np.bincount(conn, weights=per_cell_flux[:, a].ravel(), minlength=(m + 1) ** d)
             for a in range(d)]
-    return np.column_stack([_forcings(m, d, h)] + flux)
+    return np.column_stack([_forcings((m,) * d, h)] + flux)
 
 
 def _dense_functionals(field, cube) -> np.ndarray:
@@ -351,12 +353,93 @@ def test_cross_functional_matrix_structure(d, n):
 def test_forcings_vanish_off_the_boundary(d, m):
     # the premise of the condensation pass: g needs the boundary map alone
     h = 1.0 / 27
-    rhs = _forcings(m, d, h)
-    assert _forcings(m, d, h) is rhs and not rhs.flags.writeable
-    interior = np.setdiff1d(np.arange((m + 1) ** d), _boundary_nodes(m, d))
+    rhs = _forcings((m,) * d, h)
+    assert _forcings((m,) * d, h) is rhs and not rhs.flags.writeable
+    interior = np.setdiff1d(np.arange((m + 1) ** d), _boundary_nodes((m,) * d))
     assert interior.size == (m - 1) ** d
     assert np.all(rhs[interior] == 0.0)
-    assert np.all(np.abs(rhs[_boundary_nodes(m, d)]).sum(axis=1) > 0)
+    assert np.all(np.abs(rhs[_boundary_nodes((m,) * d)]).sum(axis=1) > 0)
+
+
+BOXES = [(1,), (3,), (1, 1), (1, 3), (3, 1), (3, 9), (9, 3)]
+
+
+@pytest.mark.parametrize("shape", BOXES, ids=str)
+def test_box_forcings_vanish_off_the_box_boundary(shape):
+    # the stages of the condensation pass merge boxes, not only cubes
+    rhs = _forcings(shape, 1.0 / 27)
+    nodes = np.indices([s + 1 for s in shape]).reshape(len(shape), -1).T
+    on_boundary = ((nodes == 0) | (nodes == shape)).any(axis=1)
+    assert np.array_equal(np.flatnonzero(on_boundary), _boundary_nodes(shape))
+    assert np.all(rhs[~on_boundary] == 0.0)
+    assert np.all(np.abs(rhs[on_boundary]).sum(axis=1) > 0)
+
+
+def _skeleton_coords(shape, axis):
+    """The parent-grid coordinates of each skeleton node of a merge, from
+    the children's boundary nodes and their offsets alone."""
+    parent, interior, rank = _merge(shape, axis)
+    child = np.indices([s + 1 for s in shape]).reshape(len(shape), -1).T[_boundary_nodes(shape)]
+    coords = np.full((interior + _boundary_nodes(parent).size, len(shape)), -1)
+    for k, r in enumerate(rank):
+        shifted = child.copy()
+        shifted[:, axis] += k * shape[axis]
+        seen = (coords[r] >= 0).all(axis=1)  # a node two children share is one point
+        assert np.array_equal(coords[r][seen], shifted[seen])
+        coords[r] = shifted
+    return parent, interior, coords
+
+
+@pytest.mark.parametrize("shape, axis", [((1,), 0), ((3,), 0), ((1, 1), 1), ((3, 3), 1),
+                                         ((1, 3), 0), ((3, 9), 0)], ids=str)
+def test_merge_puts_every_child_boundary_node_on_the_skeleton(shape, axis):
+    parent, interior, coords = _skeleton_coords(shape, axis)
+    assert parent == shape[:axis] + (3 * shape[axis],) + shape[axis + 1:]
+    # every skeleton node is some child's boundary node, and only once
+    assert np.all(coords >= 0)
+    assert len({tuple(c) for c in coords}) == coords.shape[0]
+    # the interior first: the interface planes off the parent's boundary,
+    # in C order; then the parent's boundary in its own order
+    nodes = [s + 1 for s in parent]
+    flat = np.ravel_multi_index(tuple(coords.T), nodes)
+    assert np.array_equal(flat[interior:], _boundary_nodes(parent))
+    inner = coords[:interior]
+    assert np.all(np.diff(flat[:interior]) > 0)
+    assert np.all((inner > 0) & (inner < parent))
+    assert set(inner[:, axis]) <= {shape[axis], 2 * shape[axis]}
+    plane = np.prod([s - 1 for s in np.delete(parent, axis)])
+    assert interior == 2 * plane
+
+
+@pytest.mark.parametrize("shape, axis", [((1,), 0), ((3,), 0), ((1, 1), 1), ((3, 3), 1),
+                                         ((1, 3), 0), ((3, 9), 0)], ids=str)
+def test_merged_forcings_sum_to_the_parents(shape, axis):
+    # at level 0 each box carries its own forcing: summed, the interface
+    # rows cancel and the parent's boundary rows are the parent's forcing
+    h = 1.0 / 27
+    parent, interior, rank = _merge(shape, axis)
+    child = _forcings(shape, h)[_boundary_nodes(shape)]
+    total = np.zeros((interior + _boundary_nodes(parent).size, len(shape)))
+    for r in rank:
+        total[r] += child
+    np.testing.assert_allclose(total[:interior], 0.0, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(total[interior:], _forcings(parent, h)[_boundary_nodes(parent)],
+                               rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("shape", [(1,), (3,), (1, 3), (3, 9)], ids=str)
+def test_level_zero_boxes_split_the_skeleton(shape):
+    # level 0 eliminates each box's own nodes: no two boxes share one, and
+    # the interface nodes are the interior and the planes' ends
+    _, interior, rank = _merge(shape, 0)
+    n, parts = _interfaces(shape)
+    own = np.concatenate([r[mine] for r, (mine, _, _) in zip(rank, parts)])
+    assert own.size == np.unique(own).size and np.all(own >= interior)
+    shared = np.concatenate([r[on] for r, (_, on, _) in zip(rank, parts)])
+    nodes = np.unique(shared)
+    assert n == nodes.size and np.array_equal(nodes[:interior], np.arange(interior))
+    assert np.array_equal(nodes[np.concatenate([slot for _, _, slot in parts])], shared)
+    assert own.size + n == rank.max() + 1
 
 
 def _condensed_levels(f):
@@ -420,12 +503,37 @@ def test_condensation_split_and_cores_leave_functionals_bit_identical(monkeypatc
                 cge.solver._POOL.shutdown()
         runs.append(out)
     one_parent, whole = runs[0], runs[1]
-    assert one_parent[-n + 1][1].chunks == 3 ** ((n - 1) * d)
+    # summed over the stages: the one along axis a merges 3**a boxes a cube
+    assert one_parent[-n + 1][1].chunks == 3 ** ((n - 1) * d) * (3**d - 1) // 2
     assert whole[-n + 1][1].chunks < one_parent[-n + 1][1].chunks
     for out in runs[1:]:
         for level, (g_all, stats) in out.items():
             assert np.array_equal(g_all, one_parent[level][0])
             assert stats.residual == one_parent[level][1].residual
+
+
+@pytest.mark.parametrize("d, n", [(1, 4), (2, 3)])
+def test_condensation_top_below_level_zero(d, n):
+    # the pass stops at the coarsest level asked for, here one of many
+    # cubes: it forms their maps, whose pinned solves give g
+    f = gen_random_spd(GridSpec(d, n), seed=13, eig_low=0.1, eig_high=10.0)
+    out = condensed_neumann_functionals(f, [-1, -2])
+    assert sorted(out) == [-2, -1]
+    for level, (g_all, stats) in out.items():
+        assert stats.method == "condensation" and stats.residual <= 1e-10
+        g_splu, _ = batched_neumann_functionals(f, level)
+        scale = np.abs(g_splu).max(axis=(-2, -1), keepdims=True)
+        assert np.all(np.abs(g_all - g_splu) <= 1e-10 * scale), level
+        for off in np.ndindex(g_all.shape[:d]):
+            g_dense = _dense_functionals(f, TriadicCube(level, off))[:d, :d]
+            np.testing.assert_allclose(g_all[off], g_dense, rtol=0,
+                                       atol=1e-12 * np.abs(g_dense).max())
+
+
+@pytest.mark.parametrize("level", [1, -3])
+def test_batched_functionals_name_a_level_outside_the_grid(level):
+    with pytest.raises(ValueError, match=rf"levels \[{level}\] outside -1\.\.0"):
+        batched_neumann_functionals(gen_random_spd(GridSpec(2, 2), seed=1), level)
 
 
 # The entry point of a sweep: level_functionals picks the engine by d and

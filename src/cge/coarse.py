@@ -171,11 +171,12 @@ class SweepResult:
         return sum(3 ** (-ld.level * self.grid.d) for ld in self.levels.values())
 
 
-#: Names the Neumann engines and record layout (``astar_inv`` alone; ``/3``:
+#: Names the Neumann engine and record layout (``astar_inv`` alone; ``/3``:
 #: 1D and 2D levels from the condensation pass; ``/4``: that pass one axis
-#: at a time, which moves the last bits) in every cache record: another
+#: at a time, which moves the last bits; ``/5``: every dimension on that
+#: pass, level 0 keeping only shared nodes) in every cache record: another
 #: solver's record is a miss.
-SOLVER_TAG = "q1-neumann/condensation-splu/4"
+SOLVER_TAG = "q1-neumann/condensation/5"
 
 
 def _cache_path(cache_dir, field_hash: str, level: int) -> str:
@@ -260,8 +261,8 @@ def sweep(field: CoefficientField, cache_dir: str | None = None) -> SweepResult:
     re-run performs zero solves.
 
     Every missed level comes from one :func:`~cge.solver.level_functionals`
-    call, which picks the engine and the schedule; the levels are then
-    built, logged and cached in order.
+    call, one condensation pass up to the coarsest miss; the levels are
+    then built, logged and cached in order.
 
     Failures are recorded per cube and surface as NaN matrices rather than
     aborting the sweep: the cubes that the solver marks failed, or whose

@@ -15,49 +15,36 @@ Two problem classes back everything else:
   coefficients. The solve and the harness read the boundary data at the
   same face centers, from :func:`boundary_face_values`.
 
-The pure-Neumann solves have two engines; :func:`level_functionals`, a
-sweep's entry point, is the one place that picks and schedules them. The
-sparse engine assembles equal cubes (all cubes of a triadic level, or a
-single cube) into one block-diagonal sparse matrix; each block pins one
-node, which removes the constant kernel and leaves an SPD system, and lists
-its nodes in geometric nested-dissection order. A level's cubes are cut
-into chunks of whole cubes whose predicted factor fits :data:`CHUNK_NNZ`;
-SuperLU factors each chunk's matrix once, keeping that order, and the d
-gradient forcings, the same on every cube, are back-solved together; each
-cube's solution is then re-centred to zero mean. It solves single cubes and
-every 3D level. 3D level 0 is one cube whose factor outweighs all other
-levels together: when it and another level are asked for and the process
-may use more than one core, a pool thread solves it while the caller solves
-the others.
+The pure-Neumann solves have one engine, :func:`level_functionals`: one
+bottom-up pass of nested static condensation over the triadic tree, in
+every dimension. The forcings live on a cube's boundary, so ``g`` needs
+only the Schur complement of the cube's stiffness onto its boundary (its
+boundary map), and a parent's map is the dense condensation of its
+children's. Each level takes ``d`` stages that merge 3 boxes along one
+axis, so small separators are eliminated first, as in nested dissection
+(George, "Nested dissection of a regular finite element mesh", SIAM J.
+Numer. Anal. 1973). Level 0 forms no map: at each of its stages a box keeps
+only the nodes that another box shares, and its last merge is one pinned
+solve (:func:`_top_cube`). A single cube (:func:`neumann_functionals`) is
+level 0 of a pass over its own cells.
 
-The condensation engine (:func:`condensed_neumann_functionals`) gets every
-level of a 1D or 2D sweep in one bottom-up pass over the triadic tree: the
-forcings live on a cube's boundary, so ``g`` needs only the Schur complement
-of the cube's stiffness onto its boundary, and a parent's is the dense
-condensation of its children's. It reaches each level in ``d`` stages that
-merge 3 boxes along one axis, so small separators are eliminated first, as
-in nested dissection; level 0 solves the 3 boxes of its last stage without
-forming its own map. Its chunks hold whole merges or boxes.
+The merges of a stage run in chunks of whole merges, on one thread per core
+this process may use, the calling thread among them (NumPy's dense solves
+release the GIL), through :func:`_run_chunks`; with one chunk or one core
+the caller runs them alone. Every merge is eliminated alone, so the numbers
+do not depend on the split or the schedule.
 
-The chunks of a level run on one thread per core this process may use, the
-calling thread among them (SuperLU and NumPy's dense solves release the
-GIL), through :func:`_run_chunks`; with one chunk or one core the caller
-runs them alone, and a helper that finds its pool thread still busy when the
-caller has taken a level's last chunk is cancelled. Every block, merge or
-box is solved alone, so the numbers do not depend on the split or the
-schedule.
-The Dirichlet system is SPD as well (an M-matrix with the boundary terms on
-its diagonal); it lists its unknowns in the same nested-dissection order and
-takes one step of iterative refinement with the same factor. Every solve's
-sparse factorization goes through :func:`_factor`.
+The Dirichlet system is SPD (an M-matrix with the boundary terms on its
+diagonal); it lists its unknowns in nested-dissection order, is factored
+once by :func:`_factor` (SuperLU) and takes one step of iterative
+refinement with the same factor.
 
 ``scipy.sparse`` and ``scipy.sparse.linalg`` are not imported with this
-module but where a sparse solve starts (:func:`_assemble_blocks`,
-:func:`_factor`, :func:`solve_dirichlet`): importing ``cge``, ``cge gen``
-and a 1D or 2D sweep (NumPy's dense solves alone) load no SciPy sparse
-code. Likewise ``concurrent.futures`` and the chunk threads load and start
-with the first level that has more than one chunk to run on more than one
-core, or with the first overlapped 3D level 0.
+module but by the Dirichlet solve (:func:`solve_dirichlet`,
+:func:`_factor`): importing ``cge``, ``cge gen`` and every sweep (NumPy's
+dense solves alone) load no SciPy sparse code. Likewise
+``concurrent.futures`` and the chunk threads load and start with the first
+stage that has more than one chunk to run on more than one core.
 """
 
 from __future__ import annotations
@@ -77,10 +64,7 @@ from .grid import (
     GridSpec,
     ScalarGridFunction,
     TriadicCube,
-    block_view,
-    cube_average,
     sym_index_pairs,
-    sym_pack,
     sym_unpack,
 )
 
@@ -92,11 +76,7 @@ __all__ = [
     "SolveStats",
     "SolverError",
     "CubeFunction",
-    "assemble_neumann",
-    "solve_linear_forcing",
     "neumann_functionals",
-    "batched_neumann_functionals",
-    "condensed_neumann_functionals",
     "level_functionals",
     "solve_dirichlet",
     "boundary_face_values",
@@ -104,20 +84,10 @@ __all__ = [
     "discrete_gradient",
     "mean_gradient",
     "mean_flux",
-    "functional_value",
 ]
 
-GRADIENT = "gradient"
-FLUX = "flux"
-
-#: Largest predicted factor, in SuperLU nonzeros, of one chunk of a sweep
-#: level. Small chunks bound the memory of every level of more than one cube
-#: and let the threads share a level; a cube whose factor alone is larger is
-#: a chunk of its own.
-CHUNK_NNZ = 72_000
-
-#: Every factorization keeps the given (nested-dissection) order and pivots
-#: on the diagonal: the pinned systems are SPD, so no pivoting is needed.
+#: The Dirichlet factorization keeps the given (nested-dissection) order and
+#: pivots on the diagonal: the system is SPD, so no pivoting is needed.
 _SPLU_OPTIONS = {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.0}
 
 _POOL = None  # the chunk threads; see _chunk_pool
@@ -147,12 +117,12 @@ class SolveStats:
 
 
 class SolverError(RuntimeError):
-    """Solver failure (e.g. a failed factorization); carries the partial stats.
+    """Solver failure (a failed dense solve or factorization); carries the
+    partial stats.
 
-    From :func:`batched_neumann_functionals` (and, per level, from
-    :func:`condensed_neumann_functionals` and :func:`level_functionals`) it
-    also carries the partial level: ``g`` holds every cube's functional
-    matrix, NaN for the cubes that failed, and ``failed`` marks those cubes.
+    Per level, from :func:`level_functionals`, it also carries the partial
+    level: ``g`` holds every cube's functional matrix, NaN for the cubes
+    that failed, and ``failed`` marks those cubes.
     """
 
     def __init__(self, message: str, stats: SolveStats | None = None,
@@ -229,23 +199,6 @@ def reference_matrices(d: int) -> tuple[np.ndarray, np.ndarray]:
     return r_eff, r_hat
 
 
-@lru_cache(maxsize=8)
-def _cell_node_indices(m: int, d: int) -> np.ndarray:
-    """(ncells, 2^d) global node indices of each cell, C-order throughout."""
-    nodes_per_side = m + 1
-    cell_idx = np.stack(
-        np.meshgrid(*([np.arange(m)] * d), indexing="ij"), axis=-1
-    ).reshape(-1, d)
-    out = np.empty((cell_idx.shape[0], 2**d), dtype=np.int64)
-    for i, off in enumerate(_local_offsets(d)):
-        corner = cell_idx + np.asarray(off)
-        flat = corner[:, 0]
-        for a in range(1, d):
-            flat = flat * nodes_per_side + corner[:, a]
-        out[:, i] = flat
-    return out
-
-
 def _cell_corners(node_data: np.ndarray) -> np.ndarray:
     """Each cell's corner values of a node array, ``(ncells, 2^d)``: cells
     in C order, corners in the order of the element matrices."""
@@ -259,96 +212,10 @@ def _cell_corners(node_data: np.ndarray) -> np.ndarray:
     return corners
 
 
-def _cube_cells_packed(field: CoefficientField, cube: TriadicCube) -> np.ndarray:
-    """Packed cell data of one cube as a batch of one: (1, ncells, ncomp)."""
-    block = field.data[cube.cell_slices(field.grid)]
-    return block.reshape(1, -1, field.data.shape[-1])
-
-
 def _element_matrices(cells_packed: np.ndarray, d: int, h: float) -> np.ndarray:
     """Element stiffness blocks (..., ncells, 2^d, 2^d) for packed cell data."""
     r_eff, _ = reference_matrices(d)
     return h ** (d - 2) * np.einsum("...cp,pij->...cij", cells_packed, r_eff)
-
-
-@lru_cache(maxsize=8)
-def _nested_dissection(m: int, d: int) -> np.ndarray:
-    """The nodes of an ``(m+1)**d`` grid in geometric nested-dissection order.
-
-    Each box is cut across its longest axis by a plane one node thick; the
-    two halves come first (recursively) and the plane last, so eliminating
-    in this order confines fill to the separators. Boxes at most four nodes
-    on a side keep their C order.
-    """
-    order: list[np.ndarray] = []
-
-    def dissect(block: np.ndarray) -> None:
-        axis = int(np.argmax(block.shape))
-        side = block.shape[axis]
-        if side <= 4:
-            order.append(block.ravel())
-            return
-        lo, plane, hi = np.split(block, [side // 2, side // 2 + 1], axis=axis)
-        dissect(lo)
-        dissect(hi)
-        order.append(plane.ravel())
-
-    dissect(np.arange((m + 1) ** d).reshape((m + 1,) * d))
-    out = np.concatenate(order)
-    out.flags.writeable = False  # shared by every caller through the cache
-    return out
-
-
-@lru_cache(maxsize=8)
-def _block_pattern(m: int, d: int, pinned: bool):
-    """CSC pattern of one cube's stiffness and where each element entry goes.
-
-    With ``pinned`` the nodes are in nested-dissection order and the last one
-    (on the first separator) is dropped; otherwise all nodes keep their C
-    order. Returns ``(indptr, indices, keep, slot)``: ``keep`` selects the
-    entries of the flattened ``(ncells, 2^d, 2^d)`` element matrices that
-    land in the matrix, and ``slot`` is each kept entry's index in the CSC
-    data array.
-    """
-    nn = (m + 1) ** d
-    conn = _cell_node_indices(m, d)
-    pos = np.arange(nn)
-    n = nn
-    if pinned:
-        pos[_nested_dissection(m, d)] = np.arange(nn)
-        n = nn - 1
-    local = pos[conn]
-    rows = np.broadcast_to(local[:, :, None], local.shape + local.shape[1:]).ravel()
-    cols = np.broadcast_to(local[:, None, :], local.shape + local.shape[1:]).ravel()
-    keep = (rows < n) & (cols < n)
-    keys, slot = np.unique(cols[keep] * n + rows[keep], return_inverse=True)
-    # int32 halves what the cache holds; the assembly widens them again
-    pattern = (np.searchsorted(keys, np.arange(n + 1) * n), (keys % n).astype(np.int32),
-               keep, slot.ravel().astype(np.int32))
-    for arr in pattern:  # shared by every caller through the cache
-        arr.flags.writeable = False
-    return pattern
-
-
-def _assemble_blocks(cells: np.ndarray, m: int, d: int, h: float, pinned: bool) -> sp.csc_matrix:
-    """Block-diagonal Q1 stiffness of equal cubes, one block per cube.
-
-    ``cells`` is ``(ncubes, m**d, ncomp)``: each cube's packed coefficient,
-    cells in C order. The blocks follow :func:`_block_pattern`.
-    """
-    import scipy.sparse as sp
-
-    ncubes = cells.shape[0]
-    indptr, indices, keep, slot = _block_pattern(m, d, pinned)
-    nnz = indices.size
-    n = indptr.size - 1
-    ke = _element_matrices(cells, d, h).reshape(ncubes, -1)[:, keep]
-    first = np.arange(ncubes)[:, None]
-    data = np.bincount((first * nnz + slot).ravel(), weights=ke.ravel(),
-                       minlength=ncubes * nnz)
-    all_indptr = np.append((first * nnz + indptr[:-1]).ravel(), ncubes * nnz)
-    all_indices = (first * n + indices).ravel()
-    return sp.csc_matrix((data, all_indices, all_indptr), shape=(ncubes * n,) * 2)
 
 
 @lru_cache(maxsize=8)
@@ -372,51 +239,14 @@ def _forcings(shape: tuple[int, ...], h: float) -> np.ndarray:
     return rhs
 
 
-def assemble_neumann(field: CoefficientField, cube: TriadicCube) -> sp.csr_matrix:
-    """Pure-Neumann Q1 stiffness of a cube (singular, kernel = constants)."""
-    m = cube.cells_per_side(field.grid)
-    cells = _cube_cells_packed(field, cube)
-    return _assemble_blocks(cells, m, field.d, field.grid.h, pinned=False).tocsr()
-
-
 # ---------------------------------------------------------------------------
-# Pure-Neumann solves
+# Pure-Neumann solves: nested static condensation over the triadic tree
 # ---------------------------------------------------------------------------
-
-def _factor(mat: sp.csc_matrix) -> spla.SuperLU:
-    """SuperLU factorization with :data:`_SPLU_OPTIONS`; every solve factors
-    through here."""
-    import scipy.sparse.linalg as spla
-
-    return spla.splu(mat, **_SPLU_OPTIONS)
-
-
-@lru_cache(maxsize=8)
-def _factor_nnz(m: int, d: int) -> int:
-    """Nonzeros of the factor of one pinned cube of ``m`` cells a side, the
-    same for every coefficient: a sizing probe on the identity, which calls
-    SuperLU directly since it is not a solve."""
-    import scipy.sparse.linalg as spla
-
-    identity = np.broadcast_to(sym_pack(np.eye(d)), (1, m**d, len(sym_index_pairs(d))))
-    return spla.splu(_assemble_blocks(identity, m, d, 1.0, pinned=True), **_SPLU_OPTIONS).nnz
-
-
-def _chunk_cubes(m: int, d: int) -> int:
-    """Cubes of ``m`` cells a side per chunk: as many as fit :data:`CHUNK_NNZ`,
-    at least one. A factor holds at least its matrix's entries, so a cube
-    whose matrix alone fills the budget needs no probe."""
-    matrix_nnz = _block_pattern(m, d, True)[1].size
-    if matrix_nnz >= CHUNK_NNZ:
-        return 1
-    return max(1, CHUNK_NNZ // _factor_nnz(m, d))
-
 
 def _chunk_pool():
-    """The threads that take chunks alongside the calling thread (and, in
-    :func:`level_functionals`, solve 3D level 0): one per core this process
-    may use, less the caller's. Started on first use and kept for the life
-    of the process."""
+    """The threads that take chunks alongside the calling thread: one per
+    core this process may use, less the caller's. Started on first use and
+    kept for the life of the process."""
     global _POOL
     if _POOL is None:
         from concurrent.futures import ThreadPoolExecutor
@@ -434,8 +264,7 @@ def _run_chunks(starts: range, work: Callable[[int], object]) -> tuple[list, int
     The caller takes chunks too, so they reuse the memory that an earlier
     level freed in the caller's heap; each helper thread allocates from a
     heap of its own, which stays with the process. Once the caller has
-    taken the last chunk, a helper that has not started (its pool thread is
-    busy, as with 3D level 0 in :func:`level_functionals`) is cancelled,
+    taken the last chunk, a helper that has not started yet is cancelled,
     not waited for. Returns the ``(lo, work(lo))`` pairs in chunk order and
     the number of threads that took at least one chunk.
     """
@@ -452,70 +281,6 @@ def _run_chunks(starts: range, work: Callable[[int], object]) -> tuple[list, int
     return done, sum(1 for take in takes if take)
 
 
-def _solve_cubes(
-    cells: np.ndarray, m: int, d: int, h: float
-) -> tuple[np.ndarray, np.ndarray, SolveStats]:
-    """Zero-mean solutions of the d gradient forcings on equal cubes at once.
-
-    ``cells`` is ``(ncubes, m**d, ncomp)``, as for :func:`_assemble_blocks`.
-    One factorization covers every cube. Returns ``(sols, rhs, stats)``:
-    ``(ncubes, nn, d)`` solutions and the ``(nn, d)`` forcings they share, in
-    C node order; ``stats.residual`` is the largest per-cube ``|Kx - b| / |b|``
-    of the factored (pinned) systems. Raises :class:`SolverError` if the
-    factorization fails.
-    """
-    t0 = time.perf_counter()
-    ncubes = cells.shape[0]
-    nn = (m + 1) ** d
-    free = _nested_dissection(m, d)[:-1]  # the last node is pinned to zero
-    kmat = _assemble_blocks(cells, m, d, h, pinned=True)
-    rhs = _forcings((m,) * d, h)
-    b = np.tile(rhs[free], (ncubes, 1))
-    try:
-        lu = _factor(kmat)
-    except RuntimeError as err:
-        raise SolverError(f"sparse factorization failed: {err}",
-                          SolveStats(0, math.nan, nn, time.perf_counter() - t0, "splu")) from err
-    x = lu.solve(b)
-    per_cube = (ncubes, nn - 1, d)
-    res = (np.linalg.norm((kmat @ x - b).reshape(per_cube), axis=1)
-           / np.maximum(np.linalg.norm(rhs[free], axis=0), 1e-300))
-    sols = np.zeros((ncubes, nn, d))
-    sols[:, free] = x.reshape(per_cube)
-    sols -= sols.mean(axis=1, keepdims=True)
-    return sols, rhs, SolveStats(0, float(res.max()), nn, time.perf_counter() - t0, "splu")
-
-
-def neumann_functionals(
-    field: CoefficientField, cube: TriadicCube
-) -> tuple[np.ndarray, SolveStats]:
-    """Gram matrix of the d gradient-forcing variational problems of a cube.
-
-    Returns ``(g, stats)`` where ``g[r, s] = L_s(u_r) / vol`` for the unit
-    gradient forcings ``L_s(v) = avg(e_s . grad v)``: the quadratic form
-    ``q . astar^{-1} q`` of the coarse-graining layer. ``g`` is symmetric
-    up to roundoff. (The flux forcings need no solve; see
-    :func:`solve_linear_forcing`.)
-    """
-    m = cube.cells_per_side(field.grid)
-    sols, rhs, stats = _solve_cubes(_cube_cells_packed(field, cube), m, field.d, field.grid.h)
-    return (sols[0].T @ rhs) / cube.volume, stats
-
-
-def _chunk_functionals(
-    cells: np.ndarray, m: int, d: int, h: float, volume: float
-) -> tuple[np.ndarray, float] | str:
-    """``(g, residual)`` of one chunk, ``g`` of shape ``(ncubes, d, d)``, or
-    the message of its :class:`SolverError`, returned so that it fails this
-    chunk alone. The solutions are reduced here, so they do not outlive the
-    chunk."""
-    try:
-        sols, rhs, stats = _solve_cubes(cells, m, d, h)
-    except SolverError as err:
-        return str(err)
-    return np.einsum("bnr,ns->brs", sols, rhs) / volume, stats.residual
-
-
 def _mark_failures(done: list, size: int, failed: np.ndarray, message: str = "") -> str:
     """Mark in ``failed`` the ``size`` items from ``lo`` of every chunk
     whose result is a failure's message; returns ``message``, or if it is
@@ -529,17 +294,19 @@ def _mark_failures(done: list, size: int, failed: np.ndarray, message: str = "")
 
 def _level_outcome(
     shape: tuple[int, ...], done: list, size: int, failed: np.ndarray, stats: SolveStats,
-    message: str = "", order: np.ndarray | None = None,
+    message: str, order: np.ndarray,
 ) -> tuple[np.ndarray, SolveStats] | SolverError:
     """A level's ``(g_all, stats)`` from its chunks' ``(lo, result)``
     pairs, or the :class:`SolverError` carrying it when a cube failed.
 
-    A result is ``(g, residual)`` for the ``size`` cubes from ``lo`` (``g``
-    divided by the volume, or ``None`` if not wanted) or a failure's message,
-    which marks those cubes in ``failed`` (in place; it holds the earlier
-    failures) and is reported unless ``message`` is. ``order``, if given,
-    is each cube's row-major index. ``stats`` holds the level's start as its
-    ``wall_time`` and takes the wall time and the largest finite residual.
+    The chunks hold the level's cubes in tree order, and ``order`` is each
+    cube's row-major index (:func:`_tree_order`). A result is ``(g,
+    residual)`` for the ``size`` cubes from ``lo`` (``g`` divided by the
+    volume, or ``None`` if not wanted) or a failure's message, which marks
+    those cubes in ``failed`` (in place; it holds the earlier failures) and
+    is reported unless ``message`` is. ``stats`` holds the level's start as
+    its ``wall_time`` and takes the wall time and the largest finite
+    residual.
     """
     d = len(shape)
     g_all = np.full((failed.size, d, d), np.nan)
@@ -552,54 +319,14 @@ def _level_outcome(
                 residuals.append(res[1])
     stats.residual = max(residuals, default=math.nan)
     stats.wall_time = time.perf_counter() - stats.wall_time
-    level_failed = failed
-    if order is not None:
-        g_all[order] = g_all.copy()
-        level_failed = np.empty_like(failed)
-        level_failed[order] = failed
+    g_all[order] = g_all.copy()
+    level_failed = np.empty_like(failed)
+    level_failed[order] = failed
     g_all = g_all.reshape(shape + (d, d))
     if level_failed.any():
         return SolverError(message, stats, g_all, level_failed.reshape(shape))
     return g_all, stats
 
-
-def batched_neumann_functionals(
-    field: CoefficientField, level: int
-) -> tuple[np.ndarray, SolveStats]:
-    """``neumann_functionals`` for every cube of one level.
-
-    The cubes, in row-major order, are cut into chunks of
-    :func:`_chunk_cubes` whole cubes; each chunk is one factorization, and
-    :func:`_run_chunks` runs them. Returns ``(g_all, stats)`` with ``g_all`` of shape
-    ``(3**-level,)*d + (d, d)`` in row-major cube order;
-    ``stats.residual`` is the largest over the chunks, ``stats.chunks`` the
-    number of chunks and ``stats.threads`` the threads that took at least
-    one of them. A failed factorization raises :class:`SolverError` after
-    every chunk has run, carrying the level with the failed chunks' cubes
-    NaN. A :class:`ValueError` names a level outside ``1-N..0``.
-    """
-    t0 = time.perf_counter()
-    grid = field.grid
-    d = grid.d
-    _checked_levels(grid, [level])
-    m = 3 ** (grid.N + level)
-    cells = block_view(field.data, d, m).reshape((-1, m**d, field.data.shape[-1]))
-    ncubes = cells.shape[0]
-    size = _chunk_cubes(m, d) if ncubes > 1 else 1
-    starts = range(0, ncubes, size)
-    volume = 3.0 ** (level * d)
-    done, threads = _run_chunks(
-        starts, lambda lo: _chunk_functionals(cells[lo:lo + size], m, d, grid.h, volume))
-    out = _level_outcome((3 ** (-level),) * d, done, size, np.zeros(ncubes, dtype=bool),
-                         SolveStats(0, math.nan, (m + 1) ** d, t0, "splu", len(starts), threads))
-    if isinstance(out, SolverError):
-        raise out
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Nested static condensation over the triadic tree (d <= 2)
-# ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=16)
 def _boundary_nodes(shape: tuple[int, ...]) -> np.ndarray:
@@ -646,31 +373,6 @@ def _merge(shape: tuple[int, ...], axis: int) -> tuple[tuple[int, ...], int, np.
 
 
 @lru_cache(maxsize=8)
-def _interfaces(shape: tuple[int, ...]) -> tuple[int, tuple]:
-    """How the 3 children of a :func:`_merge` along the first axis split
-    their boundaries when they are solved without merging
-    (:func:`_domain_stage`): into their own nodes, which no other child has
-    (off the two interface planes), and the interface nodes, which two
-    children share.
-
-    Returns ``(n, parts)``: the ``n`` interface nodes, in skeleton order,
-    and for each child ``(own, shared, slot)``: the indices of its own and
-    of its shared boundary nodes, and each shared node's interface index.
-    """
-    _, _, rank = _merge(shape, 0)
-    count = np.bincount(rank.ravel())
-    slot = np.cumsum(count > 1) - 1
-    parts = []
-    for r in rank:
-        on = count[r] > 1
-        part = (np.flatnonzero(~on), np.flatnonzero(on), slot[r[on]])
-        for arr in part:  # shared by every caller through the cache
-            arr.flags.writeable = False
-        parts.append(part)
-    return int(np.count_nonzero(count > 1)), tuple(parts)
-
-
-@lru_cache(maxsize=8)
 def _tree_order(j: int, d: int) -> np.ndarray:
     """Row-major indices of the cubes of a ``(3**j)**d`` lattice in triadic
     tree order: every ``3**d`` consecutive cubes are the children of one
@@ -684,9 +386,8 @@ def _tree_order(j: int, d: int) -> np.ndarray:
 
 
 #: Largest dense matrices, in entries, of one chunk of the condensation
-#: pass: a chunk assembles and eliminates this many entries of merges (or,
-#: at level 0, of boxes) at once. One whose matrix alone is larger is a
-#: chunk of its own.
+#: pass: a chunk assembles and eliminates this many entries of merges at
+#: once. One whose matrix alone is larger is a chunk of its own.
 CHUNK_ENTRIES = 250_000
 
 
@@ -806,135 +507,144 @@ def _merge_stage(kids: np.ndarray, shape: tuple[int, ...], axis: int,
     return (maps,) + _run_stage(maps.shape[0], (interior + nb) ** 2, work, stats)
 
 
-def _domain_stage(boxes: np.ndarray, shape: tuple[int, ...], h: float, volume: float,
-                  stats: SolveStats) -> tuple[list, int, list]:
-    """Level 0's ``g`` from the boundary maps of its 3 boxes of ``shape``
-    cells, which its last stage would merge along the first axis: no level
-    needs level 0's own map, so it is never formed.
+@lru_cache(maxsize=8)
+def _top_plan(shape: tuple[int, ...]) -> tuple[tuple, tuple]:
+    """How :func:`_top_cube` condenses the box of ``3**d`` children of
+    ``shape`` cells (level 0, whose children are cubes).
 
-    First each box, a chunk of :func:`_run_stage` unless they fit one,
-    eliminates its own nodes (:func:`_interfaces`) with its gradient forcing
-    carried along (:func:`_eliminate`): the boxes' forcings sum to the
-    cube's, so this adds ``f^T S^-1 f`` of those nodes to ``g``. Then one
-    more chunk sums the boxes' reduced maps and forcings onto the two
-    interface planes, pins the last node and solves ``S y = f``: ``g`` gains
-    ``y^T f``, and the residual is ``|S y - f| / |f|``. A box with a
-    non-finite map leaves ``g`` NaN. Returns the boxes' ``(lo, None or
-    message)`` pairs with the boxes per chunk, and the cube's ``(0, (g /
-    volume, residual) or message)`` pair.
+    A node is *shared* at a stage if it lies on an interface plane between
+    two of the stage's boxes: before the merges along ``axis``, the two
+    planes across each of the first ``axis + 1`` axes. Every other node of
+    a box is its own, and goes at once: each child eliminates its own
+    nodes, and each merge eliminates the skeleton nodes that no box of the
+    next stage shares, so every box keeps its shared nodes alone.
+
+    Returns ``(children, stages)``. ``children[c]``, children in C order of
+    their offsets, is ``(order, own)``: the child's boundary-node indices
+    (:func:`_boundary_nodes`) with its ``own`` own nodes first. ``stages``
+    lists the stages, last axis first, each a tuple of merges of 3
+    consecutive boxes. A merge is ``(size, k, ranks)``: its skeleton's
+    size, the ``k`` nodes it eliminates, which the skeleton lists first (at
+    the last stage, all of them), and for each of its boxes the skeleton
+    index of every node the box keeps, in the order of the box's map: a
+    child's shared nodes in boundary order, a merged box's in C order.
     """
     d = len(shape)
-    n, parts = _interfaces(shape)
+    top = tuple(3 * s + 1 for s in shape)
+
+    def shared(flat: np.ndarray, axes: int) -> np.ndarray:
+        on = np.zeros(flat.size, dtype=bool)
+        for coord, s in zip(np.unravel_index(flat, top)[:axes], shape):
+            on |= (coord % s == 0) & (0 < coord) & (coord < 3 * s)
+        return on
+
+    local = np.indices(tuple(s + 1 for s in shape)).reshape(d, -1)[:, _boundary_nodes(shape)]
+    children, boxes = [], []
+    for offset in np.ndindex((3,) * d):
+        flat = np.ravel_multi_index(tuple(local + (np.array(offset) * shape)[:, None]), top)
+        on = shared(flat, d)
+        children.append((np.concatenate([np.flatnonzero(~on), np.flatnonzero(on)]),
+                         int(np.count_nonzero(~on))))
+        boxes.append(flat[on])
+    stages = []
+    for axis in range(d - 1, -1, -1):
+        merges, parents = [], []
+        for j in range(0, len(boxes), 3):
+            union = np.unique(np.concatenate(boxes[j:j + 3]))  # sorted: C order
+            keep = shared(union, axis)
+            position = np.empty(union.size, dtype=np.int64)
+            position[np.concatenate([np.flatnonzero(~keep), np.flatnonzero(keep)])] = \
+                np.arange(union.size)
+            ranks = tuple(position[np.searchsorted(union, box)] for box in boxes[j:j + 3])
+            merges.append((union.size, union.size - int(np.count_nonzero(keep)), ranks))
+            parents.append(union[keep])
+        stages.append(tuple(merges))
+        boxes = parents
+    for arr in [order for order, _ in children] + [r for merges in stages
+                                                   for _, _, ranks in merges for r in ranks]:
+        arr.flags.writeable = False  # shared by every caller through the cache
+    return tuple(children), tuple(stages)
+
+
+def _top_cube(maps: list, shape: tuple[int, ...], h: float, volume: float,
+              stats: SolveStats) -> list:
+    """Level 0's ``g`` from the boundary maps of its ``3**d`` children of
+    ``shape`` cells: no level needs level 0's own map, so it is never
+    formed. The children's maps, one array in C order of their offsets, are
+    taken out of the list ``maps`` and released once every child has been
+    reduced.
+
+    Each child first eliminates its own nodes (:func:`_top_plan`) with its
+    gradient forcing carried along (:func:`_eliminate`): the children's
+    forcings sum to the cube's, so each elimination adds ``f^T S^-1 f`` of
+    its nodes to ``g``. Then each stage, last axis first, sums the reduced
+    maps and forcings of 3 boxes onto a skeleton that lists first the nodes
+    no box of the next stage shares, and eliminates those the same way. The
+    last merge pins its last node and solves ``S y = f``: ``g`` gains ``y^T
+    f``, and the residual is ``|S y - f| / |f|``. Each stage's merges run
+    in chunks of :func:`_run_stage`, a child in its merge's chunk; every
+    box adds its terms to ``g`` in the same order, so the numbers do not
+    depend on the split. A box with a non-finite map leaves ``g`` NaN.
+    Returns the cube's ``[(0, (g / volume, residual) or message)]``.
+    """
+    kids = maps.pop()
+    d = len(shape)
+    children, stages = _top_plan(shape)
     forcing = _forcings(shape, h)[_boundary_nodes(shape)]
-    reduced: list = [None] * 3
 
-    def eliminate(lo: int, hi: int) -> str | None:
-        for k in range(lo, hi):
-            if not np.isfinite(boxes[k]).all():
-                continue
-            mine, shared, _ = parts[k]
-            order = np.concatenate([mine, shared])
-            try:
-                reduced[k] = _eliminate(boxes[k][np.ix_(order, order)][None], mine.size,
-                                        forcing[order])
-            except np.linalg.LinAlgError as err:
-                return f"dense condensation failed: {err}"
-        return None
+    def reduced(c: int):
+        """Child ``c``'s ``(map, forcing, g)`` on its shared nodes."""
+        if not np.isfinite(kids[c]).all():
+            return None
+        order, own = children[c]
+        if not own:
+            return kids[c], forcing, 0.0
+        schur, rest, g = _eliminate(kids[c][np.ix_(order, order)][None], own, forcing[order])
+        return schur[0], rest[0], g[0]
 
-    def solve():
-        if any(r is None for r in reduced):
-            return np.full((1, d, d), np.nan), math.nan
-        hat, rhs, g = np.zeros((n, n)), np.zeros((n, d)), np.zeros((d, d))
-        for (_, _, slot), (schur, rest, own) in zip(parts, reduced):
-            hat[slot[:, None], slot] += schur[0]
-            rhs[slot] += rest[0]
-            g += own[0]
-        pinned, f = hat[:-1, :-1], rhs[:-1]
-        try:
+    def merge(stage: int, j: int):
+        """Merge ``j`` of a stage: the merged box's ``(map, forcing, g)``,
+        at the last stage ``(g, residual)``, or ``None`` if a box is."""
+        parts = ([reduced(3 * j + k) for k in range(3)] if stage == 0
+                 else boxes[3 * j:3 * j + 3])
+        if any(part is None for part in parts):
+            return None
+        size, k, ranks = stages[stage][j]
+        skel, rhs, g = np.zeros((size, size)), np.zeros((size, d)), np.zeros((d, d))
+        for (mat, rest, part_g), r in zip(parts, ranks):
+            skel[r[:, None], r] += mat
+            rhs[r] += rest
+            g += part_g
+        if k == size:
+            pinned, f = skel[:-1, :-1], rhs[:-1]
             y = np.linalg.solve(pinned, f)
+            res = (np.linalg.norm(pinned @ y - f, axis=0)
+                   / np.maximum(np.linalg.norm(f, axis=0), 1e-300))
+            return g + y.T @ f, float(res.max())
+        if k:
+            schur, rest, own = _eliminate(skel[None], k, rhs)
+            skel, rhs, g = schur[0].copy(), rest[0], g + own[0]  # a copy frees the skeleton
+        return skel, rhs, g
+
+    def work(stage: int, lo: int, hi: int):
+        try:
+            return [merge(stage, j) for j in range(lo, hi)]
         except np.linalg.LinAlgError as err:
             return f"dense condensation failed: {err}"
-        g += y.T @ f
-        res = (np.linalg.norm(pinned @ y - f, axis=0)
-               / np.maximum(np.linalg.norm(f, axis=0), 1e-300))
-        return (g / volume)[None], float(res.max())
 
-    boxes_done, per_chunk = _run_stage(3, boxes.shape[1] ** 2, eliminate, stats)
-    stats.chunks += 1  # the interface solve
-    return boxes_done, per_chunk, [(0, solve())]
-
-
-def condensed_neumann_functionals(
-    field: CoefficientField, levels: Sequence[int]
-) -> dict[int, tuple[np.ndarray, SolveStats] | SolverError]:
-    """:func:`level_functionals` of a 1D or 2D field, in one bottom-up pass
-    of nested static condensation.
-
-    The d gradient forcings live on a box's boundary (:func:`_forcings`), so
-    ``g = b^T S^+ b / vol`` needs only the box's *boundary map* ``S``: the
-    Schur complement of its Neumann stiffness onto its boundary nodes. A
-    box's stiffness is the sum of its children's, so its boundary map is
-    the condensation of theirs on the skeleton (:func:`_condense_chunk`).
-    The pass starts from the element matrices of the cells and reaches each
-    level in ``d`` stages, each merging 3 boxes consecutive along one axis,
-    last axis first (:func:`_merge`, :func:`_tree_order`): small separators
-    are eliminated first, as in nested dissection. It goes up to the
-    coarsest level asked for and computes ``g`` only on the levels asked
-    for: from the cubes' boundary maps, or at level 0, whose map no level
-    needs, from the boxes of its last stage without forming it
-    (:func:`_domain_stage`). A level's numbers do not depend on the other
-    levels asked for.
-
-    Each stage's merges, and level 0's boxes, are cut into chunks of
-    :data:`CHUNK_ENTRIES` dense entries that :func:`_run_chunks` runs, so
-    level 0, one cube, uses every core too. Every merge and box is
-    eliminated alone, so the numbers do not depend on the split or the
-    threads. A boundary map of ``m`` cells holds ``(2dm)**2`` entries; in
-    3D it would grow like ``m**4``, so 3D stays on the sparse engine.
-
-    Returns what :func:`level_functionals` does, with ``stats.unknowns`` the
-    largest skeleton of a merge of the level, ``stats.chunks`` the chunks of
-    all its stages, and ``stats.residual`` the largest ``|S y - b| / |b|``
-    of the pinned solves. A failed dense solve fails the cubes of its chunk
-    and every cube that contains one of them; the pass reports its first
-    failure's message.
-    """
-    grid = field.grid
-    d = grid.d
-    wanted = _checked_levels(grid, levels)
-    if not wanted:
-        return {}
-    cells = field.data.reshape(-1, field.data.shape[-1])[_tree_order(grid.N, d)]
-    kids = _element_matrices(cells, d, grid.h)
-    shape = (1,) * d
-    failed = np.zeros(kids.shape[0], dtype=bool)
-    message = ""
-    out: dict[int, tuple[np.ndarray, SolveStats] | SolverError] = {}
-    for level in range(1 - grid.N, wanted[0] + 1):
-        stats = SolveStats(0, math.nan, 0, time.perf_counter(), "condensation", 0, 0)
-        volume = 3.0 ** (level * d)
-        for axis in range(d - 1, -1, -1):
-            parent, interior, _ = _merge(shape, axis)
-            stats.unknowns = max(stats.unknowns, interior + _boundary_nodes(parent).size)
-            if level == 0 and axis == 0:
-                boxes_done, per_box, done = _domain_stage(kids, shape, grid.h, volume, stats)
-                message = _mark_failures(boxes_done, per_box, failed, message)
-                failed, per_chunk = failed.reshape(1, 3).any(axis=1), 1
-                break
-            forcing = (_forcings(parent, grid.h)[_boundary_nodes(parent)[:-1]]
-                       if axis == 0 and level in wanted else None)
-            kids, done, per_chunk = _merge_stage(kids, shape, axis, forcing, volume, stats)
-            failed = failed.reshape(-1, 3).any(axis=1)
-            if axis:
-                message = _mark_failures(done, per_chunk, failed, message)
-            shape = parent
-        outcome = _level_outcome((3 ** (-level),) * d, done, per_chunk, failed, stats,
-                                 message, _tree_order(-level, d))
-        if isinstance(outcome, SolverError):
-            message = str(outcome)
-        if level in wanted:
-            out[level] = outcome
-    return out
+    for stage, merges in enumerate(stages):
+        largest = max(size for size, _, _ in merges)
+        stats.unknowns = max(stats.unknowns, largest)
+        done, _ = _run_stage(len(merges), largest**2, lambda lo, hi: work(stage, lo, hi), stats)
+        kids = None  # every child is reduced
+        failures = [res for _, res in done if isinstance(res, str)]
+        if failures:
+            return [(0, failures[0])]
+        boxes = [box for _, res in done for box in res]
+    if boxes[0] is None:
+        return [(0, (np.full((1, d, d), np.nan), math.nan))]
+    g, res = boxes[0]
+    return [(0, ((g / volume)[None], res))]
 
 
 def _checked_levels(grid: GridSpec, levels: Sequence[int]) -> list[int]:
@@ -951,75 +661,138 @@ def _checked_levels(grid: GridSpec, levels: Sequence[int]) -> list[int]:
 def level_functionals(
     field: CoefficientField, levels: Sequence[int]
 ) -> dict[int, tuple[np.ndarray, SolveStats] | SolverError]:
-    """Each given level's ``(g_all, stats)``, as from
-    :func:`batched_neumann_functionals`, or the :class:`SolverError` that
-    carries the level when a cube failed (``{}`` for no level): the entry
-    point of a sweep, which picks the engine and the schedule as the module
-    docstring says. A :class:`ValueError` names any level outside ``1-N..0``.
+    """Each given level's ``(g_all, stats)``, in one bottom-up pass of
+    nested static condensation, or the :class:`SolverError` that carries
+    the level when a cube failed (``{}`` for no level): the entry point of
+    a sweep. ``g_all`` has shape ``(3**-level,)*d + (d, d)``, every cube's
+    :func:`neumann_functionals` matrix in row-major cube order. A
+    :class:`ValueError` names any level outside ``1-N..0``.
+
+    The d gradient forcings live on a box's boundary (:func:`_forcings`), so
+    ``g = b^T S^+ b / vol`` needs only the box's *boundary map* ``S``: the
+    Schur complement of its Neumann stiffness onto its boundary nodes. A
+    box's stiffness is the sum of its children's, so its boundary map is
+    the condensation of theirs on the skeleton (:func:`_condense_chunk`).
+    The pass starts from the element matrices of the cells and reaches each
+    level in ``d`` stages, each merging 3 boxes consecutive along one axis,
+    last axis first (:func:`_merge`, :func:`_tree_order`): small separators
+    are eliminated first, as in nested dissection. It goes up to the
+    coarsest level asked for and computes ``g`` only on the levels asked
+    for: from the cubes' boundary maps, or at level 0, whose map no level
+    needs, from its children's without forming it (:func:`_top_cube`). A
+    level's numbers do not depend on the other levels asked for.
+
+    Each stage's merges are cut into chunks of :data:`CHUNK_ENTRIES` dense
+    entries that :func:`_run_chunks` runs, so level 0, one cube, uses every
+    core too. Every merge is eliminated alone, so the numbers do not depend
+    on the split or the threads.
+
+    ``stats.unknowns`` is the largest skeleton of a merge of the level,
+    ``stats.chunks`` the chunks of all its stages, and ``stats.residual``
+    the largest ``|S y - b| / |b|`` of the pinned solves. A failed dense
+    solve fails the cubes of its chunk and every cube that contains one of
+    them; the pass reports its first failure's message.
     """
-    if field.d < 3:
-        return condensed_neumann_functionals(field, levels)
-    wanted = _checked_levels(field.grid, levels)
-
-    def solve(level: int) -> tuple[np.ndarray, SolveStats] | SolverError:
-        try:
-            return batched_neumann_functionals(field, level)
-        except SolverError as err:
-            return err
-
-    if not (len(wanted) > 1 and wanted[0] == 0 and len(os.sched_getaffinity(0)) > 1):
-        return {level: solve(level) for level in wanted}
-    # level 0's factor outweighs all other levels together (nested-dissection
-    # fill grows like n**(4/3)): a pool thread solves it beside the others
-    out = {}
-    top = _chunk_pool().submit(solve, 0)
-    try:
-        out.update((level, solve(level)) for level in wanted[1:])
-    finally:
-        out[0] = top.result()
+    grid = field.grid
+    d = grid.d
+    wanted = _checked_levels(grid, levels)
+    if not wanted:
+        return {}
+    cells = field.data.reshape(-1, field.data.shape[-1])[_tree_order(grid.N, d)]
+    kids = _element_matrices(cells, d, grid.h)
+    shape = (1,) * d
+    failed = np.zeros(kids.shape[0], dtype=bool)
+    message = ""
+    out: dict[int, tuple[np.ndarray, SolveStats] | SolverError] = {}
+    for level in range(1 - grid.N, wanted[0] + 1):
+        stats = SolveStats(0, math.nan, 0, time.perf_counter(), "condensation", 0, 0)
+        volume = 3.0 ** (level * d)
+        if level == 0:
+            maps, kids = [kids], None  # _top_cube releases them
+            done, per_chunk = _top_cube(maps, shape, grid.h, volume, stats), 1
+            failed = failed.reshape(1, -1).any(axis=1)
+        else:
+            for axis in range(d - 1, -1, -1):
+                parent, interior, _ = _merge(shape, axis)
+                stats.unknowns = max(stats.unknowns, interior + _boundary_nodes(parent).size)
+                forcing = (_forcings(parent, grid.h)[_boundary_nodes(parent)[:-1]]
+                           if axis == 0 and level in wanted else None)
+                kids, done, per_chunk = _merge_stage(kids, shape, axis, forcing, volume, stats)
+                failed = failed.reshape(-1, 3).any(axis=1)
+                if axis:
+                    message = _mark_failures(done, per_chunk, failed, message)
+                shape = parent
+        outcome = _level_outcome((3 ** (-level),) * d, done, per_chunk, failed, stats,
+                                 message, _tree_order(-level, d))
+        if isinstance(outcome, SolverError):
+            message = str(outcome)
+        if level in wanted:
+            out[level] = outcome
     return out
 
 
-def solve_linear_forcing(
-    field: CoefficientField,
-    cube: TriadicCube,
-    direction: Sequence[float],
-    rhs_kind: str,
-) -> tuple[CubeFunction, SolveStats, float]:
-    """Maximize ``avg(-grad u . a grad u + 2 L(u))`` over the cube.
+def neumann_functionals(
+    field: CoefficientField, cube: TriadicCube
+) -> tuple[np.ndarray, SolveStats]:
+    """Gram matrix of the d gradient-forcing variational problems of a cube
+    of more than one cell.
 
-    ``rhs_kind`` selects the forcing: ``"gradient"`` gives
-    ``L(v) = avg(direction . grad v)``, ``"flux"`` gives
-    ``L(v) = avg(direction . a grad v)``. Returns the zero-mean maximizer,
-    solver stats, and the optimum value ``L(u)/vol`` (at the maximizer the
-    functional value equals ``L(u)/vol`` since ``B(u,u) = L(u)``). The
-    gradient maximizer combines the unit-forcing solutions by linearity;
-    the flux maximizer is ``direction . x`` less its node mean, with value
-    ``direction . avg(a) direction`` and ``stats.method`` ``"closed-form"``.
+    Returns ``(g, stats)`` where ``g[r, s] = L_s(u_r) / vol`` for the unit
+    gradient forcings ``L_s(v) = avg(e_s . grad v)``: the quadratic form
+    ``q . astar^{-1} q`` of the coarse-graining layer. ``g`` is symmetric
+    up to roundoff. It is level 0 of a :func:`level_functionals` pass over
+    the cube's own cells, as a grid of its own (``g`` does not depend on
+    the scale). Raises the :class:`SolverError` of a failed solve.
     """
-    if rhs_kind not in (GRADIENT, FLUX):
-        raise ValueError(f"rhs_kind must be 'gradient' or 'flux', got {rhs_kind!r}")
-    direction = np.asarray(direction, dtype=float)
-    if direction.shape != (field.d,) or not np.linalg.norm(direction) > 0:
-        raise ValueError("direction must be a nonzero d-vector")
-    m = cube.cells_per_side(field.grid)
-    if rhs_kind == GRADIENT:
-        sols, rhs, stats = _solve_cubes(_cube_cells_packed(field, cube), m, field.d, field.grid.h)
-        x = sols[0] @ direction
-        value = float(rhs @ direction @ x) / cube.volume
-    else:
-        t0 = time.perf_counter()
-        x = field.grid.h * np.tensordot(direction, np.indices((m + 1,) * field.d), axes=1).ravel()
-        x -= x.mean()
-        value = float(direction @ cube_average(field, cube) @ direction)
-        stats = SolveStats(0, 0.0, x.size, time.perf_counter() - t0, "closed-form")
-    u = CubeFunction(field.grid, cube, x.reshape((m + 1,) * field.d), "node")
-    return u, stats, value
+    grid = field.grid
+    own = CoefficientField(GridSpec(grid.d, grid.N + cube.level),
+                           field.data[cube.cell_slices(grid)])
+    out = level_functionals(own, [0])[0]
+    if isinstance(out, SolverError):
+        raise out
+    g_all, stats = out
+    return g_all.reshape(grid.d, grid.d), stats
 
 
 # ---------------------------------------------------------------------------
 # Dirichlet problems
 # ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=8)
+def _nested_dissection(m: int, d: int) -> np.ndarray:
+    """The nodes of an ``(m+1)**d`` grid in geometric nested-dissection order.
+
+    Each box is cut across its longest axis by a plane one node thick; the
+    two halves come first (recursively) and the plane last, so eliminating
+    in this order confines fill to the separators. Boxes at most four nodes
+    on a side keep their C order.
+    """
+    order: list[np.ndarray] = []
+
+    def dissect(block: np.ndarray) -> None:
+        axis = int(np.argmax(block.shape))
+        side = block.shape[axis]
+        if side <= 4:
+            order.append(block.ravel())
+            return
+        lo, plane, hi = np.split(block, [side // 2, side // 2 + 1], axis=axis)
+        dissect(lo)
+        dissect(hi)
+        order.append(plane.ravel())
+
+    dissect(np.arange((m + 1) ** d).reshape((m + 1,) * d))
+    out = np.concatenate(order)
+    out.flags.writeable = False  # shared by every caller through the cache
+    return out
+
+
+def _factor(mat: sp.csc_matrix) -> spla.SuperLU:
+    """SuperLU factorization with :data:`_SPLU_OPTIONS`: the Dirichlet
+    solve factors through here."""
+    import scipy.sparse.linalg as spla
+
+    return spla.splu(mat, **_SPLU_OPTIONS)
+
 
 def _diagonal_cells(block: np.ndarray, d: int) -> np.ndarray:
     """Per-cell diagonal entries ``(..., d)`` of a packed cell block; rejects
@@ -1235,21 +1008,3 @@ def mean_flux(field: CoefficientField, u) -> np.ndarray:
     full = sym_unpack(block.reshape(-1, block.shape[-1]), field.d)
     flux = np.einsum("cab,cb->ca", full, g.reshape(-1, field.d))
     return flux.mean(axis=0)
-
-
-def functional_value(
-    field: CoefficientField,
-    cube: TriadicCube,
-    u: CubeFunction,
-    direction: Sequence[float],
-    rhs_kind: str,
-) -> float:
-    """Evaluate ``avg(-grad v . a grad v + 2 L(v))`` at a test function.
-
-    One-sided oracle: the solver's optimum is an upper bound for this value
-    at any test function on the same cube.
-    """
-    direction = np.asarray(direction, dtype=float)
-    e = energy(field, u)
-    g = mean_gradient(u) if rhs_kind == GRADIENT else mean_flux(field, u)
-    return float(-e + 2.0 * direction @ g)

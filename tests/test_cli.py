@@ -183,25 +183,41 @@ class TestCoarse:
                  if line.startswith("DEBUG cge.coarse: level ")])
 
     def test_verbose_logs_one_line_per_level_outside_the_report(self, workdir):
-        # a 3D field: the sparse engine, in chunks on the chunk threads
+        # a 3D field: one condensation pass, its merges in chunks on the
+        # chunk threads
         assert main(["gen", "--kind", "constant", "--diag", "1,1,1", "--grid-d", "3",
                      "--grid-n", "3", "--field-out", "field.cge"]) == 0
         quiet_hash, quiet = self._debug_levels(workdir, "quiet.json")
         verbose_hash, verbose = self._debug_levels(workdir, "verbose.json", ["-v"])
         assert quiet == [] and verbose_hash == quiet_hash
         assert [line.split(",")[0] for line in verbose] == [
-            "DEBUG cge.coarse: level 0: splu", "DEBUG cge.coarse: level -1: splu",
-            "DEBUG cge.coarse: level -2: splu", "DEBUG cge.coarse: level -3: cells"]
+            "DEBUG cge.coarse: level 0: condensation", "DEBUG cge.coarse: level -1: condensation",
+            "DEBUG cge.coarse: level -2: condensation", "DEBUG cge.coarse: level -3: cells"]
         # each solved level names its chunks and the threads that took one
         # (how many did depends on the host's scheduling, not above the cores)
         cores = len(os.sched_getaffinity(0))
+
+        def split(items, entries):  # chunks of a stage, as solver._run_stage cuts them
+            return -(-items // max(1, cge.solver.CHUNK_ENTRIES // entries))
+
         for level, line in zip(range(0, -3, -1), verbose):
-            cubes, m = 27 ** -level, 3 ** (3 + level)
-            chunks = 1 if cubes == 1 else -(-cubes // cge.solver._chunk_cubes(m, 3))
-            split, threads = line.split(",")[1].rsplit(" on ", 1)
-            assert split == f" {cubes} cubes in {chunks} chunks"
+            cubes, m = 27 ** -level, 3 ** (2 + level)  # m: cells a side of a child
+            if level == 0:  # the skeletons of each stage's merges
+                stages = [[size for size, _, _ in merges]
+                          for merges in cge.solver._top_plan((m,) * 3)[1]]
+            else:  # a cube's 9, 3 and 1 merges along the last, middle and first axis
+                stages, shape = [], (m,) * 3
+                for axis in (2, 1, 0):
+                    parent, interior, _ = cge.solver._merge(shape, axis)
+                    size = interior + cge.solver._boundary_nodes(parent).size
+                    stages.append([size] * (cubes * 3**axis))
+                    shape = parent
+            chunks = sum(split(len(sizes), max(sizes) ** 2) for sizes in stages)
+            split_line, threads = line.split(",")[1].rsplit(" on ", 1)
+            assert split_line == f" {cubes} cubes in {chunks} chunks"
             assert threads.endswith(" threads")
             assert 1 <= int(threads.split()[0]) <= min(chunks, cores)
+            assert line.split(",")[2] == f" {max(map(max, stages))} unknowns per cube"
         assert verbose[-1].split(",")[1] == " 19683 cubes"
 
     def test_verbose_logs_condensation_levels(self, workdir):
@@ -225,11 +241,11 @@ class TestCoarse:
             # last axis, then 3 strips along the first; a skeleton is the
             # boxes' boundaries and the interfaces between them
             strips, nodes = 10 * m - 2, 18 * m - 2
-            chunks = split(3 * cubes, strips**2)
-            if level == 0:  # no merge: the 3 strips, then one interface solve
-                chunks += split(3, (8 * m) ** 2) + 1
-            else:
-                chunks += split(cubes, nodes**2)
+            chunks = split(3 * cubes, strips**2) + split(cubes, nodes**2)
+            if level == 0:  # only the two interface lines are kept: the middle
+                # strip's skeleton is both and the 2m nodes between them
+                nodes = 8 * m
+                chunks = split(3, nodes**2) + 1
             split_line, threads = line.split(",")[1].rsplit(" on ", 1)
             assert split_line == f" {cubes} cubes in {chunks} chunks"
             assert 1 <= int(threads.split()[0]) <= min(chunks, cores)
@@ -588,28 +604,35 @@ class TestLazySparseImport:
         assert "| cge\n" in proc.stderr
         assert "scipy.sparse" not in proc.stderr
 
-    @pytest.mark.parametrize("argv, loads", [
-        (["coarse"], False),
-        (["ellipticity"], False),
-        (["audit"], False),
-        (["criterion", "--p", "4", "--q", "4", "--with-solves"], False),
-        (["harnack", "--boundary", "affine:2,1,0"], True),
-        (["sweep", "--kind", "sharpness", "--lambda", "1,4", "--grid-n", "3"], True),
-    ], ids=["coarse", "ellipticity", "audit", "criterion", "harnack", "sweep"])
-    def test_sparse_import_only_for_sparse_solves(self, workdir, argv, loads):
-        # a 2D sweep is one condensation pass of dense NumPy solves; only the
-        # Dirichlet solves of harnack and sweep factor a sparse matrix
-        if argv[0] != "sweep":
+    @pytest.mark.parametrize("argv, d, loads", [
+        (["coarse"], 2, False),
+        (["ellipticity"], 2, False),
+        (["audit"], 2, False),
+        (["criterion", "--p", "4", "--q", "4", "--with-solves"], 2, False),
+        (["harnack", "--boundary", "affine:2,1,0"], 2, True),
+        (["sweep", "--kind", "sharpness", "--lambda", "1,4", "--grid-n", "3"], 2, True),
+        (["coarse"], 3, False),
+        (["audit"], 3, False),
+    ], ids=["coarse", "ellipticity", "audit", "criterion", "harnack", "sweep", "coarse-3d",
+            "audit-3d"])
+    def test_sparse_import_only_for_sparse_solves(self, workdir, argv, d, loads):
+        # every sweep is one condensation pass of dense NumPy solves; only
+        # the Dirichlet solves of harnack and sweep factor a sparse matrix
+        if d == 3:
+            assert main(["gen", "--kind", "constant", "--diag", "1,1,1", "--grid-d", "3",
+                         "--grid-n", "2", "--field-out", "field3.cge"]) == 0
+            argv = argv + ["--field", str(workdir / "field3.cge")]
+        elif argv[0] != "sweep":
             argv = argv + ["--field", str(gen_identity(workdir))]
         proc = run_fresh(["-X", "importtime", "-m", "cge.cli", *argv], workdir)
         assert "| cge\n" in proc.stderr
         assert ("scipy.sparse" in proc.stderr) is loads
 
     def test_first_sweep_in_fresh_interpreter(self, tmp_path):
-        # the 3D sweep is the first thing that interpreter solves, so its
-        # first assembly is what imports SciPy's sparse modules
+        # the 3D sweep is the first thing that interpreter solves: it loads
+        # no SciPy sparse code and gives the numbers of this process
         code = ("import sys\nassert 'scipy.sparse' not in sys.modules\n"
-                + FIRST_SWEEP + "assert 'scipy.sparse.linalg' in sys.modules\n"
+                + FIRST_SWEEP + "assert 'scipy.sparse' not in sys.modules\n"
                 "np.save(sys.argv[1], matrices)\n")
         run_fresh([str(tmp_path / "got.npy")], tmp_path, code=code)
         scope = {}

@@ -272,8 +272,8 @@ class TestSweepStructure:
         fine = result.levels[-3]
         assert_allclose(fine.astar, result.levels[-3].avg, rtol=0, atol=0)
 
-    def test_failures_recorded_not_raised(self, failing_factorization, tmp_path):
-        # the sparse engine solves 3D levels; see TestCondensation for 2D
+    def test_failures_recorded_not_raised(self, failing_solve, tmp_path):
+        # a 3D level 0 of cells; see TestCondensation for 2D
         grid = GridSpec(d=3, N=1)
         field = gen_random_spd(grid, seed=1, eig_low=0.5, eig_high=2.0)
         result = sweep(field, cache_dir=str(tmp_path))
@@ -288,7 +288,7 @@ class TestSweepStructure:
         assert np.isnan(result.levels[0].astar_inv_norm).all()
         assert np.isfinite(pair.amax).all()  # the average needs no solve
 
-    def test_failures_recorded_not_raised_3d(self, failing_factorization):
+    def test_failures_recorded_not_raised_3d(self, failing_solve):
         # d = 3 takes eigenvalues through LAPACK, which raises on a NaN matrix
         grid = GridSpec(d=3, N=1)
         field = gen_random_spd(grid, seed=1, eig_low=0.5, eig_high=2.0)
@@ -312,15 +312,17 @@ class TestSweepStructure:
             sweep(field, cache_dir=str(tmp_path))
         lines = [r.getMessage() for r in caplog.records if r.name == "cge.coarse"]
         assert len(lines) == 2 * (grid.N + 1)
-        assert lines[0].startswith(
-            "level 0: splu, 1 cubes in 1 chunks on 1 threads, 1000 unknowns per cube, residual ")
-        assert lines[1].startswith(
-            "level -1: splu, 27 cubes in 1 chunks on 1 threads, 64 unknowns per cube, residual ")
+        # one chunk a stage; unknowns: the largest skeleton of a merge, at
+        # level 0 the middle slab's, at level -1 a whole cube of 3**3 cells
+        assert lines[0].startswith("level 0: condensation, 1 cubes in 3 chunks on 1 threads, "
+                                   "240 unknowns per cube, residual ")
+        assert lines[1].startswith("level -1: condensation, 27 cubes in 3 chunks on 1 threads, "
+                                   "64 unknowns per cube, residual ")
         assert lines[2].startswith("level -2: cells, 729 cubes, - unknowns per cube, residual -, ")
         assert [line.split(",")[0] for line in lines[3:]] == [
             "level 0: cache", "level -1: cache", "level -2: cells"]
 
-    def test_single_cube_solver_error_names_cube(self, failing_factorization):
+    def test_single_cube_solver_error_names_cube(self, failing_solve):
         grid = GridSpec(d=2, N=1)
         field = gen_random_spd(grid, seed=1, eig_low=0.5, eig_high=2.0)
         with pytest.raises(SolverError, match=r"level=0"):
@@ -329,15 +331,14 @@ class TestSweepStructure:
     def test_non_finite_cube_recorded_alone(self, monkeypatch, tmp_path):
         grid = GridSpec(d=3, N=2)
         field = gen_random_spd(grid, seed=1, eig_low=0.5, eig_high=2.0)
-        real = cge.solver.batched_neumann_functionals
+        real = cge.coarse.level_functionals
 
-        def one_nan_cube(field, level):
-            g_all, stats = real(field, level)
-            if level == -1:
-                g_all[1, 2, 0, 0, 0] = np.nan
-            return g_all, stats
+        def one_nan_cube(field, levels):
+            out = real(field, levels)
+            out[-1][0][1, 2, 0, 0, 0] = np.nan
+            return out
 
-        monkeypatch.setattr(cge.solver, "batched_neumann_functionals", one_nan_cube)
+        monkeypatch.setattr(cge.coarse, "level_functionals", one_nan_cube)
         result = sweep(field, cache_dir=str(tmp_path))
         assert [(e["level"], e["offset"]) for e in result.failures] == [(-1, [1, 2, 0])]
         assert "non-finite" in result.failures[0]["message"]
@@ -349,47 +350,19 @@ class TestSweepStructure:
         # the level with the failed cube is not cached; the clean one is
         assert sorted(os.listdir(tmp_path / field.content_hash)) == ["level_0.npz"]
 
-    def test_failed_chunk_fails_only_its_cubes(self, monkeypatch, caplog, tmp_path):
-        grid = GridSpec(d=3, N=2)
-        field = gen_random_spd(grid, seed=1, eig_low=0.5, eig_high=2.0)
-        clean = sweep(field).levels[-1]
-        # level -1 holds 27 cubes of 3x3x3 cells: 13 to a chunk leaves cube
-        # (2, 2, 2) alone in the last chunk, the only factor of 63 unknowns
-        monkeypatch.setattr(cge.solver, "CHUNK_NNZ", 13 * cge.solver._factor_nnz(3, 3))
-        real = cge.solver._factor
-
-        def fail_last_chunk(mat):
-            if mat.shape[0] == 4**3 - 1:
-                raise RuntimeError("Factor is exactly singular")
-            return real(mat)
-
-        monkeypatch.setattr(cge.solver, "_factor", fail_last_chunk)
-        with caplog.at_level(logging.DEBUG, logger="cge.coarse"):
-            result = sweep(field, cache_dir=str(tmp_path))
-        assert caplog.records[1].getMessage().startswith("level -1: splu, 27 cubes in 3 chunks ")
-        assert [(e["level"], e["offset"]) for e in result.failures] == [(-1, [2, 2, 2])]
-        assert "singular" in result.failures[0]["message"]
-        assert result.solve_count == 3 * (1 + 26)
-        kept = [off for off in np.ndindex(3, 3, 3) if off != (2, 2, 2)]
-        for name in ("astar", "astar_inv", "astar_inv_norm"):
-            arr = getattr(result.levels[-1], name)
-            assert np.isnan(arr[2, 2, 2]).all()
-            assert all(np.array_equal(arr[off], getattr(clean, name)[off]) for off in kept)
-        # the level with the failed chunk is not cached; the clean one is
-        assert sorted(os.listdir(tmp_path / field.content_hash)) == ["level_0.npz"]
-
 
 @pytest.fixture
-def failing_factorization(monkeypatch):
-    """Every Neumann factorization raises, as SuperLU does on a singular matrix."""
-    def fail(mat):
-        raise RuntimeError("Factor is exactly singular")
+def failing_solve(monkeypatch):
+    """Every elimination of the condensation pass raises, as NumPy's dense
+    solve does on a singular matrix."""
+    def fail(*args):
+        raise np.linalg.LinAlgError("Matrix is exactly singular")
 
-    monkeypatch.setattr(cge.solver, "_factor", fail)
+    monkeypatch.setattr(cge.solver, "_eliminate", fail)
 
 
 # ---------------------------------------------------------------------------
-# 3D level 0 on a pool thread beside the other levels
+# 3D sweeps on one and on two cores
 # ---------------------------------------------------------------------------
 
 @pytest.fixture
@@ -415,6 +388,10 @@ def _cache_members(cache, field_hash):
 
 
 class TestLevelZeroOverlap:
+    """3D level 0 and the levels below it in one pass: the numbers and the
+    cache are the same on one core and on two, a failed level 0 leaves the
+    levels below it, and one core starts no chunk thread."""
+
     FIELD_SEED = 3
 
     def field(self, n):
@@ -438,51 +415,19 @@ class TestLevelZeroOverlap:
             for name in ("astar", "amax", "avg", "inv_avg_inv", "astar_inv"):
                 assert getattr(two.levels[level], name).tobytes() == getattr(ld, name).tobytes()
 
-    def test_level_zero_runs_beside_the_other_levels(self, cores, monkeypatch, caplog):
-        # level 0 may only go on once level -1 has returned: run in order on
-        # one thread, it would be solved first
-        cores(2)
-        caller = threading.current_thread()
-        lower_done = threading.Event()
-        ran_on = {}
-        real = cge.solver.batched_neumann_functionals
-
-        def spy(field, level):
-            ran_on[level] = threading.current_thread()
-            if level == 0 and ran_on[0] is not caller:
-                assert lower_done.wait(timeout=60)
-            out = real(field, level)
-            if level == -1:
-                lower_done.set()
-            return out
-
-        monkeypatch.setattr(cge.solver, "batched_neumann_functionals", spy)
-        with caplog.at_level(logging.DEBUG, logger="cge.coarse"):
-            result = sweep(self.field(3))
-        assert ran_on[0] is not caller
-        assert ran_on[0].name.startswith("cge-chunk")
-        assert ran_on[-1] is ran_on[-2] is caller
-        assert result.failures == []
-        # one line per level, in order; level -1's helper waited behind
-        # level 0 and was cancelled, so the caller took its 27 chunks alone
-        lines = [r.getMessage() for r in caplog.records if r.name == "cge.coarse"]
-        assert [line.split(",")[0] for line in lines] == [
-            "level 0: splu", "level -1: splu", "level -2: splu", "level -3: cells"]
-        assert lines[0].startswith("level 0: splu, 1 cubes in 1 chunks on 1 threads, ")
-        assert lines[1].startswith("level -1: splu, 27 cubes in 27 chunks on 1 threads, ")
-
     def test_failed_level_zero_keeps_the_other_levels(self, cores, monkeypatch, tmp_path):
         cores(2)
         field = self.field(2)
         clean = sweep(field)
-        real = cge.solver._factor
+        real = cge.solver._eliminate
+        child = cge.solver._boundary_nodes((3, 3, 3)).size
 
-        def fail_level_zero(mat):
-            if mat.shape[0] == 10**3 - 1:  # the one 9x9x9-cell cube
-                raise RuntimeError("Factor is exactly singular")
-            return real(mat)
+        def fail_level_zero(mat, *args):
+            if mat.shape[-1] == child:  # a child of level 0 eliminates its own nodes
+                raise np.linalg.LinAlgError("Matrix is exactly singular")
+            return real(mat, *args)
 
-        monkeypatch.setattr(cge.solver, "_factor", fail_level_zero)
+        monkeypatch.setattr(cge.solver, "_eliminate", fail_level_zero)
         result = sweep(field, cache_dir=str(tmp_path))
         assert [(e["level"], e["offset"]) for e in result.failures] == [(0, [0, 0, 0])]
         assert "singular" in result.failures[0]["message"]
@@ -491,28 +436,6 @@ class TestLevelZeroOverlap:
             assert np.array_equal(getattr(result.levels[-1], name),
                                   getattr(clean.levels[-1], name))
         assert sorted(os.listdir(tmp_path / field.content_hash)) == ["level_-1.npz"]
-
-    def test_failed_lower_chunk_keeps_level_zero(self, cores, monkeypatch, tmp_path):
-        cores(2)
-        field = self.field(2)
-        clean = sweep(field)
-        # level -1 holds 27 cubes of 3x3x3 cells: 4 to a chunk leaves cubes
-        # 24-26 in the last chunk, the only factor of 3 * 63 unknowns
-        monkeypatch.setattr(cge.solver, "CHUNK_NNZ", 4 * cge.solver._factor_nnz(3, 3))
-        real = cge.solver._factor
-
-        def fail_last_chunk(mat):
-            if mat.shape[0] == 3 * (4**3 - 1):
-                raise RuntimeError("Factor is exactly singular")
-            return real(mat)
-
-        monkeypatch.setattr(cge.solver, "_factor", fail_last_chunk)
-        result = sweep(field, cache_dir=str(tmp_path))
-        assert [(e["level"], e["offset"]) for e in result.failures] == [
-            (-1, [2, 2, k]) for k in range(3)]
-        assert np.array_equal(result.levels[0].astar_inv, clean.levels[0].astar_inv)
-        assert np.isfinite(result.levels[-1].astar_inv[:2]).all()
-        assert sorted(os.listdir(tmp_path / field.content_hash)) == ["level_0.npz"]
 
     def test_one_core_starts_no_chunk_thread(self, cores):
         cores(1)
@@ -548,10 +471,9 @@ class TestCondensation:
 
         monkeypatch.setattr(cge.solver, "_condense_chunk", fail_one)
         result = sweep(field, cache_dir=str(tmp_path))
-        # each level merges along the last axis, then the first; level 0
-        # solves its strips of 9x27 cells without merging them
-        assert calls == ([(1, 1)] * 243 + [(1, 3)] * 81 + [(3, 3)] * 27 + [(3, 9)] * 9
-                         + [(9, 9)] * 3)
+        # each level below 0 merges along the last axis, then the first;
+        # level 0 condenses its children without forming its own map
+        assert calls == [(1, 1)] * 243 + [(1, 3)] * 81 + [(3, 3)] * 27 + [(3, 9)] * 9
         failed = [(-1, (2, 1)), (0, (0, 0))]
         assert [(e["level"], tuple(e["offset"])) for e in result.failures] == failed[::-1]
         assert all("Singular matrix" in e["message"] for e in result.failures)
@@ -599,11 +521,11 @@ class TestCondensation:
             sweep(field, cache_dir=str(tmp_path))
         lines = [r.getMessage() for r in caplog.records if r.name == "cge.coarse"]
         assert len(lines) == 2 * (grid.N + 1)
-        # unknowns: the largest skeleton of a merge, of 3 strips of 3x9
-        # cells at level 0 (18 * 3 - 2 nodes); chunks: one per stage, and
-        # at level 0 one for the strips, the boxes and the interfaces each
-        assert lines[0].startswith("level 0: condensation, 1 cubes in 3 chunks on 1 threads, "
-                                   "52 unknowns per cube, residual ")
+        # unknowns: the largest skeleton of a merge, at level 0 the middle
+        # strip's two interface lines and the 4 nodes between them (8 * 3);
+        # chunks: one per stage
+        assert lines[0].startswith("level 0: condensation, 1 cubes in 2 chunks on 1 threads, "
+                                   "24 unknowns per cube, residual ")
         assert lines[1].startswith("level -1: condensation, 9 cubes in 2 chunks on 1 threads, "
                                    "16 unknowns per cube, residual ")
         assert lines[2].startswith("level -2: cells, 81 cubes, - unknowns per cube, residual -, ")
@@ -613,33 +535,31 @@ class TestCondensation:
     def test_pass_runs_from_the_cells_to_the_coarsest_miss(self, monkeypatch, tmp_path):
         field = gen_random_spd(GridSpec(2, 3), seed=9, eig_low=0.5, eig_high=5.0)
         passes, chunks = [], []
-        real_pass = cge.solver.condensed_neumann_functionals
+        real_pass = cge.coarse.level_functionals
         real_chunk = cge.solver._condense_chunk
+        real_top = cge.solver._top_cube
 
         def spy_pass(field, levels):
             passes.append(sorted(levels))
             return real_pass(field, levels)
 
-        real_domain = cge.solver._domain_stage
-
         def spy_chunk(kids, shape, axis, maps, forcing):
             chunks.append((shape, forcing is not None))
             return real_chunk(kids, shape, axis, maps, forcing)
 
-        def spy_domain(boxes, shape, *args):
-            chunks.append((shape, "domain"))
-            return real_domain(boxes, shape, *args)
+        def spy_top(maps, shape, *args):
+            chunks.append((shape, "top"))
+            return real_top(maps, shape, *args)
 
-        monkeypatch.setattr(cge.solver, "condensed_neumann_functionals", spy_pass)
+        monkeypatch.setattr(cge.coarse, "level_functionals", spy_pass)
         monkeypatch.setattr(cge.solver, "_condense_chunk", spy_chunk)
-        monkeypatch.setattr(cge.solver, "_domain_stage", spy_domain)
+        monkeypatch.setattr(cge.solver, "_top_cube", spy_top)
         cache = tmp_path / "cache"
         cold = sweep(field, cache_dir=str(cache))
         # a level's functionals come with its last stage; level 0's from
-        # the boxes of that stage, which it does not merge
+        # the maps of its children, which it condenses without a map of its own
         assert passes == [[-2, -1, 0]] and chunks == [
-            ((1, 1), False), ((1, 3), True), ((3, 3), False), ((3, 9), True), ((9, 9), False),
-            ((9, 27), "domain")]
+            ((1, 1), False), ((1, 3), True), ((3, 3), False), ((3, 9), True), ((9, 9), "top")]
         assert (cold.solve_count, cold.cache_hits) == (2 * 91, 0)
         # a warm rerun asks the pass for no level and condenses nothing
         passes.clear(), chunks.clear()
@@ -704,8 +624,9 @@ class TestCache:
     def test_record_of_the_old_layout_is_a_miss(self, tmp_path):
         # records of the earlier engines: tag /1 also held amax, tag /2 was
         # the sparse engine's 2D record, tag /3 the condensation pass before
-        # it went one axis at a time. Each is re-solved and rewritten in the
-        # current layout, which then hits
+        # it went one axis at a time, tag /4 before level 0 kept only shared
+        # nodes. Each is re-solved and rewritten in the current layout,
+        # which then hits
         grid = GridSpec(d=2, N=1)
         field = gen_random_spd(grid, seed=2, eig_low=0.5, eig_high=2.0)
         cache = str(tmp_path / "cache")
@@ -714,7 +635,8 @@ class TestCache:
         for old_tag, extra in ((b"q1-neumann/splu-nested-dissection/1",
                                 {"amax": cold.levels[0].amax}),
                                (b"q1-neumann/splu-nested-dissection/2", {}),
-                               (b"q1-neumann/condensation-splu/3", {})):
+                               (b"q1-neumann/condensation-splu/3", {}),
+                               (b"q1-neumann/condensation-splu/4", {})):
             self._rewrite_record(victim, solver=np.frombuffer(old_tag, dtype=np.uint8),
                                  **extra)
             redo = sweep(field, cache_dir=cache)
@@ -766,21 +688,33 @@ class TestCache:
         assert sweep(field, cache_dir=cache).cache_hits == 1
 
     def test_one_factorization_per_solved_level(self, tmp_path, monkeypatch):
+        # a sweep factors no sparse matrix: one condensation pass takes
+        # each solved level once
         grid = GridSpec(d=3, N=2)
         field = gen_random_spd(grid, seed=9, eig_low=0.5, eig_high=5.0)
         sizes = []
-        real = cge.solver._factor
+        real_stage, real_top = cge.solver._merge_stage, cge.solver._top_cube
 
-        def spy(mat):
-            sizes.append(mat.shape[0])
-            return real(mat)
+        def spy_stage(kids, shape, axis, *args):
+            sizes.append((shape, axis))
+            return real_stage(kids, shape, axis, *args)
 
-        monkeypatch.setattr(cge.solver, "_factor", spy)
+        def spy_top(maps, shape, *args):
+            sizes.append((shape, "top"))
+            return real_top(maps, shape, *args)
+
+        def factor(mat):
+            sizes.append(mat.shape)
+            raise AssertionError("a sweep factored a sparse matrix")
+
+        monkeypatch.setattr(cge.solver, "_merge_stage", spy_stage)
+        monkeypatch.setattr(cge.solver, "_top_cube", spy_top)
+        monkeypatch.setattr(cge.solver, "_factor", factor)
         cache = str(tmp_path / "cache")
         sweep(field, cache_dir=cache)
-        # levels 0 and -1: one pinned block of (m+1)**3 - 1 nodes per cube,
-        # level -1's 27 cubes in one chunk; level 0 may run on a pool thread
-        assert sorted(sizes) == [10**3 - 1, 27 * (4**3 - 1)]
+        # level -1: 3 stages from the cells, one axis each; level 0: one
+        # condensation of its 27 children of 3**3 cells
+        assert sizes == [((1, 1, 1), 2), ((1, 1, 3), 1), ((1, 3, 3), 0), ((3, 3, 3), "top")]
         sizes.clear()
         assert sweep(field, cache_dir=cache).solve_count == 0
         assert sizes == []

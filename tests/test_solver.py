@@ -35,24 +35,18 @@ from cge.solver import (
     CubeFunction,
     SolverError,
     _boundary_nodes,
-    _cell_node_indices,
-    _cube_cells_packed,
+    _element_matrices,
     _forcings,
-    _interfaces,
     _merge,
-    assemble_neumann,
-    batched_neumann_functionals,
-    condensed_neumann_functionals,
+    _top_plan,
     discrete_gradient,
     energy,
-    functional_value,
     level_functionals,
     mean_flux,
     mean_gradient,
     neumann_functionals,
     reference_matrices,
     solve_dirichlet,
-    solve_linear_forcing,
 )
 
 FULL = TriadicCube(0, (0, 0))
@@ -61,7 +55,8 @@ FULL = TriadicCube(0, (0, 0))
 def _augmented_dense_solve(kmat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve singular Neumann systems exactly via rank-one augmentation.
 
-    The dense reference solve, an oracle independent of the sparse engine.
+    The dense reference solve, an oracle independent of the condensation
+    pass.
     For b orthogonal to constants, (K + c*J/n) x = b has the unique zero-mean
     solution of K x = b (J the all-ones matrix); batched over leading axes.
     """
@@ -72,6 +67,31 @@ def _augmented_dense_solve(kmat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x - x.mean(axis=-2, keepdims=True)
 
 
+def _cell_nodes(m: int, d: int) -> np.ndarray:
+    """(ncells, 2^d) C-order indices of each cell's corner nodes in an
+    ``(m+1)**d`` node grid: cells in C order, corners in the order of the
+    element matrices."""
+    cells = np.indices((m,) * d).reshape(d, -1).T
+    corners = cells[:, None, :] + np.array(list(itertools.product((0, 1), repeat=d)))
+    return np.ravel_multi_index(tuple(np.moveaxis(corners, -1, 0)), (m + 1,) * d)
+
+
+def _cube_cells(field, cube) -> np.ndarray:
+    """A cube's packed cells, ``(ncells, ncomp)`` in C order."""
+    return field.data[cube.cell_slices(field.grid)].reshape(-1, field.data.shape[-1])
+
+
+def _dense_stiffness(field, cube) -> np.ndarray:
+    """Pure-Neumann Q1 stiffness of a cube (singular, kernel = constants),
+    summed densely from the element matrices, cell by cell."""
+    m = cube.cells_per_side(field.grid)
+    conn = _cell_nodes(m, field.d)
+    kmat = np.zeros(((m + 1) ** field.d,) * 2)
+    np.add.at(kmat, (conn[:, :, None], conn[:, None, :]),
+              _element_matrices(_cube_cells(field, cube), field.d, field.grid.h))
+    return kmat
+
+
 def _forcing_vectors(field, cube) -> np.ndarray:
     """RHS columns of all 2d unit forcings on one cube, ``(nn, 2d)`` in C node
     order: the engine's d gradient columns, then the d flux columns
@@ -80,9 +100,9 @@ def _forcing_vectors(field, cube) -> np.ndarray:
     m = cube.cells_per_side(field.grid)
     d, h = field.d, field.grid.h
     _, r_hat = reference_matrices(d)
-    cells = sym_unpack(_cube_cells_packed(field, cube)[0], d)
+    cells = sym_unpack(_cube_cells(field, cube), d)
     per_cell_flux = h ** (d - 1) * np.einsum("cxy,yI->cxI", cells, r_hat)
-    conn = _cell_node_indices(m, d).ravel()
+    conn = _cell_nodes(m, d).ravel()
     flux = [np.bincount(conn, weights=per_cell_flux[:, a].ravel(), minlength=(m + 1) ** d)
             for a in range(d)]
     return np.column_stack([_forcings((m,) * d, h)] + flux)
@@ -92,8 +112,45 @@ def _dense_functionals(field, cube) -> np.ndarray:
     """``g[r, s] = L_s(u_r) / vol`` of all 2d unit forcings (d gradient, then
     d flux) from the dense reference solve: ``(2d, 2d)``."""
     rhs = _forcing_vectors(field, cube)
-    sols = _augmented_dense_solve(assemble_neumann(field, cube).toarray(), rhs)
+    sols = _augmented_dense_solve(_dense_stiffness(field, cube), rhs)
     return sols.T @ rhs / cube.volume
+
+
+def _dense_maximizer(field, cube, direction, kind):
+    """``(u, value)``: the zero-mean maximizer of ``avg(-grad u . a grad u +
+    2 L(u))`` for the unit forcings of ``kind`` ("gradient" or "flux")
+    combined by ``direction``, from the dense reference solve, and the
+    optimum ``L(u) / vol`` (at the maximizer ``B(u, u) = L(u)``)."""
+    d = field.d
+    cols = slice(0, d) if kind == "gradient" else slice(d, 2 * d)
+    rhs = _forcing_vectors(field, cube)[:, cols] @ np.asarray(direction, dtype=float)
+    x = _augmented_dense_solve(_dense_stiffness(field, cube), rhs[:, None])[:, 0]
+    m = cube.cells_per_side(field.grid)
+    return CubeFunction(field.grid, cube, x.reshape((m + 1,) * d), "node"), rhs @ x / cube.volume
+
+
+def _functional_value(field, u, direction, kind) -> float:
+    """``avg(-grad v . a grad v + 2 L(v))`` at a test function ``v``: at
+    most the optimum, on the same cube."""
+    g = mean_gradient(u) if kind == "gradient" else mean_flux(field, u)
+    return float(-energy(field, u) + 2.0 * np.asarray(direction) @ g)
+
+
+def _sparse_functionals(field, cube) -> np.ndarray:
+    """``g`` of the d gradient forcings, ``(d, d)``, from a sparse direct
+    solve of the cube's stiffness with its last node pinned."""
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
+    m, d = cube.cells_per_side(field.grid), field.d
+    nn = (m + 1) ** d
+    conn = _cell_nodes(m, d)
+    ke = _element_matrices(_cube_cells(field, cube), d, field.grid.h)
+    rows = np.broadcast_to(conn[:, :, None], ke.shape).ravel()
+    cols = np.broadcast_to(conn[:, None, :], ke.shape).ravel()
+    kmat = sp.csc_matrix((ke.ravel(), (rows, cols)), shape=(nn, nn))[:-1, :-1]
+    rhs = _forcings((m,) * d, field.grid.h)[:-1]
+    return spla.spsolve(kmat.tocsc(), rhs).T @ rhs / cube.volume
 
 # Hand-assembled bilinear element matrix for a = I on the unit square,
 # local node order (0,0), (0,1), (1,0), (1,1): diagonal 2/3, edge neighbors
@@ -125,7 +182,7 @@ def test_assembled_interior_stencil():
     # stencil 8/3 center, -1/3 on all eight neighbors.
     g = GridSpec(2, 1)
     f = gen_constant(g, np.eye(2))
-    k = assemble_neumann(f, FULL).toarray()
+    k = _dense_stiffness(f, FULL)
     center = 1 * 4 + 1  # node (1,1) of the 4x4 node grid
     row = k[center].reshape(4, 4)
     assert row[1, 1] == pytest.approx(8 / 3)
@@ -137,15 +194,15 @@ def test_assembled_interior_stencil():
 def test_stiffness_row_sums_vanish_and_symmetry():
     g = GridSpec(2, 2)
     f = gen_random_spd(g, seed=11)
-    k = assemble_neumann(f, TriadicCube(-1, (0, 1))).toarray()
+    k = _dense_stiffness(f, TriadicCube(-1, (0, 1)))
     np.testing.assert_allclose(k.sum(axis=1), 0.0, atol=1e-10)
     np.testing.assert_allclose(k, k.T, atol=1e-13)
 
 
 def test_stiffness_scales_linearly():
     g = GridSpec(2, 1)
-    k1 = assemble_neumann(gen_constant(g, np.eye(2)), FULL).toarray()
-    k7 = assemble_neumann(gen_constant(g, 7.0 * np.eye(2)), FULL).toarray()
+    k1 = _dense_stiffness(gen_constant(g, np.eye(2)), FULL)
+    k7 = _dense_stiffness(gen_constant(g, 7.0 * np.eye(2)), FULL)
     np.testing.assert_allclose(k7, 7.0 * k1, rtol=1e-14)
 
 
@@ -154,7 +211,7 @@ def test_stiffness_scales_linearly():
 def test_bilinear_form_symmetry_on_random_pairs(seed):
     g = GridSpec(2, 1)
     f = gen_random_spd(g, seed=3)
-    k = assemble_neumann(f, FULL)
+    k = _dense_stiffness(f, FULL)
     rng = np.random.default_rng(seed)
     u, v = rng.standard_normal((2, k.shape[0]))
     assert u @ (k @ v) == pytest.approx(v @ (k @ u), rel=1e-12, abs=1e-12)
@@ -170,16 +227,18 @@ def test_constant_field_gradient_values(mat):
     g = GridSpec(2, 2)
     f = gen_constant(g, mat)
     inv = np.linalg.inv(mat)
+    gmat, _ = neumann_functionals(f, FULL)
     for i, e in enumerate(np.eye(2)):
-        _, _, val = solve_linear_forcing(f, FULL, e, "gradient")
+        _, val = _dense_maximizer(f, FULL, e, "gradient")
         assert val == pytest.approx(inv[i, i], rel=1e-12)
+        assert gmat[i, i] == pytest.approx(inv[i, i], rel=1e-12)
 
 
 def test_constant_field_flux_value_and_affine_maximizer():
     g = GridSpec(2, 2)
     mat = np.array([[2.0, 0.7], [0.7, 1.0]])
     f = gen_constant(g, mat)
-    u, _, val = solve_linear_forcing(f, FULL, [1.0, 0.0], "flux")
+    u, val = _dense_maximizer(f, FULL, [1.0, 0.0], "flux")
     assert val == pytest.approx(mat[0, 0], rel=1e-12)
     grads = discrete_gradient(u).reshape(-1, 2)
     np.testing.assert_allclose(grads, np.broadcast_to([1.0, 0.0], grads.shape), atol=1e-9)
@@ -188,9 +247,10 @@ def test_constant_field_flux_value_and_affine_maximizer():
 def test_laminate_gradient_and_flux_closed_forms():
     g = GridSpec(2, 2)
     f = gen_laminate(g, 0, [1.0, 9.0, 1.0])
-    _, _, v_grad = solve_linear_forcing(f, FULL, [1.0, 0.0], "gradient")
+    _, v_grad = _dense_maximizer(f, FULL, [1.0, 0.0], "gradient")
     assert v_grad == pytest.approx((1 + 1 / 9 + 1) / 3, rel=1e-11)
-    u, _, v_flux = solve_linear_forcing(f, FULL, [0.0, 1.0], "flux")
+    assert neumann_functionals(f, FULL)[0][0, 0] == pytest.approx((1 + 1 / 9 + 1) / 3, rel=1e-11)
+    u, v_flux = _dense_maximizer(f, FULL, [0.0, 1.0], "flux")
     assert v_flux == pytest.approx(11 / 3, rel=1e-11)
     # the flux maximizer across the layering is the affine u = x_2
     grads = discrete_gradient(u).reshape(-1, 2)
@@ -203,9 +263,10 @@ def test_two_stripe_field_matches_represented_cell_means():
     g = GridSpec(2, 3)
     f = gen_laminate(g, 0, [1.0, 4.0])
     cells = f.data[:, 0, 0]
-    _, _, v_grad = solve_linear_forcing(f, FULL, [1.0, 0.0], "gradient")
+    _, v_grad = _dense_maximizer(f, FULL, [1.0, 0.0], "gradient")
     assert v_grad == pytest.approx((1.0 / cells).mean(), rel=1e-10)
-    _, _, v_flux = solve_linear_forcing(f, FULL, [0.0, 1.0], "flux")
+    assert neumann_functionals(f, FULL)[0][0, 0] == pytest.approx((1.0 / cells).mean(), rel=1e-10)
+    _, v_flux = _dense_maximizer(f, FULL, [0.0, 1.0], "flux")
     assert v_flux == pytest.approx(cells.mean(), rel=1e-10)
 
 
@@ -213,85 +274,87 @@ def test_gradient_solution_mean_flux_recovers_forcing():
     # At the gradient-forcing maximizer, avg(a grad u) equals the forcing.
     g = GridSpec(2, 2)
     f = gen_random_spd(g, seed=5)
-    u, _, _ = solve_linear_forcing(f, FULL, [1.0, 0.0], "gradient")
+    u, _ = _dense_maximizer(f, FULL, [1.0, 0.0], "gradient")
     np.testing.assert_allclose(mean_flux(f, u), [1.0, 0.0], atol=1e-9)
 
 
 def test_solver_rejects_bad_inputs():
-    g = GridSpec(2, 1)
-    f = gen_constant(g, np.eye(2))
-    with pytest.raises(ValueError, match="rhs_kind"):
-        solve_linear_forcing(f, FULL, [1, 0], "sideways")
-    with pytest.raises(ValueError, match="direction"):
-        solve_linear_forcing(f, FULL, [0, 0], "gradient")
+    # one cell is no grid to condense (coarse_grain_cube reads the cell)
+    f = gen_constant(GridSpec(2, 1), np.eye(2))
+    with pytest.raises(ValueError, match="refinement exponent"):
+        neumann_functionals(f, TriadicCube(-1, (0, 1)))
 
 
 def test_engine_matches_dense_oracle():
-    # every cube of every solved level of 2D N=2 and 3D N=2
+    # every cube of every solved level of 2D N=2 and 3D N=2, each solved
+    # alone: level 0 of a pass over its own cells
     for d in (2, 3):
         grid = GridSpec(d, 2)
         f = gen_random_spd(grid, seed=13, eig_low=0.1, eig_high=10.0)
         for level in (0, -1):
-            g_all, stats = batched_neumann_functionals(f, level)
-            assert stats.method == "splu" and stats.iterations == 0
-            assert g_all.shape == (3 ** -level,) * d + (d, d)
-            for off in np.ndindex(g_all.shape[:d]):
+            for off in np.ndindex((3 ** -level,) * d):
+                g, stats = neumann_functionals(f, TriadicCube(level, off))
+                assert stats.method == "condensation" and stats.iterations == 0
                 g_dense = _dense_functionals(f, TriadicCube(level, off))[:d, :d]
-                np.testing.assert_allclose(g_all[off], g_dense, rtol=0,
+                np.testing.assert_allclose(g, g_dense, rtol=0,
                                            atol=1e-12 * np.abs(g_dense).max())
 
 
 @pytest.mark.parametrize("d, n", [(1, 4), (2, 4), (3, 3)])
 def test_chunk_split_leaves_functionals_bit_identical(monkeypatch, d, n):
-    # every block is factored alone, so one cube per chunk and the whole
-    # level in one chunk must agree to the last bit
+    # every merge is eliminated alone, so one merge per chunk and each
+    # stage in one chunk must agree to the last bit
     f = gen_random_spd(GridSpec(d, n), seed=11, eig_low=1e-2, eig_high=1e2)
-    for level in range(-1, -n, -1):
-        runs = []
-        for budget, chunks in ((1, 3 ** (-level * d)), (10**12, 1)):
-            monkeypatch.setattr(cge.solver, "CHUNK_NNZ", budget)
-            g_all, stats = batched_neumann_functionals(f, level)
-            assert stats.chunks == chunks
-            runs.append((g_all, stats.residual))
-        (g_split, res_split), (g_whole, res_whole) = runs
-        assert np.array_equal(g_split, g_whole)
-        assert res_split == res_whole
+    runs = []
+    for budget in (1, 10**12):
+        monkeypatch.setattr(cge.solver, "CHUNK_ENTRIES", budget)
+        runs.append(level_functionals(f, range(0, -n, -1)))
+    split, whole = runs
+    for level, (g_all, stats) in whole.items():
+        # a cube takes (3**d - 1) / 2 merges: 3**a along axis a
+        assert split[level][1].chunks == 3 ** (-level * d) * (3**d - 1) // 2
+        assert stats.chunks == d
+        assert np.array_equal(split[level][0], g_all)
+        assert split[level][1].residual == stats.residual
 
 
 def test_more_threads_than_cores_take_each_chunk_once(monkeypatch):
     # the threads share one iterator over the chunks: a lost take leaves a
-    # cube NaN, a repeated one solves a chunk twice
-    f = gen_random_spd(GridSpec(2, 4), seed=5, eig_low=1e-2, eig_high=1e2)
-    whole, _ = batched_neumann_functionals(f, -3)  # 729 cubes of 3x3 cells
+    # cube NaN, a repeated one condenses a merge twice
+    f = gen_random_spd(GridSpec(3, 3), seed=5, eig_low=1e-2, eig_high=1e2)
+    whole = level_functionals(f, [-1, -2])  # 27 cubes of 9**3 cells, 729 of 3**3
     taken = []
-    real = cge.solver._chunk_functionals
+    real = cge.solver._condense_chunk
 
-    def spy(cells, *args):
-        taken.append(cells.shape[0])
-        return real(cells, *args)
+    def spy(kids, *args):
+        taken.append(kids.shape[0] // 3)
+        return real(kids, *args)
 
     pool = ThreadPoolExecutor(4)
     monkeypatch.setattr(cge.solver, "_POOL", pool)
-    monkeypatch.setattr(cge.solver, "_chunk_functionals", spy)
-    monkeypatch.setattr(cge.solver, "CHUNK_NNZ", 1)
+    monkeypatch.setattr(cge.solver, "_condense_chunk", spy)
+    monkeypatch.setattr(cge.solver, "CHUNK_ENTRIES", 1)
     monkeypatch.setattr(cge.solver.os, "sched_getaffinity", lambda pid: set(range(5)))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        g_all, stats = batched_neumann_functionals(f, -3)
+        out = level_functionals(f, [-1, -2])
     finally:
         sys.setswitchinterval(interval)
         pool.shutdown()
-    assert (stats.chunks, stats.threads) == (729, 5)
-    assert taken == [1] * 729
-    assert np.array_equal(g_all, whole)
+    # 13 merges a cube, one a chunk: 9, 3 and 1 along the last, middle and
+    # first axis
+    assert [stats.chunks for _, stats in out.values()] == [729 * 13, 27 * 13]
+    assert out[-2][1].threads == 5
+    assert taken == [1] * (756 * 13)
+    for level, (g_all, _) in out.items():
+        assert np.array_equal(g_all, whole[level][0])
 
 
 @pytest.mark.parametrize("d, n", [(2, 3), (3, 2)])
 def test_residual_reported_on_high_contrast_field(d, n):
     f = gen_random_spd(GridSpec(d, n), seed=3, eig_low=1e-2, eig_high=1e2)
-    for level in range(0, -n, -1):
-        _, stats = batched_neumann_functionals(f, level)
+    for _, stats in level_functionals(f, range(0, -n, -1)).values():
         assert 0.0 < stats.residual <= 1e-10
     _, stats = neumann_functionals(f, TriadicCube(0, (0,) * d))
     assert 0.0 < stats.residual <= 1e-10
@@ -301,28 +364,26 @@ def test_linear_forcing_combines_functional_columns():
     g = GridSpec(2, 2)
     f = gen_random_spd(g, seed=17, eig_low=1e-2, eig_high=1e2)
     cube = TriadicCube(-1, (2, 1))
-    gmat, _ = neumann_functionals(f, cube)
-    rhs = _forcing_vectors(f, cube)
-    kmat = assemble_neumann(f, cube).toarray()
+    gmat, stats = neumann_functionals(f, cube)
+    assert stats.method == "condensation"
     q = np.array([0.7, -1.3])
-    u, stats, value = solve_linear_forcing(f, cube, q, "gradient")
-    assert stats.method == "splu"
+    # the gradient forcing is linear in q: its optimum is q . g q
+    _, value = _dense_maximizer(f, cube, q, "gradient")
     np.testing.assert_allclose(value, q @ gmat @ q, rtol=1e-12)
-    # both kinds against the dense solve of their forcing column; the flux
-    # maximizer is the closed form, which solves nothing
-    for kind, cols, method in (("gradient", slice(0, 2), "splu"),
-                               ("flux", slice(2, 4), "closed-form")):
-        u, stats, value = solve_linear_forcing(f, cube, q, kind)
-        assert stats.method == method
-        x = _augmented_dense_solve(kmat, rhs[:, cols] @ q[:, None])[:, 0]
-        np.testing.assert_allclose(value, rhs[:, cols] @ q @ x / cube.volume, rtol=1e-12)
-        np.testing.assert_allclose(u.data.ravel(), x, rtol=0, atol=1e-12 * np.abs(x).max())
+    # the flux maximizer is the affine q . x, which the sweep therefore
+    # never solves: its optimum is q . avg(a) q
+    u, value = _dense_maximizer(f, cube, q, "flux")
+    np.testing.assert_allclose(value, q @ cube_average(f, cube) @ q, rtol=1e-12)
+    m = cube.cells_per_side(g)
+    x = g.h * np.tensordot(q, np.indices((m + 1,) * 2), axes=1)
+    x -= x.mean()
+    np.testing.assert_allclose(u.data, x, rtol=0, atol=1e-12 * np.abs(x).max())
 
 
 def test_batched_matches_per_cube():
     g = GridSpec(2, 2)
     f = gen_random_spd(g, seed=23)
-    g_all, stats = batched_neumann_functionals(f, -1)
+    g_all, stats = level_functionals(f, [-1])[-1]
     assert g_all.shape == (3, 3, 2, 2)
     for z in [(0, 0), (1, 2), (2, 1)]:
         g_one, _ = neumann_functionals(f, TriadicCube(-1, z))
@@ -429,22 +490,46 @@ def test_merged_forcings_sum_to_the_parents(shape, axis):
 
 @pytest.mark.parametrize("shape", [(1,), (3,), (1, 3), (3, 9)], ids=str)
 def test_level_zero_boxes_split_the_skeleton(shape):
-    # level 0 eliminates each box's own nodes: no two boxes share one, and
-    # the interface nodes are the interior and the planes' ends
-    _, interior, rank = _merge(shape, 0)
-    n, parts = _interfaces(shape)
-    own = np.concatenate([r[mine] for r, (mine, _, _) in zip(rank, parts)])
-    assert own.size == np.unique(own).size and np.all(own >= interior)
-    shared = np.concatenate([r[on] for r, (_, on, _) in zip(rank, parts)])
-    nodes = np.unique(shared)
-    assert n == nodes.size and np.array_equal(nodes[:interior], np.arange(interior))
-    assert np.array_equal(nodes[np.concatenate([slot for _, _, slot in parts])], shared)
-    assert own.size + n == rank.max() + 1
+    # level 0 keeps only shared nodes: every node of its children's
+    # boundaries is eliminated once, by the one child that has it or by
+    # the first merge whose boxes of the next stage do not share it, and
+    # the last merge solves for the rest
+    d = len(shape)
+    children, stages = _top_plan(shape)
+    local = np.indices([s + 1 for s in shape]).reshape(d, -1).T[_boundary_nodes(shape)]
+    offsets = [np.multiply(offset, shape) for offset in np.ndindex((3,) * d)]
+    gone, boxes = [], []
+    for shift, (order, own) in zip(offsets, children):
+        assert np.array_equal(np.sort(order), np.arange(local.shape[0]))
+        coords = (local + shift)[order]
+        gone += [tuple(c) for c in coords[:own]]
+        boxes.append(coords[own:])
+    for stage, merges in enumerate(stages):
+        axis = d - 1 - stage
+        assert len(merges) == 3**axis
+        parents = []
+        for j, (size, k, ranks) in enumerate(merges):
+            skeleton = np.full((size, d), -1)
+            for r, coords in zip(ranks, boxes[3 * j:3 * j + 3]):
+                seen = (skeleton[r] >= 0).all(axis=1)  # a node two boxes share is one point
+                assert np.array_equal(skeleton[r][seen], coords[seen])
+                skeleton[r] = coords
+            assert np.all(skeleton >= 0)
+            # kept: on an interface plane across one of the first `axis` axes
+            planes = (skeleton % shape == 0) & (skeleton > 0) & (skeleton < np.multiply(3, shape))
+            kept = planes[:, :axis].any(axis=1)
+            assert not kept[:k].any() and kept[k:].all()
+            gone += [tuple(c) for c in skeleton[:k]]
+            parents.append(skeleton[k:])
+        boxes = parents
+    assert [box.shape[0] for box in boxes] == [0]
+    every = {tuple(c) for shift in offsets for c in local + shift}
+    assert len(gone) == len(set(gone)) and set(gone) == every
 
 
 def _condensed_levels(f):
     """Every solved level's ``g_all`` from one condensation pass."""
-    out = condensed_neumann_functionals(f, range(0, -f.grid.N, -1))
+    out = level_functionals(f, range(0, -f.grid.N, -1))
     assert all(stats.method == "condensation" and stats.residual <= 1e-10
                for _, stats in out.values())
     return {level: g_all for level, (g_all, _) in out.items()}
@@ -456,14 +541,15 @@ def _condensed_levels(f):
     gen_cascade_field(GridSpec(2, 4), CascadeParams(0.5, 4, 1)),
 ], ids=["random", "cantor", "cascade"])
 def test_condensation_matches_sparse_engine(f):
-    # every cube of every solved level, relative to the cube's largest entry
+    # every cube of every solved level against a sparse direct solve,
+    # relative to the cube's largest entry
     for level, g_all in _condensed_levels(f).items():
-        g_splu, _ = batched_neumann_functionals(f, level)
-        scale = np.abs(g_splu).max(axis=(-2, -1), keepdims=True)
-        assert np.all(np.abs(g_all - g_splu) <= 1e-10 * scale), level
+        for off in np.ndindex(g_all.shape[:2]):
+            want = _sparse_functionals(f, TriadicCube(level, off))
+            assert np.all(np.abs(g_all[off] - want) <= 1e-10 * np.abs(want).max()), (level, off)
 
 
-@pytest.mark.parametrize("d, n", [(1, 2), (1, 3), (2, 2), (2, 3)])
+@pytest.mark.parametrize("d, n", [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2)])
 def test_condensation_matches_dense_oracle(d, n):
     f = gen_random_spd(GridSpec(d, n), seed=13, eig_low=0.1, eig_high=10.0)
     for level, g_all in _condensed_levels(f).items():
@@ -486,7 +572,7 @@ def test_condensation_1d_closed_form(eig_low, rtol):
         np.testing.assert_allclose(g_all[..., 0], want, rtol=rtol, atol=0)
 
 
-@pytest.mark.parametrize("d, n", [(1, 5), (2, 4)])
+@pytest.mark.parametrize("d, n", [(1, 5), (2, 4), (3, 3)])
 def test_condensation_split_and_cores_leave_functionals_bit_identical(monkeypatch, d, n):
     # every parent is eliminated alone: one parent a chunk, the default
     # chunks on one core and on two cores agree to the last bit
@@ -497,7 +583,7 @@ def test_condensation_split_and_cores_leave_functionals_bit_identical(monkeypatc
         monkeypatch.setattr(cge.solver.os, "sched_getaffinity", lambda pid: set(range(cores)))
         monkeypatch.setattr(cge.solver, "_POOL", None)
         try:
-            out = condensed_neumann_functionals(f, range(0, -n, -1))
+            out = level_functionals(f, range(0, -n, -1))
         finally:
             if cge.solver._POOL is not None:
                 cge.solver._POOL.shutdown()
@@ -517,13 +603,10 @@ def test_condensation_top_below_level_zero(d, n):
     # the pass stops at the coarsest level asked for, here one of many
     # cubes: it forms their maps, whose pinned solves give g
     f = gen_random_spd(GridSpec(d, n), seed=13, eig_low=0.1, eig_high=10.0)
-    out = condensed_neumann_functionals(f, [-1, -2])
+    out = level_functionals(f, [-1, -2])
     assert sorted(out) == [-2, -1]
     for level, (g_all, stats) in out.items():
         assert stats.method == "condensation" and stats.residual <= 1e-10
-        g_splu, _ = batched_neumann_functionals(f, level)
-        scale = np.abs(g_splu).max(axis=(-2, -1), keepdims=True)
-        assert np.all(np.abs(g_all - g_splu) <= 1e-10 * scale), level
         for off in np.ndindex(g_all.shape[:d]):
             g_dense = _dense_functionals(f, TriadicCube(level, off))[:d, :d]
             np.testing.assert_allclose(g_all[off], g_dense, rtol=0,
@@ -532,58 +615,76 @@ def test_condensation_top_below_level_zero(d, n):
 
 @pytest.mark.parametrize("level", [1, -3])
 def test_batched_functionals_name_a_level_outside_the_grid(level):
+    # above the cube, and below the cells
     with pytest.raises(ValueError, match=rf"levels \[{level}\] outside -1\.\.0"):
-        batched_neumann_functionals(gen_random_spd(GridSpec(2, 2), seed=1), level)
+        level_functionals(gen_random_spd(GridSpec(2, 2), seed=1), [level])
 
 
-# The entry point of a sweep: level_functionals picks the engine by d and
-# shares the condensation pass's check of the levels asked for.
-LEVEL_ENTRIES = [(condensed_neumann_functionals, 1), (condensed_neumann_functionals, 2),
-                 (level_functionals, 2), (level_functionals, 3)]
-LEVEL_ENTRY_IDS = ["condensed-1d", "condensed-2d", "entry-2d", "entry-3d"]
+# The level checks of the pass, on every dimension and on a deeper 2D grid:
+# (d, N) of each grid
+LEVEL_GRIDS = [(1, 2), (2, 2), (2, 3), (3, 2)]
+LEVEL_GRID_IDS = ["condensed-1d", "condensed-2d", "entry-2d", "entry-3d"]
 
 
-@pytest.mark.parametrize("entry, d", LEVEL_ENTRIES, ids=LEVEL_ENTRY_IDS)
-def test_no_levels_give_no_functionals(entry, d):
-    assert entry(gen_random_spd(GridSpec(d, 2), seed=1), []) == {}
+@pytest.mark.parametrize("d, n", LEVEL_GRIDS, ids=LEVEL_GRID_IDS)
+def test_no_levels_give_no_functionals(d, n):
+    assert level_functionals(gen_random_spd(GridSpec(d, n), seed=1), []) == {}
 
 
-@pytest.mark.parametrize("entry, d", LEVEL_ENTRIES, ids=LEVEL_ENTRY_IDS)
-def test_cells_level_is_rejected(entry, d):
+@pytest.mark.parametrize("d, n", LEVEL_GRIDS, ids=LEVEL_GRID_IDS)
+def test_cells_level_is_rejected(d, n):
     # level -N is the cells: no solve, so no functionals to return
-    with pytest.raises(ValueError, match=r"levels \[-2\] outside -1\.\.0"):
-        entry(gen_random_spd(GridSpec(d, 2), seed=1), [0, -2])
+    with pytest.raises(ValueError, match=rf"levels \[-{n}\] outside {1 - n}\.\.0"):
+        level_functionals(gen_random_spd(GridSpec(d, n), seed=1), [0, -n])
 
 
-@pytest.mark.parametrize("entry, d", LEVEL_ENTRIES, ids=LEVEL_ENTRY_IDS)
-def test_level_above_the_grid_is_rejected(entry, d):
-    with pytest.raises(ValueError, match=r"levels \[1\] outside -1\.\.0"):
-        entry(gen_random_spd(GridSpec(d, 2), seed=1), [1])
+@pytest.mark.parametrize("d, n", LEVEL_GRIDS, ids=LEVEL_GRID_IDS)
+def test_level_above_the_grid_is_rejected(d, n):
+    with pytest.raises(ValueError, match=rf"levels \[1\] outside {1 - n}\.\.0"):
+        level_functionals(gen_random_spd(GridSpec(d, n), seed=1), [1])
 
 
-@pytest.mark.parametrize("d, engine", [(1, condensed_neumann_functionals),
-                                       (2, condensed_neumann_functionals),
-                                       (3, batched_neumann_functionals)])
-def test_level_functionals_run_the_engine_of_their_dimension(d, engine):
-    f = gen_random_spd(GridSpec(d, 2), seed=5, eig_low=1e-2, eig_high=1e2)
-    out = level_functionals(f, [-1, 0])
-    assert sorted(out) == [-1, 0]
-    want = (engine(f, [-1, 0]) if d < 3
-            else {level: engine(f, level) for level in (-1, 0)})
-    for level, (g_all, stats) in out.items():
-        assert stats.method == want[level][1].method
-        assert np.array_equal(g_all, want[level][0])
+def test_axis_permutation_permutes_functionals():
+    # permuting the field's axes permutes every cube's g the same way: a
+    # symmetry identity of the whole pass, each level against its image
+    perm = (2, 0, 1)
+    f = gen_random_spd(GridSpec(3, 3), seed=1, eig_low=1e-2, eig_high=1e2)
+    full = np.transpose(sym_unpack(f.data, 3), perm + (3, 4))[..., perm, :][..., perm]
+    image = CoefficientField(f.grid, full[..., [i for i, _ in sym_index_pairs(3)],
+                                          [j for _, j in sym_index_pairs(3)]])
+    base, moved = (level_functionals(field, range(0, -3, -1)) for field in (f, image))
+    for level, (g_all, _) in base.items():
+        want = np.transpose(g_all, perm + (3, 4))[..., perm, :][..., perm]
+        scale = np.abs(want).max(axis=(-2, -1), keepdims=True)
+        assert np.all(np.abs(moved[level][0] - want) <= 1e-10 * scale), level
+
+
+def test_3d_laminate_closed_form():
+    # across the layers the maximizer is piecewise affine, exact in Q1: g
+    # there is the block mean of 1/a, uncoupled from the other directions
+    grid, axis = GridSpec(3, 3), 1
+    values = np.exp(np.random.default_rng(3).uniform(-3.0, 3.0, 27))  # one layer a cell
+    f = gen_laminate(grid, axis, values)
+    inv = 1.0 / f.data[..., 0]
+    for level, (g_all, _) in level_functionals(f, range(0, -3, -1)).items():
+        want = block_reduce(inv, 3, 3 ** (3 + level))
+        np.testing.assert_allclose(g_all[..., axis, axis], want, rtol=1e-11, atol=0)
+        others = np.delete(g_all[..., axis, :], axis, axis=-1)
+        assert np.all(np.abs(others) <= 1e-11 * g_all[..., axis, axis, None])
 
 
 def test_galerkin_optimality_one_sided():
     g = GridSpec(2, 2)
     f = gen_random_spd(g, seed=31)
+    gmat, _ = neumann_functionals(f, FULL)
     rng = np.random.default_rng(0)
     for kind, direction in (("gradient", [0.3, -1.2]), ("flux", [1.0, 0.4])):
-        _, _, best = solve_linear_forcing(f, FULL, direction, kind)
+        _, best = _dense_maximizer(f, FULL, direction, kind)
+        if kind == "gradient":
+            assert best == pytest.approx(np.asarray(direction) @ gmat @ direction, rel=1e-12)
         for _ in range(5):
             trial = CubeFunction(g, FULL, rng.standard_normal(g.node_shape), "node")
-            assert functional_value(f, FULL, trial, direction, kind) <= best + 1e-9 * abs(best)
+            assert _functional_value(f, trial, direction, kind) <= best + 1e-9 * abs(best)
 
 
 # ---------------------------------------------------------------------------

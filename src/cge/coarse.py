@@ -171,11 +171,10 @@ class SweepResult:
         return sum(3 ** (-ld.level * self.grid.d) for ld in self.levels.values())
 
 
-#: Names the Neumann engine and record layout (``astar_inv`` alone; ``/3``:
-#: 1D and 2D levels from the condensation pass; ``/4``: that pass one axis
-#: at a time, which moves the last bits; ``/5``: every dimension on that
-#: pass, level 0 keeping only shared nodes) in every cache record: another
-#: solver's record is a miss.
+#: Names the Neumann engine (the condensation pass of
+#: :func:`~cge.solver.level_functionals`, in every dimension) and the record
+#: layout (``astar_inv`` alone) in every cache record: another solver's
+#: record is a miss. A change that moves the stored numbers bumps it.
 SOLVER_TAG = "q1-neumann/condensation/5"
 
 

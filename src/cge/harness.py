@@ -210,9 +210,12 @@ def _resolve_theta(
     The surrogate route multiplies the scale-discounted average bounds for
     ``a`` and its inverse; it dominates the solved ratio (and agrees with it
     exactly on constant fields), so thresholds derived from it are looser,
-    never tighter.
+    never tighter. A given ratio must be finite and positive: the
+    thresholds take its square root and divide by it.
     """
     if theta is not None:
+        if not 0.0 < theta < math.inf:
+            raise ValueError(f"theta must be finite and positive, got {theta!r}")
         return float(theta), "given"
     if sweep_result is not None:
         report = ellipticity_constants(sweep_result, s, t)
@@ -632,8 +635,9 @@ def sharpness_sweep(
     partially; the fit requires at least two successful contrasts.
     """
     lams = [float(v) for v in lambda_list]
-    if any(v < 1.0 for v in lams):
-        raise ValueError("contrasts must be >= 1")
+    bad = [v for v in lams if not 1.0 <= v < math.inf]
+    if bad:
+        raise ValueError(f"contrasts must be finite and >= 1, got {bad[0]!r}")
     grid = GridSpec(2, N)
     records: list[ExperimentRecord] = []
     failures: list[dict] = []

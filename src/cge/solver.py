@@ -20,13 +20,15 @@ bottom-up pass of nested static condensation over the triadic tree, in
 every dimension. The forcings live on a cube's boundary, so ``g`` needs
 only the Schur complement of the cube's stiffness onto its boundary (its
 boundary map), and a parent's map is the dense condensation of its
-children's. Each level takes ``d`` stages that merge 3 boxes along one
-axis, so small separators are eliminated first, as in nested dissection
-(George, "Nested dissection of a regular finite element mesh", SIAM J.
-Numer. Anal. 1973). Level 0 forms no map: at each of its stages a box keeps
-only the nodes that another box shares, and its last merge is one pinned
-solve (:func:`_top_cube`). A single cube (:func:`neumann_functionals`) is
-level 0 of a pass over its own cells.
+children's. Every level runs the stages of one plan (:func:`_plan`)
+through one merge kernel (:func:`_condense`). Each stage merges 3 boxes
+along one axis, so small separators are eliminated first, as in nested
+dissection (George, "Nested dissection of a regular finite element mesh",
+SIAM J. Numer. Anal. 1973), and a merge keeps the boundary of the box it
+makes. Level 0 forms no map: its boxes keep only the nodes that another box
+shares, its children first eliminating alone the nodes no other child has,
+and its last merge is one pinned solve. A single cube
+(:func:`neumann_functionals`) is level 0 of a pass over its own cells.
 
 The merges of a stage run in chunks of whole merges, on one thread per core
 this process may use, the calling thread among them (NumPy's dense solves
@@ -340,36 +342,59 @@ def _boundary_nodes(shape: tuple[int, ...]) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _merge(shape: tuple[int, ...], axis: int) -> tuple[tuple[int, ...], int, np.ndarray]:
-    """How the boundary maps of 3 boxes of ``shape`` cells, consecutive
-    along ``axis``, assemble onto the skeleton of the box they make.
+def _plan(shape: tuple[int, ...], top: bool) -> tuple[tuple, ...]:
+    """How a level condenses each of its cubes from the maps of the cube's
+    ``3**d`` children of ``shape`` cells: its stages, each the tuple of one
+    cube's merges.
 
-    The parent box is 3 times as long along ``axis``. Its skeleton is the
-    union of the children's boundaries in its node grid: its own boundary
-    and the two interface planes between the children. The skeleton lists
-    its interior first (the interface nodes off the parent's boundary, in C
-    order), then the parent's boundary in the order of
-    :func:`_boundary_nodes`. Returns ``(parent, interior, rank)``: the
-    parent's shape, the number of interior nodes, and ``rank[k, j]``, the
-    skeleton index of child ``k``'s ``j``-th boundary node, children in
-    order along ``axis``.
+    A merge sums the maps of consecutive boxes onto its *skeleton*, the
+    union of their nodes, and eliminates the nodes it does not keep: it
+    keeps the boundary of the box it makes, and at level 0 (``top``), whose
+    map no level needs, only the part inside the cube, which another box of
+    the next stage shares. So level 0's last merge keeps no node, and its
+    first stage merges each child alone, to eliminate the nodes no other
+    child has. Every other stage merges 3 boxes consecutive along one axis,
+    last axis first, as :func:`_tree_order` lists them.
+
+    A merge is ``(size, k, ranks)``: the skeleton's size, the ``k`` nodes
+    it eliminates, and for each of its boxes the skeleton index of every
+    node of the box's map. The skeleton lists the eliminated nodes first,
+    then the kept ones, and a map its nodes, each in C order of the cube's
+    node grid (a child's as :func:`_boundary_nodes` does). Below level 0
+    the merges of a stage are translates of one another: the pass condenses
+    them all by the first.
     """
     d = len(shape)
-    parent = shape[:axis] + (3 * shape[axis],) + shape[axis + 1:]
-    nodes = tuple(s + 1 for s in parent)
-    coords = np.indices(nodes).reshape(d, -1)
-    on_boundary = ((coords == 0) | (coords == np.array(parent)[:, None])).any(axis=0)
-    interior = np.flatnonzero(~on_boundary & (coords[axis] % shape[axis] == 0))
-    outer = _boundary_nodes(parent)
-    position = np.zeros(coords.shape[1], dtype=np.int64)
-    position[np.concatenate([interior, outer])] = np.arange(interior.size + outer.size)
-    child = np.indices(tuple(s + 1 for s in shape)).reshape(d, -1)[:, _boundary_nodes(shape)]
-    step = np.zeros((d, 1), dtype=np.int64)
-    step[axis] = shape[axis]
-    rank = np.stack([position[np.ravel_multi_index(tuple(child + k * step), nodes)]
-                     for k in range(3)])
-    rank.flags.writeable = False  # shared by every caller through the cache
-    return parent, interior.size, rank
+    nodes = tuple(3 * s + 1 for s in shape)  # the cube's node grid
+    local = np.indices(tuple(s + 1 for s in shape)).reshape(d, -1)[:, _boundary_nodes(shape)]
+    span = np.array(shape)[:, None]
+    boxes = []  # (nodes of the box's map, lowest corner, highest corner)
+    for offset in np.ndindex((3,) * d):
+        lo = np.array(offset)[:, None] * span
+        boxes.append((np.ravel_multi_index(tuple(local + lo), nodes), lo, lo + span))
+    stages = []
+    for width in ([1] if top else []) + [3] * d:
+        merges, parents = [], []
+        for j in range(0, len(boxes), width):
+            group = [box for box, _, _ in boxes[j:j + width]]
+            lo, hi = boxes[j][1], boxes[j + width - 1][2]
+            union = np.unique(np.concatenate(group))  # sorted: C order
+            coords = np.array(np.unravel_index(union, nodes))
+            face = (coords == lo) | (coords == hi)
+            if top:
+                face &= (0 < coords) & (coords < 3 * span)
+            keep = face.any(axis=0)
+            position = np.empty(union.size, dtype=np.int64)
+            position[np.concatenate([np.flatnonzero(~keep), np.flatnonzero(keep)])] = \
+                np.arange(union.size)
+            ranks = tuple(position[np.searchsorted(union, box)] for box in group)
+            for r in ranks:
+                r.flags.writeable = False  # shared by every caller through the cache
+            merges.append((union.size, union.size - int(np.count_nonzero(keep)), ranks))
+            parents.append((union[keep], lo, hi))
+        stages.append(tuple(merges))
+        boxes = parents
+    return tuple(stages)
 
 
 @lru_cache(maxsize=8)
@@ -427,224 +452,103 @@ def _eliminate(mat: np.ndarray, k: int, forcing: np.ndarray | None = None):
             np.swapaxes(x[..., n:], -1, -2) @ forcing[head])
 
 
-def _condense_chunk(kids: np.ndarray, shape: tuple[int, ...], axis: int, maps: np.ndarray,
-                    forcing: np.ndarray | None) -> tuple[np.ndarray | None, float]:
-    """Merge one chunk of boxes, 3 at a time along ``axis``.
+def _condense(maps: Sequence[np.ndarray], plan: tuple, out: np.ndarray | None = None,
+              forcing: np.ndarray | None = None, carried: Sequence = ()) -> tuple:
+    """The merge kernel: ``n`` merges that share one skeleton ``plan``, a
+    ``(size, k, ranks)`` of :func:`_plan`.
 
-    ``kids`` is ``(nmerges * 3, nb, nb)``: the boundary maps of boxes of
-    ``shape`` cells, in tree order. Each merge's maps are summed onto its
-    skeleton (:func:`_merge`), whose interior is eliminated
-    (:func:`_eliminate`): the parent's boundary map, written to ``maps``.
-    With a ``forcing`` (the parent's boundary rows of :func:`_forcings`,
-    last node dropped), the last boundary node is pinned and ``S y =
-    forcing`` solved: returns ``(g, residual)``, with ``g`` the
-    ``(nmerges, d, d)`` matrices ``y^T forcing`` (not divided by the
-    volume) and ``residual`` the largest ``|S y - forcing| / |forcing|``, or
-    ``(None, nan)`` without a forcing. A merge with a non-finite child map
-    is not eliminated: its map and ``g`` are NaN. Raises
-    ``numpy.linalg.LinAlgError`` if a dense solve fails.
+    ``maps[c]`` is the ``(n, nb, nb)`` stack of box ``c``'s maps. They are
+    summed onto the skeleton, whose first ``k`` nodes are eliminated
+    (:func:`_eliminate`), and the kept nodes' maps are written to ``out``
+    (a new array if it is None). A merge with a non-finite map is not
+    condensed: its map and ``g`` are NaN.
+
+    At level 0, a stack of one, ``carried`` holds each box's forcing on its
+    nodes and the ``g`` of the nodes it has eliminated: they are summed,
+    and the elimination carries the forcing along and adds its ``f^T A^-1
+    f`` to ``g``. Given the kept nodes' ``forcing`` (below level 0), or
+    when the merge keeps no node (level 0's last, which forms no map), the
+    last node is pinned and ``S y = f`` solved: ``g`` gains ``y^T f``, and
+    the residual is ``|S y - f| / |f|``.
+
+    Returns ``(out, forcing, g, residual)``: the maps (``None`` if none is
+    kept), the kept nodes' forcing, the ``(n, d, d)`` matrices ``g`` (not
+    divided by the volume; ``0.0`` if none is wanted) and the largest
+    residual (NaN if none). Raises ``numpy.linalg.LinAlgError`` if a dense
+    solve fails.
     """
-    parent, interior, rank = _merge(shape, axis)
-    kids = kids.reshape((-1, 3) + kids.shape[1:])
-    finite = np.isfinite(kids).all(axis=(1, 2, 3))
+    size, k, ranks = plan
+    n = maps[0].shape[0]
+    pin = forcing is not None or k == size  # a forcing given, not carried
+    skel = np.zeros((n, size, size))
+    for mat, r in zip(maps, ranks):
+        skel[:, r[:, None], r] += mat
+    g = 0.0
+    if carried:
+        forcing = np.zeros((size, carried[0][0].shape[-1]))
+        for (part, part_g), r in zip(carried, ranks):
+            forcing[r] += part
+            g = g + part_g
+    finite = np.isfinite(skel).all(axis=(1, 2))
+    if not finite.any():  # nothing to condense: all NaN
+        if out is not None:
+            out[...] = np.nan
+        elif k < size:
+            out = np.full((n, size - k, size - k), np.nan)
+        if forcing is not None:
+            d = forcing.shape[-1]
+            forcing, g = np.full((size - k, d), np.nan), np.full((n, d, d), np.nan)
+        return out, forcing, g, math.nan
     if not finite.all():
-        kids = kids[finite]
-    size = interior + _boundary_nodes(parent).size
-    skel = np.zeros((kids.shape[0], size, size))
-    for c, r in enumerate(rank):
-        skel[:, r[:, None], r] += kids[:, c]
-    schur = _eliminate(skel, interior)
-    maps[finite] = schur
-    maps[~finite] = np.nan
-    if forcing is None:
-        return None, math.nan
-    d = forcing.shape[1]
-    g = np.full((finite.size, d, d), np.nan)
-    if not finite.any():
-        return g, math.nan
-    pinned = schur[:, :-1, :-1]
-    y = np.linalg.solve(pinned, np.broadcast_to(forcing, (schur.shape[0],) + forcing.shape))
-    g[finite] = np.swapaxes(y, -1, -2) @ forcing
-    res = (np.linalg.norm(pinned @ y - forcing, axis=1)
-           / np.maximum(np.linalg.norm(forcing, axis=0), 1e-300))
-    return g, float(res.max())
+        skel = skel[finite]
+    if carried and 0 < k < size:
+        skel, rest, own = _eliminate(skel, k, forcing)
+        forcing, g = rest[0], g + own
+    elif 0 < k < size:
+        skel = _eliminate(skel, k)
+    if out is None and k < size:  # a copy off the skeleton, made once it is reduced
+        out = np.empty((n, size - k, size - k))
+    if out is not None and finite.all():
+        out[...] = skel
+    elif out is not None:
+        out[finite] = skel
+        out[~finite] = np.nan
+    if not pin:
+        return out, forcing, g, math.nan
+    s, f = skel[:, :-1, :-1], forcing[:-1]
+    y = np.linalg.solve(s, np.broadcast_to(f, (s.shape[0],) + f.shape))
+    res = (np.linalg.norm(s @ y - f, axis=1)
+           / np.maximum(np.linalg.norm(f, axis=0), 1e-300))
+    g_all = np.full((n, f.shape[1], f.shape[1]), np.nan)
+    g_all[finite] = g + np.swapaxes(y, -1, -2) @ f
+    return out, forcing, g_all, float(res.max())
 
 
 def _run_stage(count: int, entries: int, work: Callable[[int, int], object],
-               stats: SolveStats) -> tuple[list, int]:
-    """``work(lo, hi)`` over ``count`` items in chunks of at most
-    :data:`CHUNK_ENTRIES` dense entries (``entries`` for one item, at least
-    one item a chunk), through :func:`_run_chunks`. Adds the chunks to
-    ``stats.chunks`` and keeps the most threads in ``stats.threads``.
-    Returns the ``(lo, result)`` pairs and the items per chunk."""
+               stats: SolveStats, out: np.ndarray | None = None) -> tuple[list, int]:
+    """``work(lo, hi)`` over ``count`` merges in chunks of at most
+    :data:`CHUNK_ENTRIES` dense entries (``entries`` for one merge, at least
+    one merge a chunk), through :func:`_run_chunks`. A chunk whose dense
+    solve fails gives its message instead, and its rows of ``out`` are NaN.
+    Adds the chunks to ``stats.chunks`` and keeps the most threads in
+    ``stats.threads``. Returns the ``(lo, result or message)`` pairs and
+    the merges per chunk."""
     per_chunk = max(1, CHUNK_ENTRIES // entries)
+
+    def chunk(lo: int):
+        hi = min(lo + per_chunk, count)
+        try:
+            return work(lo, hi)
+        except np.linalg.LinAlgError as err:
+            if out is not None:
+                out[lo:hi] = np.nan
+            return f"dense condensation failed: {err}"
+
     starts = range(0, count, per_chunk)
-    done, threads = _run_chunks(starts, lambda lo: work(lo, min(lo + per_chunk, count)))
+    done, threads = _run_chunks(starts, chunk)
     stats.chunks += len(starts)
     stats.threads = max(stats.threads, threads)
     return done, per_chunk
-
-
-def _merge_stage(kids: np.ndarray, shape: tuple[int, ...], axis: int,
-                 forcing: np.ndarray | None, volume: float,
-                 stats: SolveStats) -> tuple[np.ndarray, list, int]:
-    """One stage of the pass: :func:`_condense_chunk` on every merge of
-    ``kids``, through :func:`_run_stage`. Returns the parent maps (NaN where
-    a chunk failed) and the chunks' ``(lo, (g / volume or None, residual)
-    or message)`` pairs with the merges per chunk."""
-    parent, interior, _ = _merge(shape, axis)
-    nb = _boundary_nodes(parent).size
-    maps = np.empty((kids.shape[0] // 3, nb, nb))
-
-    def work(lo: int, hi: int):
-        try:
-            g, res = _condense_chunk(kids[3 * lo:3 * hi], shape, axis, maps[lo:hi], forcing)
-        except np.linalg.LinAlgError as err:
-            maps[lo:hi] = np.nan
-            return f"dense condensation failed: {err}"
-        return (None if g is None else g / volume), res
-
-    return (maps,) + _run_stage(maps.shape[0], (interior + nb) ** 2, work, stats)
-
-
-@lru_cache(maxsize=8)
-def _top_plan(shape: tuple[int, ...]) -> tuple[tuple, tuple]:
-    """How :func:`_top_cube` condenses the box of ``3**d`` children of
-    ``shape`` cells (level 0, whose children are cubes).
-
-    A node is *shared* at a stage if it lies on an interface plane between
-    two of the stage's boxes: before the merges along ``axis``, the two
-    planes across each of the first ``axis + 1`` axes. Every other node of
-    a box is its own, and goes at once: each child eliminates its own
-    nodes, and each merge eliminates the skeleton nodes that no box of the
-    next stage shares, so every box keeps its shared nodes alone.
-
-    Returns ``(children, stages)``. ``children[c]``, children in C order of
-    their offsets, is ``(order, own)``: the child's boundary-node indices
-    (:func:`_boundary_nodes`) with its ``own`` own nodes first. ``stages``
-    lists the stages, last axis first, each a tuple of merges of 3
-    consecutive boxes. A merge is ``(size, k, ranks)``: its skeleton's
-    size, the ``k`` nodes it eliminates, which the skeleton lists first (at
-    the last stage, all of them), and for each of its boxes the skeleton
-    index of every node the box keeps, in the order of the box's map: a
-    child's shared nodes in boundary order, a merged box's in C order.
-    """
-    d = len(shape)
-    top = tuple(3 * s + 1 for s in shape)
-
-    def shared(flat: np.ndarray, axes: int) -> np.ndarray:
-        on = np.zeros(flat.size, dtype=bool)
-        for coord, s in zip(np.unravel_index(flat, top)[:axes], shape):
-            on |= (coord % s == 0) & (0 < coord) & (coord < 3 * s)
-        return on
-
-    local = np.indices(tuple(s + 1 for s in shape)).reshape(d, -1)[:, _boundary_nodes(shape)]
-    children, boxes = [], []
-    for offset in np.ndindex((3,) * d):
-        flat = np.ravel_multi_index(tuple(local + (np.array(offset) * shape)[:, None]), top)
-        on = shared(flat, d)
-        children.append((np.concatenate([np.flatnonzero(~on), np.flatnonzero(on)]),
-                         int(np.count_nonzero(~on))))
-        boxes.append(flat[on])
-    stages = []
-    for axis in range(d - 1, -1, -1):
-        merges, parents = [], []
-        for j in range(0, len(boxes), 3):
-            union = np.unique(np.concatenate(boxes[j:j + 3]))  # sorted: C order
-            keep = shared(union, axis)
-            position = np.empty(union.size, dtype=np.int64)
-            position[np.concatenate([np.flatnonzero(~keep), np.flatnonzero(keep)])] = \
-                np.arange(union.size)
-            ranks = tuple(position[np.searchsorted(union, box)] for box in boxes[j:j + 3])
-            merges.append((union.size, union.size - int(np.count_nonzero(keep)), ranks))
-            parents.append(union[keep])
-        stages.append(tuple(merges))
-        boxes = parents
-    for arr in [order for order, _ in children] + [r for merges in stages
-                                                   for _, _, ranks in merges for r in ranks]:
-        arr.flags.writeable = False  # shared by every caller through the cache
-    return tuple(children), tuple(stages)
-
-
-def _top_cube(maps: list, shape: tuple[int, ...], h: float, volume: float,
-              stats: SolveStats) -> list:
-    """Level 0's ``g`` from the boundary maps of its ``3**d`` children of
-    ``shape`` cells: no level needs level 0's own map, so it is never
-    formed. The children's maps, one array in C order of their offsets, are
-    taken out of the list ``maps`` and released once every child has been
-    reduced.
-
-    Each child first eliminates its own nodes (:func:`_top_plan`) with its
-    gradient forcing carried along (:func:`_eliminate`): the children's
-    forcings sum to the cube's, so each elimination adds ``f^T S^-1 f`` of
-    its nodes to ``g``. Then each stage, last axis first, sums the reduced
-    maps and forcings of 3 boxes onto a skeleton that lists first the nodes
-    no box of the next stage shares, and eliminates those the same way. The
-    last merge pins its last node and solves ``S y = f``: ``g`` gains ``y^T
-    f``, and the residual is ``|S y - f| / |f|``. Each stage's merges run
-    in chunks of :func:`_run_stage`, a child in its merge's chunk; every
-    box adds its terms to ``g`` in the same order, so the numbers do not
-    depend on the split. A box with a non-finite map leaves ``g`` NaN.
-    Returns the cube's ``[(0, (g / volume, residual) or message)]``.
-    """
-    kids = maps.pop()
-    d = len(shape)
-    children, stages = _top_plan(shape)
-    forcing = _forcings(shape, h)[_boundary_nodes(shape)]
-
-    def reduced(c: int):
-        """Child ``c``'s ``(map, forcing, g)`` on its shared nodes."""
-        if not np.isfinite(kids[c]).all():
-            return None
-        order, own = children[c]
-        if not own:
-            return kids[c], forcing, 0.0
-        schur, rest, g = _eliminate(kids[c][np.ix_(order, order)][None], own, forcing[order])
-        return schur[0], rest[0], g[0]
-
-    def merge(stage: int, j: int):
-        """Merge ``j`` of a stage: the merged box's ``(map, forcing, g)``,
-        at the last stage ``(g, residual)``, or ``None`` if a box is."""
-        parts = ([reduced(3 * j + k) for k in range(3)] if stage == 0
-                 else boxes[3 * j:3 * j + 3])
-        if any(part is None for part in parts):
-            return None
-        size, k, ranks = stages[stage][j]
-        skel, rhs, g = np.zeros((size, size)), np.zeros((size, d)), np.zeros((d, d))
-        for (mat, rest, part_g), r in zip(parts, ranks):
-            skel[r[:, None], r] += mat
-            rhs[r] += rest
-            g += part_g
-        if k == size:
-            pinned, f = skel[:-1, :-1], rhs[:-1]
-            y = np.linalg.solve(pinned, f)
-            res = (np.linalg.norm(pinned @ y - f, axis=0)
-                   / np.maximum(np.linalg.norm(f, axis=0), 1e-300))
-            return g + y.T @ f, float(res.max())
-        if k:
-            schur, rest, own = _eliminate(skel[None], k, rhs)
-            skel, rhs, g = schur[0].copy(), rest[0], g + own[0]  # a copy frees the skeleton
-        return skel, rhs, g
-
-    def work(stage: int, lo: int, hi: int):
-        try:
-            return [merge(stage, j) for j in range(lo, hi)]
-        except np.linalg.LinAlgError as err:
-            return f"dense condensation failed: {err}"
-
-    for stage, merges in enumerate(stages):
-        largest = max(size for size, _, _ in merges)
-        stats.unknowns = max(stats.unknowns, largest)
-        done, _ = _run_stage(len(merges), largest**2, lambda lo, hi: work(stage, lo, hi), stats)
-        kids = None  # every child is reduced
-        failures = [res for _, res in done if isinstance(res, str)]
-        if failures:
-            return [(0, failures[0])]
-        boxes = [box for _, res in done for box in res]
-    if boxes[0] is None:
-        return [(0, (np.full((1, d, d), np.nan), math.nan))]
-    g, res = boxes[0]
-    return [(0, ((g / volume)[None], res))]
 
 
 def _checked_levels(grid: GridSpec, levels: Sequence[int]) -> list[int]:
@@ -672,15 +576,17 @@ def level_functionals(
     ``g = b^T S^+ b / vol`` needs only the box's *boundary map* ``S``: the
     Schur complement of its Neumann stiffness onto its boundary nodes. A
     box's stiffness is the sum of its children's, so its boundary map is
-    the condensation of theirs on the skeleton (:func:`_condense_chunk`).
-    The pass starts from the element matrices of the cells and reaches each
-    level in ``d`` stages, each merging 3 boxes consecutive along one axis,
-    last axis first (:func:`_merge`, :func:`_tree_order`): small separators
-    are eliminated first, as in nested dissection. It goes up to the
-    coarsest level asked for and computes ``g`` only on the levels asked
-    for: from the cubes' boundary maps, or at level 0, whose map no level
-    needs, from its children's without forming it (:func:`_top_cube`). A
-    level's numbers do not depend on the other levels asked for.
+    the condensation of theirs on the skeleton. The pass starts from the
+    element matrices of the cells, in :func:`_tree_order`, and goes up to
+    the coarsest level asked for. Every level runs the stages of one plan
+    (:func:`_plan`) through one merge kernel (:func:`_condense`): below
+    level 0 each stage condenses all its merges at once and forms their
+    maps, and the last stage's pinned solves give ``g`` where the level is
+    asked for; level 0, one cube whose map no level needs, condenses its
+    merges one at a time, each box's forcing carried along, and its last
+    merge is one pinned solve. Small separators are eliminated first, as in
+    nested dissection. A level's numbers do not depend on the other levels
+    asked for.
 
     Each stage's merges are cut into chunks of :data:`CHUNK_ENTRIES` dense
     entries that :func:`_run_chunks` runs, so level 0, one cube, uses every
@@ -707,21 +613,52 @@ def level_functionals(
     for level in range(1 - grid.N, wanted[0] + 1):
         stats = SolveStats(0, math.nan, 0, time.perf_counter(), "condensation", 0, 0)
         volume = 3.0 ** (level * d)
-        if level == 0:
-            maps, kids = [kids], None  # _top_cube releases them
-            done, per_chunk = _top_cube(maps, shape, grid.h, volume, stats), 1
-            failed = failed.reshape(1, -1).any(axis=1)
-        else:
-            for axis in range(d - 1, -1, -1):
-                parent, interior, _ = _merge(shape, axis)
-                stats.unknowns = max(stats.unknowns, interior + _boundary_nodes(parent).size)
-                forcing = (_forcings(parent, grid.h)[_boundary_nodes(parent)[:-1]]
-                           if axis == 0 and level in wanted else None)
-                kids, done, per_chunk = _merge_stage(kids, shape, axis, forcing, volume, stats)
-                failed = failed.reshape(-1, 3).any(axis=1)
-                if axis:
-                    message = _mark_failures(done, per_chunk, failed, message)
-                shape = parent
+        top = level == 0
+        cube = tuple(3 * s for s in shape)
+        stages = _plan(shape, top)
+        if top:  # its boxes' (map, forcing, g); the children are released once reduced
+            child = _forcings(shape, grid.h)[_boundary_nodes(shape)]
+            boxes, kids = [(kids[c:c + 1], child, 0.0) for c in range(3**d)], None
+        for stage, merges in enumerate(stages):
+            largest = max(size for size, _, _ in merges)
+            stats.unknowns = max(stats.unknowns, largest)
+            width = len(merges[0][2])  # boxes a merge: 1 for level 0's children, else 3
+            if top:
+                maps = None
+
+                def work(lo: int, hi: int) -> list:
+                    merged = []
+                    for j in range(lo, hi):
+                        parts = boxes[width * j:width * (j + 1)]
+                        merged.append(_condense([m for m, _, _ in parts], merges[j],
+                                                carried=[(f, g) for _, f, g in parts]))
+                    return merged
+            else:
+                size, k, _ = merges[0]
+                maps = np.empty((kids.shape[0] // 3, size - k, size - k))
+                forcing = (_forcings(cube, grid.h)[_boundary_nodes(cube)]
+                           if stage == len(stages) - 1 and level in wanted else None)
+
+                def work(lo: int, hi: int) -> tuple:
+                    _, _, g, res = _condense([kids[3 * lo + c:3 * hi:3] for c in range(3)],
+                                             merges[0], maps[lo:hi], forcing)
+                    return (None if forcing is None else g / volume), res
+
+            done, per_chunk = _run_stage(len(merges) if top else maps.shape[0], largest**2,
+                                         work, stats, maps)
+            failed = failed.reshape(-1, width).any(axis=1)
+            message = _mark_failures(done, per_chunk, failed, message)
+            if not top:
+                kids = maps
+            elif any(isinstance(res, str) for _, res in done):
+                done, failed = [], np.ones(1, dtype=bool)
+                break
+            else:
+                boxes = [merged[:3] for _, res in done for merged in res]
+        if top and done:  # the last merge's pinned solve
+            _, _, g, res = done[0][1][0]
+            done = [(0, (g / volume, res))]
+        shape = cube
         outcome = _level_outcome((3 ** (-level),) * d, done, per_chunk, failed, stats,
                                  message, _tree_order(-level, d))
         if isinstance(outcome, SolverError):

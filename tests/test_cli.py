@@ -202,16 +202,11 @@ class TestCoarse:
 
         for level, line in zip(range(0, -3, -1), verbose):
             cubes, m = 27 ** -level, 3 ** (2 + level)  # m: cells a side of a child
-            if level == 0:  # the skeletons of each stage's merges
-                stages = [[size for size, _, _ in merges]
-                          for merges in cge.solver._top_plan((m,) * 3)[1]]
-            else:  # a cube's 9, 3 and 1 merges along the last, middle and first axis
-                stages, shape = [], (m,) * 3
-                for axis in (2, 1, 0):
-                    parent, interior, _ = cge.solver._merge(shape, axis)
-                    size = interior + cge.solver._boundary_nodes(parent).size
-                    stages.append([size] * (cubes * 3**axis))
-                    shape = parent
+            # the skeletons of a cube's merges, stage by stage: level 0 runs
+            # its merges one by one, a level below it a stage's merges of
+            # every cube at once
+            stages = [[size for size, _, _ in merges] * cubes
+                      for merges in cge.solver._plan((m,) * 3, level == 0)]
             chunks = sum(split(len(sizes), max(sizes) ** 2) for sizes in stages)
             split_line, threads = line.split(",")[1].rsplit(" on ", 1)
             assert split_line == f" {cubes} cubes in {chunks} chunks"
@@ -243,9 +238,10 @@ class TestCoarse:
             strips, nodes = 10 * m - 2, 18 * m - 2
             chunks = split(3 * cubes, strips**2) + split(cubes, nodes**2)
             if level == 0:  # only the two interface lines are kept: the middle
-                # strip's skeleton is both and the 2m nodes between them
+                # strip's skeleton is both and the 2m nodes between them;
+                # first each child alone eliminates the nodes no other has
                 nodes = 8 * m
-                chunks = split(3, nodes**2) + 1
+                chunks = split(9, (4 * m) ** 2) + split(3, nodes**2) + 1
             split_line, threads = line.split(",")[1].rsplit(" on ", 1)
             assert split_line == f" {cubes} cubes in {chunks} chunks"
             assert 1 <= int(threads.split()[0]) <= min(chunks, cores)
@@ -304,6 +300,21 @@ class TestHarnack:
                    "--theta", "1e-8"])
         assert rc == 2
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("mode", ["two-sided", "one-sided"])
+    @pytest.mark.parametrize("theta", ["inf", "0", "-1", "nan"])
+    def test_theta_not_finite_and_positive_is_operational_error(
+            self, workdir, capsys, mode, theta):
+        # the thresholds take sqrt(theta) and divide by it: a given theta
+        # must be finite and positive, and the command names it
+        gen_identity(workdir, n=3)
+        rc = main(["harnack", "--field", "const_I.cge", "--boundary", "affine:2,1,0",
+                   "--mode", mode, "--theta", theta, "--out", "h.json"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert f"theta must be finite and positive, got {float(theta)!r}" in err
+        assert "Traceback" not in err
+        assert not (workdir / "h.json").exists()
 
     def test_nonpositive_boundary_is_operational_error(self, workdir, capsys):
         gen_identity(workdir)
@@ -374,6 +385,16 @@ class TestSweepCommand:
         rc = main(["sweep", "--kind", "sharpness", "--lambda", "1,zap"])
         assert rc == 1
         assert "comma-separated" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("contrast", ["nan", "inf", "0.5"])
+    def test_contrast_not_finite_and_at_least_one_is_operational_error(
+            self, workdir, capsys, contrast):
+        rc = main(["sweep", "--kind", "sharpness", "--lambda", f"1,{contrast}",
+                   "--grid-n", "2"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert f"contrasts must be finite and >= 1, got {float(contrast)!r}" in err
+        assert "Traceback" not in err
 
 
 class TestAudit:

@@ -312,9 +312,10 @@ class TestSweepStructure:
             sweep(field, cache_dir=str(tmp_path))
         lines = [r.getMessage() for r in caplog.records if r.name == "cge.coarse"]
         assert len(lines) == 2 * (grid.N + 1)
-        # one chunk a stage; unknowns: the largest skeleton of a merge, at
-        # level 0 the middle slab's, at level -1 a whole cube of 3**3 cells
-        assert lines[0].startswith("level 0: condensation, 1 cubes in 3 chunks on 1 threads, "
+        # one chunk a stage, level 0 with its children's first; unknowns: the
+        # largest skeleton of a merge, at level 0 the middle slab's, at
+        # level -1 a whole cube of 3**3 cells
+        assert lines[0].startswith("level 0: condensation, 1 cubes in 4 chunks on 1 threads, "
                                    "240 unknowns per cube, residual ")
         assert lines[1].startswith("level -1: condensation, 27 cubes in 3 chunks on 1 threads, "
                                    "64 unknowns per cube, residual ")
@@ -460,20 +461,23 @@ class TestCondensation:
         cores(1)
         monkeypatch.setattr(cge.solver, "CHUNK_ENTRIES", 1)
         calls = []
-        real = cge.solver._condense_chunk
+        real = cge.solver._condense
 
-        def fail_one(kids, shape, axis, *args):
-            calls.append(shape)
-            # the last stage of level -1 merges strips of 3x9 cells
-            if shape == (3, 9) and calls.count(shape) == 8:
+        def fail_one(maps, plan, *args, **kwargs):
+            calls.append(plan[0])
+            # the last stage of level -1 merges strips of 3x9 cells onto
+            # skeletons of 52 nodes: the 9x9 boundary and 2 lines of 8
+            if calls == [8] * 243 + [16] * 81 + [28] * 27 + [52] * 8:
                 raise np.linalg.LinAlgError("Singular matrix")
-            return real(kids, shape, axis, *args)
+            return real(maps, plan, *args, **kwargs)
 
-        monkeypatch.setattr(cge.solver, "_condense_chunk", fail_one)
+        monkeypatch.setattr(cge.solver, "_condense", fail_one)
         result = sweep(field, cache_dir=str(tmp_path))
         # each level below 0 merges along the last axis, then the first;
-        # level 0 condenses its children without forming its own map
-        assert calls == [(1, 1)] * 243 + [(1, 3)] * 81 + [(3, 3)] * 27 + [(3, 9)] * 9
+        # level 0 condenses its children one merge at a time, a NaN child
+        # among them, without forming its own map
+        top = [size for merges in cge.solver._plan((9, 9), True) for size, _, _ in merges]
+        assert calls == [8] * 243 + [16] * 81 + [28] * 27 + [52] * 9 + top
         failed = [(-1, (2, 1)), (0, (0, 0))]
         assert [(e["level"], tuple(e["offset"])) for e in result.failures] == failed[::-1]
         assert all("Singular matrix" in e["message"] for e in result.failures)
@@ -523,8 +527,8 @@ class TestCondensation:
         assert len(lines) == 2 * (grid.N + 1)
         # unknowns: the largest skeleton of a merge, at level 0 the middle
         # strip's two interface lines and the 4 nodes between them (8 * 3);
-        # chunks: one per stage
-        assert lines[0].startswith("level 0: condensation, 1 cubes in 2 chunks on 1 threads, "
+        # chunks: one per stage, at level 0 the stage of its children first
+        assert lines[0].startswith("level 0: condensation, 1 cubes in 3 chunks on 1 threads, "
                                    "24 unknowns per cube, residual ")
         assert lines[1].startswith("level -1: condensation, 9 cubes in 2 chunks on 1 threads, "
                                    "16 unknowns per cube, residual ")
@@ -534,44 +538,44 @@ class TestCondensation:
 
     def test_pass_runs_from_the_cells_to_the_coarsest_miss(self, monkeypatch, tmp_path):
         field = gen_random_spd(GridSpec(2, 3), seed=9, eig_low=0.5, eig_high=5.0)
-        passes, chunks = [], []
+        passes, calls = [], []
         real_pass = cge.coarse.level_functionals
-        real_chunk = cge.solver._condense_chunk
-        real_top = cge.solver._top_cube
+        real_condense = cge.solver._condense
 
         def spy_pass(field, levels):
             passes.append(sorted(levels))
             return real_pass(field, levels)
 
-        def spy_chunk(kids, shape, axis, maps, forcing):
-            chunks.append((shape, forcing is not None))
-            return real_chunk(kids, shape, axis, maps, forcing)
-
-        def spy_top(maps, shape, *args):
-            chunks.append((shape, "top"))
-            return real_top(maps, shape, *args)
+        def spy_condense(maps, plan, out=None, forcing=None, carried=()):
+            # a call's box maps and whether it pins: a map's last stage
+            # where its level is asked for, or level 0's last merge
+            calls.append((maps[0].shape[-1], forcing is not None or plan[1] == plan[0]))
+            return real_condense(maps, plan, out, forcing, carried)
 
         monkeypatch.setattr(cge.coarse, "level_functionals", spy_pass)
-        monkeypatch.setattr(cge.solver, "_condense_chunk", spy_chunk)
-        monkeypatch.setattr(cge.solver, "_top_cube", spy_top)
+        monkeypatch.setattr(cge.solver, "_condense", spy_condense)
         cache = tmp_path / "cache"
         cold = sweep(field, cache_dir=str(cache))
-        # a level's functionals come with its last stage; level 0's from
-        # the maps of its children, which it condenses without a map of its own
-        assert passes == [[-2, -1, 0]] and chunks == [
-            ((1, 1), False), ((1, 3), True), ((3, 3), False), ((3, 9), True), ((9, 9), "top")]
+        # a level's functionals come with its last stage, one kernel call
+        # for all its merges; level 0's from the maps of its children, which
+        # it condenses one merge at a time without a map of its own, the
+        # last merge pinned (36: the boundary nodes of a 9x9 child)
+        top = [(ranks[0].size, k == size)
+               for merges in cge.solver._plan((9, 9), True) for size, k, ranks in merges]
+        assert top[:9] == [(36, False)] * 9 and top[-1][1]
+        assert passes == [[-2, -1, 0]]
+        assert calls == [(4, False), (8, True), (12, False), (24, True)] + top
         assert (cold.solve_count, cold.cache_hits) == (2 * 91, 0)
         # a warm rerun asks the pass for no level and condenses nothing
-        passes.clear(), chunks.clear()
+        passes.clear(), calls.clear()
         assert sweep(field, cache_dir=str(cache)).solve_count == 0
-        assert passes == [[]] and chunks == []
+        assert passes == [[]] and calls == []
         passes.clear()
         # with level -1 missed alone, the pass condenses level -2 without
         # solving it, solves level -1 and stops there
         os.remove(cache / field.content_hash / "level_-1.npz")
         redo = sweep(field, cache_dir=str(cache))
-        assert passes == [[-1]] and chunks == [
-            ((1, 1), False), ((1, 3), False), ((3, 3), False), ((3, 9), True)]
+        assert passes == [[-1]] and calls == [(4, False), (8, False), (12, False), (24, True)]
         assert (redo.solve_count, redo.cache_hits) == (2 * 9, 1 + 81)
         for level, ld in redo.levels.items():
             assert np.array_equal(ld.astar_inv, cold.levels[level].astar_inv)
@@ -693,28 +697,26 @@ class TestCache:
         grid = GridSpec(d=3, N=2)
         field = gen_random_spd(grid, seed=9, eig_low=0.5, eig_high=5.0)
         sizes = []
-        real_stage, real_top = cge.solver._merge_stage, cge.solver._top_cube
+        real = cge.solver._condense
 
-        def spy_stage(kids, shape, axis, *args):
-            sizes.append((shape, axis))
-            return real_stage(kids, shape, axis, *args)
-
-        def spy_top(maps, shape, *args):
-            sizes.append((shape, "top"))
-            return real_top(maps, shape, *args)
+        def spy(maps, plan, *args, **kwargs):
+            sizes.append((len(maps), maps[0].shape[-1]))  # boxes a merge, nodes a box
+            return real(maps, plan, *args, **kwargs)
 
         def factor(mat):
             sizes.append(mat.shape)
             raise AssertionError("a sweep factored a sparse matrix")
 
-        monkeypatch.setattr(cge.solver, "_merge_stage", spy_stage)
-        monkeypatch.setattr(cge.solver, "_top_cube", spy_top)
+        monkeypatch.setattr(cge.solver, "_condense", spy)
         monkeypatch.setattr(cge.solver, "_factor", factor)
         cache = str(tmp_path / "cache")
         sweep(field, cache_dir=cache)
-        # level -1: 3 stages from the cells, one axis each; level 0: one
-        # condensation of its 27 children of 3**3 cells
-        assert sizes == [((1, 1, 1), 2), ((1, 1, 3), 1), ((1, 3, 3), 0), ((3, 3, 3), "top")]
+        # level -1: 3 stages from the cells, one axis each, each one call;
+        # level 0: its 27 children of 3**3 cells (56 boundary nodes) one by
+        # one, then 9, 3 and 1 merges of 3 boxes
+        assert sizes[:3] == [(3, 8), (3, 16), (3, 32)]
+        assert sizes[3:30] == [(1, 56)] * 27
+        assert [boxes for boxes, _ in sizes[30:]] == [3] * 13
         sizes.clear()
         assert sweep(field, cache_dir=cache).solve_count == 0
         assert sizes == []

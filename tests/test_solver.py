@@ -37,8 +37,7 @@ from cge.solver import (
     _boundary_nodes,
     _element_matrices,
     _forcings,
-    _merge,
-    _top_plan,
+    _plan,
     discrete_gradient,
     energy,
     level_functionals,
@@ -311,9 +310,11 @@ def test_chunk_split_leaves_functionals_bit_identical(monkeypatch, d, n):
         runs.append(level_functionals(f, range(0, -n, -1)))
     split, whole = runs
     for level, (g_all, stats) in whole.items():
-        # a cube takes (3**d - 1) / 2 merges: 3**a along axis a
-        assert split[level][1].chunks == 3 ** (-level * d) * (3**d - 1) // 2
-        assert stats.chunks == d
+        # a cube takes (3**d - 1) / 2 merges: 3**a along axis a; level 0
+        # first reduces each of its 3**d children alone
+        top = 3**d if level == 0 else 0
+        assert split[level][1].chunks == 3 ** (-level * d) * (3**d - 1) // 2 + top
+        assert stats.chunks == d + (level == 0)
         assert np.array_equal(split[level][0], g_all)
         assert split[level][1].residual == stats.residual
 
@@ -324,15 +325,15 @@ def test_more_threads_than_cores_take_each_chunk_once(monkeypatch):
     f = gen_random_spd(GridSpec(3, 3), seed=5, eig_low=1e-2, eig_high=1e2)
     whole = level_functionals(f, [-1, -2])  # 27 cubes of 9**3 cells, 729 of 3**3
     taken = []
-    real = cge.solver._condense_chunk
+    real = cge.solver._condense
 
-    def spy(kids, *args):
-        taken.append(kids.shape[0] // 3)
-        return real(kids, *args)
+    def spy(maps, *args):
+        taken.append(maps[0].shape[0])  # the merges of one kernel call
+        return real(maps, *args)
 
     pool = ThreadPoolExecutor(4)
     monkeypatch.setattr(cge.solver, "_POOL", pool)
-    monkeypatch.setattr(cge.solver, "_condense_chunk", spy)
+    monkeypatch.setattr(cge.solver, "_condense", spy)
     monkeypatch.setattr(cge.solver, "CHUNK_ENTRIES", 1)
     monkeypatch.setattr(cge.solver.os, "sched_getaffinity", lambda pid: set(range(5)))
     interval = sys.getswitchinterval()
@@ -436,94 +437,101 @@ def test_box_forcings_vanish_off_the_box_boundary(shape):
     assert np.all(np.abs(rhs[on_boundary]).sum(axis=1) > 0)
 
 
-def _skeleton_coords(shape, axis):
-    """The parent-grid coordinates of each skeleton node of a merge, from
-    the children's boundary nodes and their offsets alone."""
-    parent, interior, rank = _merge(shape, axis)
-    child = np.indices([s + 1 for s in shape]).reshape(len(shape), -1).T[_boundary_nodes(shape)]
-    coords = np.full((interior + _boundary_nodes(parent).size, len(shape)), -1)
-    for k, r in enumerate(rank):
-        shifted = child.copy()
-        shifted[:, axis] += k * shape[axis]
-        seen = (coords[r] >= 0).all(axis=1)  # a node two children share is one point
-        assert np.array_equal(coords[r][seen], shifted[seen])
-        coords[r] = shifted
-    return parent, interior, coords
-
-
-@pytest.mark.parametrize("shape, axis", [((1,), 0), ((3,), 0), ((1, 1), 1), ((3, 3), 1),
-                                         ((1, 3), 0), ((3, 9), 0)], ids=str)
-def test_merge_puts_every_child_boundary_node_on_the_skeleton(shape, axis):
-    parent, interior, coords = _skeleton_coords(shape, axis)
-    assert parent == shape[:axis] + (3 * shape[axis],) + shape[axis + 1:]
-    # every skeleton node is some child's boundary node, and only once
-    assert np.all(coords >= 0)
-    assert len({tuple(c) for c in coords}) == coords.shape[0]
-    # the interior first: the interface planes off the parent's boundary,
-    # in C order; then the parent's boundary in its own order
-    nodes = [s + 1 for s in parent]
-    flat = np.ravel_multi_index(tuple(coords.T), nodes)
-    assert np.array_equal(flat[interior:], _boundary_nodes(parent))
-    inner = coords[:interior]
-    assert np.all(np.diff(flat[:interior]) > 0)
-    assert np.all((inner > 0) & (inner < parent))
-    assert set(inner[:, axis]) <= {shape[axis], 2 * shape[axis]}
-    plane = np.prod([s - 1 for s in np.delete(parent, axis)])
-    assert interior == 2 * plane
-
-
-@pytest.mark.parametrize("shape, axis", [((1,), 0), ((3,), 0), ((1, 1), 1), ((3, 3), 1),
-                                         ((1, 3), 0), ((3, 9), 0)], ids=str)
-def test_merged_forcings_sum_to_the_parents(shape, axis):
-    # at level 0 each box carries its own forcing: summed, the interface
-    # rows cancel and the parent's boundary rows are the parent's forcing
-    h = 1.0 / 27
-    parent, interior, rank = _merge(shape, axis)
-    child = _forcings(shape, h)[_boundary_nodes(shape)]
-    total = np.zeros((interior + _boundary_nodes(parent).size, len(shape)))
-    for r in rank:
-        total[r] += child
-    np.testing.assert_allclose(total[:interior], 0.0, rtol=0, atol=1e-15)
-    np.testing.assert_allclose(total[interior:], _forcings(parent, h)[_boundary_nodes(parent)],
-                               rtol=0, atol=1e-15)
-
-
-@pytest.mark.parametrize("shape", [(1,), (3,), (1, 3), (3, 9)], ids=str)
-def test_level_zero_boxes_split_the_skeleton(shape):
-    # level 0 keeps only shared nodes: every node of its children's
-    # boundaries is eliminated once, by the one child that has it or by
-    # the first merge whose boxes of the next stage do not share it, and
-    # the last merge solves for the rest
+def _replay(shape, top):
+    """Every merge of ``_plan(shape, top)`` with the cube-grid coordinates
+    of its boxes' nodes and of its skeleton's, rebuilt from the children's
+    boundary nodes, their offsets and the ranks alone: ``(stage, (size, k,
+    ranks), boxes, skeleton)`` tuples. Every skeleton node is some box's
+    node, and only once."""
     d = len(shape)
-    children, stages = _top_plan(shape)
     local = np.indices([s + 1 for s in shape]).reshape(d, -1).T[_boundary_nodes(shape)]
-    offsets = [np.multiply(offset, shape) for offset in np.ndindex((3,) * d)]
-    gone, boxes = [], []
-    for shift, (order, own) in zip(offsets, children):
-        assert np.array_equal(np.sort(order), np.arange(local.shape[0]))
-        coords = (local + shift)[order]
-        gone += [tuple(c) for c in coords[:own]]
-        boxes.append(coords[own:])
-    for stage, merges in enumerate(stages):
-        axis = d - 1 - stage
-        assert len(merges) == 3**axis
-        parents = []
+    boxes = [local + np.multiply(offset, shape) for offset in np.ndindex((3,) * d)]
+    out = []
+    for stage, merges in enumerate(_plan(shape, top)):
+        width, parents = len(merges[0][2]), []
+        assert len(merges) * width == len(boxes)
         for j, (size, k, ranks) in enumerate(merges):
+            group = boxes[width * j:width * (j + 1)]
             skeleton = np.full((size, d), -1)
-            for r, coords in zip(ranks, boxes[3 * j:3 * j + 3]):
+            for r, coords in zip(ranks, group):
                 seen = (skeleton[r] >= 0).all(axis=1)  # a node two boxes share is one point
                 assert np.array_equal(skeleton[r][seen], coords[seen])
                 skeleton[r] = coords
             assert np.all(skeleton >= 0)
-            # kept: on an interface plane across one of the first `axis` axes
-            planes = (skeleton % shape == 0) & (skeleton > 0) & (skeleton < np.multiply(3, shape))
-            kept = planes[:, :axis].any(axis=1)
-            assert not kept[:k].any() and kept[k:].all()
-            gone += [tuple(c) for c in skeleton[:k]]
+            assert len({tuple(c) for c in skeleton}) == size
+            out.append((stage, (size, k, ranks), group, skeleton))
             parents.append(skeleton[k:])
         boxes = parents
-    assert [box.shape[0] for box in boxes] == [0]
-    every = {tuple(c) for shift in offsets for c in local + shift}
+    return out
+
+
+def _stage(shape, axis):
+    """The replayed merges of boxes of ``shape`` cells along ``axis`` below
+    level 0: a stage of the plan of the cubes they are part of."""
+    child = tuple(s // 3 if a > axis else s for a, s in enumerate(shape))
+    return [merge[1:] for merge in _replay(child, False) if merge[0] == len(shape) - 1 - axis]
+
+
+MERGES = [((1,), 0), ((3,), 0), ((1, 1), 1), ((3, 3), 1), ((1, 3), 0), ((3, 9), 0)]
+
+
+@pytest.mark.parametrize("shape, axis", MERGES, ids=str)
+def test_merge_puts_every_child_boundary_node_on_the_skeleton(shape, axis):
+    # below level 0 every child boundary node lands on its merge's skeleton
+    # once (_replay), and a merge keeps the boundary of the box it makes,
+    # as that box's map lists it; it eliminates the interface nodes off it
+    parent = shape[:axis] + (3 * shape[axis],) + shape[axis + 1:]
+    merges = _stage(shape, axis)
+    assert len(merges) == 3**axis  # the merges along axis a of one cube
+    for (size, k, _), boxes, skeleton in merges:
+        assert all(tuple(box.max(axis=0) - box.min(axis=0)) == shape for box in boxes)
+        lo = skeleton.min(axis=0)
+        assert tuple(skeleton.max(axis=0) - lo) == parent
+        flat = np.ravel_multi_index(tuple((skeleton - lo).T), [s + 1 for s in parent])
+        assert np.array_equal(flat[k:], _boundary_nodes(parent))
+        inner = skeleton[:k] - lo
+        assert np.all(np.diff(flat[:k]) > 0)
+        assert np.all((inner > 0) & (inner < parent))
+        assert set(inner[:, axis]) <= {shape[axis], 2 * shape[axis]}
+        assert k == 2 * np.prod([s - 1 for s in np.delete(parent, axis)])
+
+
+@pytest.mark.parametrize("shape, axis", MERGES, ids=str)
+def test_merged_forcings_sum_to_the_parents(shape, axis):
+    # each box's forcing summed onto the skeleton: the eliminated interface
+    # rows cancel and the kept rows are the merged box's forcing
+    h = 1.0 / 27
+    parent = shape[:axis] + (3 * shape[axis],) + shape[axis + 1:]
+    for (size, k, ranks), _, _ in _stage(shape, axis):
+        total = np.zeros((size, len(shape)))
+        for r in ranks:
+            total[r] += _forcings(shape, h)[_boundary_nodes(shape)]
+        np.testing.assert_allclose(total[:k], 0.0, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(total[k:], _forcings(parent, h)[_boundary_nodes(parent)],
+                                   rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("shape", [(1,), (3,), (1, 3), (3, 9), (1, 1, 1)], ids=str)
+def test_level_zero_boxes_split_the_skeleton(shape):
+    # level 0 keeps only shared nodes: every node of its children's
+    # boundaries is eliminated once, by the one child that has it or by
+    # the first merge whose boxes of the next stage do not share it, and
+    # the last merge, which keeps none, solves for them all
+    d = len(shape)
+    merges = _replay(shape, True)
+    assert [stage for stage, *_ in merges] == [0] * 3**d + [
+        stage for stage in range(1, d + 1) for _ in range(3 ** (d - stage))]
+    gone = []
+    for stage, (size, k, _), _, skeleton in merges:
+        # kept: on an interface plane across one of the first `axes` axes
+        axes = d - stage
+        planes = (skeleton % shape == 0) & (skeleton > 0) & (skeleton < np.multiply(3, shape))
+        kept = planes[:, :axes].any(axis=1)
+        assert not kept[:k].any() and kept[k:].all()
+        gone += [tuple(c) for c in skeleton[:k]]
+    assert merges[-1][1][1] == merges[-1][1][0]
+    local = np.indices([s + 1 for s in shape]).reshape(d, -1).T[_boundary_nodes(shape)]
+    every = {tuple(c) for offset in np.ndindex((3,) * d) for c in local + np.multiply(offset, shape)}
     assert len(gone) == len(set(gone)) and set(gone) == every
 
 

@@ -430,7 +430,7 @@ def cmd_harnack(args: argparse.Namespace) -> int:
     boundary, tag = parse_boundary(args.boundary, field.grid.d)
     s, t = float(resolved["s"]), float(resolved["t"])
     sweep_result = None
-    if args.with_solves:
+    if args.with_solves and args.theta is None:  # a given theta overrides the sweep's
         sweep_result = sweep(field, cache_dir=resolved["cache_dir"])
     runner = (local_boundedness_experiment if args.mode == "one-sided"
               else harnack_experiment)
@@ -608,9 +608,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=float, default=None)
     p.add_argument("--t", type=float, default=None)
     p.add_argument("--theta", type=float, default=None,
-                   help="explicit ellipticity ratio (skips surrogates)")
+                   help="explicit ellipticity ratio (skips the sweep and surrogates)")
     p.add_argument("--with-solves", action="store_true",
-                   help="compute theta from a coarse-graining sweep")
+                   help="compute theta from a coarse-graining sweep, unless --theta is given")
     p.set_defaults(func=cmd_harnack)
 
     p = sub.add_parser("sweep", parents=[common], help="experiment families")

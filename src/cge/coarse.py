@@ -86,7 +86,8 @@ def coarse_grain_cube(field: CoefficientField, cube: TriadicCube) -> CoarseGrain
     Single-cell cubes need no solve: every matrix equals the cell value, the
     harmonic mean ``inv_avg_inv`` included (inverting the cell's inverse
     would be off by about ``cond * eps``), and ``astar_inv`` is the cell's
-    ``inv_data``, as in :func:`sweep`.
+    ``inv_data``, as in :func:`sweep`. A non-finite ``g`` raises a
+    :class:`SolverError` that names the cube.
     """
     d = field.d
     avg = cube_average(field, cube)
@@ -96,14 +97,10 @@ def coarse_grain_cube(field: CoefficientField, cube: TriadicCube) -> CoarseGrain
                                sym_unpack(field.inv_data[tuple(cube.offset)], d))
     inv_avg = sym_pack(cube_average(field, cube, inverted=True))
     inv_avg_inv = sym_unpack(sym_inv(inv_avg, d), d)  # the closed form sweep uses
-    try:
-        g, stats = neumann_functionals(field, cube)
-        if not np.isfinite(g).all():
-            raise SolverError("non-finite functional matrix", stats)
-    except SolverError as err:
-        raise SolverError(
-            f"cube level={cube.level} offset={cube.offset}: {err}", err.stats
-        ) from err
+    g, stats = neumann_functionals(field, cube)
+    if not np.isfinite(g).all():
+        raise SolverError(f"cube level={cube.level} offset={cube.offset}: "
+                          f"{stats.failure or 'non-finite functional matrix'}", stats)
     astar_inv = 0.5 * (g + g.T)
     return CoarseGrainPair(cube, np.linalg.inv(astar_inv), avg, avg, inv_avg_inv, astar_inv,
                            stats)
@@ -205,7 +202,7 @@ def _cache_load(path: str, shape: tuple[int, ...]) -> np.ndarray | None:
     if not os.path.exists(path):
         return None
     try:
-        with np.load(path) as rec:
+        with open(path, "rb") as fh, np.load(fh) as rec:
             if rec["solver"].tobytes().decode() != SOLVER_TAG:
                 return None
             astar_inv = rec["astar_inv"].copy()
@@ -216,28 +213,21 @@ def _cache_load(path: str, shape: tuple[int, ...]) -> np.ndarray | None:
     return astar_inv
 
 
-def _level_result(
-    level: int, out: tuple[np.ndarray, SolveStats] | SolverError
-) -> tuple[np.ndarray, list[dict], SolveStats]:
-    """Packed ``astar_inv`` of every cube of a level, failures, stats, from
-    the level's functionals ``(g_all, stats)`` or the :class:`SolverError`
-    that carries them.
-
-    A failed solve fails the cubes it marks; a cube whose functional matrix
-    is not finite fails alone. Failed cubes hold NaN.
+def _level_result(level: int, g_all: np.ndarray,
+                  stats: SolveStats) -> tuple[np.ndarray, list[dict]]:
+    """Packed ``astar_inv`` of a level's cubes and their failures, from its
+    functionals ``(g_all, stats)``: every non-finite cube fails, holds NaN
+    and takes the message ``stats.failure`` (the pass's first failed dense
+    solve at or below the level) or else "non-finite functional matrix". So
+    a cube made non-finite otherwise takes a failed solve's message too.
     """
-    if isinstance(out, SolverError):
-        g_all, failed, stats, message = out.g, out.failed, out.stats, str(out)
-    else:
-        (g_all, stats), failed, message = out, None, ""
     bad = ~np.isfinite(g_all).all(axis=(-2, -1))
     g_all[bad] = np.nan
     astar_inv = sym_pack(0.5 * (g_all + np.swapaxes(g_all, -1, -2)))
     failures = [{"level": level, "offset": [int(z) for z in off],
-                 "message": message if failed is not None and failed[off]
-                 else "non-finite functional matrix"}
+                 "message": stats.failure or "non-finite functional matrix"}
                 for off in zip(*np.nonzero(bad))]
-    return astar_inv, failures, stats
+    return astar_inv, failures
 
 
 def _log_level(level: int, method: str, cubes: int, stats: SolveStats | None,
@@ -264,12 +254,12 @@ def sweep(field: CoefficientField, cache_dir: str | None = None) -> SweepResult:
     then built, logged and cached in order.
 
     Failures are recorded per cube and surface as NaN matrices rather than
-    aborting the sweep: the cubes that the solver marks failed, or whose
-    functional matrix is not finite, fail; the rest of the level keeps its
-    numbers, and a level with a failed cube is not cached. Each level logs
-    one DEBUG line on ``cge.coarse``: method (the solver's, ``cache`` or
-    ``cells``), cubes, for a solve the chunks and threads it ran in and its
-    unknowns per cube and residual, and seconds.
+    aborting the sweep: every cube whose functional matrix is not finite
+    (a failed dense solve's, and every cube containing one) fails; the rest
+    of the level keeps its numbers, and a level with a failed cube is not
+    cached. Each level logs one DEBUG line on ``cge.coarse``: method (the
+    solver's, ``cache`` or ``cells``), cubes, for a solve the chunks and
+    threads it ran in and its unknowns per cube and residual, and seconds.
     """
     grid = field.grid
     d = grid.d
@@ -307,7 +297,8 @@ def sweep(field: CoefficientField, cache_dir: str | None = None) -> SweepResult:
             cache_hits += n_cubes
             method, stats = "cache", None
         else:
-            astar_inv_arr, level_failures, stats = _level_result(level, solved.pop(level))
+            g_all, stats = solved.pop(level)
+            astar_inv_arr, level_failures = _level_result(level, g_all, stats)
             t0 -= stats.wall_time  # solved before this loop
             method = stats.method
             failures += level_failures

@@ -332,6 +332,7 @@ def harnack_experiment(
             f"{bvals.min():.6g}"
         )
 
+    theta_val, theta_method = _resolve_theta(field, s, t, sweep_result, theta)
     u, stats = solve_dirichlet(field, _full_domain(field.d), boundary)
     slack = _max_principle_slack(u, bvals)
     global_min = float(u.data.min())
@@ -341,7 +342,6 @@ def harnack_experiment(
             f"boundary minimum {bvals.min():.6g} is"
         )
 
-    theta_val, theta_method = _resolve_theta(field, s, t, sweep_result, theta)
     sups, infs = _extremes(u)
     key = str(SUBCUBE_FRACTIONS[0])
     log_ratio = float(np.log(sups[key] / infs[key]))
@@ -409,9 +409,9 @@ def local_boundedness_experiment(
     if not np.all(np.isfinite(bvals)):
         raise ValueError("boundary data must be finite at all face centers")
 
+    theta_val, theta_method = _resolve_theta(field, s, t, sweep_result, theta)
     u, stats = solve_dirichlet(field, _full_domain(field.d), boundary)
     slack = _max_principle_slack(u, bvals)
-    theta_val, theta_method = _resolve_theta(field, s, t, sweep_result, theta)
     sups, infs = _extremes(u)
     u_plus = _u_plus_l2(u)
     sup_half = sups[str(Fraction(1, 2))]

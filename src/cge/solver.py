@@ -104,11 +104,12 @@ class SolveStats:
     method: str
     chunks: int = 1  # how a sweep level was split and run, for its log line
     threads: int = 1
+    failure: str = ""  # the pass's first failed dense solve, "" if none
 
     def to_dict(self) -> dict:
-        """Plain-JSON form (NumPy scalars cast to ``int``/``float``). The
-        chunk and thread counts are left out: they depend on the host's
-        cores, and a report must not."""
+        """Plain-JSON form (NumPy scalars cast to ``int``/``float``), without
+        the chunk and thread counts, which depend on the host's cores (a
+        report must not), and ``failure``, which a sweep records per cube."""
         return {
             "iterations": int(self.iterations),
             "residual": float(self.residual),
@@ -119,20 +120,16 @@ class SolveStats:
 
 
 class SolverError(RuntimeError):
-    """Solver failure (a failed dense solve or factorization); carries the
-    partial stats.
+    """Solver failure (a failed factorization, or a cube whose functional
+    matrix is not finite); carries the partial stats.
 
-    Per level, from :func:`level_functionals`, it also carries the partial
-    level: ``g`` holds every cube's functional matrix, NaN for the cubes
-    that failed, and ``failed`` marks those cubes.
+    The condensation pass does not raise it: a failed dense solve leaves its
+    cubes' ``g`` NaN and names itself in ``stats.failure``.
     """
 
-    def __init__(self, message: str, stats: SolveStats | None = None,
-                 g: np.ndarray | None = None, failed: np.ndarray | None = None):
+    def __init__(self, message: str, stats: SolveStats | None = None):
         super().__init__(message)
         self.stats = stats
-        self.g = g
-        self.failed = failed
 
 
 @dataclass
@@ -283,51 +280,29 @@ def _run_chunks(starts: range, work: Callable[[int], object]) -> tuple[list, int
     return done, sum(1 for take in takes if take)
 
 
-def _mark_failures(done: list, size: int, failed: np.ndarray, message: str = "") -> str:
-    """Mark in ``failed`` the ``size`` items from ``lo`` of every chunk
-    whose result is a failure's message; returns ``message``, or if it is
-    empty the first such message."""
-    for lo, res in done:
-        if isinstance(res, str):
-            failed[lo:lo + size] = True
-            message = message or res
-    return message
-
-
-def _level_outcome(
-    shape: tuple[int, ...], done: list, size: int, failed: np.ndarray, stats: SolveStats,
-    message: str, order: np.ndarray,
-) -> tuple[np.ndarray, SolveStats] | SolverError:
-    """A level's ``(g_all, stats)`` from its chunks' ``(lo, result)``
-    pairs, or the :class:`SolverError` carrying it when a cube failed.
+def _level_outcome(shape: tuple[int, ...], done: list, size: int, stats: SolveStats,
+                   order: np.ndarray) -> np.ndarray:
+    """A level's ``g_all`` from its chunks' ``(lo, result)`` pairs.
 
     The chunks hold the level's cubes in tree order, and ``order`` is each
     cube's row-major index (:func:`_tree_order`). A result is ``(g,
     residual)`` for the ``size`` cubes from ``lo`` (``g`` divided by the
-    volume, or ``None`` if not wanted) or a failure's message, which marks
-    those cubes in ``failed`` (in place; it holds the earlier failures) and
-    is reported unless ``message`` is. ``stats`` holds the level's start as
-    its ``wall_time`` and takes the wall time and the largest finite
-    residual.
+    volume, or ``None`` if not wanted), or ``None`` for a failed chunk,
+    whose cubes stay NaN. ``stats`` holds the level's start as its
+    ``wall_time`` and takes the wall time and the largest finite residual.
     """
     d = len(shape)
-    g_all = np.full((failed.size, d, d), np.nan)
+    g_all = np.full((math.prod(shape), d, d), np.nan)
     residuals = []
-    message = _mark_failures(done, size, failed, message)
     for lo, res in done:
-        if not isinstance(res, str) and res[0] is not None:
+        if res is not None and res[0] is not None:
             g_all[lo:lo + size] = res[0]
             if not math.isnan(res[1]):
                 residuals.append(res[1])
     stats.residual = max(residuals, default=math.nan)
     stats.wall_time = time.perf_counter() - stats.wall_time
     g_all[order] = g_all.copy()
-    level_failed = np.empty_like(failed)
-    level_failed[order] = failed
-    g_all = g_all.reshape(shape + (d, d))
-    if level_failed.any():
-        return SolverError(message, stats, g_all, level_failed.reshape(shape))
-    return g_all, stats
+    return g_all.reshape(shape + (d, d))
 
 
 @lru_cache(maxsize=16)
@@ -529,11 +504,12 @@ def _run_stage(count: int, entries: int, work: Callable[[int, int], object],
     """``work(lo, hi)`` over ``count`` merges in chunks of at most
     :data:`CHUNK_ENTRIES` dense entries (``entries`` for one merge, at least
     one merge a chunk), through :func:`_run_chunks`. A chunk whose dense
-    solve fails gives its message instead, and its rows of ``out`` are NaN.
-    Adds the chunks to ``stats.chunks`` and keeps the most threads in
-    ``stats.threads``. Returns the ``(lo, result or message)`` pairs and
-    the merges per chunk."""
+    solve fails gives ``None``, its rows of ``out`` are NaN, and an empty
+    ``stats.failure`` takes the first such chunk's message. Adds the chunks
+    to ``stats.chunks`` and keeps the most threads in ``stats.threads``.
+    Returns the ``(lo, result or None)`` pairs and the merges per chunk."""
     per_chunk = max(1, CHUNK_ENTRIES // entries)
+    errors = []  # (lo, message) of each failed chunk, in the order they fail
 
     def chunk(lo: int):
         hi = min(lo + per_chunk, count)
@@ -542,12 +518,14 @@ def _run_stage(count: int, entries: int, work: Callable[[int, int], object],
         except np.linalg.LinAlgError as err:
             if out is not None:
                 out[lo:hi] = np.nan
-            return f"dense condensation failed: {err}"
+            errors.append((lo, f"dense condensation failed: {err}"))
+            return None
 
     starts = range(0, count, per_chunk)
     done, threads = _run_chunks(starts, chunk)
     stats.chunks += len(starts)
     stats.threads = max(stats.threads, threads)
+    stats.failure = stats.failure or min(errors, default=(0, ""))[1]
     return done, per_chunk
 
 
@@ -564,11 +542,10 @@ def _checked_levels(grid: GridSpec, levels: Sequence[int]) -> list[int]:
 
 def level_functionals(
     field: CoefficientField, levels: Sequence[int]
-) -> dict[int, tuple[np.ndarray, SolveStats] | SolverError]:
+) -> dict[int, tuple[np.ndarray, SolveStats]]:
     """Each given level's ``(g_all, stats)``, in one bottom-up pass of
-    nested static condensation, or the :class:`SolverError` that carries
-    the level when a cube failed (``{}`` for no level): the entry point of
-    a sweep. ``g_all`` has shape ``(3**-level,)*d + (d, d)``, every cube's
+    nested static condensation (``{}`` for no level): the entry point of a
+    sweep. ``g_all`` has shape ``(3**-level,)*d + (d, d)``, every cube's
     :func:`neumann_functionals` matrix in row-major cube order. A
     :class:`ValueError` names any level outside ``1-N..0``.
 
@@ -596,8 +573,9 @@ def level_functionals(
     ``stats.unknowns`` is the largest skeleton of a merge of the level,
     ``stats.chunks`` the chunks of all its stages, and ``stats.residual``
     the largest ``|S y - b| / |b|`` of the pinned solves. A failed dense
-    solve fails the cubes of its chunk and every cube that contains one of
-    them; the pass reports its first failure's message.
+    solve leaves the cubes of its chunk, and every cube that contains one,
+    NaN; ``stats.failure`` names the pass's first failed solve at or below
+    the level (``""`` if none).
     """
     grid = field.grid
     d = grid.d
@@ -607,11 +585,10 @@ def level_functionals(
     cells = field.data.reshape(-1, field.data.shape[-1])[_tree_order(grid.N, d)]
     kids = _element_matrices(cells, d, grid.h)
     shape = (1,) * d
-    failed = np.zeros(kids.shape[0], dtype=bool)
-    message = ""
-    out: dict[int, tuple[np.ndarray, SolveStats] | SolverError] = {}
+    failure = ""
+    out: dict[int, tuple[np.ndarray, SolveStats]] = {}
     for level in range(1 - grid.N, wanted[0] + 1):
-        stats = SolveStats(0, math.nan, 0, time.perf_counter(), "condensation", 0, 0)
+        stats = SolveStats(0, math.nan, 0, time.perf_counter(), "condensation", 0, 0, failure)
         volume = 3.0 ** (level * d)
         top = level == 0
         cube = tuple(3 * s for s in shape)
@@ -622,9 +599,8 @@ def level_functionals(
         for stage, merges in enumerate(stages):
             largest = max(size for size, _, _ in merges)
             stats.unknowns = max(stats.unknowns, largest)
-            width = len(merges[0][2])  # boxes a merge: 1 for level 0's children, else 3
             if top:
-                maps = None
+                maps, width = None, len(merges[0][2])  # boxes a merge: 1 for the children, else 3
 
                 def work(lo: int, hi: int) -> list:
                     merged = []
@@ -646,25 +622,21 @@ def level_functionals(
 
             done, per_chunk = _run_stage(len(merges) if top else maps.shape[0], largest**2,
                                          work, stats, maps)
-            failed = failed.reshape(-1, width).any(axis=1)
-            message = _mark_failures(done, per_chunk, failed, message)
             if not top:
                 kids = maps
-            elif any(isinstance(res, str) for _, res in done):
-                done, failed = [], np.ones(1, dtype=bool)
+            elif any(res is None for _, res in done):
+                done = []
                 break
             else:
                 boxes = [merged[:3] for _, res in done for merged in res]
         if top and done:  # the last merge's pinned solve
             _, _, g, res = done[0][1][0]
             done = [(0, (g / volume, res))]
-        shape = cube
-        outcome = _level_outcome((3 ** (-level),) * d, done, per_chunk, failed, stats,
-                                 message, _tree_order(-level, d))
-        if isinstance(outcome, SolverError):
-            message = str(outcome)
+        shape, failure = cube, stats.failure
+        g_all = _level_outcome((3 ** (-level),) * d, done, per_chunk, stats,
+                               _tree_order(-level, d))
         if level in wanted:
-            out[level] = outcome
+            out[level] = g_all, stats
     return out
 
 
@@ -679,15 +651,12 @@ def neumann_functionals(
     ``q . astar^{-1} q`` of the coarse-graining layer. ``g`` is symmetric
     up to roundoff. It is level 0 of a :func:`level_functionals` pass over
     the cube's own cells, as a grid of its own (``g`` does not depend on
-    the scale). Raises the :class:`SolverError` of a failed solve.
+    the scale). A failed solve leaves ``g`` NaN, named in ``stats.failure``.
     """
     grid = field.grid
     own = CoefficientField(GridSpec(grid.d, grid.N + cube.level),
                            field.data[cube.cell_slices(grid)])
-    out = level_functionals(own, [0])[0]
-    if isinstance(out, SolverError):
-        raise out
-    g_all, stats = out
+    g_all, stats = level_functionals(own, [0])[0]
     return g_all.reshape(grid.d, grid.d), stats
 
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import cge
+import cge.harness
 import cge.solver
 from cge import __version__, read_field
 from cge.cli import (
@@ -314,6 +315,34 @@ class TestHarnack:
         assert rc == 1
         assert f"theta must be finite and positive, got {float(theta)!r}" in err
         assert "Traceback" not in err
+        assert not (workdir / "h.json").exists()
+
+    @pytest.mark.parametrize("mode", ["two-sided", "one-sided"])
+    def test_given_theta_skips_the_sweep(self, workdir, mode):
+        # a given theta overrides the sweep's, so --with-solves runs none
+        gen_identity(workdir, n=4)
+        rc = main(["harnack", "--field", "const_I.cge", "--boundary", "affine:2,1,0",
+                   "--mode", mode, "--theta", "2", "--with-solves", "--cache-dir", "cache",
+                   "--out", "h.json"])
+        assert rc == 0
+        assert list(workdir.glob("cache/**/*")) == []
+        report = json.loads((workdir / "h.json").read_text())
+        assert report["result"]["theta_method"] == "given"
+        assert report["result"]["theta"] == 2.0
+
+    @pytest.mark.parametrize("mode", ["two-sided", "one-sided"])
+    def test_bad_theta_fails_before_any_solve(self, workdir, capsys, monkeypatch, mode):
+        gen_identity(workdir, n=4)
+        solves = []
+        monkeypatch.setattr(cge.harness, "solve_dirichlet",
+                            lambda *args: solves.append(args))
+        rc = main(["harnack", "--field", "const_I.cge", "--boundary", "affine:2,1,0",
+                   "--mode", mode, "--theta", "inf", "--with-solves", "--cache-dir", "cache",
+                   "--out", "h.json"])
+        assert rc == 1
+        assert "theta must be finite and positive, got inf" in capsys.readouterr().err
+        assert solves == []
+        assert list(workdir.glob("cache/**/*")) == []
         assert not (workdir / "h.json").exists()
 
     def test_nonpositive_boundary_is_operational_error(self, workdir, capsys):

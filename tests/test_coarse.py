@@ -517,6 +517,41 @@ class TestCondensation:
         assert np.array_equal(ld.astar_inv.reshape(9, -1)[1:], want.astar_inv.reshape(9, -1)[1:])
         assert os.listdir(tmp_path) == []
 
+    def test_failed_solve_names_every_non_finite_cube_of_its_pass(self, cores, monkeypatch):
+        # a NaN cell and, in another cube of level -1, a failed dense
+        # solve: every non-finite cube at or above the failed solve's level
+        # takes its message, the NaN cell's cube too; below it, the NaN
+        # cell's cube of level -2 is only non-finite
+        field = gen_random_spd(GridSpec(2, 3), seed=1, eig_low=1e-2, eig_high=1e2)
+        cores(1)
+        monkeypatch.setattr(cge.solver, "CHUNK_ENTRIES", 1)  # one merge a chunk
+        real_elements, real_eliminate = cge.solver._element_matrices, cge.solver._eliminate
+        strips = []
+
+        def nan_first_cell(cells, d, h):
+            out = real_elements(cells, d, h)
+            out[0, 0, 0] = np.nan  # cell (0, 0), in level -1's cube (0, 0)
+            return out
+
+        def fail_last_strip(mat, *args):
+            # level -1's last stage merges onto 52 nodes; cube (0, 0), not
+            # finite, eliminates nothing, so the eighth call is cube (2, 2)
+            if mat.shape[-1] == 52:
+                strips.append(mat.shape[0])
+                if len(strips) == 8:
+                    raise np.linalg.LinAlgError("Singular matrix")
+            return real_eliminate(mat, *args)
+
+        monkeypatch.setattr(cge.solver, "_element_matrices", nan_first_cell)
+        monkeypatch.setattr(cge.solver, "_eliminate", fail_last_strip)
+        result = sweep(field)
+        assert strips[:8] == [1] * 8
+        assert [(e["level"], e["offset"], e["message"]) for e in result.failures] == [
+            (0, [0, 0], "dense condensation failed: Singular matrix"),
+            (-1, [0, 0], "dense condensation failed: Singular matrix"),
+            (-1, [2, 2], "dense condensation failed: Singular matrix"),
+            (-2, [0, 0], "non-finite functional matrix")]
+
     def test_one_debug_line_per_level(self, caplog, tmp_path):
         grid = GridSpec(d=2, N=2)
         field = gen_random_spd(grid, seed=1, eig_low=0.5, eig_high=2.0)

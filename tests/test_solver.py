@@ -621,6 +621,44 @@ def test_condensation_top_below_level_zero(d, n):
                                        atol=1e-12 * np.abs(g_dense).max())
 
 
+def test_failed_solve_is_nan_and_named_at_its_level_and_above(monkeypatch):
+    # a failed dense solve is data, not an error: its cubes and the cubes
+    # that contain them are NaN, and every level from its own up names it
+    f = gen_random_spd(GridSpec(2, 3), seed=1, eig_low=1e-2, eig_high=1e2)
+    clean = level_functionals(f, [0, -1, -2])
+    real = cge.solver._eliminate
+
+    def fail_level_minus_one(mat, *args):
+        # level -1's last stage, one chunk: strips of 3x9 cells onto
+        # skeletons of 52 nodes
+        if mat.shape[-1] == 52:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real(mat, *args)
+
+    monkeypatch.setattr(cge.solver, "_eliminate", fail_level_minus_one)
+    out = level_functionals(f, [0, -1, -2])
+    assert sorted(out) == [-2, -1, 0]
+    assert all(isinstance(v, tuple) for v in out.values())
+    g_all, stats = out[-2]
+    assert stats.failure == ""
+    assert np.array_equal(g_all, clean[-2][0])
+    for level in (-1, 0):
+        g_all, stats = out[level]
+        assert np.isnan(g_all).all()
+        assert stats.failure == "dense condensation failed: Singular matrix"
+        assert "failure" not in stats.to_dict()
+
+
+def test_single_cube_failed_solve_is_nan(monkeypatch):
+    def fail(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(cge.solver, "_eliminate", fail)
+    g, stats = neumann_functionals(gen_random_spd(GridSpec(2, 2), seed=1), FULL)
+    assert g.shape == (2, 2) and np.isnan(g).all()
+    assert stats.failure == "dense condensation failed: Singular matrix"
+
+
 @pytest.mark.parametrize("level", [1, -3])
 def test_batched_functionals_name_a_level_outside_the_grid(level):
     # above the cube, and below the cells

@@ -1,23 +1,25 @@
 """Cube-wise coarse-grained coefficient pairs and multiscale ellipticity.
 
-For each cube ``Q`` two effective symmetric matrices are computed from
+For each cube ``Q`` two effective symmetric matrices come from
 pure-Neumann variational problems:
 
 * ``astar`` (subadditive from below): the gradient-forcing problems yield the
   quadratic form ``q . astar^{-1} q`` directly as their value Gram matrix;
-* ``amax``: the flux-forcing problem values. That forcing is
+* the upper matrix: the flux-forcing problem values. That forcing is
   ``B(p . x, v) / vol`` with ``p . x`` in the Q1 trial space, so its
-  maximizer is affine and ``amax`` is the cube average ``avg`` (the same
-  array): no solve computes it.
+  maximizer is affine and the upper matrix is the cube average ``avg``: no
+  solve computes it.
 
 With the harmonic mean ``inv_avg_inv`` they satisfy the ordering
-``inv_avg_inv <= astar <= amax`` (as quadratic forms), which the audit
+``inv_avg_inv <= astar <= avg`` (as quadratic forms), which the audit
 verifies wholesale.
 
-Scale-weighted ellipticity constants aggregate per-scale maxima of these
-matrices over the triadic hierarchy with geometric weights ``3**(s*k)``; all
-scales below the grid resolution contribute an exact closed-form tail because
-sub-cell cubes see a constant field.
+Scale-weighted ellipticity constants aggregate per-scale maxima of the norms
+of ``avg`` and ``astar_inv`` over the triadic hierarchy with geometric
+weights ``3**(s*k)``; all scales below the grid resolution contribute an
+exact closed-form tail because sub-cell cubes see a constant field. One
+reduction, :func:`cge.grid.scale_weighted_constant`, forms them for the
+constants, the audit and the solve-free surrogates of :mod:`cge.norms`.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .grid import (
     TriadicCube,
     block_reduce,
     cube_average,
-    scale_weighted_sum,
+    scale_weighted_constant,
     sym_component_count,
     sym_eig_bounds,
     sym_inv,
@@ -73,7 +75,6 @@ class CoarseGrainPair:
 
     cube: TriadicCube
     astar: np.ndarray
-    amax: np.ndarray
     avg: np.ndarray
     inv_avg_inv: np.ndarray
     astar_inv: np.ndarray
@@ -93,7 +94,7 @@ def coarse_grain_cube(field: CoefficientField, cube: TriadicCube) -> CoarseGrain
     avg = cube_average(field, cube)
     if cube.level == -field.grid.N:
         cell = sym_unpack(field.data[tuple(cube.offset)], d)
-        return CoarseGrainPair(cube, cell, avg, avg, cell.copy(),
+        return CoarseGrainPair(cube, cell, avg, cell.copy(),
                                sym_unpack(field.inv_data[tuple(cube.offset)], d))
     inv_avg = sym_pack(cube_average(field, cube, inverted=True))
     inv_avg_inv = sym_unpack(sym_inv(inv_avg, d), d)  # the closed form sweep uses
@@ -102,8 +103,7 @@ def coarse_grain_cube(field: CoefficientField, cube: TriadicCube) -> CoarseGrain
         raise SolverError(f"cube level={cube.level} offset={cube.offset}: "
                           f"{stats.failure or 'non-finite functional matrix'}", stats)
     astar_inv = 0.5 * (g + g.T)
-    return CoarseGrainPair(cube, np.linalg.inv(astar_inv), avg, avg, inv_avg_inv, astar_inv,
-                           stats)
+    return CoarseGrainPair(cube, np.linalg.inv(astar_inv), avg, inv_avg_inv, astar_inv, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -114,28 +114,28 @@ def coarse_grain_cube(field: CoefficientField, cube: TriadicCube) -> CoarseGrain
 class LevelData:
     """Packed coarse-grained matrices for every cube of one level.
 
-    Arrays have shape ``(3**-level,)*d + (ncomp,)`` in row-major cube order.
-    The spectral norms of ``amax`` and ``astar_inv`` (shape ``(3**-level,)*d``)
-    are computed once, on construction, for the constants and the audit. The
-    level takes the arrays it is given and makes them read-only, so the norms
-    cannot go stale: to change a level, build a new one (``dataclasses.replace``).
+    Arrays have shape ``(3**-level,)*d + (ncomp,)`` in row-major cube order;
+    ``avg`` is the upper matrix. The spectral norms of ``avg`` and
+    ``astar_inv`` (shape ``(3**-level,)*d``) are computed once, on
+    construction, for the constants and the audit. The level takes the
+    arrays it is given and makes them read-only, so the norms cannot go
+    stale: to change a level, build a new one (``dataclasses.replace``).
     """
 
     level: int
     astar: np.ndarray
-    amax: np.ndarray
     avg: np.ndarray
     inv_avg_inv: np.ndarray
     astar_inv: np.ndarray
-    amax_norm: np.ndarray = dataclass_field(init=False)
+    avg_norm: np.ndarray = dataclass_field(init=False)
     astar_inv_norm: np.ndarray = dataclass_field(init=False)
 
     def __post_init__(self) -> None:
-        d = self.amax.ndim - 1
-        object.__setattr__(self, "amax_norm", sym_norm(self.amax, d))
+        d = self.avg.ndim - 1
+        object.__setattr__(self, "avg_norm", sym_norm(self.avg, d))
         object.__setattr__(self, "astar_inv_norm", sym_norm(self.astar_inv, d))
-        for arr in (self.astar, self.amax, self.avg, self.inv_avg_inv, self.astar_inv,
-                    self.amax_norm, self.astar_inv_norm):
+        for arr in (self.astar, self.avg, self.inv_avg_inv, self.astar_inv,
+                    self.avg_norm, self.astar_inv_norm):
             arr.flags.writeable = False
 
 
@@ -146,7 +146,6 @@ class SweepResult:
     grid: GridSpec
     field_hash: str
     levels: dict[int, LevelData]
-    cell_inv_norm: np.ndarray
     solve_count: int
     cache_hits: int
     failures: list[dict]
@@ -158,7 +157,6 @@ class SweepResult:
         return CoarseGrainPair(
             cube,
             sym_unpack(ld.astar[idx], d),
-            sym_unpack(ld.amax[idx], d),
             sym_unpack(ld.avg[idx], d),
             sym_unpack(ld.inv_avg_inv[idx], d),
             sym_unpack(ld.astar_inv[idx], d),
@@ -264,7 +262,6 @@ def sweep(field: CoefficientField, cache_dir: str | None = None) -> SweepResult:
     grid = field.grid
     d = grid.d
     ncomp = sym_component_count(d)
-    cell_inv_norm = 1.0 / sym_eig_bounds(field.data, d)[0]
 
     def load(level: int) -> np.ndarray | None:
         if cache_dir is None:
@@ -287,7 +284,7 @@ def sweep(field: CoefficientField, cache_dir: str | None = None) -> SweepResult:
         avg = block_reduce(field.data, d, m)
         if level == -grid.N:  # one cell a cube: every matrix is the cell's own
             cells = field.data.copy()
-            levels[level] = LevelData(level, cells, avg, avg, cells, field.inv_data.copy())
+            levels[level] = LevelData(level, cells, avg, cells, field.inv_data.copy())
             _log_level(level, "cells", n_cubes, None, t0)
             continue
         inv_avg_inv = sym_inv(block_reduce(field.inv_data, d, m), d)
@@ -307,11 +304,10 @@ def sweep(field: CoefficientField, cache_dir: str | None = None) -> SweepResult:
                 _cache_store(_cache_path(cache_dir, field.content_hash, level), astar_inv_arr)
 
         astar_arr = sym_pack(np.linalg.inv(sym_unpack(astar_inv_arr, d)))
-        levels[level] = LevelData(level, astar_arr, avg, avg, inv_avg_inv, astar_inv_arr)
+        levels[level] = LevelData(level, astar_arr, avg, inv_avg_inv, astar_inv_arr)
         _log_level(level, method, n_cubes, stats, t0)
 
-    return SweepResult(grid, field.content_hash, levels, cell_inv_norm, solve_count,
-                       cache_hits, failures)
+    return SweepResult(grid, field.content_hash, levels, solve_count, cache_hits, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +324,7 @@ class EllipticityReport:
     lambda_upper: float  # scale-weighted upper constant
     lambda_lower: float  # scale-weighted lower constant
     theta: float
-    per_scale_upper: dict[int, float]  # level -> max sqrt(norm(amax))
+    per_scale_upper: dict[int, float]  # level -> max sqrt(norm(avg))
     per_scale_lower: dict[int, float]  # level -> max sqrt(norm(astar_inv))
     tail_upper: float
     tail_lower: float
@@ -360,29 +356,31 @@ def ellipticity_constants(
     """Scale-weighted ellipticity constants and their ratio for one cube.
 
     The upper constant squares the weighted sum of per-scale maxima of
-    ``sqrt(norm(amax))`` over all scales at and below the cube; the lower
+    ``sqrt(norm(avg))`` over all scales at and below the cube; the lower
     constant is the reciprocal square of the same construction applied to
     ``sqrt(norm(astar_inv))``. Scales below the grid resolution are included
-    through an exact geometric tail on the per-cell extremes.
+    through an exact geometric tail on the cell-level maxima. Both come from
+    :func:`~cge.grid.scale_weighted_constant`, squared with ``float_power``
+    (``pow``, as the audit squares the same arrays). A cube off the sweep's
+    grid (another dimension, or finer than a cell) is a ``ValueError``.
     """
     if not (0.0 < s < 1.0) or not (0.0 < t < 1.0):
         raise ValueError(f"exponents must lie in (0, 1), got s={s}, t={t}")
     grid = result.grid
     if cube is None:
         cube = TriadicCube(0, (0,) * grid.d)
+    if cube.d != grid.d or cube.level < -grid.N:
+        raise ValueError(f"cube level={cube.level} offset={cube.offset} is not on the "
+                         f"sweep's grid (d={grid.d}, N={grid.N})")
 
     idx = tuple(cube.offset)
-    per_upper, per_lower = (
-        {k: float(v[idx]) for k, v in _scale_maxima(result, norm, cube.level).items()}
-        for norm in ("amax_norm", "astar_inv_norm"))
-    cell_inv_max = block_reduce(result.cell_inv_norm, grid.d, 3 ** (cube.level + grid.N), np.max)
-    c_s = 1.0 - 3.0 ** (-s)
-    c_t = 1.0 - 3.0 ** (-t)
-    total_u, tail_u = scale_weighted_sum(per_upper, s, cube.level, grid.N, per_upper[-grid.N])
-    total_l, tail_l = scale_weighted_sum(per_lower, t, cube.level, grid.N,
-                                         math.sqrt(cell_inv_max[idx]))
-    lambda_upper = (c_s * total_u) ** 2
-    lambda_lower = (c_t * total_l) ** -2
+    levels = result.levels.items()
+    total_u, per_upper, tail_u = scale_weighted_constant(
+        {k: ld.avg_norm for k, ld in levels}, s, cube.level)
+    total_l, per_lower, tail_l = scale_weighted_constant(
+        {k: ld.astar_inv_norm for k, ld in levels}, t, cube.level)
+    lambda_upper = float(np.float_power(total_u[idx], 2))
+    lambda_lower = float(np.float_power(total_l[idx], -2))
     return EllipticityReport(
         s=s,
         t=t,
@@ -391,34 +389,14 @@ def ellipticity_constants(
         lambda_lower=lambda_lower,
         # an infinite norm of astar_inv (a non-finite sweep) gives a zero lower constant
         theta=lambda_upper / lambda_lower if lambda_lower != 0.0 else math.inf,
-        per_scale_upper=per_upper,
-        per_scale_lower=per_lower,
-        tail_upper=c_s * tail_u,
-        tail_lower=c_t * tail_l,
-        c_s=c_s,
-        c_t=c_t,
+        per_scale_upper={k: float(v[idx]) for k, v in per_upper.items()},
+        per_scale_lower={k: float(v[idx]) for k, v in per_lower.items()},
+        tail_upper=float(tail_u[idx]),
+        tail_lower=float(tail_l[idx]),
+        c_s=1.0 - 3.0 ** (-s),
+        c_t=1.0 - 3.0 ** (-t),
         field_hash=result.field_hash,
     )
-
-
-def _scale_maxima(result: SweepResult, norm: str, level: int) -> dict[int, np.ndarray]:
-    """Per scale ``k <= level``: ``sqrt`` of the largest level-``k`` ``norm``
-    (a :class:`LevelData` field) inside each level-``level`` cube, as an array
-    over those cubes."""
-    return {k: np.sqrt(block_reduce(getattr(ld, norm), result.grid.d, 3 ** (level - k), np.max))
-            for k, ld in sorted(result.levels.items()) if k <= level}
-
-
-def _lambda_upper_grid(result: SweepResult, s: float, level: int) -> np.ndarray:
-    """Upper ellipticity constant of every level-``level`` cube at once.
-
-    ``float_power`` squares with ``pow``, as ``float ** 2`` does in
-    :func:`ellipticity_constants`; an array's ``** 2`` multiplies, which can
-    differ in the last bit. So each cube's value is its reported constant.
-    """
-    maxima = _scale_maxima(result, "amax_norm", level)
-    total, _ = scale_weighted_sum(maxima, s, level, result.grid.N, maxima[-result.grid.N])
-    return np.float_power((1.0 - 3.0 ** (-s)) * total, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -461,16 +439,21 @@ def audit(
 ) -> AuditReport:
     """Check every theorem-backed inequality on a completed sweep.
 
-    Per cube: every distinct packed matrix is finite (a NaN or inf entry
-    would pass the comparisons below silently; ``amax`` is checked only when
-    it is not the ``avg`` array), and the quadratic-form chain
-    inv_avg_inv <= astar <= amax (``amax`` is ``avg``). Per parent/children:
-    norm subadditivity of amax and matrix subadditivity of astar_inv.
-    Globally: monotonicity of the scale-weighted constants over the exponent
-    grid, ratio >= 1, and the per-level scaling bound for the upper constant. The
-    subadditivity and scaling checks read the norms stored on each
-    :class:`LevelData`, which match its read-only arrays.
+    Per cube: every packed matrix is finite (a NaN or inf entry would pass
+    the comparisons below silently), and the quadratic-form chain
+    inv_avg_inv <= astar <= avg (``avg`` is the upper matrix). Per
+    parent/children: norm subadditivity of avg and matrix subadditivity of
+    astar_inv. Globally: monotonicity of the scale-weighted constants over
+    the exponent grid, ratio >= 1, and the per-level scaling bound for the
+    upper constant, each cube's from the reduction that
+    :func:`ellipticity_constants` takes. The subadditivity and scaling checks
+    read the norms stored on each :class:`LevelData`, which match its
+    read-only arrays. An empty exponent grid, which would leave the global
+    checks unchecked, is a ``ValueError``.
     """
+    if len(s_grid) == 0:
+        raise ValueError("the exponent grid s_grid is empty: the scale-weighted checks need "
+                         "at least one exponent")
     d = result.grid.d
     checked = {k: 0 for k in
                ("finite", "chain", "subadditivity_norm", "subadditivity_form", "monotone",
@@ -500,17 +483,15 @@ def audit(
 
     # --- finiteness of every packed matrix ---
     for level, ld in result.levels.items():
-        # a sweep's amax is its avg array; a hand-built level may differ
-        distinct = [ld.amax] if ld.amax is not ld.avg else []
-        for arr in [ld.astar, *distinct, ld.avg, ld.inv_avg_inv, ld.astar_inv]:
+        for arr in (ld.astar, ld.avg, ld.inv_avg_inv, ld.astar_inv):
             check("finite", level, np.count_nonzero(~np.isfinite(arr), axis=-1),
                   arr.shape[-1])
 
     # --- per-cube chain ---
     for level, ld in result.levels.items():
-        for lo_arr, hi_arr in ((ld.inv_avg_inv, ld.astar), (ld.astar, ld.amax)):
+        for lo_arr, hi_arr in ((ld.inv_avg_inv, ld.astar), (ld.astar, ld.avg)):
             w, _ = sym_eig_bounds(hi_arr - lo_arr, d)
-            check("chain", level, -np.minimum(w, 0.0), ld.amax_norm)
+            check("chain", level, -np.minimum(w, 0.0), ld.avg_norm)
 
     # --- parent/children subadditivity ---
     for level in sorted(result.levels, reverse=True):
@@ -520,7 +501,7 @@ def audit(
         parent = result.levels[level]
         child = result.levels[child_level]
         check("subadditivity_norm", level,
-              parent.amax_norm - block_reduce(child.amax_norm, d, 3), parent.amax_norm)
+              parent.avg_norm - block_reduce(child.avg_norm, d, 3), parent.avg_norm)
         w, _ = sym_eig_bounds(block_reduce(child.astar_inv, d, 3) - parent.astar_inv, d)
         check("subadditivity_form", level, -np.minimum(w, 0), parent.astar_inv_norm)
 
@@ -544,13 +525,12 @@ def audit(
             record("monotone", lowers[i] - uppers[i], uppers[i])
 
     # --- scaling of the upper constant across levels ---
-    lam0 = {s: _lambda_upper_grid(result, s, 0).item() for s in s_sorted}
-    for s in s_sorted:
-        for level in sorted(result.levels):
-            if level == 0:
-                continue
-            bound = 3.0 ** (-2 * s * level) * lam0[s]
-            check("scaling", level, _lambda_upper_grid(result, s, level) - bound, bound)
+    norms = {k: ld.avg_norm for k, ld in result.levels.items()}
+    for s, lam0 in zip(s_sorted, uppers):
+        for level in range(-result.grid.N, 0):
+            bound = 3.0 ** (-2 * s * level) * lam0
+            total, _, _ = scale_weighted_constant(norms, s, level)
+            check("scaling", level, np.float_power(total, 2) - bound, bound)
 
     return AuditReport(
         checked=checked,

@@ -400,6 +400,25 @@ def scale_weighted_sum(terms: dict, s: float, level: int, grid_n: int, cell_term
     return total + tail, tail
 
 
+def scale_weighted_constant(norms_by_level: dict, s: float, level: int):
+    """Scale-weighted constant of every level-``level`` cube, before squaring.
+
+    ``norms_by_level`` maps each level ``k`` from the cell level ``-N`` up to
+    at least ``level`` to the norms of one matrix per level-``k`` cube (shape
+    ``(3**-k,)*d``). Returns ``(total, maxima, tail)``, arrays over the
+    level-``level`` cubes: ``maxima[k]`` is ``sqrt`` of the largest level-``k``
+    norm inside each cube, for every ``k <= level``; ``total`` is ``c_s`` times
+    their :func:`scale_weighted_sum` and ``tail`` ``c_s`` times its sub-grid
+    tail, which repeats the cell-level maxima; ``c_s = 1 - 3**-s``.
+    """
+    grid_n = -min(norms_by_level)
+    maxima = {k: np.sqrt(block_reduce(norms, norms.ndim, 3 ** (level - k), np.max))
+              for k, norms in sorted(norms_by_level.items()) if k <= level}
+    c_s = 1.0 - 3.0 ** (-s)
+    total, tail = scale_weighted_sum(maxima, s, level, grid_n, maxima[-grid_n])
+    return c_s * total, maxima, c_s * tail
+
+
 # ---------------------------------------------------------------------------
 # Binary field format
 #

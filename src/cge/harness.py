@@ -207,11 +207,13 @@ def _resolve_theta(
 ) -> tuple[float, str]:
     """Ellipticity ratio from an explicit value, a sweep, or upper surrogates.
 
-    The surrogate route multiplies the scale-discounted average bounds for
-    ``a`` and its inverse; it dominates the solved ratio (and agrees with it
-    exactly on constant fields), so thresholds derived from it are looser,
-    never tighter. A given ratio must be finite and positive: the
-    thresholds take its square root and divide by it.
+    The surrogate route multiplies the scale-discounted averages of ``a``
+    and its inverse. Its upper factor is the solved upper constant on every
+    field (both reduce the cube averages' norms the same way), and its lower
+    factor bounds the solved one, so it dominates the solved ratio:
+    thresholds derived from it are looser, never tighter. A given ratio must
+    be finite and positive: the thresholds take its square root and divide
+    by it.
     """
     if theta is not None:
         if not 0.0 < theta < math.inf:

@@ -10,8 +10,9 @@ Three families of reductions over the triadic hierarchy:
   surrogates for negative-regularity dual norms: no supremum over a unit ball
   is ever taken, the sums themselves are what the ellipticity constants
   consume.  Below the grid scale every cube average equals the cell value, so
-  the infinite series ends in an exact closed-form tail; both sums, and the
-  ellipticity constants, go through :func:`cge.grid.scale_weighted_sum`;
+  the infinite series ends in an exact closed-form tail; both sums go through
+  :func:`cge.grid.scale_weighted_sum`, and the matrix one through
+  :func:`cge.grid.scale_weighted_constant`, as the ellipticity constants do;
 * ``fractional_seminorm`` — brute-force double-sum Gagliardo seminorm at cell
   midpoints, for refinement-trend diagnostics only.
 
@@ -30,7 +31,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 import numpy as np
 
-from .grid import CoefficientField, ScalarGridFunction, block_reduce, scale_weighted_sum, sym_norm
+from .grid import (CoefficientField, ScalarGridFunction, block_reduce, scale_weighted_constant,
+                   scale_weighted_sum, sym_norm)
 from .coarse import SweepResult, ellipticity_constants
 
 __all__ = [
@@ -181,10 +183,12 @@ def scale_discounted_averages(
 ) -> ScaleDiscountReport:
     """Squared weighted sum of per-scale maxima of cube-average norms.
 
-    With ``component="a"`` this upper-bounds the solver-based upper
-    ellipticity constant (cube averages dominate the sharp effective
-    matrices); with ``component="a_inv"`` it upper-bounds the reciprocal of
-    the lower one.  No variational problem is solved.
+    With ``component="a"`` this is the solver-based upper ellipticity
+    constant of the whole domain: the sweep's upper matrix is the cube
+    average, and both go through :func:`~cge.grid.scale_weighted_constant`.
+    With ``component="a_inv"`` it upper-bounds the reciprocal of the lower
+    one (averages of the inverse dominate ``astar^{-1}``).  No variational
+    problem is solved.
     """
     if not (0.0 < s < 1.0):
         raise ValueError(f"s must lie in (0, 1), got {s}")
@@ -192,19 +196,16 @@ def scale_discounted_averages(
         raise ValueError(f"component must be 'a' or 'a_inv', got {component!r}")
     grid = field.grid
     data = field.data if component == "a" else field.inv_data
-    per_scale: dict[int, float] = {}
-    for level in range(-grid.N, 1):
-        means = block_reduce(data, grid.d, 3 ** (grid.N + level))
-        per_scale[level] = math.sqrt(float(sym_norm(means, grid.d).max()))
-    c_s = 1.0 - 3.0 ** (-s)
-    acc, tail = scale_weighted_sum(per_scale, s, 0, grid.N, per_scale[-grid.N])
+    norms = {k: sym_norm(block_reduce(data, grid.d, 3 ** (grid.N + k)), grid.d)
+             for k in range(-grid.N, 1)}
+    total, maxima, tail = scale_weighted_constant(norms, s, 0)
     return ScaleDiscountReport(
-        total=(c_s * acc) ** 2,
-        per_scale=per_scale,
-        tail=c_s * tail,
+        total=np.float_power(total, 2).item(),
+        per_scale={k: v.item() for k, v in maxima.items()},
+        tail=tail.item(),
         s=s,
         component=component,
-        c_s=c_s,
+        c_s=1.0 - 3.0 ** (-s),
     )
 
 

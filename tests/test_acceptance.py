@@ -79,7 +79,7 @@ def test_c01_constant_fields_reproduce_their_matrix_on_every_cube():
         scale = np.linalg.norm(mat, 2)
         worst = 0.0
         for level_data in result.levels.values():
-            for arr in (level_data.astar, level_data.amax):
+            for arr in (level_data.astar, level_data.avg):
                 worst = max(worst, float(np.max(np.abs(arr - packed))) / scale)
         assert worst <= 1e-8
         report = ellipticity_constants(result, 0.45, 0.45)
@@ -96,7 +96,7 @@ def test_c02_striped_medium_matches_one_dimensional_closed_forms():
     # first component is the harmonic mean 1.6.
     field = gen_laminate(DESK, 0, (1.0, 4.0))
     pair = coarse_grain_cube(field, CUBE0)
-    assert_allclose(pair.amax, 2.5 * np.eye(2), rtol=0, atol=2.5e-6)
+    assert_allclose(pair.avg, 2.5 * np.eye(2), rtol=0, atol=2.5e-6)
     assert pair.astar[0, 0] == pytest.approx(1.6, rel=1e-6)
 
 
@@ -135,7 +135,7 @@ def test_c04_sampled_rayleigh_quotients_never_exceed_the_forms():
             for q in directions:
                 bound = q @ pair.astar_inv @ q
                 assert (grad @ q) ** 2 / en <= bound + 1e-7 * (1.0 + bound)
-                bound = q @ pair.amax @ q
+                bound = q @ pair.avg @ q
                 assert (flux @ q) ** 2 / en <= bound + 1e-7 * (1.0 + bound)
 
 

@@ -615,7 +615,7 @@ from cge.grid import GridSpec
 
 levels = sweep(gen_random_spd(GridSpec(3, 2), 7, 1e-2, 1e2)).levels
 matrices = np.concatenate(
-    [np.r_[levels[k].astar.ravel(), levels[k].amax.ravel()] for k in sorted(levels)])
+    [np.r_[levels[k].astar.ravel(), levels[k].avg.ravel()] for k in sorted(levels)])
 """
 
 

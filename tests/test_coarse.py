@@ -13,6 +13,7 @@ import json
 import logging
 import math
 import os
+import re
 import threading
 import zipfile
 
@@ -30,7 +31,14 @@ from cge.coarse import (
     sweep,
 )
 from cge.fields import gen_constant, gen_laminate, gen_random_spd
-from cge.grid import CoefficientField, GridSpec, TriadicCube, partition, sym_unpack
+from cge.grid import (
+    CoefficientField,
+    GridSpec,
+    TriadicCube,
+    partition,
+    scale_weighted_constant,
+    sym_unpack,
+)
 from cge.solver import (
     CubeFunction,
     SolverError,
@@ -45,9 +53,9 @@ def cs(s):
 
 
 def chain_slack(pair) -> float:
-    """Worst relative violation of the chain inv_avg_inv <= astar <= amax (>= 0)."""
+    """Worst relative violation of the chain inv_avg_inv <= astar <= avg (>= 0)."""
     worst = 0.0
-    seq = [pair.inv_avg_inv, pair.astar, pair.amax]
+    seq = [pair.inv_avg_inv, pair.astar, pair.avg]
     for lo, hi in zip(seq[:-1], seq[1:]):
         scale = max(np.linalg.norm(hi, 2), 1e-300)
         worst = max(worst, -np.linalg.eigvalsh(hi - lo)[0] / scale)
@@ -74,7 +82,7 @@ class TestConstantField:
         for level in result.levels:
             for cube in partition(grid, level):
                 pair = result.pair(cube)
-                for mat in (pair.astar, pair.amax, pair.avg, pair.inv_avg_inv):
+                for mat in (pair.astar, pair.avg, pair.inv_avg_inv):
                     assert_allclose(mat, np.eye(2), atol=1e-10)
 
     def test_identity_ellipticity_constants_are_one(self):
@@ -118,6 +126,15 @@ class TestConstantField:
             with pytest.raises(ValueError, match="exponents"):
                 ellipticity_constants(result, s, t)
 
+    @pytest.mark.parametrize("cube", [TriadicCube(-3, (0, 0)), TriadicCube(-1, (0, 0, 0)),
+                                      TriadicCube(-1, (0,))],
+                             ids=["below-the-cells", "3d-cube", "1d-cube"])
+    def test_cube_off_the_grid_is_named(self, cube):
+        result = sweep(gen_constant(GridSpec(d=2, N=2), np.eye(2)))
+        named = re.escape(f"cube level={cube.level} offset={cube.offset}")
+        with pytest.raises(ValueError, match=named + r".*\(d=2, N=2\)"):
+            ellipticity_constants(result, 0.5, 0.5, cube=cube)
+
 
 # ---------------------------------------------------------------------------
 # Laminate closed forms
@@ -142,7 +159,6 @@ class TestLaminate:
         # stripe-parallel direction: strictly between the harmonic and
         # arithmetic means (the affine trial function is not optimal here)
         assert HARM + 0.5 < pair.astar[1, 1] < ARITH - 0.05
-        assert_allclose(pair.amax, np.diag([ARITH, ARITH]), rtol=1e-9, atol=1e-12)
         assert_allclose(pair.avg, np.diag([ARITH, ARITH]), rtol=1e-12, atol=1e-15)
         assert_allclose(pair.inv_avg_inv, np.diag([HARM, HARM]), rtol=1e-12, atol=1e-15)
         assert chain_slack(pair) < 1e-9
@@ -153,7 +169,7 @@ class TestLaminate:
             v = LAM_VALUES[cube.offset[0]]
             pair = result.pair(cube)
             assert_allclose(pair.astar, v * np.eye(2), rtol=1e-9, atol=1e-11)
-            assert_allclose(pair.amax, v * np.eye(2), rtol=1e-9, atol=1e-11)
+            assert_allclose(pair.avg, v * np.eye(2), rtol=1e-9, atol=1e-11)
 
     def test_ellipticity_closed_form(self, result):
         s, t = 0.5, 0.35
@@ -192,6 +208,9 @@ class TestLaminate:
             + sum(3.0 ** (s * k) for k in range(-3, -400, -1)) * 3.0
         )
         assert_allclose(rep.lambda_upper, explicit**2, rtol=1e-12)
+        # the lower tail repeats the cell level's largest inverse norm, 1
+        assert rep.per_scale_lower[-2] == 1.0
+        assert_allclose(rep.tail_lower, brute / 3.0, rtol=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +225,6 @@ class TestCoarseGrainCube:
         pair = coarse_grain_cube(field, cube)
         cell = field.cells_full()[4, 7]
         assert_allclose(pair.astar, cell, rtol=0, atol=0)
-        assert_allclose(pair.amax, cell, rtol=0, atol=0)
         assert_allclose(pair.avg, cell, rtol=0, atol=0)
         assert pair.stats is None
 
@@ -218,14 +236,14 @@ class TestCoarseGrainCube:
         pair = coarse_grain_cube(field, cube)
         swept = result.pair(cube)
         assert_allclose(pair.astar, swept.astar, rtol=1e-12)
-        assert_allclose(pair.amax, swept.amax, rtol=1e-12)
+        assert_allclose(pair.avg, swept.avg, rtol=1e-12)
 
     def test_d1_laminate(self):
         grid = GridSpec(d=1, N=2)
         field = gen_laminate(grid, 0, LAM_VALUES)
         pair = coarse_grain_cube(field, TriadicCube(0, (0,)))
         assert_allclose(pair.astar, [[HARM]], rtol=1e-10)
-        assert_allclose(pair.amax, [[ARITH]], rtol=1e-10)
+        assert_allclose(pair.avg, [[ARITH]], rtol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +267,7 @@ class TestRayleighBounds:
             for q in directions:
                 bound = q @ pair.astar_inv @ q
                 assert (mg @ q) ** 2 / en <= bound + 1e-7 * (1 + bound)
-                bound = q @ pair.amax @ q
+                bound = q @ pair.avg @ q
                 assert (mf @ q) ** 2 / en <= bound + 1e-7 * (1 + bound)
 
 
@@ -286,7 +304,7 @@ class TestSweepStructure:
         pair = result.pair(TriadicCube(0, (0, 0, 0)))
         assert np.isnan(pair.astar).all() and np.isnan(pair.astar_inv).all()
         assert np.isnan(result.levels[0].astar_inv_norm).all()
-        assert np.isfinite(pair.amax).all()  # the average needs no solve
+        assert np.isfinite(pair.avg).all()  # the average needs no solve
 
     def test_failures_recorded_not_raised_3d(self, failing_solve):
         # d = 3 takes eigenvalues through LAPACK, which raises on a NaN matrix
@@ -413,7 +431,7 @@ class TestLevelZeroOverlap:
         assert two_files == one_files
         assert (two.solve_count, two.cache_hits) == (one.solve_count, one.cache_hits)
         for level, ld in one.levels.items():
-            for name in ("astar", "amax", "avg", "inv_avg_inv", "astar_inv"):
+            for name in ("astar", "avg", "inv_avg_inv", "astar_inv"):
                 assert getattr(two.levels[level], name).tobytes() == getattr(ld, name).tobytes()
 
     def test_failed_level_zero_keeps_the_other_levels(self, cores, monkeypatch, tmp_path):
@@ -672,7 +690,7 @@ class TestCache:
         cold = sweep(field, cache_dir=cache)
         victim = os.path.join(cache, field.content_hash, "level_0.npz")
         for old_tag, extra in ((b"q1-neumann/splu-nested-dissection/1",
-                                {"amax": cold.levels[0].amax}),
+                                {"amax": cold.levels[0].avg}),
                                (b"q1-neumann/splu-nested-dissection/2", {}),
                                (b"q1-neumann/condensation-splu/3", {}),
                                (b"q1-neumann/condensation-splu/4", {})):
@@ -784,23 +802,30 @@ class TestAudit:
     def test_levels_are_read_only(self):
         result = sweep(gen_random_spd(GridSpec(d=2, N=1), seed=0, eig_low=0.5, eig_high=2.0))
         ld = result.levels[0]
-        for arr in (ld.astar, ld.amax, ld.avg, ld.inv_avg_inv, ld.astar_inv,
-                    ld.amax_norm, ld.astar_inv_norm):
+        for arr in (ld.astar, ld.avg, ld.inv_avg_inv, ld.astar_inv,
+                    ld.avg_norm, ld.astar_inv_norm):
             with pytest.raises(ValueError, match="read-only"):
                 arr[...] = 0.0
         with pytest.raises(dataclasses.FrozenInstanceError):
-            ld.amax = ld.avg
-        old_norm = ld.amax_norm.copy()
-        _set_entry(result, 0, "amax", (0, 0, 0), 10.0)
-        assert result.levels[0].amax_norm[0, 0] > old_norm[0, 0]
-        assert_allclose(ld.amax_norm, old_norm, rtol=0, atol=0)
+            ld.avg = ld.astar
+        old_norm = ld.avg_norm.copy()
+        _set_entry(result, 0, "avg", (0, 0, 0), 10.0)
+        assert result.levels[0].avg_norm[0, 0] > old_norm[0, 0]
+        assert_allclose(ld.avg_norm, old_norm, rtol=0, atol=0)
+
+    @pytest.mark.parametrize("s_grid", [(), [], np.array([])])
+    def test_empty_exponent_grid_is_an_error(self, s_grid):
+        # no exponent would leave monotone, theta_ge_1 and scaling unchecked
+        result = sweep(gen_constant(GridSpec(d=2, N=1), np.eye(2)))
+        with pytest.raises(ValueError, match="s_grid is empty"):
+            audit(result, s_grid=s_grid)
 
     def test_constant_field_clean_with_pinned_coverage(self):
         grid = GridSpec(d=2, N=2)
         report = audit(sweep(gen_constant(grid, np.diag([1.0, 4.0]))))
         assert report.ok
         assert report.checked == {
-            "finite": 4 * 91,  # amax is the avg array, checked once
+            "finite": 4 * 91,  # astar, avg, inv_avg_inv, astar_inv
             "chain": 2 * 91,
             "subadditivity_norm": 10,
             "subadditivity_form": 10,
@@ -827,12 +852,12 @@ class TestAudit:
         grid = GridSpec(d=2, N=2)
         result = sweep(gen_random_spd(grid, seed=3, eig_low=0.5, eig_high=2.0))
         assert audit(result).ok
-        # the edited amax is an array of its own, no longer avg: it is checked
-        _set_entry(result, -1, "amax", (1, 1), np.nan)
-        assert result.levels[-1].amax is not result.levels[-1].avg
+        # a NaN in the upper matrix passes the chain and norm checks silently:
+        # the finiteness check alone names it
+        _set_entry(result, -1, "avg", (1, 1), np.nan)
         report = audit(result)
         assert not report.ok
-        assert report.checked["finite"] == 4 * 91 + 9
+        assert report.checked["finite"] == 4 * 91
         assert [(v["kind"], v["level"], v["offset"]) for v in report.violations] == [
             ("finite", -1, [1, 1])
         ]
@@ -866,7 +891,7 @@ class TestAudit:
         # cook a sweep whose matrices cannot satisfy the chain by hand-editing
         grid = GridSpec(d=2, N=1)
         result = sweep(gen_constant(grid, np.eye(2)))
-        _set_entry(result, 0, "amax", (..., 0), 0.5)  # amax no longer >= astar
+        _set_entry(result, 0, "avg", (..., 0), 0.5)  # avg no longer >= astar
         report = audit(result)
         assert not report.ok
         kinds = {v["kind"] for v in report.violations}
@@ -891,7 +916,7 @@ class TestAudit:
             assert np.array_equal(pair.inv_avg_inv, sym_unpack(field.data[offset], d))
             # every matrix is the sweep's to the last bit, astar_inv included
             swept = result.pair(cell)
-            for name in ("astar", "amax", "avg", "inv_avg_inv", "astar_inv"):
+            for name in ("astar", "avg", "inv_avg_inv", "astar_inv"):
                 assert np.array_equal(getattr(pair, name), getattr(swept, name)), name
 
     def test_wide_contrast_3d_audits_clean(self):
@@ -924,7 +949,7 @@ def identity_field():
 
 def _assert_levels_close(result, expected, rtol):
     for level, ld in result.levels.items():
-        for name in ("astar", "amax"):
+        for name in ("astar", "avg"):
             want = expected(level, name)
             assert_allclose(getattr(ld, name), want, rtol=0,
                             atol=rtol * np.abs(want).max(), err_msg=f"{name} level {level}")
@@ -944,7 +969,7 @@ class TestSolveIdentities:
         image = CoefficientField(identity_field.grid, act(identity_field.data), symmetry)
         base = sweep(identity_field)
         moved = sweep(image)
-        assert not np.allclose(moved.levels[-1].amax, base.levels[-1].amax)
+        assert not np.allclose(moved.levels[-1].avg, base.levels[-1].avg)
         _assert_levels_close(
             moved, lambda k, name: act(getattr(base.levels[k], name)), IDENTITY_RTOL)
 
@@ -979,15 +1004,24 @@ class TestEllipticityBehaviour:
 
     @pytest.mark.parametrize("d, n", [(2, 3), (3, 2)])
     def test_level_grid_matches_per_cube_constants(self, d, n):
-        # the audit's scaling check reads every cube's upper constant from
-        # the level-wide grid; it must be the per-cube value exactly
+        # the audit's scaling check squares every cube's upper constant from
+        # the one level-wide reduction; it must be the per-cube value
+        # exactly, and so must every part of each cube's report
         result = sweep(gen_random_spd(GridSpec(d, n), seed=5, eig_low=1e-2, eig_high=1e2))
+        upper = {k: ld.avg_norm for k, ld in result.levels.items()}
+        lower = {k: ld.astar_inv_norm for k, ld in result.levels.items()}
         for s in (0.15, 0.45, 0.9):
             for level in result.levels:
-                grid_vals = cge.coarse._lambda_upper_grid(result, s, level)
+                total_u, per_u, tail_u = scale_weighted_constant(upper, s, level)
+                total_l, per_l, tail_l = scale_weighted_constant(lower, s, level)
                 for cube in partition(result.grid, level):
                     rep = ellipticity_constants(result, s, s, cube=cube)
-                    assert rep.lambda_upper == grid_vals[cube.offset]
+                    z = cube.offset
+                    assert rep.lambda_upper == np.float_power(total_u, 2)[z]
+                    assert rep.lambda_lower == np.float_power(total_l, -2)[z]
+                    assert rep.per_scale_upper == {k: v[z] for k, v in per_u.items()}
+                    assert rep.per_scale_lower == {k: v[z] for k, v in per_l.items()}
+                    assert (rep.tail_upper, rep.tail_lower) == (tail_u[z], tail_l[z])
 
     def test_subcube_scaling_bound(self, random_result):
         s = 0.5

@@ -16,10 +16,13 @@ from numpy.testing import assert_allclose
 from cge.coarse import ellipticity_constants, sweep
 from cge.fields import (
     CantorParams,
+    CascadeParams,
     LayeredParams,
     cantor_density,
     gen_cantor_field,
+    gen_cascade_field,
     gen_constant,
+    gen_laminate,
     gen_random_spd,
     layered_profile,
 )
@@ -215,6 +218,40 @@ class TestDualSumNorm:
 # Scale-discounted averages (solve-free surrogates)
 # ---------------------------------------------------------------------------
 
+#: The fixed fields at small sizes: random SPD (contrast 1e4) in 2D and 3D,
+#: cascade, Cantor and a 1/100 laminate.
+FIXED_FIELDS = {
+    "random-2d": lambda: gen_random_spd(GridSpec(2, 3), seed=1, eig_low=1e-2, eig_high=1e2),
+    "random-3d": lambda: gen_random_spd(GridSpec(3, 2), seed=1, eig_low=1e-2, eig_high=1e2),
+    "cascade": lambda: gen_cascade_field(GridSpec(2, 3), CascadeParams(0.5, 3, 1)),
+    "cantor": lambda: gen_cantor_field(GridSpec(2, 3), CantorParams(3)),
+    "laminate": lambda: gen_laminate(GridSpec(2, 3), 0, (1.0, 100.0)),
+}
+
+#: The surrogate fields: five seeded random fields (named by seed) and the
+#: fixed fields.
+SURROGATE_FIELDS = {
+    **{str(seed): (lambda seed=seed: gen_random_spd(GridSpec(2, 2), seed=seed,
+                                                    eig_low=1e-2, eig_high=1e2))
+       for seed in range(5)},
+    **FIXED_FIELDS,
+}
+
+
+@pytest.fixture(scope="module")
+def swept():
+    """``swept(name)``: a surrogate field and its sweep, made once a module."""
+    made = {}
+
+    def get(name):
+        if name not in made:
+            field = SURROGATE_FIELDS[name]()
+            made[name] = field, sweep(field)
+        return made[name]
+
+    return get
+
+
 class TestScaleDiscountedAverages:
     def test_identity(self):
         grid = GridSpec(d=2, N=2)
@@ -232,20 +269,29 @@ class TestScaleDiscountedAverages:
         rep_inv = scale_discounted_averages(field, 0.4, "a_inv")
         assert rep_inv.total == pytest.approx(1.0, rel=1e-12)
 
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
-    def test_dominates_solver_constants(self, seed):
-        grid = GridSpec(d=2, N=2)
-        field = gen_random_spd(grid, seed=seed, eig_low=1e-2, eig_high=1e2)
-        result = sweep(field)
+    @pytest.mark.parametrize("name", sorted(SURROGATE_FIELDS))
+    def test_dominates_solver_constants(self, swept, name):
+        field, result = swept(name)
         for s in (0.3, 0.6):
             rep = ellipticity_constants(result, s, s)
             up = scale_discounted_averages(field, s, "a").total
             lo = scale_discounted_averages(field, s, "a_inv").total
-            assert up >= rep.lambda_upper - 1e-7
             # sharp on the upper side: cube averages are the flux matrices
-            assert up == pytest.approx(rep.lambda_upper, rel=1e-6)
+            assert up == rep.lambda_upper
             assert lo >= 1.0 / rep.lambda_lower - 1e-7
             assert up * lo >= rep.theta * (1 - 1e-7)
+
+    @pytest.mark.parametrize("s", [0.15, 0.45, 0.9])
+    @pytest.mark.parametrize("name", sorted(FIXED_FIELDS))
+    def test_upper_surrogate_is_the_solved_upper_constant(self, swept, name, s):
+        # the sweep's upper matrix is the cube average, and one reduction
+        # turns the norms of either into the constant: equal to the last bit
+        field, result = swept(name)
+        rep = ellipticity_constants(result, s, s)
+        surrogate = scale_discounted_averages(field, s, "a")
+        assert surrogate.total == rep.lambda_upper
+        assert surrogate.per_scale == rep.per_scale_upper
+        assert surrogate.tail == rep.tail_upper
 
     def test_cantor_family_bounded_with_sqrt_threshold(self):
         # the field 1 + density enters through sqrt(norm), which halves the

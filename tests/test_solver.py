@@ -401,7 +401,7 @@ def test_cross_functional_matrix_structure(d, n):
     # gradient Gram matrix is SPD
     assert np.linalg.eigvalsh(gmat).min() > 0
     # the dense solve of all 2d forcings: the flux maximizer is affine, so the
-    # flux block is the cube average the coarse layer uses as amax, and the
+    # flux block is the cube average, the coarse layer's upper matrix, and the
     # flux functional of the gradient solution is avg(e_i . a grad u_j) = delta_ij
     g_dense = _dense_functionals(f, cube)
     avg = cube_average(f, cube)

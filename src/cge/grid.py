@@ -247,14 +247,12 @@ class CoefficientField:
         if not np.isfinite(self.data).all():
             bad = np.argwhere(~np.isfinite(self.data))[0]
             raise ValueError(f"non-finite entry at cell index {tuple(bad[:-1])}, component {bad[-1]}")
-        lo, hi = sym_eig_bounds(self.data, self.grid.d)
+        lo, _ = sym_eig_bounds(self.data, self.grid.d)
         if lo.min() <= 0.0:
             bad = tuple(int(i) for i in np.unravel_index(int(np.argmin(lo)), lo.shape))
             raise ValueError(
                 f"cell {bad} is not positive definite (min eigenvalue {lo.min():.3e})"
             )
-        self._eig_lo = lo
-        self._eig_hi = hi
         self._inv_data: np.ndarray | None = None
         self._hash: str | None = None
 
@@ -283,14 +281,6 @@ class CoefficientField:
             digest.update(self.data.astype("<f8").tobytes(order="C"))
             self._hash = digest.hexdigest()
         return self._hash
-
-    def max_cell_norm(self) -> float:
-        """max over cells of the spectral norm of the cell matrix."""
-        return float(np.maximum(np.abs(self._eig_lo), np.abs(self._eig_hi)).max())
-
-    def max_cell_inv_norm(self) -> float:
-        """max over cells of the spectral norm of the inverse cell matrix."""
-        return float((1.0 / self._eig_lo).max())
 
     def scaled(self, c: float, descriptor: str | None = None) -> "CoefficientField":
         """The field ``c * a`` (``c > 0``)."""

@@ -30,11 +30,16 @@ shares, its children first eliminating alone the nodes no other child has,
 and its last merge is one pinned solve. A single cube
 (:func:`neumann_functionals`) is level 0 of a pass over its own cells.
 
+A merge sums its boxes' maps onto its skeleton through a flat index and
+eliminates by Cholesky (:func:`_eliminate`), whose forward substitution
+(:func:`_lower_solve`) and Schur update are matmuls. The pinned solve is an
+LU solve.
+
 The merges of a stage run in chunks of whole merges, on one thread per core
-this process may use, the calling thread among them (NumPy's dense solves
-release the GIL), through :func:`_run_chunks`; with one chunk or one core
-the caller runs them alone. Every merge is eliminated alone, so the numbers
-do not depend on the split or the schedule.
+this process may use, the calling thread among them (NumPy's factorizations
+and matmul release the GIL), through :func:`_run_chunks`; with one chunk or
+one core the caller runs them alone. Every merge is eliminated alone, so
+the numbers do not depend on the split or the schedule.
 
 The Dirichlet system is SPD (an M-matrix with the boundary terms on its
 diagonal); it lists its unknowns in nested-dissection order, is factored
@@ -391,20 +396,49 @@ def _tree_order(j: int, d: int) -> np.ndarray:
 CHUNK_ENTRIES = 250_000
 
 
+#: Rows the merge kernel takes at a time: a diagonal block of
+#: :func:`_lower_solve`, and a band of a box's map summed onto the skeleton
+#: by :func:`_condense`. A smaller block inverts less by ``np.linalg.inv``,
+#: which runs at a few GFLOP/s; a larger one makes larger matmuls. On one
+#: BLAS thread of a 2-core x86-64 host, merges of 300 to 3,000 nodes
+#: eliminated fastest at 32 to 64.
+_BLOCK = 64
+
+
+def _lower_solve(low: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Overwrite ``rhs`` with ``L^-1 rhs`` for a stack of lower-triangular
+    ``L``, by blocked forward substitution, and return it: a block of
+    :data:`_BLOCK` rows takes the rows above it off its right-hand side with
+    one matmul and is then multiplied by its diagonal block's inverse. A
+    many-column triangular solve runs at a fraction of matmul's rate; this
+    runs at matmul's."""
+    for lo in range(0, low.shape[-1], _BLOCK):
+        part = rhs[:, lo:lo + _BLOCK]
+        if lo:
+            part -= low[:, lo:lo + _BLOCK, :lo] @ rhs[:, :lo]
+        part[...] = np.linalg.inv(low[:, lo:lo + _BLOCK, lo:lo + _BLOCK]) @ part
+    return rhs
+
+
 def _eliminate(mat: np.ndarray, k: int, forcing: np.ndarray | None = None):
     """Eliminate the first ``k`` nodes of a stack of symmetric matrices whose
     rows sum to zero: the Schur complement ``S = A_bb - A_bk A_kk^-1 A_kb``
     onto the other nodes, written over ``mat``'s trailing block and returned
-    as a view of it.
+    as a view of it. ``mat``'s other blocks are overwritten too.
 
-    ``S``'s rows sum to zero too (constants are in the stiffness's kernel).
-    At high contrast its diagonal, subtracted directly, loses digits to
-    cancellation, so it is taken from the other entries of its row: in 1D
-    at contrast 1e6 this brings g's error from 2.7e-8 to 7e-12. With
-    ``k = 0`` nothing is eliminated and the diagonal is kept. With a
-    ``forcing`` (the ``(n, d)`` forcing of every matrix's nodes) carried
-    along, returns ``(S, f_b - A_bk A_kk^-1 f_k, f_k^T A_kk^-1 f_k)``.
-    Raises ``numpy.linalg.LinAlgError`` if a dense solve fails.
+    ``A_kk = L L^T`` is factored by Cholesky and ``W = L^-1 [A_kb | f_k]``
+    formed in place by :func:`_lower_solve`, so ``S = A_bb - W_b^T W_b``:
+    the work is matmul, and the update, a matrix times its own transpose,
+    is exactly symmetric. ``S``'s rows sum to zero too (constants are in
+    the stiffness's kernel). At high contrast its diagonal, subtracted
+    directly, loses digits to cancellation, so it is taken from the other
+    entries of its row: in 1D at contrast 1e6 this brings g's error from
+    2.7e-8 to 7e-12. With ``k = 0`` nothing is eliminated and the diagonal
+    is kept. With a ``forcing`` (the ``(n, d)`` forcing of every matrix's
+    nodes) carried along, returns ``(S, f_b - W_b^T W_f, W_f^T W_f)``, the
+    last ``f_k^T A_kk^-1 f_k``, exactly symmetric too. Raises
+    ``numpy.linalg.LinAlgError`` if an ``A_kk`` of the stack is not
+    positive definite.
     """
     head, tail = slice(None, k), slice(k, None)
     coupling = mat[:, head, tail]
@@ -412,19 +446,19 @@ def _eliminate(mat: np.ndarray, k: int, forcing: np.ndarray | None = None):
         coupling = np.concatenate(
             [coupling, np.broadcast_to(forcing[head], (mat.shape[0],) + forcing[head].shape)],
             axis=-1)
-    x = np.linalg.solve(mat[:, head, head], coupling)
+    w = _lower_solve(np.linalg.cholesky(mat[:, head, head]), coupling)
     schur = mat[:, tail, tail]
     n = schur.shape[-1]
-    update = mat[:, tail, head] @ x
-    schur -= update[..., :n]
+    w_b, w_f = w[..., :n], w[..., n:]
+    schur -= np.swapaxes(w_b, -1, -2) @ w_b
     if k:
         diag = np.arange(n)
         schur[:, diag, diag] = 0.0
         schur[:, diag, diag] = -schur.sum(axis=-1)
     if forcing is None:
         return schur
-    return (schur, forcing[tail] - update[..., n:],
-            np.swapaxes(x[..., n:], -1, -2) @ forcing[head])
+    return (schur, forcing[tail] - np.swapaxes(w_b, -1, -2) @ w_f,
+            np.swapaxes(w_f, -1, -2) @ w_f)
 
 
 def _condense(maps: Sequence[np.ndarray], plan: tuple, out: np.ndarray | None = None,
@@ -433,10 +467,13 @@ def _condense(maps: Sequence[np.ndarray], plan: tuple, out: np.ndarray | None = 
     ``(size, k, ranks)`` of :func:`_plan`.
 
     ``maps[c]`` is the ``(n, nb, nb)`` stack of box ``c``'s maps. They are
-    summed onto the skeleton, whose first ``k`` nodes are eliminated
-    (:func:`_eliminate`), and the kept nodes' maps are written to ``out``
-    (a new array if it is None). A merge with a non-finite map is not
-    condensed: its map and ``g`` are NaN.
+    summed onto the skeleton through a flat index into the stack, built
+    per call for a band of :data:`_BLOCK` rows of a box at a time: an index
+    as large as the maps, whole or cached, raises the peak memory. Box 0 is
+    assigned, the others added. The skeleton's first ``k`` nodes are
+    eliminated (:func:`_eliminate`), and the kept nodes' maps are written
+    to ``out`` (a new array if it is None). A merge with a non-finite map
+    is not condensed: its map and ``g`` are NaN.
 
     At level 0, a stack of one, ``carried`` holds each box's forcing on its
     nodes and the ``g`` of the nodes it has eliminated: they are summed,
@@ -449,15 +486,20 @@ def _condense(maps: Sequence[np.ndarray], plan: tuple, out: np.ndarray | None = 
     Returns ``(out, forcing, g, residual)``: the maps (``None`` if none is
     kept), the kept nodes' forcing, the ``(n, d, d)`` matrices ``g`` (not
     divided by the volume; ``0.0`` if none is wanted) and the largest
-    residual (NaN if none). Raises ``numpy.linalg.LinAlgError`` if a dense
-    solve fails.
+    residual (NaN if none). Raises ``numpy.linalg.LinAlgError`` if an
+    elimination meets a block that is not positive definite, or the pinned
+    solve (LU) a singular one.
     """
     size, k, ranks = plan
     n = maps[0].shape[0]
     pin = forcing is not None or k == size  # a forcing given, not carried
     skel = np.zeros((n, size, size))
-    for mat, r in zip(maps, ranks):
-        skel[:, r[:, None], r] += mat
+    flat, base = skel.reshape(-1), np.arange(0, skel.size, size * size)[:, None, None]
+    for c, (mat, r) in enumerate(zip(maps, ranks)):
+        for lo in range(0, r.size, _BLOCK):
+            at = (base + (r[lo:lo + _BLOCK, None] * size + r)).ravel()
+            band = mat[:, lo:lo + _BLOCK].ravel()
+            flat[at] = flat.take(at) + band if c else band
     g = 0.0
     if carried:
         forcing = np.zeros((size, carried[0][0].shape[-1]))
@@ -491,6 +533,8 @@ def _condense(maps: Sequence[np.ndarray], plan: tuple, out: np.ndarray | None = 
     if not pin:
         return out, forcing, g, math.nan
     s, f = skel[:, :-1, :-1], forcing[:-1]
+    # LU, not Cholesky: on one big matrix np.linalg.cholesky runs at half
+    # the rate of np.linalg.solve, so it takes as long for half the flops
     y = np.linalg.solve(s, np.broadcast_to(f, (s.shape[0],) + f.shape))
     res = (np.linalg.norm(s @ y - f, axis=1)
            / np.maximum(np.linalg.norm(f, axis=0), 1e-300))

@@ -682,8 +682,8 @@ class TestCache:
         # records of the earlier engines: tag /1 also held amax, tag /2 was
         # the sparse engine's 2D record, tag /3 the condensation pass before
         # it went one axis at a time, tag /4 before level 0 kept only shared
-        # nodes. Each is re-solved and rewritten in the current layout,
-        # which then hits
+        # nodes, tag /5 before the merges eliminated by Cholesky. Each is
+        # re-solved and rewritten in the current layout, which then hits
         grid = GridSpec(d=2, N=1)
         field = gen_random_spd(grid, seed=2, eig_low=0.5, eig_high=2.0)
         cache = str(tmp_path / "cache")
@@ -693,7 +693,8 @@ class TestCache:
                                 {"amax": cold.levels[0].avg}),
                                (b"q1-neumann/splu-nested-dissection/2", {}),
                                (b"q1-neumann/condensation-splu/3", {}),
-                               (b"q1-neumann/condensation-splu/4", {})):
+                               (b"q1-neumann/condensation-splu/4", {}),
+                               (b"q1-neumann/condensation/5", {})):
             self._rewrite_record(victim, solver=np.frombuffer(old_tag, dtype=np.uint8),
                                  **extra)
             redo = sweep(field, cache_dir=cache)

@@ -535,6 +535,62 @@ def test_level_zero_boxes_split_the_skeleton(shape):
     assert len(gone) == len(set(gone)) and set(gone) == every
 
 
+def _laplacian_stack(n, size, seed):
+    """``n`` weighted graph Laplacians on ``size`` nodes, couplings in
+    [0.2, 2]: symmetric, rows summing to zero, every proper principal block
+    positive definite, as a merge's skeleton is."""
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.1, 1.0, (n, size, size))
+    w = w + np.swapaxes(w, -1, -2)
+    diag = np.arange(size)
+    w[:, diag, diag] = 0.0
+    w[:, diag, diag] = -w.sum(axis=-1)
+    return -w
+
+
+def _dense_schur(mat, k, forcing):
+    """The oracle of ``_eliminate``: ``(S, f_b - A_bk A_kk^-1 f_k, f_k^T
+    A_kk^-1 f_k)`` by one dense solve per matrix."""
+    a_kb, f_k = mat[:, :k, k:], np.broadcast_to(forcing[:k], (mat.shape[0], k, forcing.shape[1]))
+    x = np.linalg.solve(mat[:, :k, :k], np.concatenate([a_kb, f_k], axis=-1))
+    n = mat.shape[-1] - k
+    a_bk = np.swapaxes(a_kb, -1, -2)
+    return (mat[:, k:, k:] - a_bk @ x[..., :n], forcing[k:] - a_bk @ x[..., n:],
+            np.swapaxes(f_k, -1, -2) @ x[..., n:])
+
+
+BLOCK = cge.solver._BLOCK
+
+
+@pytest.mark.parametrize("k", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 5])
+@pytest.mark.parametrize("n", [2, 3])
+def test_eliminate_matches_dense_schur_oracle(n, k):
+    # around and across the forward substitution's block edges, on stacks:
+    # the Schur complement, the carried forcing and f^T A^-1 f to 1e-12 of
+    # the oracle's largest entry, with and without a forcing
+    mat = _laplacian_stack(n, k + 17, seed=k + n)
+    forcing = np.random.default_rng(k).standard_normal((k + 17, 2))
+    want = _dense_schur(mat, k, forcing)
+    schur, rest, own = cge.solver._eliminate(mat.copy(), k, forcing)
+    for got, oracle in zip((schur, rest, own), want):
+        assert got.shape == oracle.shape
+        np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-12 * np.abs(oracle).max())
+    assert np.array_equal(own, np.swapaxes(own, -1, -2))
+    assert np.array_equal(schur, np.swapaxes(schur, -1, -2))
+    alone = mat.copy()
+    np.testing.assert_allclose(cge.solver._eliminate(alone, k), want[0], rtol=0,
+                               atol=1e-12 * np.abs(want[0]).max())
+
+
+def test_eliminate_indefinite_block_raises():
+    # a block that is not positive definite fails the whole stack, which
+    # the pass turns into a NaN chunk
+    mat = _laplacian_stack(3, 20, seed=1)
+    mat[1, 4, 4] = -1.0
+    with pytest.raises(np.linalg.LinAlgError):
+        cge.solver._eliminate(mat, 8, np.ones((20, 2)))
+
+
 def _condensed_levels(f):
     """Every solved level's ``g_all`` from one condensation pass."""
     out = level_functionals(f, range(0, -f.grid.N, -1))

@@ -35,11 +35,18 @@ eliminates by Cholesky (:func:`_eliminate`), whose forward substitution
 (:func:`_lower_solve`) and Schur update are matmuls. The pinned solve is an
 LU solve.
 
-The merges of a stage run in chunks of whole merges, on one thread per core
-this process may use, the calling thread among them (NumPy's factorizations
-and matmul release the GIL), through :func:`_run_chunks`; with one chunk or
-one core the caller runs them alone. Every merge is eliminated alone, so
-the numbers do not depend on the split or the schedule.
+The pass runs depth first, one subtree per level -1 cube: a subtree runs
+its levels below 0 from its cells' element matrices, and its cube's first
+level-0 merge, so only one subtree's maps a thread and level 0's reduced
+boxes are alive at once (the postorder bound on a multifrontal working
+store; Liu, ACM TOMS 12(3), 1986). The subtrees are the jobs of
+:func:`_run_chunks`, on one thread per core this process may use, the
+calling thread among them (NumPy's factorizations and matmul release the
+GIL); a subtree cuts each of its stages into chunks of whole merges and
+runs them itself. Level 0's later stages run their chunks through
+:func:`_run_chunks` too; with one chunk or one core the caller runs them
+alone. Every merge is eliminated alone, so the numbers do not depend on
+the split or the schedule.
 
 The Dirichlet system is SPD (an M-matrix with the boundary terms on its
 diagonal); it lists its unknowns in nested-dissection order, is factored
@@ -51,7 +58,7 @@ module but by the Dirichlet solve (:func:`solve_dirichlet`,
 :func:`_factor`): importing ``cge``, ``cge gen`` and every sweep (NumPy's
 dense solves alone) load no SciPy sparse code. Likewise
 ``concurrent.futures`` and the chunk threads load and start with the first
-stage that has more than one chunk to run on more than one core.
+pass that runs on more than one core.
 """
 
 from __future__ import annotations
@@ -102,7 +109,6 @@ _POOL = None  # the chunk threads; see _chunk_pool
 
 @dataclass
 class SolveStats:
-    iterations: int
     residual: float
     unknowns: int
     wall_time: float
@@ -116,7 +122,6 @@ class SolveStats:
         the chunk and thread counts, which depend on the host's cores (a
         report must not), and ``failure``, which a sweep records per cube."""
         return {
-            "iterations": int(self.iterations),
             "residual": float(self.residual),
             "unknowns": int(self.unknowns),
             "wall_time": float(self.wall_time),
@@ -248,7 +253,7 @@ def _forcings(shape: tuple[int, ...], h: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _chunk_pool():
-    """The threads that take chunks alongside the calling thread: one per
+    """The threads that take jobs alongside the calling thread: one per
     core this process may use, less the caller's. Started on first use and
     kept for the life of the process."""
     global _POOL
@@ -261,16 +266,17 @@ def _chunk_pool():
 
 
 def _run_chunks(starts: range, work: Callable[[int], object]) -> tuple[list, int]:
-    """``work(lo)`` for every chunk start, on the calling thread and, with
-    more than one chunk and more than one core, the threads of
-    :func:`_chunk_pool`; each thread takes the next chunk when it is free.
+    """``work(lo)`` for every job start (a subtree of the pass, or a chunk
+    of one of level 0's later stages), on the calling thread and, with more
+    than one job and more than one core, the threads of
+    :func:`_chunk_pool`; each thread takes the next job when it is free.
 
-    The caller takes chunks too, so they reuse the memory that an earlier
-    level freed in the caller's heap; each helper thread allocates from a
-    heap of its own, which stays with the process. Once the caller has
-    taken the last chunk, a helper that has not started yet is cancelled,
-    not waited for. Returns the ``(lo, work(lo))`` pairs in chunk order and
-    the number of threads that took at least one chunk.
+    The caller takes jobs too, so they reuse the memory that an earlier job
+    freed in the caller's heap; each helper thread allocates from a heap of
+    its own, which stays with the process. Once the caller has taken the
+    last job, a helper that has not started yet is cancelled, not waited
+    for. Returns the ``(lo, work(lo))`` pairs in job order and the number
+    of threads that took at least one job.
     """
     threads = min(len(starts), len(os.sched_getaffinity(0)))
     # shared: next() on a range iterator is one step, atomic under the GIL
@@ -283,31 +289,6 @@ def _run_chunks(starts: range, work: Callable[[int], object]) -> tuple[list, int
     takes = [drain()] + [helper.result() for helper in helpers if not helper.cancel()]
     done = sorted((pair for take in takes for pair in take), key=lambda pair: pair[0])
     return done, sum(1 for take in takes if take)
-
-
-def _level_outcome(shape: tuple[int, ...], done: list, size: int, stats: SolveStats,
-                   order: np.ndarray) -> np.ndarray:
-    """A level's ``g_all`` from its chunks' ``(lo, result)`` pairs.
-
-    The chunks hold the level's cubes in tree order, and ``order`` is each
-    cube's row-major index (:func:`_tree_order`). A result is ``(g,
-    residual)`` for the ``size`` cubes from ``lo`` (``g`` divided by the
-    volume, or ``None`` if not wanted), or ``None`` for a failed chunk,
-    whose cubes stay NaN. ``stats`` holds the level's start as its
-    ``wall_time`` and takes the wall time and the largest finite residual.
-    """
-    d = len(shape)
-    g_all = np.full((math.prod(shape), d, d), np.nan)
-    residuals = []
-    for lo, res in done:
-        if res is not None and res[0] is not None:
-            g_all[lo:lo + size] = res[0]
-            if not math.isnan(res[1]):
-                residuals.append(res[1])
-    stats.residual = max(residuals, default=math.nan)
-    stats.wall_time = time.perf_counter() - stats.wall_time
-    g_all[order] = g_all.copy()
-    return g_all.reshape(shape + (d, d))
 
 
 @lru_cache(maxsize=16)
@@ -543,15 +524,22 @@ def _condense(maps: Sequence[np.ndarray], plan: tuple, out: np.ndarray | None = 
     return out, forcing, g_all, float(res.max())
 
 
+def _serial(starts: range, work: Callable[[int], object]) -> tuple[list, int]:
+    """:func:`_run_chunks` on the calling thread alone: how a subtree runs
+    its stages on the thread that took it."""
+    return [(lo, work(lo)) for lo in starts], 1
+
+
 def _run_stage(count: int, entries: int, work: Callable[[int, int], object],
-               stats: SolveStats, out: np.ndarray | None = None) -> tuple[list, int]:
+               stats: SolveStats, out: np.ndarray | None = None, run=_run_chunks) -> list:
     """``work(lo, hi)`` over ``count`` merges in chunks of at most
     :data:`CHUNK_ENTRIES` dense entries (``entries`` for one merge, at least
-    one merge a chunk), through :func:`_run_chunks`. A chunk whose dense
-    solve fails gives ``None``, its rows of ``out`` are NaN, and an empty
-    ``stats.failure`` takes the first such chunk's message. Adds the chunks
-    to ``stats.chunks`` and keeps the most threads in ``stats.threads``.
-    Returns the ``(lo, result or None)`` pairs and the merges per chunk."""
+    one merge a chunk), through ``run``: :func:`_run_chunks`, or
+    :func:`_serial` inside a subtree. A chunk whose dense solve fails gives
+    ``None``, its rows of ``out`` are NaN, and an empty ``stats.failure``
+    takes the first such chunk's message. Adds the chunks to
+    ``stats.chunks`` and keeps the most threads in ``stats.threads``.
+    Returns the ``(lo, result or None)`` pairs in chunk order."""
     per_chunk = max(1, CHUNK_ENTRIES // entries)
     errors = []  # (lo, message) of each failed chunk, in the order they fail
 
@@ -566,11 +554,102 @@ def _run_stage(count: int, entries: int, work: Callable[[int, int], object],
             return None
 
     starts = range(0, count, per_chunk)
-    done, threads = _run_chunks(starts, chunk)
+    done, threads = run(starts, chunk)
     stats.chunks += len(starts)
     stats.threads = max(stats.threads, threads)
     stats.failure = stats.failure or min(errors, default=(0, ""))[1]
-    return done, per_chunk
+    return done
+
+
+def _subtree_level(kids: np.ndarray, shape: tuple[int, ...], h: float,
+                   volume: float | None) -> tuple[np.ndarray, np.ndarray | None, SolveStats]:
+    """One level below 0 of a subtree, on the calling thread: the maps of
+    its cubes, condensed stage by stage (:func:`_plan`) from ``kids``, the
+    maps of their children of ``shape`` cells in tree order. Given the
+    cubes' ``volume`` (the level is asked for), the last stage's pinned
+    solves give each cube's ``g`` divided by it, NaN where a chunk failed.
+    Returns ``(maps, g or None, stats)``; ``stats.wall_time`` is the
+    seconds the level took."""
+    d = len(shape)
+    cube = tuple(3 * s for s in shape)
+    stats = SolveStats(math.nan, 0, time.perf_counter(), "condensation", 0, 0)
+    stages = _plan(shape, False)
+    g_all = None if volume is None else np.full((kids.shape[0] // 3**d, d, d), np.nan)
+    residuals = []
+    for stage, merges in enumerate(stages):
+        merge = merges[0]  # the merges of a stage are translates of the first
+        size, k, _ = merge
+        stats.unknowns = max(stats.unknowns, size)
+        maps = np.empty((kids.shape[0] // 3, size - k, size - k))
+        forcing = (_forcings(cube, h)[_boundary_nodes(cube)]
+                   if g_all is not None and stage == len(stages) - 1 else None)
+
+        def work(lo: int, hi: int) -> None:
+            _, _, g, res = _condense([kids[3 * lo + c:3 * hi:3] for c in range(3)], merge,
+                                     maps[lo:hi], forcing)
+            if forcing is not None:
+                g_all[lo:hi] = g / volume
+                residuals.append(res)
+
+        _run_stage(maps.shape[0], size**2, work, stats, maps, _serial)
+        kids = maps
+    stats.residual = max((r for r in residuals if not math.isnan(r)), default=math.nan)
+    stats.wall_time = time.perf_counter() - stats.wall_time
+    return kids, g_all, stats
+
+
+def _level_zero(boxes: list, stages: tuple, d: int) -> tuple[np.ndarray, SolveStats]:
+    """Level 0 after each child's first merge: the strips, the slabs and the
+    last merge (``stages``, those of :func:`_plan` after the first) on the
+    children's reduced ``boxes``, each a ``(map, forcing, g)``, or ``None``
+    for a child whose merge failed. A stage's merges run in chunks through
+    :func:`_run_chunks`, and a merge drops its boxes from ``boxes`` (the
+    caller's list too) as it takes them, so a box lives until it is merged.
+    Returns the cube's ``(1, d, d)`` ``g``, NaN if a merge failed, and the
+    stats of these stages."""
+    stats = SolveStats(math.nan, max(size for merges in stages for size, _, _ in merges),
+                       time.perf_counter(), "condensation", 0, 0)
+    g = np.full((1, d, d), np.nan)
+    if all(box is not None for box in boxes):
+        for merges in stages:
+            made = [None] * len(merges)  # each merge's outcome; None if its chunk failed
+
+            def work(lo: int, hi: int) -> None:
+                for j in range(lo, hi):
+                    parts, boxes[3 * j:3 * j + 3] = boxes[3 * j:3 * j + 3], [None] * 3
+                    made[j] = _condense([m for m, _, _ in parts], merges[j],
+                                        carried=[(f, part_g) for _, f, part_g in parts])
+
+            _run_stage(len(merges), max(size for size, _, _ in merges) ** 2, work, stats)
+            if any(merged is None for merged in made):
+                break
+            boxes = [merged[:3] for merged in made]
+        else:
+            _, _, g, stats.residual = made[0]
+    stats.wall_time = time.perf_counter() - stats.wall_time
+    return g, stats
+
+
+def _level_outcome(level: int, parts: list, threads: int,
+                   failure: str) -> tuple[np.ndarray, SolveStats]:
+    """A level's ``(g_all, stats)`` from its ``parts``, each a ``(g,
+    stats)`` in tree order: every subtree's, and at level 0 the last
+    stages' after them (:func:`_level_zero`). ``g_all`` lists the cubes in
+    row-major order (:func:`_tree_order`). The stats sum the parts' chunks
+    and seconds, keep the largest skeleton and finite residual, and take the
+    most ``threads`` and the pass's first ``failure`` at or below the
+    level."""
+    g = np.concatenate([g for g, _ in parts])
+    d = g.shape[-1]
+    g_all = np.empty_like(g)
+    g_all[_tree_order(-level, d)] = g
+    stats = [st for _, st in parts]
+    residual = max((st.residual for st in stats if not math.isnan(st.residual)),
+                   default=math.nan)
+    return g_all.reshape((3 ** -level,) * d + (d, d)), SolveStats(
+        residual, max(st.unknowns for st in stats), sum(st.wall_time for st in stats),
+        "condensation", sum(st.chunks for st in stats),
+        max([threads] + [st.threads for st in stats]), failure)
 
 
 def _checked_levels(grid: GridSpec, levels: Sequence[int]) -> list[int]:
@@ -597,90 +676,86 @@ def level_functionals(
     ``g = b^T S^+ b / vol`` needs only the box's *boundary map* ``S``: the
     Schur complement of its Neumann stiffness onto its boundary nodes. A
     box's stiffness is the sum of its children's, so its boundary map is
-    the condensation of theirs on the skeleton. The pass starts from the
-    element matrices of the cells, in :func:`_tree_order`, and goes up to
-    the coarsest level asked for. Every level runs the stages of one plan
-    (:func:`_plan`) through one merge kernel (:func:`_condense`): below
-    level 0 each stage condenses all its merges at once and forms their
-    maps, and the last stage's pinned solves give ``g`` where the level is
-    asked for; level 0, one cube whose map no level needs, condenses its
-    merges one at a time, each box's forcing carried along, and its last
-    merge is one pinned solve. Small separators are eliminated first, as in
-    nested dissection. A level's numbers do not depend on the other levels
-    asked for.
+    the condensation of theirs on the skeleton. Every level runs the stages
+    of one plan (:func:`_plan`) through one merge kernel
+    (:func:`_condense`), small separators first, as in nested dissection.
 
-    Each stage's merges are cut into chunks of :data:`CHUNK_ENTRIES` dense
-    entries that :func:`_run_chunks` runs, so level 0, one cube, uses every
-    core too. Every merge is eliminated alone, so the numbers do not depend
-    on the split or the threads.
+    The pass runs depth first. Each level -1 cube's subtree is one job: from
+    the element matrices of its cells, in :func:`_tree_order`, it runs each
+    level below 0 up to the coarsest asked for, all of the level's cubes of
+    the subtree at once, stage by stage (:func:`_subtree_level`); the last
+    stage's pinned solves give ``g`` where the level is asked for. When
+    level 0 is asked for, the job then runs its cube's first level-0
+    merge, which eliminates the nodes no other child has, and keeps only
+    the reduced box, its forcing carried along. Level 0, one cube whose map
+    no level needs, then merges the boxes into strips, slabs and a last
+    merge, one pinned solve (:func:`_level_zero`). Only one subtree's maps
+    per thread and level 0's boxes are alive at once, and a level's numbers
+    do not depend on the other levels asked for. An ``N=1`` grid's subtrees
+    are its cells.
+
+    The 3**d subtrees are the jobs of :func:`_run_chunks`, on one thread per
+    core, the caller among them; a job cuts each of its stages into chunks
+    of :data:`CHUNK_ENTRIES` dense entries and runs them itself. Level 0's
+    later stages are cut the same way and their chunks run through
+    :func:`_run_chunks`. Every merge is eliminated alone, so the numbers do
+    not depend on the split or the threads.
 
     ``stats.unknowns`` is the largest skeleton of a merge of the level,
-    ``stats.chunks`` the chunks of all its stages, and ``stats.residual``
-    the largest ``|S y - b| / |b|`` of the pinned solves. A failed dense
-    solve leaves the cubes of its chunk, and every cube that contains one,
-    NaN; ``stats.failure`` names the pass's first failed solve at or below
-    the level (``""`` if none).
+    ``stats.chunks`` the chunks of all its stages in every subtree,
+    ``stats.threads`` the most threads that took its jobs or chunks,
+    ``stats.wall_time`` the seconds its stages took, summed over the
+    subtrees, and ``stats.residual`` the largest ``|S y - b| / |b|`` of the
+    pinned solves. A failed dense solve leaves the cubes of its chunk, and
+    every cube that contains one, NaN; ``stats.failure`` names the pass's
+    first failed solve at or below the level (``""`` if none): the lowest
+    level's, and there the first subtree's, whichever thread ran it.
     """
     grid = field.grid
     d = grid.d
     wanted = _checked_levels(grid, levels)
     if not wanted:
         return {}
-    cells = field.data.reshape(-1, field.data.shape[-1])[_tree_order(grid.N, d)]
-    kids = _element_matrices(cells, d, grid.h)
-    shape = (1,) * d
-    failure = ""
+    below = range(1 - grid.N, min(wanted[0], -1) + 1)  # a subtree's levels: none if N = 1
+    order = _tree_order(grid.N, d)
+    per = order.size // 3**d  # cells a subtree
+    cells = field.data.reshape(-1, field.data.shape[-1])
+    stages = _plan((3 ** (grid.N - 1),) * d, True) if 0 in wanted else None
+
+    boxes = [None] * 3**d  # level 0's children, each as its subtree reduced it
+
+    def subtree(s: int) -> list:
+        """Subtree ``s``'s ``(g, stats)`` of each level; its reduced box
+        goes to ``boxes[s]`` if level 0 is asked for."""
+        kids = _element_matrices(cells[order[s * per:(s + 1) * per]], d, grid.h)
+        shape, parts = (1,) * d, []
+        for level in below:
+            kids, g, stats = _subtree_level(kids, shape, grid.h,
+                                            3.0 ** (level * d) if level in wanted else None)
+            parts.append((g, stats))
+            shape = tuple(3 * n for n in shape)
+        if 0 not in wanted:
+            return parts
+        merge = stages[0][s]
+        child = _forcings(shape, grid.h)[_boundary_nodes(shape)]
+        stats = SolveStats(math.nan, merge[0], time.perf_counter(), "condensation", 0, 0)
+        [(_, boxes[s])] = _run_stage(
+            1, merge[0] ** 2, lambda lo, hi: _condense([kids], merge, carried=[(child, 0.0)])[:3],
+            stats, run=_serial)
+        stats.wall_time = time.perf_counter() - stats.wall_time
+        parts.append((np.empty((0, d, d)), stats))  # level 0's g comes from its last merge
+        return parts
+
+    done, threads = _run_chunks(range(3**d), subtree)
+    per_level = [list(parts) for parts in zip(*(parts for _, parts in done))]
+    if 0 in wanted:
+        per_level[-1].append(_level_zero(boxes, stages[1:], d))
     out: dict[int, tuple[np.ndarray, SolveStats]] = {}
-    for level in range(1 - grid.N, wanted[0] + 1):
-        stats = SolveStats(0, math.nan, 0, time.perf_counter(), "condensation", 0, 0, failure)
-        volume = 3.0 ** (level * d)
-        top = level == 0
-        cube = tuple(3 * s for s in shape)
-        stages = _plan(shape, top)
-        if top:  # its boxes' (map, forcing, g); the children are released once reduced
-            child = _forcings(shape, grid.h)[_boundary_nodes(shape)]
-            boxes, kids = [(kids[c:c + 1], child, 0.0) for c in range(3**d)], None
-        for stage, merges in enumerate(stages):
-            largest = max(size for size, _, _ in merges)
-            stats.unknowns = max(stats.unknowns, largest)
-            if top:
-                maps, width = None, len(merges[0][2])  # boxes a merge: 1 for the children, else 3
-
-                def work(lo: int, hi: int) -> list:
-                    merged = []
-                    for j in range(lo, hi):
-                        parts = boxes[width * j:width * (j + 1)]
-                        merged.append(_condense([m for m, _, _ in parts], merges[j],
-                                                carried=[(f, g) for _, f, g in parts]))
-                    return merged
-            else:
-                size, k, _ = merges[0]
-                maps = np.empty((kids.shape[0] // 3, size - k, size - k))
-                forcing = (_forcings(cube, grid.h)[_boundary_nodes(cube)]
-                           if stage == len(stages) - 1 and level in wanted else None)
-
-                def work(lo: int, hi: int) -> tuple:
-                    _, _, g, res = _condense([kids[3 * lo + c:3 * hi:3] for c in range(3)],
-                                             merges[0], maps[lo:hi], forcing)
-                    return (None if forcing is None else g / volume), res
-
-            done, per_chunk = _run_stage(len(merges) if top else maps.shape[0], largest**2,
-                                         work, stats, maps)
-            if not top:
-                kids = maps
-            elif any(res is None for _, res in done):
-                done = []
-                break
-            else:
-                boxes = [merged[:3] for _, res in done for merged in res]
-        if top and done:  # the last merge's pinned solve
-            _, _, g, res = done[0][1][0]
-            done = [(0, (g / volume, res))]
-        shape, failure = cube, stats.failure
-        g_all = _level_outcome((3 ** (-level),) * d, done, per_chunk, stats,
-                               _tree_order(-level, d))
+    failure = ""
+    for level, parts in zip([*below, 0], per_level):
+        failure = failure or next((st.failure for _, st in parts if st.failure), "")
         if level in wanted:
-            out[level] = g_all, stats
+            out[level] = _level_outcome(level, parts, threads, failure)
     return out
 
 
@@ -833,11 +908,11 @@ def solve_dirichlet(
         lu = _factor(amat)
     except RuntimeError as err:
         raise SolverError(f"sparse factorization failed: {err}",
-                          SolveStats(0, math.nan, n, time.perf_counter() - t0, "fv-splu")) from err
+                          SolveStats(math.nan, n, time.perf_counter() - t0, "fv-splu")) from err
     x = lu.solve(b)
     x += lu.solve(b - amat @ x)
     res = np.linalg.norm(amat @ x - b) / max(np.linalg.norm(b), 1e-300)
-    stats = SolveStats(0, float(res), n, time.perf_counter() - t0, "fv-splu")
+    stats = SolveStats(float(res), n, time.perf_counter() - t0, "fv-splu")
     return CubeFunction(grid, cube, x[flat], "cell"), stats
 
 

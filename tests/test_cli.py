@@ -19,6 +19,7 @@ from cge.cli import (
     CONFIG_SPEC,
     CliError,
     ConfigError,
+    build_parser,
     emit_csv_summary,
     emit_jsonl,
     emit_plot_data,
@@ -184,8 +185,8 @@ class TestCoarse:
                  if line.startswith("DEBUG cge.coarse: level ")])
 
     def test_verbose_logs_one_line_per_level_outside_the_report(self, workdir):
-        # a 3D field: one condensation pass, its merges in chunks on the
-        # chunk threads
+        # a 3D field: one condensation pass, its 27 subtrees on the chunk
+        # threads
         assert main(["gen", "--kind", "constant", "--diag", "1,1,1", "--grid-d", "3",
                      "--grid-n", "3", "--field-out", "field.cge"]) == 0
         quiet_hash, quiet = self._debug_levels(workdir, "quiet.json")
@@ -204,11 +205,14 @@ class TestCoarse:
         for level, line in zip(range(0, -3, -1), verbose):
             cubes, m = 27 ** -level, 3 ** (2 + level)  # m: cells a side of a child
             # the skeletons of a cube's merges, stage by stage: level 0 runs
-            # its merges one by one, a level below it a stage's merges of
-            # every cube at once
-            stages = [[size for size, _, _ in merges] * cubes
+            # its children one a subtree, then its other merges; a level
+            # below it a stage's merges of every cube of a subtree at once,
+            # in each of the 27 subtrees
+            stages = [[size for size, _, _ in merges] * max(1, cubes // 27)
                       for merges in cge.solver._plan((m,) * 3, level == 0)]
-            chunks = sum(split(len(sizes), max(sizes) ** 2) for sizes in stages)
+            chunks = (27 + sum(split(len(sizes), max(sizes) ** 2) for sizes in stages[1:])
+                      if level == 0 else
+                      27 * sum(split(len(sizes), max(sizes) ** 2) for sizes in stages))
             split_line, threads = line.split(",")[1].rsplit(" on ", 1)
             assert split_line == f" {cubes} cubes in {chunks} chunks"
             assert threads.endswith(" threads")
@@ -217,7 +221,8 @@ class TestCoarse:
         assert verbose[-1].split(",")[1] == " 19683 cubes"
 
     def test_verbose_logs_condensation_levels(self, workdir):
-        # a 2D field: one condensation pass, its parents in chunks
+        # a 2D field: one condensation pass, its 9 subtrees and their
+        # parents in chunks
         gen_identity(workdir, name="field.cge", n=4)
         quiet_hash, quiet = self._debug_levels(workdir, "quiet.json")
         verbose_hash, verbose = self._debug_levels(workdir, "verbose.json", ["-v"])
@@ -236,13 +241,15 @@ class TestCoarse:
             # a level merges its children 3 at a time into strips along the
             # last axis, then 3 strips along the first; a skeleton is the
             # boxes' boundaries and the interfaces between them
+            # in each of the 9 subtrees, a level -1 cube's
             strips, nodes = 10 * m - 2, 18 * m - 2
-            chunks = split(3 * cubes, strips**2) + split(cubes, nodes**2)
+            chunks = 9 * (split(3 * cubes // 9, strips**2) + split(cubes // 9, nodes**2))
             if level == 0:  # only the two interface lines are kept: the middle
                 # strip's skeleton is both and the 2m nodes between them;
-                # first each child alone eliminates the nodes no other has
+                # first each child alone, in its subtree, eliminates the
+                # nodes no other has
                 nodes = 8 * m
-                chunks = split(9, (4 * m) ** 2) + split(3, nodes**2) + 1
+                chunks = 9 + split(3, nodes**2) + 1
             split_line, threads = line.split(",")[1].rsplit(" on ", 1)
             assert split_line == f" {cubes} cubes in {chunks} chunks"
             assert 1 <= int(threads.split()[0]) <= min(chunks, cores)
@@ -586,6 +593,22 @@ class TestEntryPoints:
             main(["--version"])
         assert err.value.code == 0
         assert __version__ in capsys.readouterr().out
+
+    def test_main_builds_one_parser_a_process(self, workdir, monkeypatch, capsys):
+        # a failed parse leaves the shared parser as it was; build_parser
+        # still gives a fresh one
+        built = []
+        monkeypatch.setattr(cge.cli, "build_parser", lambda: built.append(1) or build_parser())
+        cge.cli._parser.cache_clear()
+        try:
+            assert main(["coarse"]) == 1
+            assert "--field" in capsys.readouterr().err
+            gen_identity(workdir)
+            assert main(["coarse", "--field", "const_I.cge", "--out", "a.json"]) == 0
+        finally:
+            cge.cli._parser.cache_clear()
+        assert len(built) == 1
+        assert build_parser() is not build_parser()
 
     def test_module_invocation(self, tmp_path):
         proc = subprocess.run(

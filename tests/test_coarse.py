@@ -322,7 +322,8 @@ class TestSweepStructure:
             (v["kind"], v["level"], v["offset"]) for v in report.violations
         ]
 
-    def test_one_debug_line_per_level(self, caplog, tmp_path):
+    def test_one_debug_line_per_level(self, caplog, cores, tmp_path):
+        cores(1)
         grid = GridSpec(d=3, N=2)
         field = gen_random_spd(grid, seed=1, eig_low=0.5, eig_high=2.0)
         with caplog.at_level(logging.DEBUG, logger="cge.coarse"):
@@ -330,12 +331,13 @@ class TestSweepStructure:
             sweep(field, cache_dir=str(tmp_path))
         lines = [r.getMessage() for r in caplog.records if r.name == "cge.coarse"]
         assert len(lines) == 2 * (grid.N + 1)
-        # one chunk a stage, level 0 with its children's first; unknowns: the
-        # largest skeleton of a merge, at level 0 the middle slab's, at
+        # chunks: each of the 27 subtrees (here the cubes of level -1) runs
+        # a stage in one, and so does level 0 after one a child; unknowns:
+        # the largest skeleton of a merge, at level 0 the middle slab's, at
         # level -1 a whole cube of 3**3 cells
-        assert lines[0].startswith("level 0: condensation, 1 cubes in 4 chunks on 1 threads, "
+        assert lines[0].startswith("level 0: condensation, 1 cubes in 30 chunks on 1 threads, "
                                    "240 unknowns per cube, residual ")
-        assert lines[1].startswith("level -1: condensation, 27 cubes in 3 chunks on 1 threads, "
+        assert lines[1].startswith("level -1: condensation, 27 cubes in 81 chunks on 1 threads, "
                                    "64 unknowns per cube, residual ")
         assert lines[2].startswith("level -2: cells, 729 cubes, - unknowns per cube, residual -, ")
         assert [line.split(",")[0] for line in lines[3:]] == [
@@ -474,28 +476,31 @@ class TestCondensation:
             self, cores, monkeypatch, tmp_path):
         field = gen_random_spd(GridSpec(2, 3), seed=1, eig_low=1e-2, eig_high=1e2)
         clean = sweep(field)
-        # one core and one parent a chunk: the caller condenses level -1's
-        # nine parents in order, so the eighth is cube (2, 1)
+        # one core and one parent a chunk: the caller runs the subtrees of
+        # level -1's nine cubes in order, so the eighth is cube (2, 1)
         cores(1)
         monkeypatch.setattr(cge.solver, "CHUNK_ENTRIES", 1)
         calls = []
         real = cge.solver._condense
+        # a subtree's merges: level -2's along the last axis, then the
+        # first; level -1's the same; the last stage of level -1 merges
+        # strips of 3x9 cells onto skeletons of 52 nodes, the 9x9 boundary
+        # and 2 lines of 8; then its cube, level 0's child, alone (36 nodes)
+        subtree = [8] * 27 + [16] * 9 + [28] * 3 + [52] + [36]
 
         def fail_one(maps, plan, *args, **kwargs):
             calls.append(plan[0])
-            # the last stage of level -1 merges strips of 3x9 cells onto
-            # skeletons of 52 nodes: the 9x9 boundary and 2 lines of 8
-            if calls == [8] * 243 + [16] * 81 + [28] * 27 + [52] * 8:
+            if calls == subtree * 7 + subtree[:-1]:
                 raise np.linalg.LinAlgError("Singular matrix")
             return real(maps, plan, *args, **kwargs)
 
         monkeypatch.setattr(cge.solver, "_condense", fail_one)
         result = sweep(field, cache_dir=str(tmp_path))
-        # each level below 0 merges along the last axis, then the first;
-        # level 0 condenses its children one merge at a time, a NaN child
-        # among them, without forming its own map
+        # level 0 then condenses the children's boxes, a NaN one among
+        # them, one merge at a time, without forming its own map
         top = [size for merges in cge.solver._plan((9, 9), True) for size, _, _ in merges]
-        assert calls == [8] * 243 + [16] * 81 + [28] * 27 + [52] * 9 + top
+        assert top[:9] == [36] * 9
+        assert calls == subtree * 9 + top[9:]
         failed = [(-1, (2, 1)), (0, (0, 0))]
         assert [(e["level"], tuple(e["offset"])) for e in result.failures] == failed[::-1]
         assert all("Singular matrix" in e["message"] for e in result.failures)
@@ -520,7 +525,8 @@ class TestCondensation:
 
         def nan_first_cell(cells, d, h):
             out = real(cells, d, h)
-            out[0, 0, 0] = np.nan  # the first cell in tree order is cell (0, 0)
+            if np.array_equal(cells[0], field.data[0, 0]):  # the first subtree's
+                out[0, 0, 0] = np.nan  # its first cell in tree order is cell (0, 0)
             return out
 
         monkeypatch.setattr(cge.solver, "_element_matrices", nan_first_cell)
@@ -548,7 +554,8 @@ class TestCondensation:
 
         def nan_first_cell(cells, d, h):
             out = real_elements(cells, d, h)
-            out[0, 0, 0] = np.nan  # cell (0, 0), in level -1's cube (0, 0)
+            if np.array_equal(cells[0], field.data[0, 0]):  # the first subtree's
+                out[0, 0, 0] = np.nan  # cell (0, 0), in level -1's cube (0, 0)
             return out
 
         def fail_last_strip(mat, *args):
@@ -570,7 +577,8 @@ class TestCondensation:
             (-1, [2, 2], "dense condensation failed: Singular matrix"),
             (-2, [0, 0], "non-finite functional matrix")]
 
-    def test_one_debug_line_per_level(self, caplog, tmp_path):
+    def test_one_debug_line_per_level(self, caplog, cores, tmp_path):
+        cores(1)
         grid = GridSpec(d=2, N=2)
         field = gen_random_spd(grid, seed=1, eig_low=0.5, eig_high=2.0)
         with caplog.at_level(logging.DEBUG, logger="cge.coarse"):
@@ -580,16 +588,18 @@ class TestCondensation:
         assert len(lines) == 2 * (grid.N + 1)
         # unknowns: the largest skeleton of a merge, at level 0 the middle
         # strip's two interface lines and the 4 nodes between them (8 * 3);
-        # chunks: one per stage, at level 0 the stage of its children first
-        assert lines[0].startswith("level 0: condensation, 1 cubes in 3 chunks on 1 threads, "
+        # chunks: one a stage in each of the 9 subtrees, and at level 0 one
+        # a child, then one a stage
+        assert lines[0].startswith("level 0: condensation, 1 cubes in 11 chunks on 1 threads, "
                                    "24 unknowns per cube, residual ")
-        assert lines[1].startswith("level -1: condensation, 9 cubes in 2 chunks on 1 threads, "
+        assert lines[1].startswith("level -1: condensation, 9 cubes in 18 chunks on 1 threads, "
                                    "16 unknowns per cube, residual ")
         assert lines[2].startswith("level -2: cells, 81 cubes, - unknowns per cube, residual -, ")
         assert [line.split(",")[0] for line in lines[3:]] == [
             "level 0: cache", "level -1: cache", "level -2: cells"]
 
-    def test_pass_runs_from_the_cells_to_the_coarsest_miss(self, monkeypatch, tmp_path):
+    def test_pass_runs_from_the_cells_to_the_coarsest_miss(self, cores, monkeypatch, tmp_path):
+        cores(1)  # the caller runs the subtrees in order
         field = gen_random_spd(GridSpec(2, 3), seed=9, eig_low=0.5, eig_high=5.0)
         passes, calls = [], []
         real_pass = cge.coarse.level_functionals
@@ -609,15 +619,18 @@ class TestCondensation:
         monkeypatch.setattr(cge.solver, "_condense", spy_condense)
         cache = tmp_path / "cache"
         cold = sweep(field, cache_dir=str(cache))
-        # a level's functionals come with its last stage, one kernel call
-        # for all its merges; level 0's from the maps of its children, which
-        # it condenses one merge at a time without a map of its own, the
-        # last merge pinned (36: the boundary nodes of a 9x9 child)
+        # each subtree, a cube of level -1, runs its levels: a level's
+        # functionals come with its last stage, one kernel call for all its
+        # merges in the subtree; then its cube, a child of level 0, alone.
+        # Level 0 condenses the children's boxes one merge at a time without
+        # a map of its own, the last merge pinned (36: the boundary nodes of
+        # a 9x9 child)
         top = [(ranks[0].size, k == size)
                for merges in cge.solver._plan((9, 9), True) for size, k, ranks in merges]
         assert top[:9] == [(36, False)] * 9 and top[-1][1]
         assert passes == [[-2, -1, 0]]
-        assert calls == [(4, False), (8, True), (12, False), (24, True)] + top
+        subtree = [(4, False), (8, True), (12, False), (24, True)]
+        assert calls == (subtree + [(36, False)]) * 9 + top[9:]
         assert (cold.solve_count, cold.cache_hits) == (2 * 91, 0)
         # a warm rerun asks the pass for no level and condenses nothing
         passes.clear(), calls.clear()
@@ -628,7 +641,7 @@ class TestCondensation:
         # solving it, solves level -1 and stops there
         os.remove(cache / field.content_hash / "level_-1.npz")
         redo = sweep(field, cache_dir=str(cache))
-        assert passes == [[-1]] and calls == [(4, False), (8, False), (12, False), (24, True)]
+        assert passes == [[-1]] and calls == [(4, False), (8, False), (12, False), (24, True)] * 9
         assert (redo.solve_count, redo.cache_hits) == (2 * 9, 1 + 81)
         for level, ld in redo.levels.items():
             assert np.array_equal(ld.astar_inv, cold.levels[level].astar_inv)
@@ -745,9 +758,10 @@ class TestCache:
         # the re-solved record replaced the damaged one
         assert sweep(field, cache_dir=cache).cache_hits == 1
 
-    def test_one_factorization_per_solved_level(self, tmp_path, monkeypatch):
+    def test_one_factorization_per_solved_level(self, tmp_path, cores, monkeypatch):
         # a sweep factors no sparse matrix: one condensation pass takes
         # each solved level once
+        cores(1)
         grid = GridSpec(d=3, N=2)
         field = gen_random_spd(grid, seed=9, eig_low=0.5, eig_high=5.0)
         sizes = []
@@ -765,12 +779,12 @@ class TestCache:
         monkeypatch.setattr(cge.solver, "_factor", factor)
         cache = str(tmp_path / "cache")
         sweep(field, cache_dir=cache)
-        # level -1: 3 stages from the cells, one axis each, each one call;
-        # level 0: its 27 children of 3**3 cells (56 boundary nodes) one by
-        # one, then 9, 3 and 1 merges of 3 boxes
-        assert sizes[:3] == [(3, 8), (3, 16), (3, 32)]
-        assert sizes[3:30] == [(1, 56)] * 27
-        assert [boxes for boxes, _ in sizes[30:]] == [3] * 13
+        # one core runs the 27 subtrees in order, each a cube of level -1:
+        # 3 stages from the cells, one axis each, each one call, then the
+        # cube alone as a child of level 0 (56 boundary nodes); level 0
+        # then takes 9, 3 and 1 merges of 3 boxes
+        assert sizes[:108] == [(3, 8), (3, 16), (3, 32), (1, 56)] * 27
+        assert [boxes for boxes, _ in sizes[108:]] == [3] * 13
         sizes.clear()
         assert sweep(field, cache_dir=cache).solve_count == 0
         assert sizes == []

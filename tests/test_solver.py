@@ -4,6 +4,7 @@ maximum principle, optimality, and convergence order."""
 import inspect
 import itertools
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -293,7 +294,7 @@ def test_engine_matches_dense_oracle():
         for level in (0, -1):
             for off in np.ndindex((3 ** -level,) * d):
                 g, stats = neumann_functionals(f, TriadicCube(level, off))
-                assert stats.method == "condensation" and stats.iterations == 0
+                assert stats.method == "condensation" and "iterations" not in stats.to_dict()
                 g_dense = _dense_functionals(f, TriadicCube(level, off))[:d, :d]
                 np.testing.assert_allclose(g, g_dense, rtol=0,
                                            atol=1e-12 * np.abs(g_dense).max())
@@ -314,26 +315,33 @@ def test_chunk_split_leaves_functionals_bit_identical(monkeypatch, d, n):
         # first reduces each of its 3**d children alone
         top = 3**d if level == 0 else 0
         assert split[level][1].chunks == 3 ** (-level * d) * (3**d - 1) // 2 + top
-        assert stats.chunks == d + (level == 0)
+        # whole: each of the 3**d subtrees runs a stage of a level below 0
+        # in one chunk; level 0 takes one chunk a child, then one a stage
+        assert stats.chunks == (3**d + d if level == 0 else 3**d * d)
         assert np.array_equal(split[level][0], g_all)
         assert split[level][1].residual == stats.residual
 
 
 def test_more_threads_than_cores_take_each_chunk_once(monkeypatch):
-    # the threads share one iterator over the chunks: a lost take leaves a
-    # cube NaN, a repeated one condenses a merge twice
+    # the threads share one iterator over the 27 subtrees: a lost take
+    # leaves a subtree out, a repeated one condenses its chunks twice
     f = gen_random_spd(GridSpec(3, 3), seed=5, eig_low=1e-2, eig_high=1e2)
     whole = level_functionals(f, [-1, -2])  # 27 cubes of 9**3 cells, 729 of 3**3
-    taken = []
-    real = cge.solver._condense
+    taken, subtrees = [], []
+    real_condense, real_elements = cge.solver._condense, cge.solver._element_matrices
 
     def spy(maps, *args):
         taken.append(maps[0].shape[0])  # the merges of one kernel call
-        return real(maps, *args)
+        return real_condense(maps, *args)
+
+    def spy_elements(cells, *args):
+        subtrees.append(cells[0].tobytes())  # a subtree's first cell
+        return real_elements(cells, *args)
 
     pool = ThreadPoolExecutor(4)
     monkeypatch.setattr(cge.solver, "_POOL", pool)
     monkeypatch.setattr(cge.solver, "_condense", spy)
+    monkeypatch.setattr(cge.solver, "_element_matrices", spy_elements)
     monkeypatch.setattr(cge.solver, "CHUNK_ENTRIES", 1)
     monkeypatch.setattr(cge.solver.os, "sched_getaffinity", lambda pid: set(range(5)))
     interval = sys.getswitchinterval()
@@ -343,10 +351,12 @@ def test_more_threads_than_cores_take_each_chunk_once(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
         pool.shutdown()
+    first = f.data.reshape(-1, f.data.shape[-1])[cge.solver._tree_order(3, 3)[::729]]
+    assert sorted(subtrees) == sorted(cell.tobytes() for cell in first)
     # 13 merges a cube, one a chunk: 9, 3 and 1 along the last, middle and
     # first axis
     assert [stats.chunks for _, stats in out.values()] == [729 * 13, 27 * 13]
-    assert out[-2][1].threads == 5
+    assert [stats.threads for _, stats in out.values()] == [5, 5]
     assert taken == [1] * (756 * 13)
     for level, (g_all, _) in out.items():
         assert np.array_equal(g_all, whole[level][0])
@@ -653,13 +663,64 @@ def test_condensation_split_and_cores_leave_functionals_bit_identical(monkeypatc
                 cge.solver._POOL.shutdown()
         runs.append(out)
     one_parent, whole = runs[0], runs[1]
-    # summed over the stages: the one along axis a merges 3**a boxes a cube
+    # summed over the stages: the one along axis a merges 3**a boxes a cube;
+    # by default each of the 3**d subtrees runs a stage of the cells in one
+    # chunk
     assert one_parent[-n + 1][1].chunks == 3 ** ((n - 1) * d) * (3**d - 1) // 2
-    assert whole[-n + 1][1].chunks < one_parent[-n + 1][1].chunks
+    assert whole[-n + 1][1].chunks == 3**d * d
+    assert [stats.threads for _, stats in whole.values()] == [1] * n
     for out in runs[1:]:
         for level, (g_all, stats) in out.items():
             assert np.array_equal(g_all, one_parent[level][0])
             assert stats.residual == one_parent[level][1].residual
+
+
+@pytest.mark.parametrize("d, n, levels", [
+    (2, 4, [-2]), (3, 3, [-2]), (1, 5, [-2]), (1, 5, [0]), (2, 1, [0]), (3, 1, [0])])
+def test_levels_asked_alone_match_a_full_pass(monkeypatch, d, n, levels):
+    # the subtrees stop at the coarsest level asked for, below 0 or not:
+    # on two cores it gives the numbers of a full pass on one, to the last
+    # bit (an N=1 grid's subtrees are its cells)
+    f = gen_random_spd(GridSpec(d, n), seed=11, eig_low=1e-2, eig_high=1e2)
+    runs = []
+    for asked, cores in ((range(0, -n, -1), 1), (levels, 2)):
+        monkeypatch.setattr(cge.solver.os, "sched_getaffinity", lambda pid: set(range(cores)))
+        monkeypatch.setattr(cge.solver, "_POOL", None)
+        try:
+            runs.append(level_functionals(f, asked))
+        finally:
+            if cge.solver._POOL is not None:
+                cge.solver._POOL.shutdown()
+    full, alone = runs
+    assert sorted(alone) == sorted(levels)
+    for level, (g_all, stats) in alone.items():
+        assert np.isfinite(g_all).all()
+        assert np.array_equal(g_all, full[level][0])
+        assert stats.residual == full[level][1].residual
+        assert stats.chunks == full[level][1].chunks
+
+
+def test_pass_holds_one_subtree_at_a_time(monkeypatch):
+    # depth first, a pass holds the maps of one level -1 subtree a thread
+    # and level 0's reduced boxes: on one core a 2D N=5 pass traced a peak
+    # of 10.0-11.6 MiB, where holding every level's maps at once took
+    # 22.7-24.3 MiB (the lower figures with the plans already cached)
+    f = gen_random_spd(GridSpec(2, 5), seed=1, eig_low=1e-2, eig_high=1e2)
+    monkeypatch.setattr(cge.solver.os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(cge.solver, "_POOL", None)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = level_functionals(f, range(0, -5, -1))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert sorted(out) == [-4, -3, -2, -1, 0]
+    assert peak < 16 * 2**20
 
 
 @pytest.mark.parametrize("d, n", [(1, 4), (2, 3)])

@@ -225,12 +225,11 @@ def emit_csv_summary(
         writer = csv.writer(handle)
         writer.writerow(["field", "parameter", "theta", "log_ratio", "passed"])
         for rec, param in zip(records, parameters):
-            ratio = rec.harnack_log_ratio if rec.harnack_log_ratio is not None else rec.lb_ratio
             writer.writerow([
                 rec.field_descriptor,
                 repr(float(param)),
                 repr(rec.theta),
-                repr(ratio),
+                repr(rec.ratio),
                 rec.passed,
             ])
 
@@ -250,10 +249,9 @@ def emit_plot_data(records: Sequence[ExperimentRecord], kind: str, path) -> None
         writer = csv.writer(handle)
         writer.writerow(["x", "y", "series", "field_hash"])
         for rec in records:
-            y = rec.harnack_log_ratio if rec.harnack_log_ratio is not None else rec.lb_ratio
             series = "sharpness" if kind == "sharpness" else rec.field_descriptor
             writer.writerow(
-                [repr(math.sqrt(rec.theta)), repr(float(y)), series, rec.field_hash]
+                [repr(math.sqrt(rec.theta)), repr(float(rec.ratio)), series, rec.field_hash]
             )
 
 
@@ -441,10 +439,8 @@ def cmd_harnack(args: argparse.Namespace) -> int:
     report = make_report("harnack", record.to_dict(), resolved,
                          field_hash=field.content_hash)
     write_report(report, args.out)
-    measured = (record.harnack_log_ratio if record.harnack_log_ratio is not None
-                else record.lb_ratio)
     verdict = "PASS" if record.passed else "FAIL"
-    print(f"{verdict} ratio={measured:.6g} threshold={record.threshold:.6g} "
+    print(f"{verdict} ratio={record.ratio:.6g} threshold={record.threshold:.6g} "
           f"theta={record.theta:.6g}")
     return 0 if record.passed else 2
 

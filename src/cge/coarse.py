@@ -31,7 +31,7 @@ import tempfile
 import time
 import zipfile
 from dataclasses import dataclass, field as dataclass_field
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -65,6 +65,10 @@ __all__ = [
 
 #: Five-point exponent grid used by the audit's monotonicity checks.
 DEFAULT_S_GRID = (0.15, 0.3, 0.5, 0.7, 0.9)
+
+#: Relative size above which the audit counts a broken inequality as a
+#: violation rather than rounding.
+AUDIT_SLACK_REL = 1e-7
 
 log = logging.getLogger(__name__)
 
@@ -415,7 +419,7 @@ class AuditReport:
     violations: list[dict]
     max_slack: dict[str, float]
     s_grid: tuple[float, ...]
-    slack_rel: float
+    slack_rel: ClassVar[float] = AUDIT_SLACK_REL
 
     @property
     def ok(self) -> bool:
@@ -435,7 +439,6 @@ class AuditReport:
 def audit(
     result: SweepResult,
     s_grid: Sequence[float] = DEFAULT_S_GRID,
-    slack_rel: float = 1e-7,
 ) -> AuditReport:
     """Check every theorem-backed inequality on a completed sweep.
 
@@ -448,8 +451,9 @@ def audit(
     upper constant, each cube's from the reduction that
     :func:`ellipticity_constants` takes. The subadditivity and scaling checks
     read the norms stored on each :class:`LevelData`, which match its
-    read-only arrays. An empty exponent grid, which would leave the global
-    checks unchecked, is a ``ValueError``.
+    read-only arrays. A check is violated when it breaks by more than
+    :data:`AUDIT_SLACK_REL` of its scale. An empty exponent grid, which would
+    leave the global checks unchecked, is a ``ValueError``.
     """
     if len(s_grid) == 0:
         raise ValueError("the exponent grid s_grid is empty: the scale-weighted checks need "
@@ -465,7 +469,7 @@ def audit(
         """A violation of a scalar (whole-sweep) check."""
         rel = magnitude / max(scale, 1e-300)
         max_slack[kind] = max(max_slack[kind], rel)
-        if rel > slack_rel:
+        if rel > AUDIT_SLACK_REL:
             violations.append({"kind": kind, "level": 0, "offset": None,
                                "magnitude": float(magnitude), "scale": float(scale)})
 
@@ -477,7 +481,7 @@ def audit(
         with np.errstate(invalid="ignore"):  # inf / inf on a non-finite level
             rel = excess / np.maximum(scale, 1e-300)
         max_slack[kind] = max(max_slack[kind], float(rel.max()))
-        for off in zip(*np.nonzero(rel > slack_rel)):
+        for off in zip(*np.nonzero(rel > AUDIT_SLACK_REL)):
             violations.append({"kind": kind, "level": level, "offset": [int(z) for z in off],
                                "magnitude": float(excess[off]), "scale": float(scale[off])})
 
@@ -512,16 +516,16 @@ def audit(
     lowers = [r.lambda_lower for r in reports]
     for i in range(len(s_sorted)):
         checked["theta_ge_1"] += 1
-        if reports[i].theta < 1.0 - slack_rel:
+        if reports[i].theta < 1.0 - AUDIT_SLACK_REL:
             record("theta_ge_1", 1.0 - reports[i].theta, 1.0)
         if i > 0:
             checked["monotone"] += 2
-            if uppers[i] > uppers[i - 1] * (1 + slack_rel):
+            if uppers[i] > uppers[i - 1] * (1 + AUDIT_SLACK_REL):
                 record("monotone", uppers[i] - uppers[i - 1], uppers[i - 1])
-            if lowers[i] < lowers[i - 1] * (1 - slack_rel):
+            if lowers[i] < lowers[i - 1] * (1 - AUDIT_SLACK_REL):
                 record("monotone", lowers[i - 1] - lowers[i], lowers[i - 1])
         checked["monotone"] += 1
-        if lowers[i] > uppers[i] * (1 + slack_rel):
+        if lowers[i] > uppers[i] * (1 + AUDIT_SLACK_REL):
             record("monotone", lowers[i] - uppers[i], uppers[i])
 
     # --- scaling of the upper constant across levels ---
@@ -537,5 +541,4 @@ def audit(
         violations=violations,
         max_slack=max_slack,
         s_grid=tuple(s_sorted),
-        slack_rel=slack_rel,
     )

@@ -97,7 +97,8 @@ class ExperimentRecord:
     over the snapped centered subcubes keyed by the fraction as a string
     (e.g. ``"1/8"``).  ``harnack_log_ratio`` (two-sided runs) is
     ``log(sup/inf)`` on the smallest recorded subcube; ``lb_ratio``
-    (one-sided runs) is ``sup over (1/2)-subcube / ||u_+||_L2``.  ``p_star``
+    (one-sided runs) is ``sup over (1/2)-subcube / ||u_+||_L2``; ``ratio``
+    is whichever of the two the run measured.  ``p_star``
     and the ``diagnostics`` moments are reported for inspection only and
     never asserted.
     """
@@ -121,6 +122,11 @@ class ExperimentRecord:
     p_star: float
     diagnostics: dict[str, float] = dataclass_field(default_factory=dict)
     solver: dict[str, object] = dataclass_field(default_factory=dict)
+
+    @property
+    def ratio(self) -> float:
+        """The measured ratio that ``threshold`` bounds, of either kind."""
+        return self.harnack_log_ratio if self.harnack_log_ratio is not None else self.lb_ratio
 
     def to_dict(self) -> dict:
         """JSON-ready dictionary (plain floats, string keys)."""
@@ -274,6 +280,79 @@ def _u_plus_l2(u: CubeFunction) -> float:
 # Experiments
 # ---------------------------------------------------------------------------
 
+def _oscillation_experiment(
+    kind: str,
+    field: CoefficientField,
+    boundary: Callable,
+    s: float,
+    t: float,
+    sweep_result: SweepResult | None,
+    theta: float | None,
+    boundary_descriptor: str,
+) -> ExperimentRecord:
+    """The one pipeline of both experiments; ``kind`` is ``"harnack"``
+    (two-sided) or ``"local-bound"`` (one-sided)."""
+    two_sided = kind == "harnack"
+    sigma = _check_exponents(s, t)
+    bvals = _boundary_face_values(field.grid, boundary)
+    if not np.all(np.isfinite(bvals)):
+        raise ValueError("boundary data must be finite at all face centers")
+    if two_sided and bvals.min() <= 0.0:
+        raise ValueError(
+            f"boundary data must be strictly positive; sampled minimum "
+            f"{bvals.min():.6g}"
+        )
+
+    theta_val, theta_method = _resolve_theta(field, s, t, sweep_result, theta)
+    u, stats = solve_dirichlet(field, _full_domain(field.d), boundary)
+    diagnostics = {"max_principle_slack": _max_principle_slack(u, bvals)}
+    if two_sided and u.data.min() <= 0.0:
+        raise MaxPrincipleViolation(
+            f"solution minimum {u.data.min():.6g} is not positive although the "
+            f"boundary minimum {bvals.min():.6g} is"
+        )
+
+    sups, infs = _extremes(u)
+    u_plus = _u_plus_l2(u)
+    p_star = 0.5 * t / math.sqrt(theta_val)
+    if two_sided:
+        key = str(SUBCUBE_FRACTIONS[0])
+        ratio = float(np.log(sups[key] / infs[key]))
+        threshold = HARNACK_CALIBRATION * np.sqrt(theta_val) / t
+        w = np.log(_region_values(u, Fraction(1, 2)))
+        w = w - w.mean()
+        moment_plus = float(np.mean(np.exp(p_star * w)) ** (1.0 / p_star))
+        moment_minus = float(np.mean(np.exp(-p_star * w)) ** (1.0 / p_star))
+        diagnostics = {"moment_plus": moment_plus, "moment_minus": moment_minus,
+                       "crossover": moment_plus * moment_minus, **diagnostics}
+    else:
+        sup_half = sups[str(Fraction(1, 2))]
+        ratio = 0.0 if u_plus == 0.0 else sup_half / u_plus
+        threshold = LOCAL_BOUND_CALIBRATION * theta_val ** (field.d / (4.0 * sigma))
+
+    return ExperimentRecord(
+        kind=kind,
+        field_descriptor=field.descriptor,
+        field_hash=field.content_hash,
+        boundary_descriptor=boundary_descriptor,
+        s=float(s),
+        t=float(t),
+        sigma=float(sigma),
+        theta=theta_val,
+        theta_method=theta_method,
+        sup_by_fraction=sups,
+        inf_by_fraction=infs,
+        u_plus_l2=u_plus,
+        harnack_log_ratio=ratio if two_sided else None,
+        lb_ratio=None if two_sided else ratio,
+        threshold=float(threshold),
+        passed=bool(ratio <= threshold),
+        p_star=float(p_star),
+        diagnostics=diagnostics,
+        solver=stats.to_dict(),
+    )
+
+
 def harnack_experiment(
     field: CoefficientField,
     boundary: Callable,
@@ -282,14 +361,13 @@ def harnack_experiment(
     sweep_result: SweepResult | None = None,
     theta: float | None = None,
     boundary_descriptor: str = "",
-    calibration: float = HARNACK_CALIBRATION,
 ) -> ExperimentRecord:
     """Two-sided oscillation of the positive solution with given boundary data.
 
     Solves ``-div(a grad u) = 0`` with strictly positive boundary values,
     records sup/inf of ``u`` over the snapped centered subcubes of sides
     1/8, 1/4 and 1/2, and compares ``log(sup/inf)`` on the 1/8-subcube
-    against ``calibration * t**-1 * theta**0.5``.
+    against ``HARNACK_CALIBRATION * t**-1 * theta**0.5``.
 
     Parameters
     ----------
@@ -307,8 +385,6 @@ def harnack_experiment(
         Explicit ellipticity ratio (overrides ``sweep_result``).
     boundary_descriptor : str, optional
         Human-readable tag stored in the record.
-    calibration : float, optional
-        Pass threshold multiplier, default :data:`HARNACK_CALIBRATION`.
 
     Returns
     -------
@@ -324,64 +400,8 @@ def harnack_experiment(
         is not positive. The signed slack is recorded as
         ``diagnostics["max_principle_slack"]``.
     """
-    sigma = _check_exponents(s, t)
-    bvals = _boundary_face_values(field.grid, boundary)
-    if not np.all(np.isfinite(bvals)):
-        raise ValueError("boundary data must be finite at all face centers")
-    if bvals.min() <= 0.0:
-        raise ValueError(
-            f"boundary data must be strictly positive; sampled minimum "
-            f"{bvals.min():.6g}"
-        )
-
-    theta_val, theta_method = _resolve_theta(field, s, t, sweep_result, theta)
-    u, stats = solve_dirichlet(field, _full_domain(field.d), boundary)
-    slack = _max_principle_slack(u, bvals)
-    global_min = float(u.data.min())
-    if global_min <= 0.0:
-        raise MaxPrincipleViolation(
-            f"solution minimum {global_min:.6g} is not positive although the "
-            f"boundary minimum {bvals.min():.6g} is"
-        )
-
-    sups, infs = _extremes(u)
-    key = str(SUBCUBE_FRACTIONS[0])
-    log_ratio = float(np.log(sups[key] / infs[key]))
-    threshold = calibration * np.sqrt(theta_val) / t
-
-    p_star = 0.5 * t / math.sqrt(theta_val)
-    half = _region_values(u, Fraction(1, 2))
-    w = np.log(half)
-    w = w - w.mean()
-    moment_plus = float(np.mean(np.exp(p_star * w)) ** (1.0 / p_star))
-    moment_minus = float(np.mean(np.exp(-p_star * w)) ** (1.0 / p_star))
-
-    return ExperimentRecord(
-        kind="harnack",
-        field_descriptor=field.descriptor,
-        field_hash=field.content_hash,
-        boundary_descriptor=boundary_descriptor,
-        s=float(s),
-        t=float(t),
-        sigma=float(sigma),
-        theta=theta_val,
-        theta_method=theta_method,
-        sup_by_fraction=sups,
-        inf_by_fraction=infs,
-        u_plus_l2=_u_plus_l2(u),
-        harnack_log_ratio=log_ratio,
-        lb_ratio=None,
-        threshold=float(threshold),
-        passed=bool(log_ratio <= threshold),
-        p_star=float(p_star),
-        diagnostics={
-            "moment_plus": moment_plus,
-            "moment_minus": moment_minus,
-            "crossover": moment_plus * moment_minus,
-            "max_principle_slack": slack,
-        },
-        solver=stats.to_dict(),
-    )
+    return _oscillation_experiment("harnack", field, boundary, s, t,
+                                   sweep_result, theta, boundary_descriptor)
 
 
 def local_boundedness_experiment(
@@ -392,55 +412,22 @@ def local_boundedness_experiment(
     sweep_result: SweepResult | None = None,
     theta: float | None = None,
     boundary_descriptor: str = "",
-    calibration: float = LOCAL_BOUND_CALIBRATION,
 ) -> ExperimentRecord:
     """One-sided interior bound for a possibly sign-changing solution.
 
     Solves the Dirichlet problem (no sign restriction on the data) and
     compares ``lb_ratio = sup over the (1/2)-subcube of u`` divided by the
     positive-part norm ``||u_+||_L2`` over the whole domain against
-    ``calibration * theta**(d / (4*sigma))`` with ``sigma = 1 - s - t``.
+    ``LOCAL_BOUND_CALIBRATION * theta**(d / (4*sigma))`` with
+    ``sigma = 1 - s - t``.
 
     Parameters and errors are as in :func:`harnack_experiment`, minus the
     positivity requirements; the two-sided maximum principle is checked
     and its slack recorded the same way.  A solution with no positive part
     yields ``lb_ratio = 0``.
     """
-    sigma = _check_exponents(s, t)
-    bvals = _boundary_face_values(field.grid, boundary)
-    if not np.all(np.isfinite(bvals)):
-        raise ValueError("boundary data must be finite at all face centers")
-
-    theta_val, theta_method = _resolve_theta(field, s, t, sweep_result, theta)
-    u, stats = solve_dirichlet(field, _full_domain(field.d), boundary)
-    slack = _max_principle_slack(u, bvals)
-    sups, infs = _extremes(u)
-    u_plus = _u_plus_l2(u)
-    sup_half = sups[str(Fraction(1, 2))]
-    lb_ratio = 0.0 if u_plus == 0.0 else sup_half / u_plus
-    threshold = calibration * theta_val ** (field.d / (4.0 * sigma))
-
-    return ExperimentRecord(
-        kind="local-bound",
-        field_descriptor=field.descriptor,
-        field_hash=field.content_hash,
-        boundary_descriptor=boundary_descriptor,
-        s=float(s),
-        t=float(t),
-        sigma=float(sigma),
-        theta=theta_val,
-        theta_method=theta_method,
-        sup_by_fraction=sups,
-        inf_by_fraction=infs,
-        u_plus_l2=u_plus,
-        harnack_log_ratio=None,
-        lb_ratio=float(lb_ratio),
-        threshold=float(threshold),
-        passed=bool(lb_ratio <= threshold),
-        p_star=float(0.5 * t / math.sqrt(theta_val)),
-        diagnostics={"max_principle_slack": slack},
-        solver=stats.to_dict(),
-    )
+    return _oscillation_experiment("local-bound", field, boundary, s, t,
+                                   sweep_result, theta, boundary_descriptor)
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +436,17 @@ def local_boundedness_experiment(
 
 def _mean_lp(values: np.ndarray, p: float) -> float:
     return float(np.mean(np.abs(values) ** p) ** (1.0 / p))
+
+
+def _gained_exponent(d: int, x: float, name: str) -> float:
+    """The gained-integrability exponent ``2*_x = 2d / (d - 2(1-x))`` for the
+    exponent ``x`` called ``name``."""
+    denom = d - 2.0 * (1.0 - x)
+    if denom <= 0:
+        raise ValueError(
+            f"integrability exponent requires d - 2(1-{name}) > 0, got {denom:.3g}"
+        )
+    return 2.0 * d / denom
 
 
 def reverse_holder_diagnostic(
@@ -491,12 +489,7 @@ def reverse_holder_diagnostic(
             f"got rho1={rho1}, rho2={rho2}"
         )
     d = field.d
-    denom = d - 2.0 * (1.0 - t)
-    if denom <= 0:
-        raise ValueError(
-            f"integrability exponent requires d - 2(1-t) > 0, got {denom:.3g}"
-        )
-    two_star_t = 2.0 * d / denom
+    two_star_t = _gained_exponent(d, t, "t")
 
     transform, value = kind
     outer = _region_values(u, Fraction(rho2).limit_denominator(10**9))
@@ -583,13 +576,7 @@ def sobolev_poincare_diagnostic(
         raise ValueError("exponents must lie in (0, 1)")
     if lambda_lower <= 0:
         raise ValueError("lambda_lower must be positive")
-    d = field.d
-    denom = d - 2.0 * (1.0 - s)
-    if denom <= 0:
-        raise ValueError(
-            f"integrability exponent requires d - 2(1-s) > 0, got {denom:.3g}"
-        )
-    two_star_s = 2.0 * d / denom
+    two_star_s = _gained_exponent(field.d, s, "s")
     bvals = _boundary_face_values(field.grid, boundary)
     if np.ptp(bvals) == 0.0:
         return 0.0
@@ -624,7 +611,6 @@ def sharpness_sweep(
     s: float = 0.45,
     t: float = 0.45,
     N: int = 5,
-    calibration: float = HARNACK_CALIBRATION,
 ) -> SharpnessReport:
     """Log-oscillation versus contrast for exact anisotropic solutions.
 
@@ -647,12 +633,7 @@ def sharpness_sweep(
         fld = gen_constant(grid, np.diag([1.0, lam]), descriptor=f"diag(1,{lam:g})")
         boundary, tag = sharpness_boundary(lam)
         try:
-            rec = harnack_experiment(
-                fld, boundary, s, t,
-                theta=lam,
-                boundary_descriptor=tag,
-                calibration=calibration,
-            )
+            rec = harnack_experiment(fld, boundary, s, t, theta=lam, boundary_descriptor=tag)
         except (SolverError, MaxPrincipleViolation) as err:
             failures.append({"contrast": lam, "message": str(err)})
             continue

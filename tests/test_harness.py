@@ -138,18 +138,20 @@ class TestHarnackExperiment:
         assert set(back["sup_by_fraction"]) == {"1/8", "1/4", "1/2"}
         assert back["solver"]["method"] == "fv-splu"
 
+    @pytest.mark.parametrize("experiment", [harnack_experiment, local_boundedness_experiment])
     @pytest.mark.parametrize("s, t", [(0.6, 0.5), (0.0, 0.3), (0.3, 1.0)])
-    def test_exponent_validation(self, s, t):
-        with pytest.raises(ValueError):
-            harnack_experiment(identity_field(), affine_boundary, s, t)
+    def test_exponent_validation(self, experiment, s, t):
+        with pytest.raises(ValueError, match="exponents must"):
+            experiment(identity_field(), affine_boundary, s, t)
 
     def test_rejects_nonpositive_boundary(self):
         with pytest.raises(ValueError, match="strictly positive"):
             harnack_experiment(identity_field(), lambda x, y: x + 0.5, 0.3, 0.3)
 
-    def test_rejects_nonfinite_boundary(self):
+    @pytest.mark.parametrize("experiment", [harnack_experiment, local_boundedness_experiment])
+    def test_rejects_nonfinite_boundary(self, experiment):
         with pytest.raises(ValueError, match="finite"):
-            harnack_experiment(
+            experiment(
                 identity_field(), lambda x, y: np.where(x > 0.4, np.inf, 1.0),
                 0.3, 0.3)
 

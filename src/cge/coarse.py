@@ -40,7 +40,6 @@ from .grid import (
     GridSpec,
     TriadicCube,
     block_reduce,
-    cube_average,
     scale_weighted_constant,
     sym_component_count,
     sym_eig_bounds,
@@ -49,14 +48,13 @@ from .grid import (
     sym_pack,
     sym_unpack,
 )
-from .solver import SolveStats, SolverError, level_functionals, neumann_functionals
+from .solver import SolveStats, level_functionals
 
 __all__ = [
     "CoarseGrainPair",
     "SweepResult",
     "EllipticityReport",
     "AuditReport",
-    "coarse_grain_cube",
     "sweep",
     "ellipticity_constants",
     "audit",
@@ -75,39 +73,14 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class CoarseGrainPair:
-    """Effective matrices of one cube (full symmetric (d, d) arrays)."""
+    """Effective matrices of one cube (full symmetric (d, d) arrays), as
+    :meth:`SweepResult.pair` reads them from a sweep."""
 
     cube: TriadicCube
     astar: np.ndarray
     avg: np.ndarray
     inv_avg_inv: np.ndarray
     astar_inv: np.ndarray
-    stats: SolveStats | None = None
-
-
-def coarse_grain_cube(field: CoefficientField, cube: TriadicCube) -> CoarseGrainPair:
-    """Compute one cube's coarse-grained pair (plus reference averages).
-
-    Single-cell cubes need no solve: every matrix equals the cell value, the
-    harmonic mean ``inv_avg_inv`` included (inverting the cell's inverse
-    would be off by about ``cond * eps``), and ``astar_inv`` is the cell's
-    ``inv_data``, as in :func:`sweep`. A non-finite ``g`` raises a
-    :class:`SolverError` that names the cube.
-    """
-    d = field.d
-    avg = cube_average(field, cube)
-    if cube.level == -field.grid.N:
-        cell = sym_unpack(field.data[tuple(cube.offset)], d)
-        return CoarseGrainPair(cube, cell, avg, cell.copy(),
-                               sym_unpack(field.inv_data[tuple(cube.offset)], d))
-    inv_avg = sym_pack(cube_average(field, cube, inverted=True))
-    inv_avg_inv = sym_unpack(sym_inv(inv_avg, d), d)  # the closed form sweep uses
-    g, stats = neumann_functionals(field, cube)
-    if not np.isfinite(g).all():
-        raise SolverError(f"cube level={cube.level} offset={cube.offset}: "
-                          f"{stats.failure or 'non-finite functional matrix'}", stats)
-    astar_inv = 0.5 * (g + g.T)
-    return CoarseGrainPair(cube, np.linalg.inv(astar_inv), avg, inv_avg_inv, astar_inv, stats)
 
 
 # ---------------------------------------------------------------------------

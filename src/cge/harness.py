@@ -204,6 +204,14 @@ def _boundary_face_values(grid: GridSpec, boundary: Callable) -> np.ndarray:
     return np.concatenate([g.ravel() for g in faces])
 
 
+def _finite_positive(name: str, value: float) -> float:
+    """``value`` as a float; a :class:`ValueError` naming ``name`` unless it
+    is finite and positive (NaN included)."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    return float(value)
+
+
 def _resolve_theta(
     field: CoefficientField,
     s: float,
@@ -222,9 +230,7 @@ def _resolve_theta(
     by it.
     """
     if theta is not None:
-        if not 0.0 < theta < math.inf:
-            raise ValueError(f"theta must be finite and positive, got {theta!r}")
-        return float(theta), "given"
+        return _finite_positive("theta", theta), "given"
     if sweep_result is not None:
         report = ellipticity_constants(sweep_result, s, t)
         return float(report.theta), "sweep"
@@ -479,10 +485,12 @@ def reverse_holder_diagnostic(
     ------
     ValueError
         For subcube fractions outside ``1/2 <= rho1 < rho2 <= 1``,
-        ``p in {0, 1}``, non-positive ``u`` under a power transform, or
-        exponents outside the admissible range.
+        ``p in {0, 1}``, non-positive ``u`` under a power transform, a
+        ``theta`` that is not finite and positive, or exponents outside the
+        admissible range.
     """
     sigma = _check_exponents(s, t)
+    theta = _finite_positive("theta", theta)
     if not (0.5 <= rho1 < rho2 <= 1.0):
         raise ValueError(
             f"subcube fractions must satisfy 1/2 <= rho1 < rho2 <= 1, "
@@ -537,8 +545,7 @@ def log_caccioppoli_diagnostic(
     the constant field ``diag(1, L)`` with ``u = exp(sqrt(L) x1)`` the
     quotient equals ``1`` when ``lambda_upper = L``.
     """
-    if lambda_upper <= 0:
-        raise ValueError("lambda_upper must be positive")
+    lambda_upper = _finite_positive("lambda_upper", lambda_upper)
     region = subcube_cell_slices(u.grid, Fraction(1, 2))
     vals = _region_values(u, Fraction(1, 2))
     if vals.min() <= 0.0:
@@ -548,7 +555,7 @@ def log_caccioppoli_diagnostic(
     with np.errstate(invalid="ignore", divide="ignore"):
         log_data = np.log(u.data)
     log_u = CubeFunction(u.grid, u.cube, log_data, u.mode)
-    return energy(field, log_u, region=region) / float(lambda_upper)
+    return energy(field, log_u, region=region) / lambda_upper
 
 
 def sobolev_poincare_diagnostic(
@@ -574,8 +581,7 @@ def sobolev_poincare_diagnostic(
     """
     if not (0 < s < 1):
         raise ValueError("exponents must lie in (0, 1)")
-    if lambda_lower <= 0:
-        raise ValueError("lambda_lower must be positive")
+    lambda_lower = _finite_positive("lambda_lower", lambda_lower)
     two_star_s = _gained_exponent(field.d, s, "s")
     bvals = _boundary_face_values(field.grid, boundary)
     if np.ptp(bvals) == 0.0:
@@ -585,7 +591,7 @@ def sobolev_poincare_diagnostic(
     en = energy(field, u)
     if en <= 0.0:
         return 0.0
-    return lhs * s * math.sqrt(float(lambda_lower)) / math.sqrt(en)
+    return lhs * s * math.sqrt(lambda_lower) / math.sqrt(en)
 
 
 # ---------------------------------------------------------------------------

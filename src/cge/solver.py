@@ -27,8 +27,8 @@ dissection (George, "Nested dissection of a regular finite element mesh",
 SIAM J. Numer. Anal. 1973), and a merge keeps the boundary of the box it
 makes. Level 0 forms no map: its boxes keep only the nodes that another box
 shares, its children first eliminating alone the nodes no other child has,
-and its last merge is one pinned solve. A single cube
-(:func:`neumann_functionals`) is level 0 of a pass over its own cells.
+and its last merge is one pinned solve. A cube's ``g`` is its entry of
+its level's array; no other path solves a cube alone.
 
 A merge sums its boxes' maps onto its skeleton through a flat index and
 eliminates by Cholesky (:func:`_eliminate`), whose forward substitution
@@ -79,7 +79,6 @@ from .grid import (
     ScalarGridFunction,
     TriadicCube,
     sym_index_pairs,
-    sym_unpack,
 )
 
 if TYPE_CHECKING:
@@ -90,14 +89,10 @@ __all__ = [
     "SolveStats",
     "SolverError",
     "CubeFunction",
-    "neumann_functionals",
     "level_functionals",
     "solve_dirichlet",
     "boundary_face_values",
     "energy",
-    "discrete_gradient",
-    "mean_gradient",
-    "mean_flux",
 ]
 
 #: The Dirichlet factorization keeps the given (nested-dissection) order and
@@ -130,8 +125,8 @@ class SolveStats:
 
 
 class SolverError(RuntimeError):
-    """Solver failure (a failed factorization, or a cube whose functional
-    matrix is not finite); carries the partial stats.
+    """A failed Dirichlet factorization (:func:`solve_dirichlet`); carries
+    the partial stats.
 
     The condensation pass does not raise it: a failed dense solve leaves its
     cubes' ``g`` NaN and names itself in ``stats.failure``.
@@ -206,19 +201,6 @@ def reference_matrices(d: int) -> tuple[np.ndarray, np.ndarray]:
         r_eff[c] = r_full[a, b] + (r_full[b, a] if a != b else 0.0)
     r_hat = grads.sum(axis=0) * weight
     return r_eff, r_hat
-
-
-def _cell_corners(node_data: np.ndarray) -> np.ndarray:
-    """Each cell's corner values of a node array, ``(ncells, 2^d)``: cells
-    in C order, corners in the order of the element matrices."""
-    d = node_data.ndim
-    m_shape = tuple(s - 1 for s in node_data.shape)
-    ncells = math.prod(m_shape)
-    corners = np.empty((ncells, 2**d))
-    for i, off in enumerate(_local_offsets(d)):
-        sl = tuple(slice(o, o + s) for o, s in zip(off, m_shape))
-        corners[:, i] = node_data[sl].reshape(ncells)
-    return corners
 
 
 def _element_matrices(cells_packed: np.ndarray, d: int, h: float) -> np.ndarray:
@@ -668,9 +650,11 @@ def level_functionals(
 ) -> dict[int, tuple[np.ndarray, SolveStats]]:
     """Each given level's ``(g_all, stats)``, in one bottom-up pass of
     nested static condensation (``{}`` for no level): the entry point of a
-    sweep. ``g_all`` has shape ``(3**-level,)*d + (d, d)``, every cube's
-    :func:`neumann_functionals` matrix in row-major cube order. A
-    :class:`ValueError` names any level outside ``1-N..0``.
+    sweep. ``g_all`` has shape ``(3**-level,)*d + (d, d)``: in row-major cube
+    order, each cube's Gram matrix ``g[r, s] = L_s(u_r) / vol`` of the unit
+    gradient forcings ``L_s(v) = avg(e_s . grad v)``, the quadratic form
+    ``q . astar^{-1} q`` of the coarse-graining layer, symmetric up to
+    roundoff. A :class:`ValueError` names any level outside ``1-N..0``.
 
     The d gradient forcings live on a box's boundary (:func:`_forcings`), so
     ``g = b^T S^+ b / vol`` needs only the box's *boundary map* ``S``: the
@@ -757,26 +741,6 @@ def level_functionals(
         if level in wanted:
             out[level] = _level_outcome(level, parts, threads, failure)
     return out
-
-
-def neumann_functionals(
-    field: CoefficientField, cube: TriadicCube
-) -> tuple[np.ndarray, SolveStats]:
-    """Gram matrix of the d gradient-forcing variational problems of a cube
-    of more than one cell.
-
-    Returns ``(g, stats)`` where ``g[r, s] = L_s(u_r) / vol`` for the unit
-    gradient forcings ``L_s(v) = avg(e_s . grad v)``: the quadratic form
-    ``q . astar^{-1} q`` of the coarse-graining layer. ``g`` is symmetric
-    up to roundoff. It is level 0 of a :func:`level_functionals` pass over
-    the cube's own cells, as a grid of its own (``g`` does not depend on
-    the scale). A failed solve leaves ``g`` NaN, named in ``stats.failure``.
-    """
-    grid = field.grid
-    own = CoefficientField(GridSpec(grid.d, grid.N + cube.level),
-                           field.data[cube.cell_slices(grid)])
-    g_all, stats = level_functionals(own, [0])[0]
-    return g_all.reshape(grid.d, grid.d), stats
 
 
 # ---------------------------------------------------------------------------
@@ -939,66 +903,33 @@ def boundary_face_values(
 
 
 # ---------------------------------------------------------------------------
-# Energies, gradients, functional values
+# Energy
 # ---------------------------------------------------------------------------
-
-def _resolve_function(u) -> tuple[np.ndarray, str]:
-    if isinstance(u, (CubeFunction, ScalarGridFunction)):
-        return u.data, u.mode
-    raise TypeError(f"expected CubeFunction or ScalarGridFunction, got {type(u)}")
-
-
-def _cells_under(field: CoefficientField, u) -> np.ndarray:
-    """The packed cells of ``field`` under a function: its cube's, or all."""
-    return field.data[u.cube.cell_slices(field.grid)] if isinstance(u, CubeFunction) else field.data
-
 
 def energy(
     field: CoefficientField,
     u,
     region: tuple[slice, ...] | None = None,
 ) -> float:
-    """Volume-normalized Dirichlet energy ``avg(grad u . a grad u)``.
-
-    Node-mode input uses the multilinear element form (exact for the
-    piecewise-constant coefficient). Cell-mode input uses the conservative
-    face form with harmonic averaging, normalized per axis by face count
-    (requires a diagonal coefficient). ``region`` restricts to a box of cells
-    (slices into the function's own cell array).
+    """Volume-normalized Dirichlet energy ``avg(grad u . a grad u)`` of a
+    cell-mode function, in the conservative face form with harmonic
+    averaging, normalized per axis by face count (requires a diagonal
+    coefficient). ``region`` restricts to a box of cells (slices into the
+    function's own cell array). A node-mode function raises
+    :class:`ValueError`.
     """
-    data, mode = _resolve_function(u)
-    d = field.d
-    h = field.grid.h
-    cell_block = _cells_under(field, u)
-
-    if mode == "node":
-        if region is not None:
-            if any(s.start is None or s.stop is None for s in region):
-                raise ValueError("region slices must have explicit start and stop")
-            cell_block = cell_block[region]
-            node_data = data[tuple(slice(s.start, s.stop + 1) for s in region)]
-        else:
-            node_data = data
-        return _q1_energy(cell_block, node_data, d, h)
+    if not isinstance(u, (CubeFunction, ScalarGridFunction)):
+        raise TypeError(f"expected CubeFunction or ScalarGridFunction, got {type(u)}")
+    if u.mode != "cell":
+        raise ValueError(f"energy requires a cell-mode function, got mode {u.mode!r}")
+    cells = field.data[u.cube.cell_slices(field.grid)] if isinstance(u, CubeFunction) else field.data
+    data = u.data
     if region is not None:
-        cell_block = cell_block[region]
-        data = data[region]
-    return _fv_energy(cell_block, data, d, h)
-
-
-def _q1_energy(cell_block: np.ndarray, node_data: np.ndarray, d: int, h: float) -> float:
-    uloc = _cell_corners(node_data)
-    ncells = uloc.shape[0]
-    ke = _element_matrices(cell_block.reshape(ncells, -1), d, h)
-    total = float(np.einsum("ci,cij,cj->", uloc, ke, uloc))
-    vol = ncells * h**d
-    return total / vol
-
-
-def _fv_energy(cell_block: np.ndarray, data: np.ndarray, d: int, h: float) -> float:
-    diag_cells = _diagonal_cells(cell_block, d)
+        cells, data = cells[region], data[region]
+    h = field.grid.h
+    diag_cells = _diagonal_cells(cells, field.d)
     total = 0.0
-    for a in range(d):
+    for a in range(field.d):
         ca = diag_cells[..., a]
         left = _shift_view(ca, a, 0, -1)
         right = _shift_view(ca, a, 1, None)
@@ -1008,28 +939,3 @@ def _fv_energy(cell_block: np.ndarray, data: np.ndarray, d: int, h: float) -> fl
         du = (_shift_view(data, a, 1, None) - _shift_view(data, a, 0, -1)) / h
         total += float((a_face * du * du).mean())
     return total
-
-
-def discrete_gradient(u) -> np.ndarray:
-    """Per-cell average gradient of a node-mode function: (..., d)."""
-    data, mode = _resolve_function(u)
-    if mode != "node":
-        raise ValueError("discrete_gradient requires a node-mode function")
-    _, r_hat = reference_matrices(data.ndim)
-    grads = _cell_corners(data) @ r_hat.T / u.grid.h
-    return grads.reshape(tuple(s - 1 for s in data.shape) + (data.ndim,))
-
-
-def mean_gradient(u) -> np.ndarray:
-    """Volume average of the gradient over the function's domain."""
-    g = discrete_gradient(u)
-    return g.reshape(-1, g.shape[-1]).mean(axis=0)
-
-
-def mean_flux(field: CoefficientField, u) -> np.ndarray:
-    """Volume average of a grad u over the function's domain."""
-    g = discrete_gradient(u)
-    block = _cells_under(field, u)
-    full = sym_unpack(block.reshape(-1, block.shape[-1]), field.d)
-    flux = np.einsum("cab,cb->ca", full, g.reshape(-1, field.d))
-    return flux.mean(axis=0)

@@ -15,7 +15,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from cge.cli import main
-from cge.coarse import audit, coarse_grain_cube, ellipticity_constants, sweep
+from cge.coarse import audit, ellipticity_constants, sweep
 from cge.fields import (
     CantorParams,
     CascadeParams,
@@ -45,13 +45,8 @@ from cge.harness import (
     sobolev_poincare_diagnostic,
 )
 from cge.norms import dual_sum_norm
-from cge.solver import (
-    CubeFunction,
-    energy,
-    mean_flux,
-    mean_gradient,
-    solve_dirichlet,
-)
+from cge.solver import solve_dirichlet
+from q1_oracle import _dense_stiffness, _forcing_vectors
 
 DESK = GridSpec(d=2, N=5)
 CUBE0 = TriadicCube(0, (0, 0))
@@ -95,7 +90,7 @@ def test_c02_striped_medium_matches_one_dimensional_closed_forms():
     # matrix is the arithmetic mean 2.5 in both directions, the gradient-side
     # first component is the harmonic mean 1.6.
     field = gen_laminate(DESK, 0, (1.0, 4.0))
-    pair = coarse_grain_cube(field, CUBE0)
+    pair = sweep(field).pair(CUBE0)
     assert_allclose(pair.avg, 2.5 * np.eye(2), rtol=0, atol=2.5e-6)
     assert pair.astar[0, 0] == pytest.approx(1.6, rel=1e-6)
 
@@ -117,21 +112,22 @@ def test_c03_random_media_satisfy_every_ordering_inequality():
 
 def test_c04_sampled_rayleigh_quotients_never_exceed_the_forms():
     # Every discrete test function yields a Rayleigh quotient below the
-    # corresponding quadratic form of the computed matrices.
+    # corresponding quadratic form of the computed matrices. Its energy,
+    # mean gradient and mean flux come from the dense Q1 stiffness and loads.
     grid = GridSpec(d=2, N=2)
     cube = TriadicCube(0, (0, 0))
     rng = np.random.default_rng(42)
     m = 3**grid.N + 1
     for field_seed in range(20):
         field = gen_random_spd(grid, seed=field_seed, eig_low=1e-2, eig_high=1e2)
-        pair = coarse_grain_cube(field, cube)
+        pair = sweep(field).pair(cube)
+        kmat, loads = _dense_stiffness(field, cube), _forcing_vectors(field, cube) / cube.volume
         directions = [np.array([1.0, 0.0]), np.array([0.0, 1.0]),
                       rng.normal(size=2)]
         for _ in range(20):
-            v = CubeFunction(grid, cube, rng.normal(size=(m, m)), "node")
-            en = energy(field, v)
-            grad = mean_gradient(v)
-            flux = mean_flux(field, v)
+            v = rng.normal(size=m * m)
+            en = v @ kmat @ v / cube.volume
+            grad, flux = loads[:, :2].T @ v, loads[:, 2:].T @ v
             for q in directions:
                 bound = q @ pair.astar_inv @ q
                 assert (grad @ q) ** 2 / en <= bound + 1e-7 * (1.0 + bound)

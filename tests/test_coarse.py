@@ -26,7 +26,6 @@ import cge.solver
 from cge.coarse import (
     DEFAULT_S_GRID,
     audit,
-    coarse_grain_cube,
     ellipticity_constants,
     sweep,
 )
@@ -39,13 +38,7 @@ from cge.grid import (
     scale_weighted_constant,
     sym_unpack,
 )
-from cge.solver import (
-    CubeFunction,
-    SolverError,
-    energy,
-    mean_flux,
-    mean_gradient,
-)
+from q1_oracle import _dense_stiffness, _forcing_vectors
 
 
 def cs(s):
@@ -214,34 +207,25 @@ class TestLaminate:
 
 
 # ---------------------------------------------------------------------------
-# Single-cube interface
+# One cube's pair, read from a sweep
 # ---------------------------------------------------------------------------
 
 class TestCoarseGrainCube:
     def test_single_cell_cube_needs_no_solve(self):
+        # the cell level is read from the field, not solved
         grid = GridSpec(d=2, N=2)
         field = gen_random_spd(grid, seed=11, eig_low=0.5, eig_high=4.0)
-        cube = TriadicCube(-2, (4, 7))
-        pair = coarse_grain_cube(field, cube)
+        result = sweep(field)
+        assert result.solve_count == 2 * (1 + 9)
+        pair = result.pair(TriadicCube(-2, (4, 7)))
         cell = field.cells_full()[4, 7]
         assert_allclose(pair.astar, cell, rtol=0, atol=0)
         assert_allclose(pair.avg, cell, rtol=0, atol=0)
-        assert pair.stats is None
-
-    def test_matches_sweep(self):
-        grid = GridSpec(d=2, N=2)
-        field = gen_random_spd(grid, seed=5, eig_low=0.2, eig_high=9.0)
-        result = sweep(field)
-        cube = TriadicCube(-1, (2, 0))
-        pair = coarse_grain_cube(field, cube)
-        swept = result.pair(cube)
-        assert_allclose(pair.astar, swept.astar, rtol=1e-12)
-        assert_allclose(pair.avg, swept.avg, rtol=1e-12)
 
     def test_d1_laminate(self):
         grid = GridSpec(d=1, N=2)
         field = gen_laminate(grid, 0, LAM_VALUES)
-        pair = coarse_grain_cube(field, TriadicCube(0, (0,)))
+        pair = sweep(field).pair(TriadicCube(0, (0,)))
         assert_allclose(pair.astar, [[HARM]], rtol=1e-10)
         assert_allclose(pair.avg, [[ARITH]], rtol=1e-10)
 
@@ -255,15 +239,17 @@ class TestRayleighBounds:
     def test_random_test_functions_lower_bound_forms(self, cube):
         grid = GridSpec(d=2, N=2)
         field = gen_random_spd(grid, seed=23, eig_low=0.1, eig_high=30.0)
-        pair = coarse_grain_cube(field, cube)
+        pair = sweep(field).pair(cube)
+        # the trial functions' energies and mean gradients and fluxes come
+        # from the dense Q1 stiffness and loads
+        kmat, loads = _dense_stiffness(field, cube), _forcing_vectors(field, cube) / cube.volume
         rng = np.random.default_rng(7)
         m = 3 ** (grid.N + cube.level) + 1
         directions = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), rng.normal(size=2)]
         for _ in range(8):
-            v = CubeFunction(grid, cube, rng.normal(size=(m, m)), "node")
-            en = energy(field, v)
-            mg = mean_gradient(v)
-            mf = mean_flux(field, v)
+            v = rng.normal(size=m * m)
+            en = v @ kmat @ v / cube.volume
+            mg, mf = loads[:, :2].T @ v, loads[:, 2:].T @ v
             for q in directions:
                 bound = q @ pair.astar_inv @ q
                 assert (mg @ q) ** 2 / en <= bound + 1e-7 * (1 + bound)
@@ -342,12 +328,6 @@ class TestSweepStructure:
         assert lines[2].startswith("level -2: cells, 729 cubes, - unknowns per cube, residual -, ")
         assert [line.split(",")[0] for line in lines[3:]] == [
             "level 0: cache", "level -1: cache", "level -2: cells"]
-
-    def test_single_cube_solver_error_names_cube(self, failing_solve):
-        grid = GridSpec(d=2, N=1)
-        field = gen_random_spd(grid, seed=1, eig_low=0.5, eig_high=2.0)
-        with pytest.raises(SolverError, match=r"level=0"):
-            coarse_grain_cube(field, TriadicCube(0, (0, 0)))
 
     def test_non_finite_cube_recorded_alone(self, monkeypatch, tmp_path):
         grid = GridSpec(d=3, N=2)
@@ -926,13 +906,12 @@ class TestAudit:
         result = sweep(field)
         assert np.array_equal(result.levels[-N].inv_avg_inv, field.data)
         for offset in np.ndindex((3**N,) * d):
-            cell = TriadicCube(-N, offset)
-            pair = coarse_grain_cube(field, cell)
-            assert np.array_equal(pair.inv_avg_inv, sym_unpack(field.data[offset], d))
-            # every matrix is the sweep's to the last bit, astar_inv included
-            swept = result.pair(cell)
-            for name in ("astar", "avg", "inv_avg_inv", "astar_inv"):
-                assert np.array_equal(getattr(pair, name), getattr(swept, name)), name
+            # every matrix is the cell's to the last bit, astar_inv its inverse's
+            pair = result.pair(TriadicCube(-N, offset))
+            cell = sym_unpack(field.data[offset], d)
+            for name in ("astar", "avg", "inv_avg_inv"):
+                assert np.array_equal(getattr(pair, name), cell), name
+            assert np.array_equal(pair.astar_inv, sym_unpack(field.inv_data[offset], d))
 
     def test_wide_contrast_3d_audits_clean(self):
         # eigenvalues 1e-3..1e3: before, the cell level failed the chain check

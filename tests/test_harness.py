@@ -472,6 +472,29 @@ class TestSobolevPoincare:
             sobolev_poincare_diagnostic(field, u, 0.8, 1.0, boundary=lambda x: x))
 
 
+def exp_boundary(x1, x2):
+    return np.exp(x1) + 2.0
+
+
+DIAGNOSTIC_CONSTANTS = {
+    "lambda_upper": lambda field, u, c: log_caccioppoli_diagnostic(field, u, c),
+    "lambda_lower": lambda field, u, c: sobolev_poincare_diagnostic(
+        field, u, 0.45, c, boundary=exp_boundary),
+    "theta": lambda field, u, c: reverse_holder_diagnostic(
+        field, u, ("power", 2.0), 0.5, 1.0, 0.3, 0.3, c),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("name", list(DIAGNOSTIC_CONSTANTS))
+def test_diagnostics_reject_a_constant_that_is_not_finite_and_positive(name, value):
+    # a NaN or inf constant would pass through as a NaN, 0 or inf quotient
+    field = gen_constant(GridSpec(2, 3), np.diag([1.0, 4.0]))
+    u, _ = solve_dirichlet(field, CUBE0, exp_boundary)
+    with pytest.raises(ValueError, match=f"{name} must be finite and positive, got {value!r}"):
+        DIAGNOSTIC_CONSTANTS[name](field, u, value)
+
+
 class TestSharpnessSweep:
     def test_slope_in_reference_band(self, sweep):
         assert 0.11 <= sweep.slope <= 0.14

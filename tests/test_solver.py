@@ -39,73 +39,20 @@ from cge.solver import (
     _element_matrices,
     _forcings,
     _plan,
-    discrete_gradient,
     energy,
     level_functionals,
-    mean_flux,
-    mean_gradient,
-    neumann_functionals,
     reference_matrices,
     solve_dirichlet,
 )
+from q1_oracle import (
+    _augmented_dense_solve,
+    _cell_nodes,
+    _cube_cells,
+    _dense_stiffness,
+    _forcing_vectors,
+)
 
 FULL = TriadicCube(0, (0, 0))
-
-
-def _augmented_dense_solve(kmat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve singular Neumann systems exactly via rank-one augmentation.
-
-    The dense reference solve, an oracle independent of the condensation
-    pass.
-    For b orthogonal to constants, (K + c*J/n) x = b has the unique zero-mean
-    solution of K x = b (J the all-ones matrix); batched over leading axes.
-    """
-    n = kmat.shape[-1]
-    scale = np.einsum("...ii->...", kmat) / n
-    aug = kmat + (scale[..., None, None] / n)
-    x = np.linalg.solve(aug, rhs)
-    return x - x.mean(axis=-2, keepdims=True)
-
-
-def _cell_nodes(m: int, d: int) -> np.ndarray:
-    """(ncells, 2^d) C-order indices of each cell's corner nodes in an
-    ``(m+1)**d`` node grid: cells in C order, corners in the order of the
-    element matrices."""
-    cells = np.indices((m,) * d).reshape(d, -1).T
-    corners = cells[:, None, :] + np.array(list(itertools.product((0, 1), repeat=d)))
-    return np.ravel_multi_index(tuple(np.moveaxis(corners, -1, 0)), (m + 1,) * d)
-
-
-def _cube_cells(field, cube) -> np.ndarray:
-    """A cube's packed cells, ``(ncells, ncomp)`` in C order."""
-    return field.data[cube.cell_slices(field.grid)].reshape(-1, field.data.shape[-1])
-
-
-def _dense_stiffness(field, cube) -> np.ndarray:
-    """Pure-Neumann Q1 stiffness of a cube (singular, kernel = constants),
-    summed densely from the element matrices, cell by cell."""
-    m = cube.cells_per_side(field.grid)
-    conn = _cell_nodes(m, field.d)
-    kmat = np.zeros(((m + 1) ** field.d,) * 2)
-    np.add.at(kmat, (conn[:, :, None], conn[:, None, :]),
-              _element_matrices(_cube_cells(field, cube), field.d, field.grid.h))
-    return kmat
-
-
-def _forcing_vectors(field, cube) -> np.ndarray:
-    """RHS columns of all 2d unit forcings on one cube, ``(nn, 2d)`` in C node
-    order: the engine's d gradient columns, then the d flux columns
-    ``L(v) = avg(e_a . a grad v)``, which the engine never solves and which
-    are assembled here from the reference element, cell by cell."""
-    m = cube.cells_per_side(field.grid)
-    d, h = field.d, field.grid.h
-    _, r_hat = reference_matrices(d)
-    cells = sym_unpack(_cube_cells(field, cube), d)
-    per_cell_flux = h ** (d - 1) * np.einsum("cxy,yI->cxI", cells, r_hat)
-    conn = _cell_nodes(m, d).ravel()
-    flux = [np.bincount(conn, weights=per_cell_flux[:, a].ravel(), minlength=(m + 1) ** d)
-            for a in range(d)]
-    return np.column_stack([_forcings((m,) * d, h)] + flux)
 
 
 def _dense_functionals(field, cube) -> np.ndarray:
@@ -116,24 +63,42 @@ def _dense_functionals(field, cube) -> np.ndarray:
     return sols.T @ rhs / cube.volume
 
 
-def _dense_maximizer(field, cube, direction, kind):
-    """``(u, value)``: the zero-mean maximizer of ``avg(-grad u . a grad u +
-    2 L(u))`` for the unit forcings of ``kind`` ("gradient" or "flux")
-    combined by ``direction``, from the dense reference solve, and the
-    optimum ``L(u) / vol`` (at the maximizer ``B(u, u) = L(u)``)."""
+def _cube_functionals(field, cube):
+    """One cube's ``(g, stats)``: its entry of its level's pass."""
+    g_all, stats = level_functionals(field, [cube.level])[cube.level]
+    return g_all[tuple(cube.offset)], stats
+
+
+def _load(field, cube, direction, kind) -> np.ndarray:
+    """The node load of the unit forcings of ``kind`` ("gradient" or
+    "flux") combined by ``direction``: ``L(v) = load @ v / vol``."""
     d = field.d
     cols = slice(0, d) if kind == "gradient" else slice(d, 2 * d)
-    rhs = _forcing_vectors(field, cube)[:, cols] @ np.asarray(direction, dtype=float)
+    return _forcing_vectors(field, cube)[:, cols] @ np.asarray(direction, dtype=float)
+
+
+def _dense_maximizer(field, cube, direction, kind):
+    """``(u, value)``: the zero-mean node vector maximizing ``avg(-grad u .
+    a grad u + 2 L(u))`` for the unit forcings of ``kind`` combined by
+    ``direction``, from the dense reference solve, and the optimum
+    ``L(u) / vol`` (at the maximizer ``B(u, u) = L(u)``)."""
+    rhs = _load(field, cube, direction, kind)
     x = _augmented_dense_solve(_dense_stiffness(field, cube), rhs[:, None])[:, 0]
-    m = cube.cells_per_side(field.grid)
-    return CubeFunction(field.grid, cube, x.reshape((m + 1,) * d), "node"), rhs @ x / cube.volume
+    return x, rhs @ x / cube.volume
 
 
-def _functional_value(field, u, direction, kind) -> float:
-    """``avg(-grad v . a grad v + 2 L(v))`` at a test function ``v``: at
-    most the optimum, on the same cube."""
-    g = mean_gradient(u) if kind == "gradient" else mean_flux(field, u)
-    return float(-energy(field, u) + 2.0 * np.asarray(direction) @ g)
+def _functional_value(field, cube, v, direction, kind) -> float:
+    """``avg(-grad v . a grad v + 2 L(v))`` at a node vector ``v`` of the
+    cube, from the dense stiffness and load: at most the optimum."""
+    load = _load(field, cube, direction, kind)
+    return float((2.0 * load - _dense_stiffness(field, cube) @ v) @ v / cube.volume)
+
+
+def _affine(grid, cube, q) -> np.ndarray:
+    """The zero-mean node vector of ``q . x`` on a cube."""
+    m = cube.cells_per_side(grid)
+    x = grid.h * np.tensordot(q, np.indices((m + 1,) * grid.d), axes=1).ravel()
+    return x - x.mean()
 
 
 def _sparse_functionals(field, cube) -> np.ndarray:
@@ -227,7 +192,7 @@ def test_constant_field_gradient_values(mat):
     g = GridSpec(2, 2)
     f = gen_constant(g, mat)
     inv = np.linalg.inv(mat)
-    gmat, _ = neumann_functionals(f, FULL)
+    gmat, _ = _cube_functionals(f, FULL)
     for i, e in enumerate(np.eye(2)):
         _, val = _dense_maximizer(f, FULL, e, "gradient")
         assert val == pytest.approx(inv[i, i], rel=1e-12)
@@ -240,8 +205,7 @@ def test_constant_field_flux_value_and_affine_maximizer():
     f = gen_constant(g, mat)
     u, val = _dense_maximizer(f, FULL, [1.0, 0.0], "flux")
     assert val == pytest.approx(mat[0, 0], rel=1e-12)
-    grads = discrete_gradient(u).reshape(-1, 2)
-    np.testing.assert_allclose(grads, np.broadcast_to([1.0, 0.0], grads.shape), atol=1e-9)
+    np.testing.assert_allclose(u, _affine(g, FULL, [1.0, 0.0]), rtol=0, atol=1e-12)
 
 
 def test_laminate_gradient_and_flux_closed_forms():
@@ -249,12 +213,11 @@ def test_laminate_gradient_and_flux_closed_forms():
     f = gen_laminate(g, 0, [1.0, 9.0, 1.0])
     _, v_grad = _dense_maximizer(f, FULL, [1.0, 0.0], "gradient")
     assert v_grad == pytest.approx((1 + 1 / 9 + 1) / 3, rel=1e-11)
-    assert neumann_functionals(f, FULL)[0][0, 0] == pytest.approx((1 + 1 / 9 + 1) / 3, rel=1e-11)
+    assert _cube_functionals(f, FULL)[0][0, 0] == pytest.approx((1 + 1 / 9 + 1) / 3, rel=1e-11)
     u, v_flux = _dense_maximizer(f, FULL, [0.0, 1.0], "flux")
     assert v_flux == pytest.approx(11 / 3, rel=1e-11)
     # the flux maximizer across the layering is the affine u = x_2
-    grads = discrete_gradient(u).reshape(-1, 2)
-    np.testing.assert_allclose(grads, np.broadcast_to([0.0, 1.0], grads.shape), atol=1e-9)
+    np.testing.assert_allclose(u, _affine(g, FULL, [0.0, 1.0]), rtol=0, atol=1e-12)
 
 
 def test_two_stripe_field_matches_represented_cell_means():
@@ -265,7 +228,7 @@ def test_two_stripe_field_matches_represented_cell_means():
     cells = f.data[:, 0, 0]
     _, v_grad = _dense_maximizer(f, FULL, [1.0, 0.0], "gradient")
     assert v_grad == pytest.approx((1.0 / cells).mean(), rel=1e-10)
-    assert neumann_functionals(f, FULL)[0][0, 0] == pytest.approx((1.0 / cells).mean(), rel=1e-10)
+    assert _cube_functionals(f, FULL)[0][0, 0] == pytest.approx((1.0 / cells).mean(), rel=1e-10)
     _, v_flux = _dense_maximizer(f, FULL, [0.0, 1.0], "flux")
     assert v_flux == pytest.approx(cells.mean(), rel=1e-10)
 
@@ -275,28 +238,24 @@ def test_gradient_solution_mean_flux_recovers_forcing():
     g = GridSpec(2, 2)
     f = gen_random_spd(g, seed=5)
     u, _ = _dense_maximizer(f, FULL, [1.0, 0.0], "gradient")
-    np.testing.assert_allclose(mean_flux(f, u), [1.0, 0.0], atol=1e-9)
-
-
-def test_solver_rejects_bad_inputs():
-    # one cell is no grid to condense (coarse_grain_cube reads the cell)
-    f = gen_constant(GridSpec(2, 1), np.eye(2))
-    with pytest.raises(ValueError, match="refinement exponent"):
-        neumann_functionals(f, TriadicCube(-1, (0, 1)))
+    mean_flux = _forcing_vectors(f, FULL)[:, 2:].T @ u / FULL.volume
+    np.testing.assert_allclose(mean_flux, [1.0, 0.0], atol=1e-9)
 
 
 def test_engine_matches_dense_oracle():
-    # every cube of every solved level of 2D N=2 and 3D N=2, each solved
-    # alone: level 0 of a pass over its own cells
+    # every cube of both solved levels of 2D N=2 and 3D N=2, all from one
+    # pass, against each cube's dense solve
     for d in (2, 3):
         grid = GridSpec(d, 2)
         f = gen_random_spd(grid, seed=13, eig_low=0.1, eig_high=10.0)
-        for level in (0, -1):
+        out = level_functionals(f, [0, -1])
+        assert sorted(out) == [-1, 0]
+        for level, (g_all, stats) in out.items():
+            assert g_all.shape == (3 ** -level,) * d + (d, d)
+            assert stats.method == "condensation" and "iterations" not in stats.to_dict()
             for off in np.ndindex((3 ** -level,) * d):
-                g, stats = neumann_functionals(f, TriadicCube(level, off))
-                assert stats.method == "condensation" and "iterations" not in stats.to_dict()
                 g_dense = _dense_functionals(f, TriadicCube(level, off))[:d, :d]
-                np.testing.assert_allclose(g, g_dense, rtol=0,
+                np.testing.assert_allclose(g_all[off], g_dense, rtol=0,
                                            atol=1e-12 * np.abs(g_dense).max())
 
 
@@ -367,7 +326,7 @@ def test_residual_reported_on_high_contrast_field(d, n):
     f = gen_random_spd(GridSpec(d, n), seed=3, eig_low=1e-2, eig_high=1e2)
     for _, stats in level_functionals(f, range(0, -n, -1)).values():
         assert 0.0 < stats.residual <= 1e-10
-    _, stats = neumann_functionals(f, TriadicCube(0, (0,) * d))
+    _, stats = level_functionals(f, [0])[0]
     assert 0.0 < stats.residual <= 1e-10
 
 
@@ -375,7 +334,7 @@ def test_linear_forcing_combines_functional_columns():
     g = GridSpec(2, 2)
     f = gen_random_spd(g, seed=17, eig_low=1e-2, eig_high=1e2)
     cube = TriadicCube(-1, (2, 1))
-    gmat, stats = neumann_functionals(f, cube)
+    gmat, stats = _cube_functionals(f, cube)
     assert stats.method == "condensation"
     q = np.array([0.7, -1.3])
     # the gradient forcing is linear in q: its optimum is q . g q
@@ -385,27 +344,15 @@ def test_linear_forcing_combines_functional_columns():
     # never solves: its optimum is q . avg(a) q
     u, value = _dense_maximizer(f, cube, q, "flux")
     np.testing.assert_allclose(value, q @ cube_average(f, cube) @ q, rtol=1e-12)
-    m = cube.cells_per_side(g)
-    x = g.h * np.tensordot(q, np.indices((m + 1,) * 2), axes=1)
-    x -= x.mean()
-    np.testing.assert_allclose(u.data, x, rtol=0, atol=1e-12 * np.abs(x).max())
-
-
-def test_batched_matches_per_cube():
-    g = GridSpec(2, 2)
-    f = gen_random_spd(g, seed=23)
-    g_all, stats = level_functionals(f, [-1])[-1]
-    assert g_all.shape == (3, 3, 2, 2)
-    for z in [(0, 0), (1, 2), (2, 1)]:
-        g_one, _ = neumann_functionals(f, TriadicCube(-1, z))
-        np.testing.assert_allclose(g_all[z], g_one, atol=1e-10 * np.abs(g_one).max())
+    x = _affine(g, cube, q)
+    np.testing.assert_allclose(u, x, rtol=0, atol=1e-12 * np.abs(x).max())
 
 
 @pytest.mark.parametrize("d, n", [(2, 2), (3, 2)])
 def test_cross_functional_matrix_structure(d, n):
     f = gen_random_spd(GridSpec(d, n), seed=29)
     cube = TriadicCube(0, (0,) * d)
-    gmat, _ = neumann_functionals(f, cube)
+    gmat, _ = _cube_functionals(f, cube)
     assert gmat.shape == (d, d)
     np.testing.assert_allclose(gmat, gmat.T, atol=1e-9 * np.abs(gmat).max())
     # gradient Gram matrix is SPD
@@ -771,8 +718,8 @@ def test_single_cube_failed_solve_is_nan(monkeypatch):
         raise np.linalg.LinAlgError("Singular matrix")
 
     monkeypatch.setattr(cge.solver, "_eliminate", fail)
-    g, stats = neumann_functionals(gen_random_spd(GridSpec(2, 2), seed=1), FULL)
-    assert g.shape == (2, 2) and np.isnan(g).all()
+    g, stats = level_functionals(gen_random_spd(GridSpec(2, 2), seed=1), [0])[0]
+    assert g.shape == (1, 1, 2, 2) and np.isnan(g).all()
     assert stats.failure == "dense condensation failed: Singular matrix"
 
 
@@ -839,15 +786,15 @@ def test_3d_laminate_closed_form():
 def test_galerkin_optimality_one_sided():
     g = GridSpec(2, 2)
     f = gen_random_spd(g, seed=31)
-    gmat, _ = neumann_functionals(f, FULL)
+    gmat, _ = _cube_functionals(f, FULL)
     rng = np.random.default_rng(0)
     for kind, direction in (("gradient", [0.3, -1.2]), ("flux", [1.0, 0.4])):
         _, best = _dense_maximizer(f, FULL, direction, kind)
         if kind == "gradient":
             assert best == pytest.approx(np.asarray(direction) @ gmat @ direction, rel=1e-12)
         for _ in range(5):
-            trial = CubeFunction(g, FULL, rng.standard_normal(g.node_shape), "node")
-            assert _functional_value(f, trial, direction, kind) <= best + 1e-9 * abs(best)
+            trial = rng.standard_normal(g.node_shape).ravel()
+            assert _functional_value(f, FULL, trial, direction, kind) <= best + 1e-9 * abs(best)
 
 
 # ---------------------------------------------------------------------------
@@ -1049,24 +996,35 @@ def test_dirichlet_failed_factorization_is_solver_error(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Energy / gradients
+# Energy, and the oracle's energy and loads
 # ---------------------------------------------------------------------------
 
 def test_energy_constant_is_zero():
     g = GridSpec(2, 2)
     f = gen_constant(g, np.eye(2))
-    u = ScalarGridFunction(g, np.full(g.node_shape, 3.0), "node")
+    u = ScalarGridFunction(g, np.full(g.cell_shape, 3.0), "cell")
     assert energy(f, u) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_energy_affine_node_mode():
+    # the dense oracle's Q1 energy v . K v / vol of an affine node function
+    g = GridSpec(2, 2)
+    u = ScalarGridFunction.from_callable(g, lambda x, y: x, mode="node").data.ravel()
+    k = _dense_stiffness(gen_constant(g, np.eye(2)), FULL)
+    assert u @ k @ u / FULL.volume == pytest.approx(1.0, rel=1e-12)
+    v = ScalarGridFunction.from_callable(g, lambda x, y: y, mode="node").data.ravel()
+    k2 = _dense_stiffness(gen_constant(g, np.diag([1.0, 7.0])), FULL)
+    assert v @ k2 @ v / FULL.volume == pytest.approx(7.0, rel=1e-12)
+
+
+def test_energy_rejects_node_mode():
+    # the face form reads cell values; a node function's energy is the oracle's
     g = GridSpec(2, 2)
     f = gen_constant(g, np.eye(2))
-    u = ScalarGridFunction.from_callable(g, lambda x, y: x, mode="node")
-    assert energy(f, u) == pytest.approx(1.0, rel=1e-12)
-    f2 = gen_constant(g, np.diag([1.0, 7.0]))
-    v = ScalarGridFunction.from_callable(g, lambda x, y: y, mode="node")
-    assert energy(f2, v) == pytest.approx(7.0, rel=1e-12)
+    for u in (ScalarGridFunction(g, np.zeros(g.node_shape), "node"),
+              CubeFunction(g, FULL, np.zeros(g.node_shape), "node")):
+        with pytest.raises(ValueError, match="cell-mode"):
+            energy(f, u)
 
 
 def test_energy_cell_mode_face_form():
@@ -1082,10 +1040,10 @@ def test_energy_cell_mode_face_form():
 def test_energy_region_restriction():
     g = GridSpec(2, 2)
     f = gen_constant(g, np.eye(2))
-    u = ScalarGridFunction.from_callable(g, lambda x, y: x * x, mode="node")
+    u = ScalarGridFunction.from_callable(g, lambda x, y: x * x, mode="cell")
     region = (slice(3, 6), slice(3, 6))
     e_region = energy(f, u, region=region)
-    # on the center third, grad of the interpolant of x^2 is smaller
+    # on the center third the gradient of x^2 is smaller
     assert 0 < e_region < energy(f, u)
 
 
@@ -1099,19 +1057,28 @@ def test_energy_anisotropic_exponential_log_form():
 
 
 def test_discrete_gradient_affine():
+    # the oracle's gradient load gives each cell's mean gradient, and the
+    # whole cube's: the affine function's
     g = GridSpec(2, 2)
-    u = ScalarGridFunction.from_callable(g, lambda x, y: 3 * x + 2 * y - 1, mode="node")
-    grads = discrete_gradient(u)
-    np.testing.assert_allclose(grads, np.broadcast_to([3.0, 2.0], grads.shape), atol=1e-12)
-    assert mean_gradient(u) == pytest.approx([3.0, 2.0])
+    f = gen_constant(g, np.eye(2))
+    u = ScalarGridFunction.from_callable(g, lambda x, y: 3 * x + 2 * y - 1, mode="node").data
+    for off in np.ndindex(g.cell_shape):
+        cell = TriadicCube(-2, off)
+        corners = u[tuple(slice(z, z + 2) for z in off)].ravel()
+        grad = _forcing_vectors(f, cell)[:, :2].T @ corners / cell.volume
+        np.testing.assert_allclose(grad, [3.0, 2.0], rtol=1e-12)
+    grad = _forcing_vectors(f, FULL)[:, :2].T @ u.ravel() / FULL.volume
+    np.testing.assert_allclose(grad, [3.0, 2.0], rtol=1e-12)
 
 
 def test_mean_flux_constant_field():
+    # the oracle's flux load gives the mean flux a grad u
     g = GridSpec(2, 1)
     mat = np.array([[2.0, 0.5], [0.5, 3.0]])
     f = gen_constant(g, mat)
-    u = ScalarGridFunction.from_callable(g, lambda x, y: x - y, mode="node")
-    np.testing.assert_allclose(mean_flux(f, u), mat @ [1.0, -1.0], atol=1e-12)
+    u = ScalarGridFunction.from_callable(g, lambda x, y: x - y, mode="node").data.ravel()
+    flux = _forcing_vectors(f, FULL)[:, 2:].T @ u / FULL.volume
+    np.testing.assert_allclose(flux, mat @ [1.0, -1.0], atol=1e-12)
 
 
 def test_discretization_validation():

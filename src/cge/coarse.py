@@ -147,7 +147,7 @@ class SweepResult:
 #: :func:`~cge.solver.level_functionals`, in every dimension) and the record
 #: layout (``astar_inv`` alone) in every cache record: another solver's
 #: record is a miss. A change that moves the stored numbers bumps it.
-SOLVER_TAG = "q1-neumann/condensation/6"
+SOLVER_TAG = "q1-neumann/condensation/7"
 
 
 def _cache_path(cache_dir, field_hash: str, level: int) -> str:

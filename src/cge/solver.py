@@ -31,9 +31,12 @@ and its last merge is one pinned solve. A cube's ``g`` is its entry of
 its level's array; no other path solves a cube alone.
 
 A merge sums its boxes' maps onto its skeleton through a flat index and
-eliminates by Cholesky (:func:`_eliminate`), whose forward substitution
-(:func:`_lower_solve`) and Schur update are matmuls. The pinned solve is an
-LU solve.
+eliminates in place (:func:`_eliminate`): a left-looking Cholesky
+(:func:`_cholesky`), a forward substitution (:func:`_lower_solve`) and a
+Schur update, all matmuls and no copy of the skeleton. Below level 0 a
+pinned solve is an LU solve of a copy of the cube's map, which its parent
+needs. Level 0's last merge factors its pinned skeleton in place and takes
+``g`` from the forward substitution alone.
 
 The pass runs depth first, one subtree per level -1 cube: a subtree runs
 its levels below 0 from its cells' element matrices, and its cube's first
@@ -43,10 +46,13 @@ store; Liu, ACM TOMS 12(3), 1986). The subtrees are the jobs of
 :func:`_run_chunks`, on one thread per core this process may use, the
 calling thread among them (NumPy's factorizations and matmul release the
 GIL); a subtree cuts each of its stages into chunks of whole merges and
-runs them itself. Level 0's later stages run their chunks through
-:func:`_run_chunks` too; with one chunk or one core the caller runs them
-alone. Every merge is eliminated alone, so the numbers do not depend on
-the split or the schedule.
+runs them itself. Level 0's later merges then run one at a time on the
+calling thread, in postorder, so one merge's working store is alive at a
+time, and each gives the bands of rows of its assembly, factorization and
+update to :func:`_run_chunks`; with one core the caller runs them alone.
+Every merge is eliminated alone, and a band's rows are fixed by module
+constants, so the numbers do not depend on the split, the schedule or the
+cores.
 
 The Dirichlet system is SPD (an M-matrix with the boundary terms on its
 diagonal); it lists its unknowns in nested-dissection order, is factored
@@ -248,8 +254,8 @@ def _chunk_pool():
 
 
 def _run_chunks(starts: range, work: Callable[[int], object]) -> tuple[list, int]:
-    """``work(lo)`` for every job start (a subtree of the pass, or a chunk
-    of one of level 0's later stages), on the calling thread and, with more
+    """``work(lo)`` for every job start (a subtree of the pass, or a band
+    of one of level 0's later merges), on the calling thread and, with more
     than one job and more than one core, the threads of
     :func:`_chunk_pool`; each thread takes the next job when it is free.
 
@@ -360,72 +366,173 @@ CHUNK_ENTRIES = 250_000
 
 
 #: Rows the merge kernel takes at a time: a diagonal block of
-#: :func:`_lower_solve`, and a band of a box's map summed onto the skeleton
-#: by :func:`_condense`. A smaller block inverts less by ``np.linalg.inv``,
-#: which runs at a few GFLOP/s; a larger one makes larger matmuls. On one
-#: BLAS thread of a 2-core x86-64 host, merges of 300 to 3,000 nodes
-#: eliminated fastest at 32 to 64.
+#: :func:`_cholesky` and its substitutions, and a band of a box's map
+#: summed onto the skeleton by :func:`_condense`. A smaller block inverts
+#: less by ``np.linalg.inv``, which runs at a few GFLOP/s; a larger one makes
+#: larger matmuls. On one BLAS thread of a 2-core x86-64 host, merges of 300
+#: to 3,000 nodes eliminated fastest at 32 to 64.
 _BLOCK = 64
 
+#: Rows of a band: the job :func:`_cholesky`'s panel update, the Schur
+#: update of :func:`_eliminate` and the columns of :func:`_lower_solve` are
+#: cut into, each run by the kernel's ``run``. A band's temporary is at most
+#: this many rows of its matrix, and level 0's merges of 500 to 17,000
+#: nodes make 2 to 70 bands, enough to keep a few threads busy. The edges
+#: are fixed, not drawn from the cores, so every number is the same on any
+#: core count.
+_BAND = 256
 
-def _lower_solve(low: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Overwrite ``rhs`` with ``L^-1 rhs`` for a stack of lower-triangular
-    ``L``, by blocked forward substitution, and return it: a block of
-    :data:`_BLOCK` rows takes the rows above it off its right-hand side with
-    one matmul and is then multiplied by its diagonal block's inverse. A
-    many-column triangular solve runs at a fraction of matmul's rate; this
-    runs at matmul's."""
-    for lo in range(0, low.shape[-1], _BLOCK):
-        part = rhs[:, lo:lo + _BLOCK]
+
+def _serial(starts: range, work: Callable[[int], object]) -> tuple[list, int]:
+    """:func:`_run_chunks` on the calling thread alone: how a subtree runs
+    its stages on the thread that took it, and a merge below level 0 its
+    bands."""
+    return [(lo, work(lo)) for lo in starts], 1
+
+
+def _cholesky(a: np.ndarray, run=_serial) -> list:
+    """Overwrite the lower triangle of a stack of symmetric positive-definite
+    ``a`` with its Cholesky factor ``L``, ``a = L L^T``, and return the
+    inverses of ``L``'s diagonal blocks, which the substitutions
+    (:func:`_lower_solve`, :func:`_back_solve`) take.
+
+    Left-looking, by block columns of :data:`_BLOCK`: a block column first
+    takes the columns left of it off its diagonal block, which
+    ``np.linalg.cholesky`` factors, zeroing its strict upper triangle. The
+    rows below it then take the columns to the left off themselves and are
+    multiplied by the diagonal factor's inverse transpose, in bands of
+    :data:`_BAND` rows, each a job of ``run``. The strict upper triangle
+    outside the diagonal blocks is never read or written. Raises
+    ``numpy.linalg.LinAlgError`` if a matrix of the stack is not positive
+    definite.
+    """
+    k, invs = a.shape[-1], []
+    for lo in range(0, k, _BLOCK):
+        hi = min(lo + _BLOCK, k)
+        diag, left_t = a[:, lo:hi, lo:hi], np.swapaxes(a[:, lo:hi, :lo], -1, -2)
         if lo:
-            part -= low[:, lo:lo + _BLOCK, :lo] @ rhs[:, :lo]
-        part[...] = np.linalg.inv(low[:, lo:lo + _BLOCK, lo:lo + _BLOCK]) @ part
+            diag -= np.swapaxes(left_t, -1, -2) @ left_t
+        diag[...] = np.linalg.cholesky(diag)
+        invs.append(np.linalg.inv(diag))
+        inv_t = np.swapaxes(invs[-1], -1, -2)
+
+        def band(top: int) -> None:
+            panel = a[:, top:top + _BAND, lo:hi]
+            if lo:
+                panel -= a[:, top:top + _BAND, :lo] @ left_t
+            panel[...] = panel @ inv_t
+
+        run(range(hi, k, _BAND), band)
+    return invs
+
+
+def _lower_solve(low: np.ndarray, invs: list, rhs: np.ndarray, run=_serial) -> np.ndarray:
+    """Overwrite ``rhs`` with ``L^-1 rhs`` for a stack of lower-triangular
+    ``L`` (``low``'s lower triangle, as :func:`_cholesky` leaves it, and
+    ``invs``, the inverses of its diagonal blocks), by blocked forward
+    substitution, and return it: a block of :data:`_BLOCK` rows takes the
+    rows above it off its right-hand side with one matmul and is then
+    multiplied by its diagonal block's inverse. A many-column triangular
+    solve runs at a fraction of matmul's rate; this runs at matmul's. The
+    columns are solved in bands of :data:`_BAND`, each a job of ``run``."""
+    def band(left: int) -> None:
+        cols = rhs[..., left:left + _BAND]
+        for lo, inv in zip(range(0, low.shape[-1], _BLOCK), invs):
+            part = cols[:, lo:lo + _BLOCK]
+            if lo:
+                part -= low[:, lo:lo + _BLOCK, :lo] @ cols[:, :lo]
+            part[...] = inv @ part
+
+    run(range(0, rhs.shape[-1], _BAND), band)
     return rhs
 
 
-def _eliminate(mat: np.ndarray, k: int, forcing: np.ndarray | None = None):
+def _back_solve(low: np.ndarray, invs: list, rhs: np.ndarray) -> np.ndarray:
+    """Overwrite ``rhs`` with ``L^-T rhs``, the backward substitution of
+    :func:`_lower_solve` by the same blocks, and return it."""
+    k = low.shape[-1]
+    for lo, inv in reversed(list(zip(range(0, k, _BLOCK), invs))):
+        hi = min(lo + _BLOCK, k)
+        part = rhs[:, lo:hi]
+        if hi < k:
+            part -= np.swapaxes(low[:, hi:, lo:hi], -1, -2) @ rhs[:, hi:]
+        part[...] = np.swapaxes(inv, -1, -2) @ part
+    return rhs
+
+
+def _upper_times(upper: np.ndarray, blocks: list, y: np.ndarray, run=_serial) -> np.ndarray:
+    """``S y`` for a stack of symmetric ``S`` given by ``upper``'s strict
+    upper triangle outside its diagonal blocks of :data:`_BLOCK`, and by
+    ``blocks``, copies of those diagonal blocks: what :func:`_cholesky`
+    leaves of ``S``. Each block of rows is a job of ``run``."""
+    out = np.empty_like(y)
+
+    def rows(lo: int) -> None:
+        block = blocks[lo // _BLOCK]
+        hi = lo + block.shape[-1]
+        out[:, lo:hi] = (block @ y[:, lo:hi] + upper[:, lo:hi, hi:] @ y[:, hi:]
+                         + np.swapaxes(upper[:, :lo, lo:hi], -1, -2) @ y[:, :lo])
+
+    run(range(0, upper.shape[-1], _BLOCK), rows)
+    return out
+
+
+def _eliminate(mat: np.ndarray, k: int, forcing: np.ndarray | None = None, run=_serial):
     """Eliminate the first ``k`` nodes of a stack of symmetric matrices whose
     rows sum to zero: the Schur complement ``S = A_bb - A_bk A_kk^-1 A_kb``
     onto the other nodes, written over ``mat``'s trailing block and returned
     as a view of it. ``mat``'s other blocks are overwritten too.
 
-    ``A_kk = L L^T`` is factored by Cholesky and ``W = L^-1 [A_kb | f_k]``
-    formed in place by :func:`_lower_solve`, so ``S = A_bb - W_b^T W_b``:
-    the work is matmul, and the update, a matrix times its own transpose,
-    is exactly symmetric. ``S``'s rows sum to zero too (constants are in
-    the stiffness's kernel). At high contrast its diagonal, subtracted
-    directly, loses digits to cancellation, so it is taken from the other
-    entries of its row: in 1D at contrast 1e6 this brings g's error from
-    2.7e-8 to 7e-12. With ``k = 0`` nothing is eliminated and the diagonal
-    is kept. With a ``forcing`` (the ``(n, d)`` forcing of every matrix's
-    nodes) carried along, returns ``(S, f_b - W_b^T W_f, W_f^T W_f)``, the
-    last ``f_k^T A_kk^-1 f_k``, exactly symmetric too. Raises
-    ``numpy.linalg.LinAlgError`` if an ``A_kk`` of the stack is not
-    positive definite.
+    ``A_kk = L L^T`` is factored in place by :func:`_cholesky` and ``W_b =
+    L^-1 A_kb`` formed in place by :func:`_lower_solve`, so ``S = A_bb -
+    W_b^T W_b``: the work is matmul, and no copy of ``mat`` is made. The
+    update runs in bands of :data:`_BAND` rows, each a job of ``run``: a
+    band updates the rows' lower triangle, its diagonal block a matrix times
+    its own transpose, and mirrors the rest above the diagonal, so ``S`` is
+    exactly symmetric. ``S``'s rows sum to zero too (constants are in the
+    stiffness's kernel). At high contrast its diagonal, subtracted directly,
+    loses digits to cancellation, so it is taken from the other entries of
+    its row: in 1D at contrast 1e6 this brings g's error from 2.7e-8 to
+    7e-12. With ``k = 0`` nothing is eliminated and the diagonal is kept.
+    With a ``forcing`` (the ``(n, d)`` forcing of every matrix's nodes)
+    carried along, ``W_f = L^-1 f_k`` is solved alone and the call returns
+    ``(S, f_b - W_b^T W_f, W_f^T W_f)``, the last ``f_k^T A_kk^-1 f_k``,
+    exactly symmetric too. Raises ``numpy.linalg.LinAlgError`` if an
+    ``A_kk`` of the stack is not positive definite.
     """
     head, tail = slice(None, k), slice(k, None)
-    coupling = mat[:, head, tail]
-    if forcing is not None:
-        coupling = np.concatenate(
-            [coupling, np.broadcast_to(forcing[head], (mat.shape[0],) + forcing[head].shape)],
-            axis=-1)
-    w = _lower_solve(np.linalg.cholesky(mat[:, head, head]), coupling)
+    low = mat[:, head, head]
+    invs = _cholesky(low, run)
+    w_b = _lower_solve(low, invs, mat[:, head, tail], run)
+    w_bt = np.swapaxes(w_b, -1, -2)
     schur = mat[:, tail, tail]
     n = schur.shape[-1]
-    w_b, w_f = w[..., :n], w[..., n:]
-    schur -= np.swapaxes(w_b, -1, -2) @ w_b
+
+    def band(lo: int) -> None:
+        hi = min(lo + _BAND, n)
+        rows = w_bt[:, lo:hi]
+        if lo:
+            schur[:, lo:hi, :lo] -= rows @ w_b[:, :, :lo]
+            schur[:, :lo, lo:hi] = np.swapaxes(schur[:, lo:hi, :lo], -1, -2)
+        schur[:, lo:hi, lo:hi] -= rows @ w_b[:, :, lo:hi]
+
+    def diagonal(lo: int) -> None:  # a band of rows, once every band is mirrored
+        rows, at = schur[:, lo:lo + _BAND], np.arange(lo, min(lo + _BAND, n))
+        rows[:, at - lo, at] = 0.0
+        rows[:, at - lo, at] = -rows.sum(axis=-1)
+
+    run(range((n - 1) // _BAND * _BAND, -1, -_BAND), band)  # the largest band first
     if k:
-        diag = np.arange(n)
-        schur[:, diag, diag] = 0.0
-        schur[:, diag, diag] = -schur.sum(axis=-1)
+        run(range(0, n, _BAND), diagonal)
     if forcing is None:
         return schur
-    return (schur, forcing[tail] - np.swapaxes(w_b, -1, -2) @ w_f,
-            np.swapaxes(w_f, -1, -2) @ w_f)
+    f_k = forcing[head]
+    w_f = _lower_solve(low, invs, np.broadcast_to(f_k, (mat.shape[0],) + f_k.shape).copy())
+    return schur, forcing[tail] - w_bt @ w_f, np.swapaxes(w_f, -1, -2) @ w_f
 
 
-def _condense(maps: Sequence[np.ndarray], plan: tuple, out: np.ndarray | None = None,
-              forcing: np.ndarray | None = None, carried: Sequence = ()) -> tuple:
+def _condense(maps: list, plan: tuple, out: np.ndarray | None = None,
+              forcing: np.ndarray | None = None, carried: Sequence = (), run=_serial) -> tuple:
     """The merge kernel: ``n`` merges that share one skeleton ``plan``, a
     ``(size, k, ranks)`` of :func:`_plan`.
 
@@ -433,10 +540,13 @@ def _condense(maps: Sequence[np.ndarray], plan: tuple, out: np.ndarray | None = 
     summed onto the skeleton through a flat index into the stack, built
     per call for a band of :data:`_BLOCK` rows of a box at a time: an index
     as large as the maps, whole or cached, raises the peak memory. Box 0 is
-    assigned, the others added. The skeleton's first ``k`` nodes are
-    eliminated (:func:`_eliminate`), and the kept nodes' maps are written
-    to ``out`` (a new array if it is None). A merge with a non-finite map
-    is not condensed: its map and ``g`` are NaN.
+    assigned, the others added, and each box is dropped from ``maps`` once
+    it is summed, so a box the caller holds nowhere else is freed then. The
+    skeleton's first ``k`` nodes are eliminated (:func:`_eliminate`), and
+    the kept nodes' maps are written to ``out`` (a new array if it is None).
+    A merge with a non-finite map is not condensed: its map and ``g`` are
+    NaN. ``run`` takes the bands of the assembly, the elimination and the
+    copy to ``out``: :func:`_serial`, or at level 0 :func:`_run_chunks`.
 
     At level 0, a stack of one, ``carried`` holds each box's forcing on its
     nodes and the ``g`` of the nodes it has eliminated: they are summed,
@@ -444,25 +554,35 @@ def _condense(maps: Sequence[np.ndarray], plan: tuple, out: np.ndarray | None = 
     f`` to ``g``. Given the kept nodes' ``forcing`` (below level 0), or
     when the merge keeps no node (level 0's last, which forms no map), the
     last node is pinned and ``S y = f`` solved: ``g`` gains ``y^T f``, and
-    the residual is ``|S y - f| / |f|``.
+    the residual is ``|S y - f| / |f|``. Below level 0 that is an LU solve
+    of a copy of ``S``, which the cube's map still needs. Level 0's last
+    merge factors ``S = L L^T`` in place (:func:`_cholesky`): ``g`` gains
+    ``W^T W`` for ``W = L^-1 f``, and ``y = L^-T W`` is checked against the
+    ``S`` that the strict upper triangle and copies of the diagonal blocks
+    keep.
 
     Returns ``(out, forcing, g, residual)``: the maps (``None`` if none is
     kept), the kept nodes' forcing, the ``(n, d, d)`` matrices ``g`` (not
     divided by the volume; ``0.0`` if none is wanted) and the largest
     residual (NaN if none). Raises ``numpy.linalg.LinAlgError`` if an
-    elimination meets a block that is not positive definite, or the pinned
-    solve (LU) a singular one.
+    elimination or the last merge meets a block that is not positive
+    definite, or an LU pinned solve a singular one.
     """
     size, k, ranks = plan
     n = maps[0].shape[0]
     pin = forcing is not None or k == size  # a forcing given, not carried
     skel = np.zeros((n, size, size))
     flat, base = skel.reshape(-1), np.arange(0, skel.size, size * size)[:, None, None]
-    for c, (mat, r) in enumerate(zip(maps, ranks)):
-        for lo in range(0, r.size, _BLOCK):
+    for c, r in enumerate(ranks):
+        mat, maps[c] = maps[c], None
+
+        def rows(lo: int, mat=mat, r=r, c=c) -> None:  # a band of the box's rows
             at = (base + (r[lo:lo + _BLOCK, None] * size + r)).ravel()
             band = mat[:, lo:lo + _BLOCK].ravel()
             flat[at] = flat.take(at) + band if c else band
+
+        run(range(0, r.size, _BLOCK), rows)
+        del mat, rows
     g = 0.0
     if carried:
         forcing = np.zeros((size, carried[0][0].shape[-1]))
@@ -481,35 +601,43 @@ def _condense(maps: Sequence[np.ndarray], plan: tuple, out: np.ndarray | None = 
         return out, forcing, g, math.nan
     if not finite.all():
         skel = skel[finite]
+    schur = skel
     if carried and 0 < k < size:
-        skel, rest, own = _eliminate(skel, k, forcing)
+        schur, rest, own = _eliminate(skel, k, forcing, run)
         forcing, g = rest[0], g + own
     elif 0 < k < size:
-        skel = _eliminate(skel, k)
+        schur = _eliminate(skel, k, None, run)
     if out is None and k < size:  # a copy off the skeleton, made once it is reduced
         out = np.empty((n, size - k, size - k))
     if out is not None and finite.all():
-        out[...] = skel
+        run(range(0, size - k, _BAND),
+            lambda lo: np.copyto(out[:, lo:lo + _BAND], schur[:, lo:lo + _BAND]))
     elif out is not None:
-        out[finite] = skel
+        out[finite] = schur
         out[~finite] = np.nan
     if not pin:
         return out, forcing, g, math.nan
-    s, f = skel[:, :-1, :-1], forcing[:-1]
-    # LU, not Cholesky: on one big matrix np.linalg.cholesky runs at half
-    # the rate of np.linalg.solve, so it takes as long for half the flops
-    y = np.linalg.solve(s, np.broadcast_to(f, (s.shape[0],) + f.shape))
-    res = (np.linalg.norm(s @ y - f, axis=1)
+    s, f = schur[:, :-1, :-1], forcing[:-1]
+    rhs = np.broadcast_to(f, (s.shape[0],) + f.shape)
+    if k < size:
+        # LU below level 0, on a copy the cube's map needs anyway: NumPy has
+        # no triangular solve, and the Cholesky factor and two substitutions
+        # invert each diagonal block, which costs more than the stacked LU
+        # (27 maps of 55 nodes, one BLAS thread: 2.95 ms against 0.84 ms)
+        y = np.linalg.solve(s, rhs)
+        product, gain = s @ y, np.swapaxes(y, -1, -2) @ f
+    else:
+        blocks = [s[:, lo:lo + _BLOCK, lo:lo + _BLOCK].copy()
+                  for lo in range(0, s.shape[-1], _BLOCK)]
+        invs = _cholesky(s, run)
+        w = _lower_solve(s, invs, rhs.copy())
+        gain = np.swapaxes(w, -1, -2) @ w
+        product = _upper_times(s, blocks, _back_solve(s, invs, w.copy()), run)
+    res = (np.linalg.norm(product - f, axis=1)
            / np.maximum(np.linalg.norm(f, axis=0), 1e-300))
     g_all = np.full((n, f.shape[1], f.shape[1]), np.nan)
-    g_all[finite] = g + np.swapaxes(y, -1, -2) @ f
+    g_all[finite] = g + gain
     return out, forcing, g_all, float(res.max())
-
-
-def _serial(starts: range, work: Callable[[int], object]) -> tuple[list, int]:
-    """:func:`_run_chunks` on the calling thread alone: how a subtree runs
-    its stages on the thread that took it."""
-    return [(lo, work(lo)) for lo in starts], 1
 
 
 def _run_stage(count: int, entries: int, work: Callable[[int, int], object],
@@ -584,30 +712,52 @@ def _level_zero(boxes: list, stages: tuple, d: int) -> tuple[np.ndarray, SolveSt
     """Level 0 after each child's first merge: the strips, the slabs and the
     last merge (``stages``, those of :func:`_plan` after the first) on the
     children's reduced ``boxes``, each a ``(map, forcing, g)``, or ``None``
-    for a child whose merge failed. A stage's merges run in chunks through
-    :func:`_run_chunks`, and a merge drops its boxes from ``boxes`` (the
-    caller's list too) as it takes them, so a box lives until it is merged.
-    Returns the cube's ``(1, d, d)`` ``g``, NaN if a merge failed, and the
-    stats of these stages."""
+    for a child whose merge failed.
+
+    The merges run one at a time on the calling thread, in postorder: a box
+    is merged into its parent before the next box is made, so besides one
+    merge's working store only the boxes it waits for are alive (Liu's
+    bound, ACM TOMS 12(3), 1986, on level 0's own merges). Each merge is a
+    chunk of :func:`_run_stage` and gives the bands of its elimination, or
+    of the last merge's factorization, to :func:`_run_chunks`, so it runs
+    on every core. A merge drops its boxes from ``boxes`` (the caller's list
+    too) as it takes them, and each box once it is summed onto the
+    skeleton. Returns the cube's ``(1, d, d)`` ``g``, NaN if a merge failed,
+    and the stats of these stages; ``stats.threads`` counts the threads
+    that took a band."""
     stats = SolveStats(math.nan, max(size for merges in stages for size, _, _ in merges),
                        time.perf_counter(), "condensation", 0, 0)
     g = np.full((1, d, d), np.nan)
+
+    def bands(starts: range, work: Callable[[int], object]) -> tuple[list, int]:
+        done, threads = _run_chunks(starts, work)
+        stats.threads = max(stats.threads, threads)
+        return done, threads
+
+    def make(stage: int, j: int) -> tuple | None:
+        """Merge ``j`` of ``stages[stage]``, its boxes made first: its
+        ``(map, forcing, g, residual)``, or None if a merge failed."""
+        parts = []
+        for box in range(3 * j, 3 * j + 3):
+            if stage:
+                parts.append(make(stage - 1, box))
+                if parts[-1] is None:
+                    return None
+            else:
+                parts.append(boxes[box])
+                boxes[box] = None
+        maps, carried = [m for m, *_ in parts], [(f, pg) for _, f, pg, *_ in parts]
+        del parts  # maps holds the boxes alone, and drops each once summed
+        merge = stages[stage][j]
+        [(_, made)] = _run_stage(
+            1, merge[0] ** 2,
+            lambda lo, hi: _condense(maps, merge, carried=carried, run=bands), stats, run=_serial)
+        return made
+
     if all(box is not None for box in boxes):
-        for merges in stages:
-            made = [None] * len(merges)  # each merge's outcome; None if its chunk failed
-
-            def work(lo: int, hi: int) -> None:
-                for j in range(lo, hi):
-                    parts, boxes[3 * j:3 * j + 3] = boxes[3 * j:3 * j + 3], [None] * 3
-                    made[j] = _condense([m for m, _, _ in parts], merges[j],
-                                        carried=[(f, part_g) for _, f, part_g in parts])
-
-            _run_stage(len(merges), max(size for size, _, _ in merges) ** 2, work, stats)
-            if any(merged is None for merged in made):
-                break
-            boxes = [merged[:3] for merged in made]
-        else:
-            _, _, g, stats.residual = made[0]
+        made = make(len(stages) - 1, 0)
+        if made is not None:
+            _, _, g, stats.residual = made
     stats.wall_time = time.perf_counter() - stats.wall_time
     return g, stats
 
@@ -673,21 +823,25 @@ def level_functionals(
     merge, which eliminates the nodes no other child has, and keeps only
     the reduced box, its forcing carried along. Level 0, one cube whose map
     no level needs, then merges the boxes into strips, slabs and a last
-    merge, one pinned solve (:func:`_level_zero`). Only one subtree's maps
-    per thread and level 0's boxes are alive at once, and a level's numbers
+    merge, which factors its pinned skeleton in place (:func:`_level_zero`).
+    Every merge works in place on its skeleton and drops each box once it
+    is summed; only one subtree's maps per thread, level 0's boxes and one
+    level-0 merge's working store are alive at once, and a level's numbers
     do not depend on the other levels asked for. An ``N=1`` grid's subtrees
     are its cells.
 
     The 3**d subtrees are the jobs of :func:`_run_chunks`, on one thread per
     core, the caller among them; a job cuts each of its stages into chunks
-    of :data:`CHUNK_ENTRIES` dense entries and runs them itself. Level 0's
-    later stages are cut the same way and their chunks run through
-    :func:`_run_chunks`. Every merge is eliminated alone, so the numbers do
-    not depend on the split or the threads.
+    of :data:`CHUNK_ENTRIES` dense entries and runs them itself. The caller
+    then runs level 0's later merges one at a time, each a chunk, and each
+    on every core: the bands of :data:`_BAND` rows of its elimination are
+    the jobs of :func:`_run_chunks`. Every merge is eliminated alone and a
+    band's rows do not depend on the cores, so the numbers do not depend on
+    the split or the threads.
 
     ``stats.unknowns`` is the largest skeleton of a merge of the level,
     ``stats.chunks`` the chunks of all its stages in every subtree,
-    ``stats.threads`` the most threads that took its jobs or chunks,
+    ``stats.threads`` the most threads that took its jobs, chunks or bands,
     ``stats.wall_time`` the seconds its stages took, summed over the
     subtrees, and ``stats.residual`` the largest ``|S y - b| / |b|`` of the
     pinned solves. A failed dense solve leaves the cubes of its chunk, and
@@ -723,8 +877,9 @@ def level_functionals(
         merge = stages[0][s]
         child = _forcings(shape, grid.h)[_boundary_nodes(shape)]
         stats = SolveStats(math.nan, merge[0], time.perf_counter(), "condensation", 0, 0)
+        maps, kids = [kids], None  # the cube's map, dropped once summed
         [(_, boxes[s])] = _run_stage(
-            1, merge[0] ** 2, lambda lo, hi: _condense([kids], merge, carried=[(child, 0.0)])[:3],
+            1, merge[0] ** 2, lambda lo, hi: _condense(maps, merge, carried=[(child, 0.0)])[:3],
             stats, run=_serial)
         stats.wall_time = time.perf_counter() - stats.wall_time
         parts.append((np.empty((0, d, d)), stats))  # level 0's g comes from its last merge

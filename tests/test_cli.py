@@ -205,12 +205,12 @@ class TestCoarse:
         for level, line in zip(range(0, -3, -1), verbose):
             cubes, m = 27 ** -level, 3 ** (2 + level)  # m: cells a side of a child
             # the skeletons of a cube's merges, stage by stage: level 0 runs
-            # its children one a subtree, then its other merges; a level
-            # below it a stage's merges of every cube of a subtree at once,
-            # in each of the 27 subtrees
+            # its children one a subtree, then each of its other merges
+            # alone; a level below it a stage's merges of every cube of a
+            # subtree at once, in each of the 27 subtrees
             stages = [[size for size, _, _ in merges] * max(1, cubes // 27)
                       for merges in cge.solver._plan((m,) * 3, level == 0)]
-            chunks = (27 + sum(split(len(sizes), max(sizes) ** 2) for sizes in stages[1:])
+            chunks = (27 + sum(len(sizes) for sizes in stages[1:])
                       if level == 0 else
                       27 * sum(split(len(sizes), max(sizes) ** 2) for sizes in stages))
             split_line, threads = line.split(",")[1].rsplit(" on ", 1)
@@ -247,9 +247,10 @@ class TestCoarse:
             if level == 0:  # only the two interface lines are kept: the middle
                 # strip's skeleton is both and the 2m nodes between them;
                 # first each child alone, in its subtree, eliminates the
-                # nodes no other has
+                # nodes no other has; then each strip and the last merge
+                # alone
                 nodes = 8 * m
-                chunks = 9 + split(3, nodes**2) + 1
+                chunks = 9 + 3 + 1
             split_line, threads = line.split(",")[1].rsplit(" on ", 1)
             assert split_line == f" {cubes} cubes in {chunks} chunks"
             assert 1 <= int(threads.split()[0]) <= min(chunks, cores)

@@ -318,10 +318,11 @@ class TestSweepStructure:
         lines = [r.getMessage() for r in caplog.records if r.name == "cge.coarse"]
         assert len(lines) == 2 * (grid.N + 1)
         # chunks: each of the 27 subtrees (here the cubes of level -1) runs
-        # a stage in one, and so does level 0 after one a child; unknowns:
-        # the largest skeleton of a merge, at level 0 the middle slab's, at
-        # level -1 a whole cube of 3**3 cells
-        assert lines[0].startswith("level 0: condensation, 1 cubes in 30 chunks on 1 threads, "
+        # a stage in one; level 0 takes one a child, then one a merge (9
+        # strips, 3 slabs and the last); unknowns: the largest skeleton of
+        # a merge, at level 0 the middle slab's, at level -1 a whole cube of
+        # 3**3 cells
+        assert lines[0].startswith("level 0: condensation, 1 cubes in 40 chunks on 1 threads, "
                                    "240 unknowns per cube, residual ")
         assert lines[1].startswith("level -1: condensation, 27 cubes in 81 chunks on 1 threads, "
                                    "64 unknowns per cube, residual ")
@@ -569,8 +570,8 @@ class TestCondensation:
         # unknowns: the largest skeleton of a merge, at level 0 the middle
         # strip's two interface lines and the 4 nodes between them (8 * 3);
         # chunks: one a stage in each of the 9 subtrees, and at level 0 one
-        # a child, then one a stage
-        assert lines[0].startswith("level 0: condensation, 1 cubes in 11 chunks on 1 threads, "
+        # a child, then one a merge (3 strips and the last)
+        assert lines[0].startswith("level 0: condensation, 1 cubes in 13 chunks on 1 threads, "
                                    "24 unknowns per cube, residual ")
         assert lines[1].startswith("level -1: condensation, 9 cubes in 18 chunks on 1 threads, "
                                    "16 unknowns per cube, residual ")
@@ -589,11 +590,11 @@ class TestCondensation:
             passes.append(sorted(levels))
             return real_pass(field, levels)
 
-        def spy_condense(maps, plan, out=None, forcing=None, carried=()):
+        def spy_condense(maps, plan, out=None, forcing=None, carried=(), **kwargs):
             # a call's box maps and whether it pins: a map's last stage
             # where its level is asked for, or level 0's last merge
             calls.append((maps[0].shape[-1], forcing is not None or plan[1] == plan[0]))
-            return real_condense(maps, plan, out, forcing, carried)
+            return real_condense(maps, plan, out, forcing, carried, **kwargs)
 
         monkeypatch.setattr(cge.coarse, "level_functionals", spy_pass)
         monkeypatch.setattr(cge.solver, "_condense", spy_condense)
@@ -675,8 +676,9 @@ class TestCache:
         # records of the earlier engines: tag /1 also held amax, tag /2 was
         # the sparse engine's 2D record, tag /3 the condensation pass before
         # it went one axis at a time, tag /4 before level 0 kept only shared
-        # nodes, tag /5 before the merges eliminated by Cholesky. Each is
-        # re-solved and rewritten in the current layout, which then hits
+        # nodes, tag /5 before the merges eliminated by Cholesky, tag /6
+        # before level 0's last merge factored in place. Each is re-solved
+        # and rewritten in the current layout, which then hits
         grid = GridSpec(d=2, N=1)
         field = gen_random_spd(grid, seed=2, eig_low=0.5, eig_high=2.0)
         cache = str(tmp_path / "cache")
@@ -687,7 +689,8 @@ class TestCache:
                                (b"q1-neumann/splu-nested-dissection/2", {}),
                                (b"q1-neumann/condensation-splu/3", {}),
                                (b"q1-neumann/condensation-splu/4", {}),
-                               (b"q1-neumann/condensation/5", {})):
+                               (b"q1-neumann/condensation/5", {}),
+                               (b"q1-neumann/condensation/6", {})):
             self._rewrite_record(victim, solver=np.frombuffer(old_tag, dtype=np.uint8),
                                  **extra)
             redo = sweep(field, cache_dir=cache)

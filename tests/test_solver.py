@@ -44,7 +44,7 @@ from cge.solver import (
     solve_dirichlet,
 )
 from cge.harness import MAX_PRINCIPLE_RTOL, _max_principle_slack
-from fv_oracle import fv_dense_solve
+from fv_oracle import fv_dense_solve, fv_sparse_solve
 from q1_oracle import (
     _augmented_dense_solve,
     _cell_nodes,
@@ -1057,7 +1057,7 @@ def test_fv_dirichlet_convergence_order():
 
 
 # Dense oracle: the Dirichlet solve against np.linalg.solve of the same
-# system, assembled independently cell by cell (tests/fv_oracle.py), so the
+# system, assembled independently face by face (tests/fv_oracle.py), so the
 # embedding of the cells as nodes, the condensation pass and the
 # back-substitution are all under test.
 
@@ -1110,40 +1110,11 @@ def test_fv_dirichlet_matches_dense_oracle_on_any_cube(d, n, level, offset):
 
 def test_fv_dirichlet_matches_sparse_direct_solve():
     # 2D N=5 at contrast 1e4, against SciPy's sparse direct solve of the
-    # same system, assembled here by slices (the dense oracle's would not
-    # fit): SciPy is a test dependency only
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-
-    grid = GridSpec(2, 5)
-    field = diagonal_field(grid, seed=5)
+    # oracle's system (a dense one would not fit): SciPy is a test
+    # dependency only
+    field = diagonal_field(GridSpec(2, 5), seed=5)
     u, stats = solve_dirichlet(field, FULL, wavy_boundary)
-    m, h = grid.cells_per_side, grid.h
-    diag = field.data[..., [0, 2]]
-    index = np.arange(m * m).reshape(m, m)
-    rows, cols, vals = [], [], []
-    rhs, center = np.zeros((m, m)), np.zeros((m, m))
-    xc = -0.5 + (np.arange(m) + 0.5) * h
-    for a in range(2):
-        ka = diag[..., a]
-        lo, hi = [slice(None)] * 2, [slice(None)] * 2
-        lo[a], hi[a] = slice(0, -1), slice(1, None)
-        t = 2.0 * ka[tuple(lo)] * ka[tuple(hi)] / (ka[tuple(lo)] + ka[tuple(hi)])
-        for i, j in ((tuple(lo), tuple(hi)), (tuple(hi), tuple(lo))):
-            rows.append(index[i].ravel()), cols.append(index[j].ravel()), vals.append(-t.ravel())
-            center[i] += t
-        for side, plane in ((0, -0.5), (-1, 0.5)):
-            at = [slice(None)] * 2
-            at[a] = side
-            tb = 2.0 * ka[tuple(at)]
-            face = [xc, xc]
-            face[a] = np.full(m, plane)
-            center[tuple(at)] += tb
-            rhs[tuple(at)] += tb * wavy_boundary(*face)
-    rows.append(index.ravel()), cols.append(index.ravel()), vals.append(center.ravel())
-    amat = sp.csc_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(m * m, m * m))
-    ref = spla.spsolve(amat, rhs.ravel()).reshape(m, m)
+    ref = fv_sparse_solve(field, FULL, wavy_boundary)
     assert np.abs(u.data - ref).max() <= 1e-9 * np.abs(ref).max()
     assert stats.residual <= 1e-14
 
@@ -1213,6 +1184,27 @@ def test_dirichlet_failed_factorization_is_solver_error(monkeypatch, error, why)
     assert stats.method == "fv-condensation"
     assert stats.failure == f"dense condensation {why}: {error}"
     assert str(err.value) == stats.failure
+
+
+@pytest.mark.parametrize("boxes", [1, 3])  # a subtree's first level-0 merge, a later one
+def test_dirichlet_memory_error_after_elimination_is_solver_error(monkeypatch, boxes):
+    # the merge has eliminated and kept its factor when the copy of its map
+    # finds no memory: the solve still fails as a SolverError
+    real, raised = cge.solver._condense, []
+
+    def no_memory(maps, plan, out=None, *args, **kwargs):
+        count = len(kwargs.get("carried", ()))
+        made = real(maps, plan, out, *args, **kwargs)
+        if out is None and kwargs.get("kept") and count == boxes and not raised:
+            raised.append(plan[0])
+            raise MemoryError("Unable to allocate 1.2 MiB")
+        return made
+
+    monkeypatch.setattr(cge.solver, "_condense", no_memory)
+    with pytest.raises(SolverError, match="ran out of memory") as err:
+        solve_dirichlet(diagonal_field(GridSpec(2, 2), seed=4), FULL, wavy_boundary)
+    assert raised
+    assert err.value.stats.failure == "dense condensation ran out of memory: Unable to allocate 1.2 MiB"
 
 
 def test_failed_allocation_is_nan_and_named(monkeypatch):

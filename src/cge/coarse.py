@@ -207,12 +207,14 @@ def _level_result(level: int, g_all: np.ndarray,
 
 def _log_level(level: int, method: str, cubes: int, stats: SolveStats | None,
                t0: float) -> None:
-    """One DEBUG line per sweep level; chunks, threads, unknowns and residual
-    only for solves."""
+    """One DEBUG line per sweep level; chunks, threads, unknowns, residual
+    and the merges condensed only for solves."""
     split = "" if stats is None else f" in {stats.chunks} chunks on {stats.threads} threads"
-    log.debug("level %d: %s, %d cubes%s, %s unknowns per cube, residual %s, %.3f s",
+    log.debug("level %d: %s, %d cubes%s, %s unknowns per cube, residual %s, %.3f s, "
+              "%s merges condensed",
               level, method, cubes, split, "-" if stats is None else stats.unknowns,
-              "-" if stats is None else f"{stats.residual:.1e}", time.perf_counter() - t0)
+              "-" if stats is None else f"{stats.residual:.1e}", time.perf_counter() - t0,
+              "-" if stats is None else stats.merges)
 
 
 def sweep(field: CoefficientField, cache_dir: str | None = None) -> SweepResult:
@@ -234,7 +236,9 @@ def sweep(field: CoefficientField, cache_dir: str | None = None) -> SweepResult:
     of the level keeps its numbers, and a level with a failed cube is not
     cached. Each level logs one DEBUG line on ``cge.coarse``: method (the
     solver's, ``cache`` or ``cells``), cubes, for a solve the chunks and
-    threads it ran in and its unknowns per cube and residual, and seconds.
+    threads it ran in and its unknowns per cube and residual, seconds, and
+    for a solve the merges it condensed, one per content class below level
+    0.
     """
     grid = field.grid
     d = grid.d

@@ -200,26 +200,26 @@ class TestCoarse:
         # (how many did depends on the host's scheduling, not above the cores)
         cores = len(os.sched_getaffinity(0))
 
-        def split(items, entries):  # chunks of a stage, as solver._run_stage cuts them
-            return -(-items // max(1, cge.solver.CHUNK_ENTRIES // entries))
-
         for level, line in zip(range(0, -3, -1), verbose):
             cubes, m = 27 ** -level, 3 ** (2 + level)  # m: cells a side of a child
             # the skeletons of a cube's merges, stage by stage: level 0 runs
             # its children one a subtree, then each of its other merges
             # alone; a level below it a stage's merges of every cube of a
-            # subtree at once, in each of the 27 subtrees
-            stages = [[size for size, _, _ in merges] * max(1, cubes // 27)
+            # subtree at once, in each of the 27 subtrees, where a constant
+            # field's merges of a stage are one content class: one merge
+            # condensed, in one chunk
+            stages = [[size for size, _, _ in merges]
                       for merges in cge.solver._plan((m,) * 3, level == 0)]
             chunks = (27 + sum(len(sizes) for sizes in stages[1:])
-                      if level == 0 else
-                      27 * sum(split(len(sizes), max(sizes) ** 2) for sizes in stages))
+                      if level == 0 else 27 * len(stages))
             split_line, threads = line.split(",")[1].rsplit(" on ", 1)
             assert split_line == f" {cubes} cubes in {chunks} chunks"
             assert threads.endswith(" threads")
             assert 1 <= int(threads.split()[0]) <= min(chunks, cores)
             assert line.split(",")[2] == f" {max(map(max, stages))} unknowns per cube"
+            assert line.split(",")[-1] == f" {chunks} merges condensed"
         assert verbose[-1].split(",")[1] == " 19683 cubes"
+        assert verbose[-1].split(",")[-1] == " - merges condensed"
 
     def test_verbose_logs_condensation_levels(self, workdir):
         # a 2D field: one condensation pass, its 9 subtrees and their
@@ -234,17 +234,15 @@ class TestCoarse:
             "DEBUG cge.coarse: level -3: condensation", "DEBUG cge.coarse: level -4: cells"]
         cores = len(os.sched_getaffinity(0))
 
-        def split(items, entries):  # chunks of a stage, as solver._run_stage cuts them
-            return -(-items // max(1, cge.solver.CHUNK_ENTRIES // entries))
-
         for level, line in zip(range(0, -4, -1), verbose):
             cubes, m = 9 ** -level, 3 ** (3 + level)  # m: cells a side of a child
             # a level merges its children 3 at a time into strips along the
             # last axis, then 3 strips along the first; a skeleton is the
-            # boxes' boundaries and the interfaces between them
-            # in each of the 9 subtrees, a level -1 cube's
-            strips, nodes = 10 * m - 2, 18 * m - 2
-            chunks = 9 * (split(3 * cubes // 9, strips**2) + split(cubes // 9, nodes**2))
+            # boxes' boundaries and the interfaces between them; in each of
+            # the 9 subtrees, a stage's merges of a constant field are one
+            # content class: one merge condensed, in one chunk
+            nodes = 18 * m - 2
+            chunks = 9 * 2
             if level == 0:  # only the two interface lines are kept: the middle
                 # strip's skeleton is both and the 2m nodes between them;
                 # first each child alone, in its subtree, eliminates the
@@ -256,6 +254,7 @@ class TestCoarse:
             assert split_line == f" {cubes} cubes in {chunks} chunks"
             assert 1 <= int(threads.split()[0]) <= min(chunks, cores)
             assert line.split(",")[2] == f" {nodes} unknowns per cube"
+            assert line.split(",")[-1] == f" {chunks} merges condensed"
         assert verbose[-1].split(",")[1] == " 6561 cubes"
 
 

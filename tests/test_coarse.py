@@ -579,6 +579,20 @@ class TestCondensation:
         assert [line.split(",")[0] for line in lines[3:]] == [
             "level 0: cache", "level -1: cache", "level -2: cells"]
 
+    @pytest.mark.parametrize("kind, below", [("random", 36), ("constant", 18)])
+    def test_debug_line_ends_with_the_merges_condensed(self, caplog, kind, below):
+        # 2D N=2: level -1's 9 cubes take 3 strips and a square each, which
+        # a constant field's subtrees condense once a stage; level 0 takes
+        # each child's first merge, 3 strips and the last
+        grid = GridSpec(d=2, N=2)
+        field = (gen_random_spd(grid, seed=1, eig_low=0.5, eig_high=2.0) if kind == "random"
+                 else gen_constant(grid, np.diag([1.0, 3.0])))
+        with caplog.at_level(logging.DEBUG, logger="cge.coarse"):
+            sweep(field)
+        lines = [r.getMessage() for r in caplog.records if r.name == "cge.coarse"]
+        assert [line.split(", ")[-1] for line in lines] == [
+            "13 merges condensed", f"{below} merges condensed", "- merges condensed"]
+
     def test_pass_runs_from_the_cells_to_the_coarsest_miss(self, cores, monkeypatch, tmp_path):
         cores(1)  # the caller runs the subtrees in order
         field = gen_random_spd(GridSpec(2, 3), seed=9, eig_low=0.5, eig_high=5.0)
@@ -626,6 +640,39 @@ class TestCondensation:
         assert (redo.solve_count, redo.cache_hits) == (2 * 9, 1 + 81)
         for level, ld in redo.levels.items():
             assert np.array_equal(ld.astar_inv, cold.levels[level].astar_inv)
+
+
+    def test_failed_shared_class_fails_every_cube_of_it(self, cores, monkeypatch):
+        # a constant field: in each subtree, level -2's nine squares are one
+        # content class, condensed once; in the first subtree that one
+        # merge fails, so its nine cubes, their level -1 cube and level 0
+        # are NaN, and every level names the failure once
+        cores(1)  # the caller runs the subtrees in order
+        field = gen_constant(GridSpec(2, 3), np.diag([1.0, 4.0]))
+        clean = cge.solver.level_functionals(field, [0, -1, -2])
+        real, failed = cge.solver._condense, []
+
+        def fail_once(maps, plan, *args, **kwargs):
+            if plan[0] == 16 and not failed:  # 3 strips of 1x3 cells: a 3x3 cube
+                failed.append(maps[0].shape[0])
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real(maps, plan, *args, **kwargs)
+
+        monkeypatch.setattr(cge.solver, "_condense", fail_once)
+        out = cge.solver.level_functionals(field, [0, -1, -2])
+        assert failed == [1]
+        nan = {-2: np.zeros((9, 9), bool), -1: np.zeros((3, 3), bool), 0: np.ones((1, 1), bool)}
+        nan[-2][:3, :3] = nan[-1][0, 0] = True  # the first subtree: level -1's cube (0, 0)
+        for level, (g_all, stats) in out.items():
+            assert np.isnan(g_all[nan[level]]).all()
+            assert np.array_equal(g_all[~nan[level]], clean[level][0][~nan[level]])
+            assert stats.failure == "dense condensation failed: Singular matrix"
+        failed.clear()
+        result = sweep(field)
+        assert sorted((e["level"], tuple(e["offset"])) for e in result.failures) == sorted(
+            (level, off) for level, mask in nan.items() for off in zip(*np.nonzero(mask)))
+        assert {e["message"] for e in result.failures} == {
+            "dense condensation failed: Singular matrix"}
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 maximum principle, optimality, and convergence order."""
 
 import inspect
+import itertools
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -43,7 +44,7 @@ from cge.solver import (
     reference_matrices,
     solve_dirichlet,
 )
-from cge.harness import MAX_PRINCIPLE_RTOL, _max_principle_slack
+from cge.harness import MAX_PRINCIPLE_RTOL, _max_principle_slack, sharpness_boundary
 from fv_oracle import fv_dense_solve, fv_sparse_solve
 from q1_oracle import (
     _augmented_dense_solve,
@@ -245,15 +246,19 @@ def test_gradient_solution_mean_flux_recovers_forcing():
 
 def test_engine_matches_dense_oracle():
     # every cube of both solved levels of 2D N=2 and 3D N=2, all from one
-    # pass, against each cube's dense solve
-    for d in (2, 3):
+    # pass, against each cube's dense solve; a laminate (the random
+    # field's contrast, 100) repeats its cells, whose merges share content
+    # classes, condensed once
+    for d, kind in itertools.product((2, 3), ("random", "laminate")):
         grid = GridSpec(d, 2)
-        f = gen_random_spd(grid, seed=13, eig_low=0.1, eig_high=10.0)
+        f = (gen_random_spd(grid, seed=13, eig_low=0.1, eig_high=10.0) if kind == "random"
+             else gen_laminate(grid, d - 1, [0.1, 10.0]))
         out = level_functionals(f, [0, -1])
         assert sorted(out) == [-1, 0]
         for level, (g_all, stats) in out.items():
             assert g_all.shape == (3 ** -level,) * d + (d, d)
-            assert stats.method == "condensation" and "iterations" not in stats.to_dict()
+            assert stats.method == "condensation"
+            assert "iterations" not in stats.to_dict() and "merges" not in stats.to_dict()
             for off in np.ndindex((3 ** -level,) * d):
                 g_dense = _dense_functionals(f, TriadicCube(level, off))[:d, :d]
                 np.testing.assert_allclose(g_all[off], g_dense, rtol=0,
@@ -1088,17 +1093,27 @@ def test_fv_dirichlet_matches_dense_oracle(d, n):
     assert stats.residual <= 1e-14
 
 
-@pytest.mark.parametrize("d,n,level,offset", [
-    (1, 1, 0, (0,)), (1, 2, 0, (0,)), (1, 4, 0, (0,)), (1, 4, -2, (5,)), (1, 3, -3, (11,)),
-    (2, 1, 0, (0, 0)), (2, 3, 0, (0, 0)), (2, 3, -1, (2, 1)), (2, 3, -2, (4, 7)),
-    (2, 3, -3, (8, 0)), (3, 1, 0, (0, 0, 0)), (3, 2, 0, (0, 0, 0)), (3, 2, -1, (1, 2, 0)),
-    (3, 2, -2, (0, 8, 4)),
+@pytest.mark.parametrize("d,n,level,offset,kind", [
+    *[(*case, "random") for case in [
+        (1, 1, 0, (0,)), (1, 2, 0, (0,)), (1, 4, 0, (0,)), (1, 4, -2, (5,)), (1, 3, -3, (11,)),
+        (2, 1, 0, (0, 0)), (2, 3, 0, (0, 0)), (2, 3, -1, (2, 1)), (2, 3, -2, (4, 7)),
+        (2, 3, -3, (8, 0)), (3, 1, 0, (0, 0, 0)), (3, 2, 0, (0, 0, 0)), (3, 2, -1, (1, 2, 0)),
+        (3, 2, -2, (0, 8, 4))]],
+    (1, 4, 0, (0,), "laminate"), (2, 3, 0, (0, 0), "laminate"),
+    (2, 3, -1, (1, 2), "laminate"), (3, 2, 0, (0, 0, 0), "laminate"),
+    (3, 2, -1, (2, 0, 1), "laminate"), (2, 3, 0, (0, 0), "cantor"),
+    (2, 4, -1, (0, 2), "cantor"), (2, 3, -2, (3, 4), "cantor"),
 ], ids=lambda v: str(v).replace(" ", ""))
-def test_fv_dirichlet_matches_dense_oracle_on_any_cube(d, n, level, offset):
+def test_fv_dirichlet_matches_dense_oracle_on_any_cube(d, n, level, offset, kind):
     # 1D, 2D N<=3 and 3D N<=2, at contrast 1e4: the whole domain, proper
     # sub-cubes (whose boundary data and coefficients are their own) and
-    # one-cell cubes (level -N)
-    field = diagonal_field(GridSpec(d, n), seed=7 * d + n - level)
+    # one-cell cubes (level -N); a laminate (contrast 1e4, stripes across
+    # the last axis) and a Cantor field repeat cells, whose merges share
+    # content classes
+    grid = GridSpec(d, n)
+    field = {"random": lambda: diagonal_field(grid, seed=7 * d + n - level),
+             "laminate": lambda: gen_laminate(grid, d - 1, [1.0, 1e4, 10.0]),
+             "cantor": lambda: gen_cantor_field(grid, CantorParams(n))}[kind]()
     cube = TriadicCube(level, offset)
     u, stats = solve_dirichlet(field, cube, wavy_boundary)
     ref = fv_dense_solve(field, cube, wavy_boundary)
@@ -1144,9 +1159,9 @@ def test_dirichlet_factors_once_per_solve(monkeypatch):
     passes, tapes = [], []
     real_pass, real_back = cge.solver._condensation, cge.solver._back_substitute
 
-    def spy_pass(d, depth, h, cells, wanted, tape=None):
+    def spy_pass(d, depth, h, cells, elements, wanted, tape=None):
         passes.append((depth, list(wanted), tape is not None))
-        return real_pass(d, depth, h, cells, wanted, tape)
+        return real_pass(d, depth, h, cells, elements, wanted, tape)
 
     def spy_back(tape):
         tapes.append([(w_b.shape, plan[:2]) for plan, w_b, *_ in tape])
@@ -1226,6 +1241,147 @@ def test_failed_allocation_is_nan_and_named(monkeypatch):
         g_all, stats = out[level]
         assert np.isnan(g_all).all()
         assert stats.failure == "dense condensation ran out of memory: Unable to allocate 21.1 KiB"
+
+
+# ---------------------------------------------------------------------------
+# Content classes: each distinct merge of a subtree is condensed once
+# ---------------------------------------------------------------------------
+
+def _one_class_per_row(rows):
+    """The class function with every row a class of its own, so every
+    merge is condensed, through the gathers of a stage with classes."""
+    return np.arange(len(rows)), np.arange(len(rows))
+
+
+#: Stand-ins for ``solver._classes`` that condense every merge: on the
+#: strided views of a pass without classes, and through the gathers
+CLASS_SEAMS = [lambda rows: None, _one_class_per_row]
+
+
+def _class_field(d, n, kind):
+    grid = GridSpec(d, n)
+    if kind == "constant":
+        return gen_constant(grid, np.diag(np.arange(1.0, d + 1)))
+    if kind == "cantor":
+        return gen_cantor_field(grid, CantorParams(n))
+    return gen_laminate(grid, int(kind[-1]), [1.0, 100.0])  # "laminate<axis>"
+
+
+def _merges_per_pass(d, n):
+    """The merges a pass over every level of a ``3**n``-cell cube makes:
+    ``(3**d - 1) / 2`` a cube below level 0, and at level 0 each child's
+    first merge and the cube's own."""
+    return (sum(3 ** (j * d) for j in range(1, n)) * (3**d - 1) // 2
+            + 3**d + (3**d - 1) // 2)
+
+
+def test_classes_are_exact_by_bytes():
+    # distinct rows: no classes; equal bytes share a class, while -0.0 and
+    # 0.0 do not, and two rows whose mixed keys collide are told apart
+    assert cge.solver._classes(np.arange(12.0).reshape(4, 3)) is None
+    first, inverse = cge.solver._classes(np.array([[1.0, 0.0], [1.0, -0.0], [1.0, 0.0]]))
+    assert list(inverse) == [inverse[0], inverse[1], inverse[0]] and inverse[0] != inverse[1]
+    assert np.array_equal(inverse[first], np.arange(len(first)))
+    mix = int(cge.solver._MIX)
+    rows = np.array([[0, 5], [1, mix ^ 5], [0, 5]], dtype=np.uint64)  # 0*mix^5 = 1*mix^(mix^5)
+    first, inverse = cge.solver._classes(rows.view(np.int64))
+    assert len(first) == 2 and inverse[0] == inverse[2] != inverse[1]
+
+
+@pytest.mark.parametrize("d, n, kind", [
+    *[(2, 4, kind) for kind in ("constant", "laminate0", "laminate1", "cantor")],
+    *[(3, 3, kind) for kind in ("constant", "laminate0", "laminate1")],
+])
+def test_content_classes_leave_functionals_bit_identical(monkeypatch, d, n, kind):
+    # fields whose cells repeat, condensed once a class, against passes
+    # that condense every merge: every level's g and residual to the last
+    # bit, from fewer merges below level 0 and the same at level 0
+    f = _class_field(d, n, kind)
+    shared = level_functionals(f, range(0, -n, -1))
+    # 3D against the strided views alone: the gathers' code is 2D's
+    for seam in CLASS_SEAMS if d == 2 else CLASS_SEAMS[:1]:
+        monkeypatch.setattr(cge.solver, "_classes", seam)
+        alone = level_functionals(f, range(0, -n, -1))
+        for level, (g_all, stats) in shared.items():
+            assert np.array_equal(alone[level][0], g_all)
+            assert alone[level][1].residual == stats.residual
+            assert alone[level][1].unknowns == stats.unknowns
+            if level:
+                assert stats.merges < alone[level][1].merges
+            else:
+                assert stats.merges == alone[level][1].merges == 3**d + (3**d - 1) // 2
+
+
+@pytest.mark.parametrize("d, n", [(2, 4), (3, 2)])
+def test_condense_sees_each_distinct_merge_once(monkeypatch, d, n):
+    # the kernel's merges: every one on random SPD, whose cells are all
+    # distinct; on a constant field one a stage of each subtree
+    seen, real = [], cge.solver._condense
+
+    def spy(maps, *args, **kwargs):
+        seen.append(maps[0].shape[0])
+        return real(maps, *args, **kwargs)
+
+    monkeypatch.setattr(cge.solver, "_condense", spy)
+    grid = GridSpec(d, n)
+    for f, merges in [
+        (gen_random_spd(grid, seed=2, eig_low=1e-2, eig_high=1e2), _merges_per_pass(d, n)),
+        (gen_constant(grid, np.eye(d)), 3**d * d * (n - 1) + 3**d + (3**d - 1) // 2),
+    ]:
+        seen.clear()
+        out = level_functionals(f, range(0, -n, -1))
+        assert sum(seen) == sum(stats.merges for _, stats in out.values()) == merges
+
+
+@pytest.mark.parametrize("case", ["sharpness", "cantor", "sub-cubes", "laminate-3d"])
+def test_content_classes_leave_dirichlet_bit_identical(monkeypatch, case):
+    # the solve condensed once a class, cells classed by their element and
+    # right-hand side, against solves that condense every merge: u and the
+    # residual to the last bit
+    grid = GridSpec(2, 4)
+    cubes = [FULL]
+    if case == "cantor":
+        field, boundary = gen_cantor_field(grid, CantorParams(4)), wavy_boundary
+    elif case == "laminate-3d":
+        field, boundary = gen_laminate(GridSpec(3, 2), 0, [1.0, 100.0]), wavy_boundary
+        cubes = [TriadicCube(0, (0, 0, 0))]
+    else:
+        field, boundary = gen_constant(grid, np.diag([1.0, 16.0])), sharpness_boundary(16.0)[0]
+        if case == "sub-cubes":
+            cubes = [TriadicCube(-1, (1, 2)), TriadicCube(-2, (4, 5)), TriadicCube(-3, (0, 26))]
+    for cube in cubes:
+        u, stats = solve_dirichlet(field, cube, boundary)
+        with monkeypatch.context() as patch:
+            for seam in CLASS_SEAMS:
+                patch.setattr(cge.solver, "_classes", seam)
+                alone, alone_stats = solve_dirichlet(field, cube, boundary)
+                assert np.array_equal(alone.data, u.data)
+                assert alone_stats.residual == stats.residual
+                # a cube of 3x3 cells has no level below 0 to share
+                assert (stats.merges < alone_stats.merges
+                        or stats.merges == alone_stats.merges == 13 and cube.level == -3)
+
+
+def test_dirichlet_failed_shared_class_is_solver_error(monkeypatch):
+    # a constant field's level -2 squares off the cube's boundary are one
+    # content class in each subtree; the first subtree's chunk that
+    # condenses its classes fails
+    real, failed = cge.solver._condense, []
+
+    def fail_once(maps, plan, *args, **kwargs):
+        if plan[0] == 16 and not failed:  # 3 strips of 1x3 cells: a 3x3 cube
+            failed.append(maps[0].shape[0])
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        return real(maps, plan, *args, **kwargs)
+
+    monkeypatch.setattr(cge.solver.os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(cge.solver, "_condense", fail_once)
+    field = gen_constant(GridSpec(2, 3), np.diag([1.0, 4.0]))
+    with pytest.raises(SolverError) as err:
+        solve_dirichlet(field, FULL, sharpness_boundary(4.0)[0])
+    assert 0 < failed[0] < 9  # fewer merges than the stage's 9 cubes
+    assert str(err.value) == err.value.stats.failure == (
+        "dense condensation failed: Matrix is not positive definite")
 
 
 # ---------------------------------------------------------------------------

@@ -240,11 +240,9 @@ def _resolve_theta(
 
 
 def _region_values(u: CubeFunction, rho: Fraction) -> np.ndarray:
-    """Cell values of a full-domain cell-mode function on a snapped subcube."""
+    """Cell values of a full-domain cell function on a snapped subcube."""
     if u.cube.level != 0:
         raise ValueError("oscillation statistics require a full-domain solution")
-    if u.mode != "cell":
-        raise ValueError("oscillation statistics require a cell-mode solution")
     return u.data[subcube_cell_slices(u.grid, rho)]
 
 
@@ -301,8 +299,6 @@ def _oscillation_experiment(
     two_sided = kind == "harnack"
     sigma = _check_exponents(s, t)
     bvals = _boundary_face_values(field.grid, boundary)
-    if not np.all(np.isfinite(bvals)):
-        raise ValueError("boundary data must be finite at all face centers")
     if two_sided and bvals.min() <= 0.0:
         raise ValueError(
             f"boundary data must be strictly positive; sampled minimum "
@@ -540,7 +536,7 @@ def log_caccioppoli_diagnostic(
     """Energy of ``log u`` on the central half-cube over the upper constant.
 
     Returns ``||a^(1/2) grad log u||^2_{L2-mean((1/2)-subcube)} /
-    lambda_upper`` for a full-domain cell-mode solution that is strictly
+    lambda_upper`` for a full-domain solution that is strictly
     positive on the half-cube.  Constant solutions give exactly ``0``; for
     the constant field ``diag(1, L)`` with ``u = exp(sqrt(L) x1)`` the
     quotient equals ``1`` when ``lambda_upper = L``.
@@ -554,7 +550,7 @@ def log_caccioppoli_diagnostic(
         )
     with np.errstate(invalid="ignore", divide="ignore"):
         log_data = np.log(u.data)
-    log_u = CubeFunction(u.grid, u.cube, log_data, u.mode)
+    log_u = CubeFunction(u.grid, u.cube, log_data)
     return energy(field, log_u, region=region) / lambda_upper
 
 

@@ -17,8 +17,12 @@ Two problem classes back everything else:
 
 Both classes have one engine, :func:`_condensation`: one bottom-up pass
 of nested static condensation over the triadic tree, in every dimension,
-and NumPy is the only dependency. The pure-Neumann solves run it as
-:func:`level_functionals`, the Dirichlet solve as :func:`solve_dirichlet`.
+and NumPy is the only dependency. It returns each level's ``g`` and stats,
+from the cells up, the stats summed over the level's subtrees by one
+reduction (:func:`_summed`). The pure-Neumann solves run it as
+:func:`level_functionals`, which keeps the levels asked for, and the
+Dirichlet solve as :func:`solve_dirichlet`, which takes the same reduction
+over every level.
 The forcings live on a cube's boundary, so ``g`` needs only the Schur
 complement of the cube's stiffness onto its boundary (its
 boundary map), and a parent's map is the dense condensation of its
@@ -90,7 +94,7 @@ import itertools
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -156,16 +160,14 @@ class SolverError(RuntimeError):
 
 @dataclass
 class CubeFunction:
-    """Scalar function on one cube's local grid (nodes or cells)."""
+    """Scalar function on one cube's cells: one value per cell."""
 
     grid: GridSpec
     cube: TriadicCube
     data: np.ndarray
-    mode: str  # "node" or "cell"
 
     def __post_init__(self) -> None:
-        m = self.cube.cells_per_side(self.grid)
-        expected = (m + 1 if self.mode == "node" else m,) * self.grid.d
+        expected = (self.cube.cells_per_side(self.grid),) * self.grid.d
         if self.data.shape != expected:
             raise ValueError(f"data shape {self.data.shape} != expected {expected}")
 
@@ -428,9 +430,9 @@ _BAND = 256
 
 
 def _serial(starts: range, work: Callable[[int], object]) -> tuple[list, int]:
-    """:func:`_run_chunks` on the calling thread alone: how a subtree runs
-    its stages on the thread that took it, and a merge below level 0 its
-    bands."""
+    """:func:`_run_chunks` on the calling thread alone: how a subtree's
+    merges, below level 0 and its cube's first level-0 merge, run their
+    bands on the thread that took the subtree."""
     return [(lo, work(lo)) for lo in starts], 1
 
 
@@ -722,18 +724,16 @@ def _condense(maps: list, plan: tuple, out: np.ndarray | None = None,
 
 
 def _run_stage(count: int, entries: int, work: Callable[[int, int], object],
-               stats: SolveStats, out: np.ndarray | None = None, run=_run_chunks) -> list:
+               stats: SolveStats, out: np.ndarray | None = None) -> list:
     """``work(lo, hi)`` over ``count`` merges in chunks of at most
     :data:`CHUNK_ENTRIES` dense entries (``entries`` for one merge, at least
-    one merge a chunk), through ``run``: :func:`_run_chunks`, or
-    :func:`_serial` inside a subtree. A chunk whose dense solve fails, or
-    finds no memory, gives ``None``, its rows of ``out`` are NaN, and an
-    empty ``stats.failure`` takes the first such chunk's message. Adds the
-    chunks to ``stats.chunks`` and the merges to ``stats.merges``, and keeps
-    the most threads in ``stats.threads``.
-    Returns the ``(lo, result or None)`` pairs in chunk order."""
+    one merge a chunk), one after another on the calling thread. A chunk
+    whose dense solve fails, or finds no memory, gives ``None``, its rows of
+    ``out`` are NaN, and an empty ``stats.failure`` takes the first such
+    chunk's message. Adds the chunks to ``stats.chunks`` and the merges to
+    ``stats.merges``. Returns the ``(lo, result or None)`` pairs in chunk
+    order."""
     per_chunk = max(1, CHUNK_ENTRIES // entries)
-    errors = []  # (lo, message) of each failed chunk, in the order they fail
 
     def chunk(lo: int):
         hi = min(lo + per_chunk, count)
@@ -743,15 +743,12 @@ def _run_stage(count: int, entries: int, work: Callable[[int, int], object],
             if out is not None:
                 out[lo:hi] = np.nan
             why = "failed" if isinstance(err, np.linalg.LinAlgError) else "ran out of memory"
-            errors.append((lo, f"dense condensation {why}: {err}"))
+            stats.failure = stats.failure or f"dense condensation {why}: {err}"
             return None
 
-    starts = range(0, count, per_chunk)
-    done, threads = run(starts, chunk)
-    stats.chunks += len(starts)
+    done = [(lo, chunk(lo)) for lo in range(0, count, per_chunk)]
+    stats.chunks += len(done)
     stats.merges += count
-    stats.threads = max(stats.threads, threads)
-    stats.failure = stats.failure or min(errors, default=(0, ""))[1]
     return done
 
 
@@ -780,7 +777,7 @@ def _subtree_level(kids: np.ndarray, cls: np.ndarray | None, shape: tuple[int, .
     the seconds the level took."""
     d = len(shape)
     cube = tuple(3 * s for s in shape)
-    stats = SolveStats(math.nan, 0, time.perf_counter(), "condensation", 0, 0, 0)
+    stats = SolveStats(math.nan, 0, time.perf_counter(), "condensation", 0, 0)
     stages = _plan(shape, False)
     g, residuals = None, []
     for stage, merges in enumerate(stages):
@@ -826,7 +823,7 @@ def _subtree_level(kids: np.ndarray, cls: np.ndarray | None, shape: tuple[int, .
             tape.append((merge, *kept[0], at, row, [values[c::3] for c in range(3)],
                          made_values))
 
-        _run_stage(count, size**2, work, stats, maps, _serial)
+        _run_stage(count, size**2, work, stats, maps)
         kids, cls, sums, values = maps, inverse, made, made_values
     if g is not None and cls is not None:
         g = g[cls]
@@ -835,25 +832,43 @@ def _subtree_level(kids: np.ndarray, cls: np.ndarray | None, shape: tuple[int, .
     return kids, cls, sums, values, g, stats
 
 
+def _level_zero_merge(maps: list, merge: tuple, carried: list, values: list,
+                      stats: SolveStats, tape: list | None, run=_serial) -> tuple | None:
+    """One merge of level 0, one chunk of :func:`_run_stage`: the ``(map,
+    forcing, g, residual)`` that :func:`_condense` makes of its boxes'
+    ``maps`` and ``carried`` forcings and ``g``, its bands run by ``run``,
+    or None if it failed. With a ``tape`` (the Dirichlet solve's) its factor
+    goes on it, with ``values``, the values of its boxes' nodes, and the
+    first column of its forcing, which holds the values of the box it
+    makes."""
+    kept = None if tape is None else []
+    [(_, made)] = _run_stage(
+        1, merge[0] ** 2, lambda lo, hi: _condense(maps, merge, carried=carried, run=run, kept=kept),
+        stats)
+    if made is not None and kept:  # kept gets the factor before the copy to out
+        tape.append((merge, *kept[0], slice(None), slice(None), values, made[1][..., :1]))
+    return made
+
+
 def _level_zero(boxes: list, stages: tuple, d: int,
                 tape: list | None = None) -> tuple[np.ndarray, SolveStats]:
     """Level 0 after each child's first merge: the strips, the slabs and the
     last merge (``stages``, those of :func:`_plan` after the first) on the
-    children's reduced ``boxes``, each a ``(map, forcing, g)``, or ``None``
-    for a child whose merge failed.
+    children's reduced ``boxes``, each as :func:`_level_zero_merge` made it,
+    or ``None`` for a child whose merge failed.
 
     The merges run one at a time on the calling thread, in postorder: a box is
     merged into its parent before the next box is made, so besides one merge's
     working store only the boxes it waits for are alive (Liu's bound, ACM TOMS
-    12(3), 1986, on level 0's own merges). Each merge is a chunk of
-    :func:`_run_stage` and gives the bands of its elimination, or of the last
-    merge's factorization, to :func:`_run_chunks`, so it runs on every core. A
-    merge drops its boxes from ``boxes`` (the caller's list too) as it takes
-    them, and each box once it is summed onto the skeleton. With a ``tape`` (the
-    Dirichlet solve's: a box's forcing is its right-hand side and row sums) each
-    merge's factor goes on it. Returns the cube's ``(1, d, d)`` ``g``, NaN if a
-    merge failed, and the stats of these stages; ``stats.threads`` counts the
-    threads that took a band."""
+    12(3), 1986, on level 0's own merges). Each merge
+    (:func:`_level_zero_merge`) gives the bands of its elimination, or of the
+    last merge's factorization, to :func:`_run_chunks`, so it runs on every
+    core. A merge drops its boxes from ``boxes`` (the caller's list too) as it
+    takes them, and each box once it is summed onto the skeleton. With a
+    ``tape`` (the Dirichlet solve's: a box's forcing is its right-hand side and
+    row sums) each merge's factor goes on it. Returns the cube's ``(1, d, d)``
+    ``g``, NaN if a merge failed, and the stats of these stages;
+    ``stats.threads`` counts the threads that took a band."""
     stats = SolveStats(math.nan, max(size for merges in stages for size, _, _ in merges),
                        time.perf_counter(), "condensation", 0, 0, 0)
     g = np.full((1, d, d), np.nan)
@@ -877,15 +892,8 @@ def _level_zero(boxes: list, stages: tuple, d: int,
                 boxes[box] = None
         maps, carried = [m for m, *_ in parts], [(f, pg) for _, f, pg, *_ in parts]
         del parts  # maps holds the boxes alone, and drops each once summed
-        merge, kept = stages[stage][j], None if tape is None else []
-        [(_, made)] = _run_stage(
-            1, merge[0] ** 2,
-            lambda lo, hi: _condense(maps, merge, carried=carried, run=bands, kept=kept),
-            stats, run=_serial)
-        if made is not None and kept:  # kept gets the factor before the copy to out
-            tape.append((merge, *kept[0], slice(None), slice(None),
-                         [f[..., :1] for f, _ in carried], made[1][..., :1]))
-        return made
+        return _level_zero_merge(maps, stages[stage][j], carried,
+                                 [f[..., :1] for f, _ in carried], stats, tape, bands)
 
     if all(box is not None for box in boxes):
         made = make(len(stages) - 1, 0)
@@ -896,26 +904,16 @@ def _level_zero(boxes: list, stages: tuple, d: int,
     return g, stats
 
 
-def _level_outcome(level: int, parts: list, threads: int,
-                   failure: str) -> tuple[np.ndarray, SolveStats]:
-    """A level's ``(g_all, stats)`` from its ``parts``, each a ``(g,
-    stats)`` in tree order: every subtree's, and at level 0 the last
-    stages' after them (:func:`_level_zero`). ``g_all`` lists the cubes in
-    row-major order (:func:`_tree_order`). The stats sum the parts' chunks,
-    merges and seconds, keep the largest skeleton and finite residual, and take the
-    most ``threads`` and the pass's first ``failure`` at or below the
-    level."""
-    g = np.concatenate([g for g, _ in parts])
-    d = g.shape[-1]
-    g_all = np.empty_like(g)
-    g_all[_tree_order(-level, d)] = g
-    stats = [st for _, st in parts]
-    residual = max((st.residual for st in stats if not math.isnan(st.residual)),
-                   default=math.nan)
-    return g_all.reshape((3 ** -level,) * d + (d, d)), SolveStats(
-        residual, max(st.unknowns for st in stats), sum(st.wall_time for st in stats),
-        "condensation", sum(st.chunks for st in stats), sum(st.merges for st in stats),
-        max([threads] + [st.threads for st in stats]), failure)
+def _summed(parts: Sequence[SolveStats], threads: int = 1) -> SolveStats:
+    """One :class:`SolveStats` of ``parts``: their chunks, merges and
+    seconds summed, the largest skeleton and finite residual, the most
+    threads (``threads`` among them) and the first failure, in order."""
+    return SolveStats(
+        max((st.residual for st in parts if not math.isnan(st.residual)), default=math.nan),
+        max(st.unknowns for st in parts), sum(st.wall_time for st in parts), "condensation",
+        sum(st.chunks for st in parts), sum(st.merges for st in parts),
+        max([threads] + [st.threads for st in parts]),
+        next((st.failure for st in parts if st.failure), ""))
 
 
 def _checked_levels(grid: GridSpec, levels: Sequence[int]) -> list[int]:
@@ -931,7 +929,7 @@ def _checked_levels(grid: GridSpec, levels: Sequence[int]) -> list[int]:
 
 def _condensation(d: int, depth: int, h: float, cells: Callable[[int], tuple],
                   elements: Callable[[np.ndarray], tuple], wanted: list[int],
-                  tape: list | None = None) -> tuple[list, int]:
+                  tape: list | None = None) -> dict[int, tuple[np.ndarray | None, SolveStats]]:
     """The depth-first pass over a cube of ``3**depth`` cells a side, with
     the levels ``wanted`` asked for, coarsest first (see
     :func:`level_functionals`). ``cells(s)`` gives subtree ``s``'s cells in
@@ -941,11 +939,17 @@ def _condensation(d: int, depth: int, h: float, cells: Callable[[int], tuple],
     Cells with equal rows share a content class (:func:`_classes`), and
     ``elements(rows)`` gives the element matrices of the first cell of each
     class, and ``None`` or their right-hand sides and row sums, ``(n, 2**d,
-    2)``. With a ``tape`` the pass keeps every merge's factor on it: each
-    subtree's in its order, subtree by subtree, then level 0's in postorder.
-    Returns each level's ``(level, parts)``, from the cells up, its parts
-    each a ``(g, stats)`` in tree order, and the most threads that took a
-    subtree."""
+    2)``. With a ``tape`` (the Dirichlet solve's) the pass keeps every
+    merge's factor on it: each subtree's in its order, subtree by subtree,
+    then level 0's in postorder.
+
+    Returns each level's ``(g_all, stats)`` that the pass ran, from the
+    cells up. ``g_all`` lists the level's cubes' ``g`` in row-major order
+    (:func:`_tree_order`), shaped ``(3**-level,)*d + (d, d)``; it is None
+    for a level not asked for, and with a ``tape``. ``stats`` is
+    :func:`_summed` over the level's subtrees and, at level 0, its later
+    merges: it takes the most threads that took a subtree and the pass's
+    first failure at or below the level."""
     below = range(1 - depth, min(wanted[0], -1) + 1)  # a subtree's levels: none if depth 1
     stages = _plan((3 ** (depth - 1),) * d, True) if 0 in wanted else None
     boxes = [None] * 3**d  # level 0's children, each as its subtree reduced it
@@ -970,16 +974,10 @@ def _condensation(d: int, depth: int, h: float, cells: Callable[[int], tuple],
             return parts
         merge = stages[0][s]  # one cube: its box is alone in its class
         child = _forcings(shape, h)[_boundary_nodes(shape)][None] if sums is None else sums
-        kept = None if sums is None else []
-        stats = SolveStats(math.nan, merge[0], time.perf_counter(), "condensation", 0, 0, 0)
+        stats = SolveStats(math.nan, merge[0], time.perf_counter(), "condensation", 0, 0)
         maps, kids = [kids], None  # the cube's map, dropped once summed
-        [(_, boxes[s])] = _run_stage(
-            1, merge[0] ** 2,
-            lambda lo, hi: _condense(maps, merge, carried=[(child, 0.0)], kept=kept)[:3],
-            stats, run=_serial)
-        if boxes[s] is not None and kept:
-            tapes[s].append((merge, *kept[0], slice(None), slice(None), [values],
-                             boxes[s][1][..., :1]))
+        boxes[s] = _level_zero_merge(maps, merge, [(child, 0.0)], [values], stats,
+                                     None if sums is None else tapes[s])
         stats.wall_time = time.perf_counter() - stats.wall_time
         parts.append((np.empty((0, d, d)), stats))  # level 0's g comes from its last merge
         return parts
@@ -990,15 +988,27 @@ def _condensation(d: int, depth: int, h: float, cells: Callable[[int], tuple],
         tape.extend(step for steps in tapes for step in steps)
     if 0 in wanted:
         per_level[-1].append(_level_zero(boxes, stages[1:], d, tape))
-    return list(zip([*below, 0], per_level)), threads
+    out, failure = {}, ""
+    for level, parts in zip([*below, 0], per_level):
+        stats = _summed([st for _, st in parts], threads)
+        failure = stats.failure = failure or stats.failure
+        g_all = None
+        if level in wanted and tape is None:
+            g = np.concatenate([g for g, _ in parts])
+            g_all = np.empty_like(g)
+            g_all[_tree_order(-level, d)] = g
+            g_all = g_all.reshape((3 ** -level,) * d + (d, d))
+        out[level] = g_all, stats
+    return out
 
 
 def level_functionals(
     field: CoefficientField, levels: Sequence[int]
 ) -> dict[int, tuple[np.ndarray, SolveStats]]:
-    """Each given level's ``(g_all, stats)``, in one bottom-up pass of
-    nested static condensation (``{}`` for no level): the entry point of a
-    sweep. ``g_all`` has shape ``(3**-level,)*d + (d, d)``: in row-major cube
+    """Each given level's ``(g_all, stats)``, from the cells up, in one
+    bottom-up pass of nested static condensation (``{}`` for no level): the
+    entry point of a sweep, and the levels of :func:`_condensation` that are
+    asked for. ``g_all`` has shape ``(3**-level,)*d + (d, d)``: in row-major cube
     order, each cube's Gram matrix ``g[r, s] = L_s(u_r) / vol`` of the unit
     gradient forcings ``L_s(v) = avg(e_s . grad v)``, the quadratic form
     ``q . astar^{-1} q`` of the coarse-graining layer, symmetric up to
@@ -1044,11 +1054,10 @@ def level_functionals(
     ``stats.unknowns`` is the largest skeleton of a merge of the level,
     ``stats.chunks`` the chunks of all its stages in every subtree,
     ``stats.merges`` the merges they condensed (one per content class below
-    level 0),
-    ``stats.threads`` the most threads that took its jobs, chunks or bands,
-    ``stats.wall_time`` the seconds its stages took, summed over the
-    subtrees, and ``stats.residual`` the largest ``|S y - b| / |b|`` of the
-    pinned solves. A failed dense solve leaves the cubes of its chunk, and
+    level 0), ``stats.threads`` the most threads that took a subtree of the
+    pass, or at level 0 a band of a merge, ``stats.wall_time`` the seconds
+    its stages took, summed over the subtrees, and ``stats.residual`` the
+    largest ``|S y - b| / |b|`` of the pinned solves. A failed dense solve leaves the cubes of its chunk, and
     every cube that contains one, NaN; ``stats.failure`` names the pass's
     first failed solve at or below the level (``""`` if none): the lowest
     level's, and there the first subtree's, whichever thread ran it.
@@ -1061,16 +1070,10 @@ def level_functionals(
     order = _tree_order(grid.N, d)
     per = order.size // 3**d  # cells a subtree
     cells = field.data.reshape(-1, field.data.shape[-1])
-    per_level, threads = _condensation(
+    levels = _condensation(
         d, grid.N, grid.h, lambda s: (cells[order[s * per:(s + 1) * per]], None),
         lambda rows: (_element_matrices(rows, d, grid.h), None), wanted)
-    out: dict[int, tuple[np.ndarray, SolveStats]] = {}
-    failure = ""
-    for level, parts in per_level:
-        failure = failure or next((st.failure for _, st in parts if st.failure), "")
-        if level in wanted:
-            out[level] = _level_outcome(level, parts, threads, failure)
-    return out
+    return {level: out for level, out in levels.items() if level in wanted}
 
 
 # ---------------------------------------------------------------------------
@@ -1158,11 +1161,12 @@ def solve_dirichlet(
     """Solve ``-div(a grad u) = 0`` on a cube with given boundary values.
 
     Cell-centered, with harmonic face averaging: a 2d+1-point M-matrix
-    stencil, which requires a diagonal coefficient and gives a cell-mode
-    solution satisfying a discrete maximum principle. ``boundary`` is called
-    as ``boundary(X1, ..., Xd)`` in centered physical coordinates, at the
-    face centers of :func:`boundary_face_values`, half a cell from the
-    centers of the boundary cells.
+    stencil, which requires a diagonal coefficient and gives one value per
+    cell, satisfying a discrete maximum principle. ``boundary`` is called as
+    ``boundary(X1, ..., Xd)`` in centered physical coordinates, at the face
+    centers of :func:`boundary_face_values`, half a cell from the centers of
+    the boundary cells; data that is not finite there raises
+    :class:`ValueError`.
 
     The solve is the condensation pass of :func:`level_functionals`
     (:func:`_condensation`): its plans, merge kernel and subtree schedule,
@@ -1199,9 +1203,9 @@ def solve_dirichlet(
             _shift_view(bound, a, lo, hi)[...] += tb
             _shift_view(rhs, a, lo, hi)[...] += tb * faces[2 * a + side]
             _shift_view(load, a, lo, hi)[...] += tb * (faces[2 * a + side] - center)
-    stats = SolveStats(math.nan, m**d, 0.0, "fv-condensation", 0, 0, 0)
     if m == 1:
         u = center + load / bound
+        stats = SolveStats(math.nan, 1, 0.0, "fv-condensation", 0, 0, 0)
     else:
         depth = grid.N + cube.level
         order = _tree_order(depth, d)
@@ -1223,15 +1227,12 @@ def solve_dirichlet(
                 mats[:, 0, 2 ** (d - 1 - a)] = mats[:, 2 ** (d - 1 - a), 0] = part[:, 2**d + a]
             return mats, part[:, 2**d + d:].reshape(-1, 2**d, 2)
 
-        levels, threads = _condensation(
+        levels = _condensation(
             d, depth, grid.h,
             lambda s: (rows[s * per:(s + 1) * per], values[s * per:(s + 1) * per]),
             elements, [0], tape)
-        parts = [st for _, level in levels for _, st in level]
-        stats.chunks = sum(st.chunks for st in parts)
-        stats.merges = sum(st.merges for st in parts)
-        stats.threads = max([threads] + [st.threads for st in parts])
-        stats.failure = next((st.failure for st in parts if st.failure), "")
+        stats = replace(_summed([st for _, st in levels.values()]), residual=math.nan,
+                        unknowns=m**d, method="fv-condensation")
         if stats.failure:
             stats.wall_time = time.perf_counter() - t0
             raise SolverError(stats.failure, stats)
@@ -1246,7 +1247,7 @@ def solve_dirichlet(
         _shift_view(product, a, 1, None)[...] += flux
     stats.residual = float(np.linalg.norm(product - rhs) / max(np.linalg.norm(rhs), 1e-300))
     stats.wall_time = time.perf_counter() - t0
-    return CubeFunction(grid, cube, u, "cell"), stats
+    return CubeFunction(grid, cube, u), stats
 
 
 def boundary_face_values(
@@ -1257,8 +1258,9 @@ def boundary_face_values(
 
     One array per axis and side (lower side first), each shaped like the
     layer of cells next to that side. Callers that check the data (sign,
-    finiteness, constancy) sample it here, so they check exactly the values
-    the solve uses.
+    constancy) sample it here, so they check exactly the values the solve
+    uses. Data that is not finite at a face center raises
+    :class:`ValueError`.
     """
     m = cube.cells_per_side(grid)
     lo_phys, _ = cube.physical_bounds()
@@ -1268,6 +1270,8 @@ def boundary_face_values(
         for plane in (lo_phys[a], lo_phys[a] + m * grid.h):
             axes = [np.asarray([plane]) if b == a else centers[b] for b in range(grid.d)]
             values.append(np.asarray(boundary(*np.meshgrid(*axes, indexing="ij")), dtype=float))
+    if not all(np.isfinite(face).all() for face in values):
+        raise ValueError("boundary data must be finite at all face centers")
     return values
 
 
@@ -1281,15 +1285,15 @@ def energy(
     region: tuple[slice, ...] | None = None,
 ) -> float:
     """Volume-normalized Dirichlet energy ``avg(grad u . a grad u)`` of a
-    cell-mode function, in the conservative face form with harmonic
-    averaging, normalized per axis by face count (requires a diagonal
-    coefficient). ``region`` restricts to a box of cells (slices into the
-    function's own cell array). A node-mode function raises
+    cell function, in the conservative face form with harmonic averaging,
+    normalized per axis by face count (requires a diagonal coefficient).
+    ``region`` restricts to a box of cells (slices into the function's own
+    cell array). A node-mode :class:`ScalarGridFunction` raises
     :class:`ValueError`.
     """
     if not isinstance(u, (CubeFunction, ScalarGridFunction)):
         raise TypeError(f"expected CubeFunction or ScalarGridFunction, got {type(u)}")
-    if u.mode != "cell":
+    if isinstance(u, ScalarGridFunction) and u.mode != "cell":
         raise ValueError(f"energy requires a cell-mode function, got mode {u.mode!r}")
     cells = field.data[u.cube.cell_slices(field.grid)] if isinstance(u, CubeFunction) else field.data
     data = u.data

@@ -176,7 +176,7 @@ class TestMaxPrinciple:
         """Make the experiments' Dirichlet solve return the cell values ``data``."""
         def solve(field, cube, boundary, **kwargs):
             _, stats = solve_dirichlet(field, cube, boundary, **kwargs)
-            return CubeFunction(field.grid, cube, data, "cell"), stats
+            return CubeFunction(field.grid, cube, data), stats
 
         monkeypatch.setattr(cge.harness, "solve_dirichlet", solve)
 
@@ -300,7 +300,7 @@ class TestReverseHolder:
         base = reverse_holder_diagnostic(
             identity_field(), solved_affine, ("power", 2.0),
             0.5, 1.0, 0.3, 0.3, 1.0)
-        scaled = CubeFunction(DESK, CUBE0, 7.0 * solved_affine.data, "cell")
+        scaled = CubeFunction(DESK, CUBE0, 7.0 * solved_affine.data)
         value = reverse_holder_diagnostic(
             identity_field(), scaled, ("power", 2.0), 0.5, 1.0, 0.3, 0.3, 1.0)
         assert value == pytest.approx(base, rel=1e-12)
@@ -309,7 +309,7 @@ class TestReverseHolder:
         base = reverse_holder_diagnostic(
             identity_field(), solved_affine, ("trunc", 2.0),
             0.5, 1.0, 0.3, 0.3, 1.0)
-        shifted = CubeFunction(DESK, CUBE0, solved_affine.data + 5.0, "cell")
+        shifted = CubeFunction(DESK, CUBE0, solved_affine.data + 5.0)
         value = reverse_holder_diagnostic(
             identity_field(), shifted, ("trunc", 7.0), 0.5, 1.0, 0.3, 0.3, 1.0)
         assert value == pytest.approx(base, rel=1e-12)
@@ -377,7 +377,7 @@ class TestLogCaccioppoli:
         field = gen_constant(DESK, np.diag([1.0, lam]), descriptor="diag(1,16)")
         x = cell_centers(DESK)
         data = np.exp(math.sqrt(lam) * x)[:, None] * np.ones((1, 243))
-        u = CubeFunction(DESK, CUBE0, data, "cell")
+        u = CubeFunction(DESK, CUBE0, data)
         ratio = log_caccioppoli_diagnostic(field, u, lam)
         assert ratio == pytest.approx(1.0, rel=1e-12)
 

@@ -33,7 +33,6 @@ from cge.grid import (
     sym_unpack,
 )
 from cge.solver import (
-    CubeFunction,
     SolverError,
     _boundary_nodes,
     _element_matrices,
@@ -1153,6 +1152,16 @@ def test_fv_dirichlet_maximum_principle_at_high_contrast(d, n):
     assert _max_principle_slack(u, faces) >= -MAX_PRINCIPLE_RTOL
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_dirichlet_rejects_nonfinite_boundary(bad):
+    # the solve samples its data through boundary_face_values, which
+    # checks it: no NaN solution, no warning from the load assembly
+    field = gen_constant(GridSpec(2, 2), np.eye(2))
+    for data in (lambda x, y: np.where(x > 0.4, bad, 1.0), lambda x, y: np.full_like(x, bad)):
+        with pytest.raises(ValueError, match="boundary data must be finite at all face centers"):
+            solve_dirichlet(field, FULL, data)
+
+
 def test_dirichlet_factors_once_per_solve(monkeypatch):
     # one condensation pass a solve, whose last merge keeps no node, and
     # one back-substitution down the factors it kept
@@ -1315,22 +1324,43 @@ def test_content_classes_leave_functionals_bit_identical(monkeypatch, d, n, kind
 @pytest.mark.parametrize("d, n", [(2, 4), (3, 2)])
 def test_condense_sees_each_distinct_merge_once(monkeypatch, d, n):
     # the kernel's merges: every one on random SPD, whose cells are all
-    # distinct; on a constant field one a stage of each subtree
-    seen, real = [], cge.solver._condense
+    # distinct; on a constant field one a stage of each subtree. Each call
+    # of the kernel is one chunk; a level's stats sum its subtrees' chunks,
+    # and a Dirichlet solve's count what the kernel saw
+    seen, subtrees = [], []
+    real, real_level = cge.solver._condense, cge.solver._subtree_level
 
     def spy(maps, *args, **kwargs):
         seen.append(maps[0].shape[0])
         return real(maps, *args, **kwargs)
 
+    def spy_level(kids, cls, shape, *args):
+        made = real_level(kids, cls, shape, *args)
+        subtrees.append((shape[0], made[-1].chunks))  # children of shape[0] cells a side
+        return made
+
     monkeypatch.setattr(cge.solver, "_condense", spy)
+    monkeypatch.setattr(cge.solver, "_subtree_level", spy_level)
     grid = GridSpec(d, n)
+    top = 3**d + (3**d - 1) // 2  # level 0's merges, each a chunk of its own
     for f, merges in [
         (gen_random_spd(grid, seed=2, eig_low=1e-2, eig_high=1e2), _merges_per_pass(d, n)),
-        (gen_constant(grid, np.eye(d)), 3**d * d * (n - 1) + 3**d + (3**d - 1) // 2),
+        (gen_constant(grid, np.eye(d)), 3**d * d * (n - 1) + top),
     ]:
         seen.clear()
+        subtrees.clear()
         out = level_functionals(f, range(0, -n, -1))
+        assert list(out) == list(range(1 - n, 1))  # from the cells up
         assert sum(seen) == sum(stats.merges for _, stats in out.values()) == merges
+        assert len(seen) == sum(stats.chunks for _, stats in out.values())
+        for level, (_, stats) in out.items():
+            assert stats.chunks == (top if level == 0 else sum(
+                chunks for side, chunks in subtrees if side == 3 ** (n - 1 + level)))
+    cube = TriadicCube(0, (0,) * d)
+    for f in (diagonal_field(grid, seed=2), gen_constant(grid, np.eye(d))):
+        seen.clear()
+        _, stats = solve_dirichlet(f, cube, wavy_boundary)
+        assert stats.merges == sum(seen) and stats.chunks == len(seen)
 
 
 @pytest.mark.parametrize("case", ["sharpness", "cantor", "sub-cubes", "laminate-3d"])
@@ -1410,10 +1440,8 @@ def test_energy_rejects_node_mode():
     # the face form reads cell values; a node function's energy is the oracle's
     g = GridSpec(2, 2)
     f = gen_constant(g, np.eye(2))
-    for u in (ScalarGridFunction(g, np.zeros(g.node_shape), "node"),
-              CubeFunction(g, FULL, np.zeros(g.node_shape), "node")):
-        with pytest.raises(ValueError, match="cell-mode"):
-            energy(f, u)
+    with pytest.raises(ValueError, match="cell-mode"):
+        energy(f, ScalarGridFunction(g, np.zeros(g.node_shape), "node"))
 
 
 def test_energy_cell_mode_face_form():

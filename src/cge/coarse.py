@@ -147,7 +147,7 @@ class SweepResult:
 #: :func:`~cge.solver.level_functionals`, in every dimension) and the record
 #: layout (``astar_inv`` alone) in every cache record: another solver's
 #: record is a miss. A change that moves the stored numbers bumps it.
-SOLVER_TAG = "q1-neumann/condensation/7"
+SOLVER_TAG = "q1-neumann/condensation/8"
 
 
 def _cache_path(cache_dir, field_hash: str, level: int) -> str:
@@ -284,7 +284,7 @@ def sweep(field: CoefficientField, cache_dir: str | None = None) -> SweepResult:
             if cache_dir is not None and not level_failures:
                 _cache_store(_cache_path(cache_dir, field.content_hash, level), astar_inv_arr)
 
-        astar_arr = sym_pack(np.linalg.inv(sym_unpack(astar_inv_arr, d)))
+        astar_arr = sym_inv(astar_inv_arr, d)
         levels[level] = LevelData(level, astar_arr, avg, inv_avg_inv, astar_inv_arr)
         _log_level(level, method, n_cubes, stats, t0)
 

@@ -70,9 +70,15 @@ def sym_unpack(packed: np.ndarray, d: int) -> np.ndarray:
 def sym_eig_bounds(packed: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Smallest and largest eigenvalue of each packed symmetric matrix.
 
-    Closed forms are used for d <= 2; d = 3 falls back to LAPACK. Both routes
-    are cross-checked in the test suite. A matrix with a NaN or inf entry gets
-    NaN bounds on every route (LAPACK would raise for the whole batch).
+    Closed forms are used for d <= 2. For d = 3 a fixed four sweeps of
+    cyclic Jacobi rotations run on the whole stack at once, with no
+    per-matrix LAPACK call: each rotation zeroes one off-diagonal entry
+    (the smaller angle's tangent, Numerical Recipes 11.1), and the diagonal
+    converges quadratically, to about 1e-15 of the matrix's norm within
+    four sweeps, degenerate pairs included. (The trigonometric closed form
+    loses digits on a degenerate pair.) All routes are cross-checked
+    against LAPACK in the test suite. A matrix with a NaN or inf entry gets
+    NaN bounds on every route.
     """
     packed = np.asarray(packed, dtype=float)
     if d == 1:
@@ -84,11 +90,30 @@ def sym_eig_bounds(packed: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
         radius = np.hypot(0.5 * (a - c), b)
         with np.errstate(invalid="ignore"):  # inf - inf for an infinite entry
             return mean - radius, mean + radius
-    mats = sym_unpack(packed, d)
-    finite = np.isfinite(packed).all(axis=-1)
-    w = np.full(mats.shape[:-1], np.nan)
-    w[finite] = np.linalg.eigvalsh(mats[finite])
-    return w[..., 0], w[..., -1]
+    m = [[None] * 3 for _ in range(3)]
+    for c, (i, j) in enumerate(sym_index_pairs(3)):
+        m[i][j] = m[j][i] = packed[..., c]
+    with np.errstate(invalid="ignore", over="ignore"):  # inf or NaN rows
+        for _ in range(4):
+            for p, q in ((0, 1), (0, 2), (1, 2)):
+                r, apq = 3 - p - q, m[p][q]
+                # t = tan of the angle that zeroes m[p][q]: sgn(theta) /
+                # (|theta| + sqrt(theta^2 + 1)), theta = diff / (2 apq),
+                # multiplied through by 2 |apq|; 0 where apq and diff are
+                diff = m[q][q] - m[p][p]
+                den = np.abs(diff) + np.sqrt(diff * diff + 4.0 * apq * apq)
+                t = (2.0 * apq) * np.copysign(1.0, diff) / np.maximum(den, 1e-300)
+                cos = 1.0 / np.sqrt(t * t + 1.0)
+                sin = t * cos
+                m[p][p], m[q][q] = m[p][p] - t * apq, m[q][q] + t * apq
+                arp, arq = m[r][p], m[r][q]
+                m[r][p] = m[p][r] = cos * arp - sin * arq
+                m[r][q] = m[q][r] = sin * arp + cos * arq
+                m[p][q] = m[q][p] = np.zeros_like(apq)
+    lo = np.minimum(np.minimum(m[0][0], m[1][1]), m[2][2])
+    hi = np.maximum(np.maximum(m[0][0], m[1][1]), m[2][2])
+    bad = ~np.isfinite(packed).all(axis=-1)
+    return np.where(bad, np.nan, lo), np.where(bad, np.nan, hi)
 
 
 def sym_norm(packed: np.ndarray, d: int) -> np.ndarray:
@@ -98,7 +123,12 @@ def sym_norm(packed: np.ndarray, d: int) -> np.ndarray:
 
 
 def sym_inv(packed: np.ndarray, d: int) -> np.ndarray:
-    """Inverse of packed symmetric matrices, returned packed."""
+    """Inverse of packed symmetric positive-definite matrices, returned
+    packed. For d = 3, ``L^-T L^-1`` from the closed-form Cholesky factor
+    ``A = L L^T``, on the whole stack at once: its residual ``|A X - I|``
+    stays within a small factor of LAPACK's at high contrast, where the
+    adjugate's does not. A matrix that is not positive definite, or has a
+    NaN entry, gets NaN."""
     packed = np.asarray(packed, dtype=float)
     if d == 1:
         return 1.0 / packed
@@ -106,7 +136,19 @@ def sym_inv(packed: np.ndarray, d: int) -> np.ndarray:
         a, b, c = packed[..., 0], packed[..., 1], packed[..., 2]
         det = a * c - b * b
         return np.stack([c, -b, a], axis=-1) / det[..., None]
-    return sym_pack(np.linalg.inv(sym_unpack(packed, d)))
+    a00, a01, a02, a11, a12, a22 = np.moveaxis(packed, -1, 0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # not positive definite: NaN
+        l00 = np.sqrt(a00)
+        l10, l20 = a01 / l00, a02 / l00
+        l11 = np.sqrt(a11 - l10 * l10)
+        l21 = (a12 - l20 * l10) / l11
+        l22 = np.sqrt(a22 - l20 * l20 - l21 * l21)
+        m00, m11, m22 = 1.0 / l00, 1.0 / l11, 1.0 / l22  # M = L^-1, lower triangular
+        m10 = -l10 * m00 * m11
+        m21 = -l21 * m11 * m22
+        m20 = -(l20 * m00 + l21 * m10) * m22
+    return np.stack([m00 * m00 + m10 * m10 + m20 * m20, m10 * m11 + m20 * m21, m20 * m22,
+                     m11 * m11 + m21 * m21, m21 * m22, m22 * m22], axis=-1)
 
 
 # ---------------------------------------------------------------------------

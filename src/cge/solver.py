@@ -39,10 +39,18 @@ its level's array; no other path solves a cube alone.
 A merge sums its boxes' maps onto its skeleton through a flat index and
 eliminates in place (:func:`_eliminate`): a left-looking Cholesky
 (:func:`_cholesky`), a forward substitution (:func:`_lower_solve`) and a
-Schur update, all matmuls and no copy of the skeleton. Below level 0 a
-pinned solve is an LU solve of a copy of the cube's map, which its parent
-needs. Level 0's last merge factors its pinned skeleton in place and takes
-``g`` from the forward substitution alone.
+Schur update, all matmuls and no copy of the skeleton. A box whose map is
+in the skeleton's own order lends it as the skeleton. Level -1 hands each
+cube's map to level 0 in the order of the cube's first level-0 merge
+(:func:`_handed`): the nodes no other child has first, then the shared
+ones. So that merge eliminates the private nodes in place on the map, and
+one elimination serves both levels: level -1's ``g`` is the merge's carried
+``f^T A^-1 f`` plus a pinned solve of the box it makes, by Cholesky on the
+skeleton once the box is copied off it, whether or not level 0 is asked
+for. Level 0's last merge runs in place on its middle box's map, factors
+its pinned skeleton and takes ``g`` from the forward substitution alone.
+Below level -1 a pinned solve is an LU solve of a copy of the cube's map,
+which its parent needs.
 
 The pass runs depth first, one subtree per level -1 cube: a subtree runs
 its levels below 0 from its cells' element matrices, and its cube's first
@@ -65,7 +73,8 @@ subproblems of nested dissection are shared exactly. Every cell has a
 content class (:func:`_classes`), the bytes of its row: the packed
 coefficient for the pure-Neumann pass, and for the Dirichlet solve its
 element's diagonal and couplings, right-hand side and row sums. A merge's
-class is the triple of its boxes' classes. A stage condenses the first merge
+class is the triple of its boxes' classes, keyed exactly by one integer.
+A stage condenses the first merge
 of each class and hands its map, carried forcing, ``g`` and kept factor to
 every merge of the class. Equal bytes, with no tolerance, make equal
 numbers, so every ``g`` and ``u`` is the one the merge would give alone.
@@ -277,7 +286,9 @@ def _run_chunks(starts: range, work: Callable[[int], object]) -> tuple[list, int
     its own, which stays with the process. Once the caller has taken the
     last job, a helper that has not started yet is cancelled, not waited
     for. Returns the ``(lo, work(lo))`` pairs in job order and the number
-    of threads that took at least one job.
+    of threads that took at least one job: :func:`_condensation` reads
+    both. As the ``run`` of the merge kernel (level 0's bands) it is called
+    for its side effects, like :func:`_serial`.
     """
     threads = min(len(starts), len(os.sched_getaffinity(0)))
     # shared: next() on a range iterator is one step, atomic under the GIL
@@ -303,8 +314,31 @@ def _boundary_nodes(shape: tuple[int, ...]) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=16)
-def _plan(shape: tuple[int, ...], top: bool) -> tuple[tuple, ...]:
+@lru_cache(maxsize=64)
+def _handed(shape: tuple[int, ...], child: int) -> np.ndarray:
+    """The order in which level 0's child ``child`` (its offset's index in
+    C order), a box of ``shape`` cells, lists the nodes of its map: indices
+    into :func:`_boundary_nodes`. A cell's element matrix lists them in C
+    order. A larger box, a level -1 cube, lists first the nodes that no
+    other child has, then the shared ones, each in C order: the order of
+    the skeleton of its first level-0 merge, which then runs in place on
+    the map. Level -1's plan (:func:`_plan` with ``child``) makes the map so.
+    """
+    d = len(shape)
+    if max(shape) == 1:
+        out = np.arange(2**d)
+    else:
+        coords = np.indices(tuple(s + 1 for s in shape)).reshape(d, -1)[:, _boundary_nodes(shape)]
+        at = np.array(np.unravel_index(child, (3,) * d))[:, None]
+        shared = (((coords == 0) & (at > 0))
+                  | ((coords == np.array(shape)[:, None]) & (at < 2))).any(axis=0)
+        out = np.concatenate([np.flatnonzero(~shared), np.flatnonzero(shared)])
+    out.flags.writeable = False  # shared by every caller through the cache
+    return out
+
+
+@lru_cache(maxsize=64)
+def _plan(shape: tuple[int, ...], top: bool, child: int | None = None) -> tuple[tuple, ...]:
     """How a level condenses each of its cubes from the maps of the cube's
     ``3**d`` children of ``shape`` cells: its stages, each the tuple of one
     cube's merges.
@@ -322,18 +356,34 @@ def _plan(shape: tuple[int, ...], top: bool) -> tuple[tuple, ...]:
     it eliminates, and for each of its boxes the skeleton index of every
     node of the box's map. The skeleton lists the eliminated nodes first,
     then the kept ones, and a map its nodes, each in C order of the cube's
-    node grid (a child's as :func:`_boundary_nodes` does). Below level 0
-    the merges of a stage are translates of one another: the pass condenses
-    them all by the first.
+    node grid (a child's as :func:`_boundary_nodes` does, and at level 0
+    as :func:`_handed` does). Below level 0 the merges of a stage are
+    translates of one another: the pass condenses them all by the first.
+
+    Level -1's cubes hand their maps to level 0 in the order of their first
+    level-0 merge: given ``child``, the cube's index among level 0's
+    children, the last stage keeps the cube's boundary nodes in
+    :func:`_handed` order. So that merge's ranks are ``0..size-1``, and it
+    runs in place on the map (:func:`_condense`).
     """
     d = len(shape)
+    if child is not None:
+        *stages, ((size, k, ranks),) = _plan(shape, False)
+        # the kept nodes, in C order, moved to their places in _handed order
+        remap = np.concatenate(
+            [np.arange(k), k + np.argsort(_handed(tuple(3 * s for s in shape), child))])
+        ranks = tuple(remap[r] for r in ranks)
+        for r in ranks:
+            r.flags.writeable = False  # shared by every caller through the cache
+        return (*stages, ((size, k, ranks),))
     nodes = tuple(3 * s + 1 for s in shape)  # the cube's node grid
     local = np.indices(tuple(s + 1 for s in shape)).reshape(d, -1)[:, _boundary_nodes(shape)]
     span = np.array(shape)[:, None]
     boxes = []  # (nodes of the box's map, lowest corner, highest corner)
-    for offset in np.ndindex((3,) * d):
+    for j, offset in enumerate(np.ndindex((3,) * d)):
         lo = np.array(offset)[:, None] * span
-        boxes.append((np.ravel_multi_index(tuple(local + lo), nodes), lo, lo + span))
+        box = np.ravel_multi_index(tuple(local + lo), nodes)
+        boxes.append((box[_handed(shape, j)] if top else box, lo, lo + span))
     stages = []
     for width in ([1] if top else []) + [3] * d:
         merges, parents = [], []
@@ -379,10 +429,11 @@ _MIX = np.uint64(0x9E3779B97F4A7C15)
 
 def _classes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """The content classes of ``rows``, an ``(n, w)`` array of 8-byte
-    numbers: a cell's element data, or a merge's boxes' classes. Rows whose
-    bytes are equal share a class; no tolerance is used. Returns ``(first,
-    inverse)``, the first row of each class (classes in an order of their
-    own) and each row's class, or None when every row is distinct.
+    numbers: each cell's element data. Rows whose bytes are equal share a
+    class; no tolerance is used. Returns ``(first, inverse)``, the first
+    row of each class (classes in an order of their own) and each row's
+    class, or None when every row is distinct. (A merge's class is keyed
+    exactly by its boxes' classes, in :func:`_subtree_level`.)
 
     Each row's words are mixed into one 64-bit key. Distinct keys are
     distinct rows, so one sort of the keys clears an all-distinct input (a
@@ -429,11 +480,13 @@ _BLOCK = 64
 _BAND = 256
 
 
-def _serial(starts: range, work: Callable[[int], object]) -> tuple[list, int]:
-    """:func:`_run_chunks` on the calling thread alone: how a subtree's
-    merges, below level 0 and its cube's first level-0 merge, run their
-    bands on the thread that took the subtree."""
-    return [(lo, work(lo)) for lo in starts], 1
+def _serial(starts: range, work: Callable[[int], object]) -> None:
+    """``work(lo)`` for every start, in order, on the calling thread: the
+    merge kernel's ``run`` for a subtree's merges, below level 0 and its
+    cube's first level-0 merge, which run their bands on the thread that
+    took the subtree. A kernel's ``run`` is called for its side effects."""
+    for lo in starts:
+        work(lo)
 
 
 def _cholesky(a: np.ndarray, run=_serial) -> list:
@@ -601,16 +654,20 @@ def _eliminate(mat: np.ndarray, k: int, forcing: np.ndarray | None = None, run=_
 
 def _condense(maps: list, plan: tuple, out: np.ndarray | None = None,
               forcing: np.ndarray | None = None, carried: Sequence = (), run=_serial,
-              kept: list | None = None) -> tuple:
+              kept: list | None = None, pin: bool = False) -> tuple:
     """The merge kernel: ``n`` merges that share one skeleton ``plan``, a
     ``(size, k, ranks)`` of :func:`_plan`.
 
     ``maps[c]`` is the ``(n, nb, nb)`` stack of box ``c``'s maps. They are
     summed onto the skeleton through a flat index into the stack, built
     per call for a band of :data:`_BLOCK` rows of a box at a time: an index
-    as large as the maps, whole or cached, raises the peak memory. Box 0 is
-    assigned, the others added, and each box is dropped from ``maps`` once
-    it is summed, so a box the caller holds nowhere else is freed then. The
+    as large as the maps, whole or cached, raises the peak memory. A box
+    whose ranks are ``0..size-1``, the skeleton's own order, lends its map
+    as the skeleton, which the merge then overwrites: level 0's first
+    merges run in place on their cube's map, and its last merge on the
+    middle box's. Otherwise box 0 is assigned onto a zeroed skeleton; the
+    other boxes are added, and each box is dropped from ``maps`` once it is
+    summed, so a box the caller holds nowhere else is freed then. The
     skeleton's first ``k`` nodes are eliminated (:func:`_eliminate`), and
     the kept nodes' maps are written to ``out`` (a new array if it is None).
     A merge with a non-finite map is not condensed: its map and ``g`` are
@@ -622,40 +679,47 @@ def _condense(maps: list, plan: tuple, out: np.ndarray | None = None,
     a stack of one), or its right-hand side and row sums and ``0.0`` (the
     Dirichlet solve). They are summed, and the elimination carries the forcing
     along and adds its ``f^T A^-1 f`` to ``g``. Given the kept nodes'
-    ``forcing`` (below level 0), or when the merge keeps no node (level 0's
-    last, which forms no map), the last node is pinned and ``S y = f`` solved:
-    ``g`` gains ``y^T f``, and the residual is ``|S y - f| / |f|``. Below level
-    0 that is an LU solve of a copy of ``S``, which the cube's map still needs.
-    Level 0's last merge factors ``S = L L^T`` in place (:func:`_cholesky`):
-    ``g`` gains ``W^T W`` for ``W = L^-1 f``, and ``y = L^-T W`` is checked
-    against the ``S`` that the strict upper triangle and copies of the diagonal
-    blocks keep.
+    ``forcing`` (below level 0), given ``pin`` (level 0's first merge, whose
+    box is a level -1 cube asked for), or when the merge keeps no node (level
+    0's last, which forms no map), the last node is pinned and ``S y = f``
+    solved: the box's pinned ``g`` is ``g`` plus ``y^T f``, and the residual
+    is ``|S y - f| / |f|``. Below level 0 that is an LU solve of a copy of
+    ``S``. At level 0 the pinned ``S = L L^T`` is factored in place
+    (:func:`_cholesky`), on the skeleton, once the kept map has been copied
+    off it: ``y^T f`` is ``W^T W`` for ``W = L^-1 f``, and ``y = L^-T W`` is
+    checked against the ``S`` that the strict upper triangle and copies of
+    the diagonal blocks keep.
 
     A list ``kept`` takes the merge's factor, as :func:`_eliminate` keeps it (an
     empty one if ``k = 0``): the Dirichlet solve's. Its skeleton has no kernel,
     so its last merge eliminates every node, with no pin, and a non-finite map
     is a failed solve.
 
-    Returns ``(out, forcing, g, residual)``: the maps (``None`` if none is
-    kept), the kept nodes' forcing, the ``(n, d, d)`` matrices ``g`` (not
-    divided by the volume; ``0.0`` if none is wanted) and the largest
-    residual (NaN if none). Raises ``numpy.linalg.LinAlgError`` if an
-    elimination or the last merge meets a block that is not positive
-    definite, or an LU pinned solve a singular one.
+    Returns ``(out, forcing, g, pinned, residual)``: the maps (``None`` if none
+    is kept), the kept nodes' forcing, the ``(n, d, d)`` matrices ``g`` (not
+    divided by the volume; ``0.0`` if none is carried), the pinned ``g``
+    (``None`` without a pin) and the largest residual (NaN if none). Raises
+    ``numpy.linalg.LinAlgError`` if an elimination or a level-0 pinned solve
+    meets a block that is not positive definite, or an LU pinned solve a
+    singular one.
     """
     size, k, ranks = plan
     n = maps[0].shape[0]
-    # a forcing given, not carried, or nothing kept but a kernel to pin
-    pin = kept is None and (forcing is not None or k == size)
-    skel = np.zeros((n, size, size))
+    # a forcing given, a pin asked for, or nothing kept but a kernel to pin
+    pin = kept is None and (pin or forcing is not None or k == size)
+    lent = next((c for c, r in enumerate(ranks)
+                 if r.size == size and np.array_equal(r, np.arange(size))), None)
+    skel = np.zeros((n, size, size)) if lent is None else np.ascontiguousarray(maps[lent])
     flat, base = skel.reshape(-1), np.arange(0, skel.size, size * size)[:, None, None]
     for c, r in enumerate(ranks):
         mat, maps[c] = maps[c], None
+        if c == lent:
+            continue
 
-        def rows(lo: int, mat=mat, r=r, c=c) -> None:  # a band of the box's rows
-            at = (base + (r[lo:lo + _BLOCK, None] * size + r)).ravel()
+        def rows(lo: int, mat=mat, r=r, add=lent is not None or c > 0) -> None:
+            at = (base + (r[lo:lo + _BLOCK, None] * size + r)).ravel()  # a band of the box's rows
             band = mat[:, lo:lo + _BLOCK].ravel()
-            flat[at] = flat.take(at) + band if c else band
+            flat[at] = flat.take(at) + band if add else band
 
         run(range(0, r.size, _BLOCK), rows)
         del mat, rows
@@ -679,7 +743,7 @@ def _condense(maps: list, plan: tuple, out: np.ndarray | None = None,
         if forcing is not None:
             d = forcing.shape[-1]
             forcing, g = np.full((n, size - k, d), np.nan), np.full((n, d, d), np.nan)
-        return out, forcing, g, math.nan
+        return out, forcing, g, g if pin else None, math.nan
     if not finite.all():
         skel = skel[finite]
     schur = skel
@@ -699,28 +763,28 @@ def _condense(maps: list, plan: tuple, out: np.ndarray | None = None,
         out[finite] = schur
         out[~finite] = np.nan
     if not pin:
-        return out, forcing, g, math.nan
+        return out, forcing, g, None, math.nan
     s, f = schur[:, :-1, :-1], forcing[..., :-1, :]  # f carried is a stack of one
     rhs = np.broadcast_to(f, s.shape[:1] + f.shape[-2:])
-    if k < size:
-        # LU below level 0, on a copy the cube's map needs anyway: NumPy has
-        # no triangular solve, and the Cholesky factor and two substitutions
-        # invert each diagonal block, which costs more than the stacked LU
-        # (27 maps of 55 nodes, one BLAS thread: 2.95 ms against 0.84 ms)
-        y = np.linalg.solve(s, rhs)
-        product, gain = s @ y, np.swapaxes(y, -1, -2) @ f
-    else:
+    if carried:
         blocks = [s[:, lo:lo + _BLOCK, lo:lo + _BLOCK].copy()
                   for lo in range(0, s.shape[-1], _BLOCK)]
         invs = _cholesky(s, run)
         w = _lower_solve(s, invs, rhs.copy())
         gain = np.swapaxes(w, -1, -2) @ w
         product = _upper_times(s, blocks, _back_solve(_panels(s), invs, w.copy()), run)
+    else:
+        # LU below level 0, on the copy LAPACK makes: NumPy has no
+        # triangular solve, and the Cholesky factor and two substitutions
+        # invert each diagonal block, which costs more than the stacked LU
+        # (27 maps of 55 nodes, one BLAS thread: 2.95 ms against 0.84 ms)
+        y = np.linalg.solve(s, rhs)
+        product, gain = s @ y, np.swapaxes(y, -1, -2) @ f
     res = (np.linalg.norm(product - f, axis=-2)
            / np.maximum(np.linalg.norm(f, axis=-2), 1e-300))
-    g_all = np.full((n, f.shape[-1], f.shape[-1]), np.nan)
-    g_all[finite] = g + gain
-    return out, forcing, g_all, float(res.max())
+    pinned = np.full((n, f.shape[-1], f.shape[-1]), np.nan)
+    pinned[finite] = g + gain
+    return out, forcing, g, pinned, float(res.max())
 
 
 def _run_stage(count: int, entries: int, work: Callable[[int, int], object],
@@ -754,20 +818,25 @@ def _run_stage(count: int, entries: int, work: Callable[[int, int], object],
 
 def _subtree_level(kids: np.ndarray, cls: np.ndarray | None, shape: tuple[int, ...], h: float,
                    volume: float | None, sums: np.ndarray | None = None,
-                   values: np.ndarray | None = None, tape: list | None = None) -> tuple:
+                   values: np.ndarray | None = None, tape: list | None = None,
+                   child: int | None = None) -> tuple:
     """One level below 0 of a subtree, on the calling thread: the maps of
     its cubes, condensed stage by stage (:func:`_plan`) from ``kids``, the
     maps of their children of ``shape`` cells. ``cls`` gives each child's
     content class in tree order, ``kids`` holding one map per class, or is
     None when every child is distinct and ``kids`` lists them in tree order.
+    At level -1, ``child`` is the subtree's index among level 0's children:
+    its cube's map comes out in :func:`_handed` order.
 
-    A stage with classes classifies its merges by their boxes' classes
-    (:func:`_classes`), condenses the first merge of each class alone and
-    hands its map to every merge of the class; its boxes are gathered from
-    ``kids``. A stage whose boxes are all distinct condenses every merge on
-    strided views of ``kids``, and so does every stage above it. Given the
-    cubes' ``volume`` (the level is asked for), the last stage's pinned
-    solves give each cube's ``g`` divided by it, NaN where a chunk failed.
+    A stage with classes classes each merge by the exact integer key
+    ``(c0 * n + c1) * n + c2`` of its boxes' classes (``n`` of them, so
+    exact below ``2**21`` classes), condenses the first merge of each class
+    alone and hands its map to every merge of the class; its boxes are
+    gathered from ``kids``. A stage whose merges are all distinct condenses
+    every merge, and every stage above it does so on strided views of
+    ``kids``. Given the cubes' ``volume`` (a level below -1 asked for), the
+    last stage's pinned solves give each cube's ``g`` divided by it, NaN
+    where a chunk failed.
     Given the children's ``sums``, their right-hand sides and row sums by
     class (the Dirichlet solve's), they are carried to the cubes', and each
     chunk's factor goes on ``tape`` with the merges it stands for
@@ -778,7 +847,7 @@ def _subtree_level(kids: np.ndarray, cls: np.ndarray | None, shape: tuple[int, .
     d = len(shape)
     cube = tuple(3 * s for s in shape)
     stats = SolveStats(math.nan, 0, time.perf_counter(), "condensation", 0, 0)
-    stages = _plan(shape, False)
+    stages = _plan(shape, False, child)
     g, residuals = None, []
     for stage, merges in enumerate(stages):
         merge = merges[0]  # the merges of a stage are translates of the first
@@ -788,9 +857,12 @@ def _subtree_level(kids: np.ndarray, cls: np.ndarray | None, shape: tuple[int, .
         picks, inverse = None, None  # each condensed merge's rows of kids; each merge's class
         if cls is not None:
             picks = cls.reshape(-1, 3)
-            which = _classes(picks)
-            if which is not None:
-                picks, inverse = picks[which[0]], which[1]
+            key = (picks[:, 0] * kids.shape[0] + picks[:, 1]) * kids.shape[0] + picks[:, 2]
+            _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+            if first.size < key.size:
+                picks = picks[first]
+            else:  # every merge distinct: the stages above take strided views
+                inverse = None
         count = total if picks is None else picks.shape[0]
         maps = np.empty((count, size - k, size - k))
         made = None if sums is None else np.empty((count, size - k, sums.shape[-1]))
@@ -806,13 +878,13 @@ def _subtree_level(kids: np.ndarray, cls: np.ndarray | None, shape: tuple[int, .
         def work(lo: int, hi: int) -> None:
             boxes = [box(kids, c, lo, hi) for c in range(3)]
             if sums is None:
-                _, _, part, res = _condense(boxes, merge, maps[lo:hi], forcing)
+                _, _, _, part, res = _condense(boxes, merge, maps[lo:hi], forcing)
                 if last:
                     g[lo:hi] = part / volume
                     residuals.append(res)
                 return
             kept = []
-            _, made[lo:hi], _, _ = _condense(
+            _, made[lo:hi], _, _, _ = _condense(
                 boxes, merge, maps[lo:hi], kept=kept,
                 carried=[(box(sums, c, lo, hi), 0.0) for c in range(3)])
             if inverse is None:
@@ -833,17 +905,19 @@ def _subtree_level(kids: np.ndarray, cls: np.ndarray | None, shape: tuple[int, .
 
 
 def _level_zero_merge(maps: list, merge: tuple, carried: list, values: list,
-                      stats: SolveStats, tape: list | None, run=_serial) -> tuple | None:
+                      stats: SolveStats, tape: list | None, run=_serial,
+                      pin: bool = False) -> tuple | None:
     """One merge of level 0, one chunk of :func:`_run_stage`: the ``(map,
-    forcing, g, residual)`` that :func:`_condense` makes of its boxes'
-    ``maps`` and ``carried`` forcings and ``g``, its bands run by ``run``,
-    or None if it failed. With a ``tape`` (the Dirichlet solve's) its factor
-    goes on it, with ``values``, the values of its boxes' nodes, and the
-    first column of its forcing, which holds the values of the box it
-    makes."""
+    forcing, g, pinned, residual)`` that :func:`_condense` makes of its
+    boxes' ``maps`` and ``carried`` forcings and ``g``, its bands run by
+    ``run`` and its box's pinned solve run if ``pin``, or None if it failed.
+    With a ``tape`` (the Dirichlet solve's) its factor goes on it, with
+    ``values``, the values of its boxes' nodes, and the first column of its
+    forcing, which holds the values of the box it makes."""
     kept = None if tape is None else []
     [(_, made)] = _run_stage(
-        1, merge[0] ** 2, lambda lo, hi: _condense(maps, merge, carried=carried, run=run, kept=kept),
+        1, merge[0] ** 2,
+        lambda lo, hi: _condense(maps, merge, carried=carried, run=run, kept=kept, pin=pin),
         stats)
     if made is not None and kept:  # kept gets the factor before the copy to out
         tape.append((merge, *kept[0], slice(None), slice(None), values, made[1][..., :1]))
@@ -867,20 +941,15 @@ def _level_zero(boxes: list, stages: tuple, d: int,
     takes them, and each box once it is summed onto the skeleton. With a
     ``tape`` (the Dirichlet solve's: a box's forcing is its right-hand side and
     row sums) each merge's factor goes on it. Returns the cube's ``(1, d, d)``
-    ``g``, NaN if a merge failed, and the stats of these stages;
-    ``stats.threads`` counts the threads that took a band."""
+    ``g``, NaN if a merge failed, and the stats of these stages."""
     stats = SolveStats(math.nan, max(size for merges in stages for size, _, _ in merges),
-                       time.perf_counter(), "condensation", 0, 0, 0)
+                       time.perf_counter(), "condensation", 0, 0)
     g = np.full((1, d, d), np.nan)
-
-    def bands(starts: range, work: Callable[[int], object]) -> tuple[list, int]:
-        done, threads = _run_chunks(starts, work)
-        stats.threads = max(stats.threads, threads)
-        return done, threads
 
     def make(stage: int, j: int) -> tuple | None:
         """Merge ``j`` of ``stages[stage]``, its boxes made first: its
-        ``(map, forcing, g, residual)``, or None if a merge failed."""
+        ``(map, forcing, g, pinned, residual)``, or None if a merge
+        failed."""
         parts = []
         for box in range(3 * j, 3 * j + 3):
             if stage:
@@ -893,12 +962,12 @@ def _level_zero(boxes: list, stages: tuple, d: int,
         maps, carried = [m for m, *_ in parts], [(f, pg) for _, f, pg, *_ in parts]
         del parts  # maps holds the boxes alone, and drops each once summed
         return _level_zero_merge(maps, stages[stage][j], carried,
-                                 [f[..., :1] for f, _ in carried], stats, tape, bands)
+                                 [f[..., :1] for f, _ in carried], stats, tape, _run_chunks)
 
     if all(box is not None for box in boxes):
         made = make(len(stages) - 1, 0)
         if made is not None:
-            _, _, g, stats.residual = made
+            _, _, _, g, stats.residual = made
     del make  # it calls itself: a reference cycle, which would keep the tape
     stats.wall_time = time.perf_counter() - stats.wall_time
     return g, stats
@@ -949,47 +1018,65 @@ def _condensation(d: int, depth: int, h: float, cells: Callable[[int], tuple],
     for a level not asked for, and with a ``tape``. ``stats`` is
     :func:`_summed` over the level's subtrees and, at level 0, its later
     merges: it takes the most threads that took a subtree and the pass's
-    first failure at or below the level."""
+    first failure at or below the level. A subtree's stats of level -1
+    include its cube's first level-0 merge, which gives that level's ``g``;
+    on a grid whose subtrees are cells that merge is level 0's."""
     below = range(1 - depth, min(wanted[0], -1) + 1)  # a subtree's levels: none if depth 1
-    stages = _plan((3 ** (depth - 1),) * d, True) if 0 in wanted else None
+    stages = _plan((3 ** (depth - 1),) * d, True) if wanted[0] >= -1 else None
     boxes = [None] * 3**d  # level 0's children, each as its subtree reduced it
     tapes = [[] for _ in boxes]
 
-    def subtree(s: int) -> list:
-        """Subtree ``s``'s ``(g, stats)`` of each level; its reduced box
-        goes to ``boxes[s]`` if level 0 is asked for."""
+    def subtree(s: int) -> dict:
+        """Subtree ``s``'s ``(g, stats)`` of each level it ran; its reduced
+        box goes to ``boxes[s]`` if level 0 is asked for."""
         rows, values = cells(s)
         which = _classes(rows)
         kids, sums = elements(rows if which is None else rows[which[0]])
         cls = None if which is None else which[1]
         del rows, which
-        shape, parts = (1,) * d, []
+        shape, parts = (1,) * d, {}
         for level in below:
             kids, cls, sums, values, g, stats = _subtree_level(
-                kids, cls, shape, h, 3.0 ** (level * d) if level in wanted else None,
-                sums, values, tapes[s])
-            parts.append((g, stats))
+                kids, cls, shape, h, 3.0 ** (level * d) if level < -1 and level in wanted else None,
+                sums, values, tapes[s], s if level == -1 else None)
+            parts[level] = g, stats
             shape = tuple(3 * n for n in shape)
-        if 0 not in wanted:
+        if wanted[0] < -1:
             return parts
+        # the cube's first level-0 merge, in place on its map, eliminates the
+        # nodes no other child has; its box's pinned solve gives level -1's g
         merge = stages[0][s]  # one cube: its box is alone in its class
-        child = _forcings(shape, h)[_boundary_nodes(shape)][None] if sums is None else sums
+        child = (_forcings(shape, h)[_boundary_nodes(shape)[_handed(shape, s)]][None]
+                 if sums is None else sums)
         stats = SolveStats(math.nan, merge[0], time.perf_counter(), "condensation", 0, 0)
-        maps, kids = [kids], None  # the cube's map, dropped once summed
-        boxes[s] = _level_zero_merge(maps, merge, [(child, 0.0)], [values], stats,
-                                     None if sums is None else tapes[s])
+        maps, kids = [kids], None  # the cube's map, lent to the merge
+        made = _level_zero_merge(maps, merge, [(child, 0.0)], [values], stats,
+                                 None if sums is None else tapes[s], pin=-1 in wanted)
         stats.wall_time = time.perf_counter() - stats.wall_time
-        parts.append((np.empty((0, d, d)), stats))  # level 0's g comes from its last merge
+        if made is not None:
+            stats.residual = made[4]
+        if 0 in wanted:
+            boxes[s] = None if made is None else made[:3]
+        if not below:  # the cells of an N=1 grid: the merge is level 0's alone
+            parts[0] = np.empty((0, d, d)), stats  # level 0's g comes from its last merge
+            return parts
+        g, ran = parts[-1]
+        if -1 in wanted:
+            g = np.full((1, d, d), np.nan) if made is None else made[3] / 3.0 ** -d
+        parts[-1] = g, _summed([ran, stats])
         return parts
 
     done, threads = _run_chunks(range(3**d), subtree)
-    per_level = [list(parts) for parts in zip(*(parts for _, parts in done))]
+    per_level: dict[int, list] = {}
+    for _, parts in done:
+        for level, part in parts.items():
+            per_level.setdefault(level, []).append(part)
     if tape is not None:
         tape.extend(step for steps in tapes for step in steps)
     if 0 in wanted:
-        per_level[-1].append(_level_zero(boxes, stages[1:], d, tape))
+        per_level.setdefault(0, []).append(_level_zero(boxes, stages[1:], d, tape))
     out, failure = {}, ""
-    for level, parts in zip([*below, 0], per_level):
+    for level, parts in per_level.items():
         stats = _summed([st for _, st in parts], threads)
         failure = stats.failure = failure or stats.failure
         g_all = None
@@ -1026,12 +1113,15 @@ def level_functionals(
     the element matrices of its cells, in :func:`_tree_order`, it runs each
     level below 0 up to the coarsest asked for, all of the level's cubes of
     the subtree at once, stage by stage (:func:`_subtree_level`); the last
-    stage's pinned solves give ``g`` where the level is asked for. When
-    level 0 is asked for, the job then runs its cube's first level-0
-    merge, which eliminates the nodes no other child has, and keeps only
-    the reduced box, its forcing carried along. Level 0, one cube whose map
-    no level needs, then merges the boxes into strips, slabs and a last
-    merge, which factors its pinned skeleton in place (:func:`_level_zero`).
+    stage's pinned solves give ``g`` where a level below -1 is asked for.
+    Level -1's stage keeps its cube's map in the order of the cube's first
+    level-0 merge, which the job runs next, in place on the map, when level
+    -1 or 0 is asked for: it eliminates the nodes no other child has and
+    keeps only the reduced box, its forcing carried along. Level -1's ``g``
+    is that merge's carried ``f^T A^-1 f`` plus a pinned solve of the box by
+    Cholesky. Level 0, one cube whose map no level needs, then merges the
+    boxes into strips, slabs and a last merge, which factors its pinned
+    skeleton in place (:func:`_level_zero`).
     Every merge works in place on its skeleton and drops each box once it
     is summed; only one subtree's maps per thread, level 0's boxes and one
     level-0 merge's working store are alive at once, and a level's numbers
@@ -1054,10 +1144,12 @@ def level_functionals(
     ``stats.unknowns`` is the largest skeleton of a merge of the level,
     ``stats.chunks`` the chunks of all its stages in every subtree,
     ``stats.merges`` the merges they condensed (one per content class below
-    level 0), ``stats.threads`` the most threads that took a subtree of the
-    pass, or at level 0 a band of a merge, ``stats.wall_time`` the seconds
-    its stages took, summed over the subtrees, and ``stats.residual`` the
-    largest ``|S y - b| / |b|`` of the pinned solves. A failed dense solve leaves the cubes of its chunk, and
+    level 0; level -1's include each cube's first level-0 merge, which
+    gives its ``g``, and level 0's are its later merges), ``stats.threads``
+    the most threads that took a subtree of the pass, ``stats.wall_time``
+    the seconds its stages took, summed over the subtrees, and
+    ``stats.residual`` the largest ``|S y - b| / |b|`` of the pinned solves.
+    A failed dense solve leaves the cubes of its chunk, and
     every cube that contains one, NaN; ``stats.failure`` names the pass's
     first failed solve at or below the level (``""`` if none): the lowest
     level's, and there the first subtree's, whichever thread ran it.

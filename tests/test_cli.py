@@ -203,15 +203,15 @@ class TestCoarse:
         for level, line in zip(range(0, -3, -1), verbose):
             cubes, m = 27 ** -level, 3 ** (2 + level)  # m: cells a side of a child
             # the skeletons of a cube's merges, stage by stage: level 0 runs
-            # its children one a subtree, then each of its other merges
-            # alone; a level below it a stage's merges of every cube of a
-            # subtree at once, in each of the 27 subtrees, where a constant
-            # field's merges of a stage are one content class: one merge
-            # condensed, in one chunk
+            # each of its merges after its children's first alone; a level
+            # below it a stage's merges of every cube of a subtree at once,
+            # in each of the 27 subtrees, where a constant field's merges of
+            # a stage are one content class: one merge condensed, in one
+            # chunk; level -1 then runs its cube's first level-0 merge
             stages = [[size for size, _, _ in merges]
                       for merges in cge.solver._plan((m,) * 3, level == 0)]
-            chunks = (27 + sum(len(sizes) for sizes in stages[1:])
-                      if level == 0 else 27 * len(stages))
+            chunks = (sum(len(sizes) for sizes in stages[1:])
+                      if level == 0 else 27 * (len(stages) + (level == -1)))
             split_line, threads = line.split(",")[1].rsplit(" on ", 1)
             assert split_line == f" {cubes} cubes in {chunks} chunks"
             assert threads.endswith(" threads")
@@ -242,14 +242,14 @@ class TestCoarse:
             # the 9 subtrees, a stage's merges of a constant field are one
             # content class: one merge condensed, in one chunk
             nodes = 18 * m - 2
-            chunks = 9 * 2
+            chunks = 9 * 2 + 9 * (level == -1)  # level -1: and its cube's first level-0 merge
             if level == 0:  # only the two interface lines are kept: the middle
                 # strip's skeleton is both and the 2m nodes between them;
                 # first each child alone, in its subtree, eliminates the
                 # nodes no other has; then each strip and the last merge
                 # alone
                 nodes = 8 * m
-                chunks = 9 + 3 + 1
+                chunks = 3 + 1
             split_line, threads = line.split(",")[1].rsplit(" on ", 1)
             assert split_line == f" {cubes} cubes in {chunks} chunks"
             assert 1 <= int(threads.split()[0]) <= min(chunks, cores)

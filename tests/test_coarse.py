@@ -318,13 +318,13 @@ class TestSweepStructure:
         lines = [r.getMessage() for r in caplog.records if r.name == "cge.coarse"]
         assert len(lines) == 2 * (grid.N + 1)
         # chunks: each of the 27 subtrees (here the cubes of level -1) runs
-        # a stage in one; level 0 takes one a child, then one a merge (9
-        # strips, 3 slabs and the last); unknowns: the largest skeleton of
-        # a merge, at level 0 the middle slab's, at level -1 a whole cube of
-        # 3**3 cells
-        assert lines[0].startswith("level 0: condensation, 1 cubes in 40 chunks on 1 threads, "
+        # a stage in one, then its cube's first level-0 merge in one; level
+        # 0 takes one a merge (9 strips, 3 slabs and the last); unknowns: the
+        # largest skeleton of a merge, at level 0 the middle slab's, at level
+        # -1 a whole cube of 3**3 cells
+        assert lines[0].startswith("level 0: condensation, 1 cubes in 13 chunks on 1 threads, "
                                    "240 unknowns per cube, residual ")
-        assert lines[1].startswith("level -1: condensation, 27 cubes in 81 chunks on 1 threads, "
+        assert lines[1].startswith("level -1: condensation, 27 cubes in 108 chunks on 1 threads, "
                                    "64 unknowns per cube, residual ")
         assert lines[2].startswith("level -2: cells, 729 cubes, - unknowns per cube, residual -, ")
         assert [line.split(",")[0] for line in lines[3:]] == [
@@ -422,10 +422,11 @@ class TestLevelZeroOverlap:
         field = self.field(2)
         clean = sweep(field)
         real = cge.solver._eliminate
-        child = cge.solver._boundary_nodes((3, 3, 3)).size
+        # the strips: a child's own first merge also gives level -1's g
+        strips = {size for size, _, _ in cge.solver._plan((3, 3, 3), True)[1]}
 
         def fail_level_zero(mat, *args):
-            if mat.shape[-1] == child:  # a child of level 0 eliminates its own nodes
+            if mat.shape[-1] in strips:  # level 0 merges three children into a strip
                 raise np.linalg.LinAlgError("Matrix is exactly singular")
             return real(mat, *args)
 
@@ -569,21 +570,22 @@ class TestCondensation:
         assert len(lines) == 2 * (grid.N + 1)
         # unknowns: the largest skeleton of a merge, at level 0 the middle
         # strip's two interface lines and the 4 nodes between them (8 * 3);
-        # chunks: one a stage in each of the 9 subtrees, and at level 0 one
-        # a child, then one a merge (3 strips and the last)
-        assert lines[0].startswith("level 0: condensation, 1 cubes in 13 chunks on 1 threads, "
+        # chunks: one a stage in each of the 9 subtrees and one for its
+        # cube's first level-0 merge, and at level 0 one a merge (3 strips
+        # and the last)
+        assert lines[0].startswith("level 0: condensation, 1 cubes in 4 chunks on 1 threads, "
                                    "24 unknowns per cube, residual ")
-        assert lines[1].startswith("level -1: condensation, 9 cubes in 18 chunks on 1 threads, "
+        assert lines[1].startswith("level -1: condensation, 9 cubes in 27 chunks on 1 threads, "
                                    "16 unknowns per cube, residual ")
         assert lines[2].startswith("level -2: cells, 81 cubes, - unknowns per cube, residual -, ")
         assert [line.split(",")[0] for line in lines[3:]] == [
             "level 0: cache", "level -1: cache", "level -2: cells"]
 
-    @pytest.mark.parametrize("kind, below", [("random", 36), ("constant", 18)])
+    @pytest.mark.parametrize("kind, below", [("random", 45), ("constant", 27)])
     def test_debug_line_ends_with_the_merges_condensed(self, caplog, kind, below):
         # 2D N=2: level -1's 9 cubes take 3 strips and a square each, which
-        # a constant field's subtrees condense once a stage; level 0 takes
-        # each child's first merge, 3 strips and the last
+        # a constant field's subtrees condense once a stage, and then each
+        # cube's first level-0 merge; level 0 takes 3 strips and the last
         grid = GridSpec(d=2, N=2)
         field = (gen_random_spd(grid, seed=1, eig_low=0.5, eig_high=2.0) if kind == "random"
                  else gen_constant(grid, np.diag([1.0, 3.0])))
@@ -591,7 +593,7 @@ class TestCondensation:
             sweep(field)
         lines = [r.getMessage() for r in caplog.records if r.name == "cge.coarse"]
         assert [line.split(", ")[-1] for line in lines] == [
-            "13 merges condensed", f"{below} merges condensed", "- merges condensed"]
+            "4 merges condensed", f"{below} merges condensed", "- merges condensed"]
 
     def test_pass_runs_from_the_cells_to_the_coarsest_miss(self, cores, monkeypatch, tmp_path):
         cores(1)  # the caller runs the subtrees in order
@@ -606,17 +608,20 @@ class TestCondensation:
 
         def spy_condense(maps, plan, out=None, forcing=None, carried=(), **kwargs):
             # a call's box maps and whether it pins: a map's last stage
-            # where its level is asked for, or level 0's last merge
-            calls.append((maps[0].shape[-1], forcing is not None or plan[1] == plan[0]))
+            # where its level (below -1) is asked for, a level -1 cube's
+            # first level-0 merge where level -1 is, or level 0's last merge
+            calls.append((maps[0].shape[-1], forcing is not None or plan[1] == plan[0]
+                          or kwargs.get("pin", False)))
             return real_condense(maps, plan, out, forcing, carried, **kwargs)
 
         monkeypatch.setattr(cge.coarse, "level_functionals", spy_pass)
         monkeypatch.setattr(cge.solver, "_condense", spy_condense)
         cache = tmp_path / "cache"
         cold = sweep(field, cache_dir=str(cache))
-        # each subtree, a cube of level -1, runs its levels: a level's
+        # each subtree, a cube of level -1, runs its levels: level -2's
         # functionals come with its last stage, one kernel call for all its
-        # merges in the subtree; then its cube, a child of level 0, alone.
+        # merges in the subtree; then its cube, a child of level 0, alone,
+        # which gives level -1's.
         # Level 0 condenses the children's boxes one merge at a time without
         # a map of its own, the last merge pinned (36: the boundary nodes of
         # a 9x9 child)
@@ -624,8 +629,8 @@ class TestCondensation:
                for merges in cge.solver._plan((9, 9), True) for size, k, ranks in merges]
         assert top[:9] == [(36, False)] * 9 and top[-1][1]
         assert passes == [[-2, -1, 0]]
-        subtree = [(4, False), (8, True), (12, False), (24, True)]
-        assert calls == (subtree + [(36, False)]) * 9 + top[9:]
+        subtree = [(4, False), (8, True), (12, False), (24, False)]
+        assert calls == (subtree + [(36, True)]) * 9 + top[9:]
         assert (cold.solve_count, cold.cache_hits) == (2 * 91, 0)
         # a warm rerun asks the pass for no level and condenses nothing
         passes.clear(), calls.clear()
@@ -636,7 +641,8 @@ class TestCondensation:
         # solving it, solves level -1 and stops there
         os.remove(cache / field.content_hash / "level_-1.npz")
         redo = sweep(field, cache_dir=str(cache))
-        assert passes == [[-1]] and calls == [(4, False), (8, False), (12, False), (24, True)] * 9
+        assert passes == [[-1]] and calls == [
+            (4, False), (8, False), (12, False), (24, False), (36, True)] * 9
         assert (redo.solve_count, redo.cache_hits) == (2 * 9, 1 + 81)
         for level, ld in redo.levels.items():
             assert np.array_equal(ld.astar_inv, cold.levels[level].astar_inv)
@@ -724,7 +730,8 @@ class TestCache:
         # the sparse engine's 2D record, tag /3 the condensation pass before
         # it went one axis at a time, tag /4 before level 0 kept only shared
         # nodes, tag /5 before the merges eliminated by Cholesky, tag /6
-        # before level 0's last merge factored in place. Each is re-solved
+        # before level 0's last merge factored in place, tag /7 before level
+        # -1's g came from its cube's first level-0 merge. Each is re-solved
         # and rewritten in the current layout, which then hits
         grid = GridSpec(d=2, N=1)
         field = gen_random_spd(grid, seed=2, eig_low=0.5, eig_high=2.0)
@@ -737,7 +744,8 @@ class TestCache:
                                (b"q1-neumann/condensation-splu/3", {}),
                                (b"q1-neumann/condensation-splu/4", {}),
                                (b"q1-neumann/condensation/5", {}),
-                               (b"q1-neumann/condensation/6", {})):
+                               (b"q1-neumann/condensation/6", {}),
+                               (b"q1-neumann/condensation/7", {})):
             self._rewrite_record(victim, solver=np.frombuffer(old_tag, dtype=np.uint8),
                                  **extra)
             redo = sweep(field, cache_dir=cache)

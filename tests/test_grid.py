@@ -89,6 +89,66 @@ def test_sym_inv_matches_lapack(d):
     np.testing.assert_allclose(inv, np.linalg.inv(sym_unpack(packed, d)), rtol=1e-10)
 
 
+def _stress_stacks(rng, n=400):
+    """3x3 stacks that test an eigenvalue or inverse routine: random
+    symmetric (indefinite), random SPD, a degenerate pair with a third
+    eigenvalue 1e-9 apart, rotated, and rotated contrast 1e8 (eigenvalues
+    1e-4, 1, 1e4), each ``(name, packed)``."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, 3, 3)))
+
+    def rotated(eigs):
+        mats = q @ (np.asarray(eigs)[:, None] * np.swapaxes(q, -1, -2))
+        return sym_pack(0.5 * (mats + np.swapaxes(mats, -1, -2)))
+
+    g = rng.standard_normal((n, 3, 3))
+    return [("indefinite", sym_pack(g + np.swapaxes(g, -1, -2))),
+            ("spd", random_spd_packed(rng, 3, n)),
+            ("degenerate-pair", rotated([1.0, 1.0, 1.0 + 1e-9])),
+            ("contrast-1e8", rotated([1e-4, 1.0, 1e4]))]
+
+
+@pytest.mark.parametrize("case", range(4), ids=["indefinite", "spd", "degenerate-pair",
+                                                "contrast-1e8"])
+def test_sym_eig_bounds_3d_stress_stacks(case):
+    # the vectorized Jacobi sweeps against LAPACK's eigvalsh, to 1e-13 of
+    # each matrix's norm, on the stacks that break closed forms
+    _, packed = _stress_stacks(np.random.default_rng(7))[case]
+    w = np.linalg.eigvalsh(sym_unpack(packed, 3))
+    norm = np.abs(w).max(axis=-1)
+    lo, hi = sym_eig_bounds(packed, 3)
+    assert np.all(np.abs(lo - w[:, 0]) <= 1e-13 * norm)
+    assert np.all(np.abs(hi - w[:, -1]) <= 1e-13 * norm)
+
+
+@pytest.mark.parametrize("case", range(1, 4), ids=["spd", "degenerate-pair", "contrast-1e8"])
+def test_sym_inv_3d_residual_near_lapack(case):
+    # the closed-form Cholesky inverse: |A X - I| within a small factor of
+    # LAPACK's, in the median and at worst, and X to 1e-13 of |A^-1| on
+    # well-conditioned stacks
+    _, packed = _stress_stacks(np.random.default_rng(8))[case]
+    mats = sym_unpack(packed, 3)
+    got, want = sym_unpack(sym_inv(packed, 3), 3), np.linalg.inv(mats)
+    res_got = np.abs(mats @ got - np.eye(3)).max(axis=(-2, -1))
+    res_want = np.abs(mats @ want - np.eye(3)).max(axis=(-2, -1))
+    assert np.median(res_got) <= 4 * max(np.median(res_want), 1e-16)
+    assert res_got.max() <= 4 * max(res_want.max(), 1e-16)
+    if case != 3:
+        norm = np.abs(want).max(axis=(-2, -1))[:, None, None]
+        assert np.all(np.abs(got - want) <= 1e-13 * norm * np.abs(mats).max())
+
+
+def test_sym_inv_3d_non_finite_or_indefinite_rows_are_nan():
+    rng = np.random.default_rng(3)
+    packed = random_spd_packed(rng, 3, 6)
+    ok = sym_inv(packed, 3)
+    packed[1, 0] = np.nan
+    packed[4] = sym_pack(np.diag([1.0, -1.0, 2.0]))
+    got = sym_inv(packed, 3)
+    assert np.isnan(got[[1, 4]]).all()
+    keep = [0, 2, 3, 5]
+    np.testing.assert_array_equal(got[keep], ok[keep])
+
+
 @given(st.integers(1, 3), st.integers(0, 2**31 - 1))
 @settings(max_examples=25, deadline=None)
 def test_sym_norm_is_operator_norm(d, seed):

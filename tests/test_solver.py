@@ -275,13 +275,14 @@ def test_chunk_split_leaves_functionals_bit_identical(monkeypatch, d, n):
         runs.append(level_functionals(f, range(0, -n, -1)))
     split, whole = runs
     for level, (g_all, stats) in whole.items():
-        # a cube takes (3**d - 1) / 2 merges: 3**a along axis a; level 0
-        # first reduces each of its 3**d children alone
-        top = 3**d if level == 0 else 0
-        assert split[level][1].chunks == 3 ** (-level * d) * (3**d - 1) // 2 + top
+        # a cube takes (3**d - 1) / 2 merges: 3**a along axis a; each of
+        # level 0's 3**d children is first reduced alone, by level -1
+        first = 3**d if level == -1 else 0
+        assert split[level][1].chunks == 3 ** (-level * d) * (3**d - 1) // 2 + first
         # whole: each of the 3**d subtrees runs a stage of a level below 0
-        # in one chunk; level 0 takes one chunk a child, then one a merge
-        assert stats.chunks == (3**d + (3**d - 1) // 2 if level == 0 else 3**d * d)
+        # in one chunk, and its cube's first level-0 merge in one; level 0
+        # takes one chunk a merge
+        assert stats.chunks == ((3**d - 1) // 2 if level == 0 else 3**d * d + first)
         assert np.array_equal(split[level][0], g_all)
         assert split[level][1].residual == stats.residual
 
@@ -294,9 +295,9 @@ def test_more_threads_than_cores_take_each_chunk_once(monkeypatch):
     taken, subtrees = [], []
     real_condense, real_elements = cge.solver._condense, cge.solver._element_matrices
 
-    def spy(maps, *args):
+    def spy(maps, *args, **kwargs):
         taken.append(maps[0].shape[0])  # the merges of one kernel call
-        return real_condense(maps, *args)
+        return real_condense(maps, *args, **kwargs)
 
     def spy_elements(cells, *args):
         subtrees.append(cells[0].tobytes())  # a subtree's first cell
@@ -318,10 +319,10 @@ def test_more_threads_than_cores_take_each_chunk_once(monkeypatch):
     first = f.data.reshape(-1, f.data.shape[-1])[cge.solver._tree_order(3, 3)[::729]]
     assert sorted(subtrees) == sorted(cell.tobytes() for cell in first)
     # 13 merges a cube, one a chunk: 9, 3 and 1 along the last, middle and
-    # first axis
-    assert [stats.chunks for _, stats in out.values()] == [729 * 13, 27 * 13]
+    # first axis; a level -1 cube then takes its first level-0 merge
+    assert [stats.chunks for _, stats in out.values()] == [729 * 13, 27 * 14]
     assert [stats.threads for _, stats in out.values()] == [5, 5]
-    assert taken == [1] * (756 * 13)
+    assert taken == [1] * (756 * 13 + 27)
     for level, (g_all, _) in out.items():
         assert np.array_equal(g_all, whole[level][0])
 
@@ -402,12 +403,13 @@ def test_box_forcings_vanish_off_the_box_boundary(shape):
 def _replay(shape, top):
     """Every merge of ``_plan(shape, top)`` with the cube-grid coordinates
     of its boxes' nodes and of its skeleton's, rebuilt from the children's
-    boundary nodes, their offsets and the ranks alone: ``(stage, (size, k,
-    ranks), boxes, skeleton)`` tuples. Every skeleton node is some box's
-    node, and only once."""
+    boundary nodes (at level 0 in ``_handed`` order), their offsets and the
+    ranks alone: ``(stage, (size, k, ranks), boxes, skeleton)`` tuples.
+    Every skeleton node is some box's node, and only once."""
     d = len(shape)
     local = np.indices([s + 1 for s in shape]).reshape(d, -1).T[_boundary_nodes(shape)]
-    boxes = [local + np.multiply(offset, shape) for offset in np.ndindex((3,) * d)]
+    boxes = [(local[cge.solver._handed(shape, j)] if top else local) + np.multiply(offset, shape)
+             for j, offset in enumerate(np.ndindex((3,) * d))]
     out = []
     for stage, merges in enumerate(_plan(shape, top)):
         width, parents = len(merges[0][2]), []
@@ -495,6 +497,38 @@ def test_level_zero_boxes_split_the_skeleton(shape):
     local = np.indices([s + 1 for s in shape]).reshape(d, -1).T[_boundary_nodes(shape)]
     every = {tuple(c) for offset in np.ndindex((3,) * d) for c in local + np.multiply(offset, shape)}
     assert len(gone) == len(set(gone)) and set(gone) == every
+
+
+@pytest.mark.parametrize("shape", [(1,), (3,), (1, 1), (3, 3), (1, 1, 1)], ids=str)
+def test_level_minus_one_hands_its_map_in_level_zero_order(shape):
+    # level -1's last stage, given its cube's index among level 0's
+    # children, keeps the skeleton of the plan without one, its kept nodes
+    # (the cube's boundary) in _handed order: the nodes no other child has,
+    # then the shared ones. The cube's first level-0 merge then has ranks
+    # 0..size-1, and runs in place on the map
+    d = len(shape)
+    cube = tuple(3 * s for s in shape)
+    local = np.indices([s + 1 for s in cube]).reshape(d, -1).T[_boundary_nodes(cube)]
+    [(_, (size, k, _), boxes, skeleton)] = [m for m in _replay(shape, False) if m[0] == d - 1]
+    base = _plan(shape, False)
+    for child in range(3**d):
+        *rest, ((size_c, k_c, ranks),) = _plan(shape, False, child)
+        assert (size_c, k_c) == (size, k) and len(rest) == len(base) - 1
+        assert all(m[:2] == n[:2] and all(map(np.array_equal, m[2], n[2]))
+                   for stage, other in zip(rest, base) for m, n in zip(stage, other))
+        placed = np.full((size, d), -1)
+        for r, coords in zip(ranks, boxes):
+            placed[r] = coords
+        assert np.array_equal(placed[:k], skeleton[:k])
+        order = cge.solver._handed(cube, child)
+        assert np.array_equal(placed[k:], local[order])
+        first_size, first_k, (first,) = _plan(cube, True)[0][child]
+        assert first_size == size - k and np.array_equal(first, np.arange(first_size))
+        # the nodes it eliminates first are those on no face inside level 0
+        inside = [(local[order][:first_k, a] == 0) & (offset > 0)
+                  | (local[order][:first_k, a] == cube[a]) & (offset < 2)
+                  for a, offset in enumerate(np.unravel_index(child, (3,) * d))]
+        assert not np.any(inside)
 
 
 def _laplacian_stack(n, size, seed):
@@ -662,21 +696,28 @@ def test_last_merge_matches_dense_oracle(monkeypatch, d, n):
 
 def test_level_zero_merges_hold_one_working_store(monkeypatch):
     # 3D N=3, one core: the middle slab's merge holds at most its skeleton,
-    # its kept block and one band of the skeleton's rows at once, and the
-    # last merge its skeleton and one band: no update temporary, no copy of
-    # A_kb or of the pinned map, and no input box once it is summed
+    # its kept block and one band of the skeleton's rows at once; the last
+    # merge, in place on its middle box's map, one band; each child's first
+    # merge, in place on its cube's map, its kept block and one band: no
+    # update temporary, no copy of A_kb or of the pinned map, no skeleton
+    # that a box lends, and no input box once it is summed
     f = gen_random_spd(GridSpec(3, 3), seed=1, eig_low=1e-2, eig_high=1e2)
     stages = _plan((9, 9, 9), True)
     middle, last = stages[2][1], stages[3][0]
-    real, peaks = cge.solver._condense, {}
+    real, peaks, firsts = cge.solver._condense, {}, []
 
     def spy(maps, plan, *args, **kwargs):
-        if plan is not middle and plan is not last:
+        first = any(plan is merge for merge in stages[0])
+        if plan is not middle and plan is not last and not first:
             return real(maps, plan, *args, **kwargs)
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         out = real(maps, plan, *args, **kwargs)
-        peaks[plan[:2]] = tracemalloc.get_traced_memory()[1] - base
+        peak = tracemalloc.get_traced_memory()[1] - base
+        if first:
+            firsts.append((plan[0], plan[1], peak))
+        else:
+            peaks[plan[:2]] = peak
         return out
 
     solves, real_solve = [], np.linalg.solve
@@ -700,7 +741,9 @@ def test_level_zero_merges_hold_one_working_store(monkeypatch):
     (size, k), (top, _) = middle[:2], last[:2]
     assert (size, k, top) == (2016, 448, 1568)
     assert peaks[middle[:2]] < 8 * (size**2 + (size - k) ** 2 + BAND * size)
-    assert peaks[last[:2]] < 8 * (top**2 + BAND * top)
+    assert peaks[last[:2]] < 8 * BAND * top
+    assert len(firsts) == 27
+    assert all(peak < 8 * ((size - k) ** 2 + BAND * size) for size, k, peak in firsts)
     # LAPACK's copies are not traced: the pass, asked for level 0 alone,
     # makes no LU solve, which would copy the last merge's pinned map
     assert solves == []
@@ -869,6 +912,98 @@ def test_failed_solve_is_nan_and_named_at_its_level_and_above(monkeypatch):
         assert np.isnan(g_all).all()
         assert stats.failure == "dense condensation failed: Singular matrix"
         assert "failure" not in stats.to_dict()
+
+
+@pytest.mark.parametrize("d, n", [(2, 4), (3, 3)])
+@pytest.mark.parametrize("kind", ["random", "cascade"])
+def test_level_minus_one_does_not_depend_on_level_zero(d, n, kind):
+    # level -1's g is its cube's first level-0 merge's carried W_f^T W_f
+    # and the pinned solve of the box it makes: the same operations whether
+    # or not level 0 is asked for, so the same bits
+    grid = GridSpec(d, n)
+    f = (gen_random_spd(grid, seed=1, eig_low=1e-2, eig_high=1e2) if kind == "random"
+         else gen_cascade_field(grid, CascadeParams(0.5, n, 1)))
+    alone, both = level_functionals(f, [-1]), level_functionals(f, [0, -1])
+    assert np.isfinite(alone[-1][0]).all()
+    assert np.array_equal(alone[-1][0], both[-1][0])
+    assert alone[-1][1].residual == both[-1][1].residual <= 1e-10
+
+
+@pytest.mark.parametrize("d, n", [(2, 2), (2, 3), (3, 2)])
+def test_level_minus_one_matches_dense_oracle(d, n):
+    # asked alone and with level 0: every level -1 cube's g against the
+    # dense reference solve of the cube
+    f = gen_random_spd(GridSpec(d, n), seed=5, eig_low=1e-2, eig_high=1e2)
+    for levels in ([-1], [0, -1]):
+        g_all, stats = level_functionals(f, levels)[-1]
+        assert 0.0 < stats.residual <= 1e-12
+        for off in np.ndindex(g_all.shape[:d]):
+            want = _dense_functionals(f, TriadicCube(-1, off))[:d, :d]
+            np.testing.assert_allclose(g_all[off], want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("error, why", [
+    (np.linalg.LinAlgError("Matrix is not positive definite"), "failed"),
+    (MemoryError("Unable to allocate 1.5 MiB"), "ran out of memory"),
+])
+def test_failed_first_merge_is_nan_at_level_minus_one_and_zero(monkeypatch, error, why):
+    # a level -1 cube's first level-0 merge, with its pinned solve, gives
+    # level -1's g and level 0's box: when it fails, or finds no memory,
+    # that cube is NaN at level -1, level 0 is NaN, both name it, and the
+    # other cubes and levels keep their numbers
+    f = gen_random_spd(GridSpec(2, 3), seed=1, eig_low=1e-2, eig_high=1e2)
+    clean = level_functionals(f, [0, -1, -2])
+    real, calls = cge.solver._condense, []
+
+    def fail_one(maps, plan, *args, **kwargs):
+        if kwargs.get("pin") and not calls:  # the first subtree's, on one core
+            calls.append(plan)
+            raise error
+        return real(maps, plan, *args, **kwargs)
+
+    monkeypatch.setattr(cge.solver.os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(cge.solver, "_POOL", None)
+    monkeypatch.setattr(cge.solver, "_condense", fail_one)
+    out = level_functionals(f, [0, -1, -2])
+    assert len(calls) == 1
+    assert np.array_equal(out[-2][0], clean[-2][0]) and out[-2][1].failure == ""
+    message = f"dense condensation {why}: {error}"
+    g_all, stats = out[-1]
+    bad = ~np.isfinite(g_all).all(axis=(-2, -1))
+    assert [tuple(off) for off in np.argwhere(bad)] == [(0, 0)]  # the first subtree's cube
+    assert np.array_equal(g_all[~bad], clean[-1][0][~bad])
+    assert stats.failure == message
+    g_all, stats = out[0]
+    assert np.isnan(g_all).all() and stats.failure == message
+
+
+def test_nan_level_minus_one_cube_is_nan_at_level_zero_and_named(monkeypatch):
+    # a level -1 map made NaN by its last stage's failed chunk: its first
+    # level-0 merge, in place on it, condenses nothing, so level -1's g of
+    # that cube and level 0's are NaN, and both levels name the failure
+    f = gen_random_spd(GridSpec(3, 2), seed=3, eig_low=1e-2, eig_high=1e2)
+    clean = level_functionals(f, [0, -1])
+    real, calls = cge.solver._eliminate, []
+    last = _plan((1, 1, 1), False)[-1][0][0]  # level -1's last stage: one merge a cube
+
+    def fail_once(mat, *args):
+        if mat.shape[-1] == last and not calls:
+            calls.append(mat.shape)
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        return real(mat, *args)
+
+    monkeypatch.setattr(cge.solver.os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(cge.solver, "_POOL", None)
+    monkeypatch.setattr(cge.solver, "_eliminate", fail_once)
+    out = level_functionals(f, [0, -1])
+    message = "dense condensation failed: Matrix is not positive definite"
+    g_all, stats = out[-1]
+    bad = ~np.isfinite(g_all).all(axis=(-2, -1))
+    assert [tuple(off) for off in np.argwhere(bad)] == [(0, 0, 0)]
+    assert np.isnan(g_all[0, 0, 0]).all()
+    assert np.array_equal(g_all[~bad], clean[-1][0][~bad])
+    assert stats.failure == message
+    assert np.isnan(out[0][0]).all() and out[0][1].failure == message
 
 
 def test_single_cube_failed_solve_is_nan(monkeypatch):
@@ -1318,7 +1453,7 @@ def test_content_classes_leave_functionals_bit_identical(monkeypatch, d, n, kind
             if level:
                 assert stats.merges < alone[level][1].merges
             else:
-                assert stats.merges == alone[level][1].merges == 3**d + (3**d - 1) // 2
+                assert stats.merges == alone[level][1].merges == (3**d - 1) // 2
 
 
 @pytest.mark.parametrize("d, n", [(2, 4), (3, 2)])
@@ -1342,10 +1477,10 @@ def test_condense_sees_each_distinct_merge_once(monkeypatch, d, n):
     monkeypatch.setattr(cge.solver, "_condense", spy)
     monkeypatch.setattr(cge.solver, "_subtree_level", spy_level)
     grid = GridSpec(d, n)
-    top = 3**d + (3**d - 1) // 2  # level 0's merges, each a chunk of its own
+    top = (3**d - 1) // 2  # level 0's later merges, each a chunk of its own
     for f, merges in [
         (gen_random_spd(grid, seed=2, eig_low=1e-2, eig_high=1e2), _merges_per_pass(d, n)),
-        (gen_constant(grid, np.eye(d)), 3**d * d * (n - 1) + top),
+        (gen_constant(grid, np.eye(d)), 3**d * d * (n - 1) + 3**d + top),
     ]:
         seen.clear()
         subtrees.clear()
@@ -1355,7 +1490,8 @@ def test_condense_sees_each_distinct_merge_once(monkeypatch, d, n):
         assert len(seen) == sum(stats.chunks for _, stats in out.values())
         for level, (_, stats) in out.items():
             assert stats.chunks == (top if level == 0 else sum(
-                chunks for side, chunks in subtrees if side == 3 ** (n - 1 + level)))
+                chunks for side, chunks in subtrees if side == 3 ** (n - 1 + level))
+                + (3**d if level == -1 else 0))  # each cube's first level-0 merge
     cube = TriadicCube(0, (0,) * d)
     for f in (diagonal_field(grid, seed=2), gen_constant(grid, np.eye(d))):
         seen.clear()

@@ -828,9 +828,10 @@ def _subtree_level(kids: np.ndarray, cls: np.ndarray | None, shape: tuple[int, .
     At level -1, ``child`` is the subtree's index among level 0's children:
     its cube's map comes out in :func:`_handed` order.
 
-    A stage with classes classes each merge by the exact integer key
-    ``(c0 * n + c1) * n + c2`` of its boxes' classes (``n`` of them, so
-    exact below ``2**21`` classes), condenses the first merge of each class
+    A stage with classes keys each merge by one exact integer of its boxes'
+    classes, ``(c0 * n + c1) * n + c2`` for ``n`` classes (exact below
+    ``2**21`` of them), classes the merges by one ``np.unique`` of the
+    keys, condenses the first merge of each class
     alone and hands its map to every merge of the class; its boxes are
     gathered from ``kids``. A stage whose merges are all distinct condenses
     every merge, and every stage above it does so on strided views of

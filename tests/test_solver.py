@@ -592,7 +592,8 @@ BAND = cge.solver._BAND
 
 def _last_first(starts, work):
     """A ``run`` that takes the jobs in reverse order, on the caller."""
-    return sorted(((lo, work(lo)) for lo in reversed(starts)), key=lambda pair: pair[0]), 1
+    for lo in reversed(starts):
+        work(lo)
 
 
 @pytest.mark.parametrize("k", [1, BLOCK - 1, BLOCK + 1, 2 * BLOCK + 5, BAND - 1, BAND + 1,

@@ -27,8 +27,10 @@ only, so a full-matrix field is a ``ValueError``.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -608,6 +610,23 @@ def sharpness_boundary(lam: float) -> tuple[Callable, str]:
     return boundary, f"exp(sqrt({lam:g})*x1)*cos(x2)"
 
 
+def _sharpness_contrast(lam: float, s: float, t: float, N: int) -> ExperimentRecord | str:
+    """One contrast of :func:`sharpness_sweep`, run in its worker: the
+    record, or the message of a failed solve."""
+    fld = gen_constant(GridSpec(2, N), np.diag([1.0, lam]), descriptor=f"diag(1,{lam:g})")
+    boundary, tag = sharpness_boundary(lam)
+    try:
+        return harnack_experiment(fld, boundary, s, t, theta=lam, boundary_descriptor=tag)
+    except (SolverError, MaxPrincipleViolation) as err:
+        return str(err)
+
+
+def _pin_worker(cores) -> None:
+    """A sweep worker's start-up: it takes a core of its own from the queue
+    ``cores``, so its solves run the one-core schedule."""
+    os.sched_setaffinity(0, {cores.get()})
+
+
 def sharpness_sweep(
     lambda_list: Sequence[float],
     s: float = 0.45,
@@ -622,24 +641,44 @@ def sharpness_sweep(
     ``harnack_log_ratio`` against ``sqrt(L)`` by least squares.  The exact
     ellipticity ratio ``L`` is supplied directly, so no coarse-graining
     solves run.  Solver failures are recorded and the sweep returned
-    partially; the fit requires at least two successful contrasts.
+    partially; the fit requires at least two successful contrasts, which
+    is why the contrasts must be distinct.
+
+    The contrasts run side by side in forked worker processes, one per core
+    this process may use (at most one per contrast), each pinned to its own
+    core and so solving on one thread; the interpreter lock keeps threads
+    from doing that within one process.  The workers are started and
+    joined within the call.  Each solve's numbers do not depend on its
+    schedule, and the records come back in contrast order, so the report
+    is identical to a run on one core.  Memory is one solve per worker.
     """
     lams = [float(v) for v in lambda_list]
     bad = [v for v in lams if not 1.0 <= v < math.inf]
     if bad:
         raise ValueError(f"contrasts must be finite and >= 1, got {bad[0]!r}")
-    grid = GridSpec(2, N)
-    records: list[ExperimentRecord] = []
-    failures: list[dict] = []
-    for lam in lams:
-        fld = gen_constant(grid, np.diag([1.0, lam]), descriptor=f"diag(1,{lam:g})")
-        boundary, tag = sharpness_boundary(lam)
-        try:
-            rec = harnack_experiment(fld, boundary, s, t, theta=lam, boundary_descriptor=tag)
-        except (SolverError, MaxPrincipleViolation) as err:
-            failures.append({"contrast": lam, "message": str(err)})
-            continue
-        records.append(rec)
+    repeated = [v for i, v in enumerate(lams) if v in lams[:i]]
+    if repeated:
+        raise ValueError(f"contrasts must be distinct, got {repeated[0]!r} twice")
+    _check_exponents(s, t)
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # forked, a worker starts with this process's modules loaded instead of
+    # importing them again; the solver drops the chunk threads it inherits
+    context = multiprocessing.get_context("fork")
+    cores = sorted(os.sched_getaffinity(0))[:len(lams)]
+    queue = context.SimpleQueue()
+    for core in cores:
+        queue.put(core)
+    try:
+        with ProcessPoolExecutor(max(len(cores), 1), mp_context=context,
+                                 initializer=_pin_worker, initargs=(queue,)) as pool:
+            outcomes = list(pool.map(partial(_sharpness_contrast, s=s, t=t, N=N), lams))
+    finally:
+        queue.close()
+    records = [rec for rec in outcomes if isinstance(rec, ExperimentRecord)]
+    failures = [{"contrast": lam, "message": rec} for lam, rec in zip(lams, outcomes)
+                if isinstance(rec, str)]
 
     fitted = [(math.sqrt(r.theta), r.harnack_log_ratio) for r in records]
     if len(fitted) >= 2:

@@ -94,7 +94,14 @@ diagonal of its Schur complement, keeps its rows of the factor, and level
 factors (:func:`_back_substitute`) gives the solution.
 
 ``concurrent.futures`` and the chunk threads load and start with the
-first pass that runs on more than one core.
+first pass that runs on more than one core. The interpreter lock, held by
+the pass's small NumPy calls and scatters, keeps two threads from doing
+much more than one, so passes that do not depend on each other, the
+solves of :func:`cge.harness.sharpness_sweep`, run in forked worker
+processes instead, each pinned to a core of its own and so running the
+one-core schedule: the numbers are identical, and a worker holds one
+solve's memory. A forked child drops its parent's chunk threads, which
+it does not have.
 """
 
 from __future__ import annotations
@@ -273,6 +280,16 @@ def _chunk_pool():
         _POOL = ThreadPoolExecutor(len(os.sched_getaffinity(0)) - 1,
                                    thread_name_prefix="cge-chunk")
     return _POOL
+
+
+def _forget_pool() -> None:
+    """In a forked child: drop the parent's chunk threads, which the child
+    does not have, so a pass there starts threads of its own."""
+    global _POOL
+    _POOL = None
+
+
+os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _run_chunks(starts: range, work: Callable[[int], object]) -> tuple[list, int]:
@@ -719,7 +736,10 @@ def _condense(maps: list, plan: tuple, out: np.ndarray | None = None,
         def rows(lo: int, mat=mat, r=r, add=lent is not None or c > 0) -> None:
             at = (base + (r[lo:lo + _BLOCK, None] * size + r)).ravel()  # a band of the box's rows
             band = mat[:, lo:lo + _BLOCK].ravel()
-            flat[at] = flat.take(at) + band if add else band
+            if add:
+                np.add.at(flat, at, band)
+            else:
+                flat[at] = band
 
         run(range(0, r.size, _BLOCK), rows)
         del mat, rows
@@ -730,7 +750,7 @@ def _condense(maps: list, plan: tuple, out: np.ndarray | None = None,
         flat_f, base_f = forcing.reshape(-1), np.arange(0, forcing.size, size * cols)[:, None, None]
         for (part, part_g), r in zip(carried, ranks):
             at = (base_f + (r[:, None] * cols + np.arange(cols))).ravel()
-            flat_f[at] = flat_f.take(at) + part.ravel()
+            np.add.at(flat_f, at, part.ravel())
             g = g + part_g
     finite = np.isfinite(skel).all(axis=(1, 2))
     if kept is not None and not finite.all():

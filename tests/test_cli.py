@@ -433,6 +433,13 @@ class TestSweepCommand:
         assert f"contrasts must be finite and >= 1, got {float(contrast)!r}" in err
         assert "Traceback" not in err
 
+    def test_repeated_contrast_is_operational_error(self, workdir, capsys):
+        rc = main(["sweep", "--kind", "sharpness", "--lambda", "4,4", "--grid-n", "2"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "contrasts must be distinct, got 4.0 twice" in err
+        assert "Traceback" not in err
+
 
 class TestAudit:
     def test_random_field_zero_violations(self, workdir, capsys):

@@ -1,7 +1,11 @@
 """Tests for oscillation experiments and solution diagnostics."""
 
+import faulthandler
 import json
 import math
+import multiprocessing
+import os
+from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +13,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import cge.harness
+import cge.solver
 from cge.fields import gen_constant, gen_laminate
 from cge.grid import GridSpec, TriadicCube
 from cge.harness import (
@@ -26,7 +31,7 @@ from cge.harness import (
     sharpness_sweep,
     sobolev_poincare_diagnostic,
 )
-from cge.solver import CubeFunction, SolverError, solve_dirichlet
+from cge.solver import CubeFunction, SolverError, level_functionals, solve_dirichlet
 from test_solver import diagonal_field
 
 DESK = GridSpec(2, 5)
@@ -562,6 +567,95 @@ class TestSharpnessSweep:
         back = json.loads(blob)
         assert len(back["records"]) == 4
         assert back["slope"] == pytest.approx(sweep.slope)
+
+    def test_rejects_repeated_contrasts_before_solving(self, monkeypatch):
+        # two equal contrasts give one point twice, and a line through one
+        # point has no slope
+        def unreachable(*args, **kwargs):
+            raise AssertionError("solved before the contrasts were checked")
+
+        monkeypatch.setattr(cge.harness, "solve_dirichlet", unreachable)
+        with pytest.raises(ValueError, match="distinct, got 4.0 twice"):
+            sharpness_sweep([4.0, 16.0, 4.0], N=3)
+
+
+def _pure(record):
+    """A record's dictionary without the solve's wall time."""
+    out = record.to_dict()
+    del out["solver"]["wall_time"]
+    return out
+
+
+class TestSharpnessWorkers:
+    """The contrasts run in forked worker processes, one per core."""
+
+    @pytest.fixture(autouse=True)
+    def no_worker_left(self):
+        yield
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("failing", [None, 3.0])
+    def test_matches_serial_loop(self, monkeypatch, failing):
+        # more contrasts than cores, so some worker takes several; a
+        # middle contrast that fails keeps its message and its place
+        real_solve = cge.harness.solve_dirichlet
+
+        def solve(field, cube, boundary):
+            if field.data[0, 0, -1] == failing:
+                raise SolverError(f"synthetic failure at {failing:g}")
+            return real_solve(field, cube, boundary)
+
+        monkeypatch.setattr(cge.harness, "solve_dirichlet", solve)
+        lams = [1.0 + i for i in range(len(os.sched_getaffinity(0)) + 3)]
+        records, failures = [], []
+        for lam in lams:
+            fld = gen_constant(GridSpec(2, 3), np.diag([1.0, lam]), descriptor=f"diag(1,{lam:g})")
+            boundary, tag = sharpness_boundary(lam)
+            try:
+                records.append(harnack_experiment(fld, boundary, 0.45, 0.45, theta=lam,
+                                                  boundary_descriptor=tag))
+            except SolverError as err:
+                failures.append({"contrast": lam, "message": str(err)})
+        report = sharpness_sweep(lams, N=3)
+        assert [_pure(r) for r in report.records] == [_pure(r) for r in records]
+        assert list(report.failures) == failures
+        assert failures == ([] if failing is None
+                            else [{"contrast": 3.0, "message": "synthetic failure at 3"}])
+
+    def test_worker_that_dies_fails_the_call(self, monkeypatch):
+        real_solve, caller = cge.harness.solve_dirichlet, os.getpid()
+
+        def solve(field, cube, boundary):
+            if field.data[0, 0, -1] == 4.0 and os.getpid() != caller:
+                os._exit(3)
+            return real_solve(field, cube, boundary)
+
+        monkeypatch.setattr(cge.harness, "solve_dirichlet", solve)
+        faulthandler.dump_traceback_later(120, exit=True)  # a hang fails the run
+        try:
+            with pytest.raises(BrokenProcessPool):
+                sharpness_sweep([1.0, 4.0, 16.0], N=3)
+        finally:
+            faulthandler.cancel_dump_traceback_later()
+
+    def test_sweep_after_chunk_threads_started(self, monkeypatch):
+        # a pass on two threads starts the chunk threads, which a forked
+        # worker does not have: it must start its own, not submit to them
+        with monkeypatch.context() as patched:
+            patched.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+            level_functionals(identity_field(GridSpec(2, 3)), [0])
+        assert cge.solver._POOL is not None
+        real_solve = cge.harness.solve_dirichlet
+
+        def solve(field, cube, boundary):
+            if cge.solver._POOL is not None:
+                raise SolverError("the worker has its parent's chunk threads")
+            return real_solve(field, cube, boundary)
+
+        monkeypatch.setattr(cge.harness, "solve_dirichlet", solve)
+        report = sharpness_sweep([1.0, 4.0, 16.0], N=3)
+        assert report.failures == ()
+        assert [r.theta for r in report.records] == [1.0, 4.0, 16.0]
 
 
 class TestThetaConsistency:

@@ -189,32 +189,39 @@ def _cache_load(path: str, shape: tuple[int, ...]) -> np.ndarray | None:
 
 
 def _level_result(level: int, g_all: np.ndarray,
-                  stats: SolveStats) -> tuple[np.ndarray, list[dict]]:
-    """Packed ``astar_inv`` of a level's cubes and their failures, from its
-    functionals ``(g_all, stats)``: every non-finite cube fails, holds NaN
-    and takes the message ``stats.failure`` (the pass's first failed dense
-    solve at or below the level) or else "non-finite functional matrix". So
-    a cube made non-finite otherwise takes a failed solve's message too.
+                  stats: SolveStats) -> tuple[np.ndarray, list[dict], float]:
+    """Packed ``astar_inv`` of a level's cubes, their failures and the
+    symmetry defect of ``g``, from its functionals ``(g_all, stats)``: every
+    non-finite cube fails, holds NaN and takes the message
+    ``stats.failure`` (the pass's first failed dense solve at or below the
+    level) or else "non-finite functional matrix". So a cube made
+    non-finite otherwise takes a failed solve's message too. The defect is
+    ``max |g - g^T| / max |g|`` over the finite cubes, before ``g`` is
+    symmetrized (NaN if none is finite).
     """
     bad = ~np.isfinite(g_all).all(axis=(-2, -1))
+    good = g_all[~bad]
+    defect = (float(np.abs(good - np.swapaxes(good, -1, -2)).max() / np.abs(good).max())
+              if good.size else math.nan)
     g_all[bad] = np.nan
     astar_inv = sym_pack(0.5 * (g_all + np.swapaxes(g_all, -1, -2)))
     failures = [{"level": level, "offset": [int(z) for z in off],
                  "message": stats.failure or "non-finite functional matrix"}
                 for off in zip(*np.nonzero(bad))]
-    return astar_inv, failures
+    return astar_inv, failures, defect
 
 
 def _log_level(level: int, method: str, cubes: int, stats: SolveStats | None,
-               t0: float) -> None:
-    """One DEBUG line per sweep level; chunks, threads, unknowns, residual
-    and the merges condensed only for solves."""
-    split = "" if stats is None else f" in {stats.chunks} chunks on {stats.threads} threads"
+               t0: float, defect: float | None = None) -> None:
+    """One DEBUG line per sweep level; threads, unknowns, residual, the
+    merges condensed and the symmetry defect of ``g`` only for solves."""
+    threads = "" if stats is None else f" on {stats.threads} threads"
     log.debug("level %d: %s, %d cubes%s, %s unknowns per cube, residual %s, %.3f s, "
-              "%s merges condensed",
-              level, method, cubes, split, "-" if stats is None else stats.unknowns,
+              "%s merges condensed, symmetry defect %s",
+              level, method, cubes, threads, "-" if stats is None else stats.unknowns,
               "-" if stats is None else f"{stats.residual:.1e}", time.perf_counter() - t0,
-              "-" if stats is None else stats.merges)
+              "-" if stats is None else stats.merges,
+              "-" if defect is None else f"{defect:.1e}")
 
 
 def sweep(field: CoefficientField, cache_dir: str | None = None) -> SweepResult:
@@ -235,10 +242,11 @@ def sweep(field: CoefficientField, cache_dir: str | None = None) -> SweepResult:
     (a failed dense solve's, and every cube containing one) fails; the rest
     of the level keeps its numbers, and a level with a failed cube is not
     cached. Each level logs one DEBUG line on ``cge.coarse``: method (the
-    solver's, ``cache`` or ``cells``), cubes, for a solve the chunks and
-    threads it ran in and its unknowns per cube and residual, seconds, and
-    for a solve the merges it condensed, one per content class below level
-    0.
+    solver's, ``cache`` or ``cells``), cubes, for a solve the threads it ran
+    on and its unknowns per cube and residual, seconds, and for a solve the
+    merges it condensed, one per content class below level 0, and the
+    symmetry defect of ``g`` (:func:`_level_result`). None of it enters a
+    record or a report.
     """
     grid = field.grid
     d = grid.d
@@ -273,10 +281,10 @@ def sweep(field: CoefficientField, cache_dir: str | None = None) -> SweepResult:
         astar_inv_arr = records[level]
         if astar_inv_arr is not None:
             cache_hits += n_cubes
-            method, stats = "cache", None
+            method, stats, defect = "cache", None, None
         else:
             g_all, stats = solved.pop(level)
-            astar_inv_arr, level_failures = _level_result(level, g_all, stats)
+            astar_inv_arr, level_failures, defect = _level_result(level, g_all, stats)
             t0 -= stats.wall_time  # solved before this loop
             method = stats.method
             failures += level_failures
@@ -286,7 +294,7 @@ def sweep(field: CoefficientField, cache_dir: str | None = None) -> SweepResult:
 
         astar_arr = sym_inv(astar_inv_arr, d)
         levels[level] = LevelData(level, astar_arr, avg, inv_avg_inv, astar_inv_arr)
-        _log_level(level, method, n_cubes, stats, t0)
+        _log_level(level, method, n_cubes, stats, t0, defect)
 
     return SweepResult(grid, field.content_hash, levels, solve_count, cache_hits, failures)
 

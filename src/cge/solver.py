@@ -59,14 +59,14 @@ boxes are alive at once (the postorder bound on a multifrontal working
 store; Liu, ACM TOMS 12(3), 1986). The subtrees are the jobs of
 :func:`_run_chunks`, on one thread per core this process may use, the
 calling thread among them (NumPy's factorizations and matmul release the
-GIL); a subtree cuts each of its stages into chunks of whole merges and
-runs them itself. Level 0's later merges then run one at a time on the
-calling thread, in postorder, so one merge's working store is alive at a
-time, and each gives the bands of rows of its assembly, factorization and
-update to :func:`_run_chunks`; with one core the caller runs them alone.
-Every merge is eliminated alone, and a band's rows are fixed by module
-constants, so the numbers do not depend on the split, the schedule or the
-cores.
+GIL); a subtree runs each of its stages as one call of the kernel. Level
+0's later merges then run one at a time on the calling thread, in
+postorder, so one merge's working store is alive at a time, and each
+gives the bands of rows of its assembly, factorization and update to
+:func:`_run_chunks`; with one core the caller runs them alone. Every merge
+is eliminated alone, and a band's rows are fixed by module constants, so
+the numbers do not depend on how many merges a call holds, the schedule
+or the cores.
 
 Inside a subtree, each distinct merge is condensed once: the identical
 subproblems of nested dissection are shared exactly. Every cell has a
@@ -143,14 +143,13 @@ class SolveStats:
     unknowns: int
     wall_time: float
     method: str
-    chunks: int = 1  # how a sweep level was split and run, for its log line
     merges: int = 0  # merges condensed: one per content class below level 0
     threads: int = 1
     failure: str = ""  # the pass's first failed dense solve, "" if none
 
     def to_dict(self) -> dict:
         """Plain-JSON form (NumPy scalars cast to ``int``/``float``), without
-        the chunk, merge and thread counts, which describe how the pass ran,
+        the merge and thread counts, which describe how the pass ran,
         not its result (the threads depend on the host's cores, and a report
         must not), and ``failure``, which a sweep records per cube."""
         return {
@@ -166,7 +165,8 @@ class SolverError(RuntimeError):
     its pass failed or found no memory. Carries the partial stats.
 
     :func:`level_functionals` does not raise it: a failed dense solve leaves
-    its cubes' ``g`` NaN and names itself in ``stats.failure``.
+    the ``g`` of every cube of its stage in its subtree NaN, and of every
+    cube that contains one, and names itself in ``stats.failure``.
     """
 
     def __init__(self, message: str, stats: SolveStats | None = None):
@@ -471,12 +471,6 @@ def _classes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
         flat = words.view(np.dtype((np.void, words.itemsize * words.shape[1]))).ravel()
         _, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
     return first, inverse
-
-
-#: Largest dense matrices, in entries, of one chunk of the condensation
-#: pass: a chunk assembles and eliminates this many entries of merges at
-#: once. One whose matrix alone is larger is a chunk of its own.
-CHUNK_ENTRIES = 250_000
 
 
 #: Rows the merge kernel takes at a time: a diagonal block of
@@ -807,33 +801,21 @@ def _condense(maps: list, plan: tuple, out: np.ndarray | None = None,
     return out, forcing, g, pinned, float(res.max())
 
 
-def _run_stage(count: int, entries: int, work: Callable[[int, int], object],
-               stats: SolveStats, out: np.ndarray | None = None) -> list:
-    """``work(lo, hi)`` over ``count`` merges in chunks of at most
-    :data:`CHUNK_ENTRIES` dense entries (``entries`` for one merge, at least
-    one merge a chunk), one after another on the calling thread. A chunk
-    whose dense solve fails, or finds no memory, gives ``None``, its rows of
-    ``out`` are NaN, and an empty ``stats.failure`` takes the first such
-    chunk's message. Adds the chunks to ``stats.chunks`` and the merges to
-    ``stats.merges``. Returns the ``(lo, result or None)`` pairs in chunk
-    order."""
-    per_chunk = max(1, CHUNK_ENTRIES // entries)
-
-    def chunk(lo: int):
-        hi = min(lo + per_chunk, count)
-        try:
-            return work(lo, hi)
-        except (np.linalg.LinAlgError, MemoryError) as err:
-            if out is not None:
-                out[lo:hi] = np.nan
-            why = "failed" if isinstance(err, np.linalg.LinAlgError) else "ran out of memory"
-            stats.failure = stats.failure or f"dense condensation {why}: {err}"
-            return None
-
-    done = [(lo, chunk(lo)) for lo in range(0, count, per_chunk)]
-    stats.chunks += len(done)
+def _run_stage(count: int, work: Callable[[], object], stats: SolveStats,
+               out: np.ndarray | None = None):
+    """``work()``, one kernel call of ``count`` merges, on the calling
+    thread, and its result. If its dense solve fails, or finds no memory,
+    it gives ``None``, ``out`` is NaN, and an empty ``stats.failure`` takes
+    the message. Adds the merges to ``stats.merges``."""
     stats.merges += count
-    return done
+    try:
+        return work()
+    except (np.linalg.LinAlgError, MemoryError) as err:
+        if out is not None:
+            out[...] = np.nan
+        why = "failed" if isinstance(err, np.linalg.LinAlgError) else "ran out of memory"
+        stats.failure = stats.failure or f"dense condensation {why}: {err}"
+        return None
 
 
 def _subtree_level(kids: np.ndarray, cls: np.ndarray | None, shape: tuple[int, ...], h: float,
@@ -855,21 +837,22 @@ def _subtree_level(kids: np.ndarray, cls: np.ndarray | None, shape: tuple[int, .
     alone and hands its map to every merge of the class; its boxes are
     gathered from ``kids``. A stage whose merges are all distinct condenses
     every merge, and every stage above it does so on strided views of
-    ``kids``. Given the cubes' ``volume`` (a level below -1 asked for), the
-    last stage's pinned solves give each cube's ``g`` divided by it, NaN
-    where a chunk failed.
+    ``kids``. Each stage is one call of the kernel (:func:`_run_stage`): a
+    failed dense solve leaves the stage's maps NaN. Given the cubes'
+    ``volume`` (a level below -1 asked for), the last stage's pinned solves
+    give each cube's ``g`` divided by it, NaN where the stage failed.
     Given the children's ``sums``, their right-hand sides and row sums by
     class (the Dirichlet solve's), they are carried to the cubes', and each
-    chunk's factor goes on ``tape`` with the merges it stands for
-    (:func:`_back_substitute`), which fills ``values``, the ``(children,
-    nodes, 1)`` values of each child's nodes in tree order. Returns
-    ``(maps, cls, sums, values, g or None, stats)``; ``stats.wall_time`` is
-    the seconds the level took."""
+    stage's factor goes on ``tape`` (:func:`_back_substitute`), which fills
+    ``values``, the ``(children, nodes, 1)`` values of each child's nodes
+    in tree order. Returns ``(maps, cls, sums, values, g or None, stats)``;
+    ``stats.wall_time`` is the seconds the level took."""
     d = len(shape)
     cube = tuple(3 * s for s in shape)
-    stats = SolveStats(math.nan, 0, time.perf_counter(), "condensation", 0, 0)
+    stats = SolveStats(residual=math.nan, unknowns=0, wall_time=time.perf_counter(),
+                       method="condensation")
     stages = _plan(shape, False, child)
-    g, residuals = None, []
+    g = None
     for stage, merges in enumerate(stages):
         merge = merges[0]  # the merges of a stage are translates of the first
         size, k, _ = merge
@@ -890,37 +873,32 @@ def _subtree_level(kids: np.ndarray, cls: np.ndarray | None, shape: tuple[int, .
         made_values = None if values is None else np.empty((total, size - k, 1))
         last = volume is not None and stage == len(stages) - 1
         forcing = _forcings(cube, h)[_boundary_nodes(cube)] if last else None
-        g = np.full((count, d, d), np.nan) if last else None
 
-        def box(arr: np.ndarray, c: int, lo: int, hi: int) -> np.ndarray:
-            """Box ``c`` of condensed merges ``lo..hi``, from ``arr``."""
-            return arr[3 * lo + c:3 * hi:3] if picks is None else arr[picks[lo:hi, c]]
+        def box(arr: np.ndarray, c: int) -> np.ndarray:
+            """Box ``c`` of every condensed merge, from ``arr``."""
+            return arr[c::3] if picks is None else arr[picks[:, c]]
 
-        def work(lo: int, hi: int) -> None:
-            boxes = [box(kids, c, lo, hi) for c in range(3)]
+        def work() -> tuple | None:
+            boxes = [box(kids, c) for c in range(3)]
             if sums is None:
-                _, _, _, part, res = _condense(boxes, merge, maps[lo:hi], forcing)
-                if last:
-                    g[lo:hi] = part / volume
-                    residuals.append(res)
-                return
+                return _condense(boxes, merge, maps, forcing)
             kept = []
-            _, made[lo:hi], _, _, _ = _condense(
-                boxes, merge, maps[lo:hi], kept=kept,
-                carried=[(box(sums, c, lo, hi), 0.0) for c in range(3)])
-            if inverse is None:
-                at, row = slice(lo, hi), slice(None)
-            else:  # the merges of the chunk's classes, and each one's row of the factor
-                at = np.flatnonzero((lo <= inverse) & (inverse < hi))
-                row = inverse[at] - lo
-            tape.append((merge, *kept[0], at, row, [values[c::3] for c in range(3)],
-                         made_values))
+            _, made[...], _, _, _ = _condense(boxes, merge, maps, kept=kept,
+                                              carried=[(box(sums, c), 0.0) for c in range(3)])
+            # each merge's row of the factor: its class's
+            tape.append((merge, *kept[0], slice(None) if inverse is None else inverse,
+                         [values[c::3] for c in range(3)], made_values))
+            return None
 
-        _run_stage(count, size**2, work, stats, maps)
+        done = _run_stage(count, work, stats, maps)
+        if last and done is None:
+            g = np.full((count, d, d), np.nan)
+        elif last:
+            _, _, _, g, stats.residual = done
+            g = g / volume
         kids, cls, sums, values = maps, inverse, made, made_values
     if g is not None and cls is not None:
         g = g[cls]
-    stats.residual = max((r for r in residuals if not math.isnan(r)), default=math.nan)
     stats.wall_time = time.perf_counter() - stats.wall_time
     return kids, cls, sums, values, g, stats
 
@@ -928,7 +906,7 @@ def _subtree_level(kids: np.ndarray, cls: np.ndarray | None, shape: tuple[int, .
 def _level_zero_merge(maps: list, merge: tuple, carried: list, values: list,
                       stats: SolveStats, tape: list | None, run=_serial,
                       pin: bool = False) -> tuple | None:
-    """One merge of level 0, one chunk of :func:`_run_stage`: the ``(map,
+    """One merge of level 0, one call of :func:`_run_stage`: the ``(map,
     forcing, g, pinned, residual)`` that :func:`_condense` makes of its
     boxes' ``maps`` and ``carried`` forcings and ``g``, its bands run by
     ``run`` and its box's pinned solve run if ``pin``, or None if it failed.
@@ -936,12 +914,10 @@ def _level_zero_merge(maps: list, merge: tuple, carried: list, values: list,
     ``values``, the values of its boxes' nodes, and the first column of its
     forcing, which holds the values of the box it makes."""
     kept = None if tape is None else []
-    [(_, made)] = _run_stage(
-        1, merge[0] ** 2,
-        lambda lo, hi: _condense(maps, merge, carried=carried, run=run, kept=kept, pin=pin),
-        stats)
+    made = _run_stage(
+        1, lambda: _condense(maps, merge, carried=carried, run=run, kept=kept, pin=pin), stats)
     if made is not None and kept:  # kept gets the factor before the copy to out
-        tape.append((merge, *kept[0], slice(None), slice(None), values, made[1][..., :1]))
+        tape.append((merge, *kept[0], slice(None), values, made[1][..., :1]))
     return made
 
 
@@ -963,8 +939,9 @@ def _level_zero(boxes: list, stages: tuple, d: int,
     ``tape`` (the Dirichlet solve's: a box's forcing is its right-hand side and
     row sums) each merge's factor goes on it. Returns the cube's ``(1, d, d)``
     ``g``, NaN if a merge failed, and the stats of these stages."""
-    stats = SolveStats(math.nan, max(size for merges in stages for size, _, _ in merges),
-                       time.perf_counter(), "condensation", 0, 0)
+    stats = SolveStats(residual=math.nan,
+                       unknowns=max(size for merges in stages for size, _, _ in merges),
+                       wall_time=time.perf_counter(), method="condensation")
     g = np.full((1, d, d), np.nan)
 
     def make(stage: int, j: int) -> tuple | None:
@@ -995,15 +972,16 @@ def _level_zero(boxes: list, stages: tuple, d: int,
 
 
 def _summed(parts: Sequence[SolveStats], threads: int = 1) -> SolveStats:
-    """One :class:`SolveStats` of ``parts``: their chunks, merges and
-    seconds summed, the largest skeleton and finite residual, the most
-    threads (``threads`` among them) and the first failure, in order."""
+    """One :class:`SolveStats` of ``parts``: their merges and seconds
+    summed, the largest skeleton and finite residual, the most threads
+    (``threads`` among them) and the first failure, in order."""
     return SolveStats(
-        max((st.residual for st in parts if not math.isnan(st.residual)), default=math.nan),
-        max(st.unknowns for st in parts), sum(st.wall_time for st in parts), "condensation",
-        sum(st.chunks for st in parts), sum(st.merges for st in parts),
-        max([threads] + [st.threads for st in parts]),
-        next((st.failure for st in parts if st.failure), ""))
+        residual=max((st.residual for st in parts if not math.isnan(st.residual)),
+                     default=math.nan),
+        unknowns=max(st.unknowns for st in parts), wall_time=sum(st.wall_time for st in parts),
+        method="condensation", merges=sum(st.merges for st in parts),
+        threads=max([threads] + [st.threads for st in parts]),
+        failure=next((st.failure for st in parts if st.failure), ""))
 
 
 def _checked_levels(grid: GridSpec, levels: Sequence[int]) -> list[int]:
@@ -1069,7 +1047,8 @@ def _condensation(d: int, depth: int, h: float, cells: Callable[[int], tuple],
         merge = stages[0][s]  # one cube: its box is alone in its class
         child = (_forcings(shape, h)[_boundary_nodes(shape)[_handed(shape, s)]][None]
                  if sums is None else sums)
-        stats = SolveStats(math.nan, merge[0], time.perf_counter(), "condensation", 0, 0)
+        stats = SolveStats(residual=math.nan, unknowns=merge[0], wall_time=time.perf_counter(),
+                           method="condensation")
         maps, kids = [kids], None  # the cube's map, lent to the merge
         made = _level_zero_merge(maps, merge, [(child, 0.0)], [values], stats,
                                  None if sums is None else tapes[s], pin=-1 in wanted)
@@ -1150,30 +1129,30 @@ def level_functionals(
     are its cells.
 
     The 3**d subtrees are the jobs of :func:`_run_chunks`, on one thread per
-    core, the caller among them; a job cuts each of its stages into chunks
-    of :data:`CHUNK_ENTRIES` dense entries and runs them itself. The caller
-    then runs level 0's later merges one at a time, each a chunk, and each
-    on every core: the bands of :data:`_BAND` rows of its elimination are
-    the jobs of :func:`_run_chunks`. Every merge is eliminated alone and a
-    band's rows do not depend on the cores, so the numbers do not depend on
-    the split or the threads.
+    core, the caller among them; a job runs each of its stages as one call
+    of the kernel. The caller then runs level 0's later merges one at a
+    time, each on every core: the bands of :data:`_BAND` rows of its
+    elimination are the jobs of :func:`_run_chunks`. Every merge is
+    eliminated alone and a band's rows do not depend on the cores, so the
+    numbers do not depend on the threads.
 
     Inside a subtree, merges with the same content are condensed once, by
     class (:func:`_classes`, :func:`_subtree_level`); the numbers are those
     of each merge condensed alone.
 
     ``stats.unknowns`` is the largest skeleton of a merge of the level,
-    ``stats.chunks`` the chunks of all its stages in every subtree,
-    ``stats.merges`` the merges they condensed (one per content class below
+    ``stats.merges`` the merges it condensed (one per content class below
     level 0; level -1's include each cube's first level-0 merge, which
     gives its ``g``, and level 0's are its later merges), ``stats.threads``
     the most threads that took a subtree of the pass, ``stats.wall_time``
     the seconds its stages took, summed over the subtrees, and
     ``stats.residual`` the largest ``|S y - b| / |b|`` of the pinned solves.
-    A failed dense solve leaves the cubes of its chunk, and
-    every cube that contains one, NaN; ``stats.failure`` names the pass's
-    first failed solve at or below the level (``""`` if none): the lowest
-    level's, and there the first subtree's, whichever thread ran it.
+    A failed dense solve fails its whole stage in its subtree, whose merges
+    are one call of the kernel (a level-0 merge is a stage of its own):
+    every cube made from the stage's boxes, and every cube that contains
+    one, is NaN. ``stats.failure`` names the pass's first failed solve at
+    or below the level (``""`` if none): the lowest level's, and there the
+    first subtree's, whichever thread ran it.
     """
     grid = field.grid
     d = grid.d
@@ -1214,24 +1193,24 @@ def _back_substitute(tape: list) -> None:
     ``tape`` (:func:`_condensation`), top down, into the values of the
     boxes' nodes.
 
-    A step of the tape is ``(plan, w_b, panels, invs, w, at, row, boxes,
-    made)``: a chunk's factor, one per content class it condensed (``W_b``,
+    A step of the tape is ``(plan, w_b, panels, invs, w, row, boxes,
+    made)``, and stands for every merge of its stage (a level-0 merge is a
+    stage of one): its factor, one per content class it condensed (``W_b``,
     ``L``'s panels and inverted diagonal blocks, and ``W_f = L^-1 f_k`` of
-    the right-hand side; :func:`_eliminate`); ``at``, the merges it stands
-    for, and ``row``, each one's class in the factor (a slice where every
-    merge is its own class); the ``(merges, nodes, 1)`` values of each of
-    its boxes' nodes, and ``made``, those of the boxes it made, which its
-    parent's step fills first. Each merge solves ``L^T u_k = W_f - W_b u_b``
+    the right-hand side; :func:`_eliminate`); ``row``, each merge's class
+    in the factor (a slice where every merge is its own class); the
+    ``(merges, nodes, 1)`` values of each of its boxes' nodes, and
+    ``made``, those of the boxes it made, which its parent's step fills
+    first. Each merge solves ``L^T u_k = W_f - W_b u_b``
     (:func:`_back_solve`) with its class's factor and its own ``u_b``, and
     writes each box its nodes' values. The last merge keeps no node.
     """
-    for (size, k, ranks), w_b, panels, invs, w, at, row, boxes, made in reversed(tape):
-        u_b = made[at]
+    for (size, k, ranks), w_b, panels, invs, w, row, boxes, made in reversed(tape):
         u_k = _back_solve([p[row] for p in panels], [inv[row] for inv in invs],
-                          w[row] - w_b[row] @ u_b)
-        skel = np.concatenate([u_k, u_b], axis=1)
+                          w[row] - w_b[row] @ made)
+        skel = np.concatenate([u_k, made], axis=1)
         for box, r in zip(boxes, ranks):
-            box[at] = skel[:, r]
+            box[...] = skel[:, r]
 
 
 def _fv_elements(trans: list, bound: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -1318,7 +1297,8 @@ def solve_dirichlet(
             _shift_view(load, a, lo, hi)[...] += tb * (faces[2 * a + side] - center)
     if m == 1:
         u = center + load / bound
-        stats = SolveStats(math.nan, 1, 0.0, "fv-condensation", 0, 0, 0)
+        stats = SolveStats(residual=math.nan, unknowns=1, wall_time=0.0,
+                           method="fv-condensation", threads=0)
     else:
         depth = grid.N + cube.level
         order = _tree_order(depth, d)

@@ -187,7 +187,7 @@ class TestCoarse:
 
     def test_verbose_logs_one_line_per_level_outside_the_report(self, workdir):
         # a 3D field: one condensation pass, its 27 subtrees on the chunk
-        # threads
+        # threads; the report holds none of the lines' numbers
         assert main(["gen", "--kind", "constant", "--diag", "1,1,1", "--grid-d", "3",
                      "--grid-n", "3", "--field-out", "field.cge"]) == 0
         quiet_hash, quiet = self._debug_levels(workdir, "quiet.json")
@@ -196,8 +196,8 @@ class TestCoarse:
         assert [line.split(",")[0] for line in verbose] == [
             "DEBUG cge.coarse: level 0: condensation", "DEBUG cge.coarse: level -1: condensation",
             "DEBUG cge.coarse: level -2: condensation", "DEBUG cge.coarse: level -3: cells"]
-        # each solved level names its chunks and the threads that took one
-        # (how many did depends on the host's scheduling, not above the cores)
+        # each solved level names the threads that took a subtree (how many
+        # did depends on the host's scheduling, not above the cores)
         cores = len(os.sched_getaffinity(0))
 
         for level, line in zip(range(0, -3, -1), verbose):
@@ -206,24 +206,24 @@ class TestCoarse:
             # each of its merges after its children's first alone; a level
             # below it a stage's merges of every cube of a subtree at once,
             # in each of the 27 subtrees, where a constant field's merges of
-            # a stage are one content class: one merge condensed, in one
-            # chunk; level -1 then runs its cube's first level-0 merge
+            # a stage are one content class: one merge condensed; level -1
+            # then runs its cube's first level-0 merge
             stages = [[size for size, _, _ in merges]
                       for merges in cge.solver._plan((m,) * 3, level == 0)]
-            chunks = (sum(len(sizes) for sizes in stages[1:])
+            merges = (sum(len(sizes) for sizes in stages[1:])
                       if level == 0 else 27 * (len(stages) + (level == -1)))
             split_line, threads = line.split(",")[1].rsplit(" on ", 1)
-            assert split_line == f" {cubes} cubes in {chunks} chunks"
+            assert split_line == f" {cubes} cubes"
             assert threads.endswith(" threads")
-            assert 1 <= int(threads.split()[0]) <= min(chunks, cores)
+            assert 1 <= int(threads.split()[0]) <= min(27, cores)
             assert line.split(",")[2] == f" {max(map(max, stages))} unknowns per cube"
-            assert line.split(",")[-1] == f" {chunks} merges condensed"
+            assert line.split(",")[-2] == f" {merges} merges condensed"
+            assert float(line.split(" ")[-1]) < 1e-12  # the symmetry defect of g
         assert verbose[-1].split(",")[1] == " 19683 cubes"
-        assert verbose[-1].split(",")[-1] == " - merges condensed"
+        assert verbose[-1].split(",")[-2:] == [" - merges condensed", " symmetry defect -"]
 
     def test_verbose_logs_condensation_levels(self, workdir):
-        # a 2D field: one condensation pass, its 9 subtrees and their
-        # parents in chunks
+        # a 2D field: one condensation pass, its 9 subtrees and level 0
         gen_identity(workdir, name="field.cge", n=4)
         quiet_hash, quiet = self._debug_levels(workdir, "quiet.json")
         verbose_hash, verbose = self._debug_levels(workdir, "verbose.json", ["-v"])
@@ -240,21 +240,22 @@ class TestCoarse:
             # last axis, then 3 strips along the first; a skeleton is the
             # boxes' boundaries and the interfaces between them; in each of
             # the 9 subtrees, a stage's merges of a constant field are one
-            # content class: one merge condensed, in one chunk
+            # content class: one merge condensed
             nodes = 18 * m - 2
-            chunks = 9 * 2 + 9 * (level == -1)  # level -1: and its cube's first level-0 merge
+            merges = 9 * 2 + 9 * (level == -1)  # level -1: and its cube's first level-0 merge
             if level == 0:  # only the two interface lines are kept: the middle
                 # strip's skeleton is both and the 2m nodes between them;
                 # first each child alone, in its subtree, eliminates the
                 # nodes no other has; then each strip and the last merge
                 # alone
                 nodes = 8 * m
-                chunks = 3 + 1
+                merges = 3 + 1
             split_line, threads = line.split(",")[1].rsplit(" on ", 1)
-            assert split_line == f" {cubes} cubes in {chunks} chunks"
-            assert 1 <= int(threads.split()[0]) <= min(chunks, cores)
+            assert split_line == f" {cubes} cubes"
+            assert 1 <= int(threads.split()[0]) <= min(9, cores)
             assert line.split(",")[2] == f" {nodes} unknowns per cube"
-            assert line.split(",")[-1] == f" {chunks} merges condensed"
+            assert line.split(",")[-2] == f" {merges} merges condensed"
+            assert float(line.split(" ")[-1]) < 1e-12  # the symmetry defect of g
         assert verbose[-1].split(",")[1] == " 6561 cubes"
 
 

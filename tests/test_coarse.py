@@ -317,14 +317,11 @@ class TestSweepStructure:
             sweep(field, cache_dir=str(tmp_path))
         lines = [r.getMessage() for r in caplog.records if r.name == "cge.coarse"]
         assert len(lines) == 2 * (grid.N + 1)
-        # chunks: each of the 27 subtrees (here the cubes of level -1) runs
-        # a stage in one, then its cube's first level-0 merge in one; level
-        # 0 takes one a merge (9 strips, 3 slabs and the last); unknowns: the
-        # largest skeleton of a merge, at level 0 the middle slab's, at level
-        # -1 a whole cube of 3**3 cells
-        assert lines[0].startswith("level 0: condensation, 1 cubes in 13 chunks on 1 threads, "
+        # unknowns: the largest skeleton of a merge, at level 0 the middle
+        # slab's, at level -1 a whole cube of 3**3 cells
+        assert lines[0].startswith("level 0: condensation, 1 cubes on 1 threads, "
                                    "240 unknowns per cube, residual ")
-        assert lines[1].startswith("level -1: condensation, 27 cubes in 108 chunks on 1 threads, "
+        assert lines[1].startswith("level -1: condensation, 27 cubes on 1 threads, "
                                    "64 unknowns per cube, residual ")
         assert lines[2].startswith("level -2: cells, 729 cubes, - unknowns per cube, residual -, ")
         assert [line.split(",")[0] for line in lines[3:]] == [
@@ -454,21 +451,21 @@ class TestLevelZeroOverlap:
 # ---------------------------------------------------------------------------
 
 class TestCondensation:
-    def test_failed_chunk_fails_it_and_the_cubes_that_contain_it(
+    def test_failed_merge_fails_its_cube_and_the_cubes_that_contain_it(
             self, cores, monkeypatch, tmp_path):
         field = gen_random_spd(GridSpec(2, 3), seed=1, eig_low=1e-2, eig_high=1e2)
         clean = sweep(field)
-        # one core and one parent a chunk: the caller runs the subtrees of
-        # level -1's nine cubes in order, so the eighth is cube (2, 1)
+        # one core: the caller runs the subtrees of level -1's nine cubes in
+        # order, so the eighth is cube (2, 1)
         cores(1)
-        monkeypatch.setattr(cge.solver, "CHUNK_ENTRIES", 1)
         calls = []
         real = cge.solver._condense
-        # a subtree's merges: level -2's along the last axis, then the
-        # first; level -1's the same; the last stage of level -1 merges
-        # strips of 3x9 cells onto skeletons of 52 nodes, the 9x9 boundary
-        # and 2 lines of 8; then its cube, level 0's child, alone (36 nodes)
-        subtree = [8] * 27 + [16] * 9 + [28] * 3 + [52] + [36]
+        # a subtree's stages, one kernel call each: level -2's along the
+        # last axis, then the first; level -1's the same, whose last stage
+        # is one merge of strips of 3x9 cells onto a skeleton of 52 nodes,
+        # the 9x9 boundary and 2 lines of 8; then its cube, level 0's
+        # child, alone (36 nodes)
+        subtree = [8, 16, 28, 52, 36]
 
         def fail_one(maps, plan, *args, **kwargs):
             calls.append(plan[0])
@@ -488,7 +485,7 @@ class TestCondensation:
         assert all("Singular matrix" in e["message"] for e in result.failures)
         assert result.solve_count == 2 * (81 + 8)
         # every other cube keeps its numbers to the last bit, though the
-        # split and the cores differ from the clean run
+        # cores differ from the clean run
         for level, ld in result.levels.items():
             for name in ("astar", "astar_inv", "astar_inv_norm"):
                 arr, want = getattr(ld, name), getattr(clean.levels[level], name)
@@ -499,6 +496,41 @@ class TestCondensation:
                         assert np.array_equal(arr[off], want[off])
         # a level with a failed cube is not cached
         assert sorted(os.listdir(tmp_path / field.content_hash)) == ["level_-2.npz"]
+
+    def test_failed_stage_fails_the_cubes_it_makes_and_their_ancestors(self, cores, monkeypatch):
+        # a stage of a subtree is one kernel call, so a failed elimination
+        # takes the whole stage: on one core the fifth subtree, level -1's
+        # cube (1, 1), fails the stage that makes its 9 cubes of level -2;
+        # they, its cube of level -1 and level 0 are NaN, each named by the
+        # failure, and every other cube keeps its numbers to the last bit
+        field = gen_random_spd(GridSpec(2, 3), seed=1, eig_low=1e-2, eig_high=1e2)
+        clean = sweep(field)
+        cores(1)
+        real, stacks = cge.solver._eliminate, []
+
+        def fail_fifth(mat, *args):
+            if mat.shape[-1] == 16:  # level -2's last stage: 3 strips of 1x3 cells
+                stacks.append(mat.shape[0])
+                if len(stacks) == 5:
+                    raise np.linalg.LinAlgError("Singular matrix")
+            return real(mat, *args)
+
+        monkeypatch.setattr(cge.solver, "_eliminate", fail_fifth)
+        result = sweep(field)
+        assert stacks == [9] * 9  # one call a subtree, for its 9 cubes of level -2
+        failed = [(0, (0, 0)), (-1, (1, 1))] + [(-2, (3 + i, 3 + j)) for i, j in np.ndindex(3, 3)]
+        assert [(e["level"], tuple(e["offset"])) for e in result.failures] == failed
+        assert all(e["message"] == "dense condensation failed: Singular matrix"
+                   for e in result.failures)
+        assert result.solve_count == 2 * (8 + 72)
+        for level, ld in result.levels.items():
+            for name in ("astar", "astar_inv", "astar_inv_norm"):
+                arr, want = getattr(ld, name), getattr(clean.levels[level], name)
+                for off in np.ndindex(arr.shape[:2]):
+                    if (level, off) in failed:
+                        assert np.isnan(arr[off]).all()
+                    else:
+                        assert np.array_equal(arr[off], want[off])
 
     def test_non_finite_cell_fails_the_cubes_that_contain_it(self, monkeypatch, tmp_path):
         field = gen_random_spd(GridSpec(2, 2), seed=1, eig_low=0.5, eig_high=2.0)
@@ -530,7 +562,6 @@ class TestCondensation:
         # cell's cube of level -2 is only non-finite
         field = gen_random_spd(GridSpec(2, 3), seed=1, eig_low=1e-2, eig_high=1e2)
         cores(1)
-        monkeypatch.setattr(cge.solver, "CHUNK_ENTRIES", 1)  # one merge a chunk
         real_elements, real_eliminate = cge.solver._element_matrices, cge.solver._eliminate
         strips = []
 
@@ -569,20 +600,17 @@ class TestCondensation:
         lines = [r.getMessage() for r in caplog.records if r.name == "cge.coarse"]
         assert len(lines) == 2 * (grid.N + 1)
         # unknowns: the largest skeleton of a merge, at level 0 the middle
-        # strip's two interface lines and the 4 nodes between them (8 * 3);
-        # chunks: one a stage in each of the 9 subtrees and one for its
-        # cube's first level-0 merge, and at level 0 one a merge (3 strips
-        # and the last)
-        assert lines[0].startswith("level 0: condensation, 1 cubes in 4 chunks on 1 threads, "
+        # strip's two interface lines and the 4 nodes between them (8 * 3)
+        assert lines[0].startswith("level 0: condensation, 1 cubes on 1 threads, "
                                    "24 unknowns per cube, residual ")
-        assert lines[1].startswith("level -1: condensation, 9 cubes in 27 chunks on 1 threads, "
+        assert lines[1].startswith("level -1: condensation, 9 cubes on 1 threads, "
                                    "16 unknowns per cube, residual ")
         assert lines[2].startswith("level -2: cells, 81 cubes, - unknowns per cube, residual -, ")
         assert [line.split(",")[0] for line in lines[3:]] == [
             "level 0: cache", "level -1: cache", "level -2: cells"]
 
     @pytest.mark.parametrize("kind, below", [("random", 45), ("constant", 27)])
-    def test_debug_line_ends_with_the_merges_condensed(self, caplog, kind, below):
+    def test_debug_line_names_the_merges_condensed(self, caplog, kind, below):
         # 2D N=2: level -1's 9 cubes take 3 strips and a square each, which
         # a constant field's subtrees condense once a stage, and then each
         # cube's first level-0 merge; level 0 takes 3 strips and the last
@@ -592,8 +620,34 @@ class TestCondensation:
         with caplog.at_level(logging.DEBUG, logger="cge.coarse"):
             sweep(field)
         lines = [r.getMessage() for r in caplog.records if r.name == "cge.coarse"]
-        assert [line.split(", ")[-1] for line in lines] == [
+        assert [line.split(", ")[-2] for line in lines] == [
             "4 merges condensed", f"{below} merges condensed", "- merges condensed"]
+
+    def test_debug_line_ends_with_the_symmetry_defect_of_g(self, caplog, tmp_path):
+        # a solved level's max |g - g^T| / max |g| before g is symmetrized:
+        # roundoff, on the -v line only; a level read from the cache or made
+        # of cells has none
+        field = gen_random_spd(GridSpec(2, 3), seed=1, eig_low=1e-2, eig_high=1e2)
+        with caplog.at_level(logging.DEBUG, logger="cge.coarse"):
+            sweep(field, cache_dir=str(tmp_path))
+            sweep(field, cache_dir=str(tmp_path))
+        lines = [r.getMessage() for r in caplog.records if r.name == "cge.coarse"]
+        defects = [line.split(", ")[-1].rsplit(" ", 1) for line in lines]
+        assert {label for label, _ in defects} == {"symmetry defect"}
+        solved = [float(value) for _, value in defects[:3]]
+        assert all(math.isfinite(x) and 0.0 <= x < 1e-12 for x in solved)
+        assert [value for _, value in defects[3:]] == ["-"] * 5
+
+    def test_symmetry_defect_reads_the_finite_cubes(self):
+        field = gen_random_spd(GridSpec(2, 3), seed=1, eig_low=1e-2, eig_high=1e2)
+        g_all, stats = cge.solver.level_functionals(field, [-2])[-2]
+        g_all[0, 0, 0, 1] *= 1.0 + 1e-6  # an asymmetric cube, then a NaN one
+        _, _, defect = cge.coarse._level_result(-2, g_all.copy(), stats)
+        scale = np.abs(g_all).max()
+        assert defect == abs(g_all[0, 0, 0, 1] - g_all[0, 0, 1, 0]) / scale > 1e-8
+        g_all[0, 0] = np.nan
+        _, failures, defect = cge.coarse._level_result(-2, g_all, stats)
+        assert len(failures) == 1 and math.isfinite(defect) and defect < 1e-12
 
     def test_pass_runs_from_the_cells_to_the_coarsest_miss(self, cores, monkeypatch, tmp_path):
         cores(1)  # the caller runs the subtrees in order

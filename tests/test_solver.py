@@ -3,6 +3,7 @@ maximum principle, optimality, and convergence order."""
 
 import inspect
 import itertools
+import math
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -264,32 +265,73 @@ def test_engine_matches_dense_oracle():
                                            atol=1e-12 * np.abs(g_dense).max())
 
 
-@pytest.mark.parametrize("d, n", [(1, 4), (2, 4), (3, 3)])
-def test_chunk_split_leaves_functionals_bit_identical(monkeypatch, d, n):
-    # every merge is eliminated alone, so one merge per chunk and each
-    # stage in one chunk must agree to the last bit
-    f = gen_random_spd(GridSpec(d, n), seed=11, eig_low=1e-2, eig_high=1e2)
-    runs = []
-    for budget in (1, 10**12):
-        monkeypatch.setattr(cge.solver, "CHUNK_ENTRIES", budget)
-        runs.append(level_functionals(f, range(0, -n, -1)))
-    split, whole = runs
-    for level, (g_all, stats) in whole.items():
-        # a cube takes (3**d - 1) / 2 merges: 3**a along axis a; each of
-        # level 0's 3**d children is first reduced alone, by level -1
-        first = 3**d if level == -1 else 0
-        assert split[level][1].chunks == 3 ** (-level * d) * (3**d - 1) // 2 + first
-        # whole: each of the 3**d subtrees runs a stage of a level below 0
-        # in one chunk, and its cube's first level-0 merge in one; level 0
-        # takes one chunk a merge
-        assert stats.chunks == ((3**d - 1) // 2 if level == 0 else 3**d * d + first)
-        assert np.array_equal(split[level][0], g_all)
-        assert split[level][1].residual == stats.residual
+def _merge_inputs(plan, n, seed, kept):
+    """The boxes' maps of ``n`` merges of one ``plan``, weighted Laplacians
+    as a merge's are, and, for merges that keep their factor (the Dirichlet
+    solve's), each box's carried right-hand side and row sums: the row sums
+    are a positive diagonal added to the maps, which makes them definite."""
+    rng = np.random.default_rng(seed)
+    maps, carried = [], []
+    for c, r in enumerate(plan[2]):
+        maps.append(_laplacian_stack(n, r.size, seed=10 * seed + c))
+        if kept:
+            extra = rng.uniform(0.1, 1.0, (n, r.size))
+            maps[-1][:, range(r.size), range(r.size)] += extra
+            carried.append((np.stack([rng.standard_normal((n, r.size)), extra], axis=-1), 0.0))
+    return maps, carried
 
 
-def test_more_threads_than_cores_take_each_chunk_once(monkeypatch):
+@pytest.mark.parametrize("shape", [(1, 1), (3, 3), (1, 1, 1), (3, 3, 3)])
+@pytest.mark.parametrize("kept", [False, True], ids=["pinned", "kept"])
+def test_condense_stack_gives_each_merge_alone(shape, kept):
+    # what the stages and the content classes rest on: the merges of a
+    # stage condensed in one call give, to the last bit, what each gives
+    # condensed alone, a stack of one: its map, the pinned g and residual
+    # of the last stage's forcing, beside a merge whose map is not finite,
+    # and the Dirichlet solve's carried forcing and kept factor
+    n = 4
+    stages = _plan(shape, False)
+    cube = tuple(3 * s for s in shape)
+    for stage, (merge, *_) in enumerate(stages):
+        maps, carried = _merge_inputs(merge, n, stage, kept)
+        forcing = None
+        if not kept:
+            maps[0][1, 0, 0] = np.nan  # merge 1 is not condensed
+            if stage == len(stages) - 1:
+                forcing = _forcings(cube, 1.0 / 9)[_boundary_nodes(cube)]
+
+        def condense(at):
+            factor = [] if kept else None
+            made = cge.solver._condense([m[at].copy() for m in maps], merge, forcing=forcing,
+                                        carried=[(f[at], g) for f, g in carried], kept=factor)
+            return (*made, *(factor or [None]))
+
+        stack = condense(slice(None))
+        alone = [condense(slice(i, i + 1)) for i in range(n)]
+        out, rest, _, pinned, res, factor = stack
+        assert (pinned is None) == (forcing is None) and (factor is None) == (not kept)
+        if forcing is not None:
+            assert math.isfinite(res)
+            assert res == max(one[4] for one in alone if math.isfinite(one[4]))
+        for i, (one_out, one_rest, _, one_pinned, _, one_factor) in enumerate(alone):
+            assert np.array_equal(out[i], one_out[0], equal_nan=True)
+            if pinned is not None:
+                assert np.array_equal(pinned[i], one_pinned[0], equal_nan=True)
+            if kept:
+                assert np.array_equal(rest[i], one_rest[0])
+                w_b, panels, invs, w_f = factor
+                one_w_b, one_panels, one_invs, one_w_f = one_factor
+                assert np.array_equal(w_b[i], one_w_b[0]) and np.array_equal(w_f[i], one_w_f[0])
+                assert len(panels) == len(one_panels) and len(invs) == len(one_invs)
+                for x, y in zip(panels + invs, one_panels + one_invs):
+                    assert np.array_equal(x[i], y[0])
+        if not kept:
+            assert np.isnan(out[1]).all()
+
+
+def test_more_threads_than_cores_take_each_subtree_once(monkeypatch):
     # the threads share one iterator over the 27 subtrees: a lost take
-    # leaves a subtree out, a repeated one condenses its chunks twice
+    # leaves a subtree out, a repeated one condenses its stages twice
     f = gen_random_spd(GridSpec(3, 3), seed=5, eig_low=1e-2, eig_high=1e2)
     whole = level_functionals(f, [-1, -2])  # 27 cubes of 9**3 cells, 729 of 3**3
     taken, subtrees = [], []
@@ -307,7 +349,6 @@ def test_more_threads_than_cores_take_each_chunk_once(monkeypatch):
     monkeypatch.setattr(cge.solver, "_POOL", pool)
     monkeypatch.setattr(cge.solver, "_condense", spy)
     monkeypatch.setattr(cge.solver, "_element_matrices", spy_elements)
-    monkeypatch.setattr(cge.solver, "CHUNK_ENTRIES", 1)
     monkeypatch.setattr(cge.solver.os, "sched_getaffinity", lambda pid: set(range(5)))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -318,11 +359,12 @@ def test_more_threads_than_cores_take_each_chunk_once(monkeypatch):
         pool.shutdown()
     first = f.data.reshape(-1, f.data.shape[-1])[cge.solver._tree_order(3, 3)[::729]]
     assert sorted(subtrees) == sorted(cell.tobytes() for cell in first)
-    # 13 merges a cube, one a chunk: 9, 3 and 1 along the last, middle and
-    # first axis; a level -1 cube then takes its first level-0 merge
-    assert [stats.chunks for _, stats in out.values()] == [729 * 13, 27 * 14]
+    # 13 merges a cube: 9, 3 and 1 along the last, middle and first axis; a
+    # subtree runs each stage in one call, for its 27 cubes of level -2 and
+    # then its cube of level -1, which then takes its first level-0 merge
+    assert [stats.merges for _, stats in out.values()] == [729 * 13, 27 * 14]
     assert [stats.threads for _, stats in out.values()] == [5, 5]
-    assert taken == [1] * (756 * 13 + 27)
+    assert sorted(taken) == sorted([243, 81, 27, 9, 3, 1, 1] * 27)
     for level, (g_all, _) in out.items():
         assert np.array_equal(g_all, whole[level][0])
 
@@ -580,7 +622,7 @@ def test_eliminate_matches_dense_schur_oracle(n, k):
 
 def test_eliminate_indefinite_block_raises():
     # a block that is not positive definite fails the whole stack, which
-    # the pass turns into a NaN chunk
+    # the pass turns into a NaN stage
     mat = _laplacian_stack(3, 20, seed=1)
     mat[1, 4, 4] = -1.0
     with pytest.raises(np.linalg.LinAlgError):
@@ -796,13 +838,12 @@ def test_condensation_1d_closed_form(eig_low, rtol):
 
 
 @pytest.mark.parametrize("d, n", [(1, 5), (2, 4), (3, 3)])
-def test_condensation_split_and_cores_leave_functionals_bit_identical(monkeypatch, d, n):
-    # every parent is eliminated alone: one parent a chunk, the default
-    # chunks on one core and on two cores agree to the last bit
+def test_condensation_cores_leave_functionals_bit_identical(monkeypatch, d, n):
+    # every merge is eliminated alone and a band's rows do not depend on
+    # the cores: one core and two agree to the last bit
     f = gen_random_spd(GridSpec(d, n), seed=11, eig_low=1e-2, eig_high=1e2)
     runs = []
-    for budget, cores in ((1, 1), (cge.solver.CHUNK_ENTRIES, 1), (cge.solver.CHUNK_ENTRIES, 2)):
-        monkeypatch.setattr(cge.solver, "CHUNK_ENTRIES", budget)
+    for cores in (1, 2):
         monkeypatch.setattr(cge.solver.os, "sched_getaffinity", lambda pid: set(range(cores)))
         monkeypatch.setattr(cge.solver, "_POOL", None)
         try:
@@ -811,17 +852,11 @@ def test_condensation_split_and_cores_leave_functionals_bit_identical(monkeypatc
             if cge.solver._POOL is not None:
                 cge.solver._POOL.shutdown()
         runs.append(out)
-    one_parent, whole = runs[0], runs[1]
-    # summed over the stages: the one along axis a merges 3**a boxes a cube;
-    # by default each of the 3**d subtrees runs a stage of the cells in one
-    # chunk
-    assert one_parent[-n + 1][1].chunks == 3 ** ((n - 1) * d) * (3**d - 1) // 2
-    assert whole[-n + 1][1].chunks == 3**d * d
-    assert [stats.threads for _, stats in whole.values()] == [1] * n
-    for out in runs[1:]:
-        for level, (g_all, stats) in out.items():
-            assert np.array_equal(g_all, one_parent[level][0])
-            assert stats.residual == one_parent[level][1].residual
+    one, two = runs
+    assert [stats.threads for _, stats in one.values()] == [1] * n
+    for level, (g_all, stats) in two.items():
+        assert np.array_equal(g_all, one[level][0])
+        assert stats.residual == one[level][1].residual
 
 
 @pytest.mark.parametrize("d, n, levels", [
@@ -846,7 +881,7 @@ def test_levels_asked_alone_match_a_full_pass(monkeypatch, d, n, levels):
         assert np.isfinite(g_all).all()
         assert np.array_equal(g_all, full[level][0])
         assert stats.residual == full[level][1].residual
-        assert stats.chunks == full[level][1].chunks
+        assert stats.merges == full[level][1].merges
 
 
 def test_pass_holds_one_subtree_at_a_time(monkeypatch):
@@ -895,8 +930,8 @@ def test_failed_solve_is_nan_and_named_at_its_level_and_above(monkeypatch):
     real = cge.solver._eliminate
 
     def fail_level_minus_one(mat, *args):
-        # level -1's last stage, one chunk: strips of 3x9 cells onto
-        # skeletons of 52 nodes
+        # level -1's last stage, one merge a subtree: strips of 3x9 cells
+        # onto skeletons of 52 nodes
         if mat.shape[-1] == 52:
             raise np.linalg.LinAlgError("Singular matrix")
         return real(mat, *args)
@@ -979,7 +1014,7 @@ def test_failed_first_merge_is_nan_at_level_minus_one_and_zero(monkeypatch, erro
 
 
 def test_nan_level_minus_one_cube_is_nan_at_level_zero_and_named(monkeypatch):
-    # a level -1 map made NaN by its last stage's failed chunk: its first
+    # a level -1 map made NaN by its last stage's failed merge: its first
     # level-0 merge, in place on it, condenses nothing, so level -1's g of
     # that cube and level 0's are NaN, and both levels name the failure
     f = gen_random_spd(GridSpec(3, 2), seed=3, eig_low=1e-2, eig_high=1e2)
@@ -1328,7 +1363,7 @@ def test_dirichlet_factors_once_per_solve(monkeypatch):
     (MemoryError("Unable to allocate 2.34 GiB"), "ran out of memory"),
 ])
 def test_dirichlet_failed_factorization_is_solver_error(monkeypatch, error, why):
-    # a dense solve of the pass that fails, or finds no memory, in one chunk
+    # a dense solve of the pass that fails, or finds no memory, in one stage
     real, calls = cge.solver._condense, []
 
     def broken(maps, plan, *args, **kwargs):
@@ -1368,14 +1403,14 @@ def test_dirichlet_memory_error_after_elimination_is_solver_error(monkeypatch, b
 
 
 def test_failed_allocation_is_nan_and_named(monkeypatch):
-    # a MemoryError in one chunk of a sweep is recorded like a failed solve:
+    # a MemoryError in one stage of a sweep is recorded like a failed solve:
     # the pass completes, its cubes and their ancestors are NaN
     f = gen_random_spd(GridSpec(2, 3), seed=1, eig_low=1e-2, eig_high=1e2)
     clean = level_functionals(f, [0, -1, -2])
     real = cge.solver._condense
 
     def no_memory(maps, plan, *args, **kwargs):
-        if plan[0] == 52:  # level -1's last stage, one chunk a subtree
+        if plan[0] == 52:  # level -1's last stage, one merge a subtree
             raise MemoryError("Unable to allocate 21.1 KiB")
         return real(maps, plan, *args, **kwargs)
 
@@ -1461,43 +1496,33 @@ def test_content_classes_leave_functionals_bit_identical(monkeypatch, d, n, kind
 def test_condense_sees_each_distinct_merge_once(monkeypatch, d, n):
     # the kernel's merges: every one on random SPD, whose cells are all
     # distinct; on a constant field one a stage of each subtree. Each call
-    # of the kernel is one chunk; a level's stats sum its subtrees' chunks,
-    # and a Dirichlet solve's count what the kernel saw
-    seen, subtrees = [], []
-    real, real_level = cge.solver._condense, cge.solver._subtree_level
+    # of the kernel is one stage of a subtree (d a level below 0, and a
+    # level -1 cube's first level-0 merge) or one of level 0's later
+    # merges, and a Dirichlet solve's stats count what the kernel saw
+    seen = []
+    real = cge.solver._condense
 
     def spy(maps, *args, **kwargs):
         seen.append(maps[0].shape[0])
         return real(maps, *args, **kwargs)
 
-    def spy_level(kids, cls, shape, *args):
-        made = real_level(kids, cls, shape, *args)
-        subtrees.append((shape[0], made[-1].chunks))  # children of shape[0] cells a side
-        return made
-
     monkeypatch.setattr(cge.solver, "_condense", spy)
-    monkeypatch.setattr(cge.solver, "_subtree_level", spy_level)
     grid = GridSpec(d, n)
-    top = (3**d - 1) // 2  # level 0's later merges, each a chunk of its own
+    calls = 3**d * (d * (n - 1) + 1) + (3**d - 1) // 2
     for f, merges in [
         (gen_random_spd(grid, seed=2, eig_low=1e-2, eig_high=1e2), _merges_per_pass(d, n)),
-        (gen_constant(grid, np.eye(d)), 3**d * d * (n - 1) + 3**d + top),
+        (gen_constant(grid, np.eye(d)), 3**d * d * (n - 1) + 3**d + (3**d - 1) // 2),
     ]:
         seen.clear()
-        subtrees.clear()
         out = level_functionals(f, range(0, -n, -1))
         assert list(out) == list(range(1 - n, 1))  # from the cells up
         assert sum(seen) == sum(stats.merges for _, stats in out.values()) == merges
-        assert len(seen) == sum(stats.chunks for _, stats in out.values())
-        for level, (_, stats) in out.items():
-            assert stats.chunks == (top if level == 0 else sum(
-                chunks for side, chunks in subtrees if side == 3 ** (n - 1 + level))
-                + (3**d if level == -1 else 0))  # each cube's first level-0 merge
+        assert len(seen) == calls
     cube = TriadicCube(0, (0,) * d)
     for f in (diagonal_field(grid, seed=2), gen_constant(grid, np.eye(d))):
         seen.clear()
         _, stats = solve_dirichlet(f, cube, wavy_boundary)
-        assert stats.merges == sum(seen) and stats.chunks == len(seen)
+        assert stats.merges == sum(seen) and len(seen) == calls
 
 
 @pytest.mark.parametrize("case", ["sharpness", "cantor", "sub-cubes", "laminate-3d"])
@@ -1531,7 +1556,7 @@ def test_content_classes_leave_dirichlet_bit_identical(monkeypatch, case):
 
 def test_dirichlet_failed_shared_class_is_solver_error(monkeypatch):
     # a constant field's level -2 squares off the cube's boundary are one
-    # content class in each subtree; the first subtree's chunk that
+    # content class in each subtree; the first subtree's stage that
     # condenses its classes fails
     real, failed = cge.solver._condense, []
 

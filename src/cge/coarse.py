@@ -193,11 +193,11 @@ def _level_result(level: int, g_all: np.ndarray,
     """Packed ``astar_inv`` of a level's cubes, their failures and the
     symmetry defect of ``g``, from its functionals ``(g_all, stats)``: every
     non-finite cube fails, holds NaN and takes the message
-    ``stats.failure`` (the pass's first failed dense solve at or below the
-    level) or else "non-finite functional matrix". So a cube made
-    non-finite otherwise takes a failed solve's message too. The defect is
-    ``max |g - g^T| / max |g|`` over the finite cubes, before ``g`` is
-    symmetrized (NaN if none is finite).
+    ``stats.failure`` (the pass's first failed stage at or below the
+    level) or else, for a ``g`` that overflowed, "non-finite functional
+    matrix". So a cube made non-finite otherwise takes a failed stage's
+    message too. The defect is ``max |g - g^T| / max |g|`` over the finite
+    cubes, before ``g`` is symmetrized (NaN if none is finite).
     """
     bad = ~np.isfinite(g_all).all(axis=(-2, -1))
     good = g_all[~bad]
@@ -239,14 +239,15 @@ def sweep(field: CoefficientField, cache_dir: str | None = None) -> SweepResult:
 
     Failures are recorded per cube and surface as NaN matrices rather than
     aborting the sweep: every cube whose functional matrix is not finite
-    (a failed dense solve's, and every cube containing one) fails; the rest
-    of the level keeps its numbers, and a level with a failed cube is not
-    cached. Each level logs one DEBUG line on ``cge.coarse``: method (the
-    solver's, ``cache`` or ``cells``), cubes, for a solve the threads it ran
-    on and its unknowns per cube and residual, seconds, and for a solve the
-    merges it condensed, one per content class below level 0, and the
-    symmetry defect of ``g`` (:func:`_level_result`). None of it enters a
-    record or a report.
+    fails: a failed stage of the pass (a dense solve, or a map to merge
+    that is not finite) fails its cubes and every cube containing one; the
+    rest of the level keeps its numbers, and a level with a failed cube is
+    not cached. Each level logs one DEBUG line on ``cge.coarse``: method
+    (the solver's, ``cache`` or ``cells``), cubes, for a solve the threads
+    it ran on and its unknowns per cube and residual, seconds, and for a
+    solve the merges it condensed, one per content class below level 0,
+    and the symmetry defect of ``g`` (:func:`_level_result`). None of it
+    enters a record or a report.
     """
     grid = field.grid
     d = grid.d

@@ -49,8 +49,15 @@ one elimination serves both levels: level -1's ``g`` is the merge's carried
 skeleton once the box is copied off it, whether or not level 0 is asked
 for. Level 0's last merge runs in place on its middle box's map, factors
 its pinned skeleton and takes ``g`` from the forward substitution alone.
-Below level -1 a pinned solve is an LU solve of a copy of the cube's map,
-which its parent needs.
+That Cholesky is the kernel's one pin; below level -1 a last stage pins its
+cubes' maps, which their parents need, by LU on a copy
+(:func:`_subtree_level`).
+
+One path makes a failure data: the kernel raises ``LinAlgError`` on a map
+to merge that is not finite, as on a block that is not positive definite,
+and :func:`_run_stage` alone turns a failure into NaN and a message. So a
+failed stage is NaN as a whole in its subtree, and so is every cube that
+contains one of its cubes; the pass names its first failure.
 
 The pass runs depth first, one subtree per level -1 cube: a subtree runs
 its levels below 0 from its cells' element matrices, and its cube's first
@@ -161,12 +168,12 @@ class SolveStats:
 
 
 class SolverError(RuntimeError):
-    """A failed Dirichlet solve (:func:`solve_dirichlet`): a dense solve of
-    its pass failed or found no memory. Carries the partial stats.
+    """A failed Dirichlet solve (:func:`solve_dirichlet`): a stage of its
+    pass failed or found no memory. Carries the partial stats.
 
-    :func:`level_functionals` does not raise it: a failed dense solve leaves
-    the ``g`` of every cube of its stage in its subtree NaN, and of every
-    cube that contains one, and names itself in ``stats.failure``.
+    :func:`level_functionals` does not raise it: a failed stage leaves the
+    ``g`` of every cube of the stage in its subtree NaN, and of every cube
+    that contains one, and its first failure is ``stats.failure``.
     """
 
     def __init__(self, message: str, stats: SolveStats | None = None):
@@ -292,7 +299,7 @@ def _forget_pool() -> None:
 os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _run_chunks(starts: range, work: Callable[[int], object]) -> tuple[list, int]:
+def _run_chunks(starts: range, work: Callable[[int], object]) -> int:
     """``work(lo)`` for every job start (a subtree of the pass, or a band
     of one of level 0's later merges), on the calling thread and, with more
     than one job and more than one core, the threads of
@@ -302,22 +309,22 @@ def _run_chunks(starts: range, work: Callable[[int], object]) -> tuple[list, int
     freed in the caller's heap; each helper thread allocates from a heap of
     its own, which stays with the process. Once the caller has taken the
     last job, a helper that has not started yet is cancelled, not waited
-    for. Returns the ``(lo, work(lo))`` pairs in job order and the number
-    of threads that took at least one job: :func:`_condensation` reads
-    both. As the ``run`` of the merge kernel (level 0's bands) it is called
-    for its side effects, like :func:`_serial`.
+    for. A job keeps its result itself; this returns the number of threads
+    that took at least one job, which :func:`_condensation` reads.
     """
     threads = min(len(starts), len(os.sched_getaffinity(0)))
     # shared: next() on a range iterator is one step, atomic under the GIL
     jobs = iter(starts)
 
-    def drain() -> list:
-        return [(lo, work(lo)) for lo in jobs]
+    def drain() -> bool:
+        took = False
+        for lo in jobs:
+            work(lo)
+            took = True
+        return took
 
     helpers = [_chunk_pool().submit(drain) for _ in range(threads - 1)]
-    takes = [drain()] + [helper.result() for helper in helpers if not helper.cancel()]
-    done = sorted((pair for take in takes for pair in take), key=lambda pair: pair[0])
-    return done, sum(1 for take in takes if take)
+    return sum([drain()] + [helper.result() for helper in helpers if not helper.cancel()])
 
 
 @lru_cache(maxsize=16)
@@ -495,7 +502,8 @@ def _serial(starts: range, work: Callable[[int], object]) -> None:
     """``work(lo)`` for every start, in order, on the calling thread: the
     merge kernel's ``run`` for a subtree's merges, below level 0 and its
     cube's first level-0 merge, which run their bands on the thread that
-    took the subtree. A kernel's ``run`` is called for its side effects."""
+    took the subtree. Every ``run`` runs ``work`` on every start; only
+    :func:`_run_chunks` returns something, its thread count."""
     for lo in starts:
         work(lo)
 
@@ -663,9 +671,15 @@ def _eliminate(mat: np.ndarray, k: int, forcing: np.ndarray | None = None, run=_
     return schur, rest, np.swapaxes(w_f, -1, -2) @ w_f
 
 
-def _condense(maps: list, plan: tuple, out: np.ndarray | None = None,
-              forcing: np.ndarray | None = None, carried: Sequence = (), run=_serial,
-              kept: list | None = None, pin: bool = False) -> tuple:
+def _residual(product: np.ndarray, f: np.ndarray) -> float:
+    """The largest ``|S y - f| / |f|`` of a stack of pinned solves, column
+    by column, from ``product``, ``S y``, and the right-hand sides ``f``."""
+    return float((np.linalg.norm(product - f, axis=-2)
+                  / np.maximum(np.linalg.norm(f, axis=-2), 1e-300)).max())
+
+
+def _condense(maps: list, plan: tuple, out: np.ndarray | None = None, carried: Sequence = (),
+              run=_serial, kept: list | None = None, pin: bool = False) -> tuple:
     """The merge kernel: ``n`` merges that share one skeleton ``plan``, a
     ``(size, k, ranks)`` of :func:`_plan`.
 
@@ -681,43 +695,38 @@ def _condense(maps: list, plan: tuple, out: np.ndarray | None = None,
     summed, so a box the caller holds nowhere else is freed then. The
     skeleton's first ``k`` nodes are eliminated (:func:`_eliminate`), and
     the kept nodes' maps are written to ``out`` (a new array if it is None).
-    A merge with a non-finite map is not condensed: its map and ``g`` are
-    NaN. ``run`` takes the bands of the assembly, the elimination and the
-    copy to ``out``: :func:`_serial`, or at level 0 :func:`_run_chunks`.
+    ``run`` takes the bands of the assembly, the elimination and the copy
+    to ``out``: :func:`_serial`, or at level 0 :func:`_run_chunks`.
 
     ``carried`` holds each box's ``(forcing, g)``: the ``(n, nodes, c)``
     forcings of its nodes and the ``g`` of the nodes it has eliminated (level 0,
     a stack of one), or its right-hand side and row sums and ``0.0`` (the
     Dirichlet solve). They are summed, and the elimination carries the forcing
-    along and adds its ``f^T A^-1 f`` to ``g``. Given the kept nodes'
-    ``forcing`` (below level 0), given ``pin`` (level 0's first merge, whose
-    box is a level -1 cube asked for), or when the merge keeps no node (level
-    0's last, which forms no map), the last node is pinned and ``S y = f``
-    solved: the box's pinned ``g`` is ``g`` plus ``y^T f``, and the residual
-    is ``|S y - f| / |f|``. Below level 0 that is an LU solve of a copy of
-    ``S``. At level 0 the pinned ``S = L L^T`` is factored in place
-    (:func:`_cholesky`), on the skeleton, once the kept map has been copied
-    off it: ``y^T f`` is ``W^T W`` for ``W = L^-1 f``, and ``y = L^-T W`` is
-    checked against the ``S`` that the strict upper triangle and copies of
-    the diagonal blocks keep.
+    along and adds its ``f^T A^-1 f`` to ``g``. Given ``pin`` (level 0's first
+    merge, whose box is a level -1 cube asked for), or when the merge keeps no
+    node (level 0's last, which forms no map), the last node is pinned and
+    ``S y = f`` solved in place on the skeleton, once the kept map has been
+    copied off it: the pinned ``S = L L^T`` is factored (:func:`_cholesky`),
+    the box's pinned ``g`` is ``g`` plus ``y^T f = W^T W`` for ``W = L^-1 f``,
+    and ``y = L^-T W`` is checked against the ``S`` that the strict upper
+    triangle and copies of the diagonal blocks keep (:func:`_residual`). A
+    level below -1 pins its cubes' maps itself (:func:`_subtree_level`).
 
     A list ``kept`` takes the merge's factor, as :func:`_eliminate` keeps it (an
     empty one if ``k = 0``): the Dirichlet solve's. Its skeleton has no kernel,
-    so its last merge eliminates every node, with no pin, and a non-finite map
-    is a failed solve.
+    so its last merge eliminates every node, with no pin.
 
     Returns ``(out, forcing, g, pinned, residual)``: the maps (``None`` if none
     is kept), the kept nodes' forcing, the ``(n, d, d)`` matrices ``g`` (not
     divided by the volume; ``0.0`` if none is carried), the pinned ``g``
-    (``None`` without a pin) and the largest residual (NaN if none). Raises
-    ``numpy.linalg.LinAlgError`` if an elimination or a level-0 pinned solve
-    meets a block that is not positive definite, or an LU pinned solve a
-    singular one.
+    (``None`` without a pin) and the largest residual (NaN without a pin).
+    Raises ``numpy.linalg.LinAlgError`` if a map to merge is not finite, or
+    if an elimination or the pinned solve meets a block that is not positive
+    definite: :func:`_run_stage` makes every failure NaN.
     """
     size, k, ranks = plan
     n = maps[0].shape[0]
-    # a forcing given, a pin asked for, or nothing kept but a kernel to pin
-    pin = kept is None and (pin or forcing is not None or k == size)
+    pin = kept is None and (pin or k == size)  # asked for, or nothing kept but a kernel to pin
     lent = next((c for c, r in enumerate(ranks)
                  if r.size == size and np.array_equal(r, np.arange(size))), None)
     skel = np.zeros((n, size, size)) if lent is None else np.ascontiguousarray(maps[lent])
@@ -737,7 +746,7 @@ def _condense(maps: list, plan: tuple, out: np.ndarray | None = None,
 
         run(range(0, r.size, _BLOCK), rows)
         del mat, rows
-    g = 0.0
+    g, forcing = 0.0, None
     if carried:  # summed through a flat index too: indexing the middle axis is slower
         cols = carried[0][0].shape[-1]
         forcing = np.zeros((n, size, cols))
@@ -746,20 +755,8 @@ def _condense(maps: list, plan: tuple, out: np.ndarray | None = None,
             at = (base_f + (r[:, None] * cols + np.arange(cols))).ravel()
             np.add.at(flat_f, at, part.ravel())
             g = g + part_g
-    finite = np.isfinite(skel).all(axis=(1, 2))
-    if kept is not None and not finite.all():
+    if not np.isfinite(skel).all():
         raise np.linalg.LinAlgError("a map to merge is not finite")
-    if not finite.any():  # nothing to condense: all NaN
-        if out is not None:
-            out[...] = np.nan
-        elif k < size:
-            out = np.full((n, size - k, size - k), np.nan)
-        if forcing is not None:
-            d = forcing.shape[-1]
-            forcing, g = np.full((n, size - k, d), np.nan), np.full((n, d, d), np.nan)
-        return out, forcing, g, g if pin else None, math.nan
-    if not finite.all():
-        skel = skel[finite]
     schur = skel
     if carried and k and (k < size or kept is not None):
         schur, forcing, own = _eliminate(skel, k, forcing, run, kept)
@@ -770,43 +767,26 @@ def _condense(maps: list, plan: tuple, out: np.ndarray | None = None,
         kept.append((np.empty((n, 0, size)), [], [], np.empty((n, 0, forcing.shape[-1] - 1))))
     if out is None and k < size:  # a copy off the skeleton, made once it is reduced
         out = np.empty((n, size - k, size - k))
-    if out is not None and finite.all():
+    if out is not None:
         run(range(0, size - k, _BAND),
             lambda lo: np.copyto(out[:, lo:lo + _BAND], schur[:, lo:lo + _BAND]))
-    elif out is not None:
-        out[finite] = schur
-        out[~finite] = np.nan
     if not pin:
         return out, forcing, g, None, math.nan
     s, f = schur[:, :-1, :-1], forcing[..., :-1, :]  # f carried is a stack of one
-    rhs = np.broadcast_to(f, s.shape[:1] + f.shape[-2:])
-    if carried:
-        blocks = [s[:, lo:lo + _BLOCK, lo:lo + _BLOCK].copy()
-                  for lo in range(0, s.shape[-1], _BLOCK)]
-        invs = _cholesky(s, run)
-        w = _lower_solve(s, invs, rhs.copy())
-        gain = np.swapaxes(w, -1, -2) @ w
-        product = _upper_times(s, blocks, _back_solve(_panels(s), invs, w.copy()), run)
-    else:
-        # LU below level 0, on the copy LAPACK makes: NumPy has no
-        # triangular solve, and the Cholesky factor and two substitutions
-        # invert each diagonal block, which costs more than the stacked LU
-        # (27 maps of 55 nodes, one BLAS thread: 2.95 ms against 0.84 ms)
-        y = np.linalg.solve(s, rhs)
-        product, gain = s @ y, np.swapaxes(y, -1, -2) @ f
-    res = (np.linalg.norm(product - f, axis=-2)
-           / np.maximum(np.linalg.norm(f, axis=-2), 1e-300))
-    pinned = np.full((n, f.shape[-1], f.shape[-1]), np.nan)
-    pinned[finite] = g + gain
-    return out, forcing, g, pinned, float(res.max())
+    blocks = [s[:, lo:lo + _BLOCK, lo:lo + _BLOCK].copy() for lo in range(0, s.shape[-1], _BLOCK)]
+    invs = _cholesky(s, run)
+    w = _lower_solve(s, invs, np.broadcast_to(f, s.shape[:1] + f.shape[-2:]).copy())
+    product = _upper_times(s, blocks, _back_solve(_panels(s), invs, w.copy()), run)
+    return out, forcing, g, g + np.swapaxes(w, -1, -2) @ w, _residual(product, f)
 
 
 def _run_stage(count: int, work: Callable[[], object], stats: SolveStats,
                out: np.ndarray | None = None):
-    """``work()``, one kernel call of ``count`` merges, on the calling
-    thread, and its result. If its dense solve fails, or finds no memory,
-    it gives ``None``, ``out`` is NaN, and an empty ``stats.failure`` takes
-    the message. Adds the merges to ``stats.merges``."""
+    """``work()``, one stage of ``count`` merges, on the calling thread, and
+    its result: the one place a failure becomes data. If a dense solve
+    fails, a map to merge is not finite or memory runs out, it gives
+    ``None``, ``out`` is NaN, and an empty ``stats.failure`` takes the
+    message. Adds the merges to ``stats.merges``."""
     stats.merges += count
     try:
         return work()
@@ -838,9 +818,10 @@ def _subtree_level(kids: np.ndarray, cls: np.ndarray | None, shape: tuple[int, .
     gathered from ``kids``. A stage whose merges are all distinct condenses
     every merge, and every stage above it does so on strided views of
     ``kids``. Each stage is one call of the kernel (:func:`_run_stage`): a
-    failed dense solve leaves the stage's maps NaN. Given the cubes'
-    ``volume`` (a level below -1 asked for), the last stage's pinned solves
-    give each cube's ``g`` divided by it, NaN where the stage failed.
+    failed dense solve, or a box that is not finite, leaves the stage's maps
+    NaN. Given the cubes' ``volume`` (a level below -1 asked for), the last
+    stage then pins each map by an LU solve of a copy: each cube's ``g`` is
+    ``y^T f / volume``, NaN where the stage failed.
     Given the children's ``sums``, their right-hand sides and row sums by
     class (the Dirichlet solve's), they are carried to the cubes', and each
     stage's factor goes on ``tape`` (:func:`_back_substitute`), which fills
@@ -872,7 +853,7 @@ def _subtree_level(kids: np.ndarray, cls: np.ndarray | None, shape: tuple[int, .
         made = None if sums is None else np.empty((count, size - k, sums.shape[-1]))
         made_values = None if values is None else np.empty((total, size - k, 1))
         last = volume is not None and stage == len(stages) - 1
-        forcing = _forcings(cube, h)[_boundary_nodes(cube)] if last else None
+        f = _forcings(cube, h)[_boundary_nodes(cube)][:-1] if last else None  # last node pinned
 
         def box(arr: np.ndarray, c: int) -> np.ndarray:
             """Box ``c`` of every condensed merge, from ``arr``."""
@@ -881,7 +862,15 @@ def _subtree_level(kids: np.ndarray, cls: np.ndarray | None, shape: tuple[int, .
         def work() -> tuple | None:
             boxes = [box(kids, c) for c in range(3)]
             if sums is None:
-                return _condense(boxes, merge, maps, forcing)
+                _condense(boxes, merge, maps)
+                if not last:
+                    return None
+                # LU on the copy LAPACK makes: with no triangular solve in
+                # NumPy, Cholesky and two substitutions cost more on stacks
+                # of small maps (27 of 55 nodes: 2.95 against 0.84 ms)
+                s = maps[:, :-1, :-1]
+                y = np.linalg.solve(s, np.broadcast_to(f, s.shape[:1] + f.shape))
+                return np.swapaxes(y, -1, -2) @ f / volume, _residual(s @ y, f)
             kept = []
             _, made[...], _, _, _ = _condense(boxes, merge, maps, kept=kept,
                                               carried=[(box(sums, c), 0.0) for c in range(3)])
@@ -894,8 +883,7 @@ def _subtree_level(kids: np.ndarray, cls: np.ndarray | None, shape: tuple[int, .
         if last and done is None:
             g = np.full((count, d, d), np.nan)
         elif last:
-            _, _, _, g, stats.residual = done
-            g = g / volume
+            g, stats.residual = done
         kids, cls, sums, values = maps, inverse, made, made_values
     if g is not None and cls is not None:
         g = g[cls]
@@ -995,21 +983,23 @@ def _checked_levels(grid: GridSpec, levels: Sequence[int]) -> list[int]:
     return wanted
 
 
-def _condensation(d: int, depth: int, h: float, cells: Callable[[int], tuple],
+def _condensation(d: int, depth: int, h: float, rows: np.ndarray,
                   elements: Callable[[np.ndarray], tuple], wanted: list[int],
+                  values: np.ndarray | None = None,
                   tape: list | None = None) -> dict[int, tuple[np.ndarray | None, SolveStats]]:
     """The depth-first pass over a cube of ``3**depth`` cells a side, with
     the levels ``wanted`` asked for, coarsest first (see
-    :func:`level_functionals`). ``cells(s)`` gives subtree ``s``'s cells in
-    tree order: their rows, the ``(n, w)`` numbers that fix each one's
-    element, and ``None`` or, for the Dirichlet solve, the ``(n, 2**d, 1)``
-    values of their elements' nodes, which :func:`_back_substitute` fills.
-    Cells with equal rows share a content class (:func:`_classes`), and
-    ``elements(rows)`` gives the element matrices of the first cell of each
-    class, and ``None`` or their right-hand sides and row sums, ``(n, 2**d,
-    2)``. With a ``tape`` (the Dirichlet solve's) the pass keeps every
-    merge's factor on it: each subtree's in its order, subtree by subtree,
-    then level 0's in postorder.
+    :func:`level_functionals`). ``rows`` lists the cells in tree order
+    (:func:`_tree_order`): the ``(cells, w)`` numbers that fix each one's
+    element. Cells with equal rows share a content class (:func:`_classes`),
+    and ``elements(rows)`` gives the element matrices of the first cell of
+    each class, and ``None`` or their right-hand sides and row sums,
+    ``(n, 2**d, 2)``. With a ``tape`` (the Dirichlet solve's) the pass keeps
+    every merge's factor on it: each subtree's in its order, subtree by
+    subtree, then level 0's in postorder; ``values``, the ``(cells, 2**d,
+    1)`` values of the cells' elements' nodes in the same order, is filled
+    by :func:`_back_substitute`. Subtree ``s`` takes the ``s``-th of
+    ``3**d`` equal slices of both.
 
     Returns each level's ``(g_all, stats)`` that the pass ran, from the
     cells up. ``g_all`` lists the level's cubes' ``g`` in row-major order
@@ -1020,28 +1010,32 @@ def _condensation(d: int, depth: int, h: float, cells: Callable[[int], tuple],
     first failure at or below the level. A subtree's stats of level -1
     include its cube's first level-0 merge, which gives that level's ``g``;
     on a grid whose subtrees are cells that merge is level 0's."""
+    per = rows.shape[0] // 3**d  # cells a subtree
     below = range(1 - depth, min(wanted[0], -1) + 1)  # a subtree's levels: none if depth 1
     stages = _plan((3 ** (depth - 1),) * d, True) if wanted[0] >= -1 else None
     boxes = [None] * 3**d  # level 0's children, each as its subtree reduced it
     tapes = [[] for _ in boxes]
+    done = [{} for _ in boxes]  # each subtree's (g, stats) of each level it ran
 
-    def subtree(s: int) -> dict:
-        """Subtree ``s``'s ``(g, stats)`` of each level it ran; its reduced
-        box goes to ``boxes[s]`` if level 0 is asked for."""
-        rows, values = cells(s)
-        which = _classes(rows)
-        kids, sums = elements(rows if which is None else rows[which[0]])
+    def subtree(s: int) -> None:
+        """Subtree ``s``: its ``(g, stats)`` of each level it ran go to
+        ``done[s]``, and its reduced box to ``boxes[s]`` if level 0 is asked
+        for."""
+        parts, cells = done[s], rows[s * per:(s + 1) * per]
+        nodes = None if values is None else values[s * per:(s + 1) * per]
+        which = _classes(cells)
+        kids, sums = elements(cells if which is None else cells[which[0]])
         cls = None if which is None else which[1]
-        del rows, which
-        shape, parts = (1,) * d, {}
+        del cells, which
+        shape = (1,) * d
         for level in below:
-            kids, cls, sums, values, g, stats = _subtree_level(
+            kids, cls, sums, nodes, g, stats = _subtree_level(
                 kids, cls, shape, h, 3.0 ** (level * d) if level < -1 and level in wanted else None,
-                sums, values, tapes[s], s if level == -1 else None)
+                sums, nodes, tapes[s], s if level == -1 else None)
             parts[level] = g, stats
             shape = tuple(3 * n for n in shape)
         if wanted[0] < -1:
-            return parts
+            return
         # the cube's first level-0 merge, in place on its map, eliminates the
         # nodes no other child has; its box's pinned solve gives level -1's g
         merge = stages[0][s]  # one cube: its box is alone in its class
@@ -1050,7 +1044,7 @@ def _condensation(d: int, depth: int, h: float, cells: Callable[[int], tuple],
         stats = SolveStats(residual=math.nan, unknowns=merge[0], wall_time=time.perf_counter(),
                            method="condensation")
         maps, kids = [kids], None  # the cube's map, lent to the merge
-        made = _level_zero_merge(maps, merge, [(child, 0.0)], [values], stats,
+        made = _level_zero_merge(maps, merge, [(child, 0.0)], [nodes], stats,
                                  None if sums is None else tapes[s], pin=-1 in wanted)
         stats.wall_time = time.perf_counter() - stats.wall_time
         if made is not None:
@@ -1059,16 +1053,15 @@ def _condensation(d: int, depth: int, h: float, cells: Callable[[int], tuple],
             boxes[s] = None if made is None else made[:3]
         if not below:  # the cells of an N=1 grid: the merge is level 0's alone
             parts[0] = np.empty((0, d, d)), stats  # level 0's g comes from its last merge
-            return parts
+            return
         g, ran = parts[-1]
         if -1 in wanted:
             g = np.full((1, d, d), np.nan) if made is None else made[3] / 3.0 ** -d
         parts[-1] = g, _summed([ran, stats])
-        return parts
 
-    done, threads = _run_chunks(range(3**d), subtree)
+    threads = _run_chunks(range(3**d), subtree)
     per_level: dict[int, list] = {}
-    for _, parts in done:
+    for parts in done:
         for level, part in parts.items():
             per_level.setdefault(level, []).append(part)
     if tape is not None:
@@ -1113,7 +1106,8 @@ def level_functionals(
     the element matrices of its cells, in :func:`_tree_order`, it runs each
     level below 0 up to the coarsest asked for, all of the level's cubes of
     the subtree at once, stage by stage (:func:`_subtree_level`); the last
-    stage's pinned solves give ``g`` where a level below -1 is asked for.
+    stage pins the cubes' maps and solves for ``g`` by LU where a level
+    below -1 is asked for.
     Level -1's stage keeps its cube's map in the order of the cube's first
     level-0 merge, which the job runs next, in place on the map, when level
     -1 or 0 is asked for: it eliminates the nodes no other child has and
@@ -1147,24 +1141,22 @@ def level_functionals(
     the most threads that took a subtree of the pass, ``stats.wall_time``
     the seconds its stages took, summed over the subtrees, and
     ``stats.residual`` the largest ``|S y - b| / |b|`` of the pinned solves.
-    A failed dense solve fails its whole stage in its subtree, whose merges
-    are one call of the kernel (a level-0 merge is a stage of its own):
-    every cube made from the stage's boxes, and every cube that contains
-    one, is NaN. ``stats.failure`` names the pass's first failed solve at
-    or below the level (``""`` if none): the lowest level's, and there the
-    first subtree's, whichever thread ran it.
+    A failed stage, whose merges are one call of the kernel (a level-0
+    merge is a stage of its own), makes every cube of the stage in its
+    subtree NaN, and every cube that contains one: a failed dense solve,
+    or a map to merge that is not finite (``dense condensation failed: a
+    map to merge is not finite``). ``stats.failure`` names the pass's first
+    failure at or below the level (``""`` if none): the lowest level's, and
+    there the first subtree's, whichever thread ran it.
     """
     grid = field.grid
     d = grid.d
     wanted = _checked_levels(grid, levels)
     if not wanted:
         return {}
-    order = _tree_order(grid.N, d)
-    per = order.size // 3**d  # cells a subtree
-    cells = field.data.reshape(-1, field.data.shape[-1])
-    levels = _condensation(
-        d, grid.N, grid.h, lambda s: (cells[order[s * per:(s + 1) * per]], None),
-        lambda rows: (_element_matrices(rows, d, grid.h), None), wanted)
+    rows = field.data.reshape(-1, field.data.shape[-1])[_tree_order(grid.N, d)]
+    levels = _condensation(d, grid.N, grid.h, rows,
+                           lambda part: (_element_matrices(part, d, grid.h), None), wanted)
     return {level: out for level, out in levels.items() if level in wanted}
 
 
@@ -1302,7 +1294,6 @@ def solve_dirichlet(
     else:
         depth = grid.N + cube.level
         order = _tree_order(depth, d)
-        per = order.size // 3**d  # cells a subtree
         diag, couple, sums = _fv_elements(trans, bound)
         # each cell's row: its element's diagonal and couplings, then its
         # buffer, the right-hand side and row sums of the element's nodes
@@ -1320,10 +1311,7 @@ def solve_dirichlet(
                 mats[:, 0, 2 ** (d - 1 - a)] = mats[:, 2 ** (d - 1 - a), 0] = part[:, 2**d + a]
             return mats, part[:, 2**d + d:].reshape(-1, 2**d, 2)
 
-        levels = _condensation(
-            d, depth, grid.h,
-            lambda s: (rows[s * per:(s + 1) * per], values[s * per:(s + 1) * per]),
-            elements, [0], tape)
+        levels = _condensation(d, depth, grid.h, rows, elements, [0], values, tape)
         stats = replace(_summed([st for _, st in levels.values()]), residual=math.nan,
                         unknowns=m**d, method="fv-condensation")
         if stats.failure:

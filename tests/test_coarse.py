@@ -475,11 +475,10 @@ class TestCondensation:
 
         monkeypatch.setattr(cge.solver, "_condense", fail_one)
         result = sweep(field, cache_dir=str(tmp_path))
-        # level 0 then condenses the children's boxes, a NaN one among
-        # them, one merge at a time, without forming its own map
-        top = [size for merges in cge.solver._plan((9, 9), True) for size, _, _ in merges]
-        assert top[:9] == [36] * 9
-        assert calls == subtree * 9 + top[9:]
+        # the failed stage's cube, NaN, fails its first level-0 merge too,
+        # which raises on a map that is not finite; level 0 then has a
+        # failed child and runs none of its later merges
+        assert calls == subtree * 9
         failed = [(-1, (2, 1)), (0, (0, 0))]
         assert [(e["level"], tuple(e["offset"])) for e in result.failures] == failed[::-1]
         assert all("Singular matrix" in e["message"] for e in result.failures)
@@ -545,9 +544,11 @@ class TestCondensation:
 
         monkeypatch.setattr(cge.solver, "_element_matrices", nan_first_cell)
         result = sweep(field, cache_dir=str(tmp_path))
+        # a map that is not finite fails its stage like a failed solve: the
+        # first subtree's level -1 cube and level 0, named by the kernel
+        message = "dense condensation failed: a map to merge is not finite"
         assert [(e["level"], e["offset"], e["message"]) for e in result.failures] == [
-            (0, [0, 0], "non-finite functional matrix"),
-            (-1, [0, 0], "non-finite functional matrix")]
+            (0, [0, 0], message), (-1, [0, 0], message)]
         assert result.solve_count == 2 * 8
         assert np.isnan(result.levels[0].astar_inv).all()
         ld, want = result.levels[-1], clean.levels[-1]
@@ -557,10 +558,13 @@ class TestCondensation:
 
     def test_failed_solve_names_every_non_finite_cube_of_its_pass(self, cores, monkeypatch):
         # a NaN cell and, in another cube of level -1, a failed dense
-        # solve: every non-finite cube at or above the failed solve's level
-        # takes its message, the NaN cell's cube too; below it, the NaN
-        # cell's cube of level -2 is only non-finite
+        # solve: the NaN cell fails the first stage of its subtree, so all 9
+        # cubes of level -2 that the subtree makes, its cube of level -1 and
+        # level 0 are NaN; the failed solve fails cube (2, 2) of level -1.
+        # The pass's first failure, the NaN cell's, names every failed cube
+        # at or above its level, the failed solve's too
         field = gen_random_spd(GridSpec(2, 3), seed=1, eig_low=1e-2, eig_high=1e2)
+        clean = sweep(field)
         cores(1)
         real_elements, real_eliminate = cge.solver._element_matrices, cge.solver._eliminate
         strips = []
@@ -573,7 +577,8 @@ class TestCondensation:
 
         def fail_last_strip(mat, *args):
             # level -1's last stage merges onto 52 nodes; cube (0, 0), not
-            # finite, eliminates nothing, so the eighth call is cube (2, 2)
+            # finite, raises before it eliminates, so the eighth call is
+            # cube (2, 2)
             if mat.shape[-1] == 52:
                 strips.append(mat.shape[0])
                 if len(strips) == 8:
@@ -583,12 +588,21 @@ class TestCondensation:
         monkeypatch.setattr(cge.solver, "_element_matrices", nan_first_cell)
         monkeypatch.setattr(cge.solver, "_eliminate", fail_last_strip)
         result = sweep(field)
-        assert strips[:8] == [1] * 8
-        assert [(e["level"], e["offset"], e["message"]) for e in result.failures] == [
-            (0, [0, 0], "dense condensation failed: Singular matrix"),
-            (-1, [0, 0], "dense condensation failed: Singular matrix"),
-            (-1, [2, 2], "dense condensation failed: Singular matrix"),
-            (-2, [0, 0], "non-finite functional matrix")]
+        assert strips == [1] * 8
+        failed = [(0, (0, 0)), (-1, (0, 0)), (-1, (2, 2))] + [
+            (-2, off) for off in np.ndindex(3, 3)]
+        assert [(e["level"], tuple(e["offset"])) for e in result.failures] == failed
+        assert {e["message"] for e in result.failures} == {
+            "dense condensation failed: a map to merge is not finite"}
+        assert result.solve_count == 2 * (7 + 72)
+        for level, ld in result.levels.items():
+            for name in ("astar", "astar_inv", "astar_inv_norm"):
+                arr, want = getattr(ld, name), getattr(clean.levels[level], name)
+                for off in np.ndindex(arr.shape[:2]):
+                    if (level, off) in failed:
+                        assert np.isnan(arr[off]).all()
+                    else:
+                        assert np.array_equal(arr[off], want[off])
 
     def test_one_debug_line_per_level(self, caplog, cores, tmp_path):
         cores(1)
@@ -654,22 +668,28 @@ class TestCondensation:
         field = gen_random_spd(GridSpec(2, 3), seed=9, eig_low=0.5, eig_high=5.0)
         passes, calls = [], []
         real_pass = cge.coarse.level_functionals
-        real_condense = cge.solver._condense
+        real_condense, real_residual = cge.solver._condense, cge.solver._residual
 
         def spy_pass(field, levels):
             passes.append(sorted(levels))
             return real_pass(field, levels)
 
-        def spy_condense(maps, plan, out=None, forcing=None, carried=(), **kwargs):
-            # a call's box maps and whether it pins: a map's last stage
-            # where its level (below -1) is asked for, a level -1 cube's
-            # first level-0 merge where level -1 is, or level 0's last merge
-            calls.append((maps[0].shape[-1], forcing is not None or plan[1] == plan[0]
-                          or kwargs.get("pin", False)))
-            return real_condense(maps, plan, out, forcing, carried, **kwargs)
+        def spy_condense(maps, plan, *args, **kwargs):
+            # a kernel call's box maps and whether it pins: a level -1
+            # cube's first level-0 merge where level -1 is asked for, or
+            # level 0's last merge
+            calls.append((maps[0].shape[-1], plan[1] == plan[0] or kwargs.get("pin", False)))
+            return real_condense(maps, plan, *args, **kwargs)
+
+        def spy_residual(product, f):
+            # each pinned solve: the kernel's, or where a level below -1 is
+            # asked for, its last stage's, once the kernel made the maps
+            calls.append("pinned solve")
+            return real_residual(product, f)
 
         monkeypatch.setattr(cge.coarse, "level_functionals", spy_pass)
         monkeypatch.setattr(cge.solver, "_condense", spy_condense)
+        monkeypatch.setattr(cge.solver, "_residual", spy_residual)
         cache = tmp_path / "cache"
         cold = sweep(field, cache_dir=str(cache))
         # each subtree, a cube of level -1, runs its levels: level -2's
@@ -683,8 +703,9 @@ class TestCondensation:
                for merges in cge.solver._plan((9, 9), True) for size, k, ranks in merges]
         assert top[:9] == [(36, False)] * 9 and top[-1][1]
         assert passes == [[-2, -1, 0]]
-        subtree = [(4, False), (8, True), (12, False), (24, False)]
-        assert calls == (subtree + [(36, True)]) * 9 + top[9:]
+        subtree = [(4, False), (8, False), "pinned solve", (12, False), (24, False), (36, True),
+                   "pinned solve"]
+        assert calls == subtree * 9 + top[9:] + ["pinned solve"]
         assert (cold.solve_count, cold.cache_hits) == (2 * 91, 0)
         # a warm rerun asks the pass for no level and condenses nothing
         passes.clear(), calls.clear()
@@ -696,7 +717,7 @@ class TestCondensation:
         os.remove(cache / field.content_hash / "level_-1.npz")
         redo = sweep(field, cache_dir=str(cache))
         assert passes == [[-1]] and calls == [
-            (4, False), (8, False), (12, False), (24, False), (36, True)] * 9
+            (4, False), (8, False), (12, False), (24, False), (36, True), "pinned solve"] * 9
         assert (redo.solve_count, redo.cache_hits) == (2 * 9, 1 + 81)
         for level, ld in redo.levels.items():
             assert np.array_equal(ld.astar_inv, cold.levels[level].astar_inv)

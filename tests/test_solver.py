@@ -5,6 +5,8 @@ import inspect
 import itertools
 import math
 import sys
+import threading
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -265,68 +267,149 @@ def test_engine_matches_dense_oracle():
                                            atol=1e-12 * np.abs(g_dense).max())
 
 
-def _merge_inputs(plan, n, seed, kept):
-    """The boxes' maps of ``n`` merges of one ``plan``, weighted Laplacians
-    as a merge's are, and, for merges that keep their factor (the Dirichlet
-    solve's), each box's carried right-hand side and row sums: the row sums
-    are a positive diagonal added to the maps, which makes them definite."""
+def _merge_inputs(plan, n, seed, mode):
+    """Stacks of ``n`` maps of each box of a merge ``plan``: Laplacians,
+    as a merge's are; for a ``pinned`` merge (level 0's first and last),
+    each box's carried forcings of two columns; and for merges that keep
+    their factor (the Dirichlet solve's), each box's carried right-hand
+    side and row sums: the row sums are a positive diagonal added to the
+    maps, which makes them definite."""
     rng = np.random.default_rng(seed)
     maps, carried = [], []
     for c, r in enumerate(plan[2]):
         maps.append(_laplacian_stack(n, r.size, seed=10 * seed + c))
-        if kept:
+        if mode == "kept":
             extra = rng.uniform(0.1, 1.0, (n, r.size))
             maps[-1][:, range(r.size), range(r.size)] += extra
             carried.append((np.stack([rng.standard_normal((n, r.size)), extra], axis=-1), 0.0))
+        elif mode == "pinned":
+            carried.append((rng.standard_normal((n, r.size, 2)), 0.0))
     return maps, carried
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (3, 3), (1, 1, 1), (3, 3, 3)])
-@pytest.mark.parametrize("kept", [False, True], ids=["pinned", "kept"])
-def test_condense_stack_gives_each_merge_alone(shape, kept):
+@pytest.mark.parametrize("mode", ["plain", "pinned", "kept"])
+def test_condense_stack_gives_each_merge_alone(shape, mode):
     # what the stages and the content classes rest on: the merges of a
     # stage condensed in one call give, to the last bit, what each gives
-    # condensed alone, a stack of one: its map, the pinned g and residual
-    # of the last stage's forcing, beside a merge whose map is not finite,
-    # and the Dirichlet solve's carried forcing and kept factor
+    # condensed alone, a stack of one: its map, the carried forcing, g and
+    # the pinned g and residual of level 0's pin, and the Dirichlet solve's
+    # kept factor. A stack with one map that is not finite raises, so its
+    # stage fails as a whole (_run_stage)
     n = 4
-    stages = _plan(shape, False)
-    cube = tuple(3 * s for s in shape)
-    for stage, (merge, *_) in enumerate(stages):
-        maps, carried = _merge_inputs(merge, n, stage, kept)
-        forcing = None
-        if not kept:
-            maps[0][1, 0, 0] = np.nan  # merge 1 is not condensed
-            if stage == len(stages) - 1:
-                forcing = _forcings(cube, 1.0 / 9)[_boundary_nodes(cube)]
+    for stage, (merge, *_) in enumerate(_plan(shape, False)):
+        maps, carried = _merge_inputs(merge, n, stage, mode)
 
-        def condense(at):
-            factor = [] if kept else None
-            made = cge.solver._condense([m[at].copy() for m in maps], merge, forcing=forcing,
-                                        carried=[(f[at], g) for f, g in carried], kept=factor)
+        def condense(at, maps=maps):
+            factor = [] if mode == "kept" else None
+            made = cge.solver._condense([m[at].copy() for m in maps], merge,
+                                        carried=[(f[at], g) for f, g in carried], kept=factor,
+                                        pin=mode == "pinned")
             return (*made, *(factor or [None]))
 
-        stack = condense(slice(None))
+        out, rest, g, pinned, res, factor = condense(slice(None))
         alone = [condense(slice(i, i + 1)) for i in range(n)]
-        out, rest, _, pinned, res, factor = stack
-        assert (pinned is None) == (forcing is None) and (factor is None) == (not kept)
-        if forcing is not None:
-            assert math.isfinite(res)
-            assert res == max(one[4] for one in alone if math.isfinite(one[4]))
-        for i, (one_out, one_rest, _, one_pinned, _, one_factor) in enumerate(alone):
-            assert np.array_equal(out[i], one_out[0], equal_nan=True)
-            if pinned is not None:
-                assert np.array_equal(pinned[i], one_pinned[0], equal_nan=True)
-            if kept:
+        assert (pinned is None) == (mode != "pinned") and (factor is None) == (mode != "kept")
+        if mode == "pinned":
+            assert 0.0 < res < 1e-8 and res == max(one[4] for one in alone)
+        else:
+            assert math.isnan(res)
+        for i, (one_out, one_rest, one_g, one_pinned, _, one_factor) in enumerate(alone):
+            assert np.array_equal(out[i], one_out[0])
+            if mode != "plain":
                 assert np.array_equal(rest[i], one_rest[0])
+            if mode == "pinned":  # a merge that eliminates no node carries no g
+                assert np.array_equal(g[i], one_g[0]) if merge[1] else g == one_g == 0.0
+                assert np.array_equal(pinned[i], one_pinned[0])
+            if mode == "kept":
                 w_b, panels, invs, w_f = factor
                 one_w_b, one_panels, one_invs, one_w_f = one_factor
                 assert np.array_equal(w_b[i], one_w_b[0]) and np.array_equal(w_f[i], one_w_f[0])
                 assert len(panels) == len(one_panels) and len(invs) == len(one_invs)
                 for x, y in zip(panels + invs, one_panels + one_invs):
                     assert np.array_equal(x[i], y[0])
-        if not kept:
-            assert np.isnan(out[1]).all()
+        for value in (np.nan, np.inf):
+            bad = [m.copy() for m in maps]
+            bad[stage % 3][1, 0, -1] = value
+            with pytest.raises(np.linalg.LinAlgError, match="^a map to merge is not finite$"):
+                condense(slice(None), bad)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 3), (1, 1, 1), (3, 3, 3)])
+def test_level_pins_each_cube_as_alone(monkeypatch, shape):
+    # a level below -1 asked for pins its cubes' maps once its last stage
+    # has made them, by one stacked LU solve in the stage: each cube's g
+    # and the level's residual are, to the last bit, those of the cube
+    # condensed and pinned alone, which the content classes rely on. A box
+    # that is not finite, or a failed LU solve, fails the whole stage: every
+    # map and g of the level is NaN, named by the failure
+    d, n, h = len(shape), 4, 1.0 / 27
+    volume = (3.0 * shape[0] * h) ** d
+    kids = _laplacian_stack(n * 3**d, _boundary_nodes(shape).size, seed=sum(shape))
+
+    def level(kids):
+        maps, _, _, _, g, stats = cge.solver._subtree_level(kids.copy(), None, shape, h, volume)
+        return maps, g, stats
+
+    maps, g, stats = level(kids)
+    assert maps.shape[0] == g.shape[0] == n and stats.failure == ""
+    alone = [level(kids[i * 3**d:(i + 1) * 3**d]) for i in range(n)]
+    assert 0.0 < stats.residual < 1e-8
+    assert stats.residual == max(one_stats.residual for _, _, one_stats in alone)
+    for i, (one_maps, one_g, _) in enumerate(alone):
+        assert np.array_equal(maps[i], one_maps[0]) and np.array_equal(g[i], one_g[0])
+    # the oracle: the pinned map's y^T f, f the cube's gradient forcings
+    cube = tuple(3 * s for s in shape)
+    f = _forcings(cube, h)[_boundary_nodes(cube)][:-1]
+    want = np.swapaxes(f, 0, 1) @ np.linalg.solve(maps[:, :-1, :-1], f) / volume
+    np.testing.assert_allclose(g, want, rtol=0, atol=1e-12 * np.abs(want).max())
+    bad = kids.copy()
+    bad[5, 1, 0] = np.nan
+    maps, g, stats = level(bad)
+    assert np.isnan(maps).all() and np.isnan(g).all() and math.isnan(stats.residual)
+    assert stats.failure == "dense condensation failed: a map to merge is not finite"
+
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(cge.solver.np.linalg, "solve", singular)
+    maps, g, stats = level(kids)
+    assert np.isnan(maps).all() and np.isnan(g).all()
+    assert stats.failure == "dense condensation failed: Singular matrix"
+
+
+def test_run_contract_runs_each_start_once(monkeypatch):
+    # every run runs work on every start and returns nothing, but
+    # _run_chunks, which returns the threads that took a job: at most one
+    # a start and a core, the caller among them. _serial takes the starts
+    # in order on the caller
+    starts = range(2, 60, 3)
+    seen = []
+    assert cge.solver._serial(starts, seen.append) is None
+    assert seen == list(starts)
+    pool = ThreadPoolExecutor(3)
+    monkeypatch.setattr(cge.solver, "_POOL", pool)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cores, jobs in [(1, starts), (4, starts), (4, range(2)), (4, range(0))]:
+            monkeypatch.setattr(cge.solver.os, "sched_getaffinity",
+                                lambda pid, cores=cores: set(range(cores)))
+            taken = []
+
+            def work(lo):
+                taken.append((lo, threading.get_ident()))
+                time.sleep(1e-4)  # lets the other threads take a job
+
+            threads = cge.solver._run_chunks(jobs, work)
+            assert type(threads) is int and threads <= min(len(jobs), cores)
+            assert sorted(lo for lo, _ in taken) == list(jobs)
+            assert threads == len({ident for _, ident in taken})
+            if cores == 1:
+                assert taken == [(lo, threading.get_ident()) for lo in jobs]
+    finally:
+        sys.setswitchinterval(interval)
+        pool.shutdown()
 
 
 def test_more_threads_than_cores_take_each_subtree_once(monkeypatch):
@@ -1015,8 +1098,9 @@ def test_failed_first_merge_is_nan_at_level_minus_one_and_zero(monkeypatch, erro
 
 def test_nan_level_minus_one_cube_is_nan_at_level_zero_and_named(monkeypatch):
     # a level -1 map made NaN by its last stage's failed merge: its first
-    # level-0 merge, in place on it, condenses nothing, so level -1's g of
-    # that cube and level 0's are NaN, and both levels name the failure
+    # level-0 merge raises on the map, which is not finite, so level -1's g
+    # of that cube and level 0's are NaN, and both levels name the first
+    # failure, the failed merge's
     f = gen_random_spd(GridSpec(3, 2), seed=3, eig_low=1e-2, eig_high=1e2)
     clean = level_functionals(f, [0, -1])
     real, calls = cge.solver._eliminate, []
@@ -1339,9 +1423,10 @@ def test_dirichlet_factors_once_per_solve(monkeypatch):
     passes, tapes = [], []
     real_pass, real_back = cge.solver._condensation, cge.solver._back_substitute
 
-    def spy_pass(d, depth, h, cells, elements, wanted, tape=None):
-        passes.append((depth, list(wanted), tape is not None))
-        return real_pass(d, depth, h, cells, elements, wanted, tape)
+    def spy_pass(d, depth, h, rows, elements, wanted, values=None, tape=None):
+        # the cells' rows and their nodes' values, in tree order
+        passes.append((depth, list(wanted), rows.shape[0], values.shape, tape is not None))
+        return real_pass(d, depth, h, rows, elements, wanted, values, tape)
 
     def spy_back(tape):
         tapes.append([(w_b.shape, plan[:2]) for plan, w_b, *_ in tape])
@@ -1352,7 +1437,7 @@ def test_dirichlet_factors_once_per_solve(monkeypatch):
     field = diagonal_field(GridSpec(2, 3), seed=4)
     for _ in range(2):
         solve_dirichlet(field, FULL, wavy_boundary)
-    assert passes == [(3, [0], True)] * 2
+    assert passes == [(3, [0], 729, (729, 4, 1), True)] * 2
     assert len(tapes) == 2 and tapes[0] == tapes[1]
     (size, k) = tapes[0][-1][1]
     assert size == k  # the last merge eliminates every node, with no pin

@@ -146,8 +146,10 @@ class SweepResult:
 #: Names the Neumann engine (the condensation pass of
 #: :func:`~cge.solver.level_functionals`, in every dimension) and the record
 #: layout (``astar_inv`` alone) in every cache record: another solver's
-#: record is a miss. A change that moves the stored numbers bumps it.
-SOLVER_TAG = "q1-neumann/condensation/8"
+#: record is a miss. A change that moves the stored numbers bumps it: at
+#: ``/9`` level -1's last stage eliminates the nodes no other child of level
+#: 0 has, which moves levels -1 and 0 by rounding.
+SOLVER_TAG = "q1-neumann/condensation/9"
 
 
 def _cache_path(cache_dir, field_hash: str, level: int) -> str:

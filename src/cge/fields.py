@@ -87,8 +87,8 @@ def gen_laminate(grid: GridSpec, axis: int, values) -> CoefficientField:
     exactly (harmonic averages differ at order of one cell width).
     """
     values = [float(v) for v in values]
-    if not values or any(v <= 0 for v in values):
-        raise ValueError("stripe values must be positive and non-empty")
+    if not values or not all(0 < v < math.inf for v in values):  # NaN fails too
+        raise ValueError(f"values must be finite, positive and non-empty, got {values}")
     if not (0 <= axis < grid.d):
         raise ValueError(f"axis {axis} out of range for d={grid.d}")
     n = grid.cells_per_side
@@ -119,8 +119,10 @@ def gen_random_spd(
 ) -> CoefficientField:
     """Seeded random SPD field: per-cell eigenvalues log-uniform in a range,
     eigenvectors an independent random rotation per cell."""
-    if not (0 < eig_low <= eig_high):
-        raise ValueError("eigenvalue range must satisfy 0 < low <= high")
+    if not 0 < eig_low < math.inf:  # NaN fails too
+        raise ValueError(f"eig_low must lie in (0, inf), got {eig_low}")
+    if not eig_low <= eig_high < math.inf:
+        raise ValueError(f"eig_high must lie in [eig_low, inf), got {eig_high}")
     rng = np.random.default_rng(seed)
     n = grid.n_cells
     d = grid.d
@@ -292,9 +294,9 @@ class CascadeParams:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
-        if self.n < 0:
+        if not 0 <= self.gamma < math.inf:  # NaN fails too
+            raise ValueError(f"gamma must lie in [0, inf), got {self.gamma}")
+        if not 0 <= self.n:
             raise ValueError(f"generation must be >= 0, got {self.n}")
 
 

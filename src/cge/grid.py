@@ -288,7 +288,8 @@ class CoefficientField:
             raise ValueError(f"field data shape {self.data.shape} != expected {expected}")
         if not np.isfinite(self.data).all():
             bad = np.argwhere(~np.isfinite(self.data))[0]
-            raise ValueError(f"non-finite entry at cell index {tuple(bad[:-1])}, component {bad[-1]}")
+            raise ValueError(f"non-finite entry at cell index {tuple(map(int, bad[:-1]))}, "
+                             f"component {int(bad[-1])}")
         lo, _ = sym_eig_bounds(self.data, self.grid.d)
         if lo.min() <= 0.0:
             bad = tuple(int(i) for i in np.unravel_index(int(np.argmin(lo)), lo.shape))

@@ -141,7 +141,7 @@ def dual_sum_norm(f: ScalarGridFunction, s: float, p_conj: float = math.inf) -> 
     """
     if not (0.0 < s <= 1.0):
         raise ValueError(f"s must lie in (0, 1], got {s}")
-    if p_conj < 1.0:
+    if not 1.0 <= p_conj <= math.inf:  # NaN fails too
         raise ValueError(f"p_conj must lie in [1, inf], got {p_conj}")
     grid = f.grid
     vals = f.cell_values()

@@ -32,26 +32,26 @@ along one axis, so small separators are eliminated first, as in nested
 dissection (George, "Nested dissection of a regular finite element mesh",
 SIAM J. Numer. Anal. 1973), and a merge keeps the boundary of the box it
 makes. Level 0 forms no map: its boxes keep only the nodes that another box
-shares, its children first eliminating alone the nodes no other child has,
-and its last merge is one pinned solve. A cube's ``g`` is its entry of
-its level's array; no other path solves a cube alone.
+shares, and its last merge is one pinned solve. A cube's ``g`` is its entry
+of its level's array; no other path solves a cube alone.
 
 A merge sums its boxes' maps onto its skeleton through a flat index and
 eliminates in place (:func:`_eliminate`): a left-looking Cholesky
 (:func:`_cholesky`), a forward substitution (:func:`_lower_solve`) and a
 Schur update, all matmuls and no copy of the skeleton. A box whose map is
-in the skeleton's own order lends it as the skeleton. Level -1 hands each
-cube's map to level 0 in the order of the cube's first level-0 merge
-(:func:`_handed`): the nodes no other child has first, then the shared
-ones. So that merge eliminates the private nodes in place on the map, and
-one elimination serves both levels: level -1's ``g`` is the merge's carried
-``f^T A^-1 f`` plus a pinned solve of the box it makes, by Cholesky on the
-skeleton once the box is copied off it, whether or not level 0 is asked
-for. Level 0's last merge runs in place on its middle box's map, factors
-its pinned skeleton and takes ``g`` from the forward substitution alone.
-That Cholesky is the kernel's one pin; below level -1 a last stage pins its
-cubes' maps, which their parents need, by LU on a copy
-(:func:`_subtree_level`).
+in the skeleton's own order lends it as the skeleton. One elimination
+serves levels -1 and 0: level -1's last stage keeps only the nodes another
+child of level 0 shares, eliminating the cube's interior and the nodes no
+other child has at once, and carries each slab's gradient forcing, so the
+map it makes is level 0's box, handed over with its carried forcing and
+``f^T A^-1 f``. Level -1's ``g`` is that ``f^T A^-1 f`` plus a pinned solve
+of the box, by Cholesky on the skeleton once the box is copied off it,
+whether or not level 0 is asked for (Schur complements compose, so it is
+the cube's own). Level 0's last merge runs in place on its middle box's
+map, factors its pinned skeleton and takes ``g`` from the forward
+substitution alone. That Cholesky is the kernel's one pin; below level -1
+a last stage pins its cubes' maps, which their parents need, by LU on a
+copy (:func:`_subtree_level`).
 
 One path makes a failure data: the kernel raises ``LinAlgError`` on a map
 to merge that is not finite, as on a block that is not positive definite,
@@ -60,15 +60,14 @@ failed stage is NaN as a whole in its subtree, and so is every cube that
 contains one of its cubes; the pass names its first failure.
 
 The pass runs depth first, one subtree per level -1 cube: a subtree runs
-its levels below 0 from its cells' element matrices, and its cube's first
-level-0 merge, so only one subtree's maps a thread and level 0's reduced
-boxes are alive at once (the postorder bound on a multifrontal working
-store; Liu, ACM TOMS 12(3), 1986). The subtrees are the jobs of
-:func:`_run_chunks`, on one thread per core this process may use, the
-calling thread among them (NumPy's factorizations and matmul release the
-GIL); a subtree runs each of its stages as one call of the kernel. Level
-0's later merges then run one at a time on the calling thread, in
-postorder, so one merge's working store is alive at a time, and each
+its levels below 0 from its cells' element matrices, so only one subtree's
+maps a thread and level 0's reduced boxes are alive at once (the postorder
+bound on a multifrontal working store; Liu, ACM TOMS 12(3), 1986). The
+subtrees are the jobs of :func:`_run_chunks`, on one thread per core this
+process may use, the calling thread among them (NumPy's factorizations and
+matmul release the GIL); a subtree runs each of its stages as one call of
+the kernel. Level 0's merges then run one at a time on the calling
+thread, in postorder, so one merge's working store is alive at a time, and each
 gives the bands of rows of its assembly, factorization and update to
 :func:`_run_chunks`; with one core the caller runs them alone. Every merge
 is eliminated alone, and a band's rows are fixed by module constants, so
@@ -301,7 +300,7 @@ os.register_at_fork(after_in_child=_forget_pool)
 
 def _run_chunks(starts: range, work: Callable[[int], object]) -> int:
     """``work(lo)`` for every job start (a subtree of the pass, or a band
-    of one of level 0's later merges), on the calling thread and, with more
+    of one of level 0's merges), on the calling thread and, with more
     than one job and more than one core, the threads of
     :func:`_chunk_pool`; each thread takes the next job when it is free.
 
@@ -338,27 +337,11 @@ def _boundary_nodes(shape: tuple[int, ...]) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=64)
-def _handed(shape: tuple[int, ...], child: int) -> np.ndarray:
-    """The order in which level 0's child ``child`` (its offset's index in
-    C order), a box of ``shape`` cells, lists the nodes of its map: indices
-    into :func:`_boundary_nodes`. A cell's element matrix lists them in C
-    order. A larger box, a level -1 cube, lists first the nodes that no
-    other child has, then the shared ones, each in C order: the order of
-    the skeleton of its first level-0 merge, which then runs in place on
-    the map. Level -1's plan (:func:`_plan` with ``child``) makes the map so.
-    """
-    d = len(shape)
-    if max(shape) == 1:
-        out = np.arange(2**d)
-    else:
-        coords = np.indices(tuple(s + 1 for s in shape)).reshape(d, -1)[:, _boundary_nodes(shape)]
-        at = np.array(np.unravel_index(child, (3,) * d))[:, None]
-        shared = (((coords == 0) & (at > 0))
-                  | ((coords == np.array(shape)[:, None]) & (at < 2))).any(axis=0)
-        out = np.concatenate([np.flatnonzero(~shared), np.flatnonzero(shared)])
-    out.flags.writeable = False  # shared by every caller through the cache
-    return out
+def _shared(coords: np.ndarray, lo: np.ndarray, hi: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """Which nodes, at ``coords`` ``(d, n)`` of a cube's node grid, lie on a
+    face of the box ``[lo, hi]`` inside the cube ``[0, bound]``: the nodes
+    that the box shares with another box of the cube."""
+    return (((coords == lo) & (lo > 0)) | ((coords == hi) & (hi < bound))).any(axis=0)
 
 
 @lru_cache(maxsize=64)
@@ -367,67 +350,68 @@ def _plan(shape: tuple[int, ...], top: bool, child: int | None = None) -> tuple[
     ``3**d`` children of ``shape`` cells: its stages, each the tuple of one
     cube's merges.
 
-    A merge sums the maps of consecutive boxes onto its *skeleton*, the
-    union of their nodes, and eliminates the nodes it does not keep: it
-    keeps the boundary of the box it makes, and at level 0 (``top``), whose
-    map no level needs, only the part inside the cube, which another box of
-    the next stage shares. So level 0's last merge keeps no node, and its
-    first stage merges each child alone, to eliminate the nodes no other
-    child has. Every other stage merges 3 boxes consecutive along one axis,
-    last axis first, as :func:`_tree_order` lists them.
+    A merge sums the maps of 3 boxes consecutive along one axis onto its
+    *skeleton*, the union of their nodes, and eliminates the nodes it does
+    not keep: it keeps the boundary of the box it makes, and at level 0
+    (``top``), whose map no level needs, only the nodes that another box of
+    the cube shares (:func:`_shared`). So level 0's last merge keeps no
+    node. The stages merge along the last axis first, as
+    :func:`_tree_order` lists the boxes, so a plan has ``d`` stages.
 
     A merge is ``(size, k, ranks)``: the skeleton's size, the ``k`` nodes
     it eliminates, and for each of its boxes the skeleton index of every
     node of the box's map. The skeleton lists the eliminated nodes first,
     then the kept ones, and a map its nodes, each in C order of the cube's
-    node grid (a child's as :func:`_boundary_nodes` does, and at level 0
-    as :func:`_handed` does). Below level 0 the merges of a stage are
-    translates of one another: the pass condenses them all by the first.
+    node grid. Below level 0 the merges of a stage are translates of one
+    another: the pass condenses them all by the first.
 
-    Level -1's cubes hand their maps to level 0 in the order of their first
-    level-0 merge: given ``child``, the cube's index among level 0's
-    children, the last stage keeps the cube's boundary nodes in
-    :func:`_handed` order. So that merge's ranks are ``0..size-1``, and it
-    runs in place on the map (:func:`_condense`).
+    Level -1's cubes hand level 0 only the nodes another child of level 0
+    shares: given ``child``, the cube's index among level 0's children,
+    the last stage keeps those of the cube's boundary nodes, and eliminates
+    the interior and the nodes no other child has at once. So level 0's
+    children list their shared nodes alone, but for an ``N=1`` grid's, its
+    cells, which list all ``2**d``; there the strips eliminate the nodes no
+    other cell has.
     """
     d = len(shape)
-    if child is not None:
-        *stages, ((size, k, ranks),) = _plan(shape, False)
-        # the kept nodes, in C order, moved to their places in _handed order
-        remap = np.concatenate(
-            [np.arange(k), k + np.argsort(_handed(tuple(3 * s for s in shape), child))])
-        ranks = tuple(remap[r] for r in ranks)
-        for r in ranks:
-            r.flags.writeable = False  # shared by every caller through the cache
-        return (*stages, ((size, k, ranks),))
-    nodes = tuple(3 * s + 1 for s in shape)  # the cube's node grid
-    local = np.indices(tuple(s + 1 for s in shape)).reshape(d, -1)[:, _boundary_nodes(shape)]
     span = np.array(shape)[:, None]
+    nodes = tuple(3 * s + 1 for s in shape)  # the cube's node grid
+    if child is None:
+        stages, part, offsets = [], shape, list(np.ndindex((3,) * d))
+        keep = ((lambda coords, lo, hi: _shared(coords, lo, hi, 3 * span)) if top
+                else (lambda coords, lo, hi: ((coords == lo) | (coords == hi)).any(axis=0)))
+    else:  # the last stage alone, on the cube's 3 slabs along the first axis
+        stages = list(_plan(shape, False)[:-1])
+        part = (shape[0],) + tuple(3 * s for s in shape[1:])
+        offsets = np.eye(1, d, dtype=int) * [[0], [1], [2]]
+        at = np.array(np.unravel_index(child, (3,) * d))[:, None] * 3 * span  # in level 0's grid
+
+        def keep(coords, lo, hi):
+            return _shared(coords + at, lo + at, hi + at, 9 * span)
+    extent = np.array(part)[:, None]
+    local = np.indices(tuple(s + 1 for s in part)).reshape(d, -1)[:, _boundary_nodes(part)]
     boxes = []  # (nodes of the box's map, lowest corner, highest corner)
-    for j, offset in enumerate(np.ndindex((3,) * d)):
-        lo = np.array(offset)[:, None] * span
-        box = np.ravel_multi_index(tuple(local + lo), nodes)
-        boxes.append((box[_handed(shape, j)] if top else box, lo, lo + span))
-    stages = []
-    for width in ([1] if top else []) + [3] * d:
+    for offset in offsets:
+        lo = np.array(offset)[:, None] * extent
+        coords = local + lo
+        if top and max(shape) > 1:  # a level -1 cube: its shared nodes alone
+            coords = coords[:, keep(coords, lo, lo + extent)]
+        boxes.append((np.ravel_multi_index(tuple(coords), nodes), lo, lo + extent))
+    while len(boxes) > 1:
         merges, parents = [], []
-        for j in range(0, len(boxes), width):
-            group = [box for box, _, _ in boxes[j:j + width]]
-            lo, hi = boxes[j][1], boxes[j + width - 1][2]
+        for j in range(0, len(boxes), 3):
+            group = [box for box, _, _ in boxes[j:j + 3]]
+            lo, hi = boxes[j][1], boxes[j + 2][2]
             union = np.unique(np.concatenate(group))  # sorted: C order
-            coords = np.array(np.unravel_index(union, nodes))
-            face = (coords == lo) | (coords == hi)
-            if top:
-                face &= (0 < coords) & (coords < 3 * span)
-            keep = face.any(axis=0)
+            kept = keep(np.array(np.unravel_index(union, nodes)), lo, hi)
             position = np.empty(union.size, dtype=np.int64)
-            position[np.concatenate([np.flatnonzero(~keep), np.flatnonzero(keep)])] = \
+            position[np.concatenate([np.flatnonzero(~kept), np.flatnonzero(kept)])] = \
                 np.arange(union.size)
             ranks = tuple(position[np.searchsorted(union, box)] for box in group)
             for r in ranks:
                 r.flags.writeable = False  # shared by every caller through the cache
-            merges.append((union.size, union.size - int(np.count_nonzero(keep)), ranks))
-            parents.append((union[keep], lo, hi))
+            merges.append((union.size, union.size - int(np.count_nonzero(kept)), ranks))
+            parents.append((union[kept], lo, hi))
         stages.append(tuple(merges))
         boxes = parents
     return tuple(stages)
@@ -500,10 +484,10 @@ _BAND = 256
 
 def _serial(starts: range, work: Callable[[int], object]) -> None:
     """``work(lo)`` for every start, in order, on the calling thread: the
-    merge kernel's ``run`` for a subtree's merges, below level 0 and its
-    cube's first level-0 merge, which run their bands on the thread that
-    took the subtree. Every ``run`` runs ``work`` on every start; only
-    :func:`_run_chunks` returns something, its thread count."""
+    merge kernel's ``run`` for a subtree's merges, below level 0, which run
+    their bands on the thread that took the subtree. Every ``run`` runs
+    ``work`` on every start; only :func:`_run_chunks` returns something,
+    its thread count."""
     for lo in starts:
         work(lo)
 
@@ -688,29 +672,30 @@ def _condense(maps: list, plan: tuple, out: np.ndarray | None = None, carried: S
     per call for a band of :data:`_BLOCK` rows of a box at a time: an index
     as large as the maps, whole or cached, raises the peak memory. A box
     whose ranks are ``0..size-1``, the skeleton's own order, lends its map
-    as the skeleton, which the merge then overwrites: level 0's first
-    merges run in place on their cube's map, and its last merge on the
-    middle box's. Otherwise box 0 is assigned onto a zeroed skeleton; the
-    other boxes are added, and each box is dropped from ``maps`` once it is
-    summed, so a box the caller holds nowhere else is freed then. The
-    skeleton's first ``k`` nodes are eliminated (:func:`_eliminate`), and
-    the kept nodes' maps are written to ``out`` (a new array if it is None).
+    as the skeleton, which the merge then overwrites: level 0's last merge
+    runs in place on its middle box's map. Otherwise box 0 is assigned onto
+    a zeroed skeleton; the other boxes are added, and each box is dropped
+    from ``maps`` once it is summed, so a box the caller holds nowhere else
+    is freed then. The skeleton's first ``k`` nodes are eliminated
+    (:func:`_eliminate`), and the kept nodes' maps are written to ``out`` (a
+    new array if it is None).
     ``run`` takes the bands of the assembly, the elimination and the copy
     to ``out``: :func:`_serial`, or at level 0 :func:`_run_chunks`.
 
     ``carried`` holds each box's ``(forcing, g)``: the ``(n, nodes, c)``
-    forcings of its nodes and the ``g`` of the nodes it has eliminated (level 0,
-    a stack of one), or its right-hand side and row sums and ``0.0`` (the
-    Dirichlet solve). They are summed, and the elimination carries the forcing
-    along and adds its ``f^T A^-1 f`` to ``g``. Given ``pin`` (level 0's first
-    merge, whose box is a level -1 cube asked for), or when the merge keeps no
-    node (level 0's last, which forms no map), the last node is pinned and
-    ``S y = f`` solved in place on the skeleton, once the kept map has been
-    copied off it: the pinned ``S = L L^T`` is factored (:func:`_cholesky`),
-    the box's pinned ``g`` is ``g`` plus ``y^T f = W^T W`` for ``W = L^-1 f``,
-    and ``y = L^-T W`` is checked against the ``S`` that the strict upper
-    triangle and copies of the diagonal blocks keep (:func:`_residual`). A
-    level below -1 pins its cubes' maps itself (:func:`_subtree_level`).
+    gradient forcings of its nodes and the ``g`` of the nodes it has
+    eliminated (level -1's last stage and level 0, a stack of one), or its
+    right-hand side and row sums and ``0.0`` (the Dirichlet solve). They are
+    summed, and the elimination carries the forcing along and adds its ``f^T
+    A^-1 f`` to ``g``. Given ``pin`` (level -1's last stage, its cube asked
+    for), or when the merge keeps no node (level 0's last, which forms no
+    map), the last node is pinned and ``S y = f`` solved in place on the
+    skeleton, once the kept map has been copied off it: the pinned ``S = L
+    L^T`` is factored (:func:`_cholesky`), the box's pinned ``g`` is ``g``
+    plus ``y^T f = W^T W`` for ``W = L^-1 f``, and ``y = L^-T W`` is checked
+    against the ``S`` that the strict upper triangle and copies of the
+    diagonal blocks keep (:func:`_residual`). A level below -1 pins its
+    cubes' maps itself (:func:`_subtree_level`).
 
     A list ``kept`` takes the merge's factor, as :func:`_eliminate` keeps it (an
     empty one if ``k = 0``): the Dirichlet solve's. Its skeleton has no kernel,
@@ -807,8 +792,6 @@ def _subtree_level(kids: np.ndarray, cls: np.ndarray | None, shape: tuple[int, .
     maps of their children of ``shape`` cells. ``cls`` gives each child's
     content class in tree order, ``kids`` holding one map per class, or is
     None when every child is distinct and ``kids`` lists them in tree order.
-    At level -1, ``child`` is the subtree's index among level 0's children:
-    its cube's map comes out in :func:`_handed` order.
 
     A stage with classes keys each merge by one exact integer of its boxes'
     classes, ``(c0 * n + c1) * n + c2`` for ``n`` classes (exact below
@@ -819,21 +802,32 @@ def _subtree_level(kids: np.ndarray, cls: np.ndarray | None, shape: tuple[int, .
     every merge, and every stage above it does so on strided views of
     ``kids``. Each stage is one call of the kernel (:func:`_run_stage`): a
     failed dense solve, or a box that is not finite, leaves the stage's maps
-    NaN. Given the cubes' ``volume`` (a level below -1 asked for), the last
+    NaN. Given the cubes' ``volume`` (the level is asked for), the last
     stage then pins each map by an LU solve of a copy: each cube's ``g`` is
     ``y^T f / volume``, NaN where the stage failed.
-    Given the children's ``sums``, their right-hand sides and row sums by
-    class (the Dirichlet solve's), they are carried to the cubes', and each
-    stage's factor goes on ``tape`` (:func:`_back_substitute`), which fills
-    ``values``, the ``(children, nodes, 1)`` values of each child's nodes
-    in tree order. Returns ``(maps, cls, sums, values, g or None, stats)``;
+
+    At level -1, ``child`` is the subtree's index among level 0's children:
+    the last stage keeps only the nodes another child shares, and carries
+    each slab's gradient forcing (:func:`_forcings`), so the cube's map is
+    level 0's box and the kernel pins it by Cholesky for ``g``, given the
+    ``volume``. Given the children's ``sums``, their right-hand sides and
+    row sums by class (the Dirichlet solve's), they are carried to the
+    cubes', and each stage's factor goes on ``tape``
+    (:func:`_back_substitute`), which fills ``values``, the ``(children,
+    nodes, 1)`` values of each child's nodes in tree order.
+
+    Returns ``(maps, cls, sums, own, values, g or None, stats)``: ``sums``
+    the cubes' carried forcings (None if none is carried), ``own`` their
+    carried ``g``, ``f^T A^-1 f`` of the nodes the last stage eliminated
+    (``0.0`` if it carries none), or None if that stage failed;
     ``stats.wall_time`` is the seconds the level took."""
     d = len(shape)
     cube = tuple(3 * s for s in shape)
+    slab = (shape[0],) + cube[1:]  # a box of level -1's last stage
     stats = SolveStats(residual=math.nan, unknowns=0, wall_time=time.perf_counter(),
                        method="condensation")
     stages = _plan(shape, False, child)
-    g = None
+    g, own = None, 0.0
     for stage, merges in enumerate(stages):
         merge = merges[0]  # the merges of a stage are translates of the first
         size, k, _ = merge
@@ -849,84 +843,73 @@ def _subtree_level(kids: np.ndarray, cls: np.ndarray | None, shape: tuple[int, .
             else:  # every merge distinct: the stages above take strided views
                 inverse = None
         count = total if picks is None else picks.shape[0]
+        last = stage == len(stages) - 1
+        carry = sums is not None or (last and child is not None)
         maps = np.empty((count, size - k, size - k))
-        made = None if sums is None else np.empty((count, size - k, sums.shape[-1]))
+        made = np.empty((count, size - k, d if sums is None else sums.shape[-1])) if carry else None
         made_values = None if values is None else np.empty((total, size - k, 1))
-        last = volume is not None and stage == len(stages) - 1
-        f = _forcings(cube, h)[_boundary_nodes(cube)][:-1] if last else None  # last node pinned
 
         def box(arr: np.ndarray, c: int) -> np.ndarray:
             """Box ``c`` of every condensed merge, from ``arr``."""
             return arr[c::3] if picks is None else arr[picks[:, c]]
 
-        def work() -> tuple | None:
+        def work() -> tuple:
+            """The stage's carried ``g``, its cubes' ``g`` if it pins
+            them, and the pins' largest residual."""
             boxes = [box(kids, c) for c in range(3)]
-            if sums is None:
+            if not carry:
                 _condense(boxes, merge, maps)
-                if not last:
-                    return None
+                if not last or volume is None:
+                    return 0.0, None, math.nan
                 # LU on the copy LAPACK makes: with no triangular solve in
                 # NumPy, Cholesky and two substitutions cost more on stacks
                 # of small maps (27 of 55 nodes: 2.95 against 0.84 ms)
+                f = _forcings(cube, h)[_boundary_nodes(cube)][:-1]  # last node pinned
                 s = maps[:, :-1, :-1]
                 y = np.linalg.solve(s, np.broadcast_to(f, s.shape[:1] + f.shape))
-                return np.swapaxes(y, -1, -2) @ f / volume, _residual(s @ y, f)
-            kept = []
-            _, made[...], _, _, _ = _condense(boxes, merge, maps, kept=kept,
-                                              carried=[(box(sums, c), 0.0) for c in range(3)])
-            # each merge's row of the factor: its class's
-            tape.append((merge, *kept[0], slice(None) if inverse is None else inverse,
-                         [values[c::3] for c in range(3)], made_values))
-            return None
+                return 0.0, np.swapaxes(y, -1, -2) @ f / volume, _residual(s @ y, f)
+            forcing = ([box(sums, c) for c in range(3)] if sums is not None
+                       else [_forcings(slab, h)[_boundary_nodes(slab)][None]] * 3)
+            kept = None if sums is None else []
+            _, made[...], own, pinned, residual = _condense(
+                boxes, merge, maps, carried=[(f, 0.0) for f in forcing], kept=kept,
+                pin=volume is not None)
+            if kept is not None:  # each merge's row of the factor: its class's
+                tape.append((merge, *kept[0], slice(None) if inverse is None else inverse,
+                             [values[c::3] for c in range(3)], made_values))
+            return own, None if pinned is None else pinned / volume, residual
 
         done = _run_stage(count, work, stats, maps)
-        if last and done is None:
-            g = np.full((count, d, d), np.nan)
-        elif last:
-            g, stats.residual = done
+        own = None if done is None else done[0]
+        if last and volume is not None:
+            g, stats.residual = done[1:] if done else (np.full((count, d, d), np.nan), math.nan)
         kids, cls, sums, values = maps, inverse, made, made_values
     if g is not None and cls is not None:
         g = g[cls]
     stats.wall_time = time.perf_counter() - stats.wall_time
-    return kids, cls, sums, values, g, stats
-
-
-def _level_zero_merge(maps: list, merge: tuple, carried: list, values: list,
-                      stats: SolveStats, tape: list | None, run=_serial,
-                      pin: bool = False) -> tuple | None:
-    """One merge of level 0, one call of :func:`_run_stage`: the ``(map,
-    forcing, g, pinned, residual)`` that :func:`_condense` makes of its
-    boxes' ``maps`` and ``carried`` forcings and ``g``, its bands run by
-    ``run`` and its box's pinned solve run if ``pin``, or None if it failed.
-    With a ``tape`` (the Dirichlet solve's) its factor goes on it, with
-    ``values``, the values of its boxes' nodes, and the first column of its
-    forcing, which holds the values of the box it makes."""
-    kept = None if tape is None else []
-    made = _run_stage(
-        1, lambda: _condense(maps, merge, carried=carried, run=run, kept=kept, pin=pin), stats)
-    if made is not None and kept:  # kept gets the factor before the copy to out
-        tape.append((merge, *kept[0], slice(None), values, made[1][..., :1]))
-    return made
+    return kids, cls, sums, own, values, g, stats
 
 
 def _level_zero(boxes: list, stages: tuple, d: int,
                 tape: list | None = None) -> tuple[np.ndarray, SolveStats]:
-    """Level 0 after each child's first merge: the strips, the slabs and the
-    last merge (``stages``, those of :func:`_plan` after the first) on the
-    children's reduced ``boxes``, each as :func:`_level_zero_merge` made it,
-    or ``None`` for a child whose merge failed.
+    """Level 0: the strips, the slabs and the last merge (``stages``, of
+    :func:`_plan` with ``top``) on its children's ``boxes``, each the
+    ``(map, forcing, g, values)`` its subtree handed over, or ``None`` for
+    a subtree whose stage failed.
 
     The merges run one at a time on the calling thread, in postorder: a box is
     merged into its parent before the next box is made, so besides one merge's
     working store only the boxes it waits for are alive (Liu's bound, ACM TOMS
-    12(3), 1986, on level 0's own merges). Each merge
-    (:func:`_level_zero_merge`) gives the bands of its elimination, or of the
-    last merge's factorization, to :func:`_run_chunks`, so it runs on every
-    core. A merge drops its boxes from ``boxes`` (the caller's list too) as it
-    takes them, and each box once it is summed onto the skeleton. With a
-    ``tape`` (the Dirichlet solve's: a box's forcing is its right-hand side and
-    row sums) each merge's factor goes on it. Returns the cube's ``(1, d, d)``
-    ``g``, NaN if a merge failed, and the stats of these stages."""
+    12(3), 1986, on level 0's own merges). Each merge, one call of
+    :func:`_run_stage`, gives the bands of its elimination, or of the last
+    merge's factorization, to :func:`_run_chunks`, so it runs on every core.
+    A merge drops its boxes from ``boxes`` (the caller's list too) as it takes
+    them, and each box once it is summed onto the skeleton. With a ``tape``
+    (the Dirichlet solve's: a box's forcing is its right-hand side and row
+    sums) each merge's factor goes on it, with the values of its boxes' nodes:
+    the subtrees' at the strips, and above them the first column of each
+    box's forcing. Returns the cube's ``(1, d, d)`` ``g``, NaN if a merge
+    failed, and the stats of level 0's merges."""
     stats = SolveStats(residual=math.nan,
                        unknowns=max(size for merges in stages for size, _, _ in merges),
                        wall_time=time.perf_counter(), method="condensation")
@@ -934,26 +917,32 @@ def _level_zero(boxes: list, stages: tuple, d: int,
 
     def make(stage: int, j: int) -> tuple | None:
         """Merge ``j`` of ``stages[stage]``, its boxes made first: its
-        ``(map, forcing, g, pinned, residual)``, or None if a merge
+        ``(map, forcing, g, values, pinned, residual)``, or None if a merge
         failed."""
         parts = []
-        for box in range(3 * j, 3 * j + 3):
-            if stage:
-                parts.append(make(stage - 1, box))
-                if parts[-1] is None:
-                    return None
-            else:
-                parts.append(boxes[box])
-                boxes[box] = None
-        maps, carried = [m for m, *_ in parts], [(f, pg) for _, f, pg, *_ in parts]
+        for c in range(3 * j, 3 * j + 3):
+            parts.append(make(stage - 1, c) if stage else boxes[c])
+            if not stage:
+                boxes[c] = None
+            if parts[-1] is None:
+                return None
+        maps, carried = [part[0] for part in parts], [part[1:3] for part in parts]
+        values = [part[3] for part in parts]
         del parts  # maps holds the boxes alone, and drops each once summed
-        return _level_zero_merge(maps, stages[stage][j], carried,
-                                 [f[..., :1] for f, _ in carried], stats, tape, _run_chunks)
+        merge, kept = stages[stage][j], None if tape is None else []
+        made = _run_stage(
+            1, lambda: _condense(maps, merge, carried=carried, run=_run_chunks, kept=kept), stats)
+        if made is None:
+            return None
+        out, forcing, own, pinned, residual = made
+        if kept is not None:  # kept gets the factor before the copy to out
+            tape.append((merge, *kept[0], slice(None), values, forcing[..., :1]))
+        return out, forcing, own, forcing[..., :1], pinned, residual
 
     if all(box is not None for box in boxes):
         made = make(len(stages) - 1, 0)
         if made is not None:
-            _, _, _, g, stats.residual = made
+            g, stats.residual = made[4:]
     del make  # it calls itself: a reference cycle, which would keep the tape
     stats.wall_time = time.perf_counter() - stats.wall_time
     return g, stats
@@ -989,75 +978,52 @@ def _condensation(d: int, depth: int, h: float, rows: np.ndarray,
                   tape: list | None = None) -> dict[int, tuple[np.ndarray | None, SolveStats]]:
     """The depth-first pass over a cube of ``3**depth`` cells a side, with
     the levels ``wanted`` asked for, coarsest first (see
-    :func:`level_functionals`). ``rows`` lists the cells in tree order
-    (:func:`_tree_order`): the ``(cells, w)`` numbers that fix each one's
-    element. Cells with equal rows share a content class (:func:`_classes`),
-    and ``elements(rows)`` gives the element matrices of the first cell of
-    each class, and ``None`` or their right-hand sides and row sums,
-    ``(n, 2**d, 2)``. With a ``tape`` (the Dirichlet solve's) the pass keeps
-    every merge's factor on it: each subtree's in its order, subtree by
-    subtree, then level 0's in postorder; ``values``, the ``(cells, 2**d,
-    1)`` values of the cells' elements' nodes in the same order, is filled
-    by :func:`_back_substitute`. Subtree ``s`` takes the ``s``-th of
-    ``3**d`` equal slices of both.
+    :func:`level_functionals`). ``rows`` lists the cells in row-major
+    order: the ``(cells, w)`` numbers that fix each one's element. Subtree
+    ``s`` gathers its cells' rows, the ``s``-th of ``3**d`` equal slices of
+    :func:`_tree_order`. Cells with equal rows share a content class
+    (:func:`_classes`), and ``elements(rows)`` gives the element matrices
+    of the first cell of each class, and ``None`` or their right-hand sides
+    and row sums, ``(n, 2**d, 2)``. With a ``tape`` (the Dirichlet solve's)
+    the pass keeps every merge's factor on it: each subtree's in its order,
+    subtree by subtree, then level 0's in postorder; ``values``, the
+    ``(cells, 2**d, 1)`` values of the cells' elements' nodes in tree
+    order, is filled by :func:`_back_substitute`, subtree ``s`` taking its
+    ``s``-th slice.
 
     Returns each level's ``(g_all, stats)`` that the pass ran, from the
     cells up. ``g_all`` lists the level's cubes' ``g`` in row-major order
     (:func:`_tree_order`), shaped ``(3**-level,)*d + (d, d)``; it is None
     for a level not asked for, and with a ``tape``. ``stats`` is
-    :func:`_summed` over the level's subtrees and, at level 0, its later
-    merges: it takes the most threads that took a subtree and the pass's
-    first failure at or below the level. A subtree's stats of level -1
-    include its cube's first level-0 merge, which gives that level's ``g``;
-    on a grid whose subtrees are cells that merge is level 0's."""
+    :func:`_summed` over the level's subtrees and, at level 0, its merges:
+    it takes the most threads that took a subtree and the pass's first
+    failure at or below the level."""
     per = rows.shape[0] // 3**d  # cells a subtree
+    order = _tree_order(depth, d)
     below = range(1 - depth, min(wanted[0], -1) + 1)  # a subtree's levels: none if depth 1
-    stages = _plan((3 ** (depth - 1),) * d, True) if wanted[0] >= -1 else None
     boxes = [None] * 3**d  # level 0's children, each as its subtree reduced it
     tapes = [[] for _ in boxes]
     done = [{} for _ in boxes]  # each subtree's (g, stats) of each level it ran
 
     def subtree(s: int) -> None:
         """Subtree ``s``: its ``(g, stats)`` of each level it ran go to
-        ``done[s]``, and its reduced box to ``boxes[s]`` if level 0 is asked
-        for."""
-        parts, cells = done[s], rows[s * per:(s + 1) * per]
+        ``done[s]``, and its cube's ``(map, forcing, g, values)`` to
+        ``boxes[s]`` if level 0 is asked for and no stage failed."""
+        parts, cells = done[s], rows[order[s * per:(s + 1) * per]]
         nodes = None if values is None else values[s * per:(s + 1) * per]
         which = _classes(cells)
         kids, sums = elements(cells if which is None else cells[which[0]])
         cls = None if which is None else which[1]
         del cells, which
-        shape = (1,) * d
+        shape, own = (1,) * d, 0.0
         for level in below:
-            kids, cls, sums, nodes, g, stats = _subtree_level(
-                kids, cls, shape, h, 3.0 ** (level * d) if level < -1 and level in wanted else None,
+            kids, cls, sums, own, nodes, g, stats = _subtree_level(
+                kids, cls, shape, h, 3.0 ** (level * d) if level in wanted else None,
                 sums, nodes, tapes[s], s if level == -1 else None)
             parts[level] = g, stats
             shape = tuple(3 * n for n in shape)
-        if wanted[0] < -1:
-            return
-        # the cube's first level-0 merge, in place on its map, eliminates the
-        # nodes no other child has; its box's pinned solve gives level -1's g
-        merge = stages[0][s]  # one cube: its box is alone in its class
-        child = (_forcings(shape, h)[_boundary_nodes(shape)[_handed(shape, s)]][None]
-                 if sums is None else sums)
-        stats = SolveStats(residual=math.nan, unknowns=merge[0], wall_time=time.perf_counter(),
-                           method="condensation")
-        maps, kids = [kids], None  # the cube's map, lent to the merge
-        made = _level_zero_merge(maps, merge, [(child, 0.0)], [nodes], stats,
-                                 None if sums is None else tapes[s], pin=-1 in wanted)
-        stats.wall_time = time.perf_counter() - stats.wall_time
-        if made is not None:
-            stats.residual = made[4]
-        if 0 in wanted:
-            boxes[s] = None if made is None else made[:3]
-        if not below:  # the cells of an N=1 grid: the merge is level 0's alone
-            parts[0] = np.empty((0, d, d)), stats  # level 0's g comes from its last merge
-            return
-        g, ran = parts[-1]
-        if -1 in wanted:
-            g = np.full((1, d, d), np.nan) if made is None else made[3] / 3.0 ** -d
-        parts[-1] = g, _summed([ran, stats])
+        if 0 in wanted and own is not None:  # an N=1 grid's cell carries its own forcing
+            boxes[s] = kids, _forcings(shape, h)[None] if sums is None else sums, own, nodes
 
     threads = _run_chunks(range(3**d), subtree)
     per_level: dict[int, list] = {}
@@ -1067,7 +1033,7 @@ def _condensation(d: int, depth: int, h: float, rows: np.ndarray,
     if tape is not None:
         tape.extend(step for steps in tapes for step in steps)
     if 0 in wanted:
-        per_level.setdefault(0, []).append(_level_zero(boxes, stages[1:], d, tape))
+        per_level[0] = [_level_zero(boxes, _plan((3 ** (depth - 1),) * d, True), d, tape)]
     out, failure = {}, ""
     for level, parts in per_level.items():
         stats = _summed([st for _, st in parts], threads)
@@ -1108,14 +1074,14 @@ def level_functionals(
     the subtree at once, stage by stage (:func:`_subtree_level`); the last
     stage pins the cubes' maps and solves for ``g`` by LU where a level
     below -1 is asked for.
-    Level -1's stage keeps its cube's map in the order of the cube's first
-    level-0 merge, which the job runs next, in place on the map, when level
-    -1 or 0 is asked for: it eliminates the nodes no other child has and
-    keeps only the reduced box, its forcing carried along. Level -1's ``g``
-    is that merge's carried ``f^T A^-1 f`` plus a pinned solve of the box by
-    Cholesky. Level 0, one cube whose map no level needs, then merges the
-    boxes into strips, slabs and a last merge, which factors its pinned
-    skeleton in place (:func:`_level_zero`).
+    Level -1's last stage eliminates its cube's interior and the nodes no
+    other child of level 0 has at once, carrying the gradient forcing
+    along, and keeps only the reduced box, which the job hands to level 0
+    with its carried forcing and ``f^T A^-1 f``. Level -1's ``g`` is that
+    ``f^T A^-1 f`` plus a pinned solve of the box by Cholesky. Level 0, one
+    cube whose map no level needs, then merges the boxes into strips, slabs
+    and a last merge, which factors its pinned skeleton in place
+    (:func:`_level_zero`).
     Every merge works in place on its skeleton and drops each box once it
     is summed; only one subtree's maps per thread, level 0's boxes and one
     level-0 merge's working store are alive at once, and a level's numbers
@@ -1124,7 +1090,7 @@ def level_functionals(
 
     The 3**d subtrees are the jobs of :func:`_run_chunks`, on one thread per
     core, the caller among them; a job runs each of its stages as one call
-    of the kernel. The caller then runs level 0's later merges one at a
+    of the kernel. The caller then runs level 0's merges one at a
     time, each on every core: the bands of :data:`_BAND` rows of its
     elimination are the jobs of :func:`_run_chunks`. Every merge is
     eliminated alone and a band's rows do not depend on the cores, so the
@@ -1136,8 +1102,7 @@ def level_functionals(
 
     ``stats.unknowns`` is the largest skeleton of a merge of the level,
     ``stats.merges`` the merges it condensed (one per content class below
-    level 0; level -1's include each cube's first level-0 merge, which
-    gives its ``g``, and level 0's are its later merges), ``stats.threads``
+    level 0), ``stats.threads``
     the most threads that took a subtree of the pass, ``stats.wall_time``
     the seconds its stages took, summed over the subtrees, and
     ``stats.residual`` the largest ``|S y - b| / |b|`` of the pinned solves.
@@ -1154,7 +1119,7 @@ def level_functionals(
     wanted = _checked_levels(grid, levels)
     if not wanted:
         return {}
-    rows = field.data.reshape(-1, field.data.shape[-1])[_tree_order(grid.N, d)]
+    rows = field.data.reshape(-1, field.data.shape[-1])
     levels = _condensation(d, grid.N, grid.h, rows,
                            lambda part: (_element_matrices(part, d, grid.h), None), wanted)
     return {level: out for level, out in levels.items() if level in wanted}
@@ -1299,7 +1264,7 @@ def solve_dirichlet(
         # buffer, the right-hand side and row sums of the element's nodes
         buffer = np.zeros((order.size, 2**d, 2))
         buffer[:, 0, 0], buffer[..., 1] = load.ravel(), sums
-        rows = np.concatenate([diag, couple, buffer.reshape(order.size, -1)], axis=1)[order]
+        rows = np.concatenate([diag, couple, buffer.reshape(order.size, -1)], axis=1)
         del diag, couple, sums, buffer
         values = np.empty((order.size, 2**d, 1))  # each element's nodes' values
         tape: list = []

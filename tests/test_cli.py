@@ -93,6 +93,18 @@ class TestGen:
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, name", [
+        (["--kind", "random", "--eig-high", "inf"], "eig_high"),
+        (["--kind", "random", "--eig-low", "nan"], "eig_low"),
+        (["--kind", "cascade", "--gamma", "nan"], "gamma"),
+        (["--kind", "laminate", "--values", "1,inf"], "values"),
+    ])
+    def test_parameter_that_is_not_finite_fails(self, workdir, capsys, argv, name):
+        rc = main(["gen", *argv, "--grid-n", "2", "--field-out", "f.cge"])
+        assert rc == 1
+        assert re.search(rf"^error: {name} must ", capsys.readouterr().err, re.M)
+        assert not (workdir / "f.cge").exists()
+
     def test_unknown_kind_is_operational_error(self, workdir, capsys):
         rc = main(["gen", "--kind", "bogus", "--field-out", "f.cge"])
         assert rc == 1
@@ -203,15 +215,13 @@ class TestCoarse:
         for level, line in zip(range(0, -3, -1), verbose):
             cubes, m = 27 ** -level, 3 ** (2 + level)  # m: cells a side of a child
             # the skeletons of a cube's merges, stage by stage: level 0 runs
-            # each of its merges after its children's first alone; a level
-            # below it a stage's merges of every cube of a subtree at once,
-            # in each of the 27 subtrees, where a constant field's merges of
-            # a stage are one content class: one merge condensed; level -1
-            # then runs its cube's first level-0 merge
+            # each of its merges alone; a level below it a stage's merges of
+            # every cube of a subtree at once, in each of the 27 subtrees,
+            # where a constant field's merges of a stage are one content
+            # class: one merge condensed
             stages = [[size for size, _, _ in merges]
                       for merges in cge.solver._plan((m,) * 3, level == 0)]
-            merges = (sum(len(sizes) for sizes in stages[1:])
-                      if level == 0 else 27 * (len(stages) + (level == -1)))
+            merges = sum(len(sizes) for sizes in stages) if level == 0 else 27 * len(stages)
             split_line, threads = line.split(",")[1].rsplit(" on ", 1)
             assert split_line == f" {cubes} cubes"
             assert threads.endswith(" threads")
@@ -242,12 +252,12 @@ class TestCoarse:
             # the 9 subtrees, a stage's merges of a constant field are one
             # content class: one merge condensed
             nodes = 18 * m - 2
-            merges = 9 * 2 + 9 * (level == -1)  # level -1: and its cube's first level-0 merge
+            merges = 9 * 2
             if level == 0:  # only the two interface lines are kept: the middle
                 # strip's skeleton is both and the 2m nodes between them;
-                # first each child alone, in its subtree, eliminates the
-                # nodes no other has; then each strip and the last merge
-                # alone
+                # level -1's last stage, in each subtree, has eliminated the
+                # nodes no other child has; then each strip and the last
+                # merge alone
                 nodes = 8 * m
                 merges = 3 + 1
             split_line, threads = line.split(",")[1].rsplit(" on ", 1)

@@ -419,8 +419,9 @@ class TestLevelZeroOverlap:
         field = self.field(2)
         clean = sweep(field)
         real = cge.solver._eliminate
-        # the strips: a child's own first merge also gives level -1's g
-        strips = {size for size, _, _ in cge.solver._plan((3, 3, 3), True)[1]}
+        # the strips, level 0's first stage: level -1's last stage already
+        # eliminated each child's own nodes and gave its g
+        strips = {size for size, _, _ in cge.solver._plan((3, 3, 3), True)[0]}
 
         def fail_level_zero(mat, *args):
             if mat.shape[-1] in strips:  # level 0 merges three children into a strip
@@ -463,21 +464,20 @@ class TestCondensation:
         # a subtree's stages, one kernel call each: level -2's along the
         # last axis, then the first; level -1's the same, whose last stage
         # is one merge of strips of 3x9 cells onto a skeleton of 52 nodes,
-        # the 9x9 boundary and 2 lines of 8; then its cube, level 0's
-        # child, alone (36 nodes)
-        subtree = [8, 16, 28, 52, 36]
+        # the 9x9 boundary and 2 lines of 8, keeping the nodes that another
+        # child of level 0 shares
+        subtree = [8, 16, 28, 52]
 
         def fail_one(maps, plan, *args, **kwargs):
             calls.append(plan[0])
-            if calls == subtree * 7 + subtree[:-1]:
+            if calls == subtree * 8:
                 raise np.linalg.LinAlgError("Singular matrix")
             return real(maps, plan, *args, **kwargs)
 
         monkeypatch.setattr(cge.solver, "_condense", fail_one)
         result = sweep(field, cache_dir=str(tmp_path))
-        # the failed stage's cube, NaN, fails its first level-0 merge too,
-        # which raises on a map that is not finite; level 0 then has a
-        # failed child and runs none of its later merges
+        # the failed stage's cube is NaN and hands level 0 no box; level 0
+        # then has a failed child and runs none of its merges
         assert calls == subtree * 9
         failed = [(-1, (2, 1)), (0, (0, 0))]
         assert [(e["level"], tuple(e["offset"])) for e in result.failures] == failed[::-1]
@@ -623,11 +623,11 @@ class TestCondensation:
         assert [line.split(",")[0] for line in lines[3:]] == [
             "level 0: cache", "level -1: cache", "level -2: cells"]
 
-    @pytest.mark.parametrize("kind, below", [("random", 45), ("constant", 27)])
+    @pytest.mark.parametrize("kind, below", [("random", 36), ("constant", 18)])
     def test_debug_line_names_the_merges_condensed(self, caplog, kind, below):
         # 2D N=2: level -1's 9 cubes take 3 strips and a square each, which
-        # a constant field's subtrees condense once a stage, and then each
-        # cube's first level-0 merge; level 0 takes 3 strips and the last
+        # a constant field's subtrees condense once a stage; level 0 takes
+        # 3 strips and the last
         grid = GridSpec(d=2, N=2)
         field = (gen_random_spd(grid, seed=1, eig_low=0.5, eig_high=2.0) if kind == "random"
                  else gen_constant(grid, np.diag([1.0, 3.0])))
@@ -675,9 +675,8 @@ class TestCondensation:
             return real_pass(field, levels)
 
         def spy_condense(maps, plan, *args, **kwargs):
-            # a kernel call's box maps and whether it pins: a level -1
-            # cube's first level-0 merge where level -1 is asked for, or
-            # level 0's last merge
+            # a kernel call's box maps and whether it pins: level -1's last
+            # stage where level -1 is asked for, or level 0's last merge
             calls.append((maps[0].shape[-1], plan[1] == plan[0] or kwargs.get("pin", False)))
             return real_condense(maps, plan, *args, **kwargs)
 
@@ -694,18 +693,19 @@ class TestCondensation:
         cold = sweep(field, cache_dir=str(cache))
         # each subtree, a cube of level -1, runs its levels: level -2's
         # functionals come with its last stage, one kernel call for all its
-        # merges in the subtree; then its cube, a child of level 0, alone,
+        # merges in the subtree; level -1's last stage merges 3 strips of
+        # 3x9 cells (24 boundary nodes) and pins its cube's reduced box,
         # which gives level -1's.
         # Level 0 condenses the children's boxes one merge at a time without
-        # a map of its own, the last merge pinned (36: the boundary nodes of
-        # a 9x9 child)
+        # a map of its own, the last merge pinned: a strip's first box is a
+        # corner child's 19 shared nodes or an edge child's 28
         top = [(ranks[0].size, k == size)
                for merges in cge.solver._plan((9, 9), True) for size, k, ranks in merges]
-        assert top[:9] == [(36, False)] * 9 and top[-1][1]
+        assert top == [(19, False), (28, False), (19, False), (28, True)]
         assert passes == [[-2, -1, 0]]
-        subtree = [(4, False), (8, False), "pinned solve", (12, False), (24, False), (36, True),
+        subtree = [(4, False), (8, False), "pinned solve", (12, False), (24, True),
                    "pinned solve"]
-        assert calls == subtree * 9 + top[9:] + ["pinned solve"]
+        assert calls == subtree * 9 + top + ["pinned solve"]
         assert (cold.solve_count, cold.cache_hits) == (2 * 91, 0)
         # a warm rerun asks the pass for no level and condenses nothing
         passes.clear(), calls.clear()
@@ -717,7 +717,7 @@ class TestCondensation:
         os.remove(cache / field.content_hash / "level_-1.npz")
         redo = sweep(field, cache_dir=str(cache))
         assert passes == [[-1]] and calls == [
-            (4, False), (8, False), (12, False), (24, False), (36, True), "pinned solve"] * 9
+            (4, False), (8, False), (12, False), (24, True), "pinned solve"] * 9
         assert (redo.solve_count, redo.cache_hits) == (2 * 9, 1 + 81)
         for level, ld in redo.levels.items():
             assert np.array_equal(ld.astar_inv, cold.levels[level].astar_inv)
@@ -887,11 +887,10 @@ class TestCache:
         cache = str(tmp_path / "cache")
         sweep(field, cache_dir=cache)
         # one core runs the 27 subtrees in order, each a cube of level -1:
-        # 3 stages from the cells, one axis each, each one call, then the
-        # cube alone as a child of level 0 (56 boundary nodes); level 0
+        # 3 stages from the cells, one axis each, each one call; level 0
         # then takes 9, 3 and 1 merges of 3 boxes
-        assert sizes[:108] == [(3, 8), (3, 16), (3, 32), (1, 56)] * 27
-        assert [boxes for boxes, _ in sizes[108:]] == [3] * 13
+        assert sizes[:81] == [(3, 8), (3, 16), (3, 32)] * 27
+        assert [boxes for boxes, _ in sizes[81:]] == [3] * 13
         sizes.clear()
         assert sweep(field, cache_dir=cache).solve_count == 0
         assert sizes == []

@@ -21,6 +21,21 @@ from cge.fields import (
 )
 from cge.grid import GridSpec, TriadicCube, cube_average, sym_unpack
 
+@pytest.mark.parametrize("make, name", [
+    *[(lambda bad=bad: gen_random_spd(GridSpec(2, 1), 1, eig_low=bad), "eig_low")
+      for bad in (math.nan, math.inf, 0.0)],
+    *[(lambda bad=bad: gen_random_spd(GridSpec(2, 1), 1, eig_high=bad), "eig_high")
+      for bad in (math.nan, math.inf, 1e-4)],
+    *[(lambda bad=bad: CascadeParams(bad, 2, 1), "gamma") for bad in (math.nan, math.inf, -0.5)],
+    *[(lambda bad=bad: gen_laminate(GridSpec(1, 2), 0, [1.0, bad]), "values")
+      for bad in (math.nan, math.inf, 0.0)],
+])
+def test_parameters_that_are_not_finite_are_rejected_by_name(make, name):
+    # NaN passes no comparison: each check is one NaN cannot pass
+    with pytest.raises(ValueError, match=f"^{name} must "):
+        make()
+
+
 # Captured from the first build of the cascade generator; guards against any
 # unintended change to the seeding scheme or the multiplier law.
 CASCADE_GOLDEN_HASH = "a164a3c9c058dc1cc82d6feee30ae7809be5b35522d36423fd57f00101d60a5e"

@@ -251,11 +251,15 @@ def test_field_validation_rejects_non_spd():
         CoefficientField(g, data)
 
 
-def test_field_validation_rejects_non_finite():
-    g = GridSpec(1, 1)
-    data = np.ones(g.cell_shape + (1,))
-    data[1, 0] = np.nan
-    with pytest.raises(ValueError, match="non-finite"):
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_field_validation_rejects_non_finite(bad):
+    # the message names the cell and component in plain ints
+    g = GridSpec(2, 1)
+    data = np.zeros(g.cell_shape + (3,))
+    data[..., 0] = data[..., 2] = 1.0
+    data[2, 1, 2] = bad
+    with pytest.raises(ValueError,
+                       match=r"^non-finite entry at cell index \(2, 1\), component 2$"):
         CoefficientField(g, data)
 
 

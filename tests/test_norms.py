@@ -184,6 +184,12 @@ class TestDualSumNorm:
         with pytest.raises(ValueError, match="p_conj"):
             dual_sum_norm(f, 0.5, 0.5)
 
+    @pytest.mark.parametrize("p_conj", [math.nan, -math.inf, 0.5])
+    def test_p_conj_outside_its_range_is_rejected(self, p_conj):
+        f = ScalarGridFunction(GridSpec(d=1, N=1), np.ones(3), "cell")
+        with pytest.raises(ValueError, match=r"^p_conj must lie in \[1, inf\], got "):
+            dual_sum_norm(f, 0.5, p_conj)
+
     def test_layered_per_scale_maxima_geometric_growth(self):
         # per-scale maxima of the spike profile grow at most like 3**k with a
         # constant fitted on the first few scales

@@ -8,6 +8,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -269,7 +270,8 @@ def test_engine_matches_dense_oracle():
 
 def _merge_inputs(plan, n, seed, mode):
     """Stacks of ``n`` maps of each box of a merge ``plan``: Laplacians,
-    as a merge's are; for a ``pinned`` merge (level 0's first and last),
+    as a merge's are; for a ``pinned`` merge (level -1's last stage and
+    level 0's last merge),
     each box's carried forcings of two columns; and for merges that keep
     their factor (the Dirichlet solve's), each box's carried right-hand
     side and row sums: the row sums are a positive diagonal added to the
@@ -293,7 +295,7 @@ def test_condense_stack_gives_each_merge_alone(shape, mode):
     # what the stages and the content classes rest on: the merges of a
     # stage condensed in one call give, to the last bit, what each gives
     # condensed alone, a stack of one: its map, the carried forcing, g and
-    # the pinned g and residual of level 0's pin, and the Dirichlet solve's
+    # the pinned g and residual of the kernel's pin, and the Dirichlet solve's
     # kept factor. A stack with one map that is not finite raises, so its
     # stage fails as a whole (_run_stage)
     n = 4
@@ -348,7 +350,7 @@ def test_level_pins_each_cube_as_alone(monkeypatch, shape):
     kids = _laplacian_stack(n * 3**d, _boundary_nodes(shape).size, seed=sum(shape))
 
     def level(kids):
-        maps, _, _, _, g, stats = cge.solver._subtree_level(kids.copy(), None, shape, h, volume)
+        maps, _, _, _, _, g, stats = cge.solver._subtree_level(kids.copy(), None, shape, h, volume)
         return maps, g, stats
 
     maps, g, stats = level(kids)
@@ -444,10 +446,10 @@ def test_more_threads_than_cores_take_each_subtree_once(monkeypatch):
     assert sorted(subtrees) == sorted(cell.tobytes() for cell in first)
     # 13 merges a cube: 9, 3 and 1 along the last, middle and first axis; a
     # subtree runs each stage in one call, for its 27 cubes of level -2 and
-    # then its cube of level -1, which then takes its first level-0 merge
-    assert [stats.merges for _, stats in out.values()] == [729 * 13, 27 * 14]
+    # then its cube of level -1
+    assert [stats.merges for _, stats in out.values()] == [729 * 13, 27 * 13]
     assert [stats.threads for _, stats in out.values()] == [5, 5]
-    assert sorted(taken) == sorted([243, 81, 27, 9, 3, 1, 1] * 27)
+    assert sorted(taken) == sorted([243, 81, 27, 9, 3, 1] * 27)
     for level, (g_all, _) in out.items():
         assert np.array_equal(g_all, whole[level][0])
 
@@ -525,16 +527,33 @@ def test_box_forcings_vanish_off_the_box_boundary(shape):
     assert np.all(np.abs(rhs[on_boundary]).sum(axis=1) > 0)
 
 
+def _inner(coords, shape):
+    """Which nodes, at cube-grid ``coords`` ``(n, d)``, lie on a plane
+    between two children of ``shape`` cells: the nodes two children share."""
+    return ((coords % shape == 0) & (coords > 0) & (coords < np.multiply(3, shape))).any(axis=1)
+
+
+def _child_boxes(shape, top):
+    """The cube-grid coordinates of the nodes of each child's map, children
+    of ``shape`` cells in C order of their offsets: its boundary nodes, in
+    C order, and at level 0 (``top``) a level -1 cube's shared nodes alone
+    (a cell lists all its nodes)."""
+    d = len(shape)
+    local = np.indices([s + 1 for s in shape]).reshape(d, -1).T[_boundary_nodes(shape)]
+    boxes = [local + np.multiply(offset, shape) for offset in np.ndindex((3,) * d)]
+    if top and max(shape) > 1:
+        boxes = [box[_inner(box, shape)] for box in boxes]
+    return boxes
+
+
 def _replay(shape, top):
     """Every merge of ``_plan(shape, top)`` with the cube-grid coordinates
     of its boxes' nodes and of its skeleton's, rebuilt from the children's
-    boundary nodes (at level 0 in ``_handed`` order), their offsets and the
-    ranks alone: ``(stage, (size, k, ranks), boxes, skeleton)`` tuples.
-    Every skeleton node is some box's node, and only once."""
+    boxes (:func:`_child_boxes`) and the ranks alone: ``(stage, (size, k,
+    ranks), boxes, skeleton)`` tuples. Every skeleton node is some box's
+    node, and only once."""
     d = len(shape)
-    local = np.indices([s + 1 for s in shape]).reshape(d, -1).T[_boundary_nodes(shape)]
-    boxes = [(local[cge.solver._handed(shape, j)] if top else local) + np.multiply(offset, shape)
-             for j, offset in enumerate(np.ndindex((3,) * d))]
+    boxes = _child_boxes(shape, top)
     out = []
     for stage, merges in enumerate(_plan(shape, top)):
         width, parents = len(merges[0][2]), []
@@ -602,58 +621,56 @@ def test_merged_forcings_sum_to_the_parents(shape, axis):
 
 @pytest.mark.parametrize("shape", [(1,), (3,), (1, 3), (3, 9), (1, 1, 1)], ids=str)
 def test_level_zero_boxes_split_the_skeleton(shape):
-    # level 0 keeps only shared nodes: every node of its children's
-    # boundaries is eliminated once, by the one child that has it or by
-    # the first merge whose boxes of the next stage do not share it, and
-    # the last merge, which keeps none, solves for them all
+    # level 0 keeps only shared nodes, in d stages: every node of its
+    # children's boxes (a cell's every node, a level -1 cube's shared
+    # nodes) is eliminated once, by the first merge whose boxes of the next
+    # stage do not share it, and the last merge, which keeps none, solves
+    # for them all
     d = len(shape)
     merges = _replay(shape, True)
-    assert [stage for stage, *_ in merges] == [0] * 3**d + [
-        stage for stage in range(1, d + 1) for _ in range(3 ** (d - stage))]
+    assert len(_plan(shape, True)) == d
+    assert [stage for stage, *_ in merges] == [
+        stage for stage in range(d) for _ in range(3 ** (d - 1 - stage))]
     gone = []
     for stage, (size, k, _), _, skeleton in merges:
         # kept: on an interface plane across one of the first `axes` axes
-        axes = d - stage
+        axes = d - 1 - stage
         planes = (skeleton % shape == 0) & (skeleton > 0) & (skeleton < np.multiply(3, shape))
         kept = planes[:, :axes].any(axis=1)
         assert not kept[:k].any() and kept[k:].all()
         gone += [tuple(c) for c in skeleton[:k]]
     assert merges[-1][1][1] == merges[-1][1][0]
-    local = np.indices([s + 1 for s in shape]).reshape(d, -1).T[_boundary_nodes(shape)]
-    every = {tuple(c) for offset in np.ndindex((3,) * d) for c in local + np.multiply(offset, shape)}
+    every = {tuple(c) for box in _child_boxes(shape, True) for c in box}
     assert len(gone) == len(set(gone)) and set(gone) == every
 
 
 @pytest.mark.parametrize("shape", [(1,), (3,), (1, 1), (3, 3), (1, 1, 1)], ids=str)
-def test_level_minus_one_hands_its_map_in_level_zero_order(shape):
+def test_level_minus_one_keeps_the_nodes_level_zero_shares(shape):
     # level -1's last stage, given its cube's index among level 0's
-    # children, keeps the skeleton of the plan without one, its kept nodes
-    # (the cube's boundary) in _handed order: the nodes no other child has,
-    # then the shared ones. The cube's first level-0 merge then has ranks
-    # 0..size-1, and runs in place on the map
+    # children, merges the skeleton of the plan without one and keeps, in
+    # C order, only the cube's boundary nodes that another child shares:
+    # the nodes of the cube's box in level 0's plan. It eliminates the
+    # interior and the nodes no other child has at once; the stages before
+    # it are the plan's own
     d = len(shape)
     cube = tuple(3 * s for s in shape)
-    local = np.indices([s + 1 for s in cube]).reshape(d, -1).T[_boundary_nodes(cube)]
+    _plan.cache_clear()  # so no child plan predates the plan it reuses
     [(_, (size, k, _), boxes, skeleton)] = [m for m in _replay(shape, False) if m[0] == d - 1]
     base = _plan(shape, False)
-    for child in range(3**d):
+    top = _child_boxes(cube, True)
+    _replay(cube, True)  # level 0's plan takes those boxes
+    for child, offset in enumerate(np.ndindex((3,) * d)):
         *rest, ((size_c, k_c, ranks),) = _plan(shape, False, child)
-        assert (size_c, k_c) == (size, k) and len(rest) == len(base) - 1
-        assert all(m[:2] == n[:2] and all(map(np.array_equal, m[2], n[2]))
-                   for stage, other in zip(rest, base) for m, n in zip(stage, other))
+        assert size_c == size and len(rest) == len(base) - 1
+        assert all(stage is other for stage, other in zip(rest, base))
         placed = np.full((size, d), -1)
         for r, coords in zip(ranks, boxes):
             placed[r] = coords
-        assert np.array_equal(placed[:k], skeleton[:k])
-        order = cge.solver._handed(cube, child)
-        assert np.array_equal(placed[k:], local[order])
-        first_size, first_k, (first,) = _plan(cube, True)[0][child]
-        assert first_size == size - k and np.array_equal(first, np.arange(first_size))
-        # the nodes it eliminates first are those on no face inside level 0
-        inside = [(local[order][:first_k, a] == 0) & (offset > 0)
-                  | (local[order][:first_k, a] == cube[a]) & (offset < 2)
-                  for a, offset in enumerate(np.unravel_index(child, (3,) * d))]
-        assert not np.any(inside)
+        assert {tuple(c) for c in placed} == {tuple(c) for c in skeleton}
+        assert np.array_equal(placed[k_c:] + np.multiply(offset, cube), top[child])
+        flat = np.ravel_multi_index(tuple(placed[k_c:].T), [s + 1 for s in cube])
+        assert np.all(np.diff(flat) > 0)  # C order
+        assert 0 < size - k_c <= size - k  # the centre child keeps the whole boundary
 
 
 def _laplacian_stack(n, size, seed):
@@ -822,37 +839,46 @@ def test_last_merge_matches_dense_oracle(monkeypatch, d, n):
 
 def test_level_zero_merges_hold_one_working_store(monkeypatch):
     # 3D N=3, one core: the middle slab's merge holds at most its skeleton,
-    # its kept block and one band of the skeleton's rows at once; the last
-    # merge, in place on its middle box's map, one band; each child's first
-    # merge, in place on its cube's map, its kept block and one band: no
-    # update temporary, no copy of A_kb or of the pinned map, no skeleton
-    # that a box lends, and no input box once it is summed
+    # its kept block and one band of the skeleton's rows at once, and so
+    # does each strip; the last merge, in place on its middle box's map,
+    # one band: no update temporary, no copy of A_kb or of the pinned map,
+    # and no skeleton that a box lends. No input box outlives its summing:
+    # when the last merge factors, its first and third slabs are freed
     f = gen_random_spd(GridSpec(3, 3), seed=1, eig_low=1e-2, eig_high=1e2)
     stages = _plan((9, 9, 9), True)
-    middle, last = stages[2][1], stages[3][0]
-    real, peaks, firsts = cge.solver._condense, {}, []
+    middle, last = stages[1][1], stages[2][0]
+    real, peaks, strips, slabs = cge.solver._condense, {}, [], []
 
     def spy(maps, plan, *args, **kwargs):
-        first = any(plan is merge for merge in stages[0])
-        if plan is not middle and plan is not last and not first:
+        strip = any(plan is merge for merge in stages[0])
+        if plan is not middle and plan is not last and not strip:
             return real(maps, plan, *args, **kwargs)
+        if plan is last:
+            slabs.extend(weakref.ref(box) for box in maps)
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         out = real(maps, plan, *args, **kwargs)
         peak = tracemalloc.get_traced_memory()[1] - base
-        if first:
-            firsts.append((plan[0], plan[1], peak))
+        if strip:
+            strips.append((plan[0], plan[1], peak))
         else:
             peaks[plan[:2]] = peak
         return out
 
     solves, real_solve = [], np.linalg.solve
+    alive, real_cholesky = [], cge.solver._cholesky
 
     def spy_solve(a, b):
         solves.append(a.shape)
         return real_solve(a, b)
 
+    def spy_cholesky(a, *args):
+        if slabs and a.shape[-1] == last[0] - 1:  # the last merge's pinned skeleton
+            alive.append([slab() is not None for slab in slabs])
+        return real_cholesky(a, *args)
+
     monkeypatch.setattr(cge.solver, "_condense", spy)
+    monkeypatch.setattr(cge.solver, "_cholesky", spy_cholesky)
     monkeypatch.setattr(np.linalg, "solve", spy_solve)
     monkeypatch.setattr(cge.solver.os, "sched_getaffinity", lambda pid: {0})
     monkeypatch.setattr(cge.solver, "_POOL", None)
@@ -868,8 +894,9 @@ def test_level_zero_merges_hold_one_working_store(monkeypatch):
     assert (size, k, top) == (2016, 448, 1568)
     assert peaks[middle[:2]] < 8 * (size**2 + (size - k) ** 2 + BAND * size)
     assert peaks[last[:2]] < 8 * BAND * top
-    assert len(firsts) == 27
-    assert all(peak < 8 * ((size - k) ** 2 + BAND * size) for size, k, peak in firsts)
+    assert len(strips) == 9
+    assert all(peak < 8 * (size**2 + (size - k) ** 2 + BAND * size) for size, k, peak in strips)
+    assert alive == [[False, True, False]]  # the middle slab is the skeleton
     # LAPACK's copies are not traced: the pass, asked for level 0 alone,
     # makes no LU solve, which would copy the last merge's pinned map
     assert solves == []
@@ -1036,9 +1063,9 @@ def test_failed_solve_is_nan_and_named_at_its_level_and_above(monkeypatch):
 @pytest.mark.parametrize("d, n", [(2, 4), (3, 3)])
 @pytest.mark.parametrize("kind", ["random", "cascade"])
 def test_level_minus_one_does_not_depend_on_level_zero(d, n, kind):
-    # level -1's g is its cube's first level-0 merge's carried W_f^T W_f
-    # and the pinned solve of the box it makes: the same operations whether
-    # or not level 0 is asked for, so the same bits
+    # level -1's g is its last stage's carried W_f^T W_f and the pinned
+    # solve of the box it makes: the same operations whether or not level 0
+    # is asked for, so the same bits
     grid = GridSpec(d, n)
     f = (gen_random_spd(grid, seed=1, eig_low=1e-2, eig_high=1e2) if kind == "random"
          else gen_cascade_field(grid, CascadeParams(0.5, n, 1)))
@@ -1048,14 +1075,21 @@ def test_level_minus_one_does_not_depend_on_level_zero(d, n, kind):
     assert alone[-1][1].residual == both[-1][1].residual <= 1e-10
 
 
-@pytest.mark.parametrize("d, n", [(2, 2), (2, 3), (3, 2)])
-def test_level_minus_one_matches_dense_oracle(d, n):
-    # asked alone and with level 0: every level -1 cube's g against the
-    # dense reference solve of the cube
-    f = gen_random_spd(GridSpec(d, n), seed=5, eig_low=1e-2, eig_high=1e2)
+@pytest.mark.parametrize("d, n, kind", [
+    (1, 2, "random"), (1, 3, "random"), (2, 2, "random"), (2, 3, "random"), (3, 2, "random"),
+    (2, 3, "laminate"), (3, 2, "laminate")])
+def test_level_minus_one_matches_dense_oracle(d, n, kind):
+    # asked alone and with level 0: every level -1 cube's g, from its last
+    # stage, which eliminates the interior and the nodes no other child of
+    # level 0 has (none at the centre child) and pins the rest, against the
+    # dense reference solve of the cube; a laminate at contrast 1e4 too
+    grid = GridSpec(d, n)
+    f = (gen_random_spd(grid, seed=5, eig_low=1e-2, eig_high=1e2) if kind == "random"
+         else gen_laminate(grid, d - 1, [1.0, 1e4, 3.0]))
     for levels in ([-1], [0, -1]):
         g_all, stats = level_functionals(f, levels)[-1]
-        assert 0.0 < stats.residual <= 1e-12
+        # in 1D a reduced box has one or two nodes, whose pinned solve can be exact
+        assert (0.0 < stats.residual or d == 1) and stats.residual <= 1e-12
         for off in np.ndindex(g_all.shape[:d]):
             want = _dense_functionals(f, TriadicCube(-1, off))[:d, :d]
             np.testing.assert_allclose(g_all[off], want, rtol=0, atol=1e-12 * np.abs(want).max())
@@ -1065,11 +1099,11 @@ def test_level_minus_one_matches_dense_oracle(d, n):
     (np.linalg.LinAlgError("Matrix is not positive definite"), "failed"),
     (MemoryError("Unable to allocate 1.5 MiB"), "ran out of memory"),
 ])
-def test_failed_first_merge_is_nan_at_level_minus_one_and_zero(monkeypatch, error, why):
-    # a level -1 cube's first level-0 merge, with its pinned solve, gives
-    # level -1's g and level 0's box: when it fails, or finds no memory,
-    # that cube is NaN at level -1, level 0 is NaN, both name it, and the
-    # other cubes and levels keep their numbers
+def test_failed_pinned_last_stage_is_nan_at_level_minus_one_and_zero(monkeypatch, error, why):
+    # level -1's last stage, with its pinned solve, gives level -1's g and
+    # level 0's box: when it fails, or finds no memory, that cube is NaN at
+    # level -1, level 0 is NaN, both name it, and the other cubes and
+    # levels keep their numbers
     f = gen_random_spd(GridSpec(2, 3), seed=1, eig_low=1e-2, eig_high=1e2)
     clean = level_functionals(f, [0, -1, -2])
     real, calls = cge.solver._condense, []
@@ -1097,10 +1131,9 @@ def test_failed_first_merge_is_nan_at_level_minus_one_and_zero(monkeypatch, erro
 
 
 def test_nan_level_minus_one_cube_is_nan_at_level_zero_and_named(monkeypatch):
-    # a level -1 map made NaN by its last stage's failed merge: its first
-    # level-0 merge raises on the map, which is not finite, so level -1's g
-    # of that cube and level 0's are NaN, and both levels name the first
-    # failure, the failed merge's
+    # a level -1 map made NaN by its last stage's failed merge: the stage
+    # hands level 0 no box, so level -1's g of that cube and level 0's are
+    # NaN, and both levels name the first failure, the failed merge's
     f = gen_random_spd(GridSpec(3, 2), seed=3, eig_low=1e-2, eig_high=1e2)
     clean = level_functionals(f, [0, -1])
     real, calls = cge.solver._eliminate, []
@@ -1466,16 +1499,16 @@ def test_dirichlet_failed_factorization_is_solver_error(monkeypatch, error, why)
     assert str(err.value) == stats.failure
 
 
-@pytest.mark.parametrize("boxes", [1, 3])  # a subtree's first level-0 merge, a later one
-def test_dirichlet_memory_error_after_elimination_is_solver_error(monkeypatch, boxes):
-    # the merge has eliminated and kept its factor when the copy of its map
-    # finds no memory: the solve still fails as a SolverError
+@pytest.mark.parametrize("stage", [0, 1])  # a strip, on the subtrees' boxes; the last merge
+def test_dirichlet_memory_error_after_elimination_is_solver_error(monkeypatch, stage):
+    # a level-0 merge has eliminated and kept its factor when the copy of
+    # its map finds no memory: the solve still fails as a SolverError
     real, raised = cge.solver._condense, []
+    merges = _plan((3, 3), True)[stage]
 
     def no_memory(maps, plan, out=None, *args, **kwargs):
-        count = len(kwargs.get("carried", ()))
         made = real(maps, plan, out, *args, **kwargs)
-        if out is None and kwargs.get("kept") and count == boxes and not raised:
+        if out is None and kwargs.get("kept") and plan is merges[0] and not raised:
             raised.append(plan[0])
             raise MemoryError("Unable to allocate 1.2 MiB")
         return made
@@ -1534,10 +1567,8 @@ def _class_field(d, n, kind):
 
 def _merges_per_pass(d, n):
     """The merges a pass over every level of a ``3**n``-cell cube makes:
-    ``(3**d - 1) / 2`` a cube below level 0, and at level 0 each child's
-    first merge and the cube's own."""
-    return (sum(3 ** (j * d) for j in range(1, n)) * (3**d - 1) // 2
-            + 3**d + (3**d - 1) // 2)
+    ``(3**d - 1) / 2`` a cube, each merge making one box of three."""
+    return (3 ** (n * d) - 1) // 2
 
 
 def test_classes_are_exact_by_bytes():
@@ -1581,9 +1612,9 @@ def test_content_classes_leave_functionals_bit_identical(monkeypatch, d, n, kind
 def test_condense_sees_each_distinct_merge_once(monkeypatch, d, n):
     # the kernel's merges: every one on random SPD, whose cells are all
     # distinct; on a constant field one a stage of each subtree. Each call
-    # of the kernel is one stage of a subtree (d a level below 0, and a
-    # level -1 cube's first level-0 merge) or one of level 0's later
-    # merges, and a Dirichlet solve's stats count what the kernel saw
+    # of the kernel is one stage of a subtree (d a level below 0) or one of
+    # level 0's merges, and a Dirichlet solve's stats count what the kernel
+    # saw
     seen = []
     real = cge.solver._condense
 
@@ -1593,10 +1624,10 @@ def test_condense_sees_each_distinct_merge_once(monkeypatch, d, n):
 
     monkeypatch.setattr(cge.solver, "_condense", spy)
     grid = GridSpec(d, n)
-    calls = 3**d * (d * (n - 1) + 1) + (3**d - 1) // 2
+    calls = 3**d * d * (n - 1) + (3**d - 1) // 2
     for f, merges in [
         (gen_random_spd(grid, seed=2, eig_low=1e-2, eig_high=1e2), _merges_per_pass(d, n)),
-        (gen_constant(grid, np.eye(d)), 3**d * d * (n - 1) + 3**d + (3**d - 1) // 2),
+        (gen_constant(grid, np.eye(d)), calls),
     ]:
         seen.clear()
         out = level_functionals(f, range(0, -n, -1))
@@ -1636,7 +1667,7 @@ def test_content_classes_leave_dirichlet_bit_identical(monkeypatch, case):
                 assert alone_stats.residual == stats.residual
                 # a cube of 3x3 cells has no level below 0 to share
                 assert (stats.merges < alone_stats.merges
-                        or stats.merges == alone_stats.merges == 13 and cube.level == -3)
+                        or stats.merges == alone_stats.merges == 4 and cube.level == -3)
 
 
 def test_dirichlet_failed_shared_class_is_solver_error(monkeypatch):

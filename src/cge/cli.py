@@ -507,12 +507,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_audit(args: argparse.Namespace) -> int:
     resolved = _resolve_config(args)
+    s_grid = (tuple(_comma_floats(args.s_grid, "--s-grid"))
+              if args.s_grid is not None else DEFAULT_S_GRID)
     field = _load_field(args.field)
     result = sweep(field, cache_dir=resolved["cache_dir"])
     if result.failures:
         raise CliError(f"{len(result.failures)} cube solves failed")
-    s_grid = (tuple(_comma_floats(args.s_grid, "--s-grid"))
-              if args.s_grid else DEFAULT_S_GRID)
     audit_report = audit(result, s_grid=s_grid)
     report = make_report("audit", audit_report.to_dict(), resolved,
                          field_hash=field.content_hash)

@@ -147,9 +147,9 @@ class SweepResult:
 #: :func:`~cge.solver.level_functionals`, in every dimension) and the record
 #: layout (``astar_inv`` alone) in every cache record: another solver's
 #: record is a miss. A change that moves the stored numbers bumps it: at
-#: ``/9`` level -1's last stage eliminates the nodes no other child of level
-#: 0 has, which moves levels -1 and 0 by rounding.
-SOLVER_TAG = "q1-neumann/condensation/9"
+#: ``/10`` the cells of a cube merge at once, in one merge of ``3**d``, which
+#: moves every level by rounding in 2D and 3D.
+SOLVER_TAG = "q1-neumann/condensation/10"
 
 
 def _cache_path(cache_dir, field_hash: str, level: int) -> str:
@@ -194,12 +194,13 @@ def _level_result(level: int, g_all: np.ndarray,
                   stats: SolveStats) -> tuple[np.ndarray, list[dict], float]:
     """Packed ``astar_inv`` of a level's cubes, their failures and the
     symmetry defect of ``g``, from its functionals ``(g_all, stats)``: every
-    non-finite cube fails, holds NaN and takes the message
-    ``stats.failure`` (the pass's first failed stage at or below the
-    level) or else, for a ``g`` that overflowed, "non-finite functional
-    matrix". So a cube made non-finite otherwise takes a failed stage's
-    message too. The defect is ``max |g - g^T| / max |g|`` over the finite
-    cubes, before ``g`` is symmetrized (NaN if none is finite).
+    non-finite cube fails, holds NaN and takes the message of the first
+    failed stage at or below it: below level 0 its level -1 cube's
+    (``stats.subtree_failures``), at level 0 the pass's (``stats.failure``),
+    or else, for a ``g`` that overflowed, "non-finite functional matrix".
+    So a cube made non-finite otherwise takes a failed stage's message too.
+    The defect is ``max |g - g^T| / max |g|`` over the finite cubes, before
+    ``g`` is symmetrized (NaN if none is finite).
     """
     bad = ~np.isfinite(g_all).all(axis=(-2, -1))
     good = g_all[~bad]
@@ -207,8 +208,15 @@ def _level_result(level: int, g_all: np.ndarray,
               if good.size else math.nan)
     g_all[bad] = np.nan
     astar_inv = sym_pack(0.5 * (g_all + np.swapaxes(g_all, -1, -2)))
+
+    def cause(off: tuple) -> str:
+        if not stats.subtree_failures:
+            return stats.failure
+        top = np.ravel_multi_index([z // 3 ** (-level - 1) for z in off], (3,) * len(off))
+        return stats.subtree_failures[top]
+
     failures = [{"level": level, "offset": [int(z) for z in off],
-                 "message": stats.failure or "non-finite functional matrix"}
+                 "message": cause(off) or "non-finite functional matrix"}
                 for off in zip(*np.nonzero(bad))]
     return astar_inv, failures, defect
 

@@ -481,8 +481,9 @@ def read_field(path) -> CoefficientField:
     ------
     FieldFormatError
         On magic mismatch, truncated payload or descriptor, inconsistent
-        component count, or non-finite payload values (the first offending
-        offset is named).
+        component count, non-finite payload values (the first offending
+        offset is named), a descriptor that is not UTF-8, or bytes after the
+        descriptor.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -525,7 +526,15 @@ def read_field(path) -> CoefficientField:
             f"truncated descriptor: expected {desc_len} bytes, "
             f"got {len(raw) - payload_end - 4}"
         )
-    descriptor = raw[payload_end + 4 : desc_end].decode("utf-8")
+    if len(raw) > desc_end:
+        raise FieldFormatError(f"{len(raw) - desc_end} unexpected bytes after the descriptor")
+    try:
+        descriptor = raw[payload_end + 4 : desc_end].decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise FieldFormatError(
+            f"descriptor is not UTF-8 ({err.reason} at byte {err.start}): "
+            f"{raw[payload_end + 4 : desc_end]!r}"
+        ) from None
     data = data.reshape(grid.cell_shape + (ncomp,)).copy()
     return CoefficientField(grid, data, descriptor)
 

@@ -27,12 +27,14 @@ The forcings live on a cube's boundary, so ``g`` needs only the Schur
 complement of the cube's stiffness onto its boundary (its
 boundary map), and a parent's map is the dense condensation of its
 children's. Every level runs the stages of one plan (:func:`_plan`)
-through one merge kernel (:func:`_condense`). Each stage merges 3 boxes
-along one axis, so small separators are eliminated first, as in nested
-dissection (George, "Nested dissection of a regular finite element mesh",
-SIAM J. Numer. Anal. 1973), and a merge keeps the boundary of the box it
-makes. Level 0 forms no map: its boxes keep only the nodes that another box
-shares, and its last merge is one pinned solve. A cube's ``g`` is its entry
+through one merge kernel (:func:`_condense`). A cube's cells merge at
+once, in one merge onto its ``4**d`` node grid; above the cells each stage
+merges 3 boxes along one axis, so small separators are eliminated first, as
+in nested dissection (George, "Nested dissection of a regular finite
+element mesh", SIAM J. Numer. Anal. 1973). A merge keeps the boundary of
+the box it makes, and eliminates at least one node. Level 0 forms no map:
+its boxes keep only the nodes that another box shares, and its last merge
+is one pinned solve. A cube's ``g`` is its entry
 of its level's array; no other path solves a cube alone.
 
 A merge sums its boxes' maps onto its skeleton through a flat index and
@@ -42,7 +44,7 @@ Schur update, all matmuls and no copy of the skeleton. A box whose map is
 in the skeleton's own order lends it as the skeleton. One elimination
 serves levels -1 and 0: level -1's last stage keeps only the nodes another
 child of level 0 shares, eliminating the cube's interior and the nodes no
-other child has at once, and carries each slab's gradient forcing, so the
+other child has at once, and carries each box's gradient forcing, so the
 map it makes is level 0's box, handed over with its carried forcing and
 ``f^T A^-1 f``. Level -1's ``g`` is that ``f^T A^-1 f`` plus a pinned solve
 of the box, by Cholesky on the skeleton once the box is copied off it,
@@ -57,7 +59,8 @@ One path makes a failure data: the kernel raises ``LinAlgError`` on a map
 to merge that is not finite, as on a block that is not positive definite,
 and :func:`_run_stage` alone turns a failure into NaN and a message. So a
 failed stage is NaN as a whole in its subtree, and so is every cube that
-contains one of its cubes; the pass names its first failure.
+contains one of its cubes; the pass names its first failure, and each
+level -1 cube its own subtree's.
 
 The pass runs depth first, one subtree per level -1 cube: a subtree runs
 its levels below 0 from its cells' element matrices, so only one subtree's
@@ -79,10 +82,9 @@ subproblems of nested dissection are shared exactly. Every cell has a
 content class (:func:`_classes`), the bytes of its row: the packed
 coefficient for the pure-Neumann pass, and for the Dirichlet solve its
 element's diagonal and couplings, right-hand side and row sums. A merge's
-class is the triple of its boxes' classes, keyed exactly by one integer.
-A stage condenses the first merge
-of each class and hands its map, carried forcing, ``g`` and kept factor to
-every merge of the class. Equal bytes, with no tolerance, make equal
+class is the row of its boxes' classes, classed by the same routine. A
+stage condenses the first merge of each class and hands its map, carried
+forcing, ``g`` and kept factor to every merge of the class. Equal bytes, with no tolerance, make equal
 numbers, so every ``g`` and ``u`` is the one the merge would give alone.
 Constant, laminated and self-similar fields share most merges: the
 sharpness sweep's 2D ``N=5`` solves condense 1,479 of 29,533. A random
@@ -152,12 +154,15 @@ class SolveStats:
     merges: int = 0  # merges condensed: one per content class below level 0
     threads: int = 1
     failure: str = ""  # the pass's first failed dense solve, "" if none
+    # below level 0: each level -1 cube's own first failure, "" if none, in C
+    # order of the cubes (the subtree that made it ran every cube inside it)
+    subtree_failures: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
         """Plain-JSON form (NumPy scalars cast to ``int``/``float``), without
         the merge and thread counts, which describe how the pass ran,
         not its result (the threads depend on the host's cores, and a report
-        must not), and ``failure``, which a sweep records per cube."""
+        must not), and the failures, which a sweep records per cube."""
         return {
             "residual": float(self.residual),
             "unknowns": int(self.unknowns),
@@ -350,13 +355,23 @@ def _plan(shape: tuple[int, ...], top: bool, child: int | None = None) -> tuple[
     ``3**d`` children of ``shape`` cells: its stages, each the tuple of one
     cube's merges.
 
-    A merge sums the maps of 3 boxes consecutive along one axis onto its
-    *skeleton*, the union of their nodes, and eliminates the nodes it does
-    not keep: it keeps the boundary of the box it makes, and at level 0
-    (``top``), whose map no level needs, only the nodes that another box of
-    the cube shares (:func:`_shared`). So level 0's last merge keeps no
-    node. The stages merge along the last axis first, as
-    :func:`_tree_order` lists the boxes, so a plan has ``d`` stages.
+    A merge sums the maps of its boxes onto its *skeleton*, the union of
+    their nodes, and eliminates the nodes it does not keep. Cells merge at
+    once: a cube of ``3**d`` cells is one merge, whose skeleton is the
+    cube's ``4**d`` node grid. Larger children merge 3 boxes consecutive
+    along one axis, the last axis first, as :func:`_tree_order` lists the
+    boxes, so the plan has ``d`` stages and small separators are eliminated
+    first, as in nested dissection.
+
+    A merge keeps the boundary of the box it makes, except where level 0's
+    keep rule holds: only the nodes that another box of level 0's cube
+    shares (:func:`_shared`). That rule holds in every stage of level 0
+    (``top``), whose map no level needs, so its last merge keeps no node.
+    Given ``child``, a level -1 cube's index among level 0's children, it
+    holds in the cube's last stage, which so eliminates the interior and
+    the nodes no other child has at once: level 0's children list their
+    shared nodes alone, but for an ``N=1`` grid's cells, which list all
+    ``2**d``. Every merge eliminates a node.
 
     A merge is ``(size, k, ranks)``: the skeleton's size, the ``k`` nodes
     it eliminates, and for each of its boxes the skeleton index of every
@@ -364,46 +379,32 @@ def _plan(shape: tuple[int, ...], top: bool, child: int | None = None) -> tuple[
     then the kept ones, and a map its nodes, each in C order of the cube's
     node grid. Below level 0 the merges of a stage are translates of one
     another: the pass condenses them all by the first.
-
-    Level -1's cubes hand level 0 only the nodes another child of level 0
-    shares: given ``child``, the cube's index among level 0's children,
-    the last stage keeps those of the cube's boundary nodes, and eliminates
-    the interior and the nodes no other child has at once. So level 0's
-    children list their shared nodes alone, but for an ``N=1`` grid's, its
-    cells, which list all ``2**d``; there the strips eliminate the nodes no
-    other cell has.
     """
     d = len(shape)
     span = np.array(shape)[:, None]
     nodes = tuple(3 * s + 1 for s in shape)  # the cube's node grid
-    if child is None:
-        stages, part, offsets = [], shape, list(np.ndindex((3,) * d))
-        keep = ((lambda coords, lo, hi: _shared(coords, lo, hi, 3 * span)) if top
-                else (lambda coords, lo, hi: ((coords == lo) | (coords == hi)).any(axis=0)))
-    else:  # the last stage alone, on the cube's 3 slabs along the first axis
-        stages = list(_plan(shape, False)[:-1])
-        part = (shape[0],) + tuple(3 * s for s in shape[1:])
-        offsets = np.eye(1, d, dtype=int) * [[0], [1], [2]]
-        at = np.array(np.unravel_index(child, (3,) * d))[:, None] * 3 * span  # in level 0's grid
-
-        def keep(coords, lo, hi):
-            return _shared(coords + at, lo + at, hi + at, 9 * span)
-    extent = np.array(part)[:, None]
-    local = np.indices(tuple(s + 1 for s in part)).reshape(d, -1)[:, _boundary_nodes(part)]
+    at = np.array(np.unravel_index(child or 0, (3,) * d))[:, None] * 3 * span  # in level 0's grid
+    bound = (3 if top else 9) * span  # level 0's cube
+    local = np.indices(tuple(s + 1 for s in shape)).reshape(d, -1)[:, _boundary_nodes(shape)]
     boxes = []  # (nodes of the box's map, lowest corner, highest corner)
-    for offset in offsets:
-        lo = np.array(offset)[:, None] * extent
+    for offset in np.ndindex((3,) * d):
+        lo = np.array(offset)[:, None] * span
         coords = local + lo
         if top and max(shape) > 1:  # a level -1 cube: its shared nodes alone
-            coords = coords[:, keep(coords, lo, lo + extent)]
-        boxes.append((np.ravel_multi_index(tuple(coords), nodes), lo, lo + extent))
+            coords = coords[:, _shared(coords, lo, lo + span, bound)]
+        boxes.append((np.ravel_multi_index(tuple(coords), nodes), lo, lo + span))
+    width = 3 if max(shape) > 1 else len(boxes)  # the boxes a merge takes
+    stages = []
     while len(boxes) > 1:
+        shared = top or (child is not None and len(boxes) == width)
         merges, parents = [], []
-        for j in range(0, len(boxes), 3):
-            group = [box for box, _, _ in boxes[j:j + 3]]
-            lo, hi = boxes[j][1], boxes[j + 2][2]
+        for j in range(0, len(boxes), width):
+            group = [box for box, _, _ in boxes[j:j + width]]
+            lo, hi = boxes[j][1], boxes[j + width - 1][2]
             union = np.unique(np.concatenate(group))  # sorted: C order
-            kept = keep(np.array(np.unravel_index(union, nodes)), lo, hi)
+            coords = np.array(np.unravel_index(union, nodes))
+            kept = (_shared(coords + at, lo + at, hi + at, bound) if shared
+                    else ((coords == lo) | (coords == hi)).any(axis=0))
             position = np.empty(union.size, dtype=np.int64)
             position[np.concatenate([np.flatnonzero(~kept), np.flatnonzero(kept)])] = \
                 np.arange(union.size)
@@ -437,11 +438,11 @@ _MIX = np.uint64(0x9E3779B97F4A7C15)
 
 def _classes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """The content classes of ``rows``, an ``(n, w)`` array of 8-byte
-    numbers: each cell's element data. Rows whose bytes are equal share a
-    class; no tolerance is used. Returns ``(first, inverse)``, the first
-    row of each class (classes in an order of their own) and each row's
-    class, or None when every row is distinct. (A merge's class is keyed
-    exactly by its boxes' classes, in :func:`_subtree_level`.)
+    numbers: each cell's element data, or each merge's row of its boxes'
+    classes (int64, in :func:`_subtree_level`). Rows whose bytes are equal
+    share a class; no tolerance is used. Returns ``(first, inverse)``, the
+    first row of each class (classes in an order of their own) and each
+    row's class, or None when every row is distinct.
 
     Each row's words are mixed into one 64-bit key. Distinct keys are
     distinct rows, so one sort of the keys clears an all-distinct input (a
@@ -603,11 +604,11 @@ def _eliminate(mat: np.ndarray, k: int, forcing: np.ndarray | None = None, run=_
     to zero too (constants are in the stiffness's kernel). At high contrast its
     diagonal, subtracted directly, loses digits to cancellation, so it is taken
     from the other entries of its row: in 1D at contrast 1e6 this brings g's
-    error from 2.7e-8 to 7e-12. With ``k = 0`` nothing is eliminated and the
-    diagonal is kept. With a ``forcing`` (the ``(nodes, c)`` forcing of every
-    matrix's nodes, or a stack of them) carried along, ``W_f = L^-1 f_k`` is
-    solved alone and the call returns ``(S, f_b - W_b^T W_f, W_f^T W_f)``, the
-    last ``f_k^T A_kk^-1 f_k``, exactly symmetric too. Raises
+    error from 2.7e-8 to 7e-12. With a ``forcing`` (the ``(nodes, c)``
+    forcing of every matrix's nodes, or a stack of them) carried along,
+    ``W_f = L^-1 f_k`` is solved alone and the call returns ``(S, f_b -
+    W_b^T W_f, W_f^T W_f)``, the last ``f_k^T A_kk^-1 f_k``, exactly
+    symmetric too. Raises
     ``numpy.linalg.LinAlgError`` if an ``A_kk`` of the stack is not positive
     definite.
 
@@ -644,8 +645,7 @@ def _eliminate(mat: np.ndarray, k: int, forcing: np.ndarray | None = None, run=_
         rows[:, at - lo, at] = -total if kept is None else rest[:, at, -1] - total
 
     run(range((n - 1) // _BAND * _BAND, -1, -_BAND), band)  # the largest band first
-    if k:
-        run(range(0, n, _BAND), diagonal)
+    run(range(0, n, _BAND), diagonal)
     if forcing is None:
         return schur
     if kept is not None:
@@ -697,9 +697,9 @@ def _condense(maps: list, plan: tuple, out: np.ndarray | None = None, carried: S
     diagonal blocks keep (:func:`_residual`). A level below -1 pins its
     cubes' maps itself (:func:`_subtree_level`).
 
-    A list ``kept`` takes the merge's factor, as :func:`_eliminate` keeps it (an
-    empty one if ``k = 0``): the Dirichlet solve's. Its skeleton has no kernel,
-    so its last merge eliminates every node, with no pin.
+    A list ``kept`` takes the merge's factor, as :func:`_eliminate` keeps
+    it: the Dirichlet solve's. Its skeleton has no kernel, so its last
+    merge eliminates every node, with no pin.
 
     Returns ``(out, forcing, g, pinned, residual)``: the maps (``None`` if none
     is kept), the kept nodes' forcing, the ``(n, d, d)`` matrices ``g`` (not
@@ -743,13 +743,11 @@ def _condense(maps: list, plan: tuple, out: np.ndarray | None = None, carried: S
     if not np.isfinite(skel).all():
         raise np.linalg.LinAlgError("a map to merge is not finite")
     schur = skel
-    if carried and k and (k < size or kept is not None):
+    if carried and (k < size or kept is not None):
         schur, forcing, own = _eliminate(skel, k, forcing, run, kept)
         g = g + own
-    elif 0 < k < size:
+    elif k < size:
         schur = _eliminate(skel, k, None, run)
-    elif kept is not None:
-        kept.append((np.empty((n, 0, size)), [], [], np.empty((n, 0, forcing.shape[-1] - 1))))
     if out is None and k < size:  # a copy off the skeleton, made once it is reduced
         out = np.empty((n, size - k, size - k))
     if out is not None:
@@ -793,12 +791,10 @@ def _subtree_level(kids: np.ndarray, cls: np.ndarray | None, shape: tuple[int, .
     content class in tree order, ``kids`` holding one map per class, or is
     None when every child is distinct and ``kids`` lists them in tree order.
 
-    A stage with classes keys each merge by one exact integer of its boxes'
-    classes, ``(c0 * n + c1) * n + c2`` for ``n`` classes (exact below
-    ``2**21`` of them), classes the merges by one ``np.unique`` of the
-    keys, condenses the first merge of each class
-    alone and hands its map to every merge of the class; its boxes are
-    gathered from ``kids``. A stage whose merges are all distinct condenses
+    A stage with classes groups its merges by the rows of their boxes'
+    classes (:func:`_classes`, as the cells are grouped), condenses the
+    first merge of each class alone and hands its map to every merge of the
+    class; its boxes are gathered from ``kids``. A stage whose merges are all distinct condenses
     every merge, and every stage above it does so on strided views of
     ``kids``. Each stage is one call of the kernel (:func:`_run_stage`): a
     failed dense solve, or a box that is not finite, leaves the stage's maps
@@ -808,7 +804,7 @@ def _subtree_level(kids: np.ndarray, cls: np.ndarray | None, shape: tuple[int, .
 
     At level -1, ``child`` is the subtree's index among level 0's children:
     the last stage keeps only the nodes another child shares, and carries
-    each slab's gradient forcing (:func:`_forcings`), so the cube's map is
+    each box's gradient forcing (:func:`_forcings`), so the cube's map is
     level 0's box and the kernel pins it by Cholesky for ``g``, given the
     ``volume``. Given the children's ``sums``, their right-hand sides and
     row sums by class (the Dirichlet solve's), they are carried to the
@@ -823,25 +819,25 @@ def _subtree_level(kids: np.ndarray, cls: np.ndarray | None, shape: tuple[int, .
     ``stats.wall_time`` is the seconds the level took."""
     d = len(shape)
     cube = tuple(3 * s for s in shape)
-    slab = (shape[0],) + cube[1:]  # a box of level -1's last stage
+    # a box of level -1's last stage: a cell, or a slab along the first axis
+    slab = shape if max(shape) == 1 else (shape[0],) + cube[1:]
     stats = SolveStats(residual=math.nan, unknowns=0, wall_time=time.perf_counter(),
                        method="condensation")
     stages = _plan(shape, False, child)
     g, own = None, 0.0
     for stage, merges in enumerate(stages):
         merge = merges[0]  # the merges of a stage are translates of the first
-        size, k, _ = merge
+        size, k, ranks = merge
+        width = len(ranks)  # the boxes a merge takes
         stats.unknowns = max(stats.unknowns, size)
-        total = (kids.shape[0] if cls is None else cls.size) // 3  # the stage's merges
+        total = (kids.shape[0] if cls is None else cls.size) // width  # the stage's merges
         picks, inverse = None, None  # each condensed merge's rows of kids; each merge's class
         if cls is not None:
-            picks = cls.reshape(-1, 3)
-            key = (picks[:, 0] * kids.shape[0] + picks[:, 1]) * kids.shape[0] + picks[:, 2]
-            _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-            if first.size < key.size:
+            picks = cls.reshape(-1, width)
+            which = _classes(picks)
+            if which is not None:  # None: all distinct; the stages above take strided views
+                first, inverse = which
                 picks = picks[first]
-            else:  # every merge distinct: the stages above take strided views
-                inverse = None
         count = total if picks is None else picks.shape[0]
         last = stage == len(stages) - 1
         carry = sums is not None or (last and child is not None)
@@ -851,12 +847,12 @@ def _subtree_level(kids: np.ndarray, cls: np.ndarray | None, shape: tuple[int, .
 
         def box(arr: np.ndarray, c: int) -> np.ndarray:
             """Box ``c`` of every condensed merge, from ``arr``."""
-            return arr[c::3] if picks is None else arr[picks[:, c]]
+            return arr[c::width] if picks is None else arr[picks[:, c]]
 
         def work() -> tuple:
             """The stage's carried ``g``, its cubes' ``g`` if it pins
             them, and the pins' largest residual."""
-            boxes = [box(kids, c) for c in range(3)]
+            boxes = [box(kids, c) for c in range(width)]
             if not carry:
                 _condense(boxes, merge, maps)
                 if not last or volume is None:
@@ -868,15 +864,15 @@ def _subtree_level(kids: np.ndarray, cls: np.ndarray | None, shape: tuple[int, .
                 s = maps[:, :-1, :-1]
                 y = np.linalg.solve(s, np.broadcast_to(f, s.shape[:1] + f.shape))
                 return 0.0, np.swapaxes(y, -1, -2) @ f / volume, _residual(s @ y, f)
-            forcing = ([box(sums, c) for c in range(3)] if sums is not None
-                       else [_forcings(slab, h)[_boundary_nodes(slab)][None]] * 3)
+            forcing = ([box(sums, c) for c in range(width)] if sums is not None
+                       else [_forcings(slab, h)[_boundary_nodes(slab)][None]] * width)
             kept = None if sums is None else []
             _, made[...], own, pinned, residual = _condense(
                 boxes, merge, maps, carried=[(f, 0.0) for f in forcing], kept=kept,
                 pin=volume is not None)
             if kept is not None:  # each merge's row of the factor: its class's
                 tape.append((merge, *kept[0], slice(None) if inverse is None else inverse,
-                             [values[c::3] for c in range(3)], made_values))
+                             [values[c::width] for c in range(width)], made_values))
             return own, None if pinned is None else pinned / volume, residual
 
         done = _run_stage(count, work, stats, maps)
@@ -893,9 +889,9 @@ def _subtree_level(kids: np.ndarray, cls: np.ndarray | None, shape: tuple[int, .
 def _level_zero(boxes: list, stages: tuple, d: int,
                 tape: list | None = None) -> tuple[np.ndarray, SolveStats]:
     """Level 0: the strips, the slabs and the last merge (``stages``, of
-    :func:`_plan` with ``top``) on its children's ``boxes``, each the
-    ``(map, forcing, g, values)`` its subtree handed over, or ``None`` for
-    a subtree whose stage failed.
+    :func:`_plan` with ``top``; for an ``N=1`` grid one merge of its cells)
+    on its children's ``boxes``, each the ``(map, forcing, g, values)`` its
+    subtree handed over, or ``None`` for a subtree whose stage failed.
 
     The merges run one at a time on the calling thread, in postorder: a box is
     merged into its parent before the next box is made, so besides one merge's
@@ -916,11 +912,13 @@ def _level_zero(boxes: list, stages: tuple, d: int,
     g = np.full((1, d, d), np.nan)
 
     def make(stage: int, j: int) -> tuple | None:
-        """Merge ``j`` of ``stages[stage]``, its boxes made first: its
-        ``(map, forcing, g, values, pinned, residual)``, or None if a merge
-        failed."""
-        parts = []
-        for c in range(3 * j, 3 * j + 3):
+        """Merge ``j`` of ``stages[stage]``, its boxes made first (the
+        merges ``width * j`` on of the stage below, or level 0's children):
+        its ``(map, forcing, g, values, pinned, residual)``, or None if a
+        merge failed."""
+        merge, kept = stages[stage][j], None if tape is None else []
+        width, parts = len(merge[2]), []
+        for c in range(width * j, width * j + width):
             parts.append(make(stage - 1, c) if stage else boxes[c])
             if not stage:
                 boxes[c] = None
@@ -929,7 +927,6 @@ def _level_zero(boxes: list, stages: tuple, d: int,
         maps, carried = [part[0] for part in parts], [part[1:3] for part in parts]
         values = [part[3] for part in parts]
         del parts  # maps holds the boxes alone, and drops each once summed
-        merge, kept = stages[stage][j], None if tape is None else []
         made = _run_stage(
             1, lambda: _condense(maps, merge, carried=carried, run=_run_chunks, kept=kept), stats)
         if made is None:
@@ -997,7 +994,8 @@ def _condensation(d: int, depth: int, h: float, rows: np.ndarray,
     for a level not asked for, and with a ``tape``. ``stats`` is
     :func:`_summed` over the level's subtrees and, at level 0, its merges:
     it takes the most threads that took a subtree and the pass's first
-    failure at or below the level."""
+    failure at or below the level, and below level 0 each subtree's first
+    failure at or below the level (``stats.subtree_failures``)."""
     per = rows.shape[0] // 3**d  # cells a subtree
     order = _tree_order(depth, d)
     below = range(1 - depth, min(wanted[0], -1) + 1)  # a subtree's levels: none if depth 1
@@ -1034,10 +1032,13 @@ def _condensation(d: int, depth: int, h: float, rows: np.ndarray,
         tape.extend(step for steps in tapes for step in steps)
     if 0 in wanted:
         per_level[0] = [_level_zero(boxes, _plan((3 ** (depth - 1),) * d, True), d, tape)]
-    out, failure = {}, ""
-    for level, parts in per_level.items():
+    out, failure, own = {}, "", [""] * 3**d
+    for level, parts in per_level.items():  # from the cells up
         stats = _summed([st for _, st in parts], threads)
         failure = stats.failure = failure or stats.failure
+        if level < 0:  # parts holds one per subtree, in order
+            own = [mine or st.failure for mine, (_, st) in zip(own, parts)]
+            stats.subtree_failures = tuple(own)
         g_all = None
         if level in wanted and tape is None:
             g = np.concatenate([g for g, _ in parts])
@@ -1086,7 +1087,7 @@ def level_functionals(
     is summed; only one subtree's maps per thread, level 0's boxes and one
     level-0 merge's working store are alive at once, and a level's numbers
     do not depend on the other levels asked for. An ``N=1`` grid's subtrees
-    are its cells.
+    are its cells, which level 0 merges at once.
 
     The 3**d subtrees are the jobs of :func:`_run_chunks`, on one thread per
     core, the caller among them; a job runs each of its stages as one call
@@ -1112,7 +1113,10 @@ def level_functionals(
     or a map to merge that is not finite (``dense condensation failed: a
     map to merge is not finite``). ``stats.failure`` names the pass's first
     failure at or below the level (``""`` if none): the lowest level's, and
-    there the first subtree's, whichever thread ran it.
+    there the first subtree's, whichever thread ran it. Below level 0,
+    ``stats.subtree_failures`` names each level -1 cube's own first failure
+    at or below the level, so each failed cube of the level has the cause
+    of the subtree it lies in.
     """
     grid = field.grid
     d = grid.d

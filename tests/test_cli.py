@@ -253,6 +253,8 @@ class TestCoarse:
             # content class: one merge condensed
             nodes = 18 * m - 2
             merges = 9 * 2
+            if m == 1:  # the cells merge at once, onto the 4x4 node grid
+                nodes, merges = 16, 9
             if level == 0:  # only the two interface lines are kept: the middle
                 # strip's skeleton is both and the 2m nodes between them;
                 # level -1's last stage, in each subtree, has eliminated the
@@ -468,6 +470,15 @@ class TestAudit:
         gen_identity(workdir)
         rc = main(["audit", "--field", "const_I.cge", "--s-grid", "0.2,0.5,0.8"])
         assert rc == 0
+
+    def test_empty_exponent_grid_is_an_error(self, workdir, capsys):
+        # not a silent audit of the default grid
+        gen_identity(workdir)
+        capsys.readouterr()
+        assert main(["audit", "--field", "const_I.cge", "--s-grid", ""]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --s-grid expects comma-separated numbers, got ''\n"
 
 
 class TestConfigFile:

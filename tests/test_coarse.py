@@ -352,12 +352,13 @@ class TestSweepStructure:
 
 @pytest.fixture
 def failing_solve(monkeypatch):
-    """Every elimination of the condensation pass raises, as NumPy's dense
-    solve does on a singular matrix."""
+    """Every Cholesky factorization of the condensation pass raises, an
+    elimination's or the pin's, as NumPy's dense solve does on a singular
+    matrix."""
     def fail(*args):
         raise np.linalg.LinAlgError("Matrix is exactly singular")
 
-    monkeypatch.setattr(cge.solver, "_eliminate", fail)
+    monkeypatch.setattr(cge.solver, "_cholesky", fail)
 
 
 # ---------------------------------------------------------------------------
@@ -461,12 +462,13 @@ class TestCondensation:
         cores(1)
         calls = []
         real = cge.solver._condense
-        # a subtree's stages, one kernel call each: level -2's along the
-        # last axis, then the first; level -1's the same, whose last stage
-        # is one merge of strips of 3x9 cells onto a skeleton of 52 nodes,
-        # the 9x9 boundary and 2 lines of 8, keeping the nodes that another
-        # child of level 0 shares
-        subtree = [8, 16, 28, 52]
+        # a subtree's stages, one kernel call each: level -2's cubes merge
+        # their 9 cells at once, onto the 4x4 node grid; level -1's merge
+        # along the last axis, then the first, whose stage is one merge of
+        # strips of 3x9 cells onto a skeleton of 52 nodes, the 9x9 boundary
+        # and 2 lines of 8, keeping the nodes that another child of level 0
+        # shares
+        subtree = [16, 28, 52]
 
         def fail_one(maps, plan, *args, **kwargs):
             calls.append(plan[0])
@@ -508,7 +510,7 @@ class TestCondensation:
         real, stacks = cge.solver._eliminate, []
 
         def fail_fifth(mat, *args):
-            if mat.shape[-1] == 16:  # level -2's last stage: 3 strips of 1x3 cells
+            if mat.shape[-1] == 16:  # level -2: a cube's 9 cells merge at once
                 stacks.append(mat.shape[0])
                 if len(stacks) == 5:
                     raise np.linalg.LinAlgError("Singular matrix")
@@ -561,8 +563,8 @@ class TestCondensation:
         # solve: the NaN cell fails the first stage of its subtree, so all 9
         # cubes of level -2 that the subtree makes, its cube of level -1 and
         # level 0 are NaN; the failed solve fails cube (2, 2) of level -1.
-        # The pass's first failure, the NaN cell's, names every failed cube
-        # at or above its level, the failed solve's too
+        # Each failed cube below level 0 is named by its own subtree's
+        # failure, and level 0 by the pass's first, the NaN cell's
         field = gen_random_spd(GridSpec(2, 3), seed=1, eig_low=1e-2, eig_high=1e2)
         clean = sweep(field)
         cores(1)
@@ -592,8 +594,9 @@ class TestCondensation:
         failed = [(0, (0, 0)), (-1, (0, 0)), (-1, (2, 2))] + [
             (-2, off) for off in np.ndindex(3, 3)]
         assert [(e["level"], tuple(e["offset"])) for e in result.failures] == failed
-        assert {e["message"] for e in result.failures} == {
-            "dense condensation failed: a map to merge is not finite"}
+        nan, singular = ("dense condensation failed: a map to merge is not finite",
+                         "dense condensation failed: Singular matrix")
+        assert [e["message"] for e in result.failures] == [nan, nan, singular] + [nan] * 9
         assert result.solve_count == 2 * (7 + 72)
         for level, ld in result.levels.items():
             for name in ("astar", "astar_inv", "astar_inv_norm"):
@@ -623,11 +626,11 @@ class TestCondensation:
         assert [line.split(",")[0] for line in lines[3:]] == [
             "level 0: cache", "level -1: cache", "level -2: cells"]
 
-    @pytest.mark.parametrize("kind, below", [("random", 36), ("constant", 18)])
+    @pytest.mark.parametrize("kind, below", [("random", 9), ("constant", 9)])
     def test_debug_line_names_the_merges_condensed(self, caplog, kind, below):
-        # 2D N=2: level -1's 9 cubes take 3 strips and a square each, which
-        # a constant field's subtrees condense once a stage; level 0 takes
-        # 3 strips and the last
+        # 2D N=2: level -1's 9 cubes take one merge of 9 cells each, one
+        # subtree each, so a constant field's classes share none; level 0
+        # takes 3 strips and the last
         grid = GridSpec(d=2, N=2)
         field = (gen_random_spd(grid, seed=1, eig_low=0.5, eig_high=2.0) if kind == "random"
                  else gen_constant(grid, np.diag([1.0, 3.0])))
@@ -692,10 +695,10 @@ class TestCondensation:
         cache = tmp_path / "cache"
         cold = sweep(field, cache_dir=str(cache))
         # each subtree, a cube of level -1, runs its levels: level -2's
-        # functionals come with its last stage, one kernel call for all its
-        # merges in the subtree; level -1's last stage merges 3 strips of
-        # 3x9 cells (24 boundary nodes) and pins its cube's reduced box,
-        # which gives level -1's.
+        # functionals come with its one stage, one kernel call for all its
+        # merges in the subtree, each of 9 cells (4 nodes a box); level -1's
+        # last stage merges 3 strips of 3x9 cells (24 boundary nodes) and
+        # pins its cube's reduced box, which gives level -1's.
         # Level 0 condenses the children's boxes one merge at a time without
         # a map of its own, the last merge pinned: a strip's first box is a
         # corner child's 19 shared nodes or an edge child's 28
@@ -703,8 +706,7 @@ class TestCondensation:
                for merges in cge.solver._plan((9, 9), True) for size, k, ranks in merges]
         assert top == [(19, False), (28, False), (19, False), (28, True)]
         assert passes == [[-2, -1, 0]]
-        subtree = [(4, False), (8, False), "pinned solve", (12, False), (24, True),
-                   "pinned solve"]
+        subtree = [(4, False), "pinned solve", (12, False), (24, True), "pinned solve"]
         assert calls == subtree * 9 + top + ["pinned solve"]
         assert (cold.solve_count, cold.cache_hits) == (2 * 91, 0)
         # a warm rerun asks the pass for no level and condenses nothing
@@ -717,7 +719,7 @@ class TestCondensation:
         os.remove(cache / field.content_hash / "level_-1.npz")
         redo = sweep(field, cache_dir=str(cache))
         assert passes == [[-1]] and calls == [
-            (4, False), (8, False), (12, False), (24, True), "pinned solve"] * 9
+            (4, False), (12, False), (24, True), "pinned solve"] * 9
         assert (redo.solve_count, redo.cache_hits) == (2 * 9, 1 + 81)
         for level, ld in redo.levels.items():
             assert np.array_equal(ld.astar_inv, cold.levels[level].astar_inv)
@@ -734,7 +736,7 @@ class TestCondensation:
         real, failed = cge.solver._condense, []
 
         def fail_once(maps, plan, *args, **kwargs):
-            if plan[0] == 16 and not failed:  # 3 strips of 1x3 cells: a 3x3 cube
+            if plan[0] == 16 and not failed:  # 9 cells at once: a 3x3 cube
                 failed.append(maps[0].shape[0])
                 raise np.linalg.LinAlgError("Singular matrix")
             return real(maps, plan, *args, **kwargs)
@@ -887,10 +889,10 @@ class TestCache:
         cache = str(tmp_path / "cache")
         sweep(field, cache_dir=cache)
         # one core runs the 27 subtrees in order, each a cube of level -1:
-        # 3 stages from the cells, one axis each, each one call; level 0
-        # then takes 9, 3 and 1 merges of 3 boxes
-        assert sizes[:81] == [(3, 8), (3, 16), (3, 32)] * 27
-        assert [boxes for boxes, _ in sizes[81:]] == [3] * 13
+        # one merge of its 27 cells, one call; level 0 then takes 9, 3 and
+        # 1 merges of 3 boxes
+        assert sizes[:27] == [(27, 8)] * 27
+        assert [boxes for boxes, _ in sizes[27:]] == [3] * 13
         sizes.clear()
         assert sweep(field, cache_dir=cache).solve_count == 0
         assert sizes == []

@@ -382,6 +382,26 @@ def test_read_rejects_nan_with_offset(tmp_path):
         read_field(p)
 
 
+def test_read_rejects_a_descriptor_that_is_not_utf8(tmp_path):
+    g = GridSpec(1, 1)
+    p = tmp_path / "u.cge"
+    write_field(CoefficientField(g, np.ones(g.cell_shape + (1,)), "ab"), p)
+    raw = bytearray(p.read_bytes())
+    raw[-1] = 0xFF
+    p.write_bytes(bytes(raw))
+    with pytest.raises(FieldFormatError, match=r"descriptor is not UTF-8 .*b'a\\xff'"):
+        read_field(p)
+
+
+def test_read_rejects_bytes_after_the_descriptor(tmp_path):
+    g = GridSpec(1, 1)
+    p = tmp_path / "x.cge"
+    write_field(CoefficientField(g, np.ones(g.cell_shape + (1,)), "x"), p)
+    p.write_bytes(p.read_bytes() + b"\0\0")
+    with pytest.raises(FieldFormatError, match="2 unexpected bytes after the descriptor"):
+        read_field(p)
+
+
 def test_read_rejects_inconsistent_components(tmp_path):
     import struct
 

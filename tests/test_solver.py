@@ -320,8 +320,8 @@ def test_condense_stack_gives_each_merge_alone(shape, mode):
             assert np.array_equal(out[i], one_out[0])
             if mode != "plain":
                 assert np.array_equal(rest[i], one_rest[0])
-            if mode == "pinned":  # a merge that eliminates no node carries no g
-                assert np.array_equal(g[i], one_g[0]) if merge[1] else g == one_g == 0.0
+            if mode == "pinned":
+                assert np.array_equal(g[i], one_g[0])
                 assert np.array_equal(pinned[i], one_pinned[0])
             if mode == "kept":
                 w_b, panels, invs, w_f = factor
@@ -444,12 +444,12 @@ def test_more_threads_than_cores_take_each_subtree_once(monkeypatch):
         pool.shutdown()
     first = f.data.reshape(-1, f.data.shape[-1])[cge.solver._tree_order(3, 3)[::729]]
     assert sorted(subtrees) == sorted(cell.tobytes() for cell in first)
-    # 13 merges a cube: 9, 3 and 1 along the last, middle and first axis; a
-    # subtree runs each stage in one call, for its 27 cubes of level -2 and
-    # then its cube of level -1
-    assert [stats.merges for _, stats in out.values()] == [729 * 13, 27 * 13]
+    # a cube of cells is one merge; a cube above it 13: 9, 3 and 1 along
+    # the last, middle and first axis. A subtree runs each stage in one
+    # call, for its 27 cubes of level -2 and then its cube of level -1
+    assert [stats.merges for _, stats in out.values()] == [729, 27 * 13]
     assert [stats.threads for _, stats in out.values()] == [5, 5]
-    assert sorted(taken) == sorted([243, 81, 27, 9, 3, 1] * 27)
+    assert sorted(taken) == sorted([27, 9, 3, 1] * 27)
     for level, (g_all, _) in out.items():
         assert np.array_equal(g_all, whole[level][0])
 
@@ -575,12 +575,17 @@ def _replay(shape, top):
 
 def _stage(shape, axis):
     """The replayed merges of boxes of ``shape`` cells along ``axis`` below
-    level 0: a stage of the plan of the cubes they are part of."""
+    level 0, or of cells along every axis at once (``axis`` None): a stage
+    of the plan of the cubes they are part of."""
+    if axis is None:
+        return [merge[1:] for merge in _replay(shape, False)]
     child = tuple(s // 3 if a > axis else s for a, s in enumerate(shape))
     return [merge[1:] for merge in _replay(child, False) if merge[0] == len(shape) - 1 - axis]
 
 
-MERGES = [((1,), 0), ((3,), 0), ((1, 1), 1), ((3, 3), 1), ((1, 3), 0), ((3, 9), 0)]
+#: Merges of 3 boxes along one axis: a cube's cells in 1D, larger boxes in
+#: any dimension
+MERGES = [((1,), 0), ((3,), 0), ((3, 3), 1), ((3, 9), 0), ((3, 3, 3), 2), ((3, 9, 9), 0)]
 
 
 @pytest.mark.parametrize("shape, axis", MERGES, ids=str)
@@ -604,12 +609,13 @@ def test_merge_puts_every_child_boundary_node_on_the_skeleton(shape, axis):
         assert k == 2 * np.prod([s - 1 for s in np.delete(parent, axis)])
 
 
-@pytest.mark.parametrize("shape, axis", MERGES, ids=str)
+@pytest.mark.parametrize("shape, axis", MERGES + [((1, 1), None), ((1, 1, 1), None)], ids=str)
 def test_merged_forcings_sum_to_the_parents(shape, axis):
     # each box's forcing summed onto the skeleton: the eliminated interface
-    # rows cancel and the kept rows are the merged box's forcing
+    # rows cancel and the kept rows are the merged box's forcing; cells
+    # merge along every axis at once
     h = 1.0 / 27
-    parent = shape[:axis] + (3 * shape[axis],) + shape[axis + 1:]
+    parent = tuple(3 * s if axis in (None, a) else s for a, s in enumerate(shape))
     for (size, k, ranks), _, _ in _stage(shape, axis):
         total = np.zeros((size, len(shape)))
         for r in ranks:
@@ -621,20 +627,21 @@ def test_merged_forcings_sum_to_the_parents(shape, axis):
 
 @pytest.mark.parametrize("shape", [(1,), (3,), (1, 3), (3, 9), (1, 1, 1)], ids=str)
 def test_level_zero_boxes_split_the_skeleton(shape):
-    # level 0 keeps only shared nodes, in d stages: every node of its
-    # children's boxes (a cell's every node, a level -1 cube's shared
-    # nodes) is eliminated once, by the first merge whose boxes of the next
-    # stage do not share it, and the last merge, which keeps none, solves
-    # for them all
+    # level 0 keeps only shared nodes, in d stages, or in one for cells:
+    # every node of its children's boxes (a cell's every node, a level -1
+    # cube's shared nodes) is eliminated once, by the first merge whose
+    # boxes of the next stage do not share it, and the last merge, which
+    # keeps none, solves for them all
     d = len(shape)
     merges = _replay(shape, True)
-    assert len(_plan(shape, True)) == d
+    stages = d if max(shape) > 1 else 1
+    assert len(_plan(shape, True)) == stages
     assert [stage for stage, *_ in merges] == [
-        stage for stage in range(d) for _ in range(3 ** (d - 1 - stage))]
+        stage for stage in range(stages) for _ in range(3 ** (stages - 1 - stage))]
     gone = []
     for stage, (size, k, _), _, skeleton in merges:
         # kept: on an interface plane across one of the first `axes` axes
-        axes = d - 1 - stage
+        axes = stages - 1 - stage
         planes = (skeleton % shape == 0) & (skeleton > 0) & (skeleton < np.multiply(3, shape))
         kept = planes[:, :axes].any(axis=1)
         assert not kept[:k].any() and kept[k:].all()
@@ -651,18 +658,21 @@ def test_level_minus_one_keeps_the_nodes_level_zero_shares(shape):
     # C order, only the cube's boundary nodes that another child shares:
     # the nodes of the cube's box in level 0's plan. It eliminates the
     # interior and the nodes no other child has at once; the stages before
-    # it are the plan's own
+    # it are the plan's own, merge for merge
     d = len(shape)
     cube = tuple(3 * s for s in shape)
-    _plan.cache_clear()  # so no child plan predates the plan it reuses
-    [(_, (size, k, _), boxes, skeleton)] = [m for m in _replay(shape, False) if m[0] == d - 1]
     base = _plan(shape, False)
+    [(_, (size, k, _), boxes, skeleton)] = [
+        m for m in _replay(shape, False) if m[0] == len(base) - 1]
     top = _child_boxes(cube, True)
     _replay(cube, True)  # level 0's plan takes those boxes
     for child, offset in enumerate(np.ndindex((3,) * d)):
         *rest, ((size_c, k_c, ranks),) = _plan(shape, False, child)
         assert size_c == size and len(rest) == len(base) - 1
-        assert all(stage is other for stage, other in zip(rest, base))
+        for stage, other in zip(rest, base):
+            assert [merge[:2] for merge in stage] == [merge[:2] for merge in other]
+            assert all(np.array_equal(r, o) for merge, twin in zip(stage, other)
+                       for r, o in zip(merge[2], twin[2]))
         placed = np.full((size, d), -1)
         for r, coords in zip(ranks, boxes):
             placed[r] = coords
@@ -671,6 +681,37 @@ def test_level_minus_one_keeps_the_nodes_level_zero_shares(shape):
         flat = np.ravel_multi_index(tuple(placed[k_c:].T), [s + 1 for s in cube])
         assert np.all(np.diff(flat) > 0)  # C order
         assert 0 < size - k_c <= size - k  # the centre child keeps the whole boundary
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 3, 9])
+def test_every_merge_eliminates_and_cells_merge_at_once(d, m):
+    # no merge of any plan, level 0's or below it, for any child of level
+    # 0, keeps all its nodes, so the kernel never eliminates nothing. A
+    # cube of cells is one merge of its 3**d cells onto its 4**d node grid:
+    # below level 0 it eliminates the 2**d interior nodes, listed first,
+    # and keeps the rest, each in C order; at level 0 it keeps none
+    shape = (m,) * d
+    plans = [_plan(shape, True)] + [_plan(shape, False, child)
+                                    for child in [None, *range(3**d)]]
+    assert all(0 < k for plan in plans for merges in plan for _, k, _ in merges)
+    if m > 1:
+        return
+    for plan in plans:
+        [[(size, k, ranks)]] = plan
+        assert size == 4**d and len(ranks) == 3**d
+    [[(size, k, ranks)]] = _plan(shape, False)
+    [[(_, k_top, ranks_top)]] = _plan(shape, True)
+    assert k == 2**d and k_top == size
+    cell = np.indices((2,) * d).reshape(d, -1).T  # a cell's nodes, as its map lists them
+    grid = np.indices((4,) * d).reshape(d, -1).T  # C order
+    interior = ((grid > 0) & (grid < 3)).all(axis=1)
+    for ranks, want in [(ranks, np.concatenate([grid[interior], grid[~interior]])),
+                        (ranks_top, grid)]:
+        skeleton = np.full((size, d), -1)
+        for r, offset in zip(ranks, np.ndindex((3,) * d)):
+            skeleton[r] = cell + offset
+        assert np.array_equal(skeleton, want)
 
 
 def _laplacian_stack(n, size, seed):
@@ -1126,6 +1167,8 @@ def test_failed_pinned_last_stage_is_nan_at_level_minus_one_and_zero(monkeypatch
     assert [tuple(off) for off in np.argwhere(bad)] == [(0, 0)]  # the first subtree's cube
     assert np.array_equal(g_all[~bad], clean[-1][0][~bad])
     assert stats.failure == message
+    assert stats.subtree_failures == (message,) + ("",) * 8
+    assert out[-2][1].subtree_failures == ("",) * 9
     g_all, stats = out[0]
     assert np.isnan(g_all).all() and stats.failure == message
 
@@ -1567,8 +1610,9 @@ def _class_field(d, n, kind):
 
 def _merges_per_pass(d, n):
     """The merges a pass over every level of a ``3**n``-cell cube makes:
-    ``(3**d - 1) / 2`` a cube, each merge making one box of three."""
-    return (3 ** (n * d) - 1) // 2
+    one a cube of cells, ``(3**d - 1) / 2`` a cube above, each merge
+    making one box of three."""
+    return (3 ** ((n - 1) * d + 1) - 1) // 2
 
 
 def test_classes_are_exact_by_bytes():
@@ -1612,9 +1656,9 @@ def test_content_classes_leave_functionals_bit_identical(monkeypatch, d, n, kind
 def test_condense_sees_each_distinct_merge_once(monkeypatch, d, n):
     # the kernel's merges: every one on random SPD, whose cells are all
     # distinct; on a constant field one a stage of each subtree. Each call
-    # of the kernel is one stage of a subtree (d a level below 0) or one of
-    # level 0's merges, and a Dirichlet solve's stats count what the kernel
-    # saw
+    # of the kernel is one stage of a subtree (one at the level of cubes of
+    # cells, d at a level above it) or one of level 0's merges, and a
+    # Dirichlet solve's stats count what the kernel saw
     seen = []
     real = cge.solver._condense
 
@@ -1624,7 +1668,7 @@ def test_condense_sees_each_distinct_merge_once(monkeypatch, d, n):
 
     monkeypatch.setattr(cge.solver, "_condense", spy)
     grid = GridSpec(d, n)
-    calls = 3**d * d * (n - 1) + (3**d - 1) // 2
+    calls = 3**d * (1 + d * (n - 2)) + (3**d - 1) // 2
     for f, merges in [
         (gen_random_spd(grid, seed=2, eig_low=1e-2, eig_high=1e2), _merges_per_pass(d, n)),
         (gen_constant(grid, np.eye(d)), calls),
@@ -1665,9 +1709,11 @@ def test_content_classes_leave_dirichlet_bit_identical(monkeypatch, case):
                 alone, alone_stats = solve_dirichlet(field, cube, boundary)
                 assert np.array_equal(alone.data, u.data)
                 assert alone_stats.residual == stats.residual
-                # a cube of 3x3 cells has no level below 0 to share
+                # classes are shared inside a subtree: one of a cube of
+                # cells, a single merge, at a cube 9 cells a side or less
                 assert (stats.merges < alone_stats.merges
-                        or stats.merges == alone_stats.merges == 4 and cube.level == -3)
+                        or stats.merges == alone_stats.merges
+                        and field.grid.N + cube.level <= 2)
 
 
 def test_dirichlet_failed_shared_class_is_solver_error(monkeypatch):
@@ -1677,7 +1723,7 @@ def test_dirichlet_failed_shared_class_is_solver_error(monkeypatch):
     real, failed = cge.solver._condense, []
 
     def fail_once(maps, plan, *args, **kwargs):
-        if plan[0] == 16 and not failed:  # 3 strips of 1x3 cells: a 3x3 cube
+        if plan[0] == 16 and not failed:  # 9 cells at once: a 3x3 cube
             failed.append(maps[0].shape[0])
             raise np.linalg.LinAlgError("Matrix is not positive definite")
         return real(maps, plan, *args, **kwargs)

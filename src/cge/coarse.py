@@ -210,10 +210,12 @@ def _level_result(level: int, g_all: np.ndarray,
     astar_inv = sym_pack(0.5 * (g_all + np.swapaxes(g_all, -1, -2)))
 
     def cause(off: tuple) -> str:
+        """The failure of the subtree that cube ``off`` lies in, or at
+        level 0 the pass's."""
         if not stats.subtree_failures:
             return stats.failure
-        top = np.ravel_multi_index([z // 3 ** (-level - 1) for z in off], (3,) * len(off))
-        return stats.subtree_failures[top]
+        subtree = np.ravel_multi_index([z // 3 ** (-level - 1) for z in off], (3,) * len(off))
+        return stats.subtree_failures[subtree]
 
     failures = [{"level": level, "offset": [int(z) for z in off],
                  "message": cause(off) or "non-finite functional matrix"}

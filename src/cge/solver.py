@@ -84,10 +84,11 @@ coefficient for the pure-Neumann pass, and for the Dirichlet solve its
 element's diagonal and couplings, right-hand side and row sums. A merge's
 class is the row of its boxes' classes, classed by the same routine. A
 stage condenses the first merge of each class and hands its map, carried
-forcing, ``g`` and kept factor to every merge of the class. Equal bytes, with no tolerance, make equal
-numbers, so every ``g`` and ``u`` is the one the merge would give alone.
-Constant, laminated and self-similar fields share most merges: the
-sharpness sweep's 2D ``N=5`` solves condense 1,479 of 29,533. A random
+forcing, ``g`` and kept factor to every merge of the class. Equal bytes,
+with no tolerance, make equal numbers, so every ``g`` and ``u`` is the one
+the merge would give alone. Constant, laminated and self-similar fields
+share most merges: the sharpness sweep's 2D ``N=5`` solves condense 817 of
+9,841. A random
 field's cells are all distinct. One sort of their mixed keys shows that,
 and then every stage condenses each merge on strided views of the boxes, as
 does every stage above a stage whose merges are all distinct. Level 0
@@ -794,9 +795,9 @@ def _subtree_level(kids: np.ndarray, cls: np.ndarray | None, shape: tuple[int, .
     A stage with classes groups its merges by the rows of their boxes'
     classes (:func:`_classes`, as the cells are grouped), condenses the
     first merge of each class alone and hands its map to every merge of the
-    class; its boxes are gathered from ``kids``. A stage whose merges are all distinct condenses
-    every merge, and every stage above it does so on strided views of
-    ``kids``. Each stage is one call of the kernel (:func:`_run_stage`): a
+    class; its boxes are gathered from ``kids``. A stage whose merges are
+    all distinct condenses every merge, and every stage above it does so on
+    strided views of ``kids``. Each stage is one call of the kernel (:func:`_run_stage`): a
     failed dense solve, or a box that is not finite, leaves the stage's maps
     NaN. Given the cubes' ``volume`` (the level is asked for), the last
     stage then pins each map by an LU solve of a copy: each cube's ``g`` is

@@ -84,7 +84,7 @@ class CoarseGrainPair:
 
 
 # ---------------------------------------------------------------------------
-# Sweeps over all levels, with a per-level disk cache
+# Sweeps over all levels, with a disk cache of one record per field
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -145,24 +145,24 @@ class SweepResult:
 
 #: Names the Neumann engine (the condensation pass of
 #: :func:`~cge.solver.level_functionals`, in every dimension) and the record
-#: layout (``astar_inv`` alone) in every cache record: another solver's
-#: record is a miss. A change that moves the stored numbers bumps it: at
-#: ``/10`` the cells of a cube merge at once, in one merge of ``3**d``, which
-#: moves every level by rounding in 2D and 3D.
-SOLVER_TAG = "q1-neumann/condensation/10"
+#: layout (one ``level_k`` array of ``astar_inv`` per solved level, in one
+#: record per field) in every cache record: another solver's record is a
+#: miss. A change that moves the stored numbers or the layout bumps it: at
+#: ``/11`` a field's levels went from a record each into one.
+SOLVER_TAG = "q1-neumann/condensation/11"
 
 
-def _cache_path(cache_dir, field_hash: str, level: int) -> str:
-    return os.path.join(cache_dir, field_hash, f"level_{level}.npz")
+def _cache_path(cache_dir, field_hash: str) -> str:
+    return os.path.join(cache_dir, f"{field_hash}.npz")
 
 
-def _cache_store(path: str, astar_inv: np.ndarray) -> None:
+def _cache_store(path: str, levels: dict[int, np.ndarray]) -> None:
     os.makedirs(os.path.dirname(path), exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            np.savez(fh, astar_inv=astar_inv,
-                     solver=np.frombuffer(SOLVER_TAG.encode(), dtype=np.uint8))
+            np.savez(fh, solver=np.frombuffer(SOLVER_TAG.encode(), dtype=np.uint8),
+                     **{f"level_{level}": arr for level, arr in levels.items()})
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -170,24 +170,25 @@ def _cache_store(path: str, astar_inv: np.ndarray) -> None:
         raise
 
 
-def _cache_load(path: str, shape: tuple[int, ...]) -> np.ndarray | None:
-    """A level's stored ``astar_inv``, or ``None`` unless well-formed.
+def _cache_load(path: str, shapes: dict[int, tuple[int, ...]]) -> dict[int, np.ndarray] | None:
+    """A field's stored ``astar_inv`` of every level of ``shapes``, or
+    ``None`` unless the record is well-formed as a whole.
 
-    Unreadable archives (garbage, empty or truncated files), records of
-    another solver, wrong shapes and non-finite entries are all cache misses.
+    A missing or unreadable record (garbage, empty or truncated files), a
+    record of another solver, and a missing level, a wrong shape or a
+    non-finite entry in any level are all cache misses.
     """
-    if not os.path.exists(path):
-        return None
     try:
         with open(path, "rb") as fh, np.load(fh) as rec:
             if rec["solver"].tobytes().decode() != SOLVER_TAG:
                 return None
-            astar_inv = rec["astar_inv"].copy()
+            levels = {level: rec[f"level_{level}"] for level in shapes}
     except (OSError, KeyError, ValueError, EOFError, zipfile.BadZipFile):
         return None
-    if astar_inv.shape != shape or not np.isfinite(astar_inv).all():
+    if any(arr.shape != shapes[level] or not np.isfinite(arr).all()
+           for level, arr in levels.items()):
         return None
-    return astar_inv
+    return levels
 
 
 def _level_result(level: int, g_all: np.ndarray,
@@ -239,40 +240,38 @@ def _log_level(level: int, method: str, cubes: int, stats: SolveStats | None,
 def sweep(field: CoefficientField, cache_dir: str | None = None) -> SweepResult:
     """Coarse-grain every cube of every level, with optional disk caching.
 
-    The level is the unit of work and of the cache: every record, keyed by
-    field content hash, level and :data:`SOLVER_TAG`, is read first, and each
-    level is either read whole from its record or solved whole, which
-    solves (and ``solve_count`` counts) d forcings per cube. A warm cache
-    re-run performs zero solves.
-
-    Every missed level comes from one :func:`~cge.solver.level_functionals`
-    call, one condensation pass up to the coarsest miss; the levels are
-    then built, logged and cached in order.
+    The sweep is the unit of work and of the cache: one record per field,
+    ``<cache_dir>/<content hash>.npz``, holds every solved level beside
+    :data:`SOLVER_TAG`, and is read and checked as a whole first. The
+    sweep then either reads every level from it, or, on a miss, solves
+    every level from one :func:`~cge.solver.level_functionals` pass, which
+    solves (and ``solve_count`` counts) d forcings per cube; the levels are
+    then built and logged in order, and the record is written once they
+    are, if no cube failed. A warm cache re-run performs zero solves. An
+    empty ``cache_dir``, which would put the record in the working
+    directory, is a ``ValueError``.
 
     Failures are recorded per cube and surface as NaN matrices rather than
     aborting the sweep: every cube whose functional matrix is not finite
     fails: a failed stage of the pass (a dense solve, or a map to merge
     that is not finite) fails its cubes and every cube containing one; the
-    rest of the level keeps its numbers, and a level with a failed cube is
-    not cached. Each level logs one DEBUG line on ``cge.coarse``: method
-    (the solver's, ``cache`` or ``cells``), cubes, for a solve the threads
-    it ran on and its unknowns per cube and residual, seconds, and for a
-    solve the merges it condensed, one per content class below level 0,
-    and the symmetry defect of ``g`` (:func:`_level_result`). None of it
-    enters a record or a report.
+    rest of the level keeps its numbers, and a sweep with a failed cube
+    writes no record, so its rerun solves again. Each level logs one DEBUG
+    line on ``cge.coarse``: method (the solver's, ``cache`` or ``cells``),
+    cubes, for a solve the threads it ran on and its unknowns per cube and
+    residual, seconds, and for a solve the merges it condensed, one per
+    content class below level 0, and the symmetry defect of ``g``
+    (:func:`_level_result`). None of it enters a record or a report.
     """
+    if cache_dir == "":
+        raise ValueError("cache directory '' is an empty path: name a directory")
     grid = field.grid
     d = grid.d
     ncomp = sym_component_count(d)
-
-    def load(level: int) -> np.ndarray | None:
-        if cache_dir is None:
-            return None
-        return _cache_load(_cache_path(cache_dir, field.content_hash, level),
-                           (3 ** (-level),) * d + (ncomp,))
-
-    records = {level: load(level) for level in range(0, -grid.N, -1)}
-    solved = level_functionals(field, [level for level, rec in records.items() if rec is None])
+    path = None if cache_dir is None else _cache_path(cache_dir, field.content_hash)
+    records = None if path is None else _cache_load(
+        path, {level: (3 ** -level,) * d + (ncomp,) for level in range(0, -grid.N, -1)})
+    solved = level_functionals(field) if records is None else {}
 
     levels: dict[int, LevelData] = {}
     solve_count = 0
@@ -291,8 +290,8 @@ def sweep(field: CoefficientField, cache_dir: str | None = None) -> SweepResult:
             continue
         inv_avg_inv = sym_inv(block_reduce(field.inv_data, d, m), d)
 
-        astar_inv_arr = records[level]
-        if astar_inv_arr is not None:
+        if records is not None:
+            astar_inv_arr = records[level]
             cache_hits += n_cubes
             method, stats, defect = "cache", None, None
         else:
@@ -302,13 +301,13 @@ def sweep(field: CoefficientField, cache_dir: str | None = None) -> SweepResult:
             method = stats.method
             failures += level_failures
             solve_count += d * (n_cubes - len(level_failures))
-            if cache_dir is not None and not level_failures:
-                _cache_store(_cache_path(cache_dir, field.content_hash, level), astar_inv_arr)
 
         astar_arr = sym_inv(astar_inv_arr, d)
         levels[level] = LevelData(level, astar_arr, avg, inv_avg_inv, astar_inv_arr)
         _log_level(level, method, n_cubes, stats, t0, defect)
 
+    if path is not None and records is None and not failures:
+        _cache_store(path, {level: levels[level].astar_inv for level in range(0, -grid.N, -1)})
     return SweepResult(grid, field.content_hash, levels, solve_count, cache_hits, failures)
 
 

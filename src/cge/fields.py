@@ -64,10 +64,15 @@ def _scalar_to_packed(grid: GridSpec, values: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def gen_constant(grid: GridSpec, matrix: np.ndarray, descriptor: str | None = None) -> CoefficientField:
-    """Constant field: every cell equals ``matrix`` (must be SPD)."""
+    """Constant field: every cell equals ``matrix`` (must be finite and SPD;
+    a ``ValueError`` names the first entry that is not finite)."""
     matrix = np.asarray(matrix, dtype=float)
     if matrix.shape != (grid.d, grid.d):
         raise ValueError(f"matrix shape {matrix.shape} != ({grid.d}, {grid.d})")
+    bad = np.argwhere(~np.isfinite(matrix))  # before symmetry: NaN is unequal to itself
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(f"matrix must be finite, entry [{i}, {j}] is {matrix[i, j]}")
     if not np.allclose(matrix, matrix.T, rtol=0, atol=1e-13 * max(1.0, abs(matrix).max())):
         raise ValueError("matrix must be symmetric")
     packed = sym_pack(0.5 * (matrix + matrix.T))

@@ -20,7 +20,7 @@ of nested static condensation over the triadic tree, in every dimension,
 and NumPy is the only dependency. It returns each level's ``g`` and stats,
 from the cells up, the stats summed over the level's subtrees by one
 reduction (:func:`_summed`). The pure-Neumann solves run it as
-:func:`level_functionals`, which keeps the levels asked for, and the
+:func:`level_functionals`, which returns every level's ``g``, and the
 Dirichlet solve as :func:`solve_dirichlet`, which takes the same reduction
 over every level.
 The forcings live on a cube's boundary, so ``g`` needs only the Schur
@@ -47,13 +47,12 @@ child of level 0 shares, eliminating the cube's interior and the nodes no
 other child has at once, and carries each box's gradient forcing, so the
 map it makes is level 0's box, handed over with its carried forcing and
 ``f^T A^-1 f``. Level -1's ``g`` is that ``f^T A^-1 f`` plus a pinned solve
-of the box, by Cholesky on the skeleton once the box is copied off it,
-whether or not level 0 is asked for (Schur complements compose, so it is
-the cube's own). Level 0's last merge runs in place on its middle box's
-map, factors its pinned skeleton and takes ``g`` from the forward
-substitution alone. That Cholesky is the kernel's one pin; below level -1
-a last stage pins its cubes' maps, which their parents need, by LU on a
-copy (:func:`_subtree_level`).
+of the box, by Cholesky on the skeleton once the box is copied off it
+(Schur complements compose, so it is the cube's own). Level 0's last merge
+runs in place on its middle box's map, factors its pinned skeleton and
+takes ``g`` from the forward substitution alone. That Cholesky is the
+kernel's one pin; below level -1 a last stage pins its cubes' maps, which
+their parents need, by LU on a copy (:func:`_subtree_level`).
 
 One path makes a failure data: the kernel raises ``LinAlgError`` on a map
 to merge that is not finite, as on a block that is not positive definite,
@@ -688,15 +687,15 @@ def _condense(maps: list, plan: tuple, out: np.ndarray | None = None, carried: S
     eliminated (level -1's last stage and level 0, a stack of one), or its
     right-hand side and row sums and ``0.0`` (the Dirichlet solve). They are
     summed, and the elimination carries the forcing along and adds its ``f^T
-    A^-1 f`` to ``g``. Given ``pin`` (level -1's last stage, its cube asked
-    for), or when the merge keeps no node (level 0's last, which forms no
-    map), the last node is pinned and ``S y = f`` solved in place on the
-    skeleton, once the kept map has been copied off it: the pinned ``S = L
-    L^T`` is factored (:func:`_cholesky`), the box's pinned ``g`` is ``g``
-    plus ``y^T f = W^T W`` for ``W = L^-1 f``, and ``y = L^-T W`` is checked
-    against the ``S`` that the strict upper triangle and copies of the
-    diagonal blocks keep (:func:`_residual`). A level below -1 pins its
-    cubes' maps itself (:func:`_subtree_level`).
+    A^-1 f`` to ``g``. Given ``pin`` (level -1's last stage), or when the
+    merge keeps no node (level 0's last, which forms no map), the last node
+    is pinned and ``S y = f`` solved in place on the skeleton, once the kept
+    map has been copied off it: the pinned ``S = L L^T`` is factored
+    (:func:`_cholesky`), the box's pinned ``g`` is ``g`` plus ``y^T f = W^T
+    W`` for ``W = L^-1 f``, and ``y = L^-T W`` is checked against the ``S``
+    that the strict upper triangle and copies of the diagonal blocks keep
+    (:func:`_residual`). A level below -1 pins its cubes' maps itself
+    (:func:`_subtree_level`).
 
     A list ``kept`` takes the merge's factor, as :func:`_eliminate` keeps
     it: the Dirichlet solve's. Its skeleton has no kernel, so its last
@@ -712,7 +711,7 @@ def _condense(maps: list, plan: tuple, out: np.ndarray | None = None, carried: S
     """
     size, k, ranks = plan
     n = maps[0].shape[0]
-    pin = kept is None and (pin or k == size)  # asked for, or nothing kept but a kernel to pin
+    pin = kept is None and (pin or k == size)  # level -1's, or nothing kept but a kernel to pin
     lent = next((c for c, r in enumerate(ranks)
                  if r.size == size and np.array_equal(r, np.arange(size))), None)
     skel = np.zeros((n, size, size)) if lent is None else np.ascontiguousarray(maps[lent])
@@ -783,7 +782,7 @@ def _run_stage(count: int, work: Callable[[], object], stats: SolveStats,
 
 
 def _subtree_level(kids: np.ndarray, cls: np.ndarray | None, shape: tuple[int, ...], h: float,
-                   volume: float | None, sums: np.ndarray | None = None,
+                   volume: float, sums: np.ndarray | None = None,
                    values: np.ndarray | None = None, tape: list | None = None,
                    child: int | None = None) -> tuple:
     """One level below 0 of a subtree, on the calling thread: the maps of
@@ -799,23 +798,24 @@ def _subtree_level(kids: np.ndarray, cls: np.ndarray | None, shape: tuple[int, .
     all distinct condenses every merge, and every stage above it does so on
     strided views of ``kids``. Each stage is one call of the kernel (:func:`_run_stage`): a
     failed dense solve, or a box that is not finite, leaves the stage's maps
-    NaN. Given the cubes' ``volume`` (the level is asked for), the last
-    stage then pins each map by an LU solve of a copy: each cube's ``g`` is
-    ``y^T f / volume``, NaN where the stage failed.
+    NaN. The last stage then pins each map by an LU solve of a copy: each
+    cube's ``g`` is ``y^T f / volume``, ``volume`` the cubes', NaN where the
+    stage failed.
 
     At level -1, ``child`` is the subtree's index among level 0's children:
     the last stage keeps only the nodes another child shares, and carries
     each box's gradient forcing (:func:`_forcings`), so the cube's map is
-    level 0's box and the kernel pins it by Cholesky for ``g``, given the
-    ``volume``. Given the children's ``sums``, their right-hand sides and
-    row sums by class (the Dirichlet solve's), they are carried to the
-    cubes', and each stage's factor goes on ``tape``
-    (:func:`_back_substitute`), which fills ``values``, the ``(children,
-    nodes, 1)`` values of each child's nodes in tree order.
+    level 0's box and the kernel pins it by Cholesky for ``g``. Given the
+    children's ``sums``, their right-hand sides and row sums by class (the
+    Dirichlet solve's), they are carried to the cubes', and each stage's
+    factor goes on ``tape`` (:func:`_back_substitute`), which fills
+    ``values``, the ``(children, nodes, 1)`` values of each child's nodes in
+    tree order; their maps have no kernel, so nothing is pinned.
 
-    Returns ``(maps, cls, sums, own, values, g or None, stats)``: ``sums``
-    the cubes' carried forcings (None if none is carried), ``own`` their
-    carried ``g``, ``f^T A^-1 f`` of the nodes the last stage eliminated
+    Returns ``(maps, cls, sums, own, values, g, stats)``: ``g`` the cubes'
+    ``g`` (None, or NaN if the last stage failed, for the Dirichlet solve),
+    ``sums`` the cubes' carried forcings (None if none is carried), ``own``
+    their carried ``g``, ``f^T A^-1 f`` of the nodes the last stage eliminated
     (``0.0`` if it carries none), or None if that stage failed;
     ``stats.wall_time`` is the seconds the level took."""
     d = len(shape)
@@ -856,7 +856,7 @@ def _subtree_level(kids: np.ndarray, cls: np.ndarray | None, shape: tuple[int, .
             boxes = [box(kids, c) for c in range(width)]
             if not carry:
                 _condense(boxes, merge, maps)
-                if not last or volume is None:
+                if not last:
                     return 0.0, None, math.nan
                 # LU on the copy LAPACK makes: with no triangular solve in
                 # NumPy, Cholesky and two substitutions cost more on stacks
@@ -870,7 +870,7 @@ def _subtree_level(kids: np.ndarray, cls: np.ndarray | None, shape: tuple[int, .
             kept = None if sums is None else []
             _, made[...], own, pinned, residual = _condense(
                 boxes, merge, maps, carried=[(f, 0.0) for f in forcing], kept=kept,
-                pin=volume is not None)
+                pin=True)
             if kept is not None:  # each merge's row of the factor: its class's
                 tape.append((merge, *kept[0], slice(None) if inverse is None else inverse,
                              [values[c::width] for c in range(width)], made_values))
@@ -878,7 +878,7 @@ def _subtree_level(kids: np.ndarray, cls: np.ndarray | None, shape: tuple[int, .
 
         done = _run_stage(count, work, stats, maps)
         own = None if done is None else done[0]
-        if last and volume is not None:
+        if last:
             g, stats.residual = done[1:] if done else (np.full((count, d, d), np.nan), math.nan)
         kids, cls, sums, values = maps, inverse, made, made_values
     if g is not None and cls is not None:
@@ -959,23 +959,11 @@ def _summed(parts: Sequence[SolveStats], threads: int = 1) -> SolveStats:
         failure=next((st.failure for st in parts if st.failure), ""))
 
 
-def _checked_levels(grid: GridSpec, levels: Sequence[int]) -> list[int]:
-    """The solvable levels asked for, coarsest first, each once; a
-    :class:`ValueError` names any level outside ``1-N..0`` (level ``-N``,
-    the cells, needs no solve)."""
-    wanted = sorted(set(levels), reverse=True)
-    bad = [level for level in wanted if not 1 - grid.N <= level <= 0]
-    if bad:
-        raise ValueError(f"levels {bad} outside {1 - grid.N}..0 of an N={grid.N} grid")
-    return wanted
-
-
 def _condensation(d: int, depth: int, h: float, rows: np.ndarray,
-                  elements: Callable[[np.ndarray], tuple], wanted: list[int],
-                  values: np.ndarray | None = None,
+                  elements: Callable[[np.ndarray], tuple], values: np.ndarray | None = None,
                   tape: list | None = None) -> dict[int, tuple[np.ndarray | None, SolveStats]]:
-    """The depth-first pass over a cube of ``3**depth`` cells a side, with
-    the levels ``wanted`` asked for, coarsest first (see
+    """The depth-first pass over a cube of ``3**depth`` cells a side, every
+    level from the cubes of 3 cells a side up to the cube itself (see
     :func:`level_functionals`). ``rows`` lists the cells in row-major
     order: the ``(cells, w)`` numbers that fix each one's element. Subtree
     ``s`` gathers its cells' rows, the ``s``-th of ``3**d`` equal slices of
@@ -989,17 +977,15 @@ def _condensation(d: int, depth: int, h: float, rows: np.ndarray,
     order, is filled by :func:`_back_substitute`, subtree ``s`` taking its
     ``s``-th slice.
 
-    Returns each level's ``(g_all, stats)`` that the pass ran, from the
-    cells up. ``g_all`` lists the level's cubes' ``g`` in row-major order
-    (:func:`_tree_order`), shaped ``(3**-level,)*d + (d, d)``; it is None
-    for a level not asked for, and with a ``tape``. ``stats`` is
-    :func:`_summed` over the level's subtrees and, at level 0, its merges:
+    Returns each level's ``(g_all, stats)``, from the cells up. ``g_all``
+    lists the level's cubes' ``g`` in row-major order (:func:`_tree_order`),
+    shaped ``(3**-level,)*d + (d, d)``; it is None with a ``tape``.
+    ``stats`` is :func:`_summed` over the level's subtrees and, at level 0, its merges:
     it takes the most threads that took a subtree and the pass's first
     failure at or below the level, and below level 0 each subtree's first
     failure at or below the level (``stats.subtree_failures``)."""
     per = rows.shape[0] // 3**d  # cells a subtree
     order = _tree_order(depth, d)
-    below = range(1 - depth, min(wanted[0], -1) + 1)  # a subtree's levels: none if depth 1
     boxes = [None] * 3**d  # level 0's children, each as its subtree reduced it
     tapes = [[] for _ in boxes]
     done = [{} for _ in boxes]  # each subtree's (g, stats) of each level it ran
@@ -1007,7 +993,7 @@ def _condensation(d: int, depth: int, h: float, rows: np.ndarray,
     def subtree(s: int) -> None:
         """Subtree ``s``: its ``(g, stats)`` of each level it ran go to
         ``done[s]``, and its cube's ``(map, forcing, g, values)`` to
-        ``boxes[s]`` if level 0 is asked for and no stage failed."""
+        ``boxes[s]`` if no stage failed."""
         parts, cells = done[s], rows[order[s * per:(s + 1) * per]]
         nodes = None if values is None else values[s * per:(s + 1) * per]
         which = _classes(cells)
@@ -1015,13 +1001,13 @@ def _condensation(d: int, depth: int, h: float, rows: np.ndarray,
         cls = None if which is None else which[1]
         del cells, which
         shape, own = (1,) * d, 0.0
-        for level in below:
+        for level in range(1 - depth, 0):  # none if depth 1
             kids, cls, sums, own, nodes, g, stats = _subtree_level(
-                kids, cls, shape, h, 3.0 ** (level * d) if level in wanted else None,
-                sums, nodes, tapes[s], s if level == -1 else None)
+                kids, cls, shape, h, 3.0 ** (level * d), sums, nodes, tapes[s],
+                s if level == -1 else None)
             parts[level] = g, stats
             shape = tuple(3 * n for n in shape)
-        if 0 in wanted and own is not None:  # an N=1 grid's cell carries its own forcing
+        if own is not None:  # an N=1 grid's cell carries its own forcing
             boxes[s] = kids, _forcings(shape, h)[None] if sums is None else sums, own, nodes
 
     threads = _run_chunks(range(3**d), subtree)
@@ -1031,8 +1017,7 @@ def _condensation(d: int, depth: int, h: float, rows: np.ndarray,
             per_level.setdefault(level, []).append(part)
     if tape is not None:
         tape.extend(step for steps in tapes for step in steps)
-    if 0 in wanted:
-        per_level[0] = [_level_zero(boxes, _plan((3 ** (depth - 1),) * d, True), d, tape)]
+    per_level[0] = [_level_zero(boxes, _plan((3 ** (depth - 1),) * d, True), d, tape)]
     out, failure, own = {}, "", [""] * 3**d
     for level, parts in per_level.items():  # from the cells up
         stats = _summed([st for _, st in parts], threads)
@@ -1041,7 +1026,7 @@ def _condensation(d: int, depth: int, h: float, rows: np.ndarray,
             own = [mine or st.failure for mine, (_, st) in zip(own, parts)]
             stats.subtree_failures = tuple(own)
         g_all = None
-        if level in wanted and tape is None:
+        if tape is None:
             g = np.concatenate([g for g, _ in parts])
             g_all = np.empty_like(g)
             g_all[_tree_order(-level, d)] = g
@@ -1050,17 +1035,15 @@ def _condensation(d: int, depth: int, h: float, rows: np.ndarray,
     return out
 
 
-def level_functionals(
-    field: CoefficientField, levels: Sequence[int]
-) -> dict[int, tuple[np.ndarray, SolveStats]]:
-    """Each given level's ``(g_all, stats)``, from the cells up, in one
-    bottom-up pass of nested static condensation (``{}`` for no level): the
-    entry point of a sweep, and the levels of :func:`_condensation` that are
-    asked for. ``g_all`` has shape ``(3**-level,)*d + (d, d)``: in row-major cube
-    order, each cube's Gram matrix ``g[r, s] = L_s(u_r) / vol`` of the unit
-    gradient forcings ``L_s(v) = avg(e_s . grad v)``, the quadratic form
-    ``q . astar^{-1} q`` of the coarse-graining layer, symmetric up to
-    roundoff. A :class:`ValueError` names any level outside ``1-N..0``.
+def level_functionals(field: CoefficientField) -> dict[int, tuple[np.ndarray, SolveStats]]:
+    """Every solved level's ``(g_all, stats)``, levels ``1-N`` to ``0`` from
+    the cells up, in one bottom-up pass of nested static condensation
+    (:func:`_condensation`): the entry point of a sweep. Level ``-N``, the
+    cells, needs no solve. ``g_all`` has shape ``(3**-level,)*d + (d, d)``:
+    in row-major cube order, each cube's Gram matrix ``g[r, s] = L_s(u_r) /
+    vol`` of the unit gradient forcings ``L_s(v) = avg(e_s . grad v)``, the
+    quadratic form ``q . astar^{-1} q`` of the coarse-graining layer,
+    symmetric up to roundoff.
 
     The d gradient forcings live on a box's boundary (:func:`_forcings`), so
     ``g = b^T S^+ b / vol`` needs only the box's *boundary map* ``S``: the
@@ -1072,10 +1055,9 @@ def level_functionals(
 
     The pass runs depth first. Each level -1 cube's subtree is one job: from
     the element matrices of its cells, in :func:`_tree_order`, it runs each
-    level below 0 up to the coarsest asked for, all of the level's cubes of
-    the subtree at once, stage by stage (:func:`_subtree_level`); the last
-    stage pins the cubes' maps and solves for ``g`` by LU where a level
-    below -1 is asked for.
+    level below 0, all of the level's cubes of the subtree at once, stage
+    by stage (:func:`_subtree_level`); below level -1 the last stage pins
+    the cubes' maps and solves for ``g`` by LU.
     Level -1's last stage eliminates its cube's interior and the nodes no
     other child of level 0 has at once, carrying the gradient forcing
     along, and keeps only the reduced box, which the job hands to level 0
@@ -1086,9 +1068,9 @@ def level_functionals(
     (:func:`_level_zero`).
     Every merge works in place on its skeleton and drops each box once it
     is summed; only one subtree's maps per thread, level 0's boxes and one
-    level-0 merge's working store are alive at once, and a level's numbers
-    do not depend on the other levels asked for. An ``N=1`` grid's subtrees
-    are its cells, which level 0 merges at once.
+    level-0 merge's working store are alive at once. An ``N=1`` grid's
+    subtrees are its cells, which level 0 merges at once, so its one level
+    is 0.
 
     The 3**d subtrees are the jobs of :func:`_run_chunks`, on one thread per
     core, the caller among them; a job runs each of its stages as one call
@@ -1121,13 +1103,9 @@ def level_functionals(
     """
     grid = field.grid
     d = grid.d
-    wanted = _checked_levels(grid, levels)
-    if not wanted:
-        return {}
     rows = field.data.reshape(-1, field.data.shape[-1])
-    levels = _condensation(d, grid.N, grid.h, rows,
-                           lambda part: (_element_matrices(part, d, grid.h), None), wanted)
-    return {level: out for level, out in levels.items() if level in wanted}
+    return _condensation(d, grid.N, grid.h, rows,
+                         lambda part: (_element_matrices(part, d, grid.h), None))
 
 
 # ---------------------------------------------------------------------------
@@ -1281,7 +1259,7 @@ def solve_dirichlet(
                 mats[:, 0, 2 ** (d - 1 - a)] = mats[:, 2 ** (d - 1 - a), 0] = part[:, 2**d + a]
             return mats, part[:, 2**d + d:].reshape(-1, 2**d, 2)
 
-        levels = _condensation(d, depth, grid.h, rows, elements, [0], values, tape)
+        levels = _condensation(d, depth, grid.h, rows, elements, values, tape)
         stats = replace(_summed([st for _, st in levels.values()]), residual=math.nan,
                         unknowns=m**d, method="fv-condensation")
         if stats.failure:

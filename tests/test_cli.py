@@ -105,6 +105,16 @@ class TestGen:
         assert re.search(rf"^error: {name} must ", capsys.readouterr().err, re.M)
         assert not (workdir / "f.cge").exists()
 
+    @pytest.mark.parametrize("diag, entry", [("nan,1", "[0, 0] is nan"),
+                                             ("1,inf", "[1, 1] is inf")])
+    def test_diag_that_is_not_finite_fails(self, workdir, capsys, diag, entry):
+        # named as not finite, not as an asymmetric matrix
+        rc = main(["gen", "--kind", "constant", "--diag", diag, "--grid-n", "2",
+                   "--field-out", "f.cge"])
+        assert rc == 1
+        assert f"error: matrix must be finite, entry {entry}\n" in capsys.readouterr().err
+        assert not (workdir / "f.cge").exists()
+
     def test_unknown_kind_is_operational_error(self, workdir, capsys):
         rc = main(["gen", "--kind", "bogus", "--field-out", "f.cge"])
         assert rc == 1
@@ -183,6 +193,18 @@ class TestCoarse:
         assert report["result"]["failures"] == []
         assert report["result"]["levels"] == [-2, -1, 0]
         assert "solves=" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    def test_empty_cache_dir_is_an_error(self, workdir, capsys, route):
+        # an empty path would put the cache record in the working directory
+        gen_identity(workdir)
+        (workdir / "cfg.txt").write_text("cache_dir =\n")
+        before = sorted(os.listdir(workdir))
+        flags = ["--cache-dir", ""] if route == "flag" else ["--config", "cfg.txt"]
+        rc = main(["coarse", "--field", "const_I.cge", *flags])
+        assert rc == 1
+        assert "error: cache directory '' is an empty path" in capsys.readouterr().err
+        assert sorted(os.listdir(workdir)) == before
 
     @staticmethod
     def _debug_levels(workdir, name, flags=()):

@@ -281,7 +281,7 @@ class TestSweepStructure:
         grid = GridSpec(d=3, N=1)
         field = gen_random_spd(grid, seed=1, eig_low=0.5, eig_high=2.0)
         result = sweep(field, cache_dir=str(tmp_path))
-        assert os.listdir(tmp_path) == []  # a failed level is not cached
+        assert os.listdir(tmp_path) == []  # a sweep with a failed cube writes no record
         assert len(result.failures) == 1
         entry = result.failures[0]
         assert entry["level"] == 0 and entry["offset"] == [0, 0, 0]
@@ -332,8 +332,8 @@ class TestSweepStructure:
         field = gen_random_spd(grid, seed=1, eig_low=0.5, eig_high=2.0)
         real = cge.coarse.level_functionals
 
-        def one_nan_cube(field, levels):
-            out = real(field, levels)
+        def one_nan_cube(field):
+            out = real(field)
             out[-1][0][1, 2, 0, 0, 0] = np.nan
             return out
 
@@ -346,8 +346,8 @@ class TestSweepStructure:
         for arr in (ld.astar, ld.astar_inv, ld.astar_inv_norm[..., None]):
             assert np.isnan(arr[1, 2, 0]).all()
             assert np.isfinite(np.delete(arr.reshape(27, -1), 15, axis=0)).all()
-        # the level with the failed cube is not cached; the clean one is
-        assert sorted(os.listdir(tmp_path / field.content_hash)) == ["level_0.npz"]
+        # a sweep with a failed cube writes no record
+        assert os.listdir(tmp_path) == []
 
 
 @pytest.fixture
@@ -378,19 +378,18 @@ def cores(monkeypatch):
         cge.solver._POOL.shutdown()
 
 
-def _cache_members(cache, field_hash):
-    """Every cache file's archive members, as bytes."""
-    members = {}
-    for path in sorted((cache / field_hash).iterdir()):
-        with zipfile.ZipFile(path) as archive:
-            members[path.name] = {name: archive.read(name) for name in archive.namelist()}
-    return members
+def _record_members(cache, field):
+    """The archive members of the field's one record, the only file in
+    ``cache``, as bytes."""
+    assert os.listdir(cache) == [f"{field.content_hash}.npz"]
+    with zipfile.ZipFile(cache / f"{field.content_hash}.npz") as archive:
+        return {name: archive.read(name) for name in archive.namelist()}
 
 
 class TestLevelZeroOverlap:
     """3D level 0 and the levels below it in one pass: the numbers and the
-    cache are the same on one core and on two, a failed level 0 leaves the
-    levels below it, and one core starts no chunk thread."""
+    cache record are the same on one core and on two, and one core starts
+    no chunk thread."""
 
     FIELD_SEED = 3
 
@@ -406,38 +405,15 @@ class TestLevelZeroOverlap:
             cache = tmp_path / f"cores{count}"
             result = sweep(field, cache_dir=str(cache))
             assert result.failures == []
-            runs.append((result, _cache_members(cache, field.content_hash)))
+            runs.append((result, _record_members(cache, field)))
         (one, one_files), (two, two_files) = runs
-        assert sorted(one_files) == sorted(f"level_{k}.npz" for k in range(0, -n, -1))
+        assert sorted(one_files) == sorted(
+            ["solver.npy"] + [f"level_{k}.npy" for k in range(0, -n, -1)])
         assert two_files == one_files
         assert (two.solve_count, two.cache_hits) == (one.solve_count, one.cache_hits)
         for level, ld in one.levels.items():
             for name in ("astar", "avg", "inv_avg_inv", "astar_inv"):
                 assert getattr(two.levels[level], name).tobytes() == getattr(ld, name).tobytes()
-
-    def test_failed_level_zero_keeps_the_other_levels(self, cores, monkeypatch, tmp_path):
-        cores(2)
-        field = self.field(2)
-        clean = sweep(field)
-        real = cge.solver._eliminate
-        # the strips, level 0's first stage: level -1's last stage already
-        # eliminated each child's own nodes and gave its g
-        strips = {size for size, _, _ in cge.solver._plan((3, 3, 3), True)[0]}
-
-        def fail_level_zero(mat, *args):
-            if mat.shape[-1] in strips:  # level 0 merges three children into a strip
-                raise np.linalg.LinAlgError("Matrix is exactly singular")
-            return real(mat, *args)
-
-        monkeypatch.setattr(cge.solver, "_eliminate", fail_level_zero)
-        result = sweep(field, cache_dir=str(tmp_path))
-        assert [(e["level"], e["offset"]) for e in result.failures] == [(0, [0, 0, 0])]
-        assert "singular" in result.failures[0]["message"]
-        for name in ("astar", "astar_inv", "astar_inv_norm"):
-            assert np.isnan(getattr(result.levels[0], name)).all()
-            assert np.array_equal(getattr(result.levels[-1], name),
-                                  getattr(clean.levels[-1], name))
-        assert sorted(os.listdir(tmp_path / field.content_hash)) == ["level_-1.npz"]
 
     def test_one_core_starts_no_chunk_thread(self, cores):
         cores(1)
@@ -495,8 +471,8 @@ class TestCondensation:
                         assert np.isnan(arr[off]).all()
                     else:
                         assert np.array_equal(arr[off], want[off])
-        # a level with a failed cube is not cached
-        assert sorted(os.listdir(tmp_path / field.content_hash)) == ["level_-2.npz"]
+        # a sweep with a failed cube writes no record
+        assert os.listdir(tmp_path) == []
 
     def test_failed_stage_fails_the_cubes_it_makes_and_their_ancestors(self, cores, monkeypatch):
         # a stage of a subtree is one kernel call, so a failed elimination
@@ -657,7 +633,7 @@ class TestCondensation:
 
     def test_symmetry_defect_reads_the_finite_cubes(self):
         field = gen_random_spd(GridSpec(2, 3), seed=1, eig_low=1e-2, eig_high=1e2)
-        g_all, stats = cge.solver.level_functionals(field, [-2])[-2]
+        g_all, stats = cge.solver.level_functionals(field)[-2]
         g_all[0, 0, 0, 1] *= 1.0 + 1e-6  # an asymmetric cube, then a NaN one
         _, _, defect = cge.coarse._level_result(-2, g_all.copy(), stats)
         scale = np.abs(g_all).max()
@@ -666,65 +642,6 @@ class TestCondensation:
         _, failures, defect = cge.coarse._level_result(-2, g_all, stats)
         assert len(failures) == 1 and math.isfinite(defect) and defect < 1e-12
 
-    def test_pass_runs_from_the_cells_to_the_coarsest_miss(self, cores, monkeypatch, tmp_path):
-        cores(1)  # the caller runs the subtrees in order
-        field = gen_random_spd(GridSpec(2, 3), seed=9, eig_low=0.5, eig_high=5.0)
-        passes, calls = [], []
-        real_pass = cge.coarse.level_functionals
-        real_condense, real_residual = cge.solver._condense, cge.solver._residual
-
-        def spy_pass(field, levels):
-            passes.append(sorted(levels))
-            return real_pass(field, levels)
-
-        def spy_condense(maps, plan, *args, **kwargs):
-            # a kernel call's box maps and whether it pins: level -1's last
-            # stage where level -1 is asked for, or level 0's last merge
-            calls.append((maps[0].shape[-1], plan[1] == plan[0] or kwargs.get("pin", False)))
-            return real_condense(maps, plan, *args, **kwargs)
-
-        def spy_residual(product, f):
-            # each pinned solve: the kernel's, or where a level below -1 is
-            # asked for, its last stage's, once the kernel made the maps
-            calls.append("pinned solve")
-            return real_residual(product, f)
-
-        monkeypatch.setattr(cge.coarse, "level_functionals", spy_pass)
-        monkeypatch.setattr(cge.solver, "_condense", spy_condense)
-        monkeypatch.setattr(cge.solver, "_residual", spy_residual)
-        cache = tmp_path / "cache"
-        cold = sweep(field, cache_dir=str(cache))
-        # each subtree, a cube of level -1, runs its levels: level -2's
-        # functionals come with its one stage, one kernel call for all its
-        # merges in the subtree, each of 9 cells (4 nodes a box); level -1's
-        # last stage merges 3 strips of 3x9 cells (24 boundary nodes) and
-        # pins its cube's reduced box, which gives level -1's.
-        # Level 0 condenses the children's boxes one merge at a time without
-        # a map of its own, the last merge pinned: a strip's first box is a
-        # corner child's 19 shared nodes or an edge child's 28
-        top = [(ranks[0].size, k == size)
-               for merges in cge.solver._plan((9, 9), True) for size, k, ranks in merges]
-        assert top == [(19, False), (28, False), (19, False), (28, True)]
-        assert passes == [[-2, -1, 0]]
-        subtree = [(4, False), "pinned solve", (12, False), (24, True), "pinned solve"]
-        assert calls == subtree * 9 + top + ["pinned solve"]
-        assert (cold.solve_count, cold.cache_hits) == (2 * 91, 0)
-        # a warm rerun asks the pass for no level and condenses nothing
-        passes.clear(), calls.clear()
-        assert sweep(field, cache_dir=str(cache)).solve_count == 0
-        assert passes == [[]] and calls == []
-        passes.clear()
-        # with level -1 missed alone, the pass condenses level -2 without
-        # solving it, solves level -1 and stops there
-        os.remove(cache / field.content_hash / "level_-1.npz")
-        redo = sweep(field, cache_dir=str(cache))
-        assert passes == [[-1]] and calls == [
-            (4, False), (12, False), (24, True), "pinned solve"] * 9
-        assert (redo.solve_count, redo.cache_hits) == (2 * 9, 1 + 81)
-        for level, ld in redo.levels.items():
-            assert np.array_equal(ld.astar_inv, cold.levels[level].astar_inv)
-
-
     def test_failed_shared_class_fails_every_cube_of_it(self, cores, monkeypatch):
         # a constant field: in each subtree, level -2's nine squares are one
         # content class, condensed once; in the first subtree that one
@@ -732,7 +649,7 @@ class TestCondensation:
         # are NaN, and every level names the failure once
         cores(1)  # the caller runs the subtrees in order
         field = gen_constant(GridSpec(2, 3), np.diag([1.0, 4.0]))
-        clean = cge.solver.level_functionals(field, [0, -1, -2])
+        clean = cge.solver.level_functionals(field)
         real, failed = cge.solver._condense, []
 
         def fail_once(maps, plan, *args, **kwargs):
@@ -742,7 +659,7 @@ class TestCondensation:
             return real(maps, plan, *args, **kwargs)
 
         monkeypatch.setattr(cge.solver, "_condense", fail_once)
-        out = cge.solver.level_functionals(field, [0, -1, -2])
+        out = cge.solver.level_functionals(field)
         assert failed == [1]
         nan = {-2: np.zeros((9, 9), bool), -1: np.zeros((3, 3), bool), 0: np.ones((1, 1), bool)}
         nan[-2][:3, :3] = nan[-1][0, 0] = True  # the first subtree: level -1's cube (0, 0)
@@ -763,115 +680,156 @@ class TestCondensation:
 # ---------------------------------------------------------------------------
 
 class TestCache:
-    def test_warm_cache_zero_solves_bitwise_equal(self, tmp_path):
-        grid = GridSpec(d=2, N=2)
-        field = gen_random_spd(grid, seed=9, eig_low=0.5, eig_high=5.0)
-        cache = str(tmp_path / "cache")
-        cold = sweep(field, cache_dir=cache)
-        assert cold.solve_count == 2 * 10 and cold.cache_hits == 0
-        warm = sweep(field, cache_dir=cache)
-        assert warm.solve_count == 0
-        assert warm.cache_hits == 10
-        for level in cold.levels:
-            assert np.array_equal(cold.levels[level].astar, warm.levels[level].astar)
-            assert np.array_equal(cold.levels[level].astar_inv, warm.levels[level].astar_inv)
+    """One record per field, ``<cache_dir>/<hash>.npz``, read and checked as
+    a whole: a sweep reads every level from it, or solves every level in
+    one pass and writes it, unless a cube failed."""
 
-    def test_cache_layout_one_record_per_level(self, tmp_path):
-        grid = GridSpec(d=2, N=2)
-        field = gen_random_spd(grid, seed=9, eig_low=0.5, eig_high=5.0)
-        cache = str(tmp_path / "cache")
-        sweep(field, cache_dir=cache)
-        root = os.path.join(cache, field.content_hash)
-        assert sorted(os.listdir(root)) == ["level_-1.npz", "level_0.npz"]
-        with np.load(os.path.join(root, "level_-1.npz")) as rec:
-            assert set(rec.files) == {"astar_inv", "solver"}
-            assert rec["astar_inv"].shape == (3, 3, 3)
+    FIELD = gen_random_spd(GridSpec(d=2, N=3), seed=9, eig_low=0.5, eig_high=5.0)
 
-    def test_config_change_invalidates(self, tmp_path):
-        # a level record written by another solver (another tag) is a miss
-        grid = GridSpec(d=2, N=1)
-        field = gen_random_spd(grid, seed=2, eig_low=0.5, eig_high=2.0)
-        cache = str(tmp_path / "cache")
-        cold = sweep(field, cache_dir=cache)
-        victim = os.path.join(cache, field.content_hash, "level_0.npz")
-        self._rewrite_record(victim, solver=np.frombuffer(b"q1-neumann/pcg", dtype=np.uint8))
-        redo = sweep(field, cache_dir=cache)
-        assert redo.solve_count == 2
-        assert redo.cache_hits == 0
-        assert np.array_equal(redo.levels[0].astar_inv, cold.levels[0].astar_inv)
-        # the re-solved record carries the engine's tag again
-        assert sweep(field, cache_dir=cache).cache_hits == 1
+    def record(self, cache):
+        return cache / f"{self.FIELD.content_hash}.npz"
 
-    def test_record_of_the_old_layout_is_a_miss(self, tmp_path):
-        # records of the earlier engines: tag /1 also held amax, tag /2 was
-        # the sparse engine's 2D record, tag /3 the condensation pass before
-        # it went one axis at a time, tag /4 before level 0 kept only shared
-        # nodes, tag /5 before the merges eliminated by Cholesky, tag /6
-        # before level 0's last merge factored in place, tag /7 before level
-        # -1's g came from its cube's first level-0 merge. Each is re-solved
-        # and rewritten in the current layout, which then hits
-        grid = GridSpec(d=2, N=1)
-        field = gen_random_spd(grid, seed=2, eig_low=0.5, eig_high=2.0)
-        cache = str(tmp_path / "cache")
-        cold = sweep(field, cache_dir=cache)
-        victim = os.path.join(cache, field.content_hash, "level_0.npz")
-        for old_tag, extra in ((b"q1-neumann/splu-nested-dissection/1",
-                                {"amax": cold.levels[0].avg}),
-                               (b"q1-neumann/splu-nested-dissection/2", {}),
-                               (b"q1-neumann/condensation-splu/3", {}),
-                               (b"q1-neumann/condensation-splu/4", {}),
-                               (b"q1-neumann/condensation/5", {}),
-                               (b"q1-neumann/condensation/6", {}),
-                               (b"q1-neumann/condensation/7", {})):
-            self._rewrite_record(victim, solver=np.frombuffer(old_tag, dtype=np.uint8),
-                                 **extra)
-            redo = sweep(field, cache_dir=cache)
-            assert (redo.solve_count, redo.cache_hits) == (2, 0)
-            assert np.array_equal(redo.levels[0].astar_inv, cold.levels[0].astar_inv)
-            with np.load(victim) as rec:
-                assert set(rec.files) == {"astar_inv", "solver"}
-                assert rec["solver"].tobytes().decode() == cge.coarse.SOLVER_TAG
-            warm = sweep(field, cache_dir=cache)
-            assert (warm.solve_count, warm.cache_hits) == (0, 1)
+    def test_cold_sweep_writes_one_record(self, cores, monkeypatch, tmp_path):
+        cores(1)  # the caller runs the subtrees in order
+        calls = []
+        real_condense, real_residual = cge.solver._condense, cge.solver._residual
+
+        def spy_condense(maps, plan, *args, **kwargs):
+            # a kernel call's box maps and whether it pins: level -1's last
+            # stage, or level 0's last merge
+            calls.append((maps[0].shape[-1], plan[1] == plan[0] or kwargs.get("pin", False)))
+            return real_condense(maps, plan, *args, **kwargs)
+
+        def spy_residual(product, f):
+            # each pinned solve: the kernel's, or below level -1 the last
+            # stage's, once the kernel made the maps
+            calls.append("pinned solve")
+            return real_residual(product, f)
+
+        monkeypatch.setattr(cge.solver, "_condense", spy_condense)
+        monkeypatch.setattr(cge.solver, "_residual", spy_residual)
+        cold = sweep(self.FIELD, cache_dir=str(tmp_path))
+        # one pass over every level. Each subtree, a cube of level -1, runs
+        # level -2's one stage, one kernel call for all its merges in the
+        # subtree, each of 9 cells (4 nodes a box), and pins them; level
+        # -1's last stage merges 3 strips of 3x9 cells (24 boundary nodes)
+        # and pins its cube's reduced box. Level 0 condenses the children's
+        # boxes one merge at a time without a map of its own, the last
+        # merge pinned: a strip's first box is a corner child's 19 shared
+        # nodes or an edge child's 28
+        top = [(ranks[0].size, k == size)
+               for merges in cge.solver._plan((9, 9), True) for size, k, ranks in merges]
+        assert top == [(19, False), (28, False), (19, False), (28, True)]
+        subtree = [(4, False), "pinned solve", (12, False), (24, True), "pinned solve"]
+        assert calls == subtree * 9 + top + ["pinned solve"]
+        assert (cold.solve_count, cold.cache_hits, cold.failures) == (2 * 91, 0, [])
+        assert os.listdir(tmp_path) == [self.record(tmp_path).name]
+        with np.load(self.record(tmp_path)) as rec:
+            assert sorted(rec.files) == ["level_-1", "level_-2", "level_0", "solver"]
+            assert rec["solver"].tobytes().decode() == cge.coarse.SOLVER_TAG
+            for level in (0, -1, -2):
+                assert np.array_equal(rec[f"level_{level}"], cold.levels[level].astar_inv)
+
+    def test_warm_sweep_reads_every_level_and_solves_nothing(self, monkeypatch, tmp_path):
+        cold = sweep(self.FIELD, cache_dir=str(tmp_path))
+        written = os.stat(self.record(tmp_path))
+
+        def no_pass(field):
+            raise AssertionError("a warm sweep ran the condensation pass")
+
+        monkeypatch.setattr(cge.coarse, "level_functionals", no_pass)
+        warm = sweep(self.FIELD, cache_dir=str(tmp_path))
+        assert (warm.solve_count, warm.cache_hits, warm.failures) == (0, 1 + 9 + 81, [])
+        assert warm.cache_hits * 2 == cold.solve_count  # every solved level read
+        # the record is read, not written again
+        assert os.listdir(tmp_path) == [self.record(tmp_path).name]
+        again = os.stat(self.record(tmp_path))
+        assert (again.st_ino, again.st_mtime_ns) == (written.st_ino, written.st_mtime_ns)
+        for level, ld in cold.levels.items():
+            for name in ("astar", "avg", "inv_avg_inv", "astar_inv"):
+                assert np.array_equal(getattr(warm.levels[level], name), getattr(ld, name))
 
     @staticmethod
-    def _rewrite_record(path, **arrays):
+    def _rewrite_record(path, changes: dict, drop: str | None = None):
         with np.load(path) as rec:
-            stored = {k: rec[k].copy() for k in rec.files}
-        stored.update(arrays)
+            stored = {k: rec[k].copy() for k in rec.files if k != drop}
+        stored.update(changes)
         with open(path, "wb") as fh:
             np.savez(fh, **stored)
 
-    @pytest.mark.parametrize(
-        "damage", ["garbage", "empty", "truncated", "wrong_shape", "non_finite"])
-    def test_corrupt_record_treated_as_miss(self, tmp_path, damage):
-        grid = GridSpec(d=2, N=1)
-        field = gen_random_spd(grid, seed=2, eig_low=0.5, eig_high=2.0)
-        cache = str(tmp_path / "cache")
-        cold = sweep(field, cache_dir=cache)
-        victim = os.path.join(cache, field.content_hash, "level_0.npz")
+    @pytest.mark.parametrize("damage", [
+        "garbage", "empty", "truncated", "missing_level", "wrong_shape", "non_finite",
+        "old_tag", "other_solver"])
+    def test_damaged_record_is_solved_again_and_rewritten(self, tmp_path, damage):
+        # any damage to any level misses the whole record: every level is
+        # solved again, to the same bits, and the record written again
+        cold = sweep(self.FIELD, cache_dir=str(tmp_path))
+        victim = self.record(tmp_path)
+        with np.load(victim) as rec:
+            level = rec["level_-1"].copy()
         if damage == "garbage":
-            with open(victim, "wb") as fh:
-                fh.write(b"not an archive")
+            victim.write_bytes(b"not an archive")
         elif damage == "empty":
-            open(victim, "wb").close()
+            victim.write_bytes(b"")
         elif damage == "truncated":
-            with open(victim, "rb") as fh:
-                raw = fh.read()
-            with open(victim, "wb") as fh:
-                fh.write(raw[: len(raw) // 2])
-        elif damage == "wrong_shape":
-            # one cube's packed matrix, not a (1, 1, 3) level record
-            self._rewrite_record(victim, astar_inv=np.ones(3))
-        else:
-            self._rewrite_record(victim, astar_inv=np.array([[[1.0, np.nan, 1.0]]]))
-        warm = sweep(field, cache_dir=cache)
-        assert warm.solve_count == 2
-        assert warm.cache_hits == 0
-        assert warm.failures == []
-        assert np.array_equal(warm.levels[0].astar_inv, cold.levels[0].astar_inv)
-        # the re-solved record replaced the damaged one
-        assert sweep(field, cache_dir=cache).cache_hits == 1
+            victim.write_bytes(victim.read_bytes()[: victim.stat().st_size // 2])
+        elif damage == "missing_level":
+            self._rewrite_record(victim, {}, drop="level_-1")
+        elif damage == "wrong_shape":  # a level one row of cubes short
+            self._rewrite_record(victim, {"level_-1": level[:2]})
+        elif damage == "non_finite":
+            level[1, 2, 0] = np.nan
+            self._rewrite_record(victim, {"level_-1": level})
+        else:  # the layout of one record a level, or another engine
+            tag = b"q1-neumann/condensation/10" if damage == "old_tag" else b"q1-neumann/pcg"
+            self._rewrite_record(victim, {"solver": np.frombuffer(tag, dtype=np.uint8)})
+        redo = sweep(self.FIELD, cache_dir=str(tmp_path))
+        assert (redo.solve_count, redo.cache_hits, redo.failures) == (2 * 91, 0, [])
+        for level, ld in cold.levels.items():
+            assert np.array_equal(redo.levels[level].astar_inv, ld.astar_inv)
+        with np.load(victim) as rec:
+            assert rec["solver"].tobytes().decode() == cge.coarse.SOLVER_TAG
+            for level in (0, -1, -2):
+                assert np.array_equal(rec[f"level_{level}"], cold.levels[level].astar_inv)
+        warm = sweep(self.FIELD, cache_dir=str(tmp_path))
+        assert (warm.solve_count, warm.cache_hits) == (0, 1 + 9 + 81)
+
+    def test_failed_cube_writes_no_record_and_its_rerun_names_it_again(
+            self, cores, monkeypatch, tmp_path):
+        # 3D N=2, level 0's strips fail: level 0 is NaN and named, level -1
+        # keeps its numbers. No record is written, so a rerun solves again
+        # and names the same failure; once the pass is whole, a sweep
+        # writes the record
+        cores(2)
+        field = gen_random_spd(GridSpec(3, 2), seed=3, eig_low=1e-2, eig_high=1e2)
+        clean = sweep(field)
+        real = cge.solver._eliminate
+        # the strips, level 0's first stage: level -1's last stage already
+        # eliminated each child's own nodes and gave its g
+        strips = {size for size, _, _ in cge.solver._plan((3, 3, 3), True)[0]}
+
+        def fail_level_zero(mat, *args):
+            if mat.shape[-1] in strips:  # level 0 merges three children into a strip
+                raise np.linalg.LinAlgError("Matrix is exactly singular")
+            return real(mat, *args)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(cge.solver, "_eliminate", fail_level_zero)
+            runs = [sweep(field, cache_dir=str(tmp_path)) for _ in range(2)]
+        for result in runs:
+            assert [(e["level"], e["offset"]) for e in result.failures] == [(0, [0, 0, 0])]
+            assert "singular" in result.failures[0]["message"]
+            assert (result.solve_count, result.cache_hits) == (3 * 27, 0)
+            for name in ("astar", "astar_inv", "astar_inv_norm"):
+                assert np.isnan(getattr(result.levels[0], name)).all()
+                assert np.array_equal(getattr(result.levels[-1], name),
+                                      getattr(clean.levels[-1], name))
+        assert runs[1].failures == runs[0].failures
+        assert os.listdir(tmp_path) == []
+        healed = sweep(field, cache_dir=str(tmp_path))
+        assert (healed.solve_count, healed.failures) == (3 * 28, [])
+        assert os.listdir(tmp_path) == [f"{field.content_hash}.npz"]
+        assert sweep(field, cache_dir=str(tmp_path)).cache_hits == 28
 
     def test_one_factorization_per_solved_level(self, tmp_path, cores, monkeypatch):
         # one condensation pass takes each solved level once
@@ -905,6 +863,7 @@ class TestCache:
         ra = sweep(fa, cache_dir=cache)
         rb = sweep(fb, cache_dir=cache)
         assert rb.cache_hits == 0
+        assert sorted(os.listdir(cache)) == sorted(f"{f.content_hash}.npz" for f in (fa, fb))
         assert not np.array_equal(ra.levels[0].astar_inv, rb.levels[0].astar_inv)
 
 

@@ -73,6 +73,17 @@ def test_gen_constant_rejects_bad_matrices():
         gen_constant(g, np.diag([1.0, -1.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", [(0, 0), (1, 0)])
+def test_gen_constant_names_an_entry_that_is_not_finite(bad, entry):
+    # checked before symmetry, which a NaN entry also breaks
+    matrix = np.eye(2)
+    matrix[entry] = bad
+    with pytest.raises(ValueError, match=rf"^matrix must be finite, entry \[{entry[0]}, "
+                                         rf"{entry[1]}\] is {bad}$"):
+        gen_constant(GridSpec(2, 1), matrix)
+
+
 def test_gen_laminate_single_value_constant():
     g = GridSpec(2, 1)
     f = gen_laminate(g, 0, [3.0])

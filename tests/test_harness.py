@@ -643,7 +643,7 @@ class TestSharpnessWorkers:
         # worker does not have: it must start its own, not submit to them
         with monkeypatch.context() as patched:
             patched.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-            level_functionals(identity_field(GridSpec(2, 3)), [0])
+            level_functionals(identity_field(GridSpec(2, 3)))
         assert cge.solver._POOL is not None
         real_solve = cge.harness.solve_dirichlet
 

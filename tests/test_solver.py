@@ -70,7 +70,7 @@ def _dense_functionals(field, cube) -> np.ndarray:
 
 def _cube_functionals(field, cube):
     """One cube's ``(g, stats)``: its entry of its level's pass."""
-    g_all, stats = level_functionals(field, [cube.level])[cube.level]
+    g_all, stats = level_functionals(field)[cube.level]
     return g_all[tuple(cube.offset)], stats
 
 
@@ -256,7 +256,7 @@ def test_engine_matches_dense_oracle():
         grid = GridSpec(d, 2)
         f = (gen_random_spd(grid, seed=13, eig_low=0.1, eig_high=10.0) if kind == "random"
              else gen_laminate(grid, d - 1, [0.1, 10.0]))
-        out = level_functionals(f, [0, -1])
+        out = level_functionals(f)
         assert sorted(out) == [-1, 0]
         for level, (g_all, stats) in out.items():
             assert g_all.shape == (3 ** -level,) * d + (d, d)
@@ -339,7 +339,7 @@ def test_condense_stack_gives_each_merge_alone(shape, mode):
 
 @pytest.mark.parametrize("shape", [(1, 1), (3, 3), (1, 1, 1), (3, 3, 3)])
 def test_level_pins_each_cube_as_alone(monkeypatch, shape):
-    # a level below -1 asked for pins its cubes' maps once its last stage
+    # a level below -1 pins its cubes' maps once its last stage
     # has made them, by one stacked LU solve in the stage: each cube's g
     # and the level's residual are, to the last bit, those of the cube
     # condensed and pinned alone, which the content classes rely on. A box
@@ -418,7 +418,7 @@ def test_more_threads_than_cores_take_each_subtree_once(monkeypatch):
     # the threads share one iterator over the 27 subtrees: a lost take
     # leaves a subtree out, a repeated one condenses its stages twice
     f = gen_random_spd(GridSpec(3, 3), seed=5, eig_low=1e-2, eig_high=1e2)
-    whole = level_functionals(f, [-1, -2])  # 27 cubes of 9**3 cells, 729 of 3**3
+    whole = level_functionals(f)  # 1 cube of 27**3 cells, 27 of 9**3, 729 of 3**3
     taken, subtrees = [], []
     real_condense, real_elements = cge.solver._condense, cge.solver._element_matrices
 
@@ -438,7 +438,7 @@ def test_more_threads_than_cores_take_each_subtree_once(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        out = level_functionals(f, [-1, -2])
+        out = level_functionals(f)
     finally:
         sys.setswitchinterval(interval)
         pool.shutdown()
@@ -446,10 +446,11 @@ def test_more_threads_than_cores_take_each_subtree_once(monkeypatch):
     assert sorted(subtrees) == sorted(cell.tobytes() for cell in first)
     # a cube of cells is one merge; a cube above it 13: 9, 3 and 1 along
     # the last, middle and first axis. A subtree runs each stage in one
-    # call, for its 27 cubes of level -2 and then its cube of level -1
-    assert [stats.merges for _, stats in out.values()] == [729, 27 * 13]
-    assert [stats.threads for _, stats in out.values()] == [5, 5]
-    assert sorted(taken) == sorted([27, 9, 3, 1] * 27)
+    # call, for its 27 cubes of level -2 and then its cube of level -1;
+    # level 0 then runs its 13 merges one a call
+    assert [stats.merges for _, stats in out.values()] == [729, 27 * 13, 13]
+    assert [stats.threads for _, stats in out.values()] == [5, 5, 5]
+    assert sorted(taken) == sorted([27, 9, 3, 1] * 27 + [1] * 13)
     for level, (g_all, _) in out.items():
         assert np.array_equal(g_all, whole[level][0])
 
@@ -457,10 +458,8 @@ def test_more_threads_than_cores_take_each_subtree_once(monkeypatch):
 @pytest.mark.parametrize("d, n", [(2, 3), (3, 2)])
 def test_residual_reported_on_high_contrast_field(d, n):
     f = gen_random_spd(GridSpec(d, n), seed=3, eig_low=1e-2, eig_high=1e2)
-    for _, stats in level_functionals(f, range(0, -n, -1)).values():
+    for _, stats in level_functionals(f).values():
         assert 0.0 < stats.residual <= 1e-10
-    _, stats = level_functionals(f, [0])[0]
-    assert 0.0 < stats.residual <= 1e-10
 
 
 def test_linear_forcing_combines_functional_columns():
@@ -860,7 +859,7 @@ def test_last_merge_matches_dense_oracle(monkeypatch, d, n):
     # against the S that the factorization leaves
     f = gen_random_spd(GridSpec(d, n), seed=13, eig_low=1e-2, eig_high=1e2)
     cube = TriadicCube(0, (0,) * d)
-    g_all, stats = level_functionals(f, [0])[0]
+    g_all, stats = level_functionals(f)[0]
     want = _dense_functionals(f, cube)[:d, :d]
     np.testing.assert_allclose(g_all[cube.offset], want, rtol=0, atol=1e-12 * np.abs(want).max())
     assert np.array_equal(g_all, np.swapaxes(g_all, -1, -2))
@@ -874,7 +873,7 @@ def test_last_merge_matches_dense_oracle(monkeypatch, d, n):
         return y
 
     monkeypatch.setattr(cge.solver, "_back_solve", off)
-    _, bad = level_functionals(f, [0])[0]
+    _, bad = level_functionals(f)[0]
     assert bad.residual > 1e-10
 
 
@@ -927,7 +926,7 @@ def test_level_zero_merges_hold_one_working_store(monkeypatch):
     if not tracing:
         tracemalloc.start()
     try:
-        level_functionals(f, [0])
+        level_functionals(f)
     finally:
         if not tracing:
             tracemalloc.stop()
@@ -938,14 +937,14 @@ def test_level_zero_merges_hold_one_working_store(monkeypatch):
     assert len(strips) == 9
     assert all(peak < 8 * (size**2 + (size - k) ** 2 + BAND * size) for size, k, peak in strips)
     assert alive == [[False, True, False]]  # the middle slab is the skeleton
-    # LAPACK's copies are not traced: the pass, asked for level 0 alone,
-    # makes no LU solve, which would copy the last merge's pinned map
-    assert solves == []
+    # LAPACK's copies are not traced: the pass's LU solves pin level -2's
+    # maps of 56 nodes alone, and none copies the last merge's pinned map
+    assert {shape[-1] for shape in solves} == {55}
 
 
 def _condensed_levels(f):
     """Every solved level's ``g_all`` from one condensation pass."""
-    out = level_functionals(f, range(0, -f.grid.N, -1))
+    out = level_functionals(f)
     assert all(stats.method == "condensation" and stats.residual <= 1e-10
                for _, stats in out.values())
     return {level: g_all for level, (g_all, _) in out.items()}
@@ -988,17 +987,18 @@ def test_condensation_1d_closed_form(eig_low, rtol):
         np.testing.assert_allclose(g_all[..., 0], want, rtol=rtol, atol=0)
 
 
-@pytest.mark.parametrize("d, n", [(1, 5), (2, 4), (3, 3)])
+@pytest.mark.parametrize("d, n", [(1, 5), (2, 4), (3, 3), (2, 1), (3, 1)])
 def test_condensation_cores_leave_functionals_bit_identical(monkeypatch, d, n):
     # every merge is eliminated alone and a band's rows do not depend on
-    # the cores: one core and two agree to the last bit
+    # the cores: one core and two agree to the last bit (an N=1 grid's
+    # subtrees are its cells)
     f = gen_random_spd(GridSpec(d, n), seed=11, eig_low=1e-2, eig_high=1e2)
     runs = []
     for cores in (1, 2):
         monkeypatch.setattr(cge.solver.os, "sched_getaffinity", lambda pid: set(range(cores)))
         monkeypatch.setattr(cge.solver, "_POOL", None)
         try:
-            out = level_functionals(f, range(0, -n, -1))
+            out = level_functionals(f)
         finally:
             if cge.solver._POOL is not None:
                 cge.solver._POOL.shutdown()
@@ -1008,31 +1008,6 @@ def test_condensation_cores_leave_functionals_bit_identical(monkeypatch, d, n):
     for level, (g_all, stats) in two.items():
         assert np.array_equal(g_all, one[level][0])
         assert stats.residual == one[level][1].residual
-
-
-@pytest.mark.parametrize("d, n, levels", [
-    (2, 4, [-2]), (3, 3, [-2]), (1, 5, [-2]), (1, 5, [0]), (2, 1, [0]), (3, 1, [0])])
-def test_levels_asked_alone_match_a_full_pass(monkeypatch, d, n, levels):
-    # the subtrees stop at the coarsest level asked for, below 0 or not:
-    # on two cores it gives the numbers of a full pass on one, to the last
-    # bit (an N=1 grid's subtrees are its cells)
-    f = gen_random_spd(GridSpec(d, n), seed=11, eig_low=1e-2, eig_high=1e2)
-    runs = []
-    for asked, cores in ((range(0, -n, -1), 1), (levels, 2)):
-        monkeypatch.setattr(cge.solver.os, "sched_getaffinity", lambda pid: set(range(cores)))
-        monkeypatch.setattr(cge.solver, "_POOL", None)
-        try:
-            runs.append(level_functionals(f, asked))
-        finally:
-            if cge.solver._POOL is not None:
-                cge.solver._POOL.shutdown()
-    full, alone = runs
-    assert sorted(alone) == sorted(levels)
-    for level, (g_all, stats) in alone.items():
-        assert np.isfinite(g_all).all()
-        assert np.array_equal(g_all, full[level][0])
-        assert stats.residual == full[level][1].residual
-        assert stats.merges == full[level][1].merges
 
 
 def test_pass_holds_one_subtree_at_a_time(monkeypatch):
@@ -1049,7 +1024,7 @@ def test_pass_holds_one_subtree_at_a_time(monkeypatch):
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        out = level_functionals(f, range(0, -5, -1))
+        out = level_functionals(f)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         if not tracing:
@@ -1058,26 +1033,11 @@ def test_pass_holds_one_subtree_at_a_time(monkeypatch):
     assert peak < 16 * 2**20
 
 
-@pytest.mark.parametrize("d, n", [(1, 4), (2, 3)])
-def test_condensation_top_below_level_zero(d, n):
-    # the pass stops at the coarsest level asked for, here one of many
-    # cubes: it forms their maps, whose pinned solves give g
-    f = gen_random_spd(GridSpec(d, n), seed=13, eig_low=0.1, eig_high=10.0)
-    out = level_functionals(f, [-1, -2])
-    assert sorted(out) == [-2, -1]
-    for level, (g_all, stats) in out.items():
-        assert stats.method == "condensation" and stats.residual <= 1e-10
-        for off in np.ndindex(g_all.shape[:d]):
-            g_dense = _dense_functionals(f, TriadicCube(level, off))[:d, :d]
-            np.testing.assert_allclose(g_all[off], g_dense, rtol=0,
-                                       atol=1e-12 * np.abs(g_dense).max())
-
-
 def test_failed_solve_is_nan_and_named_at_its_level_and_above(monkeypatch):
     # a failed dense solve is data, not an error: its cubes and the cubes
     # that contain them are NaN, and every level from its own up names it
     f = gen_random_spd(GridSpec(2, 3), seed=1, eig_low=1e-2, eig_high=1e2)
-    clean = level_functionals(f, [0, -1, -2])
+    clean = level_functionals(f)
     real = cge.solver._eliminate
 
     def fail_level_minus_one(mat, *args):
@@ -1088,7 +1048,7 @@ def test_failed_solve_is_nan_and_named_at_its_level_and_above(monkeypatch):
         return real(mat, *args)
 
     monkeypatch.setattr(cge.solver, "_eliminate", fail_level_minus_one)
-    out = level_functionals(f, [0, -1, -2])
+    out = level_functionals(f)
     assert sorted(out) == [-2, -1, 0]
     assert all(isinstance(v, tuple) for v in out.values())
     g_all, stats = out[-2]
@@ -1101,39 +1061,23 @@ def test_failed_solve_is_nan_and_named_at_its_level_and_above(monkeypatch):
         assert "failure" not in stats.to_dict()
 
 
-@pytest.mark.parametrize("d, n", [(2, 4), (3, 3)])
-@pytest.mark.parametrize("kind", ["random", "cascade"])
-def test_level_minus_one_does_not_depend_on_level_zero(d, n, kind):
-    # level -1's g is its last stage's carried W_f^T W_f and the pinned
-    # solve of the box it makes: the same operations whether or not level 0
-    # is asked for, so the same bits
-    grid = GridSpec(d, n)
-    f = (gen_random_spd(grid, seed=1, eig_low=1e-2, eig_high=1e2) if kind == "random"
-         else gen_cascade_field(grid, CascadeParams(0.5, n, 1)))
-    alone, both = level_functionals(f, [-1]), level_functionals(f, [0, -1])
-    assert np.isfinite(alone[-1][0]).all()
-    assert np.array_equal(alone[-1][0], both[-1][0])
-    assert alone[-1][1].residual == both[-1][1].residual <= 1e-10
-
-
 @pytest.mark.parametrize("d, n, kind", [
     (1, 2, "random"), (1, 3, "random"), (2, 2, "random"), (2, 3, "random"), (3, 2, "random"),
     (2, 3, "laminate"), (3, 2, "laminate")])
 def test_level_minus_one_matches_dense_oracle(d, n, kind):
-    # asked alone and with level 0: every level -1 cube's g, from its last
-    # stage, which eliminates the interior and the nodes no other child of
-    # level 0 has (none at the centre child) and pins the rest, against the
-    # dense reference solve of the cube; a laminate at contrast 1e4 too
+    # every level -1 cube's g, from its last stage, which eliminates the
+    # interior and the nodes no other child of level 0 has (none at the
+    # centre child) and pins the rest, against the dense reference solve of
+    # the cube; a laminate at contrast 1e4 too
     grid = GridSpec(d, n)
     f = (gen_random_spd(grid, seed=5, eig_low=1e-2, eig_high=1e2) if kind == "random"
          else gen_laminate(grid, d - 1, [1.0, 1e4, 3.0]))
-    for levels in ([-1], [0, -1]):
-        g_all, stats = level_functionals(f, levels)[-1]
-        # in 1D a reduced box has one or two nodes, whose pinned solve can be exact
-        assert (0.0 < stats.residual or d == 1) and stats.residual <= 1e-12
-        for off in np.ndindex(g_all.shape[:d]):
-            want = _dense_functionals(f, TriadicCube(-1, off))[:d, :d]
-            np.testing.assert_allclose(g_all[off], want, rtol=0, atol=1e-12 * np.abs(want).max())
+    g_all, stats = level_functionals(f)[-1]
+    # in 1D a reduced box has one or two nodes, whose pinned solve can be exact
+    assert (0.0 < stats.residual or d == 1) and stats.residual <= 1e-12
+    for off in np.ndindex(g_all.shape[:d]):
+        want = _dense_functionals(f, TriadicCube(-1, off))[:d, :d]
+        np.testing.assert_allclose(g_all[off], want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 @pytest.mark.parametrize("error, why", [
@@ -1146,7 +1090,7 @@ def test_failed_pinned_last_stage_is_nan_at_level_minus_one_and_zero(monkeypatch
     # level -1, level 0 is NaN, both name it, and the other cubes and
     # levels keep their numbers
     f = gen_random_spd(GridSpec(2, 3), seed=1, eig_low=1e-2, eig_high=1e2)
-    clean = level_functionals(f, [0, -1, -2])
+    clean = level_functionals(f)
     real, calls = cge.solver._condense, []
 
     def fail_one(maps, plan, *args, **kwargs):
@@ -1158,7 +1102,7 @@ def test_failed_pinned_last_stage_is_nan_at_level_minus_one_and_zero(monkeypatch
     monkeypatch.setattr(cge.solver.os, "sched_getaffinity", lambda pid: {0})
     monkeypatch.setattr(cge.solver, "_POOL", None)
     monkeypatch.setattr(cge.solver, "_condense", fail_one)
-    out = level_functionals(f, [0, -1, -2])
+    out = level_functionals(f)
     assert len(calls) == 1
     assert np.array_equal(out[-2][0], clean[-2][0]) and out[-2][1].failure == ""
     message = f"dense condensation {why}: {error}"
@@ -1178,7 +1122,7 @@ def test_nan_level_minus_one_cube_is_nan_at_level_zero_and_named(monkeypatch):
     # hands level 0 no box, so level -1's g of that cube and level 0's are
     # NaN, and both levels name the first failure, the failed merge's
     f = gen_random_spd(GridSpec(3, 2), seed=3, eig_low=1e-2, eig_high=1e2)
-    clean = level_functionals(f, [0, -1])
+    clean = level_functionals(f)
     real, calls = cge.solver._eliminate, []
     last = _plan((1, 1, 1), False)[-1][0][0]  # level -1's last stage: one merge a cube
 
@@ -1191,7 +1135,7 @@ def test_nan_level_minus_one_cube_is_nan_at_level_zero_and_named(monkeypatch):
     monkeypatch.setattr(cge.solver.os, "sched_getaffinity", lambda pid: {0})
     monkeypatch.setattr(cge.solver, "_POOL", None)
     monkeypatch.setattr(cge.solver, "_eliminate", fail_once)
-    out = level_functionals(f, [0, -1])
+    out = level_functionals(f)
     message = "dense condensation failed: Matrix is not positive definite"
     g_all, stats = out[-1]
     bad = ~np.isfinite(g_all).all(axis=(-2, -1))
@@ -1207,40 +1151,20 @@ def test_single_cube_failed_solve_is_nan(monkeypatch):
         raise np.linalg.LinAlgError("Singular matrix")
 
     monkeypatch.setattr(cge.solver, "_eliminate", fail)
-    g, stats = level_functionals(gen_random_spd(GridSpec(2, 2), seed=1), [0])[0]
+    g, stats = level_functionals(gen_random_spd(GridSpec(2, 2), seed=1))[0]
     assert g.shape == (1, 1, 2, 2) and np.isnan(g).all()
     assert stats.failure == "dense condensation failed: Singular matrix"
 
 
-@pytest.mark.parametrize("level", [1, -3])
-def test_batched_functionals_name_a_level_outside_the_grid(level):
-    # above the cube, and below the cells
-    with pytest.raises(ValueError, match=rf"levels \[{level}\] outside -1\.\.0"):
-        level_functionals(gen_random_spd(GridSpec(2, 2), seed=1), [level])
-
-
-# The level checks of the pass, on every dimension and on a deeper 2D grid:
-# (d, N) of each grid
-LEVEL_GRIDS = [(1, 2), (2, 2), (2, 3), (3, 2)]
-LEVEL_GRID_IDS = ["condensed-1d", "condensed-2d", "entry-2d", "entry-3d"]
-
-
-@pytest.mark.parametrize("d, n", LEVEL_GRIDS, ids=LEVEL_GRID_IDS)
-def test_no_levels_give_no_functionals(d, n):
-    assert level_functionals(gen_random_spd(GridSpec(d, n), seed=1), []) == {}
-
-
-@pytest.mark.parametrize("d, n", LEVEL_GRIDS, ids=LEVEL_GRID_IDS)
-def test_cells_level_is_rejected(d, n):
-    # level -N is the cells: no solve, so no functionals to return
-    with pytest.raises(ValueError, match=rf"levels \[-{n}\] outside {1 - n}\.\.0"):
-        level_functionals(gen_random_spd(GridSpec(d, n), seed=1), [0, -n])
-
-
-@pytest.mark.parametrize("d, n", LEVEL_GRIDS, ids=LEVEL_GRID_IDS)
-def test_level_above_the_grid_is_rejected(d, n):
-    with pytest.raises(ValueError, match=rf"levels \[1\] outside {1 - n}\.\.0"):
-        level_functionals(gen_random_spd(GridSpec(d, n), seed=1), [1])
+@pytest.mark.parametrize("d, n", [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (2, 3), (3, 2)])
+def test_functionals_are_every_solved_level(d, n):
+    # levels 1-N..0, from the cells up, and nothing else: level -N, the
+    # cells, needs no solve, so an N=1 grid's one level is 0
+    out = level_functionals(gen_random_spd(GridSpec(d, n), seed=1))
+    assert list(out) == list(range(1 - n, 1))
+    for level, (g_all, stats) in out.items():
+        assert g_all.shape == (3 ** -level,) * d + (d, d)
+        assert np.isfinite(g_all).all() and stats.failure == ""
 
 
 def test_axis_permutation_permutes_functionals():
@@ -1251,7 +1175,7 @@ def test_axis_permutation_permutes_functionals():
     full = np.transpose(sym_unpack(f.data, 3), perm + (3, 4))[..., perm, :][..., perm]
     image = CoefficientField(f.grid, full[..., [i for i, _ in sym_index_pairs(3)],
                                           [j for _, j in sym_index_pairs(3)]])
-    base, moved = (level_functionals(field, range(0, -3, -1)) for field in (f, image))
+    base, moved = (level_functionals(field) for field in (f, image))
     for level, (g_all, _) in base.items():
         want = np.transpose(g_all, perm + (3, 4))[..., perm, :][..., perm]
         scale = np.abs(want).max(axis=(-2, -1), keepdims=True)
@@ -1265,7 +1189,7 @@ def test_3d_laminate_closed_form():
     values = np.exp(np.random.default_rng(3).uniform(-3.0, 3.0, 27))  # one layer a cell
     f = gen_laminate(grid, axis, values)
     inv = 1.0 / f.data[..., 0]
-    for level, (g_all, _) in level_functionals(f, range(0, -3, -1)).items():
+    for level, (g_all, _) in level_functionals(f).items():
         want = block_reduce(inv, 3, 3 ** (3 + level))
         np.testing.assert_allclose(g_all[..., axis, axis], want, rtol=1e-11, atol=0)
         others = np.delete(g_all[..., axis, :], axis, axis=-1)
@@ -1499,10 +1423,10 @@ def test_dirichlet_factors_once_per_solve(monkeypatch):
     passes, tapes = [], []
     real_pass, real_back = cge.solver._condensation, cge.solver._back_substitute
 
-    def spy_pass(d, depth, h, rows, elements, wanted, values=None, tape=None):
+    def spy_pass(d, depth, h, rows, elements, values=None, tape=None):
         # the cells' rows and their nodes' values, in tree order
-        passes.append((depth, list(wanted), rows.shape[0], values.shape, tape is not None))
-        return real_pass(d, depth, h, rows, elements, wanted, values, tape)
+        passes.append((depth, rows.shape[0], values.shape, tape is not None))
+        return real_pass(d, depth, h, rows, elements, values, tape)
 
     def spy_back(tape):
         tapes.append([(w_b.shape, plan[:2]) for plan, w_b, *_ in tape])
@@ -1513,7 +1437,7 @@ def test_dirichlet_factors_once_per_solve(monkeypatch):
     field = diagonal_field(GridSpec(2, 3), seed=4)
     for _ in range(2):
         solve_dirichlet(field, FULL, wavy_boundary)
-    assert passes == [(3, [0], 729, (729, 4, 1), True)] * 2
+    assert passes == [(3, 729, (729, 4, 1), True)] * 2
     assert len(tapes) == 2 and tapes[0] == tapes[1]
     (size, k) = tapes[0][-1][1]
     assert size == k  # the last merge eliminates every node, with no pin
@@ -1567,7 +1491,7 @@ def test_failed_allocation_is_nan_and_named(monkeypatch):
     # a MemoryError in one stage of a sweep is recorded like a failed solve:
     # the pass completes, its cubes and their ancestors are NaN
     f = gen_random_spd(GridSpec(2, 3), seed=1, eig_low=1e-2, eig_high=1e2)
-    clean = level_functionals(f, [0, -1, -2])
+    clean = level_functionals(f)
     real = cge.solver._condense
 
     def no_memory(maps, plan, *args, **kwargs):
@@ -1576,7 +1500,7 @@ def test_failed_allocation_is_nan_and_named(monkeypatch):
         return real(maps, plan, *args, **kwargs)
 
     monkeypatch.setattr(cge.solver, "_condense", no_memory)
-    out = level_functionals(f, [0, -1, -2])
+    out = level_functionals(f)
     assert np.array_equal(out[-2][0], clean[-2][0]) and out[-2][1].failure == ""
     for level in (-1, 0):
         g_all, stats = out[level]
@@ -1637,11 +1561,11 @@ def test_content_classes_leave_functionals_bit_identical(monkeypatch, d, n, kind
     # that condense every merge: every level's g and residual to the last
     # bit, from fewer merges below level 0 and the same at level 0
     f = _class_field(d, n, kind)
-    shared = level_functionals(f, range(0, -n, -1))
+    shared = level_functionals(f)
     # 3D against the strided views alone: the gathers' code is 2D's
     for seam in CLASS_SEAMS if d == 2 else CLASS_SEAMS[:1]:
         monkeypatch.setattr(cge.solver, "_classes", seam)
-        alone = level_functionals(f, range(0, -n, -1))
+        alone = level_functionals(f)
         for level, (g_all, stats) in shared.items():
             assert np.array_equal(alone[level][0], g_all)
             assert alone[level][1].residual == stats.residual
@@ -1674,7 +1598,7 @@ def test_condense_sees_each_distinct_merge_once(monkeypatch, d, n):
         (gen_constant(grid, np.eye(d)), calls),
     ]:
         seen.clear()
-        out = level_functionals(f, range(0, -n, -1))
+        out = level_functionals(f)
         assert list(out) == list(range(1 - n, 1))  # from the cells up
         assert sum(seen) == sum(stats.merges for _, stats in out.values()) == merges
         assert len(seen) == calls

@@ -388,8 +388,8 @@ def _record_members(cache, field):
 
 class TestLevelZeroOverlap:
     """3D level 0 and the levels below it in one pass: the numbers and the
-    cache record are the same on one core and on two, and one core starts
-    no chunk thread."""
+    cache record are the same on one core and on two, a failed level 0
+    leaves the levels below it, and one core starts no chunk thread."""
 
     FIELD_SEED = 3
 
@@ -414,6 +414,31 @@ class TestLevelZeroOverlap:
         for level, ld in one.levels.items():
             for name in ("astar", "avg", "inv_avg_inv", "astar_inv"):
                 assert getattr(two.levels[level], name).tobytes() == getattr(ld, name).tobytes()
+
+    def test_failed_level_zero_keeps_the_other_levels(self, cores, monkeypatch):
+        # on one core, where the caller runs every subtree and then level 0
+        # (TestCache runs the same failure on two, with a cache)
+        cores(1)
+        field = self.field(2)
+        clean = sweep(field)
+        real = cge.solver._eliminate
+        # the strips, level 0's first stage: level -1's last stage already
+        # eliminated each child's own nodes and gave its g
+        strips = {size for size, _, _ in cge.solver._plan((3, 3, 3), True)[0]}
+
+        def fail_level_zero(mat, *args):
+            if mat.shape[-1] in strips:  # level 0 merges three children into a strip
+                raise np.linalg.LinAlgError("Matrix is exactly singular")
+            return real(mat, *args)
+
+        monkeypatch.setattr(cge.solver, "_eliminate", fail_level_zero)
+        result = sweep(field)
+        assert [(e["level"], e["offset"]) for e in result.failures] == [(0, [0, 0, 0])]
+        assert "singular" in result.failures[0]["message"]
+        for name in ("astar", "astar_inv", "astar_inv_norm"):
+            assert np.isnan(getattr(result.levels[0], name)).all()
+            assert np.array_equal(getattr(result.levels[-1], name),
+                                  getattr(clean.levels[-1], name))
 
     def test_one_core_starts_no_chunk_thread(self, cores):
         cores(1)

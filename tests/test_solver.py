@@ -1061,6 +1061,52 @@ def test_failed_solve_is_nan_and_named_at_its_level_and_above(monkeypatch):
         assert "failure" not in stats.to_dict()
 
 
+@pytest.mark.parametrize("d, n", [(1, 4), (2, 3)])
+def test_condensation_top_below_level_zero(d, n):
+    # every level below 0 is one of many cubes: the pass forms their maps,
+    # whose pinned solves give g, each against the dense reference solve
+    f = gen_random_spd(GridSpec(d, n), seed=13, eig_low=0.1, eig_high=10.0)
+    out = level_functionals(f)
+    for level in range(-1, -n, -1):
+        g_all, stats = out[level]
+        assert stats.method == "condensation" and stats.residual <= 1e-10
+        for off in np.ndindex(g_all.shape[:d]):
+            g_dense = _dense_functionals(f, TriadicCube(level, off))[:d, :d]
+            np.testing.assert_allclose(g_all[off], g_dense, rtol=0,
+                                       atol=1e-12 * np.abs(g_dense).max())
+
+
+@pytest.mark.parametrize("d, n", [(2, 4), (3, 3)])
+@pytest.mark.parametrize("kind", ["random", "cascade"])
+def test_level_minus_one_does_not_depend_on_level_zero(monkeypatch, d, n, kind):
+    # level -1's g is its last stage's carried W_f^T W_f and the pinned
+    # solve of the box it makes, done before level 0 runs: when every one of
+    # level 0's eliminations fails, level 0 is NaN and names it, and every
+    # level below keeps the bits of a clean pass
+    grid = GridSpec(d, n)
+    f = (gen_random_spd(grid, seed=1, eig_low=1e-2, eig_high=1e2) if kind == "random"
+         else gen_cascade_field(grid, CascadeParams(0.5, n, 1)))
+    clean = level_functionals(f)
+    real = cge.solver._eliminate
+
+    def fail_level_zero(mat, k, forcing=None, run=cge.solver._serial, kept=None):
+        if run is cge.solver._run_chunks:  # level 0's merges alone run on every core
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real(mat, k, forcing, run, kept)
+
+    monkeypatch.setattr(cge.solver, "_eliminate", fail_level_zero)
+    out = level_functionals(f)
+    assert sorted(out) == sorted(clean)
+    g_all, stats = out[0]
+    assert np.isnan(g_all).all()
+    assert stats.failure == "dense condensation failed: Singular matrix"
+    for level in range(-1, -n, -1):
+        g_all, stats = out[level]
+        assert np.isfinite(g_all).all() and stats.failure == ""
+        assert np.array_equal(g_all, clean[level][0])
+        assert stats.residual == clean[level][1].residual <= 1e-10
+
+
 @pytest.mark.parametrize("d, n, kind", [
     (1, 2, "random"), (1, 3, "random"), (2, 2, "random"), (2, 3, "random"), (3, 2, "random"),
     (2, 3, "laminate"), (3, 2, "laminate")])
